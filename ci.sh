@@ -39,6 +39,11 @@
 # committed golden (the server is the batch engine behind a socket), and
 # the decision-latency percentiles must have been recorded.
 #
+# The benchmark gate builds and tests `benchmark/`, a workspace of its own
+# that the root build never sees: it binds the crates' public API
+# (`Exchange::run_auction`, `SlotOffer::advance`, ...), so a signature
+# change under `crates/` can break it while everything above stays green.
+#
 # The full run also greps library crates for stray stdout/stderr printing:
 # all human-facing output belongs to the bench binaries, libraries speak
 # through return values and the metric registry.
@@ -106,6 +111,11 @@ perf_serve() {
     grep -q '^serve: .*ingest_errors=0' target/serve_smoke.out
 }
 
+benchmark_gate() {
+    cargo test --offline --manifest-path benchmark/Cargo.toml
+    benchmark/run.sh --lint
+}
+
 no_library_prints() {
     # Library crates must not print; the only print!/println!/eprintln!
     # call sites allowed are the bench and serve binaries
@@ -144,3 +154,4 @@ perf_check
 perf_mem
 perf_scenario
 perf_serve
+benchmark_gate

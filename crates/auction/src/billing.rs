@@ -1,6 +1,6 @@
 //! Impression billing and SLA tracking.
 
-use std::collections::HashMap;
+use std::collections::VecDeque;
 
 use adpf_desim::SimTime;
 
@@ -33,13 +33,59 @@ pub enum ImpressionOutcome {
     Unknown,
 }
 
+/// What settling a pending ad needs; read only while the ad is pending.
 #[derive(Debug, Clone, Copy)]
-struct Entry {
+struct Sale {
     campaign: CampaignId,
     price: f64,
     deadline: SimTime,
-    state: AdState,
-    duplicates: u32,
+}
+
+impl Default for Sale {
+    /// Filler for window positions whose ad was never sold or has settled.
+    fn default() -> Self {
+        Sale {
+            campaign: CampaignId(0),
+            price: 0.0,
+            deadline: SimTime::ZERO,
+        }
+    }
+}
+
+/// A deque indexed by ad id: `slots[i]` belongs to ad `first + i`, and
+/// `T::default()` fills the ids in between that were never stored. The
+/// exchange numbers ads with a monotone counter, so storing appends and
+/// a lookup is one subtraction.
+#[derive(Debug, Default)]
+struct IdArena<T> {
+    slots: VecDeque<T>,
+    first: u64,
+}
+
+impl<T: Copy + Default> IdArena<T> {
+    fn index(&self, id: u64) -> Option<usize> {
+        let i = usize::try_from(id.checked_sub(self.first)?).ok()?;
+        (i < self.slots.len()).then_some(i)
+    }
+
+    /// Stores `value` for `id`, growing towards whichever end `id` is
+    /// beyond, so ids may arrive in any order.
+    fn set(&mut self, id: u64, value: T) {
+        if self.slots.is_empty() {
+            self.first = id;
+        }
+        while id < self.first {
+            self.slots.push_front(T::default());
+            self.first -= 1;
+        }
+        let i = (id - self.first) as usize;
+        if i < self.slots.len() {
+            self.slots[i] = value;
+        } else {
+            self.slots.resize(i, T::default());
+            self.slots.push_back(value);
+        }
+    }
 }
 
 /// Aggregate billing totals.
@@ -98,9 +144,25 @@ impl LedgerTotals {
 /// clients; those are *not* billed — they consume client slots that could
 /// have shown other paid ads, which is precisely the "revenue loss" the
 /// overbooking model must keep negligible.
+///
+/// Storage is two id-indexed arenas (the layout `ReplicaTracker` uses)
+/// rather than a hash map. `states` keeps one byte per ad for good: a
+/// display reported long after settlement must still come back
+/// `Duplicate` or `Late`, never `Unknown`. `sales` holds price, payer and
+/// deadline, which only a *pending* ad needs, so its front advances as
+/// the oldest ads settle and it spans the open deadline window, not the
+/// whole run. Ids may be sold in any order and with gaps; each arena
+/// spans from the lowest to the highest id it holds, gaps included.
 #[derive(Debug, Default)]
 pub struct Ledger {
-    ads: HashMap<AdId, Entry>,
+    /// State of every ad ever sold; `None` marks an id never sold.
+    states: IdArena<Option<AdState>>,
+    /// Sale terms. Every pending ad lies inside this arena, and while it
+    /// is non-empty its first ad is pending.
+    sales: IdArena<Sale>,
+    /// `(deadline, ad)` of every sale that can expire, ascending by
+    /// deadline. Entries of ads displayed since are dropped when reached.
+    due: VecDeque<(SimTime, u64)>,
     totals: LedgerTotals,
 }
 
@@ -112,83 +174,117 @@ impl Ledger {
 
     /// Registers a sale.
     pub fn record_sale(&mut self, ad: &SoldAd) {
-        let prev = self.ads.insert(
-            ad.id,
-            Entry {
+        let id = ad.id.0;
+        debug_assert!(self.state(ad.id).is_none(), "ad {} sold twice", ad.id);
+        self.states.set(id, Some(AdState::Pending));
+        self.sales.set(
+            id,
+            Sale {
                 campaign: ad.campaign,
                 price: ad.price,
                 deadline: ad.deadline,
-                state: AdState::Pending,
-                duplicates: 0,
             },
         );
-        debug_assert!(prev.is_none(), "ad {} sold twice", ad.id);
+        // `expire_due` tests `deadline < now`, which `MAX` never passes.
+        if ad.deadline != SimTime::MAX {
+            match self.due.back() {
+                Some(&(last, _)) if ad.deadline < last => {
+                    let at = self.due.partition_point(|&(d, _)| d <= ad.deadline);
+                    self.due.insert(at, (ad.deadline, id));
+                }
+                _ => self.due.push_back((ad.deadline, id)),
+            }
+        }
         self.totals.sold += 1;
         self.totals.sold_value += ad.price;
     }
 
+    /// Drops the sale terms of every leading ad that is no longer
+    /// pending, so `sales` spans only the ids still awaiting an outcome.
+    fn retire_settled(&mut self) {
+        while !self.sales.slots.is_empty()
+            && self.state(AdId(self.sales.first)) != Some(AdState::Pending)
+        {
+            self.sales.slots.pop_front();
+            self.sales.first += 1;
+        }
+    }
+
     /// Reports a display of `ad` at `at`.
     pub fn record_impression(&mut self, ad: AdId, at: SimTime) -> ImpressionOutcome {
-        let Some(entry) = self.ads.get_mut(&ad) else {
+        let Some(si) = self.states.index(ad.0) else {
             return ImpressionOutcome::Unknown;
         };
-        match entry.state {
+        let Some(state) = self.states.slots[si] else {
+            return ImpressionOutcome::Unknown;
+        };
+        match state {
             AdState::Pending => {
-                if at <= entry.deadline {
-                    entry.state = AdState::Displayed;
+                let sale = self.sales.slots[(ad.0 - self.sales.first) as usize];
+                let outcome = if at <= sale.deadline {
+                    self.states.slots[si] = Some(AdState::Displayed);
                     self.totals.billed += 1;
-                    self.totals.revenue += entry.price;
+                    self.totals.revenue += sale.price;
                     ImpressionOutcome::Billed
                 } else {
                     // The expiry sweep may not have run yet; settle it now.
-                    entry.state = AdState::Expired;
+                    self.states.slots[si] = Some(AdState::Expired);
                     self.totals.expired += 1;
-                    self.totals.refunded += entry.price;
+                    self.totals.refunded += sale.price;
                     self.totals.late_displays += 1;
                     ImpressionOutcome::Late
-                }
+                };
+                self.retire_settled();
+                outcome
             }
             AdState::Displayed => {
-                entry.duplicates += 1;
                 self.totals.duplicates += 1;
                 ImpressionOutcome::Duplicate
             }
             AdState::Expired => {
-                entry.duplicates += 1;
                 self.totals.late_displays += 1;
                 ImpressionOutcome::Late
             }
         }
     }
 
-    /// Expires every pending ad whose deadline is before `now`; returns
-    /// `(ad, campaign, price)` for each so the exchange can refund.
-    pub fn expire_due(&mut self, now: SimTime) -> Vec<(AdId, CampaignId, f64)> {
-        // Collect due ids first and settle them in id order: HashMap
-        // iteration order varies run to run, and settling in it would make
-        // the floating-point refund total (and thus whole-simulation
-        // reports) nondeterministic.
-        let mut due: Vec<AdId> = self
-            .ads
-            .iter()
-            .filter(|(_, e)| e.state == AdState::Pending && e.deadline < now)
-            .map(|(&id, _)| id)
-            .collect();
-        due.sort_unstable();
-        let mut refunds = Vec::with_capacity(due.len());
-        for id in due {
-            let entry = self.ads.get_mut(&id).expect("collected above");
-            entry.state = AdState::Expired;
-            self.totals.expired += 1;
-            self.totals.refunded += entry.price;
-            refunds.push((id, entry.campaign, entry.price));
+    /// Expires every pending ad whose deadline is before `now` and
+    /// replaces the contents of `out` with `(ad, campaign, price)` for
+    /// each, in ad-id order, so the exchange can refund.
+    ///
+    /// Costs time in the sales whose deadline passed since the last
+    /// sweep, not in the ledger's size.
+    pub fn expire_due(&mut self, now: SimTime, out: &mut Vec<(AdId, CampaignId, f64)>) {
+        out.clear();
+        while let Some(&(deadline, id)) = self.due.front() {
+            if deadline >= now {
+                break;
+            }
+            self.due.pop_front();
+            let si = (id - self.states.first) as usize;
+            if self.states.slots[si] != Some(AdState::Pending) {
+                continue;
+            }
+            let sale = self.sales.slots[(id - self.sales.first) as usize];
+            // The deadline re-check only matters for an id sold twice.
+            if sale.deadline < now {
+                self.states.slots[si] = Some(AdState::Expired);
+                out.push((AdId(id), sale.campaign, sale.price));
+            }
         }
-        refunds
+        // The queue is in deadline order; refunds are summed in id order,
+        // which fixes the floating-point total whatever the deadlines.
+        out.sort_unstable_by_key(|&(id, ..)| id);
+        for &(_, _, price) in out.iter() {
+            self.totals.expired += 1;
+            self.totals.refunded += price;
+        }
+        self.retire_settled();
     }
 
     /// State of an ad, if known.
     pub fn state(&self, ad: AdId) -> Option<AdState> {
-        self.ads.get(&ad).map(|e| e.state)
+        self.states.slots[self.states.index(ad.0)?]
     }
 
     /// Current totals.
@@ -236,7 +332,8 @@ mod tests {
         let mut l = Ledger::new();
         l.record_sale(&sold(1, 0.001, 2));
         l.record_sale(&sold(2, 0.003, 10));
-        let refunds = l.expire_due(SimTime::from_hours(5));
+        let mut refunds = Vec::new();
+        l.expire_due(SimTime::from_hours(5), &mut refunds);
         assert_eq!(refunds.len(), 1);
         assert_eq!(refunds[0].0, AdId(1));
         let t = l.totals();
@@ -286,7 +383,7 @@ mod tests {
     fn display_on_expired_ad_is_late() {
         let mut l = Ledger::new();
         l.record_sale(&sold(1, 0.002, 1));
-        l.expire_due(SimTime::from_hours(2));
+        l.expire_due(SimTime::from_hours(2), &mut Vec::new());
         assert_eq!(
             l.record_impression(AdId(1), SimTime::from_hours(3)),
             ImpressionOutcome::Late
@@ -313,9 +410,9 @@ mod tests {
             if i % 2 == 0 { &mut left } else { &mut right }
                 .record_impression(AdId(i), SimTime::from_hours(2));
         }
-        whole.expire_due(SimTime::from_hours(10));
-        left.expire_due(SimTime::from_hours(10));
-        right.expire_due(SimTime::from_hours(10));
+        for l in [&mut whole, &mut left, &mut right] {
+            l.expire_due(SimTime::from_hours(10), &mut Vec::new());
+        }
 
         let mut merged = LedgerTotals::default();
         merged.merge(&left.totals());
@@ -348,7 +445,7 @@ mod tests {
         for i in 0..5 {
             l.record_impression(AdId(2 * i + 1), SimTime::from_hours(3));
         }
-        l.expire_due(SimTime::from_hours(50));
+        l.expire_due(SimTime::from_hours(50), &mut Vec::new());
         let t = l.totals();
         assert!((t.revenue + t.refunded - t.sold_value).abs() < 1e-12);
         assert_eq!(t.billed + t.expired, t.sold);

@@ -88,6 +88,20 @@ impl PreparedBid {
         spare: &mut Option<f64>,
         slot_category: Option<u8>,
     ) -> Option<f64> {
+        self.sample_log_paired(rng, spare, slot_category)
+            .map(f64::exp)
+    }
+
+    /// The natural logarithm of the bid [`PreparedBid::sample_paired`]
+    /// would return, from the same draws: the auction ranks bids in log
+    /// space and pays for `exp` only on the few that can matter.
+    #[inline]
+    pub fn sample_log_paired<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        spare: &mut Option<f64>,
+        slot_category: Option<u8>,
+    ) -> Option<f64> {
         if let Some(c) = self.target_category {
             if slot_category != Some(c) {
                 return None;
@@ -98,7 +112,7 @@ impl PreparedBid {
         }
         // The participation draw above must happen even when `dist` is
         // `None`, mirroring the unprepared evaluation order.
-        Some(self.dist?.sample_paired(rng, spare))
+        Some(self.dist.as_ref()?.sample_log_paired(rng, spare))
     }
 }
 

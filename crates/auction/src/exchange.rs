@@ -108,6 +108,8 @@ struct Pacer {
 #[derive(Debug)]
 pub struct Exchange {
     campaigns: Vec<Campaign>,
+    /// Whether every campaign's id equals its index in `campaigns`.
+    ids_are_positions: bool,
     /// Per-campaign [`PreparedBid`]s, index-aligned with `campaigns`.
     /// Bid models are immutable after construction (only budgets move),
     /// so these never need refreshing.
@@ -149,8 +151,13 @@ impl Exchange {
     /// Creates an exchange over the given campaigns.
     pub fn new(campaigns: Vec<Campaign>, seed: u64) -> Self {
         let prepared = campaigns.iter().map(|c| c.bid.prepare()).collect();
+        let ids_are_positions = campaigns
+            .iter()
+            .enumerate()
+            .all(|(i, c)| c.id.0 as usize == i);
         Self {
             campaigns,
+            ids_are_positions,
             prepared,
             rng: StdRng::seed_from_u64(seed ^ 0x5eed_ba11),
             spare_normal: None,
@@ -276,6 +283,13 @@ impl Exchange {
 
     /// Runs one auction; returns the sold ad, or `None` when no bid clears
     /// the reserve.
+    ///
+    /// Bids are drawn in log space and exponentiated lazily: once some
+    /// evaluated bid is known to sit at or below the running second
+    /// price, any later draw whose logarithm does not exceed that bid's
+    /// can change neither the winner nor the price (`exp` is monotone),
+    /// so it is dropped without calling `exp`. Every RNG draw still
+    /// happens, in the same order.
     pub fn run_auction(&mut self, slot: &SlotOffer) -> Option<SoldAd> {
         self.auctions_run += 1;
         // With no floors configured (the legacy path) `entry_floor` is
@@ -284,23 +298,33 @@ impl Exchange {
         // for bit.
         let kind_floor = self.floors.for_kind(slot.kind);
         let entry_floor = kind_floor.max(self.reserve_price);
+        // A floor above the reserve counts each bid it blocks, so such
+        // an auction has to look at every bid: it never raises `skip_log`.
+        let counts_blocked = entry_floor > self.reserve_price;
         let mut best: Option<(usize, f64)> = None;
         let mut second = entry_floor;
+        // `skip_log` is the largest known `x` with `exp(x) <= second`;
+        // `best_log` is the leader's, banked for when it is outbid.
+        // NEG_INFINITY stands for "not known" (paced multipliers break
+        // the bid/log correspondence).
+        let mut skip_log = f64::NEG_INFINITY;
+        let mut best_log = f64::NEG_INFINITY;
         for (i, c) in self.campaigns.iter().enumerate() {
             if !c.can_afford(c.bid.mean_price) {
                 continue;
             }
-            let Some(mut bid) = self.prepared[i].sample_paired(
+            let Some(x) = self.prepared[i].sample_log_paired(
                 &mut self.rng,
                 &mut self.spare_normal,
                 slot.category,
             ) else {
                 continue;
             };
+            let mut multiplier = 1.0;
             if let Some(p) = self.pacers.get(i).and_then(Option::as_ref) {
                 match p.ty {
                     CampaignType::PacedBudget | CampaignType::TargetCpc { .. } => {
-                        bid *= p.ctl.value();
+                        multiplier = p.ctl.value();
                     }
                     CampaignType::PacedFixedCpc => {
                         // Pace by throttling participation, bid untouched.
@@ -315,6 +339,16 @@ impl Exchange {
                     CampaignType::FixedCpc => {}
                 }
             }
+            // Multiplying by exactly 1.0 is the identity, so `x` is the
+            // bid's logarithm whenever the multiplier is 1.0.
+            let ranks_by_log = multiplier == 1.0 && !counts_blocked;
+            if ranks_by_log && x <= skip_log {
+                // At most `second`: it would fall through every arm below
+                // without changing `best` or `second`.
+                continue;
+            }
+            let log = if ranks_by_log { x } else { f64::NEG_INFINITY };
+            let bid = x.exp() * multiplier;
             if bid < entry_floor || !c.can_afford(bid) {
                 if bid >= self.reserve_price && bid < entry_floor {
                     self.floor_blocked += 1;
@@ -322,12 +356,16 @@ impl Exchange {
                 continue;
             }
             match best {
-                None => best = Some((i, bid)),
+                None => (best, best_log) = (Some((i, bid)), log),
                 Some((_, b)) if bid > b => {
                     second = b;
-                    best = Some((i, bid));
+                    skip_log = skip_log.max(best_log);
+                    (best, best_log) = (Some((i, bid)), log);
                 }
-                Some(_) => second = second.max(bid),
+                Some(_) => {
+                    second = second.max(bid);
+                    skip_log = skip_log.max(log);
+                }
             }
         }
         let (winner_idx, win_bid) = best?;
@@ -403,11 +441,22 @@ impl Exchange {
     /// the refund, so pacing schedules see refunded budget as available
     /// again.
     pub fn refund(&mut self, campaign: CampaignId, price: f64) {
-        if let Some(i) = self.campaigns.iter().position(|c| c.id == campaign) {
-            self.campaigns[i].credit(price);
-            if let Some(p) = self.pacers.get_mut(i).and_then(Option::as_mut) {
-                p.spent -= price;
+        // Synthetic catalogs number campaigns by position, which turns the
+        // lookup into an index; hand-built catalogs keep the search.
+        let i = if self.ids_are_positions {
+            campaign.0 as usize
+        } else {
+            match self.campaigns.iter().position(|c| c.id == campaign) {
+                Some(i) => i,
+                None => return,
             }
+        };
+        let Some(c) = self.campaigns.get_mut(i) else {
+            return;
+        };
+        c.credit(price);
+        if let Some(p) = self.pacers.get_mut(i).and_then(Option::as_mut) {
+            p.spent -= price;
         }
     }
 
@@ -462,9 +511,223 @@ impl Exchange {
 mod tests {
     use super::*;
     use crate::campaign::{BidModel, CampaignCatalog};
+    use adpf_stats::dist::LogNormal;
+    use proptest::prelude::*;
 
     fn rt_slot() -> SlotOffer {
         SlotOffer::realtime(SimTime::ZERO, None)
+    }
+
+    impl Exchange {
+        /// The auction as it stood before bids were ranked in log space:
+        /// every bid drawn straight from its [`BidModel`] and
+        /// exponentiated. The differential test below holds
+        /// [`Exchange::run_auction`] to it bit for bit.
+        fn run_auction_reference(&mut self, slot: &SlotOffer) -> Option<SoldAd> {
+            self.auctions_run += 1;
+            let kind_floor = self.floors.for_kind(slot.kind);
+            let entry_floor = kind_floor.max(self.reserve_price);
+            let mut best: Option<(usize, f64)> = None;
+            let mut second = entry_floor;
+            for (i, c) in self.campaigns.iter().enumerate() {
+                if !c.can_afford(c.bid.mean_price) {
+                    continue;
+                }
+                if let Some(t) = c.bid.target_category {
+                    if slot.category != Some(t) {
+                        continue;
+                    }
+                }
+                if c.bid.participation < 1.0 && self.rng.gen::<f64>() >= c.bid.participation {
+                    continue;
+                }
+                let Ok(dist) = LogNormal::from_mean_cv(c.bid.mean_price, c.bid.cv) else {
+                    continue;
+                };
+                let mut bid = dist.sample_paired(&mut self.rng, &mut self.spare_normal);
+                if let Some(p) = self.pacers.get(i).and_then(Option::as_ref) {
+                    match p.ty {
+                        CampaignType::PacedBudget | CampaignType::TargetCpc { .. } => {
+                            bid *= p.ctl.value();
+                        }
+                        CampaignType::PacedFixedCpc => {
+                            let throttle = p.ctl.value().min(1.0);
+                            if throttle < 1.0 && self.rng.gen::<f64>() >= throttle {
+                                self.throttle_skips += 1;
+                                continue;
+                            }
+                        }
+                        CampaignType::FixedCpc => {}
+                    }
+                }
+                if bid < entry_floor || !c.can_afford(bid) {
+                    if bid >= self.reserve_price && bid < entry_floor {
+                        self.floor_blocked += 1;
+                    }
+                    continue;
+                }
+                match best {
+                    None => best = Some((i, bid)),
+                    Some((_, b)) if bid > b => {
+                        second = b;
+                        best = Some((i, bid));
+                    }
+                    Some(_) => second = second.max(bid),
+                }
+            }
+            let (winner_idx, win_bid) = best?;
+            let mut price = match self.pricing {
+                PricingRule::SecondPrice => second,
+                PricingRule::FirstPrice => win_bid,
+            };
+            if slot.kind == SlotKind::Advance {
+                price *= self.advance_discount;
+            }
+            if price < kind_floor {
+                price = kind_floor;
+            }
+            self.campaigns[winner_idx].debit(price);
+            if let Some(p) = self.pacers.get_mut(winner_idx).and_then(Option::as_mut) {
+                p.spent += price;
+                p.price_sum += price;
+                p.wins += 1;
+            }
+            self.auctions_filled += 1;
+            let id = AdId(self.next_ad);
+            self.next_ad += 1;
+            Some(SoldAd {
+                id,
+                campaign: self.campaigns[winner_idx].id,
+                price,
+                winning_bid: win_bid,
+                deadline: slot.deadline,
+                sold_at: slot.at,
+            })
+        }
+    }
+
+    /// A catalog mixing every gate the auction loop has: participation
+    /// exactly 0, exactly 1 and in between; contextual targets; bid
+    /// models outside the lognormal's domain; and, when `starved`,
+    /// budgets a handful of bids deep so they run dry mid-stream.
+    fn adversarial_catalog(n: u32, seed: u64, starved: bool) -> Vec<Campaign> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n)
+            .map(|i| {
+                let mean_price = match rng.gen_range(0..12) {
+                    0 => -0.001,
+                    1 => f64::NAN,
+                    _ => rng.gen_range(0.0002..0.01),
+                };
+                let depth = if starved {
+                    rng.gen_range(0.5..6.0)
+                } else {
+                    1e6
+                };
+                Campaign {
+                    id: CampaignId(i),
+                    budget: depth * 0.002,
+                    bid: BidModel {
+                        mean_price,
+                        cv: if rng.gen_range(0..12) == 0 {
+                            0.0
+                        } else {
+                            rng.gen_range(0.2..0.8)
+                        },
+                        participation: match rng.gen_range(0..4) {
+                            0 => 0.0,
+                            1 => 1.0,
+                            _ => rng.gen_range(0.05..0.95),
+                        },
+                        target_category: (rng.gen_range(0..3) == 0).then(|| rng.gen_range(0..3)),
+                    },
+                }
+            })
+            .collect()
+    }
+
+    fn sold_bits(s: Option<SoldAd>) -> Option<(AdId, CampaignId, u64, u64, SimTime, SimTime)> {
+        s.map(|s| {
+            (
+                s.id,
+                s.campaign,
+                s.price.to_bits(),
+                s.winning_bid.to_bits(),
+                s.deadline,
+                s.sold_at,
+            )
+        })
+    }
+
+    proptest! {
+        /// The lazily evaluated kernel against the eager reference, in
+        /// lockstep over one random marketplace: the same sale, counters,
+        /// budgets and RNG state after every single auction.
+        #[test]
+        fn kernel_matches_the_eager_reference(
+            seed in any::<u64>(),
+            campaigns in 0u32..40,
+            starved in any::<bool>(),
+            paced in any::<bool>(),
+            first_price in any::<bool>(),
+            floor_sel in 0u8..3,
+        ) {
+            let cs = adversarial_catalog(campaigns, seed, starved);
+            let mut mc = if paced {
+                MarketplaceConfig::paced()
+            } else {
+                MarketplaceConfig::static_exchange()
+            };
+            if first_price {
+                mc.pricing = PricingRule::FirstPrice;
+            }
+            // No floor; one below the 0.0001 reserve; one above it that
+            // blocks a real share of bids.
+            mc.floors = PriceFloors::uniform([0.0, 0.00005, 0.002][floor_sel as usize]);
+            let types = mc.assign_types(&cs);
+            let mk = || {
+                let mut ex = Exchange::new(cs.clone(), seed);
+                ex.configure_marketplace(&mc, &types);
+                ex
+            };
+            let (mut kernel, mut reference) = (mk(), mk());
+            let mut script = StdRng::seed_from_u64(seed ^ 0x005c_2197);
+            let horizon = SimTime::from_hours(10);
+            let mut last_sale = None;
+            for k in 0u64..300 {
+                let at = SimTime::from_mins(k);
+                let slot = match script.gen_range(0..3) {
+                    0 => SlotOffer::advance(at, at + adpf_desim::SimDuration::from_hours(4)),
+                    1 => SlotOffer::realtime(at, None),
+                    _ => SlotOffer::realtime(at, Some(script.gen_range(0..3))),
+                };
+                let sold = kernel.run_auction(&slot);
+                prop_assert_eq!(sold_bits(sold), sold_bits(reference.run_auction_reference(&slot)));
+                prop_assert!(kernel.rng == reference.rng, "RNG streams diverged at auction {}", k);
+                prop_assert_eq!(
+                    kernel.spare_normal.map(f64::to_bits),
+                    reference.spare_normal.map(f64::to_bits)
+                );
+                prop_assert_eq!(kernel.floor_blocked, reference.floor_blocked);
+                prop_assert_eq!(kernel.throttle_skips, reference.throttle_skips);
+                prop_assert_eq!(kernel.auctions_filled, reference.auctions_filled);
+                for (a, b) in kernel.campaigns.iter().zip(&reference.campaigns) {
+                    prop_assert_eq!(a.budget.to_bits(), b.budget.to_bits());
+                }
+                last_sale = sold.or(last_sale);
+                // Ticks early and late against the linear schedule push
+                // multipliers to both sides of 1; refunds reopen budgets.
+                if k % 16 == 15 {
+                    let now = if script.gen::<bool>() { at } else { horizon };
+                    kernel.pacing_tick(now, horizon);
+                    reference.pacing_tick(now, horizon);
+                }
+                if let (Some(s), 0) = (last_sale, script.gen_range(0..8)) {
+                    kernel.refund(s.campaign, s.price);
+                    reference.refund(s.campaign, s.price);
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,28 +1,44 @@
-//! Microbenchmarks of the exchange (substrate of E14a and every system run).
+//! Microbenchmarks of the sale path (substrate of E14a and every system
+//! run): the exchange's auction kernel under each regime that takes a
+//! different route through it, and the billing ledger's sale → impression
+//! → expiry cycle.
 
-use adpf_auction::{CampaignCatalog, Exchange, SlotOffer};
-use adpf_desim::SimTime;
+use adpf_auction::{
+    AdId, CampaignCatalog, CampaignId, Exchange, Ledger, MarketplaceConfig, SlotOffer, SoldAd,
+};
+use adpf_desim::{SimDuration, SimTime};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
+const BATCH: u64 = 1_000;
+
+/// Runs one batch of auctions, refunding every sale so budgets — and
+/// with them the work per auction — stay where they started however
+/// long the harness keeps iterating.
+fn run_batch(ex: &mut Exchange, offer: impl Fn(u64) -> SlotOffer) -> u32 {
+    let mut filled = 0u32;
+    for k in 0..BATCH {
+        if let Some(sold) = ex.run_auction(&offer(k)) {
+            ex.refund(sold.campaign, sold.price);
+            filled += 1;
+        }
+    }
+    filled
+}
+
 fn bench_auctions(c: &mut Criterion) {
     let mut g = c.benchmark_group("exchange_auction");
+    g.throughput(Throughput::Elements(BATCH));
     for campaigns in [10u32, 50, 200] {
-        g.throughput(Throughput::Elements(1_000));
         g.bench_with_input(
             BenchmarkId::from_parameter(campaigns),
             &campaigns,
             |b, &n| {
                 let mut ex = Exchange::new(CampaignCatalog::synthetic(n, 7).into_campaigns(), 7);
-                let offer = SlotOffer::realtime(SimTime::ZERO, None);
                 b.iter(|| {
-                    let mut filled = 0u32;
-                    for _ in 0..1_000 {
-                        if ex.run_auction(&offer).is_some() {
-                            filled += 1;
-                        }
-                    }
-                    black_box(filled)
+                    black_box(run_batch(&mut ex, |_| {
+                        SlotOffer::realtime(SimTime::ZERO, None)
+                    }))
                 });
             },
         );
@@ -30,5 +46,93 @@ fn bench_auctions(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_auctions);
+/// The routes besides the plain real-time one, all on the default
+/// 50-campaign catalog size: advance slots (discounted, no app context),
+/// a contextual catalog offered slots with a known category, and the
+/// paced marketplace (multiplied bids, throttle draws, floors off).
+fn bench_auction_regimes(c: &mut Criterion) {
+    let mut g = c.benchmark_group("exchange_auction_regime");
+    g.throughput(Throughput::Elements(BATCH));
+    let advance = |_| SlotOffer::advance(SimTime::ZERO, SimTime::from_hours(4));
+
+    g.bench_function("advance", |b| {
+        let mut ex = Exchange::new(CampaignCatalog::synthetic(50, 7).into_campaigns(), 7);
+        b.iter(|| black_box(run_batch(&mut ex, advance)));
+    });
+
+    g.bench_function("contextual", |b| {
+        let catalog = CampaignCatalog::synthetic_with_targeting(50, 7, 0.3, 1.5);
+        let mut ex = Exchange::new(catalog.into_campaigns(), 7);
+        b.iter(|| {
+            black_box(run_batch(&mut ex, |k| {
+                let category = (k % u64::from(CampaignCatalog::NUM_CATEGORIES)) as u8;
+                SlotOffer::realtime(SimTime::ZERO, Some(category))
+            }))
+        });
+    });
+
+    g.bench_function("paced", |b| {
+        let campaigns = CampaignCatalog::synthetic(50, 7).into_campaigns();
+        let mc = MarketplaceConfig::paced();
+        let types = mc.assign_types(&campaigns);
+        let mut ex = Exchange::new(campaigns, 7);
+        ex.configure_marketplace(&mc, &types);
+        // The controllers do their job: the clock advances an hour per
+        // batch against a horizon no run reaches, sales are kept (not
+        // refunded), and each tick steers spend toward that schedule, so
+        // multipliers settle on both sides of 1 and throttles fire.
+        let horizon = SimTime::from_hours(1_000_000);
+        let mut hour = 0;
+        b.iter(|| {
+            hour += 1;
+            ex.pacing_tick(SimTime::from_hours(hour), horizon);
+            let mut filled = 0u32;
+            for _ in 0..BATCH {
+                filled += u32::from(ex.run_auction(&advance(0)).is_some());
+            }
+            black_box(filled)
+        });
+    });
+    g.finish();
+}
+
+/// One ledger's life over a 12 h window: an ad sold every 40 ms with a
+/// 4 h deadline, nine in ten displayed half an hour later, and the
+/// engine's hourly expiry sweep.
+fn bench_ledger(c: &mut Criterion) {
+    const SALES: u64 = 12 * 3_600_000 / 40;
+    let mut g = c.benchmark_group("ledger");
+    g.throughput(Throughput::Elements(SALES));
+    g.bench_function("sale_impression_expire_12h", |b| {
+        let mut refunds = Vec::new();
+        b.iter(|| {
+            let mut ledger = Ledger::new();
+            let mut next_sweep = SimTime::from_hours(1);
+            let display_lag = 30 * 60_000 / 40;
+            for id in 0..SALES {
+                let now = SimTime::from_millis(id * 40);
+                if now >= next_sweep {
+                    ledger.expire_due(now, &mut refunds);
+                    black_box(refunds.len());
+                    next_sweep += SimDuration::from_hours(1);
+                }
+                ledger.record_sale(&SoldAd {
+                    id: AdId(id),
+                    campaign: CampaignId((id % 50) as u32),
+                    price: 0.0015,
+                    winning_bid: 0.002,
+                    deadline: now + SimDuration::from_hours(4),
+                    sold_at: now,
+                });
+                if let Some(shown) = id.checked_sub(display_lag).filter(|s| s % 10 != 0) {
+                    black_box(ledger.record_impression(AdId(shown), now));
+                }
+            }
+            black_box(ledger.totals())
+        });
+    });
+    g.finish();
+}
+
+criterion_group!(benches, bench_auctions, bench_auction_regimes, bench_ledger);
 criterion_main!(benches);

@@ -40,7 +40,9 @@
 //! [`drain_internal`]: ClientEngine::drain_internal
 //! [`finalize`]: ClientEngine::finalize
 
-use adpf_auction::{AdId, CampaignCatalog, Exchange, ImpressionOutcome, Ledger, SlotOffer};
+use adpf_auction::{
+    AdId, CampaignCatalog, CampaignId, Exchange, ImpressionOutcome, Ledger, SlotOffer,
+};
 use adpf_desim::feed::EventFeed;
 use adpf_desim::{EventQueue, InlineVec, SimDuration, SimTime, BUCKET_SPAN_MS};
 use adpf_energy::{EnergyBreakdown, Radio};
@@ -304,6 +306,7 @@ pub struct EngineScratch {
     scratch_cands: Vec<ClientAvailability>,
     scratch_meta: Vec<(f64, f64)>,
     scratch_due: Vec<(u64, SimTime)>,
+    scratch_expired: Vec<(AdId, CampaignId, f64)>,
     scratch_gather: Vec<(u32, SimTime)>,
     scratch_cancel: Vec<u64>,
     scratch_batch: Vec<(SimTime, EngineEvent)>,
@@ -385,6 +388,8 @@ pub struct ClientEngine {
     mid: SimIds,
     /// Scratch for the rescue scan's due-ad list.
     scratch_due: Vec<(u64, SimTime)>,
+    /// Scratch for the expiry sweep's refund list.
+    scratch_expired: Vec<(AdId, CampaignId, f64)>,
     /// Memoized bursty-availability evaluator (exact, keyed on lambda
     /// bits) shared by every `place_ad` call.
     avail: AvailabilityCache,
@@ -497,6 +502,7 @@ impl ClientEngine {
             mut scratch_cands,
             mut scratch_meta,
             mut scratch_due,
+            mut scratch_expired,
             mut scratch_gather,
             mut scratch_cancel,
             mut scratch_batch,
@@ -508,6 +514,7 @@ impl ClientEngine {
         scratch_cands.clear();
         scratch_meta.clear();
         scratch_due.clear();
+        scratch_expired.clear();
         scratch_gather.clear();
         scratch_cancel.clear();
         scratch_batch.clear();
@@ -631,6 +638,7 @@ impl ClientEngine {
             obs,
             mid,
             scratch_due,
+            scratch_expired,
             slots_seen: 0,
             impressions: 0,
             cache_hits: 0,
@@ -1492,9 +1500,7 @@ impl ClientEngine {
         due.clear();
         self.tracker
             .undisplayed_due_before(now + self.config.prefetch_interval, &mut due);
-        // The tracker iterates a HashMap; sort so rescue order (and the
-        // rotating cursor it advances) is deterministic.
-        due.sort_unstable();
+        // Ascending ad-id order, which the rotating cursor depends on.
         for &(ad, deadline) in &due {
             if deadline <= now {
                 continue; // Too late for any new holder to display it.
@@ -1542,7 +1548,9 @@ impl ClientEngine {
     }
 
     fn expire(&mut self, now: SimTime) {
-        for (ad, campaign, price) in self.ledger.expire_due(now) {
+        let mut expired = std::mem::take(&mut self.scratch_expired);
+        self.ledger.expire_due(now, &mut expired);
+        for &(ad, campaign, price) in &expired {
             self.exchange.refund(campaign, price);
             if !self.tracker.is_displayed(ad.0) {
                 // A prefetched ad nobody displayed: the bytes that moved
@@ -1563,6 +1571,7 @@ impl ClientEngine {
             }
             self.tracker.remove(ad.0);
         }
+        self.scratch_expired = expired;
     }
 
     /// Settles all outstanding state and produces the run's report plus
@@ -1673,6 +1682,7 @@ impl ClientEngine {
             scratch_cands: self.scratch_cands,
             scratch_meta: self.scratch_meta,
             scratch_due: self.scratch_due,
+            scratch_expired: self.scratch_expired,
             scratch_gather: self.scratch_gather,
             scratch_cancel: self.scratch_cancel,
             scratch_batch: self.scratch_batch,

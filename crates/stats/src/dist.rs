@@ -137,6 +137,18 @@ impl LogNormal {
     /// many values per stream — an ad exchange sampling dozens of bids
     /// per auction — thread one `spare` slot through all draws.
     pub fn sample_paired<R: Rng + ?Sized>(&self, rng: &mut R, spare: &mut Option<f64>) -> f64 {
+        self.sample_log_paired(rng, spare).exp()
+    }
+
+    /// Samples the natural logarithm of one value: exactly the argument
+    /// [`LogNormal::sample_paired`] passes to `exp`, with the same RNG
+    /// and `spare` consumption.
+    ///
+    /// `exp` is monotone, so a caller that only *ranks* samples — an
+    /// auction looking for the two highest bids — can compare in log
+    /// space and exponentiate just the few values it reports.
+    #[inline]
+    pub fn sample_log_paired<R: Rng + ?Sized>(&self, rng: &mut R, spare: &mut Option<f64>) -> f64 {
         let z = match spare.take() {
             Some(z) => z,
             None => {
@@ -145,7 +157,7 @@ impl LogNormal {
                 a
             }
         };
-        (self.mu + self.sigma * z).exp()
+        self.mu + self.sigma * z
     }
 }
 
@@ -567,6 +579,20 @@ mod tests {
     fn lognormal_median_below_mean() {
         let d = LogNormal::from_mean_cv(10.0, 2.0).unwrap();
         assert!(d.median() < d.mean());
+    }
+
+    #[test]
+    fn lognormal_log_sampler_is_the_paired_sampler_before_exp() {
+        let d = LogNormal::from_mean_cv(0.0015, 0.6).unwrap();
+        let (mut ra, mut rb) = (rng(), rng());
+        let (mut sa, mut sb) = (None, None);
+        for _ in 0..1_001 {
+            let v = d.sample_paired(&mut ra, &mut sa);
+            let x = d.sample_log_paired(&mut rb, &mut sb);
+            assert_eq!(v.to_bits(), x.exp().to_bits());
+            assert_eq!(sa.map(f64::to_bits), sb.map(f64::to_bits));
+        }
+        assert_eq!(ra, rb, "both samplers consume the same draws");
     }
 
     #[test]
