@@ -37,7 +37,9 @@
 # The serving gate replays the smoke trace's event stream over stdin into
 # the online `serve` binary: the final report hash must equal the same
 # committed golden (the server is the batch engine behind a socket), and
-# the decision-latency percentiles must have been recorded.
+# the decision-latency percentiles must have been recorded. A second
+# replay goes through an odd-sized re-chunker and is held to the same
+# golden, so chunk-boundary framing is gated end to end.
 #
 # The benchmark gate builds and tests `benchmark/`, a workspace of its own
 # that the root build never sees: it binds the crates' public API
@@ -109,6 +111,14 @@ perf_serve() {
     test "$(grep '^report-hash:' target/serve_smoke.out)" = "$SERVE_GOLDEN"
     grep -q '^serve: latency_us p50=[0-9]* p95=[0-9]* p99=[0-9]*$' target/serve_smoke.out
     grep -q '^serve: .*ingest_errors=0' target/serve_smoke.out
+    # The same stream re-written 61 bytes at a time, so the server's
+    # reads end in the middle of lines: chunk-boundary framing must not
+    # change a bit of the report.
+    ./target/release/tracegen --preset small --seed 777 --events \
+        | dd bs=61 status=none \
+        | ./target/release/serve --seed 5 --threads 2 > target/serve_smoke_rechunked.out
+    test "$(grep '^report-hash:' target/serve_smoke_rechunked.out)" = "$SERVE_GOLDEN"
+    grep -q '^serve: .*ingest_errors=0' target/serve_smoke_rechunked.out
 }
 
 benchmark_gate() {

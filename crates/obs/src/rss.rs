@@ -69,8 +69,10 @@ mod tests {
     fn peak_rss_is_positive_and_at_least_current() {
         // On Linux (the only CI target) /proc must be readable; both
         // gauges are in KiB and the high-water mark bounds the current
-        // value by definition.
-        let (Some(peak), Some(current)) = (peak_rss_kb(), current_rss_kb()) else {
+        // value by definition. `current` is read first: other test
+        // threads allocate meanwhile, and a peak read before a later,
+        // larger current value would not bound it.
+        let (Some(current), Some(peak)) = (current_rss_kb(), peak_rss_kb()) else {
             return; // Non-procfs host: nothing to check.
         };
         assert!(peak > 0);

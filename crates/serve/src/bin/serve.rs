@@ -4,8 +4,9 @@
 //! decides every ad slot in-line with the same sharded decision engine
 //! the batch simulator uses, and on end of stream (EOF or a `shutdown`
 //! line) prints the final report, throughput, and decision-latency
-//! percentiles. Replaying a trace's event stream reproduces the batch
-//! simulator's report hash exactly:
+//! percentiles, with the queueing share of that latency and the ingest
+//! batch sizes on a line of their own. Replaying a trace's event stream
+//! reproduces the batch simulator's report hash exactly:
 //!
 //! ```text
 //! tracegen --preset small --seed 777 --events | serve --seed 5 --threads 2
@@ -25,7 +26,10 @@ use adpf_netem::NetemConfig;
 use adpf_obs::render_table;
 use adpf_prediction::PredictorKind;
 use adpf_scenario::ScenarioSpec;
-use adpf_serve::{serve, ServeOptions, ServeOutcome, DECISION_LATENCY_METRIC};
+use adpf_serve::{
+    serve, ServeOptions, ServeOutcome, BACKPRESSURE_METRIC, BATCH_EVENTS_METRIC,
+    DECISION_LATENCY_METRIC, QUEUE_WAIT_METRIC,
+};
 
 struct Opts {
     listen: Option<String>,
@@ -55,7 +59,8 @@ fn usage() {
          \n\
          Reads a `#serve` event stream from stdin (or one TCP connection\n\
          with --listen), decides every slot in-line, and prints the final\n\
-         report, requests/s, and decision-latency percentiles.\n\
+         report, requests/s, decision-latency percentiles, queue wait and\n\
+         ingest batch sizes.\n\
          --scenario enables the engine's scenario layer; --scenario-seed\n\
          must match the upstream tracegen seed (defaults to --seed) so\n\
          class assignment agrees with the stream's generator."
@@ -206,6 +211,20 @@ fn render_outcome(out: &ServeOutcome, wall_s: f64) -> String {
     ));
     s.push_str(&format!(
         "serve: latency_us p50={p50} p95={p95} p99={p99}\n"
+    ));
+    // How much of that latency was queueing, and how the ingest batched.
+    let wait = out.registry.histogram_snapshot(QUEUE_WAIT_METRIC);
+    let batches = out.registry.histogram_snapshot(BATCH_EVENTS_METRIC);
+    let (wait, batches) = (wait.unwrap_or_default(), batches.unwrap_or_default());
+    s.push_str(&format!(
+        "serve: queue_wait_us p50={} p99={} batches={} batch_events mean={:.0} max={} \
+         router_backpressure={}\n",
+        wait.quantile_upper_bound(0.50),
+        wait.quantile_upper_bound(0.99),
+        batches.count(),
+        batches.mean(),
+        batches.max(),
+        out.registry.counter_value(BACKPRESSURE_METRIC),
     ));
     s.push_str(&format!("report-hash: {:016x}\n", out.report.stable_hash()));
     s

@@ -10,12 +10,14 @@
 //! server reproduces the batch report **bit for bit** (the CI smoke
 //! gate pins the shared golden hash).
 //!
-//! - [`protocol`] — the wire format and its panic-free, line-numbered
-//!   ingest parser.
+//! - [`protocol`] — the wire format, its panic-free, line-numbered
+//!   ingest parser, and the zero-copy chunk framer in front of it.
+//! - [`mailbox`] — the bounded swap mailbox that hands events from the
+//!   ingest thread to a worker in batches.
 //! - [`server`] — the sharded serving loop: work-stealing engine
-//!   construction, per-shard single-owner event routing,
-//!   decision-latency histograms, graceful shutdown into a final
-//!   [`SimReport`](adpf_core::SimReport) plus obs snapshot.
+//!   construction, per-shard single-owner event routing in
+//!   shard-grouped batches, latency histograms, graceful shutdown into
+//!   a final [`SimReport`](adpf_core::SimReport) plus obs snapshot.
 //!
 //! The `serve` binary wraps [`server::serve`] for the command line; the
 //! load-generator lives in `adpf-bench` (`baseline --workload serve`),
@@ -24,10 +26,16 @@
 //!
 //! [`ClientEngine`]: adpf_core::ClientEngine
 
+pub mod mailbox;
 pub mod protocol;
 pub mod server;
 
+pub use mailbox::Mailbox;
 pub use protocol::{
-    write_events, write_events_paced, write_header, IngestError, Parser, SlotEvent, StreamHeader,
+    write_events, write_events_paced, write_header, Framer, IngestError, Parser, SlotEvent,
+    StreamHeader,
 };
-pub use server::{serve, ServeError, ServeOptions, ServeOutcome, DECISION_LATENCY_METRIC};
+pub use server::{
+    serve, ServeError, ServeOptions, ServeOutcome, BACKPRESSURE_METRIC, BATCH_EVENTS_METRIC,
+    DECISION_LATENCY_METRIC, QUEUE_WAIT_METRIC,
+};

@@ -29,6 +29,11 @@
 //! number and counted under `serve.ingest_errors` — and the stream keeps
 //! going. Only a missing header is unrecoverable, because nothing can be
 //! sized without it.
+//!
+//! Input reaches the parser through a [`Framer`], which cuts whatever
+//! byte chunks the transport delivers into lines without copying them:
+//! a line that is not valid UTF-8, or longer than [`MAX_LINE_BYTES`], is
+//! one more rejected line, wherever the chunk boundaries fall.
 
 use std::io::Write;
 
@@ -41,6 +46,10 @@ pub const HEADER_PREFIX: &str = "#serve,";
 pub const EVENT_TAG: &str = "slot";
 /// Sentinel line requesting a graceful finalize-and-report.
 pub const SHUTDOWN: &str = "shutdown";
+/// Longest line (bytes before the `\n`) the ingest path accepts, more
+/// than 20× the longest legal record. It bounds the [`Framer`]'s carry
+/// buffer: a longer run is rejected once and skipped, never buffered.
+pub const MAX_LINE_BYTES: usize = 1024;
 
 /// The stream header: the population bounds the server sizes itself
 /// from, mirroring what the batch pipeline reads off a [`Trace`].
@@ -133,6 +142,24 @@ impl Parser {
         })
     }
 
+    /// Counts and rejects a line that never became text.
+    fn reject_unread(&mut self, reason: &str) -> Parsed {
+        self.line += 1;
+        self.reject(reason.into())
+    }
+
+    /// [`feed`](Self::feed) for a line still in wire bytes, its `\n`
+    /// already cut (`feed` trims a `\r`).
+    fn feed_bytes(&mut self, raw: &[u8]) -> Parsed {
+        if raw.len() > MAX_LINE_BYTES {
+            return self.reject_unread("line too long");
+        }
+        match std::str::from_utf8(raw) {
+            Ok(line) => self.feed(line),
+            Err(_) => self.reject_unread("invalid UTF-8"),
+        }
+    }
+
     /// Classifies the next input line. Never panics: any content at all
     /// — truncated records, garbage bytes, duplicate headers, events
     /// that travel backwards in time — comes back as
@@ -218,6 +245,82 @@ impl Parser {
             }
             _ => self.reject("header must carry both `users=` and `horizon_ms=`".into()),
         }
+    }
+}
+
+/// Cuts the byte chunks a transport delivers into lines and classifies
+/// each with a [`Parser`], without copying a line that lies within one
+/// chunk.
+///
+/// Only the unterminated tail of a chunk is copied, into a carry buffer
+/// that never exceeds [`MAX_LINE_BYTES`]: a longer run is rejected where
+/// it crosses the limit and discarded up to its `\n`. What a stream
+/// parses to is therefore a function of its bytes alone — the same lines,
+/// line numbers and rejections whether it arrives whole or a byte at a
+/// time.
+#[derive(Debug, Default)]
+pub struct Framer {
+    parser: Parser,
+    carry: Vec<u8>,
+    /// Inside a line already rejected as too long: drop bytes up to and
+    /// including the next `\n`.
+    skipping: bool,
+}
+
+impl Framer {
+    /// A framer at the start of a stream.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Classifies the next complete line of `chunk[*pos..]` and moves
+    /// `*pos` past it. `None` once no complete line is left: the rest of
+    /// the chunk has been carried over and `*pos == chunk.len()`.
+    pub fn next_record(&mut self, chunk: &[u8], pos: &mut usize) -> Option<Parsed> {
+        loop {
+            let rest = &chunk[*pos..];
+            let Some(nl) = rest.iter().position(|&b| b == b'\n') else {
+                *pos = chunk.len();
+                if self.skipping {
+                    return None;
+                }
+                if self.carry.len() + rest.len() > MAX_LINE_BYTES {
+                    self.carry.clear();
+                    self.skipping = true;
+                    return Some(self.parser.reject_unread("line too long"));
+                }
+                self.carry.extend_from_slice(rest);
+                return None;
+            };
+            *pos += nl + 1;
+            let line = &rest[..nl];
+            if self.skipping {
+                self.skipping = false;
+            } else if self.carry.is_empty() {
+                return Some(self.parser.feed_bytes(line));
+            } else if self.carry.len() + line.len() > MAX_LINE_BYTES {
+                self.carry.clear();
+                return Some(self.parser.reject_unread("line too long"));
+            } else {
+                self.carry.extend_from_slice(line);
+                return Some(self.feed_carry());
+            }
+        }
+    }
+
+    /// End of input: the final line if it came without a `\n`, exactly
+    /// as `BufRead::lines` yields it.
+    pub fn finish(&mut self) -> Option<Parsed> {
+        if std::mem::take(&mut self.skipping) || self.carry.is_empty() {
+            return None;
+        }
+        Some(self.feed_carry())
+    }
+
+    fn feed_carry(&mut self) -> Parsed {
+        let parsed = self.parser.feed_bytes(&self.carry);
+        self.carry.clear();
+        parsed
     }
 }
 
@@ -467,6 +570,121 @@ mod tests {
         let mut paced = Vec::new();
         write_events_paced(&trace, refresh, 1e9, &mut paced).unwrap();
         assert_eq!(plain, paced);
+    }
+
+    /// Everything `stream` parses to when delivered in the given pieces.
+    fn framed(pieces: &[&[u8]]) -> Vec<Parsed> {
+        let mut f = Framer::new();
+        let mut out = Vec::new();
+        for piece in pieces {
+            let mut pos = 0;
+            while let Some(p) = f.next_record(piece, &mut pos) {
+                out.push(p);
+            }
+            assert_eq!(pos, piece.len(), "an exhausted chunk is fully consumed");
+        }
+        out.extend(f.finish());
+        out
+    }
+
+    #[test]
+    fn framing_is_the_same_wherever_one_cut_falls() {
+        // CRLF and LF endings, a blank line, a comment, a line that is
+        // not UTF-8, a rejected record, and a final line without `\n`.
+        let stream: &[u8] = b"#serve,users=9,horizon_ms=100\r\nslot,5,3,1\n\n# note\r\n\
+            slot,6,\xff\xfe,1\nslot,7,4,2\r\nbogus\nslot,8,1,1";
+        let whole = framed(&[stream]);
+        assert_eq!(whole.len(), 8);
+        assert!(matches!(whole[0], Parsed::Header(_)));
+        assert!(matches!(whole[1], Parsed::Event(_)));
+        assert_eq!(whole[2], Parsed::Skip);
+        assert_eq!(whole[3], Parsed::Skip);
+        match &whole[4] {
+            Parsed::Rejected(e) => assert_eq!((e.line, e.reason.as_str()), (5, "invalid UTF-8")),
+            other => panic!("expected rejection, got {other:?}"),
+        }
+        assert!(matches!(
+            whole[5],
+            Parsed::Event(SlotEvent { time_ms: 7, .. })
+        ));
+        assert!(matches!(&whole[6], Parsed::Rejected(e) if e.line == 7));
+        assert!(
+            matches!(whole[7], Parsed::Event(SlotEvent { time_ms: 8, .. })),
+            "the final unterminated line is served"
+        );
+        for cut in 0..=stream.len() {
+            let (a, b) = stream.split_at(cut);
+            assert_eq!(framed(&[a, b]), whole, "cut at byte {cut}");
+        }
+        let bytes: Vec<&[u8]> = stream.chunks(1).collect();
+        assert_eq!(framed(&bytes), whole, "byte by byte");
+    }
+
+    #[test]
+    fn a_line_is_too_long_by_its_bytes_not_by_its_chunking() {
+        let header = "#serve,users=3,horizon_ms=100\n";
+        for (len, too_long) in [(MAX_LINE_BYTES, false), (MAX_LINE_BYTES + 1, true)] {
+            // A comment, so that a line within the limit is skipped,
+            // not rejected for its content.
+            let stream = format!("{header}#{}\nslot,7,2,1\n", "x".repeat(len - 1)).into_bytes();
+            let whole = framed(&[&stream]);
+            match (&whole[1], too_long) {
+                (Parsed::Skip, false) => {}
+                (Parsed::Rejected(e), true) => {
+                    assert_eq!((e.line, e.reason.as_str()), (2, "line too long"))
+                }
+                (other, _) => panic!("{len}-byte line parsed to {other:?}"),
+            }
+            assert!(
+                matches!(whole[2], Parsed::Event(_)),
+                "the next line is served"
+            );
+            assert_eq!(whole.len(), 3);
+            for size in [1, 7, 1000, 1024, 1025] {
+                let pieces: Vec<&[u8]> = stream.chunks(size).collect();
+                assert_eq!(
+                    framed(&pieces),
+                    whole,
+                    "{len}-byte line in {size}-byte chunks"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_newline_free_flood_costs_one_rejection_and_constant_memory() {
+        let mut f = Framer::new();
+        let mut pos = 0;
+        assert!(matches!(
+            f.next_record(b"#serve,users=3,horizon_ms=100\n", &mut pos),
+            Some(Parsed::Header(_))
+        ));
+        let garbage = vec![b'x'; 4096];
+        let mut rejected = 0;
+        for _ in 0..2560 {
+            // 10 MiB in all.
+            let mut pos = 0;
+            while let Some(p) = f.next_record(&garbage, &mut pos) {
+                assert!(matches!(p, Parsed::Rejected(e) if e.line == 2));
+                rejected += 1;
+            }
+            assert!(f.carry.capacity() <= 2 * MAX_LINE_BYTES);
+        }
+        assert_eq!(rejected, 1);
+        let mut pos = 0;
+        let tail = b"xx\nslot,7,2,1\n";
+        assert!(matches!(
+            f.next_record(tail, &mut pos),
+            Some(Parsed::Event(SlotEvent { time_ms: 7, .. }))
+        ));
+        assert_eq!(f.next_record(tail, &mut pos), None);
+        // A flood that runs into the end of input was rejected already.
+        let mut pos = 0;
+        assert!(matches!(
+            f.next_record(&garbage, &mut pos),
+            Some(Parsed::Rejected(e)) if e.line == 4
+        ));
+        assert_eq!(f.finish(), None);
     }
 
     #[test]

@@ -16,20 +16,52 @@
 //!   oracle predictor is rejected up front);
 //! - workers claim shard indices from the work-stealing [`WorkQueue`]
 //!   to build engines, then own what they built: the ingest thread
-//!   routes each event to its shard's owning worker over a bounded-race
-//!   FIFO channel, so one shard's events are always handled in arrival
-//!   order by one thread — the determinism contract — while distinct
-//!   shards proceed in parallel;
+//!   routes each event to its shard's owning worker, so one shard's
+//!   events are always handled in arrival order by one thread — the
+//!   determinism contract — while distinct shards proceed in parallel;
 //! - at end of stream (EOF or the `shutdown` sentinel) every engine
 //!   drains its remaining internal events, finalizes, and the reports
 //!   merge **in shard order**, the same fixed summation order as the
 //!   batch merge.
 //!
+//! # Ingest in batches
+//!
+//! Requests move through the server the way the paper moves ads over
+//! the radio: in batches, so the fixed cost of a hand-off is paid once
+//! per batch instead of once per request.
+//!
+//! - **Framing.** The ingest thread takes whatever bytes `fill_buf`
+//!   returns, and a [`Framer`] cuts complete lines out of that chunk in
+//!   place — no per-line `String`; only a chunk's unterminated tail is
+//!   copied, into a carry buffer capped at
+//!   [`MAX_LINE_BYTES`](crate::protocol::MAX_LINE_BYTES). Every event of
+//!   a chunk carries the one `Instant` at which the chunk arrived.
+//! - **Hand-off.** Each worker has a bounded swap [`Mailbox`]. The
+//!   ingest thread collects a chunk's events per worker and appends
+//!   them at the end of the chunk (and every `FLUSH_EVENTS` inside a
+//!   large one); it blocks while a mailbox already holds
+//!   `MAILBOX_CAP` events, which is the server's backpressure. The
+//!   worker swaps out everything pending at once, so batches are a few
+//!   events under paced load and tens of thousands under saturation,
+//!   with no timer and no allocation in steady state. While the ingest
+//!   thread waits on one full mailbox it feeds nobody: head-of-line
+//!   blocking, the price of a single in-order reader.
+//! - **Decide.** The worker groups a batch by shard (a stable counting
+//!   sort) and runs each shard's events back to back. Shards share no
+//!   mutable state and each still sees its own events in arrival order,
+//!   so the report cannot tell; but one engine's clients, predictor
+//!   tables, candidate pool and ledger now stay in cache for a whole
+//!   run instead of being evicted by the other engines between any two
+//!   requests.
+//!
 //! Decisions are answered in-line: an event is fully decided (cache
 //! hit, fallback fetch, or unfilled — including any internal syncs due
-//! before it) before the worker dequeues the next one, and the
-//! enqueue-to-decision latency of every event lands in the
-//! `serve.decision_latency_us` histogram.
+//! before it) before the worker starts the next one. Arrival to decided
+//! lands in the `serve.decision_latency_us` histogram for every event;
+//! `serve.queue_wait_us` is the part of it spent before the worker
+//! reached the event's shard run, `serve.batch_events` the size of each
+//! mailbox take, and `serve.router_backpressure` counts the pushes that
+//! had to wait for room.
 //!
 //! # Why a shard's sub-stream equals its batch sub-trace
 //!
@@ -40,9 +72,10 @@
 //! order. So every per-shard engine sees the identical input either
 //! way, and identical inputs + identical configs = identical reports.
 
-use std::io::BufRead;
+use std::io::{BufRead, ErrorKind};
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Barrier, Mutex};
+use std::sync::{Barrier, Mutex};
 use std::time::Instant;
 
 use adpf_core::{
@@ -53,12 +86,30 @@ use adpf_obs::{MetricRegistry, ObsSink};
 use adpf_prediction::PredictorKind;
 use adpf_traces::{shard_ranges, AppId, UserId, UserSlots};
 
-use crate::protocol::{IngestError, Parsed, Parser, StreamHeader};
+use crate::mailbox::Mailbox;
+use crate::protocol::{Framer, IngestError, Parsed, StreamHeader};
 
-/// Name of the enqueue-to-decision latency histogram (microseconds,
+/// Name of the arrival-to-decision latency histogram (microseconds,
 /// log-linear buckets, 4 steps per octave) recorded for every served
 /// request.
 pub const DECISION_LATENCY_METRIC: &str = "serve.decision_latency_us";
+/// Histogram of the queueing share of that latency: chunk arrival to
+/// the moment the worker starts on the event's shard run.
+pub const QUEUE_WAIT_METRIC: &str = "serve.queue_wait_us";
+/// Histogram of events per mailbox take.
+pub const BATCH_EVENTS_METRIC: &str = "serve.batch_events";
+/// Counter of mailbox pushes that found the mailbox full and waited.
+pub const BACKPRESSURE_METRIC: &str = "serve.router_backpressure";
+
+/// Events a worker's mailbox may hold before the ingest thread blocks
+/// (about 2.5 MiB of [`Routed`]). A constant, not an option: it only
+/// has to be large enough that a saturated worker's batches give each
+/// shard a run of thousands of events — most of the batching gain — and
+/// the memory it bounds is small beside the engines'.
+const MAILBOX_CAP: usize = 65_536;
+/// Inside one large chunk, hand a worker its events at least this often
+/// so it is not idle while the rest of the chunk is parsed.
+const FLUSH_EVENTS: usize = 1024;
 
 /// How a [`serve`] run is configured.
 #[derive(Debug, Clone)]
@@ -102,8 +153,9 @@ pub struct ServeOutcome {
     /// same `(config, event stream)`.
     pub report: SimReport,
     /// Merged metric registry: per-shard simulation registries in shard
-    /// order, then the per-worker serving registries (decision-latency
-    /// histograms), then the ingest counters (`serve.*` namespace).
+    /// order, then the per-worker serving registries (decision-latency,
+    /// queue-wait and batch-size histograms), then the ingest counters
+    /// (`serve.*` namespace).
     pub registry: MetricRegistry,
     /// Well-formed events decided.
     pub requests: u64,
@@ -158,14 +210,14 @@ impl From<std::io::Error> for ServeError {
     }
 }
 
-/// One routed event: shard-local addressing plus the enqueue timestamp
-/// the decision-latency histogram measures from.
+/// One routed event: shard-local addressing plus the arrival time of
+/// the chunk it came in, which the latency histograms measure from.
 struct Routed {
     shard: u32,
     time: SimTime,
     user: UserId,
     app: AppId,
-    enqueued: Instant,
+    arrived: Instant,
 }
 
 /// Tallies rejected lines, keeping the first `cap` verbatim.
@@ -184,16 +236,98 @@ impl ErrorLog {
     }
 }
 
+/// Closes the mailboxes it holds when dropped, so that no exit of the
+/// holder — a read error, a panic — leaves the other side waiting on a
+/// mailbox forever and the scope join hung.
+struct CloseOnDrop<'a>(&'a [Mailbox<Routed>]);
+
+impl Drop for CloseOnDrop<'_> {
+    fn drop(&mut self) {
+        for mailbox in self.0 {
+            mailbox.close();
+        }
+    }
+}
+
+/// Reads the next chunk of `input` and hands each record in it, with
+/// the chunk's arrival time, to `on_record` until that breaks. Returns
+/// whether to go on: `false` at end of input (after the final
+/// unterminated line, if any) or once `on_record` broke — input after
+/// the record it broke on is left unread.
+fn next_chunk<R: BufRead>(
+    input: &mut R,
+    framer: &mut Framer,
+    mut on_record: impl FnMut(Parsed, Instant) -> ControlFlow<()>,
+) -> std::io::Result<bool> {
+    let chunk = loop {
+        match input.fill_buf() {
+            Ok(chunk) => break chunk,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    };
+    let arrived = Instant::now();
+    if chunk.is_empty() {
+        if let Some(parsed) = framer.finish() {
+            let _ = on_record(parsed, arrived);
+        }
+        return Ok(false);
+    }
+    let mut pos = 0;
+    let mut more = true;
+    while let Some(parsed) = framer.next_record(chunk, &mut pos) {
+        if on_record(parsed, arrived).is_break() {
+            more = false;
+            break;
+        }
+    }
+    input.consume(pos);
+    Ok(more)
+}
+
+/// Stable counting sort of `batch` by shard. Fills `order` with the
+/// batch's indices grouped by shard, arrival order kept within a group,
+/// and `ends[s]` with the end of shard `s`'s span in `order` (it starts
+/// where shard `s - 1` ends).
+fn group_by_shard(batch: &[Routed], ends: &mut [usize], order: &mut Vec<u32>) {
+    ends.fill(0);
+    for m in batch {
+        ends[m.shard as usize] += 1;
+    }
+    let mut start = 0;
+    for e in ends.iter_mut() {
+        start += std::mem::replace(e, start);
+    }
+    order.clear();
+    order.resize(batch.len(), 0);
+    for (i, m) in batch.iter().enumerate() {
+        let at = &mut ends[m.shard as usize];
+        order[*at] = i as u32;
+        *at += 1;
+    }
+}
+
 /// Runs one serve session over `input` to completion (EOF or the
 /// `shutdown` sentinel) and returns the final report plus observability
 /// snapshot.
 ///
 /// The report is a deterministic function of `(config, event stream)`:
-/// thread count, shard claiming order, and wall-clock timing are all
-/// invisible after the shard-ordered merge, exactly as in the batch
-/// pipeline. Malformed input never panics and never kills the session —
-/// see [`crate::protocol`] for the rejection rules.
+/// thread count, shard claiming order, chunk boundaries, batch sizes and
+/// wall-clock timing are all invisible after the shard-ordered merge,
+/// exactly as in the batch pipeline. Malformed input never panics and
+/// never kills the session — see [`crate::protocol`] for the rejection
+/// rules.
 pub fn serve<R: BufRead>(opts: &ServeOptions, input: R) -> Result<ServeOutcome, ServeError> {
+    serve_with_cap(opts, input, MAILBOX_CAP)
+}
+
+/// [`serve`] with the mailbox cap exposed, so tests can make it tiny and
+/// run the backpressure and multi-take paths on small streams.
+fn serve_with_cap<R: BufRead>(
+    opts: &ServeOptions,
+    mut input: R,
+    mailbox_cap: usize,
+) -> Result<ServeOutcome, ServeError> {
     if matches!(opts.config.predictor, PredictorKind::Oracle) {
         return Err(ServeError::Unsupported(
             "the oracle predictor needs the future slot stream at construction; \
@@ -202,7 +336,7 @@ pub fn serve<R: BufRead>(opts: &ServeOptions, input: R) -> Result<ServeOutcome, 
         ));
     }
 
-    let mut parser = Parser::new();
+    let mut framer = Framer::new();
     let mut errors = ErrorLog {
         count: 0,
         cap: opts.error_sample,
@@ -212,18 +346,20 @@ pub fn serve<R: BufRead>(opts: &ServeOptions, input: R) -> Result<ServeOutcome, 
     // Phase 1: scan to the header. Anything rejected on the way (events
     // before the header, malformed headers) is counted like any other
     // bad line; only end-of-input without a header is fatal.
-    let mut lines = input.lines();
-    let header = loop {
-        let Some(line) = lines.next() else {
-            return Err(ServeError::MissingHeader);
-        };
-        match parser.feed(&line?) {
-            Parsed::Header(h) => break h,
-            Parsed::Rejected(e) => errors.push(e),
-            Parsed::Shutdown => return Err(ServeError::MissingHeader),
-            Parsed::Event(_) | Parsed::Skip => {}
+    let mut header = None;
+    while next_chunk(&mut input, &mut framer, |parsed, _| match parsed {
+        Parsed::Header(h) => {
+            header = Some(h);
+            ControlFlow::Break(())
         }
-    };
+        Parsed::Shutdown => ControlFlow::Break(()),
+        Parsed::Rejected(e) => {
+            errors.push(e);
+            ControlFlow::Continue(())
+        }
+        Parsed::Event(_) | Parsed::Skip => ControlFlow::Continue(()),
+    })? {}
+    let header = header.ok_or(ServeError::MissingHeader)?;
 
     // Size the run exactly like the batch pipeline sizes it from a
     // trace: same shard boundaries, same per-shard configs, same shared
@@ -250,21 +386,18 @@ pub fn serve<R: BufRead>(opts: &ServeOptions, input: R) -> Result<ServeOutcome, 
     let results: Vec<Mutex<Option<ShardResult>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let worker_regs: Vec<Mutex<Option<MetricRegistry>>> =
         (0..threads).map(|_| Mutex::new(None)).collect();
-    let mut txs = Vec::with_capacity(threads);
-    let mut rxs = Vec::with_capacity(threads);
-    for _ in 0..threads {
-        let (tx, rx) = mpsc::channel::<Routed>();
-        txs.push(tx);
-        rxs.push(rx);
-    }
+    let mailboxes: Vec<Mailbox<Routed>> = (0..threads).map(|_| Mailbox::new(mailbox_cap)).collect();
 
     let mut requests = 0u64;
     let route_result: Result<(), ServeError> = std::thread::scope(|scope| {
         let (queue, ownership, barrier) = (&queue, &ownership, &barrier);
         let (ranges, configs, ctx) = (&ranges, &configs, &ctx);
         let (results, worker_regs) = (&results, &worker_regs);
-        for (w, rx) in rxs.into_iter().enumerate() {
+        for (w, mailbox) in mailboxes.iter().enumerate() {
             scope.spawn(move || {
+                // A worker that dies closes its mailbox, so the router
+                // fails on its next push instead of waiting for room.
+                let _close = CloseOnDrop(std::slice::from_ref(mailbox));
                 // Build phase: claim shard indices until the queue runs
                 // dry. Engines start cold — the empty UserSlots view is
                 // bit-identical to the populated one for every
@@ -285,23 +418,45 @@ pub fn serve<R: BufRead>(opts: &ServeOptions, input: R) -> Result<ServeOutcome, 
                 }
                 barrier.wait();
 
-                // Decision phase: events for owned shards arrive in
-                // stream order; each is decided in-line before the next
-                // dequeue. The latency histogram measures enqueue to
-                // decision-complete, so queueing delay under load is
-                // part of the number — what an SLA would see.
+                // Decision phase: take everything pending, group it by
+                // shard, and decide each shard's run in arrival order,
+                // each event in-line before the next. Latency runs from
+                // the chunk's arrival to decision-complete, so queueing
+                // delay under load is part of the number — what an SLA
+                // would see; queue wait is that delay on its own.
                 let obs = MetricRegistry::new();
                 let lat = obs.histogram(DECISION_LATENCY_METRIC);
-                while let Ok(m) = rx.recv() {
-                    let engine = engines[m.shard as usize]
-                        .as_mut()
-                        .expect("event routed to a worker that owns its shard");
-                    engine.drain_internal_before(m.time);
-                    engine.on_slot(m.time, m.user, m.app);
-                    obs.observe_id(lat, m.enqueued.elapsed().as_micros() as u64);
+                let wait = obs.histogram(QUEUE_WAIT_METRIC);
+                let batch_events = obs.histogram(BATCH_EVENTS_METRIC);
+                let mut batch = Vec::new();
+                let mut order = Vec::new();
+                let mut ends = vec![0usize; ranges.len()];
+                while mailbox.take(&mut batch) {
+                    obs.observe_id(batch_events, batch.len() as u64);
+                    group_by_shard(&batch, &mut ends, &mut order);
+                    let mut from = 0;
+                    for (engine, &to) in engines.iter_mut().zip(&ends) {
+                        let run = &order[from..to];
+                        from = to;
+                        if run.is_empty() {
+                            continue;
+                        }
+                        let engine = engine
+                            .as_mut()
+                            .expect("event routed to a worker that owns its shard");
+                        let started = Instant::now();
+                        for &i in run {
+                            let m = &batch[i as usize];
+                            let waited = started.saturating_duration_since(m.arrived);
+                            obs.observe_id(wait, waited.as_micros() as u64);
+                            engine.drain_internal_before(m.time);
+                            engine.on_slot(m.time, m.user, m.app);
+                            obs.observe_id(lat, m.arrived.elapsed().as_micros() as u64);
+                        }
+                    }
                 }
 
-                // Shutdown phase (all senders dropped): drain the
+                // Shutdown phase (mailbox closed and drained): drain the
                 // engines' remaining internal events and finalize into
                 // the shard-indexed slots the merge reads in order.
                 for (i, slot) in engines.into_iter().enumerate() {
@@ -315,34 +470,51 @@ pub fn serve<R: BufRead>(opts: &ServeOptions, input: R) -> Result<ServeOutcome, 
         }
 
         // Router (this thread): wait out engine construction, then
-        // forward each event to its shard's owner. FIFO channels
-        // preserve per-shard arrival order.
+        // forward each chunk's events to their shards' owners. Pushes
+        // to one mailbox keep arrival order, hence so does every shard.
         barrier.wait();
-        for line in lines {
-            let line = line?;
-            match parser.feed(&line) {
-                Parsed::Event(e) => {
-                    // First range whose end exceeds the user id; the
-                    // parser guarantees `user < users`, so this hits.
-                    let shard = ranges.partition_point(|r| r.end <= e.user);
-                    let w = ownership[shard].load(Ordering::Acquire);
-                    let routed = Routed {
-                        shard: shard as u32,
-                        time: SimTime::from_millis(e.time_ms),
-                        user: UserId(e.user - ranges[shard].start),
-                        app: AppId(e.app),
-                        enqueued: Instant::now(),
-                    };
-                    requests += 1;
-                    txs[w].send(routed).expect("worker outlives the router");
+        let _close = CloseOnDrop(&mailboxes);
+        let mut outbox: Vec<Vec<Routed>> = (0..threads).map(|_| Vec::new()).collect();
+        let flush = |w: usize, events: &mut Vec<Routed>| {
+            mailboxes[w]
+                .push(events)
+                .expect("worker outlives the router")
+        };
+        loop {
+            let more = next_chunk(&mut input, &mut framer, |parsed, arrived| {
+                match parsed {
+                    Parsed::Event(e) => {
+                        // First range whose end exceeds the user id; the
+                        // parser guarantees `user < users`, so this hits.
+                        let shard = ranges.partition_point(|r| r.end <= e.user);
+                        let w = ownership[shard].load(Ordering::Acquire);
+                        outbox[w].push(Routed {
+                            shard: shard as u32,
+                            time: SimTime::from_millis(e.time_ms),
+                            user: UserId(e.user - ranges[shard].start),
+                            app: AppId(e.app),
+                            arrived,
+                        });
+                        requests += 1;
+                        if outbox[w].len() >= FLUSH_EVENTS {
+                            flush(w, &mut outbox[w]);
+                        }
+                    }
+                    Parsed::Rejected(e) => errors.push(e),
+                    Parsed::Shutdown => return ControlFlow::Break(()),
+                    Parsed::Header(_) | Parsed::Skip => {}
                 }
-                Parsed::Rejected(e) => errors.push(e),
-                Parsed::Shutdown => break,
-                Parsed::Header(_) | Parsed::Skip => {}
+                ControlFlow::Continue(())
+            })?;
+            for (w, events) in outbox.iter_mut().enumerate() {
+                if !events.is_empty() {
+                    flush(w, events);
+                }
+            }
+            if !more {
+                return Ok(());
             }
         }
-        drop(txs);
-        Ok(())
     });
     route_result?;
 
@@ -369,6 +541,10 @@ pub fn serve<R: BufRead>(opts: &ServeOptions, input: R) -> Result<ServeOutcome, 
     }
     registry.add("serve.requests", requests);
     registry.add("serve.ingest_errors", errors.count);
+    registry.add(
+        BACKPRESSURE_METRIC,
+        mailboxes.iter().map(Mailbox::blocked_pushes).sum(),
+    );
     registry.gauge_max("serve.shards", n as u64);
     registry.gauge_max("serve.threads", threads as u64);
 
@@ -387,7 +563,7 @@ pub fn serve<R: BufRead>(opts: &ServeOptions, input: R) -> Result<ServeOutcome, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::write_events;
+    use crate::protocol::{write_events, MAX_LINE_BYTES};
     use adpf_core::Simulator;
     use adpf_traces::PopulationConfig;
 
@@ -396,6 +572,233 @@ mod tests {
         let mut buf = Vec::new();
         write_events(&trace, cfg.ad_refresh, &mut buf).unwrap();
         buf
+    }
+
+    /// Delivers `data` one piece per `read`, cut at the given offsets.
+    struct Pieces<'a> {
+        data: &'a [u8],
+        pos: usize,
+        cuts: std::vec::IntoIter<usize>,
+    }
+
+    impl<'a> Pieces<'a> {
+        fn new(data: &'a [u8], mut cuts: Vec<usize>) -> std::io::BufReader<Self> {
+            cuts.sort_unstable();
+            cuts.dedup();
+            let cuts = cuts.into_iter();
+            std::io::BufReader::new(Self { data, pos: 0, cuts })
+        }
+    }
+
+    impl std::io::Read for Pieces<'_> {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            let pos = self.pos;
+            let cut = self.cuts.find(|&c| c > pos).unwrap_or(self.data.len());
+            let n = (cut.min(self.data.len()) - pos).min(out.len());
+            out[..n].copy_from_slice(&self.data[pos..pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    /// What a session must agree on however its bytes were delivered.
+    fn fingerprint(out: &ServeOutcome) -> (u64, u64, u64, Vec<usize>) {
+        let lines = out.error_sample.iter().map(|e| e.line).collect();
+        (
+            out.report.stable_hash(),
+            out.requests,
+            out.ingest_errors,
+            lines,
+        )
+    }
+
+    #[test]
+    fn chunk_boundaries_threads_and_backpressure_are_invisible() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+
+        let cfg = SystemConfig::prefetch_default(5);
+        let clean = String::from_utf8(smoke_stream(777, &cfg)).unwrap();
+        // Every framing case in one stream: CRLF and LF endings, garbage,
+        // a line that is not UTF-8, an overlong line, and no final `\n`.
+        let mut stream = Vec::new();
+        for (i, line) in clean.lines().enumerate() {
+            stream.extend_from_slice(line.as_bytes());
+            stream.extend_from_slice(if i % 3 == 0 { b"\r\n" } else { b"\n" });
+            match i {
+                10 => stream.extend_from_slice(b"slot,notatime,0,0\r\n\n"),
+                200 => stream.extend_from_slice(b"slot,1,\xff\xfe,0\n"),
+                3000 => {
+                    stream.extend_from_slice(&vec![b'#'; 3 * MAX_LINE_BYTES]);
+                    stream.push(b'\n');
+                }
+                _ => {}
+            }
+        }
+        assert_eq!(stream.pop(), Some(b'\n'));
+
+        let mut opts = ServeOptions::new(cfg.clone());
+        let whole = serve(&opts, stream.as_slice()).unwrap();
+        let expected = fingerprint(&whole);
+        let reference = serve(&opts, clean.as_bytes()).unwrap();
+        assert_eq!(whole.report, reference.report);
+        assert_eq!(whole.requests, reference.requests);
+        assert_eq!(expected.2, 3);
+        let reasons: Vec<&str> = whole
+            .error_sample
+            .iter()
+            .map(|e| e.reason.as_str())
+            .collect();
+        assert!(reasons[0].contains("time_ms"), "{reasons:?}");
+        assert_eq!(reasons[1..], ["invalid UTF-8", "line too long"]);
+
+        let every_byte: Vec<usize> = (0..stream.len()).collect();
+        let mut rng = StdRng::seed_from_u64(13);
+        let mut random_cuts = |mean: usize| -> Vec<usize> {
+            let mut cuts = Vec::new();
+            let mut at = 0;
+            while at < stream.len() {
+                at += rng.gen_range(1..=2 * mean);
+                cuts.push(at);
+            }
+            // Always split every CRLF between its two bytes as well.
+            cuts.extend(
+                stream
+                    .windows(2)
+                    .enumerate()
+                    .filter(|(_, w)| w == b"\r\n")
+                    .map(|(i, _)| i + 1),
+            );
+            cuts
+        };
+        let deliveries = [
+            ("byte by byte", every_byte),
+            ("mid-number cuts", random_cuts(5)),
+            ("a few lines a piece", random_cuts(60)),
+            ("mailbox-sized pieces", random_cuts(3000)),
+        ];
+        for threads in [1, 3, 8] {
+            opts.threads = threads;
+            for (name, cuts) in &deliveries {
+                // A 5-event mailbox makes the router wait and the workers
+                // take many times even on this small stream.
+                for cap in [5, MAILBOX_CAP] {
+                    let out =
+                        serve_with_cap(&opts, Pieces::new(&stream, cuts.clone()), cap).unwrap();
+                    assert_eq!(
+                        fingerprint(&out),
+                        expected,
+                        "{name}, {threads} threads, cap {cap}"
+                    );
+                    let batches = out
+                        .registry
+                        .histogram_snapshot(BATCH_EVENTS_METRIC)
+                        .unwrap();
+                    assert_eq!(batches.sum(), out.requests, "every event is in one take");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn with_room_for_one_event_every_push_is_its_own_take() {
+        let cfg = SystemConfig::prefetch_default(5);
+        let stream = smoke_stream(777, &cfg);
+        let out = serve_with_cap(&ServeOptions::new(cfg), stream.as_slice(), 1).unwrap();
+        assert_eq!(out.report.stable_hash(), 0xba08_fcf9_274d_6de0);
+        // With room for one event, a push is admitted only into an empty
+        // mailbox: every take is exactly one push, of FLUSH_EVENTS or a
+        // chunk's remainder, and only a push can have had to wait.
+        let batches = out
+            .registry
+            .histogram_snapshot(BATCH_EVENTS_METRIC)
+            .unwrap();
+        assert_eq!(batches.sum(), out.requests);
+        assert_eq!(batches.max(), FLUSH_EVENTS as u64);
+        assert!(batches.count() >= out.requests.div_ceil(FLUSH_EVENTS as u64));
+        assert!(out.registry.counter_value(BACKPRESSURE_METRIC) <= batches.count());
+        let waits = out.registry.histogram_snapshot(QUEUE_WAIT_METRIC).unwrap();
+        assert_eq!(waits.count(), out.requests);
+    }
+
+    #[test]
+    fn group_by_shard_is_a_stable_grouping() {
+        let at = Instant::now();
+        let batch: Vec<Routed> = [2u32, 0, 2, 1, 0, 2]
+            .iter()
+            .enumerate()
+            .map(|(i, &shard)| Routed {
+                shard,
+                time: SimTime::from_millis(i as u64),
+                user: UserId(0),
+                app: AppId(0),
+                arrived: at,
+            })
+            .collect();
+        let mut ends = vec![0; 4];
+        let mut order = vec![7; 9];
+        group_by_shard(&batch, &mut ends, &mut order);
+        assert_eq!(order, [1, 4, 3, 0, 2, 5]);
+        assert_eq!(ends, [2, 3, 6, 6]);
+    }
+
+    /// Yields `data`, then fails every read with `kind`.
+    struct ThenFails<'a>(&'a [u8], ErrorKind);
+
+    impl std::io::Read for ThenFails<'_> {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            if self.0.is_empty() {
+                return Err(self.1.into());
+            }
+            let n = self.0.len().min(out.len());
+            out[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_read_error_mid_stream_ends_the_session_with_io_not_a_hang() {
+        let cfg = SystemConfig::prefetch_default(5);
+        let stream = smoke_stream(777, &cfg);
+        let half = &stream[..stream.len() / 2];
+        for threads in [1, 3] {
+            let mut opts = ServeOptions::new(cfg.clone());
+            opts.threads = threads;
+            let input = std::io::BufReader::new(ThenFails(half, ErrorKind::ConnectionReset));
+            match serve_with_cap(&opts, input, 5) {
+                Err(ServeError::Io(e)) => assert_eq!(e.kind(), ErrorKind::ConnectionReset),
+                other => panic!("expected an I/O error, got {other:?}"),
+            }
+        }
+        // Before the header it is the same error, not `MissingHeader`.
+        let input = std::io::BufReader::new(ThenFails(b"# hello\n", ErrorKind::BrokenPipe));
+        let err = serve(&ServeOptions::new(cfg), input).unwrap_err();
+        assert!(matches!(err, ServeError::Io(_)), "{err}");
+    }
+
+    /// Fails every other read with `Interrupted`, which is not an error.
+    struct Interrupting<'a>(&'a [u8], bool);
+
+    impl std::io::Read for Interrupting<'_> {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            self.1 = !self.1;
+            if self.1 {
+                return Err(ErrorKind::Interrupted.into());
+            }
+            let n = self.0.len().min(out.len()).min(100);
+            out[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn interrupted_reads_are_retried() {
+        let cfg = SystemConfig::prefetch_default(5);
+        let stream = smoke_stream(777, &cfg);
+        let input = std::io::BufReader::new(Interrupting(&stream, false));
+        let out = serve(&ServeOptions::new(cfg), input).unwrap();
+        assert_eq!(out.report.stable_hash(), 0xba08_fcf9_274d_6de0);
     }
 
     #[test]
@@ -474,6 +877,10 @@ mod tests {
         let out = serve(&ServeOptions::new(cfg), cut.as_bytes()).unwrap();
         // Line 0 is the header, lines 1..50 are events.
         assert_eq!(out.requests, 49);
+        assert_eq!(
+            out.ingest_errors, 0,
+            "the rest of the chunk is not parsed: t=0 there would be out of order"
+        );
         assert!(out.report.syncs > 0, "internal events still drained");
     }
 
