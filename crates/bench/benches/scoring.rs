@@ -1,7 +1,7 @@
 //! Microbenchmarks of the batched hot path's scoring kernel: the
 //! gather → rate → score sweep the engine runs over its flat candidate
 //! pool on every sync (the substrate of the `batched-hotpath` baseline
-//! rows and the `--perf-check` CI gate).
+//! rows).
 
 use adpf_overbooking::availability::{display_probability_bursty, AvailabilityCache};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};

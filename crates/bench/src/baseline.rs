@@ -1,628 +1,493 @@
-//! Fixed-seed throughput baselines: the repo's recorded perf trajectory.
+//! Determinism gates and the recorded trajectory.
 //!
-//! Every perf-sensitive PR runs the `baseline` binary, which replays
-//! deterministic workloads and appends one measurement entry per
-//! `(label, threads)` pair to `BENCH_baseline.json`. Because the
-//! workloads are fixed-seed, entries recorded before and after a change
-//! are directly comparable, and the report hash doubles as a determinism
-//! check: an optimization that alters any simulated outcome — even one
-//! bit of one float — changes the hash.
+//! One table, [`ROWS`], names every fixed-seed workload this repo pins:
+//! its population, how it is driven, and what must hold of the result.
+//! [`run`] is the only place a row is generated and driven; [`check`]
+//! holds rows to their gates and [`record`] appends a row's run to
+//! `BENCH_baseline.json`. Because the workloads are fixed-seed, the
+//! report hash is exact and machine-independent: a change that alters
+//! any simulated outcome — even one bit of one float — changes it.
+//!
+//! Timing claims (throughput, latency, memory under load) belong to
+//! `benchmark/`. Nothing here judges a clock against a committed number;
+//! the one ratio gated, metric-collection overhead, compares runs taken
+//! back to back in one process.
 
-use std::io::{self, Read, Write};
-use std::sync::mpsc;
+use std::io;
 use std::time::Instant;
 
 use adpf_core::{SimReport, Simulator, SystemConfig};
+use adpf_obs::{to_json_lines, validate_json_lines, MetricRegistry};
 use adpf_scenario::{ScenarioPopulation, ScenarioSpec};
-use adpf_traces::{PopulationConfig, Trace};
+use adpf_traces::PopulationConfig;
 
-/// A fixed-seed throughput workload.
-///
-/// The trace and config seeds are part of the workload identity: two
-/// measurements are comparable only when every field here matches.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BaselineWorkload {
-    /// Workload name recorded with each measurement.
-    pub name: &'static str,
-    /// Population size.
-    pub users: u32,
-    /// Trace length in days.
-    pub days: u32,
-    /// Seed for trace generation.
-    pub trace_seed: u64,
-    /// Master seed for the simulator config.
-    pub config_seed: u64,
+/// The smoke workload's report hash. Every `smoke*` row without a
+/// scenario, the root determinism tests and ci.sh's served replay
+/// (`SERVE_GOLDEN`) are held to this one value; a deliberate behaviour
+/// change updates it here and in ci.sh, nowhere else.
+pub const SMOKE_GOLDEN: u64 = 0xba08_fcf9_274d_6de0;
+
+/// The smoke population under [`ScenarioSpec::mixed`].
+const MIXED_GOLDEN: u64 = 0xddb8_fd9f_23e2_7430;
+
+/// Repetitions per mode in [`obs_overhead_pct`].
+const OBS_REPS: usize = 9;
+
+/// A row's synthetic population. The seed is part of the workload
+/// identity: two runs are comparable only when every field matches.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Population {
+    /// [`PopulationConfig::small_test`] with this seed.
+    SmallTest(u64),
+    /// [`PopulationConfig::iphone_like`] resized: `(users, days, seed)`.
+    Iphone(u32, u32, u64),
 }
 
-impl BaselineWorkload {
-    /// The E14-style throughput workload: an iPhone-shaped population
-    /// large enough that a run takes O(seconds), replayed under the
-    /// default prefetch config.
-    pub fn e14_style() -> Self {
-        Self {
-            name: "e14-iphone-300u-7d",
-            users: 300,
-            days: 7,
-            trace_seed: 42,
-            config_seed: 1,
-        }
-    }
+/// How [`run`] drives a row. All four produce the same report for the
+/// same row; that equality is what the table gates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Driver {
+    /// Materialize the trace, then [`Simulator::run_parallel`].
+    Parallel,
+    /// [`Simulator::run_streaming_observed`]: each shard generates its
+    /// own user range, so memory is O(users-per-shard × threads). Shard
+    /// count comes from [`adpf_core::default_shards`], as in
+    /// `simulate --stream`.
+    Streaming,
+    /// Serialize the trace to the wire protocol and replay it through
+    /// [`adpf_serve::serve`] in-process; the stream must ingest with no
+    /// rejected line.
+    Serve,
+    /// [`Simulator::run_parallel_observed`]; the registry's JSON-lines
+    /// export must pass the schema validator.
+    Observed,
+}
 
-    /// A seconds-scale smoke workload for CI: small enough to run in a
-    /// quick gate, still exercising every simulator subsystem.
-    pub fn smoke() -> Self {
-        Self {
-            name: "smoke-small-777",
-            users: 0, // Population comes from `small_test`; users unused.
-            days: 0,
-            trace_seed: 777,
-            config_seed: 5,
-        }
-    }
+/// One condition a row's outcome must meet.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Gate {
+    /// The report's [`SimReport::stable_hash`].
+    Hash(u64),
+    /// Ceiling on process peak RSS (VmHWM) in MiB — the tripwire for a
+    /// change that re-materializes the full trace before sharding. VmHWM
+    /// is a lifetime high-water mark, so rows carrying this gate come
+    /// first in [`ROWS`]. Always met where no `/proc` exposes the figure.
+    MaxRssMb(f64),
+    /// Ceiling on [`obs_overhead_pct`].
+    MaxObsOverheadPct(f64),
+    /// The scenario layer's user-cost counters (metered bytes,
+    /// display-latency samples) were populated.
+    ScenarioCountersNonZero,
+}
 
-    /// The online-serving workload (`--workload serve`): the smoke
-    /// trace serialized to the wire protocol and replayed through
-    /// [`adpf_serve::serve`]. Same seeds as [`BaselineWorkload::smoke`],
-    /// so every recorded serve entry is held to the batch smoke golden
-    /// hash — the throughput columns measure the ingest path, not a
-    /// different simulation.
-    pub fn serve_smoke() -> Self {
-        Self {
-            name: "serve-smoke-777",
-            users: 0, // Population comes from `small_test`; users unused.
-            days: 0,
-            trace_seed: 777,
-            config_seed: 5,
-        }
-    }
+/// One pinned workload.
+#[derive(Debug, Clone, Copy)]
+pub struct Row {
+    /// Name the row is picked by, and recorded under as `workload`.
+    pub name: &'static str,
+    /// The synthetic population.
+    pub population: Population,
+    /// Scenario layered over the population and installed on the config
+    /// (class assignment keyed on the population seed on both halves).
+    pub scenario: Option<fn() -> ScenarioSpec>,
+    /// Master seed for [`SystemConfig::prefetch_default`].
+    pub config_seed: u64,
+    /// How the row is driven.
+    pub driver: Driver,
+    /// Worker-thread counts the row runs at; counts above the shard
+    /// count cover the more-threads-than-shards regime.
+    pub threads: &'static [usize],
+    /// What must hold at every thread count.
+    pub gates: &'static [Gate],
+    /// Minutes-long rows, run only when named.
+    pub slow: bool,
+}
 
-    /// A population-scale workload for the streaming pipeline: too big
-    /// to measure comfortably materialized, routine when each shard
-    /// generates and consumes its own user range.
-    pub fn scale_100k() -> Self {
-        Self {
-            name: "scale-iphone-100k-2d",
-            users: 100_000,
-            days: 2,
-            trace_seed: 42,
-            config_seed: 1,
-        }
-    }
+/// The `smoke` row: seconds-scale, still exercising every simulator
+/// subsystem. The other `smoke-*` rows are this one under another driver
+/// or scenario.
+pub const SMOKE: Row = Row {
+    name: "smoke",
+    population: Population::SmallTest(777),
+    scenario: None,
+    config_seed: 5,
+    driver: Driver::Parallel,
+    threads: &[1, 2, 4, 8],
+    gates: &[Gate::Hash(SMOKE_GOLDEN)],
+    slow: false,
+};
 
-    /// The million-user variant of [`BaselineWorkload::scale_100k`].
-    /// Streaming-only in practice: materializing this trace costs tens
-    /// of gigabytes, while the streaming pipeline holds one shard
-    /// (≈2k users) per worker thread.
-    pub fn scale_1m() -> Self {
-        Self {
-            name: "scale-iphone-1m-1d",
-            users: 1_000_000,
-            days: 1,
-            trace_seed: 42,
-            config_seed: 1,
-        }
-    }
+/// The `scale-100k` row; the other `scale-*` rows vary it.
+const SCALE_100K: Row = Row {
+    name: "scale-100k",
+    population: Population::Iphone(100_000, 2, 42),
+    scenario: None,
+    config_seed: 1,
+    driver: Driver::Streaming,
+    threads: &[1],
+    gates: &[Gate::Hash(0xfbc5_8485_16c9_6f9a)],
+    slow: true,
+};
 
-    /// The paced-serving workload: the smoke trace replayed through the
-    /// server at a fixed sub-saturation event rate instead of as fast
-    /// as the server drains it, so the recorded latency percentiles
-    /// measure per-decision cost without ingest queueing. Same seeds as
-    /// [`BaselineWorkload::smoke`], same golden hash.
-    pub fn serve_smoke_paced() -> Self {
-        Self {
-            name: "serve-smoke-777-paced",
-            users: 0, // Population comes from `small_test`; users unused.
-            days: 0,
-            trace_seed: 777,
-            config_seed: 5,
-        }
-    }
+/// Every pinned workload; `baseline` with no row names runs the ones not
+/// marked `slow`, in this order.
+pub const ROWS: [Row; 11] = [
+    // Big enough that materializing its trace first would blow the
+    // ceiling several times over (~128 MiB for the trace alone; it
+    // streams in ~58 MiB), small enough to stream in seconds. The thread
+    // count is fixed because the ceiling assumes two resident shards.
+    Row {
+        name: "memcheck",
+        population: Population::Iphone(100_000, 1, 42),
+        scenario: None,
+        config_seed: 1,
+        driver: Driver::Streaming,
+        threads: &[2],
+        gates: &[Gate::MaxRssMb(96.0), Gate::Hash(0x5dba_ec35_e607_f63c)],
+        slow: false,
+    },
+    SMOKE,
+    Row {
+        name: "smoke-stream",
+        driver: Driver::Streaming,
+        threads: &[1, 2, 8],
+        ..SMOKE
+    },
+    Row {
+        name: "smoke-serve",
+        driver: Driver::Serve,
+        threads: &[1, 2, 8],
+        ..SMOKE
+    },
+    Row {
+        name: "smoke-observed",
+        driver: Driver::Observed,
+        threads: &[1],
+        gates: &[Gate::Hash(SMOKE_GOLDEN), Gate::MaxObsOverheadPct(3.0)],
+        ..SMOKE
+    },
+    Row {
+        name: "smoke-mixed",
+        scenario: Some(ScenarioSpec::mixed),
+        threads: &[1, 2, 8],
+        gates: &[Gate::Hash(MIXED_GOLDEN), Gate::ScenarioCountersNonZero],
+        ..SMOKE
+    },
+    Row {
+        name: "smoke-mixed-stream",
+        scenario: Some(ScenarioSpec::mixed),
+        driver: Driver::Streaming,
+        threads: &[2],
+        gates: &[Gate::Hash(MIXED_GOLDEN), Gate::ScenarioCountersNonZero],
+        ..SMOKE
+    },
+    Row {
+        name: "e14",
+        population: Population::Iphone(300, 7, 42),
+        scenario: None,
+        config_seed: 1,
+        driver: Driver::Parallel,
+        threads: &[1, 4],
+        gates: &[Gate::Hash(0x875d_772f_cf03_8dbf)],
+        slow: false,
+    },
+    SCALE_100K,
+    Row {
+        name: "scale-100k-mixed",
+        scenario: Some(ScenarioSpec::mixed),
+        threads: &[2],
+        gates: &[Gate::Hash(0x1ebd_65e2_361a_92f7)],
+        ..SCALE_100K
+    },
+    Row {
+        name: "scale-1m",
+        population: Population::Iphone(1_000_000, 1, 42),
+        gates: &[Gate::Hash(0xa536_bad7_d08c_6736)],
+        ..SCALE_100K
+    },
+];
 
-    /// The scenario-layer variant of [`BaselineWorkload::scale_100k`]:
-    /// the same population run through the `mixed` device-class
-    /// scenario, streamed, with `peak_rss_mb` recorded — the witness
-    /// that the scenario layer preserves the bounded-memory contract.
-    pub fn scale_100k_mixed() -> Self {
-        Self {
-            name: "scale-100k-mixed",
-            users: 100_000,
-            days: 2,
-            trace_seed: 42,
-            config_seed: 1,
-        }
-    }
-
-    /// The `--mem-check` gate workload: big enough that materializing
-    /// its full trace first would blow the gate's committed RSS
-    /// ceiling several times over, small enough to stream through in
-    /// seconds on a 1-CPU CI container.
-    pub fn mem_check() -> Self {
-        Self {
-            name: "memcheck-iphone-100k-1d",
-            users: 100_000,
-            days: 1,
-            trace_seed: 42,
-            config_seed: 1,
-        }
-    }
-
-    /// The workload's population config — the single source both
-    /// pipelines generate from. The materialized path calls
-    /// [`PopulationConfig::generate`]; the streaming path calls
-    /// [`PopulationConfig::generate_shard`] per shard. Both produce the
-    /// same users, so the two pipelines stay hash-comparable.
+impl Row {
+    /// The row's population config — the single source both pipelines
+    /// generate from (`generate_parallel` materialized, `generate_shard`
+    /// streamed), which is what keeps them hash-comparable.
     pub fn population(&self) -> PopulationConfig {
-        if self.name.contains("smoke") {
-            PopulationConfig::small_test(self.trace_seed)
-        } else {
-            PopulationConfig {
-                num_users: self.users,
-                days: self.days,
-                ..PopulationConfig::iphone_like(self.trace_seed)
-            }
+        match self.population {
+            Population::SmallTest(seed) => PopulationConfig::small_test(seed),
+            Population::Iphone(users, days, seed) => PopulationConfig {
+                num_users: users,
+                days,
+                ..PopulationConfig::iphone_like(seed)
+            },
         }
     }
 
-    /// The scenario the workload runs under, if any (`*-mixed`
-    /// workloads use the canonical three-class device mix).
-    pub fn scenario(&self) -> Option<ScenarioSpec> {
-        self.name.contains("mixed").then(ScenarioSpec::mixed)
-    }
-
-    /// Generates the workload's trace.
-    pub fn trace(&self) -> Trace {
-        self.trace_threads(1)
-    }
-
-    /// Generates the workload's trace across `threads` OS threads —
-    /// byte-identical to [`BaselineWorkload::trace`] at any count.
-    pub fn trace_threads(&self, threads: usize) -> Trace {
-        match self.scenario() {
-            Some(spec) => {
-                ScenarioPopulation::new(self.population(), spec).generate_parallel(threads)
-            }
-            None => self.population().generate_parallel(threads),
-        }
-    }
-
-    /// Builds the workload's simulator config, with the scenario layer
-    /// installed for scenario workloads (assignment keyed on the trace
-    /// seed, exactly as the trace generator keys class membership).
+    /// The row's simulator config, scenario layer installed if any.
     pub fn config(&self) -> SystemConfig {
         let mut cfg = SystemConfig::prefetch_default(self.config_seed);
-        if let Some(spec) = self.scenario() {
-            spec.apply_to(&mut cfg, self.trace_seed);
+        if let Some(spec) = self.scenario {
+            spec().apply_to(&mut cfg, self.population().seed);
         }
         cfg
     }
 }
 
-/// One recorded throughput measurement.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BaselineMeasurement {
-    /// Free-form label naming the code state (e.g. `pre-hotpath`).
-    pub label: String,
-    /// Workload name (see [`BaselineWorkload::name`]).
-    pub workload: String,
-    /// Worker threads used.
-    pub threads: usize,
-    /// Logical CPUs on the recording host. Wall-clock columns are only
-    /// comparable between entries recorded on similar hardware; this
-    /// stamp makes "similar" checkable instead of assumed.
-    pub cpus: usize,
-    /// Wall-clock seconds for the simulation run alone. Trace generation
-    /// is timed separately in `gen_wall_s` and never charged to the
-    /// simulator — `events_per_sec` divides by this field only.
+/// Resolves row names to rows, in table order (which keeps the RSS-gated
+/// rows first however the names were given). No names selects every row
+/// not marked `slow`.
+pub fn select(names: &[String]) -> Result<Vec<Row>, String> {
+    if let Some(unknown) = names.iter().find(|n| ROWS.iter().all(|r| r.name != *n)) {
+        let valid = ROWS.map(|r| r.name).join(" ");
+        return Err(format!("unknown row `{unknown}` (valid: {valid})"));
+    }
+    let wanted = |r: &Row| match names {
+        [] => !r.slow,
+        _ => names.iter().any(|n| n == r.name),
+    };
+    Ok(ROWS.into_iter().filter(wanted).collect())
+}
+
+/// What one [`run`] produced.
+#[derive(Debug)]
+pub struct Outcome {
+    /// The merged report.
+    pub report: SimReport,
+    /// The merged metric registry; empty under [`Driver::Parallel`],
+    /// which runs unobserved.
+    pub registry: MetricRegistry,
+    /// Wall-clock seconds of the simulation alone — except under
+    /// [`Driver::Streaming`], where generation happens inside the
+    /// pipeline and this covers both.
     pub wall_s: f64,
-    /// Wall-clock seconds spent generating the trace (at the same thread
-    /// count), reported alongside so generation scaling is visible too.
+    /// Wall-clock seconds producing the input, at the same thread count:
+    /// trace generation, plus wire serialization under [`Driver::Serve`].
+    /// Under [`Driver::Streaming`] it is the summed per-shard
+    /// `phase.trace_gen` span — CPU-seconds, not a separate phase.
     pub gen_wall_s: f64,
-    /// Simulation events processed: slots plus syncs (taken, skipped,
-    /// and dropped) — the unit of simulator work.
-    pub events: u64,
-    /// Ads placed (advance sales registered with the ledger).
-    pub ads_placed: u64,
-    /// `events / wall_s`.
-    pub events_per_sec: f64,
-    /// `ads_placed / wall_s`.
-    pub ads_placed_per_sec: f64,
-    /// Wall-clock cost of metric collection on the smoke workload, in
-    /// percent (observed vs plain run, min-of-N, clamped at zero). See
-    /// [`measure_obs_overhead`].
-    pub obs_overhead_pct: f64,
-    /// Process peak RSS (kernel VmHWM) after the run, in MiB, or `0.0`
-    /// where no `/proc` exposes it. A lifetime high-water mark: it
-    /// bounds this run *plus* everything before it in the process, so
-    /// the baseline binary measures memory-sensitive workloads first.
+    /// Process peak RSS (VmHWM) after the run, in MiB, or `0.0` where no
+    /// `/proc` exposes it. It bounds this run *plus* everything before
+    /// it in the process.
     pub peak_rss_mb: f64,
-    /// FNV-1a hash of the canonical report bytes (determinism witness).
-    pub report_hash: u64,
-    /// Serving-path columns, present only for measurements taken
-    /// through [`measure_serve`]; batch and streaming entries keep the
-    /// historical line shape exactly.
-    pub serve: Option<ServeColumns>,
 }
 
-/// The serve-only measurement columns: request throughput and the
-/// enqueue-to-decision latency percentiles (upper bounds of the
-/// log-linear histogram buckets — within 25% of the true sample, see
-/// `adpf_obs::Histogram::quantile_upper_bound`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ServeColumns {
-    /// Slot events decided by the server.
-    pub requests: u64,
-    /// `requests / wall_s`.
-    pub requests_per_sec: f64,
-    /// Median decision latency, microseconds.
-    pub p50_us: u64,
-    /// 95th-percentile decision latency, microseconds.
-    pub p95_us: u64,
-    /// 99th-percentile decision latency, microseconds.
-    pub p99_us: u64,
+/// Generates `row`'s workload and drives it once at `threads` workers.
+pub fn run(row: &Row, threads: usize) -> Outcome {
+    let pop = row.population();
+    let scenario = row
+        .scenario
+        .map(|spec| ScenarioPopulation::new(pop.clone(), spec()));
+    let cfg = row.config();
+    let generate = || match &scenario {
+        Some(sp) => sp.generate_parallel(threads),
+        None => pop.generate_parallel(threads),
+    };
+    let start = Instant::now();
+    // When the input existed and the simulation began; streaming has no
+    // such moment, its shards are generated as they are consumed.
+    let mut ready = start;
+    let (report, registry) = match row.driver {
+        Driver::Parallel | Driver::Observed => {
+            let trace = generate();
+            ready = Instant::now();
+            if row.driver == Driver::Observed {
+                Simulator::run_parallel_observed(&cfg, &trace, threads)
+            } else {
+                let report = Simulator::run_parallel(&cfg, &trace, threads);
+                (report, MetricRegistry::new())
+            }
+        }
+        Driver::Streaming => {
+            let n_shards = adpf_core::default_shards(pop.num_users);
+            Simulator::run_streaming_observed(&cfg, pop.num_users, n_shards, threads, |i| {
+                match &scenario {
+                    Some(sp) => sp.generate_shard(i, n_shards),
+                    None => pop.generate_shard(i, n_shards),
+                }
+            })
+        }
+        Driver::Serve => {
+            let mut stream = Vec::new();
+            adpf_serve::write_events(&generate(), cfg.ad_refresh, &mut stream)
+                .expect("in-memory serialization cannot fail");
+            let mut opts = adpf_serve::ServeOptions::new(cfg);
+            opts.threads = threads;
+            opts.error_sample = 0;
+            ready = Instant::now();
+            let out = adpf_serve::serve(&opts, stream.as_slice())
+                .expect("a generated stream carries its header and reads from memory");
+            (out.report, out.registry)
+        }
+    };
+    Outcome {
+        wall_s: ready.elapsed().as_secs_f64(),
+        gen_wall_s: match row.driver {
+            Driver::Streaming => registry.time_ns("phase.trace_gen") as f64 / 1e9,
+            _ => (ready - start).as_secs_f64(),
+        },
+        peak_rss_mb: adpf_obs::peak_rss_kb().map_or(0.0, |kb| kb as f64 / 1024.0),
+        report,
+        registry,
+    }
 }
 
-impl BaselineMeasurement {
-    /// Serializes the measurement as one JSON object on a single line.
-    /// Serve-path entries append their extra columns after
-    /// `report_hash`; every other entry keeps the historical shape.
-    pub fn to_json_line(&self) -> String {
-        let mut line = format!(
-            concat!(
-                "{{\"label\":\"{}\",\"workload\":\"{}\",\"threads\":{},",
-                "\"cpus\":{},",
-                "\"wall_s\":{:.4},\"gen_wall_s\":{:.4},",
-                "\"events\":{},\"events_per_sec\":{:.0},",
-                "\"ads_placed\":{},\"ads_placed_per_sec\":{:.0},",
-                "\"obs_overhead_pct\":{:.2},",
-                "\"peak_rss_mb\":{:.1},",
-                "\"report_hash\":\"{:016x}\""
-            ),
-            self.label,
-            self.workload,
-            self.threads,
-            self.cpus,
-            self.wall_s,
-            self.gen_wall_s,
-            self.events,
-            self.events_per_sec,
-            self.ads_placed,
-            self.ads_placed_per_sec,
-            self.obs_overhead_pct,
-            self.peak_rss_mb,
-            self.report_hash,
-        );
-        if let Some(s) = &self.serve {
-            line.push_str(&format!(
-                concat!(
-                    ",\"requests\":{},\"requests_per_sec\":{:.0},",
-                    "\"p50_us\":{},\"p95_us\":{},\"p99_us\":{}"
-                ),
-                s.requests, s.requests_per_sec, s.p50_us, s.p95_us, s.p99_us
+/// Wall-clock cost of metric collection on `row`, in percent: the row
+/// run single-threaded under [`Driver::Parallel`] and under
+/// [`Driver::Observed`], minimum of [`OBS_REPS`] wall times per mode,
+/// clamped at zero (timer noise on small workloads can make the observed
+/// run measure *faster*). The two modes alternate order between
+/// repetitions so slow host-level drift cannot bias one side.
+pub fn obs_overhead_pct(row: &Row) -> f64 {
+    let modes = [Driver::Parallel, Driver::Observed].map(|driver| Row { driver, ..*row });
+    let mut best = [f64::INFINITY; 2];
+    for rep in 0..OBS_REPS {
+        for k in 0..2 {
+            let i = (rep + k) % 2;
+            best[i] = best[i].min(run(&modes[i], 1).wall_s);
+        }
+    }
+    ((best[1] - best[0]) / best[0].max(1e-9) * 100.0).max(0.0)
+}
+
+/// Runs every row at every thread count (`threads`, else the row's own
+/// list), holds each outcome to the row's gates and its driver's
+/// contract, and hands `emit` one `name threads=… hash=… ok` or
+/// `… FAILED(what expected …, got …; …)` line per run. Never stops at a
+/// failure; returns how many runs failed.
+///
+/// Under [`Driver::Observed`] the metrics export goes through
+/// `metrics_out` when given and is validated as re-read from disk — the
+/// file is what downstream tooling consumes.
+pub fn check(
+    rows: &[Row],
+    threads: Option<&[usize]>,
+    metrics_out: Option<&str>,
+    mut emit: impl FnMut(&str),
+) -> usize {
+    let mut failed = 0;
+    for row in rows {
+        for &t in threads.unwrap_or(row.threads) {
+            let o = run(row, t);
+            let hash = o.report.stable_hash();
+            let mut notes = String::new();
+            let mut ceiling = |what: &str, got: f64, max: f64| {
+                notes += &format!(" {what}={got:.2}");
+                (got > max).then(|| format!("{what} expected <= {max}, got {got:.2}"))
+            };
+            let gate_failures = row.gates.iter().filter_map(|gate| match *gate {
+                Gate::Hash(want) => {
+                    (hash != want).then(|| format!("hash expected {want:016x}, got {hash:016x}"))
+                }
+                Gate::MaxRssMb(max) => ceiling("rss_mb", o.peak_rss_mb, max),
+                Gate::MaxObsOverheadPct(max) => {
+                    ceiling("obs_overhead_pct", obs_overhead_pct(row), max)
+                }
+                Gate::ScenarioCountersNonZero => {
+                    let sc = &o.report.scenario;
+                    let (bytes, samples) = (sc.metered_bytes(), sc.display_latency_ms.count());
+                    (bytes == 0 || samples == 0).then(|| {
+                        format!(
+                            "scenario counters expected non-zero, got {bytes} metered bytes, \
+                             {samples} display-latency samples"
+                        )
+                    })
+                }
+            });
+            let mut failures: Vec<String> = gate_failures.collect();
+            failures.extend(match row.driver {
+                Driver::Parallel | Driver::Streaming => None,
+                Driver::Serve => {
+                    let errors = o.registry.counter_value("serve.ingest_errors");
+                    (errors != 0).then(|| format!("ingest_errors expected 0, got {errors}"))
+                }
+                Driver::Observed => {
+                    let export = to_json_lines(&o.registry, row.name);
+                    let export = match metrics_out {
+                        Some(path) => std::fs::write(path, &export)
+                            .and_then(|()| std::fs::read_to_string(path))
+                            .map_err(|e| format!("{path}: {e}")),
+                        None => Ok(export),
+                    };
+                    match export.and_then(|text| validate_json_lines(&text)) {
+                        Ok(n) if n > 0 => {
+                            notes += &format!(" metric_lines={n}");
+                            None
+                        }
+                        Ok(_) => Some("metrics export expected lines, got none".to_string()),
+                        Err(e) => Some(format!("metrics export expected valid, got {e}")),
+                    }
+                }
+            });
+            let verdict = if failures.is_empty() {
+                "ok".to_string()
+            } else {
+                failed += 1;
+                format!("FAILED({})", failures.join("; "))
+            };
+            let name = row.name;
+            emit(&format!(
+                "{name} threads={t} hash={hash:016x}{notes} {verdict}"
             ));
         }
-        line.push('}');
-        line
     }
+    failed
 }
 
-/// Runs `workload` once at `threads` worker threads and measures it.
-///
-/// Trace generation runs first, at the same thread count, under its own
-/// timer (`gen_wall_s`); the simulation timer starts only once the trace
-/// exists, so `events_per_sec` measures the simulator alone. The
-/// returned numbers are wall-clock (noisy between machines); the
-/// `report_hash` is exact and machine-independent.
-pub fn measure(workload: &BaselineWorkload, threads: usize, label: &str) -> BaselineMeasurement {
-    let t_gen = Instant::now();
-    let trace = workload.trace_threads(threads);
-    let gen_wall_s = t_gen.elapsed().as_secs_f64();
-    let cfg = workload.config();
-    let t0 = Instant::now();
-    let report = Simulator::run_parallel(&cfg, &trace, threads);
-    let wall_s = t0.elapsed().as_secs_f64();
-    let mut m = measurement_from(&report, workload, threads, label, wall_s);
-    m.gen_wall_s = gen_wall_s;
-    m.peak_rss_mb = peak_rss_mb();
-    m
-}
-
-/// Runs `workload` through the bounded-memory streaming pipeline
-/// ([`Simulator::run_streaming`]) and measures it.
-///
-/// Shard count comes from [`adpf_core::default_shards`], exactly as the
-/// `simulate --stream` path derives it, so recorded hashes match CLI
-/// runs. Generation happens *inside* the pipeline (each shard generates
-/// its own user range), so `gen_wall_s` here reports the summed
-/// per-shard generation time observed by the `phase.trace_gen` span —
-/// CPU-seconds of generation, not a separate wall-clock phase — and
-/// `wall_s` covers the whole pipeline.
-pub fn measure_streaming(
-    workload: &BaselineWorkload,
-    threads: usize,
+/// Runs every row at every thread count (`threads`, else the row's own
+/// list) and appends one entry per run to the JSON file at `path`,
+/// preserving previously recorded entries verbatim and handing `emit`
+/// each new line. Returns the new-entry count.
+pub fn record(
+    rows: &[Row],
+    threads: Option<&[usize]>,
     label: &str,
-) -> BaselineMeasurement {
-    let pop = workload.population();
-    let cfg = workload.config();
-    let n_shards = adpf_core::default_shards(pop.num_users);
-    let scenario_pop = workload
-        .scenario()
-        .map(|spec| ScenarioPopulation::new(pop.clone(), spec));
-    let t0 = Instant::now();
-    let (report, reg) =
-        Simulator::run_streaming_observed(&cfg, pop.num_users, n_shards, threads, |i| {
-            match &scenario_pop {
-                Some(sp) => sp.generate_shard(i, n_shards),
-                None => pop.generate_shard(i, n_shards),
-            }
-        });
-    let wall_s = t0.elapsed().as_secs_f64();
-    let mut m = measurement_from(&report, workload, threads, label, wall_s);
-    m.gen_wall_s = reg.time_ns("phase.trace_gen") as f64 / 1e9;
-    m.peak_rss_mb = peak_rss_mb();
-    m
-}
-
-/// Replays `workload`'s trace through the online serving path
-/// ([`adpf_serve::serve`]) and measures it: the load-generator half of
-/// the closed loop, run in-process so the measurement excludes socket
-/// transport and times parse + route + decide alone.
-///
-/// The trace is generated and serialized to the wire protocol up front
-/// (both charged to `gen_wall_s`); `wall_s` covers only the server
-/// draining the in-memory stream. The serve report is bit-identical to
-/// the batch run of the same workload (`tests/serving.rs` proves it;
-/// the recorded `report_hash` column is held to the same golden), and
-/// the extra [`ServeColumns`] carry requests/s plus the p50/p95/p99
-/// decision latencies from the server's log-linear histogram.
-pub fn measure_serve(
-    workload: &BaselineWorkload,
-    threads: usize,
-    label: &str,
-) -> BaselineMeasurement {
-    let cfg = workload.config();
-    let t_gen = Instant::now();
-    let trace = workload.trace_threads(threads);
-    let mut stream = Vec::new();
-    adpf_serve::write_events(&trace, cfg.ad_refresh, &mut stream)
-        .expect("in-memory serialization cannot fail");
-    let gen_wall_s = t_gen.elapsed().as_secs_f64();
-    let mut opts = adpf_serve::ServeOptions::new(cfg);
-    opts.threads = threads;
-    opts.error_sample = 0;
-    let t0 = Instant::now();
-    let out = adpf_serve::serve(&opts, stream.as_slice())
-        .expect("a generated trace stream always ingests cleanly");
-    let wall_s = t0.elapsed().as_secs_f64();
-    let mut m = measurement_from(&out.report, workload, threads, label, wall_s);
-    m.gen_wall_s = gen_wall_s;
-    m.peak_rss_mb = peak_rss_mb();
-    let q = |p: f64| {
-        out.registry
-            .histogram_snapshot(adpf_serve::DECISION_LATENCY_METRIC)
-            .map_or(0, |h| h.quantile_upper_bound(p))
+    path: &str,
+    mut emit: impl FnMut(&str),
+) -> io::Result<usize> {
+    // Read first: an unreadable file should fail before minutes of runs.
+    let mut entries = match std::fs::read_to_string(path) {
+        Ok(contents) => parse_entry_lines(&contents),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
+        Err(e) => return Err(e),
     };
-    m.serve = Some(ServeColumns {
-        requests: out.requests,
-        requests_per_sec: out.requests as f64 / wall_s.max(1e-9),
-        p50_us: q(0.50),
-        p95_us: q(0.95),
-        p99_us: q(0.99),
-    });
-    m
-}
-
-/// Replays `workload`'s trace through the online serving path at a
-/// fixed sub-saturation event rate (`events_per_sec` wall-clock), the
-/// paced counterpart of [`measure_serve`]. The paced writer runs on its
-/// own thread and feeds the server through an in-memory pipe, so the
-/// server experiences real inter-arrival gaps: the recorded latency
-/// percentiles are per-decision cost without ingest queueing, and
-/// `requests_per_sec` approximates the offered rate instead of the
-/// drain rate. The report is still bit-identical to the batch run.
-pub fn measure_serve_paced(
-    workload: &BaselineWorkload,
-    threads: usize,
-    label: &str,
-    events_per_sec: f64,
-) -> BaselineMeasurement {
-    let cfg = workload.config();
-    let t_gen = Instant::now();
-    let trace = workload.trace_threads(threads);
-    let gen_wall_s = t_gen.elapsed().as_secs_f64();
-    let refresh = cfg.ad_refresh;
-    let (tx, rx) = mpsc::channel::<Vec<u8>>();
-    let writer = std::thread::spawn(move || {
-        let mut w = ChannelWriter(tx);
-        // The receiver hanging up (server error) surfaces as a short
-        // write; the measurement below reports it through serve's own
-        // error path, so the writer just stops.
-        let _ = adpf_serve::write_events_paced(&trace, refresh, events_per_sec, &mut w);
-    });
-    let mut opts = adpf_serve::ServeOptions::new(cfg);
-    opts.threads = threads;
-    opts.error_sample = 0;
-    let t0 = Instant::now();
-    let out = adpf_serve::serve(&opts, io::BufReader::new(ChannelReader::new(rx)))
-        .expect("a generated trace stream always ingests cleanly");
-    let wall_s = t0.elapsed().as_secs_f64();
-    writer.join().expect("paced writer thread cannot panic");
-    let mut m = measurement_from(&out.report, workload, threads, label, wall_s);
-    m.gen_wall_s = gen_wall_s;
-    m.peak_rss_mb = peak_rss_mb();
-    let q = |p: f64| {
-        out.registry
-            .histogram_snapshot(adpf_serve::DECISION_LATENCY_METRIC)
-            .map_or(0, |h| h.quantile_upper_bound(p))
-    };
-    m.serve = Some(ServeColumns {
-        requests: out.requests,
-        requests_per_sec: out.requests as f64 / wall_s.max(1e-9),
-        p50_us: q(0.50),
-        p95_us: q(0.95),
-        p99_us: q(0.99),
-    });
-    m
-}
-
-/// Write half of the in-memory pipe behind [`measure_serve_paced`]:
-/// each write becomes one channel message. `write_events_paced` flushes
-/// before every sleep, so chunks reach the reader without buffering
-/// delay on top of the pacing.
-struct ChannelWriter(mpsc::Sender<Vec<u8>>);
-
-impl Write for ChannelWriter {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.0
-            .send(buf.to_vec())
-            .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "reader hung up"))?;
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
-/// Read half of the pipe: drains channel messages in order, reporting
-/// EOF once the writer hangs up and the backlog is empty.
-struct ChannelReader {
-    rx: mpsc::Receiver<Vec<u8>>,
-    buf: Vec<u8>,
-    pos: usize,
-}
-
-impl ChannelReader {
-    fn new(rx: mpsc::Receiver<Vec<u8>>) -> Self {
-        Self {
-            rx,
-            buf: Vec::new(),
-            pos: 0,
+    let before = entries.len();
+    for row in rows {
+        for &t in threads.unwrap_or(row.threads) {
+            let entry = entry_line(label, row.name, t, &run(row, t));
+            emit(&entry);
+            entries.push(entry);
         }
     }
+    std::fs::write(path, render_file(&entries))?;
+    Ok(entries.len() - before)
 }
 
-impl Read for ChannelReader {
-    fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
-        while self.pos == self.buf.len() {
-            match self.rx.recv() {
-                Ok(chunk) => {
-                    self.buf = chunk;
-                    self.pos = 0;
-                }
-                Err(_) => return Ok(0), // Writer gone, backlog drained.
-            }
-        }
-        let n = out.len().min(self.buf.len() - self.pos);
-        out[..n].copy_from_slice(&self.buf[self.pos..self.pos + n]);
-        self.pos += n;
-        Ok(n)
-    }
-}
-
-/// Host CPU count as stamped into measurements (0 when undetectable).
-pub fn host_cpus() -> usize {
-    std::thread::available_parallelism().map_or(0, |n| n.get())
-}
-
-/// Process peak RSS in MiB, or `0.0` where `/proc` is unavailable.
-pub fn peak_rss_mb() -> f64 {
-    adpf_obs::peak_rss_kb().map_or(0.0, |kb| kb as f64 / 1024.0)
-}
-
-/// Builds a measurement record from an already-produced report.
-pub fn measurement_from(
-    report: &SimReport,
-    workload: &BaselineWorkload,
-    threads: usize,
-    label: &str,
-    wall_s: f64,
-) -> BaselineMeasurement {
-    let events = report.slots + report.syncs + report.syncs_skipped + report.syncs_dropped;
-    let ads_placed = report.ledger.sold;
-    let denom = wall_s.max(1e-9);
-    BaselineMeasurement {
-        label: label.to_string(),
-        workload: workload.name.to_string(),
-        threads,
-        cpus: host_cpus(),
-        wall_s,
-        gen_wall_s: 0.0,
-        events,
-        ads_placed,
-        events_per_sec: events as f64 / denom,
-        ads_placed_per_sec: ads_placed as f64 / denom,
-        obs_overhead_pct: 0.0,
-        peak_rss_mb: 0.0,
-        report_hash: report_hash(report),
-        serve: None,
-    }
-}
-
-/// Result of [`measure_obs_overhead`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ObsOverhead {
-    /// `(observed - plain) / plain` in percent, min-of-N per mode,
-    /// clamped at zero (timer noise on small workloads can make the
-    /// observed run measure *faster*).
-    pub overhead_pct: f64,
-    /// Hash of the plain run's report.
-    pub plain_hash: u64,
-    /// Hash of the observed run's report — must equal `plain_hash`.
-    pub observed_hash: u64,
-}
-
-/// Measures what metric collection costs: the smoke workload run plain
-/// vs through [`Simulator::run_parallel_observed`], single-threaded,
-/// taking the minimum wall time of `reps` repetitions per mode to shave
-/// scheduler noise. The two modes alternate order between repetitions so
-/// slow host-level drift (another process waking up mid-measurement)
-/// cannot bias one side. The two report hashes come back so callers can
-/// also assert that observation changed nothing.
-pub fn measure_obs_overhead(reps: usize) -> ObsOverhead {
-    let w = BaselineWorkload::smoke();
-    let trace = w.trace();
-    let cfg = w.config();
-    let mut plain_best = f64::INFINITY;
-    let mut observed_best = f64::INFINITY;
-    let mut plain_hash = 0;
-    let mut observed_hash = 0;
-    let mut run_plain = |best: &mut f64| {
-        let t0 = Instant::now();
-        let r = Simulator::run_parallel(&cfg, &trace, 1);
-        *best = best.min(t0.elapsed().as_secs_f64());
-        plain_hash = report_hash(&r);
-    };
-    let mut run_observed = |best: &mut f64| {
-        let t0 = Instant::now();
-        let (r, _reg) = Simulator::run_parallel_observed(&cfg, &trace, 1);
-        *best = best.min(t0.elapsed().as_secs_f64());
-        observed_hash = report_hash(&r);
-    };
-    for rep in 0..reps.max(1) {
-        if rep % 2 == 0 {
-            run_plain(&mut plain_best);
-            run_observed(&mut observed_best);
-        } else {
-            run_observed(&mut observed_best);
-            run_plain(&mut plain_best);
-        }
-    }
-    ObsOverhead {
-        overhead_pct: ((observed_best - plain_best) / plain_best.max(1e-9) * 100.0).max(0.0),
-        plain_hash,
-        observed_hash,
-    }
-}
-
-/// FNV-1a over a canonical byte serialization of every report field.
-///
-/// Any change to any simulated outcome — a counter, a float bit, a
-/// per-user energy entry — changes this hash, which is what makes it a
-/// cheap determinism witness for perf work. Delegates to
-/// [`SimReport::stable_hash`], where the canonical serialization now
-/// lives so `adpf-serve` can hash reports without depending on bench.
-pub fn report_hash(r: &SimReport) -> u64 {
-    r.stable_hash()
+/// Serializes one run as a JSON object on a single line, with the keys
+/// and key order `BENCH_baseline.json` has always used. `events` is
+/// slots plus syncs (taken, skipped and dropped), the unit of simulator
+/// work; `ads_placed` is advance sales registered with the ledger; both
+/// rates divide by `wall_s` only. `cpus` stamps the recording host,
+/// because wall-clock columns compare only between similar hardware.
+/// `obs_overhead_pct` is no longer measured at record time — `check`
+/// gates it on `smoke-observed` — and stays `0.00`.
+pub fn entry_line(label: &str, workload: &str, threads: usize, o: &Outcome) -> String {
+    let (wall_s, gen_wall_s, rss) = (o.wall_s, o.gen_wall_s, o.peak_rss_mb);
+    let cpus = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let r = &o.report;
+    let events = r.slots + r.syncs + r.syncs_skipped + r.syncs_dropped;
+    let ads = r.ledger.sold;
+    let per_sec = |n: u64| n as f64 / wall_s.max(1e-9);
+    let (events_rate, ads_rate) = (per_sec(events), per_sec(ads));
+    let hash = r.stable_hash();
+    format!(
+        "{{\"label\":\"{label}\",\"workload\":\"{workload}\",\"threads\":{threads},\
+         \"cpus\":{cpus},\
+         \"wall_s\":{wall_s:.4},\"gen_wall_s\":{gen_wall_s:.4},\
+         \"events\":{events},\"events_per_sec\":{events_rate:.0},\
+         \"ads_placed\":{ads},\"ads_placed_per_sec\":{ads_rate:.0},\
+         \"obs_overhead_pct\":0.00,\
+         \"peak_rss_mb\":{rss:.1},\
+         \"report_hash\":\"{hash:016x}\"}}"
+    )
 }
 
 /// Extracts the entry lines of an existing `BENCH_baseline.json`.
@@ -641,249 +506,206 @@ pub fn parse_entry_lines(contents: &str) -> Vec<String> {
 
 /// Renders entry lines back into the JSON-array file format.
 pub fn render_file(entries: &[String]) -> String {
-    if entries.is_empty() {
-        return "[]\n".to_string();
-    }
-    let mut out = String::from("[\n");
-    for (i, e) in entries.iter().enumerate() {
-        out.push_str("  ");
-        out.push_str(e);
-        if i + 1 < entries.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("]\n");
-    out
-}
-
-/// Appends `new` measurements to the JSON file at `path`, preserving
-/// previously recorded entries verbatim.
-pub fn append_to_file(path: &str, new: &[BaselineMeasurement]) -> io::Result<()> {
-    let mut entries = match std::fs::read_to_string(path) {
-        Ok(contents) => parse_entry_lines(&contents),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(e),
-    };
-    entries.extend(new.iter().map(BaselineMeasurement::to_json_line));
-    std::fs::write(path, render_file(&entries))
+    format!("[\n  {}\n]\n", entries.join(",\n  "))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn row(name: &str) -> Row {
+        select(&[name.to_string()]).expect("known row")[0]
+    }
+
+    fn checked(rows: &[Row]) -> (usize, Vec<String>) {
+        let mut lines = Vec::new();
+        let failed = check(rows, None, None, |l| lines.push(l.to_string()));
+        (failed, lines)
+    }
+
     #[test]
-    fn smoke_measurement_is_deterministic_across_threads() {
-        let w = BaselineWorkload::smoke();
-        let a = measure(&w, 1, "t");
-        let b = measure(&w, 4, "t");
-        assert_eq!(
-            a.report_hash, b.report_hash,
-            "hash must not depend on threads"
+    fn the_smoke_rows_pass_at_every_listed_thread_count() {
+        let mut rows = select(&[]).unwrap();
+        rows.retain(|r| r.name.starts_with("smoke"));
+        // The overhead ceiling is a release-build figure; ci.sh holds the
+        // binary to it.
+        assert_eq!(rows[3].name, "smoke-observed");
+        rows[3].gates = &[Gate::Hash(SMOKE_GOLDEN)];
+        let (failed, lines) = checked(&rows);
+        assert_eq!(failed, 0, "{lines:#?}");
+        assert_eq!(lines.len(), 4 + 3 + 3 + 1 + 3 + 1);
+        let golden = format!("hash={SMOKE_GOLDEN:016x}");
+        assert_eq!(lines[0], format!("smoke threads=1 {golden} ok"));
+        assert!(
+            lines[..11].iter().all(|l| l.contains(&golden)),
+            "{lines:#?}"
         );
-        assert_eq!(a.events, b.events);
-        assert_eq!(a.ads_placed, b.ads_placed);
-        assert!(a.events > 0 && a.ads_placed > 0);
+        assert!(lines.iter().all(|l| l.ends_with(" ok")), "{lines:#?}");
+        assert!(lines[10].contains(" metric_lines="), "{}", lines[10]);
+        assert!(lines[14].starts_with("smoke-mixed-stream threads=2 hash="));
+    }
+
+    #[test]
+    fn seeded_mutations_each_fail_without_stopping_the_run() {
+        let flipped = Row {
+            threads: &[2],
+            gates: &[Gate::Hash(SMOKE_GOLDEN ^ 1)],
+            ..SMOKE
+        };
+        // Scenario left off: the plain smoke report comes back, so the
+        // pinned mixed hash and the counter gate both trip.
+        let bare = Row {
+            scenario: None,
+            threads: &[8],
+            ..row("smoke-mixed")
+        };
+        // Overhead is clamped at zero and VmHWM is positive wherever it
+        // is readable, so neither ceiling can be met.
+        let ceilings = Row {
+            threads: &[2],
+            gates: &[Gate::MaxObsOverheadPct(-1.0), Gate::MaxRssMb(0.0)],
+            ..row("smoke-stream")
+        };
+        let (failed, lines) = checked(&[flipped, bare, ceilings]);
+        assert_eq!(failed, 3, "every bad row is reported: {lines:#?}");
+        let golden = format!("{SMOKE_GOLDEN:016x}");
+        assert_eq!(
+            lines[0],
+            format!(
+                "smoke threads=2 hash={golden} FAILED(hash expected {:016x}, got {golden})",
+                SMOKE_GOLDEN ^ 1
+            )
+        );
+        let want = format!(
+            "smoke-mixed threads=8 hash={golden} FAILED(hash expected {MIXED_GOLDEN:016x}, got \
+             {golden}; scenario counters expected non-zero, got 0 metered bytes"
+        );
+        assert!(lines[1].starts_with(&want), "{}", lines[1]);
+        assert!(
+            lines[2].starts_with("smoke-stream threads=2 "),
+            "{}",
+            lines[2]
+        );
+        let mut wants = vec!["FAILED(obs_overhead_pct expected <= -1, got "];
+        if adpf_obs::peak_rss_kb().is_some() {
+            wants.push("; rss_mb expected <= 0, got ");
+        }
+        for want in wants {
+            assert!(lines[2].contains(want), "{}", lines[2]);
+        }
+    }
+
+    #[test]
+    fn an_unknown_row_name_is_an_error_listing_the_valid_ones() {
+        let err = select(&["smoke".to_string(), "smok".to_string()]).unwrap_err();
+        assert!(err.contains("unknown row `smok`"), "{err}");
+        for r in ROWS {
+            assert!(err.contains(r.name), "{err} omits {}", r.name);
+        }
+    }
+
+    #[test]
+    fn the_table_is_well_formed() {
+        for (i, r) in ROWS.iter().enumerate() {
+            let dup = ROWS[..i].iter().any(|q| q.name == r.name);
+            assert!(!dup, "duplicate row name {}", r.name);
+        }
+        let defaults = select(&[]).unwrap();
+        assert!(defaults.iter().all(|r| !r.slow));
+        for d in [
+            Driver::Parallel,
+            Driver::Streaming,
+            Driver::Serve,
+            Driver::Observed,
+        ] {
+            assert!(defaults.iter().any(|r| r.driver == d), "{d:?} unused");
+        }
+        let gates: Vec<Gate> = defaults.iter().flat_map(|r| r.gates).copied().collect();
+        assert!(gates.iter().any(|g| matches!(g, Gate::Hash(_))));
+        assert!(gates.iter().any(|g| matches!(g, Gate::MaxRssMb(_))));
+        assert!(gates
+            .iter()
+            .any(|g| matches!(g, Gate::MaxObsOverheadPct(_))));
+        assert!(gates.contains(&Gate::ScenarioCountersNonZero));
+        // VmHWM never falls, so an RSS ceiling means something only on
+        // rows that run before any ungated one — in the table, and in a
+        // selection however its names were ordered.
+        let rss_gated = |r: &Row| r.gates.iter().any(|g| matches!(g, Gate::MaxRssMb(_)));
+        let first_ungated = ROWS.iter().position(|r| !rss_gated(r)).unwrap();
+        assert!(first_ungated > 0 && !ROWS[first_ungated..].iter().any(rss_gated));
+        let picked = select(&["e14".to_string(), "memcheck".to_string()]).unwrap();
+        assert_eq!((picked[0].name, picked[1].name), ("memcheck", "e14"));
+    }
+
+    #[test]
+    fn ci_replays_the_serve_binary_against_the_same_golden() {
+        let ci = include_str!("../../../ci.sh");
+        assert!(ci.contains(&format!("report-hash: {SMOKE_GOLDEN:016x}")));
+    }
+
+    #[test]
+    fn every_driver_gives_the_same_report_and_times_both_phases() {
+        let want = run(&SMOKE, 1).report;
+        assert!(want.slots > 0 && want.ledger.sold > 0);
+        for name in ["smoke", "smoke-stream", "smoke-serve", "smoke-observed"] {
+            let o = run(&row(name), 2);
+            assert_eq!(o.report, want, "{name} diverged");
+            assert!(o.wall_s > 0.0 && o.gen_wall_s > 0.0, "{name} untimed");
+            if adpf_obs::peak_rss_kb().is_some() {
+                assert!(o.peak_rss_mb > 0.0);
+            }
+        }
     }
 
     #[test]
     fn report_hash_is_sensitive_to_every_field_class() {
-        let w = BaselineWorkload::smoke();
-        let base = Simulator::run_parallel(&w.config(), &w.trace(), 1);
-        let h0 = report_hash(&base);
+        let base = run(&SMOKE, 1).report;
+        let h0 = base.stable_hash();
         let mut counters = base.clone();
         counters.cache_hits += 1;
-        assert_ne!(report_hash(&counters), h0);
+        assert_ne!(counters.stable_hash(), h0);
         let mut floats = base.clone();
         // One ULP, not a fixed epsilon: the hash covers exact bit
         // patterns, and a fixed offset can round away at large values.
         floats.ledger.revenue = floats.ledger.revenue.next_up();
-        assert_ne!(report_hash(&floats), h0);
+        assert_ne!(floats.stable_hash(), h0);
         let mut series = base.clone();
         if let Some(e) = series.per_user_energy_j.first_mut() {
             *e = e.next_up();
         }
-        assert_ne!(report_hash(&series), h0);
+        assert_ne!(series.stable_hash(), h0);
     }
 
     #[test]
     fn json_round_trip_preserves_existing_entries() {
-        let m = BaselineMeasurement {
-            label: "pre".into(),
-            workload: "w".into(),
-            threads: 1,
-            cpus: 8,
-            wall_s: 1.25,
-            gen_wall_s: 0.5,
-            events: 1000,
-            ads_placed: 500,
-            events_per_sec: 800.0,
-            ads_placed_per_sec: 400.0,
-            obs_overhead_pct: 1.25,
-            peak_rss_mb: 123.4,
-            report_hash: 0xdead_beef,
-            serve: None,
-        };
-        let file = render_file(&[m.to_json_line()]);
-        let lines = parse_entry_lines(&file);
-        assert_eq!(lines, vec![m.to_json_line()]);
+        let entries = [
+            entry_line("pre", "w", 1, &run(&SMOKE, 1)),
+            entry_line("post", "w", 2, &run(&SMOKE, 2)),
+        ];
+        let file = render_file(&entries[..1]);
+        assert_eq!(parse_entry_lines(&file), entries[..1]);
         // Appending keeps old lines byte-identical.
-        let file2 = render_file(
-            &lines
-                .iter()
-                .cloned()
-                .chain([m.to_json_line()])
-                .collect::<Vec<_>>(),
-        );
-        assert_eq!(parse_entry_lines(&file2).len(), 2);
-        assert!(file2.contains("\"report_hash\":\"00000000deadbeef\""));
-    }
-
-    #[test]
-    fn parallel_trace_generation_matches_and_is_timed_separately() {
-        let w = BaselineWorkload::smoke();
-        assert_eq!(
-            w.trace(),
-            w.trace_threads(4),
-            "generation thread count must not change the trace"
-        );
-        let m = measure(&w, 2, "t");
-        assert!(m.gen_wall_s > 0.0, "generation time must be recorded");
-        assert!(m.wall_s > 0.0);
+        let file2 = render_file(&entries);
+        assert_eq!(parse_entry_lines(&file2), entries);
+        assert!(file2.starts_with(file.trim_end_matches("\n]\n")));
+        assert!(file2.contains(&format!("\"report_hash\":\"{SMOKE_GOLDEN:016x}\"")));
     }
 
     #[test]
     fn entry_line_is_valid_single_object() {
-        let m = measure(&BaselineWorkload::smoke(), 1, "x");
-        let line = m.to_json_line();
+        let line = entry_line("x", "smoke-stream", 2, &run(&row("smoke-stream"), 2));
         assert!(line.starts_with('{') && line.ends_with('}'));
         assert!(!line.contains('\n'));
-        for key in [
-            "label",
-            "workload",
-            "threads",
-            "cpus",
-            "wall_s",
-            "gen_wall_s",
-            "events",
-            "events_per_sec",
-            "ads_placed",
-            "ads_placed_per_sec",
-            "obs_overhead_pct",
-            "peak_rss_mb",
-            "report_hash",
-        ] {
-            assert!(line.contains(&format!("\"{key}\":")), "missing {key}");
-        }
-    }
-
-    #[test]
-    fn streaming_measure_matches_materialized_hash_and_stamps_host_facts() {
-        let w = BaselineWorkload::smoke();
-        let m = measure(&w, 1, "t");
-        let s = measure_streaming(&w, 2, "t");
-        assert_eq!(
-            s.report_hash, m.report_hash,
-            "streaming measure must reproduce the materialized hash"
-        );
-        assert_eq!(s.events, m.events);
-        assert_eq!(s.cpus, host_cpus());
-        assert!(s.gen_wall_s > 0.0, "trace_gen span must be recorded");
-        if adpf_obs::peak_rss_kb().is_some() {
-            assert!(m.peak_rss_mb > 0.0 && s.peak_rss_mb > 0.0);
-        }
-    }
-
-    #[test]
-    fn scale_workloads_describe_large_populations() {
-        let w = BaselineWorkload::scale_100k();
-        assert_eq!(w.population().num_users, 100_000);
-        assert_eq!(
-            BaselineWorkload::scale_1m().population().num_users,
-            1_000_000
-        );
-        // The smoke population ignores `users`/`days` by design.
-        assert_eq!(
-            BaselineWorkload::smoke().population(),
-            adpf_traces::PopulationConfig::small_test(777)
-        );
-    }
-
-    #[test]
-    fn serve_measure_reproduces_the_batch_hash_and_stamps_latency_columns() {
-        let batch = measure(&BaselineWorkload::smoke(), 1, "t");
-        let m = measure_serve(&BaselineWorkload::serve_smoke(), 2, "t");
-        assert_eq!(
-            m.report_hash, batch.report_hash,
-            "serving the replayed stream must reproduce the batch report"
-        );
-        assert_eq!(m.events, batch.events, "event accounting must agree");
-        let s = m.serve.expect("serve measurements carry serve columns");
-        assert!(s.requests > 0 && s.requests_per_sec > 0.0);
-        // Sub-microsecond decisions land in the zero bucket, so the
-        // quantiles are only guaranteed monotone, not strictly positive.
-        assert!(
-            s.p50_us <= s.p95_us && s.p95_us <= s.p99_us,
-            "quantiles must be monotone: {s:?}"
-        );
-        // Serve columns ride alongside the existing ones in the line.
-        let line = m.to_json_line();
-        for key in [
-            "requests_per_sec",
-            "p50_us",
-            "p95_us",
-            "p99_us",
-            "events_per_sec",
-        ] {
-            assert!(line.contains(&format!("\"{key}\":")), "missing {key}");
-        }
-        // Batch entries keep the historical line shape exactly.
-        assert!(!batch.to_json_line().contains("p99_us"));
-    }
-
-    #[test]
-    fn mixed_workloads_install_the_scenario_on_both_halves() {
-        let w = BaselineWorkload::scale_100k_mixed();
-        assert!(w.scenario().is_some());
-        let cfg = w.config();
-        assert!(cfg.scenario.enabled);
-        assert_eq!(cfg.scenario.assign_seed, w.trace_seed);
-        assert_eq!(cfg.scenario.classes.len(), 3);
-        // Every pre-existing workload stays scenario-free: their
-        // recorded hashes must keep comparing against history.
-        for w in [
-            BaselineWorkload::smoke(),
-            BaselineWorkload::serve_smoke(),
-            BaselineWorkload::serve_smoke_paced(),
-            BaselineWorkload::e14_style(),
-            BaselineWorkload::scale_100k(),
-            BaselineWorkload::mem_check(),
-        ] {
-            assert!(w.scenario().is_none(), "{} grew a scenario", w.name);
-            assert!(!w.config().scenario.enabled);
-        }
-    }
-
-    #[test]
-    fn paced_serve_measure_reproduces_the_batch_hash() {
-        // A rate far above the drain rate: the pacing sleeps vanish and
-        // the test stays fast, while still exercising the writer-thread
-        // pipe path end to end.
-        let batch = measure(&BaselineWorkload::smoke(), 1, "t");
-        let m = measure_serve_paced(&BaselineWorkload::serve_smoke_paced(), 2, "t", 1e9);
-        assert_eq!(m.report_hash, batch.report_hash);
-        let s = m.serve.expect("paced measurements carry serve columns");
-        assert!(s.requests > 0);
-    }
-
-    #[test]
-    fn obs_overhead_compares_identical_reports() {
-        let o = measure_obs_overhead(2);
-        assert_eq!(
-            o.plain_hash, o.observed_hash,
-            "observation must not change the smoke report"
-        );
-        assert!(o.overhead_pct >= 0.0, "overhead is clamped at zero");
+        // Same keys, same order, as the last batch row recorded before
+        // the table existed. Every field starts `{"key":` or `,"key":`.
+        let keys = |l: &str| -> Vec<String> {
+            let fields = l.split(['{', ',']).filter_map(|f| f.strip_prefix('"'));
+            fields
+                .filter_map(|f| Some(f.split_once("\":")?.0.to_string()))
+                .collect()
+        };
+        let committed = include_str!("../../../BENCH_baseline.json");
+        let old = committed.lines().find(|l| l.contains("\"sale-path\""));
+        assert_eq!(keys(&line), keys(old.expect("a sale-path row").trim()));
     }
 }

@@ -1,538 +1,90 @@
-//! Records fixed-seed throughput baselines into `BENCH_baseline.json`.
-//!
-//! Usage:
+//! Holds the pinned workloads of [`adpf_bench::baseline::ROWS`] to their
+//! gates, or records them into `BENCH_baseline.json`. Timing is
+//! `benchmark/run.sh`'s job.
 //!
 //! ```text
-//! baseline --label pre-change             # measure and append to BENCH_baseline.json
-//! baseline --label post --threads-list 1,2,4,8
-//! baseline --label scale --workload scale-100k --stream --threads-list 1
-//! baseline --label serving --workload serve --threads-list 2  # adds requests/s + latency columns
-//! baseline --label paced --workload serve-paced --threads-list 2  # sub-saturation serve row
-//! baseline --label scale --workload scale-100k-mixed --stream --threads-list 2
-//! baseline --smoke                        # CI gate: print the smoke report hash
-//! baseline --scenario-check               # CI gate: scenario-off golden + mixed determinism
-//! baseline --scaling-check                # CI gate: 4 threads must beat 1 thread
-//! baseline --obs-check --metrics-out m.jsonl  # CI gate: metrics change nothing
-//! baseline --mem-check                    # CI gate: streaming stays bounded-memory
-//! baseline --perf-check                   # CI gate: smoke throughput holds its floor
+//! baseline --check                        # every default row, every listed thread count
+//! baseline --check e14 scale-1m           # only these rows (slow rows run only when named)
+//! baseline --check --metrics-out m.jsonl  # smoke-observed's export is written, then validated from disk
+//! baseline --label my-change smoke e14 --threads-list 1   # append entries to BENCH_baseline.json
 //! ```
 //!
-//! `--smoke` runs the small fixed-seed workload at 1 and 4 threads,
-//! verifies the reports are bit-identical, and prints
-//! `smoke-hash: <hex>`; ci.sh compares that hash against the committed
-//! golden value to catch determinism regressions from perf work.
-//!
-//! `--scaling-check` runs the quick workload at 1 and 4 threads and fails
-//! unless the 4-thread events/s reaches 1.5× the 1-thread number (a
-//! generous bound chosen to avoid flaky CI) with identical report hashes.
-//! On hosts exposing fewer than 2 CPUs the check is skipped with exit
-//! code 0 — thread scaling is unobservable there, not broken.
-//!
-//! `--obs-check` verifies that metric collection is a pure spectator: the
-//! smoke workload must hash identically with metrics on and off (the
-//! hash is printed first, in `--smoke` format, so ci.sh compares it to
-//! the same golden), collection overhead must stay under 3%, and with
-//! `--metrics-out PATH` the exported JSON lines must pass the schema
-//! validator after a round trip through the filesystem.
-//!
-//! `--perf-check` replays the smoke workload single-threaded and fails
-//! if the best-of-N events/s lands more than 10% below the committed
-//! `batched-hotpath` smoke baseline in `BENCH_baseline.json` (`--out`
-//! selects another file). Wall-clock throughput is meaningless on a
-//! contended host, so the gate skips itself (exit 0) when the 1-minute
-//! load average exceeds the CPU count by more than half a core — the
-//! same spirit as `--scaling-check`'s skip on single-CPU hosts.
-//!
-//! `--scenario-check` guards the scenario layer's two contracts: with
-//! the layer off, the smoke workload must keep reproducing the committed
-//! golden hash at 1/2/8 threads (the "pay only when enabled" half,
-//! printed in `--smoke` format for ci.sh); with the `mixed` scenario on,
-//! the same population must hash identically at 1/2/8 threads and
-//! through the streaming pipeline, with the user-cost counters actually
-//! populated.
-//!
-//! `--mem-check` runs a mid-size workload through the streaming pipeline
-//! and fails if the process's peak RSS exceeds a committed ceiling. The
-//! streaming pipeline's contract is that peak memory is
-//! O(users-per-shard × threads), not O(population); an accidental
-//! re-materialization (e.g. a future change that generates the full
-//! trace before sharding) blows straight through the ceiling. Skipped
-//! with exit 0 on hosts without a readable `/proc/self/status`.
+//! `--check` prints one `name threads=… hash=… ok|FAILED(… expected …,
+//! got …)` line per run, runs everything it was asked to even after a
+//! failure, and exits non-zero if any run failed.
 
 use std::process::ExitCode;
 
-use adpf_bench::baseline::{
-    append_to_file, host_cpus, measure, measure_obs_overhead, measure_serve, measure_serve_paced,
-    measure_streaming, BaselineWorkload,
-};
-use adpf_core::Simulator;
-use adpf_obs::{to_json_lines, validate_json_lines};
-use adpf_scenario::{ScenarioPopulation, ScenarioSpec};
+use adpf_bench::baseline::{check, record, select, ROWS};
 
-/// Minimum 4-thread / 1-thread events/s ratio `--scaling-check` accepts.
-const SCALING_FLOOR: f64 = 1.5;
-
-/// Fraction of the committed `batched-hotpath` smoke events/s that
-/// `--perf-check` still accepts: regressions beyond 10% fail the gate.
-const PERF_CHECK_FLOOR: f64 = 0.90;
-
-/// Repetitions for `--perf-check`; the best events/s across reps is
-/// compared, which suppresses scheduler noise on busy CI hosts.
-const PERF_CHECK_REPS: usize = 5;
-
-/// How far the 1-minute load average may exceed the CPU count before
-/// `--perf-check` declares the host too contended to time anything.
-const PERF_CHECK_LOAD_SLACK: f64 = 0.5;
-
-/// Peak-RSS ceiling for `--mem-check`, in MiB. The gate workload
-/// (100k users, one day) streams in roughly half of this on the CI
-/// container — including the binary, in-flight shard state, and
-/// allocator slack — while materializing its full trace first measures
-/// well above it (~128 MiB for the trace alone, ~255 MiB for the
-/// two-day variant, split copies included). Revisit only alongside a
-/// deliberate change to the memory model.
-const MEM_CHECK_CEILING_MB: f64 = 96.0;
-
-/// Worker threads for `--mem-check`. Fixed (not host-derived) because
-/// the committed ceiling assumes this many concurrently-resident
-/// shards.
-const MEM_CHECK_THREADS: usize = 2;
-
-/// Offered event rate for the paced serving workload
-/// (`--workload serve-paced`), in events per wall-clock second. Well
-/// under the measured drain rate (hundreds of thousands per second), so
-/// the recorded percentiles reflect per-decision cost, not queueing.
-const SERVE_PACE_EVENTS_PER_SEC: f64 = 4_000.0;
-
-/// Thread counts the `--scenario-check` gate sweeps; 8 exceeds the
-/// smoke population's shard count, so the sweep also covers the
-/// more-threads-than-shards regime.
-const SCENARIO_CHECK_THREADS: [usize; 3] = [1, 2, 8];
-
-/// Maximum metric-collection overhead `--obs-check` accepts, in percent.
-const OBS_OVERHEAD_CEILING_PCT: f64 = 3.0;
-
-/// Repetitions per mode when timing observation overhead; the minimum
-/// wall time across reps is compared, which suppresses scheduler noise.
-/// Nine reps keep the gate stable on busy single-CPU CI hosts.
-const OBS_REPS: usize = 9;
-
-/// The committed single-thread smoke throughput `--perf-check` gates
-/// against: the `events_per_sec` of the last `batched-hotpath` smoke
-/// entry at `threads: 1` in the baseline file.
-fn committed_smoke_baseline(path: &str) -> Result<f64, String> {
-    let contents = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let mut found = None;
-    for line in contents.lines() {
-        if line.contains("\"label\":\"batched-hotpath\"")
-            && line.contains("\"workload\":\"smoke-small-777\"")
-            && line.contains("\"threads\":1,")
-        {
-            if let Some(v) = extract_f64(line, "\"events_per_sec\":") {
-                found = Some(v); // Last entry wins, like a log.
-            }
-        }
-    }
-    found.ok_or_else(|| format!("no batched-hotpath smoke row at threads=1 in {path}"))
-}
-
-/// The number right after `key` in a single JSON line (no parser needed
-/// for the baseline file's flat schema).
-fn extract_f64(line: &str, key: &str) -> Option<f64> {
-    let rest = &line[line.find(key)? + key.len()..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-/// Host 1-minute load average, when the platform exposes it.
-fn load_1min() -> Option<f64> {
-    std::fs::read_to_string("/proc/loadavg")
-        .ok()?
-        .split_whitespace()
-        .next()?
-        .parse()
-        .ok()
+fn usage() -> String {
+    format!(
+        "usage: baseline (--check | --label NAME) [--out PATH] [--threads-list 1,2,4,8] \
+         [--metrics-out PATH] [ROW…]\nrows: {}",
+        ROWS.map(|r| r.name).join(" ")
+    )
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut label = String::from("current");
+    match cli(std::env::args().skip(1)) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(why) => {
+            eprintln!("{why}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn cli(mut args: impl Iterator<Item = String>) -> Result<(), String> {
+    let mut checking = false;
+    let mut label: Option<String> = None;
     let mut out = String::from("BENCH_baseline.json");
-    let mut threads_list = vec![1usize, 2, 4, 8];
-    let mut smoke = false;
-    let mut scaling_check = false;
-    let mut perf_check = false;
-    let mut obs_check = false;
-    let mut mem_check = false;
-    let mut scenario_check = false;
-    let mut stream = false;
-    let mut workload = String::from("e14");
+    let mut threads_list: Option<Vec<usize>> = None;
     let mut metrics_out: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--smoke" => {
-                smoke = true;
-                i += 1;
-            }
-            "--scaling-check" => {
-                scaling_check = true;
-                i += 1;
-            }
-            "--perf-check" => {
-                perf_check = true;
-                i += 1;
-            }
-            "--obs-check" => {
-                obs_check = true;
-                i += 1;
-            }
-            "--mem-check" => {
-                mem_check = true;
-                i += 1;
-            }
-            "--scenario-check" => {
-                scenario_check = true;
-                i += 1;
-            }
-            "--stream" => {
-                stream = true;
-                i += 1;
-            }
+    let mut names = Vec::new();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--check" => checking = true,
             "--help" | "-h" => {
-                eprintln!(
-                    "usage: baseline [--smoke] [--scaling-check] [--perf-check] [--obs-check] \
-                     [--mem-check] [--scenario-check] [--label NAME] [--out PATH] \
-                     [--metrics-out PATH] \
-                     [--workload e14|smoke|serve|serve-paced|memcheck|scale-100k|scale-100k-mixed|scale-1m] \
-                     [--stream] [--threads-list 1,2,4,8]"
-                );
-                return ExitCode::SUCCESS;
+                eprintln!("{}", usage());
+                return Ok(());
             }
-            flag @ ("--label" | "--out" | "--threads-list" | "--metrics-out" | "--workload") => {
-                let Some(value) = args.get(i + 1) else {
-                    eprintln!("flag `{flag}` is missing its value");
-                    return ExitCode::FAILURE;
-                };
+            flag @ ("--label" | "--out" | "--threads-list" | "--metrics-out") => {
+                let missing = || format!("flag `{flag}` is missing its value");
+                let value = args.next().ok_or_else(missing)?;
                 match flag {
-                    "--label" => label = value.clone(),
-                    "--out" => out = value.clone(),
-                    "--metrics-out" => metrics_out = Some(value.clone()),
-                    "--workload" => workload = value.clone(),
+                    "--label" => label = Some(value),
+                    "--out" => out = value,
+                    "--metrics-out" => metrics_out = Some(value),
                     _ => {
                         let parsed: Result<Vec<usize>, _> =
                             value.split(',').map(str::parse).collect();
-                        match parsed {
-                            Ok(t) if !t.is_empty() && t.iter().all(|&n| n >= 1) => threads_list = t,
-                            _ => {
-                                eprintln!("--threads-list wants comma-separated positives");
-                                return ExitCode::FAILURE;
-                            }
-                        }
+                        let positives = parsed.ok().filter(|t| !t.contains(&0));
+                        threads_list = Some(
+                            positives.ok_or("--threads-list wants comma-separated positives")?,
+                        );
                     }
                 }
-                i += 2;
             }
-            other => {
-                eprintln!("unknown flag `{other}`");
-                return ExitCode::FAILURE;
+            flag if flag.starts_with('-') => {
+                return Err(format!("unknown flag `{flag}`\n{}", usage()));
             }
+            _ => names.push(arg),
         }
     }
-
-    if mem_check {
-        if adpf_obs::peak_rss_kb().is_none() {
-            println!("mem-check: SKIPPED (no readable /proc/self/status on this host)");
-            return ExitCode::SUCCESS;
+    let rows = select(&names)?;
+    let threads = threads_list.as_deref();
+    match (checking, label) {
+        (true, None) => match check(&rows, threads, metrics_out.as_deref(), |l| println!("{l}")) {
+            0 => Ok(()),
+            failed => Err(format!("baseline --check: {failed} run(s) FAILED")),
+        },
+        (false, Some(label)) => {
+            let n = record(&rows, threads, &label, &out, |l| println!("{l}"))
+                .map_err(|e| format!("failed to write {out}: {e}"))?;
+            println!("recorded {n} entries into {out}");
+            Ok(())
         }
-        let w = BaselineWorkload::mem_check();
-        let m = measure_streaming(&w, MEM_CHECK_THREADS, "mem-check");
-        println!(
-            "mem-check: [{}] {} users streamed, peak RSS {:.1} MiB \
-             (ceiling {MEM_CHECK_CEILING_MB} MiB, {:.0} events/s, hash {:016x})",
-            m.workload, w.users, m.peak_rss_mb, m.events_per_sec, m.report_hash
-        );
-        if m.peak_rss_mb > MEM_CHECK_CEILING_MB {
-            eprintln!(
-                "mem-check FAILED: peak RSS {:.1} MiB > {MEM_CHECK_CEILING_MB} MiB — did \
-                 something re-materialize the full trace?",
-                m.peak_rss_mb
-            );
-            return ExitCode::FAILURE;
-        }
-        return ExitCode::SUCCESS;
+        _ => Err(format!("pick one of --check and --label\n{}", usage())),
     }
-
-    if scenario_check {
-        // Half one: scenario-off runs must keep reproducing the smoke
-        // golden at every thread count — the scenario layer's "pay only
-        // when enabled" contract. Printed in `--smoke` format so ci.sh
-        // holds it to the committed golden.
-        let w = BaselineWorkload::smoke();
-        let off: Vec<u64> = SCENARIO_CHECK_THREADS
-            .iter()
-            .map(|&t| measure(&w, t, "scenario-check").report_hash)
-            .collect();
-        if off.windows(2).any(|p| p[0] != p[1]) {
-            eprintln!(
-                "scenario-check FAILED: scenario-off hashes diverge across threads: {off:016x?}"
-            );
-            return ExitCode::FAILURE;
-        }
-        println!("smoke-hash: {:016x}", off[0]);
-
-        // Half two: a quick mixed-population run must be thread-count
-        // and streaming/materialized invariant, with the user-cost
-        // counters actually populated.
-        let base = adpf_traces::PopulationConfig::small_test(777);
-        let users = base.num_users;
-        let pop = ScenarioPopulation::new(base, ScenarioSpec::mixed());
-        let mut cfg = w.config();
-        pop.apply_to(&mut cfg);
-        let trace = pop.generate();
-        let mut reports: Vec<adpf_core::SimReport> = SCENARIO_CHECK_THREADS
-            .iter()
-            .map(|&t| Simulator::run_parallel(&cfg, &trace, t))
-            .collect();
-        let n_shards = adpf_core::default_shards(users);
-        reports.push(Simulator::run_streaming(&cfg, users, n_shards, 2, |i| {
-            pop.generate_shard(i, n_shards)
-        }));
-        let on: Vec<u64> = reports.iter().map(|r| r.stable_hash()).collect();
-        if on.windows(2).any(|p| p[0] != p[1]) {
-            eprintln!(
-                "scenario-check FAILED: mixed-scenario hashes diverge \
-                 (threads {SCENARIO_CHECK_THREADS:?} + streaming): {on:016x?}"
-            );
-            return ExitCode::FAILURE;
-        }
-        let sc = &reports[0].scenario;
-        if sc.metered_bytes() == 0 || sc.display_latency_ms.count() == 0 {
-            eprintln!(
-                "scenario-check FAILED: mixed scenario left its counters empty \
-                 (metered {} bytes, {} latency samples)",
-                sc.metered_bytes(),
-                sc.display_latency_ms.count()
-            );
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "scenario-check: mixed hash {:016x} (threads {SCENARIO_CHECK_THREADS:?} + streaming), \
-             metered {} bytes, wasted {} bytes, {} display-latency samples",
-            on[0],
-            sc.metered_bytes(),
-            sc.prefetch_wasted_bytes,
-            sc.display_latency_ms.count()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    if smoke {
-        let w = BaselineWorkload::smoke();
-        let a = measure(&w, 1, "smoke");
-        let b = measure(&w, 4, "smoke");
-        if a.report_hash != b.report_hash {
-            eprintln!(
-                "smoke FAILED: 1-thread hash {:016x} != 4-thread hash {:016x}",
-                a.report_hash, b.report_hash
-            );
-            return ExitCode::FAILURE;
-        }
-        println!("smoke-hash: {:016x}", a.report_hash);
-        return ExitCode::SUCCESS;
-    }
-
-    if obs_check {
-        // Determinism first: metrics on vs off must hash identically.
-        // The smoke hash is printed as the FIRST line in the exact
-        // `--smoke` format so ci.sh can hold it to the same golden.
-        let o = measure_obs_overhead(OBS_REPS);
-        if o.plain_hash != o.observed_hash {
-            eprintln!(
-                "obs-check FAILED: plain hash {:016x} != observed hash {:016x}",
-                o.plain_hash, o.observed_hash
-            );
-            return ExitCode::FAILURE;
-        }
-        println!("smoke-hash: {:016x}", o.plain_hash);
-        println!(
-            "obs-check: metric collection overhead {:.2}% (ceiling {OBS_OVERHEAD_CEILING_PCT}%)",
-            o.overhead_pct
-        );
-        if let Some(path) = &metrics_out {
-            let w = BaselineWorkload::smoke();
-            let (_, reg) = Simulator::run_parallel_observed(&w.config(), &w.trace(), 1);
-            if let Err(e) = std::fs::write(path, to_json_lines(&reg, "obs-check")) {
-                eprintln!("obs-check FAILED: cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            // Validate what actually landed on disk, not the in-memory
-            // string: the file is what downstream tooling consumes.
-            let on_disk = match std::fs::read_to_string(path) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("obs-check FAILED: cannot re-read {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match validate_json_lines(&on_disk) {
-                Ok(n) => println!("obs-check: {n} metric lines in {path} (schema ok)"),
-                Err(e) => {
-                    eprintln!("obs-check FAILED: {path} schema error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        if o.overhead_pct > OBS_OVERHEAD_CEILING_PCT {
-            eprintln!(
-                "obs-check FAILED: overhead {:.2}% > {OBS_OVERHEAD_CEILING_PCT}%",
-                o.overhead_pct
-            );
-            return ExitCode::FAILURE;
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    if perf_check {
-        let committed = match committed_smoke_baseline(&out) {
-            Ok(v) => v,
-            Err(why) => {
-                eprintln!(
-                    "perf-check FAILED: {why} — record one with \
-                     `baseline --label batched-hotpath --workload smoke --threads-list 1`"
-                );
-                return ExitCode::FAILURE;
-            }
-        };
-        let cpus = host_cpus();
-        if let Some(load) = load_1min() {
-            if load > cpus.max(1) as f64 + PERF_CHECK_LOAD_SLACK {
-                println!(
-                    "perf-check: SKIPPED (1-min load {load:.2} over {cpus} cpus; wall-clock \
-                     throughput is not meaningful under contention)"
-                );
-                return ExitCode::SUCCESS;
-            }
-        }
-        let w = BaselineWorkload::smoke();
-        let mut best = 0.0f64;
-        let mut hash = 0u64;
-        for _ in 0..PERF_CHECK_REPS {
-            let m = measure(&w, 1, "perf-check");
-            best = best.max(m.events_per_sec);
-            hash = m.report_hash;
-        }
-        let floor = committed * PERF_CHECK_FLOOR;
-        println!(
-            "perf-check: {best:.0} events/s best-of-{PERF_CHECK_REPS} vs committed {committed:.0} \
-             (floor {floor:.0}, hash {hash:016x})"
-        );
-        if best < floor {
-            eprintln!(
-                "perf-check FAILED: {best:.0} events/s < {floor:.0} — the hot path regressed \
-                 more than {:.0}% below the committed batched-hotpath baseline",
-                (1.0 - PERF_CHECK_FLOOR) * 100.0
-            );
-            return ExitCode::FAILURE;
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    if scaling_check {
-        let cpus = host_cpus();
-        if cpus < 2 {
-            println!(
-                "scaling-check: SKIPPED (cpus={cpus}; thread scaling is unobservable on this \
-                 host, determinism is still covered by --smoke)"
-            );
-            return ExitCode::SUCCESS;
-        }
-        let w = BaselineWorkload::e14_style();
-        let one = measure(&w, 1, "scaling-check");
-        let four = measure(&w, 4, "scaling-check");
-        if one.report_hash != four.report_hash {
-            eprintln!(
-                "scaling-check FAILED: 1-thread hash {:016x} != 4-thread hash {:016x}",
-                one.report_hash, four.report_hash
-            );
-            return ExitCode::FAILURE;
-        }
-        let ratio = four.events_per_sec / one.events_per_sec.max(1e-9);
-        println!(
-            "scaling-check: {:.0} events/s at 1 thread, {:.0} at 4 threads ({ratio:.2}x, \
-             floor {SCALING_FLOOR}x)",
-            one.events_per_sec, four.events_per_sec
-        );
-        if ratio < SCALING_FLOOR {
-            eprintln!("scaling-check FAILED: {ratio:.2}x < {SCALING_FLOOR}x");
-            return ExitCode::FAILURE;
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    let w = match workload.as_str() {
-        "e14" => BaselineWorkload::e14_style(),
-        "smoke" => BaselineWorkload::smoke(),
-        "serve" => BaselineWorkload::serve_smoke(),
-        "serve-paced" => BaselineWorkload::serve_smoke_paced(),
-        "memcheck" => BaselineWorkload::mem_check(),
-        "scale-100k" => BaselineWorkload::scale_100k(),
-        "scale-100k-mixed" => BaselineWorkload::scale_100k_mixed(),
-        "scale-1m" => BaselineWorkload::scale_1m(),
-        other => {
-            eprintln!(
-                "unknown workload `{other}` \
-                 (e14|smoke|serve|serve-paced|memcheck|scale-100k|scale-100k-mixed|scale-1m)"
-            );
-            return ExitCode::FAILURE;
-        }
-    };
-    let serve_mode = workload.starts_with("serve");
-    if serve_mode && stream {
-        eprintln!("--workload serve replays through the server; it has no --stream variant");
-        return ExitCode::FAILURE;
-    }
-    // Stamp every recorded entry with the smoke-workload observation
-    // overhead, so the perf trajectory tracks what metrics cost too.
-    let obs_overhead = measure_obs_overhead(OBS_REPS);
-    let mut measurements = Vec::new();
-    for &threads in &threads_list {
-        let mut m = if workload == "serve-paced" {
-            measure_serve_paced(&w, threads, &label, SERVE_PACE_EVENTS_PER_SEC)
-        } else if serve_mode {
-            measure_serve(&w, threads, &label)
-        } else if stream {
-            measure_streaming(&w, threads, &label)
-        } else {
-            measure(&w, threads, &label)
-        };
-        m.obs_overhead_pct = obs_overhead.overhead_pct;
-        println!(
-            "{} [{}] threads={} cpus={}: {:.3}s sim + {:.3}s gen, {:.0} events/s, {:.0} ads/s, \
-             peak RSS {:.1} MiB (hash {:016x})",
-            m.label,
-            m.workload,
-            m.threads,
-            m.cpus,
-            m.wall_s,
-            m.gen_wall_s,
-            m.events_per_sec,
-            m.ads_placed_per_sec,
-            m.peak_rss_mb,
-            m.report_hash
-        );
-        if let Some(s) = &m.serve {
-            println!(
-                "  serve: {:.0} requests/s over {} requests, latency_us p50={} p95={} p99={}",
-                s.requests_per_sec, s.requests, s.p50_us, s.p95_us, s.p99_us
-            );
-        }
-        measurements.push(m);
-    }
-    if let Err(e) = append_to_file(&out, &measurements) {
-        eprintln!("failed to write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("recorded {} entries into {out}", measurements.len());
-    ExitCode::SUCCESS
 }

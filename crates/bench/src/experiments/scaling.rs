@@ -160,7 +160,7 @@ pub fn e17_thread_scaling(scale: Scale) -> Table {
         let t_sim = Instant::now();
         let report = Simulator::run_parallel(&cfg, &trace, threads);
         let wall = t_sim.elapsed().as_secs_f64();
-        let hash = crate::baseline::report_hash(&report);
+        let hash = report.stable_hash();
         let expect = *base_hash.get_or_insert(hash);
         assert_eq!(hash, expect, "thread count changed the merged report");
         let events = report.slots + report.syncs + report.syncs_skipped + report.syncs_dropped;

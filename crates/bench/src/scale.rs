@@ -5,7 +5,7 @@ use adpf_traces::{PopulationConfig, Trace};
 /// How big the experiment populations are.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Tiny populations for Criterion benchmarks (sub-second runs).
+    /// Tiny populations for unit tests (sub-second runs).
     Micro,
     /// Small populations for seconds-long runs (CI, iteration).
     Quick,

@@ -13,7 +13,7 @@ pub enum MetricKind {
     Counter,
     /// High-water mark; merges by max.
     Gauge,
-    /// Log₂-bucket histogram; merges bucket-wise.
+    /// Log-linear histogram (252 buckets); merges bucket-wise.
     Histogram,
     /// Accumulated wall-clock nanoseconds; merges by addition.
     /// The one kind whose values are *not* deterministic across runs.

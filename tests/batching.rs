@@ -62,19 +62,17 @@ fn batched_equals_unbatched_across_threads() {
 fn smoke_golden_holds_batched_and_unbatched() {
     // The CI gate hash, asserted against both dispatch modes: batching
     // must not move the committed golden by a single bit. If a deliberate
-    // behaviour change moves this value, update ci.sh's SMOKE_GOLDEN and
-    // tests/determinism.rs alongside this constant.
-    use adpf_bench::baseline::{report_hash, BaselineWorkload};
-    const SMOKE_GOLDEN: u64 = 0xba08_fcf9_274d_6de0;
-    let wl = BaselineWorkload::smoke();
-    let trace = wl.trace();
+    // behaviour change moves this value, `adpf_bench::baseline` is the one
+    // place to update it.
+    use adpf_bench::baseline::{SMOKE, SMOKE_GOLDEN};
+    let trace = SMOKE.population().generate();
     for batched in [true, false] {
-        let mut cfg = wl.config();
+        let mut cfg = SMOKE.config();
         cfg.batched = batched;
         for threads in [1usize, 2, 8] {
             let report = Simulator::run_parallel(&cfg, &trace, threads);
             assert_eq!(
-                report_hash(&report),
+                report.stable_hash(),
                 SMOKE_GOLDEN,
                 "smoke golden diverged (batched={batched}, threads={threads})"
             );

@@ -329,14 +329,10 @@ fn marketplace_off_run_matches_the_committed_smoke_golden() {
     // The CI smoke gate's hash, asserted from library code: the default
     // (marketplace-off) pipeline must reproduce the committed golden
     // exactly — the marketplace layer must be invisible until enabled.
-    // If a deliberate behaviour change moves this value, update ci.sh's
-    // SMOKE_GOLDEN alongside this constant.
-    use adpf_bench::baseline::{report_hash, BaselineWorkload};
-    const SMOKE_GOLDEN: u64 = 0xba08_fcf9_274d_6de0;
-    let wl = BaselineWorkload::smoke();
-    let report = Simulator::run_parallel(&wl.config(), &wl.trace(), 2);
+    use adpf_bench::baseline::{SMOKE, SMOKE_GOLDEN};
+    let report = Simulator::run_parallel(&SMOKE.config(), &SMOKE.population().generate(), 2);
     assert_eq!(
-        report_hash(&report),
+        report.stable_hash(),
         SMOKE_GOLDEN,
         "marketplace-off smoke hash diverged from the committed golden"
     );

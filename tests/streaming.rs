@@ -4,7 +4,7 @@
 //! pipeline on the same `(config, population)` — at every thread count,
 //! for every shard count, including degenerate populations.
 
-use adpf_bench::baseline::BaselineWorkload;
+use adpf_bench::baseline::{SMOKE, SMOKE_GOLDEN};
 use adpf_core::{default_shards, Simulator, SystemConfig};
 use adpf_netem::NetemConfig;
 use adpf_traces::PopulationConfig;
@@ -37,16 +37,15 @@ fn streaming_matches_materialized_at_1_2_8_threads() {
 fn streaming_hash_equals_the_committed_smoke_golden() {
     // The acceptance pin: the streaming path reproduces the exact smoke
     // report hash recorded by the materialized pipeline in PR 2.
-    let wl = BaselineWorkload::smoke();
-    let pop = wl.population();
-    let cfg = wl.config();
+    let pop = SMOKE.population();
+    let cfg = SMOKE.config();
     let n_shards = default_shards(pop.num_users);
     let streamed = Simulator::run_streaming(&cfg, pop.num_users, n_shards, 2, |i| {
         pop.generate_shard(i, n_shards)
     });
     assert_eq!(
-        adpf_bench::baseline::report_hash(&streamed),
-        0xba08_fcf9_274d_6de0,
+        streamed.stable_hash(),
+        SMOKE_GOLDEN,
         "streaming run drifted off the committed smoke golden"
     );
 }
