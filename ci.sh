@@ -41,6 +41,16 @@ marketplace_gates() {
     cargo test -q --release --test determinism marketplace_
 }
 
+placement_gates() {
+    # The placement kernel held bit for bit to what it replaced: running
+    # Poisson tails against the closed form and the memoizing cache, and
+    # the engine's one-pass pool build in lockstep with the cached
+    # gather/rate/score reference, plus the planner contract that makes
+    # leaving zero-probability candidates out exact.
+    cargo test -q --release -p adpf-overbooking --test prop_availability
+    cargo test -q --release -p adpf-core placement_
+}
+
 determinism_gates() {
     ./target/release/baseline --check --metrics-out target/obs_smoke_metrics.jsonl
 }
@@ -87,6 +97,7 @@ if [ "${1:-}" = "quick" ]; then
     cargo build --release -p adpf-bench -p adpf-serve
     perf_serve
     marketplace_gates
+    placement_gates
     determinism_gates
     exit 0
 fi
@@ -97,5 +108,6 @@ cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 no_library_prints
 perf_serve
+placement_gates
 benchmark_gate
 determinism_gates

@@ -48,7 +48,7 @@ use adpf_desim::{EventQueue, InlineVec, SimDuration, SimTime, BUCKET_SPAN_MS};
 use adpf_energy::{EnergyBreakdown, Radio};
 use adpf_netem::NetworkModel;
 use adpf_obs::{MetricId, MetricRegistry, ObsSink};
-use adpf_overbooking::availability::{AvailabilityCache, ClientAvailability};
+use adpf_overbooking::availability::{BurstyTail, ClientAvailability};
 use adpf_overbooking::planner::{ReplicationPlanner, PLAN_INLINE};
 use adpf_traces::{AdSlot, AppId, UserId, UserSlots};
 use rand::rngs::StdRng;
@@ -76,6 +76,17 @@ pub(crate) fn mix64(mut z: u64) -> u64 {
     z = z.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
     z ^= z >> 33;
     z
+}
+
+/// Advances a rotating candidate cursor by one client, wrapping at the
+/// population size `n`; `(cursor + 1) % n` without the division.
+#[inline]
+fn advance_cursor(cursor: &mut usize, n: usize) -> usize {
+    *cursor += 1;
+    if *cursor >= n {
+        *cursor = 0;
+    }
+    *cursor
 }
 
 /// Pre-resolved ids for the counters the engine maintains on its hot
@@ -304,12 +315,21 @@ pub struct EngineScratch {
     scratch_outbox: Vec<CachedAd>,
     scratch_reports: Vec<(AdId, SimTime)>,
     scratch_cands: Vec<ClientAvailability>,
-    scratch_meta: Vec<(f64, f64)>,
+    scratch_tails: Vec<BurstyTail>,
     scratch_due: Vec<(u64, SimTime)>,
     scratch_expired: Vec<(AdId, CampaignId, f64)>,
-    scratch_gather: Vec<(u32, SimTime)>,
     scratch_cancel: Vec<u64>,
     scratch_batch: Vec<(SimTime, EngineEvent)>,
+}
+
+/// Placement state shared by the ads sold at one sync; lives on the
+/// sync's stack, so nothing has to be versioned or reset.
+#[derive(Default)]
+struct SyncPlacement {
+    /// The origin's running tail, set at the first sale.
+    origin: Option<BurstyTail>,
+    /// Whether `scratch_cands` holds this sync's candidate pool.
+    pool_built: bool,
 }
 
 /// A feed over a precomputed, time-sorted ad-slot stream: the batch
@@ -390,9 +410,6 @@ pub struct ClientEngine {
     scratch_due: Vec<(u64, SimTime)>,
     /// Scratch for the expiry sweep's refund list.
     scratch_expired: Vec<(AdId, CampaignId, f64)>,
-    /// Memoized bursty-availability evaluator (exact, keyed on lambda
-    /// bits) shared by every `place_ad` call.
-    avail: AvailabilityCache,
     /// Monotone counter bumped at each `sync_body`; versions the
     /// per-client `expected_rate` memo below.
     sync_epoch: u64,
@@ -418,12 +435,9 @@ pub struct ClientEngine {
     scratch_outbox: Vec<CachedAd>,
     scratch_reports: Vec<(AdId, SimTime)>,
     scratch_cands: Vec<ClientAvailability>,
-    /// `(lambda, mean_session_slots)` per pool entry, aligned with
-    /// `scratch_cands` — the inputs needed to re-score an entry.
-    scratch_meta: Vec<(f64, f64)>,
-    /// Per-build `(client, score-window start)` pairs from the gather
-    /// phase of the pool build, aligned with `scratch_cands`.
-    scratch_gather: Vec<(u32, SimTime)>,
+    /// Each pool entry's running tail, aligned with `scratch_cands` —
+    /// what re-scoring the entry at a deeper queue extends.
+    scratch_tails: Vec<BurstyTail>,
     /// Cancellation ids drained from the tracker at a sync, without
     /// surrendering the tracker queue's allocation.
     scratch_cancel: Vec<u64>,
@@ -500,10 +514,9 @@ impl ClientEngine {
             mut scratch_outbox,
             mut scratch_reports,
             mut scratch_cands,
-            mut scratch_meta,
+            mut scratch_tails,
             mut scratch_due,
             mut scratch_expired,
-            mut scratch_gather,
             mut scratch_cancel,
             mut scratch_batch,
         } = scratch;
@@ -512,10 +525,9 @@ impl ClientEngine {
         scratch_outbox.clear();
         scratch_reports.clear();
         scratch_cands.clear();
-        scratch_meta.clear();
+        scratch_tails.clear();
         scratch_due.clear();
         scratch_expired.clear();
-        scratch_gather.clear();
         scratch_cancel.clear();
         scratch_batch.clear();
         let num_users = slots_by_user.num_users();
@@ -584,7 +596,6 @@ impl ClientEngine {
 
         let planner = config.planner.build();
         let fault_rng = StdRng::seed_from_u64(stream_seed ^ 0xd20_0ff);
-        let avail = AvailabilityCache::new(config.availability_dispersion);
         let n_clients = clients.len();
         let candidate_pool = config.candidate_pool;
         let net = config
@@ -602,10 +613,9 @@ impl ClientEngine {
         pool_epoch.clear();
         pool_epoch.resize(n_clients, 0);
         scratch_cands.reserve(candidate_pool);
-        scratch_meta.reserve(candidate_pool);
+        scratch_tails.reserve(candidate_pool);
         Self {
             config,
-            avail,
             sync_epoch: 0,
             lambda_epoch,
             lambda_cache,
@@ -616,8 +626,7 @@ impl ClientEngine {
             scratch_outbox,
             scratch_reports,
             scratch_cands,
-            scratch_meta,
-            scratch_gather,
+            scratch_tails,
             scratch_cancel,
             scratch_batch,
             clients,
@@ -1150,13 +1159,11 @@ impl ClientEngine {
         let mut delivered_primaries = 0u64;
         // All ads sold at this sync share one deadline (`now`, config,
         // and horizon are fixed for the duration), and therefore one
-        // replica-candidate pool. The pool is evaluated once, lazily, at
-        // the first sale that needs replicas; later sales reuse it, with
-        // only the entries whose queue depth changed re-scored through
-        // the availability cache (which extends the memoized Poisson
-        // series instead of recomputing it).
+        // origin score and one replica-candidate pool. Each is evaluated
+        // once, lazily, at the first sale that needs it; later sales
+        // extend the running tails of the clients whose queue grew.
         let deadline = (now + self.config.deadline).min(self.horizon);
-        let mut pool_built = false;
+        let mut placement = SyncPlacement::default();
         for _ in 0..to_sell {
             // Don't sell display windows that extend beyond the trace.
             if deadline <= now {
@@ -1167,7 +1174,7 @@ impl ClientEngine {
                 break; // Exchange demand exhausted.
             };
             self.ledger.record_sale(&sold);
-            let holders = self.place_ad(ci, now, deadline, &mut pool_built);
+            let holders = self.place_ad(ci, now, deadline, &mut placement);
             self.replicas_assigned += holders.len() as u64 - 1;
             self.tracker.register(sold.id.0, &holders, deadline);
             // The first holder in placement order is the primary copy; the
@@ -1313,14 +1320,14 @@ impl ClientEngine {
         origin: usize,
         now: SimTime,
         deadline: SimTime,
-        pool_built: &mut bool,
+        sync: &mut SyncPlacement,
     ) -> InlineVec<u32, { PLAN_INLINE + 1 }> {
-        let lambda = self.cached_rate(origin, now, deadline);
-        let queued = self.clients.queued[origin];
-        let mean_session = self.clients.predictor[origin].mean_session_slots();
-        let p_origin = self
-            .avail
-            .display_probability_bursty(lambda, queued, mean_session);
+        let tail = sync.origin.get_or_insert_with(|| {
+            let lambda = self.cached_rate(origin, now, deadline);
+            let mean_session = self.clients.predictor[origin].mean_session_slots();
+            BurstyTail::new(lambda, mean_session, self.config.availability_dispersion)
+        });
+        let p_origin = tail.prob(self.clients.queued[origin]);
         let mut holders: InlineVec<u32, { PLAN_INLINE + 1 }> = InlineVec::new();
         holders.push(origin as u32);
         if p_origin >= self.config.sla_target {
@@ -1332,9 +1339,9 @@ impl ClientEngine {
             return holders;
         }
 
-        if !*pool_built {
+        if !sync.pool_built {
             self.build_candidate_pool(origin, now, deadline);
-            *pool_built = true;
+            sync.pool_built = true;
         }
         let plan = self.planner.plan(
             &self.scratch_cands,
@@ -1348,20 +1355,23 @@ impl ClientEngine {
     /// Evaluates the replica-candidate pool for one selling sync: the
     /// next `candidate_pool - 1` clients under the rotating cursor, each
     /// scored over the window in which it could actually display. Fills
-    /// `scratch_cands` (planner input) and the aligned `scratch_meta`
-    /// (the per-candidate rate inputs needed to re-score an entry when
-    /// its queue depth changes mid-sync).
-    /// The build is split gather → rate → score over flat SoA buffers:
-    /// the cursor walk (branchy, touches `next_sync`), the predictor
-    /// rate queries (virtual calls), and the Poisson-tail scoring (pure
-    /// float math over `scratch_meta`) each run as their own tight loop
-    /// instead of one interleaved pass. Every per-candidate computation
-    /// is pure and memoized on its own inputs, so the phase split
-    /// produces bit-identical probabilities in the identical pool order.
+    /// `scratch_cands` (planner input) and the aligned `scratch_tails`
+    /// (each entry's running tail, so a deeper queue mid-sync extends
+    /// the sum instead of restarting it).
+    ///
+    /// One pass, and a candidate leaves it at the first test that proves
+    /// it useless: it cannot receive the ad in time; it expects no slots
+    /// in the window (three in four — a bursty user has no history in
+    /// most hour-of-day cells of a replica window), known before any
+    /// session arithmetic; or it scores zero all the same (a rate so
+    /// small that the session rate underflows or its `exp` rounds to
+    /// one). Zero-probability candidates never enter the pool. That is
+    /// exact: every planner skips `prob <= 0.0` entries, and a
+    /// probability only falls during a sync (queues only grow), so what
+    /// is left out could never have been chosen.
     fn build_candidate_pool(&mut self, origin: usize, now: SimTime, deadline: SimTime) {
         self.scratch_cands.clear();
-        self.scratch_meta.clear();
-        self.scratch_gather.clear();
+        self.scratch_tails.clear();
         self.pool_build_id += 1;
         self.obs.inc(self.mid.pool_builds, 1);
         let n = self.clients.len();
@@ -1370,59 +1380,50 @@ impl ClientEngine {
         }
         let want = (self.config.candidate_pool - 1).min(n - 1);
         let mut taken = 0;
+        let mut scored = 0;
         // A replica can only display inside the final `replica_window`
         // of the ad's life, and only after the holder has received it at
         // a sync. Loop-invariant: hoisted out of the candidate scan.
         let window_open = deadline.saturating_sub(self.config.replica_window).max(now);
-        // Gather: advance the rotating cursor, keeping candidates that
-        // could receive the ad in time.
+        let dispersion = self.config.availability_dispersion;
         while taken < want {
-            self.cand_cursor = (self.cand_cursor + 1) % n;
-            let j = self.cand_cursor;
+            let j = advance_cursor(&mut self.cand_cursor, n);
             if j == origin {
                 continue;
             }
             taken += 1;
             let start = self.clients.next_sync[j].max(window_open);
             if start >= deadline {
-                continue; // Cannot receive the ad in time; skip the
-                          // rate evaluation entirely.
+                continue; // Cannot receive the ad in time.
             }
-            self.scratch_gather.push((j as u32, start));
+            scored += 1;
+            let lambda = self.cached_rate(j, start, deadline);
+            if lambda <= 0.0 {
+                continue;
+            }
+            let mean_session = self.clients.predictor[j].mean_session_slots();
+            let mut tail = BurstyTail::new(lambda, mean_session, dispersion);
+            let prob = tail.prob(self.clients.queued[j]);
+            if prob <= 0.0 {
+                continue;
+            }
+            // The client's O(1) handle into this build's pool.
+            self.pool_pos[j] = self.scratch_cands.len() as u32;
+            self.pool_epoch[j] = self.pool_build_id;
+            self.scratch_cands.push(ClientAvailability {
+                client: j as u32,
+                prob,
+            });
+            self.scratch_tails.push(tail);
         }
-        // Rate: one (epoch-memoized) expected-rate query per candidate.
-        for idx in 0..self.scratch_gather.len() {
-            let (j, start) = self.scratch_gather[idx];
-            let lambda_j = self.cached_rate(j as usize, start, deadline);
-            let mean_session_j = self.clients.predictor[j as usize].mean_session_slots();
-            self.scratch_meta.push((lambda_j, mean_session_j));
-        }
-        // Score: Poisson-tail availability over the flat meta array,
-        // stamping each client's O(1) position handle as we go.
-        for idx in 0..self.scratch_gather.len() {
-            let (j, _) = self.scratch_gather[idx];
-            let (lambda_j, mean_session_j) = self.scratch_meta[idx];
-            let queued_j = self.clients.queued[j as usize];
-            let prob = self
-                .avail
-                .display_probability_bursty(lambda_j, queued_j, mean_session_j);
-            self.scratch_cands
-                .push(ClientAvailability { client: j, prob });
-            self.pool_pos[j as usize] = idx as u32;
-            self.pool_epoch[j as usize] = self.pool_build_id;
-        }
-        self.obs
-            .inc(self.mid.pool_scored, self.scratch_cands.len() as u64);
+        self.obs.inc(self.mid.pool_scored, scored);
     }
 
     /// Re-scores the pool entries of freshly chosen replica holders
-    /// (their `queued` just grew). The rate inputs come from
-    /// `scratch_meta`; only the Poisson tail is re-evaluated, and the
-    /// availability cache serves it from the already-memoized series.
-    /// Replica holders always come out of the current build's pool, so
-    /// the `pool_pos`/`pool_epoch` handle resolves each one in O(1) —
-    /// the linear `position` scan this replaces was the planner loop's
-    /// last per-holder pool traversal.
+    /// (their `queued` just grew): each entry's own running tail is
+    /// extended to the new depth. Replica holders always come out of the
+    /// current build's pool, so the `pool_pos`/`pool_epoch` handle
+    /// resolves each one in O(1).
     fn refresh_pool_probs(&mut self, holders: &[u32]) {
         // holders[0] is the origin, which is never in the pool.
         for &h in holders.iter().skip(1) {
@@ -1431,11 +1432,8 @@ impl ClientEngine {
             }
             let pos = self.pool_pos[h as usize] as usize;
             debug_assert_eq!(self.scratch_cands[pos].client, h);
-            let (lambda, mean_session) = self.scratch_meta[pos];
-            let queued = self.clients.queued[h as usize];
             self.scratch_cands[pos].prob =
-                self.avail
-                    .display_probability_bursty(lambda, queued, mean_session);
+                self.scratch_tails[pos].prob(self.clients.queued[h as usize]);
             self.obs.inc(self.mid.pool_rescored, 1);
         }
     }
@@ -1444,9 +1442,9 @@ impl ClientEngine {
     ///
     /// Valid because nothing a rate depends on — the client's predictor
     /// state, its `next_sync`, the sale deadline — changes between the
-    /// ads sold at one sync (only `queued` moves, which feeds the
-    /// availability cache separately). The origin and candidates never
-    /// collide on an entry: `place_ad` skips `j == origin`.
+    /// ads sold at one sync (only `queued` moves, which feeds the running
+    /// tails separately). The origin and candidates never collide on an
+    /// entry: the pool build skips `j == origin`.
     fn cached_rate(&mut self, j: usize, start: SimTime, deadline: SimTime) -> f64 {
         if self.lambda_epoch[j] == self.sync_epoch {
             return self.lambda_cache[j];
@@ -1520,8 +1518,7 @@ impl ClientEngine {
             // reachable client whose next sync lands before the deadline.
             let mut target = None;
             for _ in 0..self.config.candidate_pool.min(n) {
-                self.cand_cursor = (self.cand_cursor + 1) % n;
-                let j = self.cand_cursor;
+                let j = advance_cursor(&mut self.cand_cursor, n);
                 if holders.as_slice().contains(&(j as u32)) {
                     continue;
                 }
@@ -1680,13 +1677,16 @@ impl ClientEngine {
             scratch_outbox: self.scratch_outbox,
             scratch_reports: self.scratch_reports,
             scratch_cands: self.scratch_cands,
-            scratch_meta: self.scratch_meta,
+            scratch_tails: self.scratch_tails,
             scratch_due: self.scratch_due,
             scratch_expired: self.scratch_expired,
-            scratch_gather: self.scratch_gather,
             scratch_cancel: self.scratch_cancel,
             scratch_batch: self.scratch_batch,
         };
         (report, self.obs, scratch)
     }
 }
+
+#[cfg(test)]
+#[path = "placement_tests.rs"]
+mod placement_tests;

@@ -86,8 +86,9 @@ pub fn default_shards(num_users: u32) -> usize {
 /// the invariant that lets per-shard setup be hoisted without touching
 /// report hashes. Today the expensive shared piece is the campaign
 /// catalog (per-campaign bid model synthesis); the other per-shard setup
-/// (`AvailabilityCache` priors, netem config parsing) was measured to be
-/// trivial and intentionally stays inline.
+/// (netem config parsing) was measured to be trivial and intentionally
+/// stays inline. Placement scoring has none: its running Poisson tails
+/// live in the candidate pool and on the sync's stack.
 pub struct ShardContext {
     pub(crate) campaigns: Vec<Campaign>,
     /// Marketplace campaign-type assignment, index-aligned with

@@ -1,19 +1,26 @@
 //! Per-client display-probability models.
 //!
-//! Two evaluation paths compute the same math:
+//! Three evaluation paths compute the same math:
 //!
 //! - the closed-form functions ([`poisson_tail`],
 //!   [`display_probability_bursty`]) restart the Poisson summation on
 //!   every call — simple, and the reference the tests check against;
-//! - the incremental path ([`PoissonTailSeries`], [`AvailabilityCache`])
-//!   memoizes the running pmf/cdf per distinct `lambda` so the hot
-//!   placement loop extends an existing series instead of recomputing
-//!   `exp(-lambda)` and the term products from scratch.
+//! - the placement kernel ([`BurstyTail`] over [`RunningTail`]) keeps
+//!   one client's summation *running*: the engine stores a tail inline
+//!   per candidate, pays `exp(-lambda)` once when it scores the client,
+//!   and extends the same sum by one multiply-add per extra session each
+//!   time the client's queue grows;
+//! - the memoizing path ([`PoissonTailSeries`], [`AvailabilityCache`])
+//!   keys whole series on the bits of `lambda`. The engine scored through
+//!   it until the kernel replaced it; it stays as that kernel's test
+//!   reference and because the frozen benchmark's probe binds it, and
+//!   goes when the probe is re-pointed (ROADMAP, *One measurement
+//!   system*).
 //!
-//! The incremental path is **bit-identical** to the closed form: it
-//! performs the same floating-point operations in the same order, merely
-//! caching prefixes. That property is load-bearing — the simulator's
-//! golden determinism suite compares full reports across code paths.
+//! All three are **bit-identical**: they perform the same floating-point
+//! operations in the same order and differ only in what they remember
+//! between calls. That property is load-bearing — the simulator's golden
+//! determinism suite compares full reports across code paths.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -78,10 +85,119 @@ pub fn display_probability_bursty(
     slots_per_session: f64,
     dispersion: f64,
 ) -> f64 {
-    let l = slots_per_session.max(1.0);
-    let lambda_sessions = dispersion.clamp(0.0, 1.0) * expected_slots.max(0.0) / l;
-    let needed_sessions = ((queued_ahead as f64 + 1.0) / l).ceil() as u32;
-    poisson_tail(needed_sessions.max(1), lambda_sessions)
+    poisson_tail(
+        sessions_needed(queued_ahead, slots_per_session),
+        session_rate(expected_slots, slots_per_session, dispersion),
+    )
+}
+
+/// Mean of the Poisson session count behind
+/// [`display_probability_bursty`]: `dispersion * expected_slots /
+/// slots_per_session`, each input clamped to its domain. Independent of
+/// the client's queue, so one value serves every ad of a sync.
+#[inline]
+fn session_rate(expected_slots: f64, slots_per_session: f64, dispersion: f64) -> f64 {
+    dispersion.clamp(0.0, 1.0) * expected_slots.max(0.0) / slots_per_session.max(1.0)
+}
+
+/// Sessions a client must produce to work through `queued_ahead` ads and
+/// show one more (at least one) — the `k` of
+/// [`display_probability_bursty`]'s tail.
+#[inline]
+fn sessions_needed(queued_ahead: u32, slots_per_session: f64) -> u32 {
+    (((queued_ahead as f64 + 1.0) / slots_per_session.max(1.0)).ceil() as u32).max(1)
+}
+
+/// The upper Poisson tail at one fixed `lambda`, kept *running*: the
+/// last pmf term and the cdf up to it, so a `k` at or past the last one
+/// asked extends [`poisson_tail`]'s own summation instead of repeating
+/// it.
+///
+/// Four words, `Copy`, no heap: the placement kernel stores one inline
+/// per candidate (inside a [`BurstyTail`]). `new` pays the sum's only `exp`; every further session
+/// is `pmf *= lambda / j; cdf += pmf` — the closed form's recurrence in
+/// the closed form's order, so [`RunningTail::tail`] is bit-identical to
+/// [`poisson_tail`]`(k, lambda)` for every `k` sequence. A `k` below the
+/// terms already summed restarts from `exp(-lambda)`, a pure function of
+/// the same inputs; the engine never asks for one (within a sync a
+/// client's queue only grows), so the restart is a guarantee, not a
+/// path that is tuned.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RunningTail {
+    lambda: f64,
+    /// `pmf(terms - 1)`.
+    pmf: f64,
+    /// `P(X <= terms - 1)`.
+    cdf: f64,
+    /// Number of pmf terms summed into `cdf`; at least one.
+    terms: u32,
+}
+
+impl RunningTail {
+    /// Starts the sum at its first term, `pmf(0) = exp(-lambda)`.
+    #[inline]
+    pub fn new(lambda: f64) -> Self {
+        // Degenerate rates never read the sum (see `tail`).
+        let pmf = if lambda <= 0.0 { 0.0 } else { (-lambda).exp() };
+        Self {
+            lambda,
+            pmf,
+            cdf: pmf,
+            terms: 1,
+        }
+    }
+
+    /// `P(X >= k)` for `X ~ Poisson(lambda)`; bit-identical to
+    /// [`poisson_tail`]`(k, lambda)`.
+    #[inline]
+    pub fn tail(&mut self, k: u32) -> f64 {
+        if self.lambda <= 0.0 {
+            return if k == 0 { 1.0 } else { 0.0 };
+        }
+        if k == 0 {
+            return 1.0;
+        }
+        if k < self.terms {
+            *self = Self::new(self.lambda);
+        }
+        while self.terms < k {
+            self.pmf *= self.lambda / self.terms as f64;
+            self.cdf += self.pmf;
+            self.terms += 1;
+        }
+        (1.0 - self.cdf).clamp(0.0, 1.0)
+    }
+}
+
+/// One client's [`display_probability_bursty`] as a function of its
+/// queue depth alone: the session rate is fixed at construction and the
+/// Poisson tail over it kept running, so asking again at a deeper queue
+/// extends the sum the first answer started. Bit-identical to the closed
+/// form at every depth, in any order.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BurstyTail {
+    tail: RunningTail,
+    slots_per_session: f64,
+}
+
+impl BurstyTail {
+    /// Fixes the client's rate inputs (see
+    /// [`display_probability_bursty`]); pays the one `exp`.
+    #[inline]
+    pub fn new(expected_slots: f64, slots_per_session: f64, dispersion: f64) -> Self {
+        Self {
+            tail: RunningTail::new(session_rate(expected_slots, slots_per_session, dispersion)),
+            slots_per_session,
+        }
+    }
+
+    /// [`display_probability_bursty`] with `queued_ahead` ads already
+    /// committed to the client.
+    #[inline]
+    pub fn prob(&mut self, queued_ahead: u32) -> f64 {
+        self.tail
+            .tail(sessions_needed(queued_ahead, self.slots_per_session))
+    }
 }
 
 /// Incrementally evaluated upper Poisson tails at one fixed `lambda`.

@@ -102,7 +102,11 @@ pub trait ReplicationPlanner {
     /// `P(shown) >= sla_target`, using at most `max_replicas` holders.
     ///
     /// Candidates may arrive in any order and may include zero-probability
-    /// clients; planners must tolerate both.
+    /// clients; planners must tolerate both, and must return the same
+    /// plan with or without the `prob <= 0.0` entries. The engine relies
+    /// on that: it no longer offers zero-probability candidates at all
+    /// (its pool build leaves them out), which is exact only because no
+    /// planner could have picked one.
     fn plan(&self, candidates: &[ClientAvailability], sla_target: f64, max_replicas: usize)
         -> Plan;
 

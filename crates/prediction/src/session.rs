@@ -42,8 +42,6 @@ pub struct SessionAwarePredictor {
     /// Cached `idle_q`-quantile of `rates`; recomputed on observation so
     /// the hot `predict` path stays O(1).
     cached_idle_rate: f64,
-    /// Cached mean of `rates` (the unbiased availability estimate).
-    cached_mean_rate: f64,
     /// Hour-of-day mean rates, used for unbiased availability estimates
     /// over arbitrary windows (a flat mean overestimates night windows).
     tod: TimeOfDayPredictor,
@@ -67,7 +65,6 @@ impl SessionAwarePredictor {
             rates: VecDeque::new(),
             sorted_rates: Vec::new(),
             cached_idle_rate: 0.0,
-            cached_mean_rate: 0.0,
             tod: TimeOfDayPredictor::new(),
             session_len: Welford::new(),
             current_session: 0,
@@ -111,7 +108,6 @@ impl SlotPredictor for SessionAwarePredictor {
             let at = self.sorted_rates.partition_point(|&x| x < rate);
             self.sorted_rates.insert(at, rate);
             self.cached_idle_rate = quantile_sorted(&self.sorted_rates, self.idle_q);
-            self.cached_mean_rate = self.rates.iter().sum::<f64>() / self.rates.len() as f64;
         }
         for &t in slot_times {
             match self.last_slot {
