@@ -46,9 +46,12 @@ placement_gates() {
     # Poisson tails against the closed form and the memoizing cache, and
     # the engine's one-pass pool build in lockstep with the cached
     # gather/rate/score reference, plus the planner contract that makes
-    # leaving zero-probability candidates out exact.
+    # leaving zero-probability candidates out exact. Likewise the one
+    # internal-event drain, in lockstep with the pop-by-pop loop it
+    # replaced, sub-bucket scheduling deltas included.
     cargo test -q --release -p adpf-overbooking --test prop_availability
     cargo test -q --release -p adpf-core placement_
+    cargo test -q --release -p adpf-core dispatch_
 }
 
 determinism_gates() {

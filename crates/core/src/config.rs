@@ -183,13 +183,6 @@ pub struct SystemConfig {
     /// population so the shards' combined spending power never exceeds
     /// the global budgets. `1.0` (the default) is the unsharded no-op.
     pub budget_fraction: f64,
-    /// Drain internal events in per-bucket batches when the
-    /// configuration's self-scheduling deltas allow it (see
-    /// `ClientEngine`); `false` forces the legacy one-event-at-a-time
-    /// drain. Results are bit-identical either way — this is an escape
-    /// hatch and equivalence-test seam, deliberately excluded from
-    /// [`SystemConfig::describe`] so it can never perturb report hashes.
-    pub batched: bool,
 }
 
 impl SystemConfig {
@@ -227,7 +220,6 @@ impl SystemConfig {
             seed,
             rng_stream: 0,
             budget_fraction: 1.0,
-            batched: true,
         }
     }
 

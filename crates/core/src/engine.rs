@@ -13,7 +13,7 @@
 //! bit for bit:
 //!
 //! - the batch [`Simulator`](crate::Simulator) iterates a precomputed,
-//!   time-sorted slot vector ([`SlotFeed`]), and
+//!   time-sorted slot vector ([`ClientEngine::drive`]), and
 //! - the online `adpf-serve` server feeds slots as they arrive over a
 //!   socket or stdin, with no end-of-stream known in advance.
 //!
@@ -43,8 +43,7 @@
 use adpf_auction::{
     AdId, CampaignCatalog, CampaignId, Exchange, ImpressionOutcome, Ledger, SlotOffer,
 };
-use adpf_desim::feed::EventFeed;
-use adpf_desim::{EventQueue, InlineVec, SimDuration, SimTime, BUCKET_SPAN_MS};
+use adpf_desim::{EventQueue, InlineVec, SimDuration, SimTime};
 use adpf_energy::{EnergyBreakdown, Radio};
 use adpf_netem::NetworkModel;
 use adpf_obs::{MetricId, MetricRegistry, ObsSink};
@@ -294,32 +293,64 @@ pub enum EngineEvent {
 }
 
 /// The reusable allocation set of a [`ClientEngine`]: its internal event
-/// queue plus every scratch and memo buffer.
+/// queue plus every scratch buffer, held by the engine as one field.
 ///
-/// A worker thread that simulates many shards hands the buffers from one
+/// A worker thread that simulates many shards hands the set from one
 /// finished engine ([`ClientEngine::finalize_reclaim`]) to the next
 /// ([`ClientEngine::with_scratch`]) so per-shard construction stops paying
 /// the allocation (and warm-up) cost of the queue ring and scratch
 /// vectors. Reuse is exact: construction clears every buffer, resets the
-/// queue's sequence counter and window, and zero-fills the epoch vectors —
-/// and every epoch/build-id scheme in the engine starts counting at 1, so
-/// a zero-filled memo can never produce a false hit.
+/// queue's sequence counter and window, and zero-fills the pool-handle
+/// epochs — and the pool build id starts counting at 1, so a zero-filled
+/// handle can never produce a false hit.
 #[derive(Default)]
 pub struct EngineScratch {
+    /// Internal (self-scheduled) events only; external slots never enter.
     queue: EventQueue<EngineEvent>,
-    lambda_epoch: Vec<u64>,
-    lambda_cache: Vec<f64>,
+    /// `pool_pos[j]` is client `j`'s index into `cands`, valid iff
+    /// `pool_epoch[j] == ClientEngine::pool_build_id` — an O(1) handle
+    /// that replaces the linear pool scan when a holder must be re-scored.
     pool_pos: Vec<u32>,
     pool_epoch: Vec<u64>,
-    scratch_slot_times: Vec<SimTime>,
-    scratch_outbox: Vec<CachedAd>,
-    scratch_reports: Vec<(AdId, SimTime)>,
-    scratch_cands: Vec<ClientAvailability>,
-    scratch_tails: Vec<BurstyTail>,
-    scratch_due: Vec<(u64, SimTime)>,
-    scratch_expired: Vec<(AdId, CampaignId, f64)>,
-    scratch_cancel: Vec<u64>,
-    scratch_batch: Vec<(SimTime, EngineEvent)>,
+    // Buffers reused across syncs so the hot path never allocates: each
+    // holds the retained capacity of whatever client vector it was last
+    // swapped with.
+    slot_times: Vec<SimTime>,
+    outbox: Vec<CachedAd>,
+    reports: Vec<(AdId, SimTime)>,
+    /// The current sync's replica-candidate pool (planner input).
+    cands: Vec<ClientAvailability>,
+    /// Each pool entry's running tail, aligned with `cands` — what
+    /// re-scoring the entry at a deeper queue extends.
+    tails: Vec<BurstyTail>,
+    /// The rescue scan's due-ad list.
+    due: Vec<(u64, SimTime)>,
+    /// The expiry sweep's refund list.
+    expired: Vec<(AdId, CampaignId, f64)>,
+    /// Cancellation ids drained from the tracker at a sync, without
+    /// surrendering the tracker queue's allocation.
+    cancel: Vec<u64>,
+    /// One near-lane bucket's events, drained at a time by
+    /// [`ClientEngine::drain_internal_before`].
+    batch: Vec<(SimTime, EngineEvent)>,
+}
+
+impl EngineScratch {
+    /// Empties the queue and every buffer, keeping the allocations.
+    fn reset(&mut self) {
+        self.queue.reset();
+        self.pool_pos.clear();
+        self.pool_epoch.clear();
+        self.slot_times.clear();
+        self.outbox.clear();
+        self.reports.clear();
+        self.cands.clear();
+        self.tails.clear();
+        self.due.clear();
+        self.expired.clear();
+        self.cancel.clear();
+        self.batch.clear();
+    }
 }
 
 /// Placement state shared by the ads sold at one sync; lives on the
@@ -328,34 +359,8 @@ pub struct EngineScratch {
 struct SyncPlacement {
     /// The origin's running tail, set at the first sale.
     origin: Option<BurstyTail>,
-    /// Whether `scratch_cands` holds this sync's candidate pool.
+    /// Whether `scratch.cands` holds this sync's candidate pool.
     pool_built: bool,
-}
-
-/// A feed over a precomputed, time-sorted ad-slot stream: the batch
-/// simulator's view of its trace, expressed as the same [`EventFeed`]
-/// the online server implements over its ingest channel.
-pub struct SlotFeed<'a> {
-    slots: &'a [AdSlot],
-    next: usize,
-}
-
-impl<'a> SlotFeed<'a> {
-    /// Wraps a slot slice; the slice must be sorted by `(time, user)`
-    /// (what [`Trace::ad_slots`](adpf_traces::Trace::ad_slots) returns).
-    pub fn new(slots: &'a [AdSlot]) -> Self {
-        Self { slots, next: 0 }
-    }
-}
-
-impl EventFeed for SlotFeed<'_> {
-    type Event = (UserId, AppId);
-
-    fn next(&mut self) -> Option<(SimTime, Self::Event)> {
-        let s = self.slots.get(self.next)?;
-        self.next += 1;
-        Some((s.time, (s.user, s.app)))
-    }
 }
 
 /// One client shard's decision core: per-client state machines,
@@ -376,17 +381,11 @@ pub struct ClientEngine {
     ledger: Ledger,
     tracker: adpf_overbooking::reconcile::ReplicaTracker,
     planner: Box<dyn ReplicationPlanner>,
-    /// Internal (self-scheduled) events only; external slots never enter.
-    queue: EventQueue<EngineEvent>,
+    /// The internal event queue and every reusable buffer.
+    scratch: EngineScratch,
     /// Cached time of the earliest internal event, so the per-slot
     /// "anything due before `t`?" check is a compare, not a queue scan.
     next_internal: Option<SimTime>,
-    /// Drain internal events one near-lane bucket at a time instead of
-    /// one event at a time. True only when `config.batched` is set AND
-    /// every self-scheduling delta of this configuration is at least one
-    /// bucket span, which is what makes batching *exact* (see
-    /// [`ClientEngine::drain_internal_before`]).
-    batched: bool,
     cand_cursor: usize,
     /// Randomness for failure injection (sync dropout).
     fault_rng: StdRng,
@@ -406,44 +405,9 @@ pub struct ClientEngine {
     pub(crate) obs: MetricRegistry,
     /// Pre-resolved ids into `obs` for the hot-path counters.
     mid: SimIds,
-    /// Scratch for the rescue scan's due-ad list.
-    scratch_due: Vec<(u64, SimTime)>,
-    /// Scratch for the expiry sweep's refund list.
-    scratch_expired: Vec<(AdId, CampaignId, f64)>,
-    /// Monotone counter bumped at each `sync_body`; versions the
-    /// per-client `expected_rate` memo below.
-    sync_epoch: u64,
-    /// `lambda_cache[j]` is valid iff `lambda_epoch[j] == sync_epoch`.
-    /// Within one sync every candidate's predictor state, `next_sync`,
-    /// and the sale deadline are frozen, so a client's expected rate is
-    /// identical across the ads sold at that sync — computing it once
-    /// per client per sync is exact, not approximate.
-    lambda_epoch: Vec<u64>,
-    lambda_cache: Vec<f64>,
     /// Monotone id of the last candidate-pool build; versions the
-    /// `pool_pos` memo below.
+    /// `scratch.pool_pos` handles.
     pool_build_id: u64,
-    /// `pool_pos[j]` is client `j`'s index into `scratch_cands`, valid
-    /// iff `pool_epoch[j] == pool_build_id` — an O(1) handle that
-    /// replaces the linear pool scan when a holder must be re-scored.
-    pool_pos: Vec<u32>,
-    pool_epoch: Vec<u64>,
-    // Scratch buffers reused across syncs so the hot path never
-    // allocates: each holds the retained capacity of whatever client
-    // vector it was last swapped with.
-    scratch_slot_times: Vec<SimTime>,
-    scratch_outbox: Vec<CachedAd>,
-    scratch_reports: Vec<(AdId, SimTime)>,
-    scratch_cands: Vec<ClientAvailability>,
-    /// Each pool entry's running tail, aligned with `scratch_cands` —
-    /// what re-scoring the entry at a deeper queue extends.
-    scratch_tails: Vec<BurstyTail>,
-    /// Cancellation ids drained from the tracker at a sync, without
-    /// surrendering the tracker queue's allocation.
-    scratch_cancel: Vec<u64>,
-    /// One near-lane bucket's events, drained at a time by the batched
-    /// internal-event loop.
-    scratch_batch: Vec<(SimTime, EngineEvent)>,
     // Counters.
     /// External slot events seen; the engine has no slot vector of its
     /// own, so this is what `SimReport::slots` reports.
@@ -499,38 +463,14 @@ impl ClientEngine {
         horizon: SimTime,
         days: u32,
         ctx: &ShardContext,
-        scratch: EngineScratch,
+        mut scratch: EngineScratch,
     ) -> Self {
         if let Err(reason) = config.validate() {
             panic!("invalid SystemConfig: {reason}");
         }
-        let EngineScratch {
-            mut queue,
-            mut lambda_epoch,
-            mut lambda_cache,
-            mut pool_pos,
-            mut pool_epoch,
-            mut scratch_slot_times,
-            mut scratch_outbox,
-            mut scratch_reports,
-            mut scratch_cands,
-            mut scratch_tails,
-            mut scratch_due,
-            mut scratch_expired,
-            mut scratch_cancel,
-            mut scratch_batch,
-        } = scratch;
-        queue.reset();
-        scratch_slot_times.clear();
-        scratch_outbox.clear();
-        scratch_reports.clear();
-        scratch_cands.clear();
-        scratch_tails.clear();
-        scratch_due.clear();
-        scratch_expired.clear();
-        scratch_cancel.clear();
-        scratch_batch.clear();
         let num_users = slots_by_user.num_users();
+        scratch.reset();
+        let queue = &mut scratch.queue;
         let scen = config
             .scenario
             .enabled
@@ -592,43 +532,26 @@ impl ClientEngine {
             );
         }
         let next_internal = queue.peek_time();
-        let batched = config.batched && Self::batching_is_exact(&config, exchange.has_pacers());
 
         let planner = config.planner.build();
         let fault_rng = StdRng::seed_from_u64(stream_seed ^ 0xd20_0ff);
         let n_clients = clients.len();
-        let candidate_pool = config.candidate_pool;
         let net = config
             .netem
             .enabled
             .then(|| NetworkModel::new(config.netem.clone(), n_clients, stream_seed));
         let obs = MetricRegistry::new();
         let mid = SimIds::resolve(&obs, config.scenario.enabled);
-        lambda_epoch.clear();
-        lambda_epoch.resize(n_clients, 0);
-        lambda_cache.clear();
-        lambda_cache.resize(n_clients, 0.0);
-        pool_pos.clear();
-        pool_pos.resize(n_clients, 0);
-        pool_epoch.clear();
-        pool_epoch.resize(n_clients, 0);
-        scratch_cands.reserve(candidate_pool);
-        scratch_tails.reserve(candidate_pool);
+        // Sized last: these outlive the shard (the worker carries them to
+        // its next engine), and allocated ahead of the shard's own tables
+        // they fragment the heap — +1 MiB in 9 on `stream-netem-paced`.
+        scratch.pool_pos.resize(n_clients, 0);
+        scratch.pool_epoch.resize(n_clients, 0);
+        scratch.cands.reserve(config.candidate_pool);
+        scratch.tails.reserve(config.candidate_pool);
         Self {
             config,
-            sync_epoch: 0,
-            lambda_epoch,
-            lambda_cache,
             pool_build_id: 0,
-            pool_pos,
-            pool_epoch,
-            scratch_slot_times,
-            scratch_outbox,
-            scratch_reports,
-            scratch_cands,
-            scratch_tails,
-            scratch_cancel,
-            scratch_batch,
             clients,
             horizon,
             days,
@@ -636,9 +559,8 @@ impl ClientEngine {
             ledger: Ledger::new(),
             tracker: adpf_overbooking::reconcile::ReplicaTracker::new(),
             planner,
-            queue,
+            scratch,
             next_internal,
-            batched,
             cand_cursor: 0,
             fault_rng,
             syncs_dropped: 0,
@@ -646,8 +568,6 @@ impl ClientEngine {
             scen,
             obs,
             mid,
-            scratch_due,
-            scratch_expired,
             slots_seen: 0,
             impressions: 0,
             cache_hits: 0,
@@ -657,45 +577,6 @@ impl ClientEngine {
             syncs_skipped: 0,
             replicas_assigned: 0,
         }
-    }
-
-    /// Whether draining internal events one near-lane bucket at a time
-    /// is *exactly* equivalent to popping them one at a time for this
-    /// configuration.
-    ///
-    /// A drained bucket's events all have times inside one
-    /// [`BUCKET_SPAN_MS`]-wide window, and internal handlers schedule
-    /// only strictly-future events at `now + delta`. If every `delta`
-    /// the configuration can produce is at least one bucket span, any
-    /// newly scheduled event lands at or past the bucket's end — i.e.
-    /// after every event of the batch being dispatched — and with a
-    /// larger sequence number than anything already queued, so the
-    /// batched dispatch order is bit-identical to the legacy pop order.
-    /// The deltas to check: the sync period (sync reschedule), the
-    /// pacing period (pacing reschedule), and the minimum jittered retry
-    /// backoff (netem; `base × (1 − jitter/2)`, truncated to ms exactly
-    /// like `NetworkModel::backoff`). The expiry sweep reschedules at a
-    /// fixed one hour, always safe. Default configurations sit far above
-    /// the 1.024 s span (2 h syncs, minutes-scale backoff bases);
-    /// anything faster silently falls back to the one-at-a-time drain.
-    fn batching_is_exact(config: &SystemConfig, has_pacers: bool) -> bool {
-        if config.mode == DeliveryMode::Prefetch {
-            if config.prefetch_interval.as_millis() < BUCKET_SPAN_MS {
-                return false;
-            }
-            let retry = &config.netem.retry;
-            if config.netem.enabled && retry.max_retries > 0 {
-                let min_backoff_ms =
-                    (retry.base.as_millis() as f64 * (1.0 - retry.jitter / 2.0)) as u64;
-                if min_backoff_ms < BUCKET_SPAN_MS {
-                    return false;
-                }
-            }
-        }
-        if has_pacers && config.marketplace.pacing_interval.as_millis() < BUCKET_SPAN_MS {
-            return false;
-        }
-        true
     }
 
     /// Number of clients this engine owns.
@@ -708,53 +589,49 @@ impl ClientEngine {
         self.horizon
     }
 
-    /// Drives the engine from an external slot feed to exhaustion and
-    /// leaves it ready to [`ClientEngine::finalize`]: the driving rule
-    /// (drain-before, slot, drain-at-end) in one place.
-    pub fn drive<F: EventFeed<Event = (UserId, AppId)>>(&mut self, feed: &mut F) {
-        while let Some((t, (user, app))) = feed.next() {
-            self.drain_internal_before(t);
-            self.on_slot(t, user, app);
+    /// Drives the engine over a time-sorted slot stream (what
+    /// [`Trace::ad_slots`](adpf_traces::Trace::ad_slots) returns) to
+    /// exhaustion and leaves it ready to [`ClientEngine::finalize`]: the
+    /// driving rule (drain-before, slot, drain-at-end) in one place.
+    pub fn drive(&mut self, slots: &[AdSlot]) {
+        for s in slots {
+            self.drain_internal_before(s.time);
+            self.on_slot(s.time, s.user, s.app);
         }
         self.drain_internal();
     }
 
-    /// Runs every internal event scheduled strictly before `t`. Call
-    /// immediately before handing the engine an external slot at `t`.
+    /// Runs every internal event scheduled strictly before `t`, in
+    /// `(time, seq)` order. Call immediately before handing the engine
+    /// an external slot at `t`.
     ///
-    /// On the batched path this pulls a whole near-lane bucket of due
-    /// events out of the queue at once and dispatches them from a flat
-    /// buffer — one queue traversal and re-anchor per ~thousand events
-    /// instead of per event. [`ClientEngine::batching_is_exact`] is what
-    /// guarantees the dispatch order (and therefore every report bit)
-    /// matches the one-at-a-time pop loop.
+    /// Due events leave the queue one near-lane bucket at a time and are
+    /// dispatched from a flat buffer — one queue traversal and re-anchor
+    /// per bucket instead of per event. A handler may schedule an event
+    /// into the part of the bucket not yet dispatched; everything still
+    /// queued when the bucket was taken is at or past every batch time,
+    /// so such a newcomer is the queue head, and `schedule` has already
+    /// lowered `next_internal` to it. Ahead of each batch item the queue
+    /// head is therefore compared against the item's time and popped
+    /// first while strictly earlier. Strictly: a newcomer at the item's
+    /// own time has the larger sequence number and goes after it, exactly
+    /// where the queue would have popped it.
     pub fn drain_internal_before(&mut self, t: SimTime) {
-        if self.batched {
-            self.drain_batched_before(t);
-            return;
-        }
         while self.next_internal.is_some_and(|nt| nt < t) {
-            let (now, ev) = self.queue.pop().expect("next_internal was Some");
-            self.dispatch(now, ev);
-            self.next_internal = self.queue.peek_time();
-        }
-    }
-
-    /// Batched drain loop: one head bucket per iteration. Handlers may
-    /// schedule new events mid-batch, but `batching_is_exact` guarantees
-    /// those land strictly past the bucket being dispatched, so the
-    /// drained buffer is never stale.
-    fn drain_batched_before(&mut self, t: SimTime) {
-        while self.next_internal.is_some_and(|nt| nt < t) {
-            let mut batch = std::mem::take(&mut self.scratch_batch);
-            let n = self.queue.drain_near_bucket(t, &mut batch);
+            let mut batch = std::mem::take(&mut self.scratch.batch);
+            let n = self.scratch.queue.drain_near_bucket(t, &mut batch);
             debug_assert!(n > 0, "peek promised an event before {t:?}");
+            self.next_internal = self.scratch.queue.peek_time();
             for &(now, ev) in &batch {
+                while self.next_internal.is_some_and(|nt| nt < now) {
+                    let (at, newcomer) = self.scratch.queue.pop().expect("next_internal was Some");
+                    self.dispatch(at, newcomer);
+                    self.next_internal = self.scratch.queue.peek_time();
+                }
                 self.dispatch(now, ev);
             }
             batch.clear();
-            self.scratch_batch = batch;
-            self.next_internal = self.queue.peek_time();
+            self.scratch.batch = batch;
             if n == 0 {
                 break; // Defensive: never spin if the queue disagrees.
             }
@@ -763,12 +640,10 @@ impl ClientEngine {
 
     /// Runs all remaining internal events (end of the external stream).
     pub fn drain_internal(&mut self) {
-        if self.batched {
-            self.drain_batched_before(SimTime::MAX);
-        }
-        // Unbatched path — and, under batching, any leftover events at
-        // exactly `SimTime::MAX` (excluded above by the strict bound).
-        while let Some((now, ev)) = self.queue.pop() {
+        self.drain_internal_before(SimTime::MAX);
+        // Events at exactly `SimTime::MAX`, excluded above by the strict
+        // bound.
+        while let Some((now, ev)) = self.scratch.queue.pop() {
             self.dispatch(now, ev);
         }
         self.next_internal = None;
@@ -779,7 +654,7 @@ impl ClientEngine {
         if self.next_internal.is_none_or(|nt| at < nt) {
             self.next_internal = Some(at);
         }
-        self.queue.push(at, ev);
+        self.scratch.queue.push(at, ev);
     }
 
     fn dispatch(&mut self, now: SimTime, event: EngineEvent) {
@@ -1131,21 +1006,18 @@ impl ClientEngine {
         let c = ci as u32;
         // This sync got through, so any outstanding retry is obsolete.
         self.clients.retry_pending[ci] = false;
-        // New epoch: every per-client expected-rate memo entry from the
-        // previous sync is now stale.
-        self.sync_epoch += 1;
 
         // 1. Update the server-side demand model with the observed period.
         //    Swapping with the scratch buffer (instead of `mem::take`)
         //    hands the client back a vector with retained capacity, so
         //    next interval's slot pushes don't regrow from zero.
         std::mem::swap(
-            &mut self.scratch_slot_times,
+            &mut self.scratch.slot_times,
             &mut self.clients.slot_times[ci],
         );
         let last = self.clients.last_sync[ci];
-        self.clients.predictor[ci].observe(last, now, &self.scratch_slot_times);
-        self.scratch_slot_times.clear();
+        self.clients.predictor[ci].observe(last, now, &self.scratch.slot_times);
+        self.scratch.slot_times.clear();
         self.clients.cache[ci].purge_expired(now);
 
         // 2. Sell the predicted slots of the next interval and place them.
@@ -1245,29 +1117,29 @@ impl ClientEngine {
         //    outstanding replicas, and ship the impression reports. The
         //    drain keeps both the tracker queue's and the scratch
         //    buffer's allocations alive across syncs.
-        self.scratch_cancel.clear();
+        self.scratch.cancel.clear();
         self.tracker
-            .drain_cancellations(c, &mut self.scratch_cancel);
-        if !self.scratch_cancel.is_empty() {
-            self.clients.cancel(ci, &self.scratch_cancel);
+            .drain_cancellations(c, &mut self.scratch.cancel);
+        if !self.scratch.cancel.is_empty() {
+            self.clients.cancel(ci, &self.scratch.cancel);
         }
-        std::mem::swap(&mut self.scratch_outbox, &mut self.clients.outbox[ci]);
+        std::mem::swap(&mut self.scratch.outbox, &mut self.clients.outbox[ci]);
         let mut delivered_replicas = 0u64;
-        for i in 0..self.scratch_outbox.len() {
-            let ad = self.scratch_outbox[i];
+        for i in 0..self.scratch.outbox.len() {
+            let ad = self.scratch.outbox[i];
             if ad.deadline >= now {
                 self.clients.cache[ci].insert(ad);
                 delivered_replicas += 1;
             }
         }
-        self.scratch_outbox.clear();
+        self.scratch.outbox.clear();
         std::mem::swap(
-            &mut self.scratch_reports,
+            &mut self.scratch.reports,
             &mut self.clients.pending_reports[ci],
         );
-        let report_count = self.scratch_reports.len() as u64;
-        for i in 0..self.scratch_reports.len() {
-            let (ad, t) = self.scratch_reports[i];
+        let report_count = self.scratch.reports.len() as u64;
+        for i in 0..self.scratch.reports.len() {
+            let (ad, t) = self.scratch.reports[i];
             let disposition = self.tracker.record_display(ad.0, c);
             self.ledger.record_impression(ad, t);
             if disposition == adpf_overbooking::DisplayDisposition::First {
@@ -1283,7 +1155,7 @@ impl ClientEngine {
                 }
             }
         }
-        self.scratch_reports.clear();
+        self.scratch.reports.clear();
 
         // 6. Pay for the batched transfer.
         let delivered = delivered_primaries + delivered_replicas;
@@ -1323,7 +1195,8 @@ impl ClientEngine {
         sync: &mut SyncPlacement,
     ) -> InlineVec<u32, { PLAN_INLINE + 1 }> {
         let tail = sync.origin.get_or_insert_with(|| {
-            let lambda = self.cached_rate(origin, now, deadline);
+            let lambda =
+                self.clients.predictor[origin].expected_rate(now, deadline.saturating_since(now));
             let mean_session = self.clients.predictor[origin].mean_session_slots();
             BurstyTail::new(lambda, mean_session, self.config.availability_dispersion)
         });
@@ -1344,7 +1217,7 @@ impl ClientEngine {
             sync.pool_built = true;
         }
         let plan = self.planner.plan(
-            &self.scratch_cands,
+            &self.scratch.cands,
             residual_target,
             self.config.max_replicas.saturating_sub(1),
         );
@@ -1355,7 +1228,7 @@ impl ClientEngine {
     /// Evaluates the replica-candidate pool for one selling sync: the
     /// next `candidate_pool - 1` clients under the rotating cursor, each
     /// scored over the window in which it could actually display. Fills
-    /// `scratch_cands` (planner input) and the aligned `scratch_tails`
+    /// `scratch.cands` (planner input) and the aligned `scratch.tails`
     /// (each entry's running tail, so a deeper queue mid-sync extends
     /// the sum instead of restarting it).
     ///
@@ -1370,8 +1243,8 @@ impl ClientEngine {
     /// probability only falls during a sync (queues only grow), so what
     /// is left out could never have been chosen.
     fn build_candidate_pool(&mut self, origin: usize, now: SimTime, deadline: SimTime) {
-        self.scratch_cands.clear();
-        self.scratch_tails.clear();
+        self.scratch.cands.clear();
+        self.scratch.tails.clear();
         self.pool_build_id += 1;
         self.obs.inc(self.mid.pool_builds, 1);
         let n = self.clients.len();
@@ -1397,7 +1270,8 @@ impl ClientEngine {
                 continue; // Cannot receive the ad in time.
             }
             scored += 1;
-            let lambda = self.cached_rate(j, start, deadline);
+            let lambda =
+                self.clients.predictor[j].expected_rate(start, deadline.saturating_since(start));
             if lambda <= 0.0 {
                 continue;
             }
@@ -1408,13 +1282,13 @@ impl ClientEngine {
                 continue;
             }
             // The client's O(1) handle into this build's pool.
-            self.pool_pos[j] = self.scratch_cands.len() as u32;
-            self.pool_epoch[j] = self.pool_build_id;
-            self.scratch_cands.push(ClientAvailability {
+            self.scratch.pool_pos[j] = self.scratch.cands.len() as u32;
+            self.scratch.pool_epoch[j] = self.pool_build_id;
+            self.scratch.cands.push(ClientAvailability {
                 client: j as u32,
                 prob,
             });
-            self.scratch_tails.push(tail);
+            self.scratch.tails.push(tail);
         }
         self.obs.inc(self.mid.pool_scored, scored);
     }
@@ -1427,32 +1301,15 @@ impl ClientEngine {
     fn refresh_pool_probs(&mut self, holders: &[u32]) {
         // holders[0] is the origin, which is never in the pool.
         for &h in holders.iter().skip(1) {
-            if self.pool_epoch[h as usize] != self.pool_build_id {
+            if self.scratch.pool_epoch[h as usize] != self.pool_build_id {
                 continue;
             }
-            let pos = self.pool_pos[h as usize] as usize;
-            debug_assert_eq!(self.scratch_cands[pos].client, h);
-            self.scratch_cands[pos].prob =
-                self.scratch_tails[pos].prob(self.clients.queued[h as usize]);
+            let pos = self.scratch.pool_pos[h as usize] as usize;
+            debug_assert_eq!(self.scratch.cands[pos].client, h);
+            self.scratch.cands[pos].prob =
+                self.scratch.tails[pos].prob(self.clients.queued[h as usize]);
             self.obs.inc(self.mid.pool_rescored, 1);
         }
-    }
-
-    /// `expected_rate` for client `j`, memoized per sync epoch.
-    ///
-    /// Valid because nothing a rate depends on — the client's predictor
-    /// state, its `next_sync`, the sale deadline — changes between the
-    /// ads sold at one sync (only `queued` moves, which feeds the running
-    /// tails separately). The origin and candidates never collide on an
-    /// entry: the pool build skips `j == origin`.
-    fn cached_rate(&mut self, j: usize, start: SimTime, deadline: SimTime) -> f64 {
-        if self.lambda_epoch[j] == self.sync_epoch {
-            return self.lambda_cache[j];
-        }
-        let rate = self.clients.predictor[j].expected_rate(start, deadline.saturating_since(start));
-        self.lambda_epoch[j] = self.sync_epoch;
-        self.lambda_cache[j] = rate;
-        rate
     }
 
     fn on_expiry_sweep(&mut self, now: SimTime) {
@@ -1494,7 +1351,7 @@ impl ClientEngine {
         if n == 0 {
             return;
         }
-        let mut due = std::mem::take(&mut self.scratch_due);
+        let mut due = std::mem::take(&mut self.scratch.due);
         due.clear();
         self.tracker
             .undisplayed_due_before(now + self.config.prefetch_interval, &mut due);
@@ -1541,11 +1398,11 @@ impl ClientEngine {
                 _ => self.obs.inc(self.mid.netem_rescues_unplaced, 1),
             }
         }
-        self.scratch_due = due;
+        self.scratch.due = due;
     }
 
     fn expire(&mut self, now: SimTime) {
-        let mut expired = std::mem::take(&mut self.scratch_expired);
+        let mut expired = std::mem::take(&mut self.scratch.expired);
         self.ledger.expire_due(now, &mut expired);
         for &(ad, campaign, price) in &expired {
             self.exchange.refund(campaign, price);
@@ -1568,7 +1425,7 @@ impl ClientEngine {
             }
             self.tracker.remove(ad.0);
         }
-        self.scratch_expired = expired;
+        self.scratch.expired = expired;
     }
 
     /// Settles all outstanding state and produces the run's report plus
@@ -1667,26 +1524,14 @@ impl ClientEngine {
             per_user_energy_j: per_user,
             ledger: self.ledger.totals(),
         };
-        let scratch = EngineScratch {
-            queue: self.queue,
-            lambda_epoch: self.lambda_epoch,
-            lambda_cache: self.lambda_cache,
-            pool_pos: self.pool_pos,
-            pool_epoch: self.pool_epoch,
-            scratch_slot_times: self.scratch_slot_times,
-            scratch_outbox: self.scratch_outbox,
-            scratch_reports: self.scratch_reports,
-            scratch_cands: self.scratch_cands,
-            scratch_tails: self.scratch_tails,
-            scratch_due: self.scratch_due,
-            scratch_expired: self.scratch_expired,
-            scratch_cancel: self.scratch_cancel,
-            scratch_batch: self.scratch_batch,
-        };
-        (report, self.obs, scratch)
+        (report, self.obs, self.scratch)
     }
 }
 
 #[cfg(test)]
 #[path = "placement_tests.rs"]
 mod placement_tests;
+
+#[cfg(test)]
+#[path = "dispatch_tests.rs"]
+mod dispatch_tests;

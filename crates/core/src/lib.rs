@@ -45,7 +45,7 @@ pub mod scenario;
 pub mod sim;
 
 pub use config::{DeliveryMode, PlannerKind, SystemConfig};
-pub use engine::{ClientEngine, EngineEvent, EngineScratch, SlotFeed};
+pub use engine::{ClientEngine, EngineEvent, EngineScratch};
 pub use report::{NetemCounters, ScenarioCounters, SimReport};
 pub use scenario::{CellCapacity, CellPolicy, DeviceClass, ScenarioConfig};
 pub use sim::{

@@ -9,8 +9,12 @@
 //! on one and through the reference on the other, and compares the
 //! placement state after every single sale.
 
+use std::cell::Cell;
+use std::rc::Rc;
+
 use adpf_netem::NetemConfig;
 use adpf_overbooking::availability::AvailabilityCache;
+use adpf_prediction::SlotPredictor;
 use adpf_traces::PopulationConfig;
 use proptest::prelude::*;
 
@@ -46,7 +50,8 @@ impl ClientEngine {
         deadline: SimTime,
         pool_built: &mut bool,
     ) -> InlineVec<u32, { PLAN_INLINE + 1 }> {
-        let lambda = self.cached_rate(origin, now, deadline);
+        let lambda =
+            self.clients.predictor[origin].expected_rate(now, deadline.saturating_since(now));
         let queued = self.clients.queued[origin];
         let mean_session = self.clients.predictor[origin].mean_session_slots();
         let p_origin = r
@@ -108,7 +113,8 @@ impl ClientEngine {
         }
         for idx in 0..r.gather.len() {
             let (j, start) = r.gather[idx];
-            let lambda_j = self.cached_rate(j as usize, start, deadline);
+            let lambda_j = self.clients.predictor[j as usize]
+                .expected_rate(start, deadline.saturating_since(start));
             let mean_session_j = self.clients.predictor[j as usize].mean_session_slots();
             r.meta.push((lambda_j, mean_session_j));
         }
@@ -120,18 +126,18 @@ impl ClientEngine {
                 .avail
                 .display_probability_bursty(lambda_j, queued_j, mean_session_j);
             r.cands.push(ClientAvailability { client: j, prob });
-            self.pool_pos[j as usize] = idx as u32;
-            self.pool_epoch[j as usize] = self.pool_build_id;
+            self.scratch.pool_pos[j as usize] = idx as u32;
+            self.scratch.pool_epoch[j as usize] = self.pool_build_id;
         }
         self.obs.inc(self.mid.pool_scored, r.cands.len() as u64);
     }
 
     fn refresh_pool_probs_reference(&mut self, r: &mut ReferencePool, holders: &[u32]) {
         for &h in holders.iter().skip(1) {
-            if self.pool_epoch[h as usize] != self.pool_build_id {
+            if self.scratch.pool_epoch[h as usize] != self.pool_build_id {
                 continue;
             }
-            let pos = self.pool_pos[h as usize] as usize;
+            let pos = self.scratch.pool_pos[h as usize] as usize;
             assert_eq!(r.cands[pos].client, h);
             let (lambda, mean_session) = r.meta[pos];
             let queued = self.clients.queued[h as usize];
@@ -147,10 +153,6 @@ impl ClientEngine {
 /// and the reference engine `e` with its pool `r`.
 fn compare(k: &ClientEngine, e: &ClientEngine, r: &ReferencePool) -> Result<(), TestCaseError> {
     prop_assert_eq!(k.cand_cursor, e.cand_cursor);
-    prop_assert_eq!(k.sync_epoch, e.sync_epoch);
-    prop_assert_eq!(&k.lambda_epoch, &e.lambda_epoch);
-    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    prop_assert_eq!(bits(&k.lambda_cache), bits(&e.lambda_cache));
     prop_assert_eq!(k.pool_build_id, e.pool_build_id);
     prop_assert_eq!(&k.clients.queued, &e.clients.queued);
     for name in [
@@ -167,7 +169,7 @@ fn compare(k: &ClientEngine, e: &ClientEngine, r: &ReferencePool) -> Result<(), 
     }
     // The kernel's pool is the reference's, in order and to the bit,
     // minus entries no planner can pick.
-    let mut kernel = k.scratch_cands.iter().enumerate().peekable();
+    let mut kernel = k.scratch.cands.iter().enumerate().peekable();
     for want in &r.cands {
         match kernel.peek() {
             Some(&(pos, got)) if got.client == want.client => {
@@ -178,8 +180,8 @@ fn compare(k: &ClientEngine, e: &ClientEngine, r: &ReferencePool) -> Result<(), 
                     got.client
                 );
                 let j = got.client as usize;
-                prop_assert_eq!(k.pool_epoch[j], k.pool_build_id);
-                prop_assert_eq!(k.pool_pos[j] as usize, pos);
+                prop_assert_eq!(k.scratch.pool_epoch[j], k.pool_build_id);
+                prop_assert_eq!(k.scratch.pool_pos[j] as usize, pos);
                 kernel.next();
             }
             _ => {
@@ -190,7 +192,7 @@ fn compare(k: &ClientEngine, e: &ClientEngine, r: &ReferencePool) -> Result<(), 
                     want.prob
                 );
                 // Left out means left out: no stale handle into the pool.
-                prop_assert_ne!(k.pool_epoch[want.client as usize], k.pool_build_id);
+                prop_assert_ne!(k.scratch.pool_epoch[want.client as usize], k.pool_build_id);
             }
         }
     }
@@ -198,12 +200,54 @@ fn compare(k: &ClientEngine, e: &ClientEngine, r: &ReferencePool) -> Result<(), 
         kernel.next().is_none(),
         "the kernel's pool has extra entries"
     );
-    prop_assert_eq!(k.scratch_tails.len(), k.scratch_cands.len());
+    prop_assert_eq!(k.scratch.tails.len(), k.scratch.cands.len());
     Ok(())
 }
 
+/// A client's own predictor, except that `expected_rate` answers the
+/// planted value while one is set.
+struct Planted {
+    inner: Box<dyn SlotPredictor>,
+    rate: Rc<Cell<Option<f64>>>,
+}
+
+impl SlotPredictor for Planted {
+    fn observe(&mut self, period_start: SimTime, period_end: SimTime, slot_times: &[SimTime]) {
+        self.inner.observe(period_start, period_end, slot_times)
+    }
+    fn predict(&self, now: SimTime, horizon: SimDuration) -> f64 {
+        self.inner.predict(now, horizon)
+    }
+    fn expected_rate(&self, now: SimTime, horizon: SimDuration) -> f64 {
+        match self.rate.get() {
+            Some(rate) => rate,
+            None => self.inner.expected_rate(now, horizon),
+        }
+    }
+    fn mean_session_slots(&self) -> f64 {
+        self.inner.mean_session_slots()
+    }
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+}
+
+/// Wraps client `j`'s predictor in a [`Planted`] reading `rates[j]`.
+fn plantable(engine: &mut ClientEngine, rates: &[Rc<Cell<Option<f64>>>]) {
+    engine.clients.predictor = std::mem::take(&mut engine.clients.predictor)
+        .into_iter()
+        .zip(rates)
+        .map(|(inner, rate)| -> Box<dyn SlotPredictor> {
+            Box::new(Planted {
+                inner,
+                rate: Rc::clone(rate),
+            })
+        })
+        .collect();
+}
+
 /// Expected rates a predictor will not produce on a three-day trace but
-/// the memo may legally hold: zero and negative, NaN, the smallest
+/// may legally return: zero and negative, NaN, the smallest
 /// subnormal (the session rate underflows to zero), a normal rate so
 /// small that `exp(-rate)` rounds to one (a positive rate scoring zero),
 /// and a client certain to display.
@@ -216,8 +260,9 @@ proptest! {
     /// engines are driven through the same slot stream; at a dozen points
     /// along it one client sells several ads in one sync — through
     /// `place_ad` on one engine, `place_ad_reference` on the other — and
-    /// after every sale holders, pool, cursor, rate memo and counters
-    /// agree. Some candidates get planted rates, and between sales a
+    /// after every sale holders, pool, cursor and counters
+    /// agree. Some candidates get planted rates for the length of that
+    /// sync, and between sales a
     /// holder's queue sometimes *falls* (never seen within a real sync;
     /// the kernel must restart its sum). The rest of the stream then runs
     /// on top of what each path left behind, and the reports agree.
@@ -255,6 +300,10 @@ proptest! {
         let ctx = ShardContext::new(&config);
         let mk = || ClientEngine::new(config.clone(), &by_user, trace.horizon(), trace.days(), &ctx);
         let (mut k, mut e) = (mk(), mk());
+        // One set of planted rates, read by both engines.
+        let planted: Vec<_> = (0..users).map(|_| Rc::new(Cell::new(None))).collect();
+        plantable(&mut k, &planted);
+        plantable(&mut e, &planted);
         let mut r = ReferencePool::new(&config);
         let mut script = StdRng::seed_from_u64(seed ^ 0x9e37_79b9);
         let stride = (slots.len() / 12).max(1);
@@ -267,16 +316,11 @@ proptest! {
             let deadline = (now + config.deadline).min(trace.horizon());
             if i % stride == stride / 2 && deadline > now {
                 // One selling sync, placement side only.
-                k.sync_epoch += 1;
-                e.sync_epoch += 1;
                 for _ in 0..script.gen_range(0..4) {
                     let j = script.gen_range(0..n);
                     let rate = PLANTED_RATES[script.gen_range(0..PLANTED_RATES.len())];
                     if j != origin {
-                        for eng in [&mut k, &mut e] {
-                            eng.lambda_epoch[j] = eng.sync_epoch;
-                            eng.lambda_cache[j] = rate;
-                        }
+                        planted[j].set(Some(rate));
                     }
                 }
                 let mut placement = SyncPlacement::default();
@@ -286,7 +330,7 @@ proptest! {
                     if placement.pool_built && !pool_built {
                         // Fresh from the build: nothing unpickable got in
                         // (later sales may push an entry down to zero).
-                        prop_assert!(k.scratch_cands.iter().all(|c| c.prob > 0.0));
+                        prop_assert!(k.scratch.cands.iter().all(|c| c.prob > 0.0));
                     }
                     let want = e.place_ad_reference(&mut r, origin, now, deadline, &mut pool_built);
                     prop_assert_eq!(holders.as_slice(), want.as_slice());
@@ -309,6 +353,9 @@ proptest! {
                         e.refresh_pool_probs_reference(&mut r, &[origin as u32, h]);
                         compare(&k, &e, &r)?;
                     }
+                }
+                for rate in &planted {
+                    rate.set(None);
                 }
             }
             k.on_slot(s.time, s.user, s.app);

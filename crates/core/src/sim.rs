@@ -15,7 +15,7 @@ use adpf_obs::{MetricRegistry, ObsSink};
 use adpf_traces::{shard_ranges, AdSlot, Trace, UserSlots};
 
 use crate::config::SystemConfig;
-use crate::engine::{ClientEngine, EngineScratch, SlotFeed};
+use crate::engine::{ClientEngine, EngineScratch};
 use crate::report::SimReport;
 use adpf_desim::WorkQueue;
 
@@ -177,26 +177,20 @@ impl Simulator {
     /// code, so an invalid one is a programming error.
     pub fn new(config: SystemConfig, trace: &Trace) -> Self {
         let ctx = ShardContext::new(&config);
-        Self::with_context(config, trace, &ctx)
+        Self::with_context_scratch(config, trace, &ctx, EngineScratch::default())
     }
 
-    /// [`Simulator::new`] against a prebuilt [`ShardContext`].
+    /// [`Simulator::new`] against a prebuilt [`ShardContext`], recycling
+    /// a previous engine's allocation set (see [`EngineScratch`]).
     ///
     /// Sharded runs build the context once and construct every shard's
     /// simulator from it; because the context depends only on fields the
     /// shard configs share, this is bit-identical to `new` on each shard
-    /// config.
+    /// config — and to building from a fresh scratch set.
     ///
     /// # Panics
     ///
     /// Panics if `config.validate()` fails.
-    pub fn with_context(config: SystemConfig, trace: &Trace, ctx: &ShardContext) -> Self {
-        Self::with_context_scratch(config, trace, ctx, EngineScratch::default())
-    }
-
-    /// [`Simulator::with_context`], recycling a previous engine's
-    /// allocation set (see [`EngineScratch`]). Behaviorally identical to
-    /// building from a fresh scratch set.
     pub fn with_context_scratch(
         config: SystemConfig,
         trace: &Trace,
@@ -229,23 +223,17 @@ impl Simulator {
         self.run_observed().0
     }
 
-    /// [`Simulator::run`] that also returns the run's metric registry.
+    /// [`Simulator::run`] that also returns the run's metric registry
+    /// and hands back the engine's allocation set, so a worker can reuse
+    /// it for its next shard.
     ///
     /// The registry is maintained unconditionally (its contents are pure
     /// functions of simulated events), so this returns exactly the same
     /// report as `run` — observability can be exported or dropped, never
     /// felt.
-    pub fn run_observed(self) -> (SimReport, MetricRegistry) {
-        let (report, reg, _) = self.run_observed_reclaim();
-        (report, reg)
-    }
-
-    /// [`Simulator::run_observed`], additionally handing back the
-    /// engine's allocation set so the worker can reuse it for its next
-    /// shard.
-    pub fn run_observed_reclaim(self) -> (SimReport, MetricRegistry, EngineScratch) {
+    pub fn run_observed(self) -> (SimReport, MetricRegistry, EngineScratch) {
         let Simulator { mut engine, slots } = self;
-        engine.drive(&mut SlotFeed::new(&slots));
+        engine.drive(&slots);
         engine.finalize_reclaim()
     }
 
@@ -310,17 +298,7 @@ impl Simulator {
         trace: &Trace,
         threads: usize,
     ) -> (SimReport, MetricRegistry) {
-        Self::run_sharded_observed(config, trace, default_shards(trace.num_users()), threads)
-    }
-
-    /// [`Simulator::run_sharded`] plus the merged metric registry.
-    pub fn run_sharded_observed(
-        config: &SystemConfig,
-        trace: &Trace,
-        n_shards: usize,
-        threads: usize,
-    ) -> (SimReport, MetricRegistry) {
-        let supply = ShardSupply::Materialized(trace, n_shards);
+        let supply = ShardSupply::Materialized(trace, default_shards(trace.num_users()));
         let (report, reg) = Self::run_sharded_inner(config, supply, threads, |_| {}, true);
         (report, reg.expect("observed run always yields a registry"))
     }
@@ -467,7 +445,7 @@ impl Simulator {
                                 .add_time_ns("phase.shard_setup", t0.elapsed().as_nanos() as u64);
                         }
                         let loop_start = observed.then(std::time::Instant::now);
-                        let (report, reg, reclaimed) = sim.run_observed_reclaim();
+                        let (report, reg, reclaimed) = sim.run_observed();
                         scratch = reclaimed;
                         if let Some(t0) = loop_start {
                             reg.add_time_ns("phase.event_loop", t0.elapsed().as_nanos() as u64);
@@ -898,7 +876,8 @@ mod tests {
             let mut cfg = base.clone();
             cfg.rng_stream = stream;
             let fresh = Simulator::new(cfg.clone(), &t).run();
-            let shared = Simulator::with_context(cfg, &t, &ctx).run();
+            let shared =
+                Simulator::with_context_scratch(cfg, &t, &ctx, EngineScratch::default()).run();
             assert_eq!(fresh, shared, "stream {stream} diverged");
         }
     }

@@ -1,7 +1,7 @@
 //! Minimal deterministic discrete-event simulation kernel.
 //!
 //! The `adprefetch` end-to-end simulator replays weeks of app-usage traces
-//! for thousands of clients. This crate provides the three pieces that make
+//! for thousands of clients. This crate provides the pieces that make
 //! such a replay deterministic and fast:
 //!
 //! - [`time`]: a millisecond-resolution simulated clock ([`SimTime`]) and
@@ -11,11 +11,6 @@
 //!   two runs with the same inputs produce byte-identical outputs. The
 //!   implementation is a two-lane calendar queue (near-future ring buckets
 //!   plus a far-event heap) sized for per-second slot cadences.
-//! - [`engine`]: a small actor-style driver ([`Simulation`]) for components
-//!   that want an inversion-of-control event loop.
-//! - [`feed`]: the [`EventFeed`] pull abstraction over sorted external
-//!   event streams, letting one consumer be driven by a batch replay or
-//!   a live ingest source alike.
 //! - [`smallvec`]: an [`InlineVec`] small-vector used by hot simulator
 //!   loops to build short lists without heap allocation.
 //! - [`steal`]: a [`WorkQueue`] atomic work queue that hands out indices
@@ -35,16 +30,12 @@
 //! assert_eq!(t + SimDuration::from_secs(5), SimTime::from_secs(10));
 //! ```
 
-pub mod engine;
-pub mod feed;
 pub mod queue;
 pub mod smallvec;
 pub mod steal;
 pub mod time;
 
-pub use engine::{Actor, EventKind, Scheduler, Simulation};
-pub use feed::EventFeed;
-pub use queue::{EventQueue, BUCKET_SPAN_MS};
+pub use queue::EventQueue;
 pub use smallvec::InlineVec;
 pub use steal::WorkQueue;
 pub use time::{SimDuration, SimTime};

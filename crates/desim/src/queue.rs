@@ -27,15 +27,6 @@ const NUM_BUCKETS: usize = 1024;
 const BUCKET_MASK: usize = NUM_BUCKETS - 1;
 const WINDOW_MS: u64 = (NUM_BUCKETS as u64) << BUCKET_MS_SHIFT;
 
-/// Span of one near-lane bucket in milliseconds.
-///
-/// [`EventQueue::drain_near_bucket`] hands back at most one bucket's
-/// worth of events per call, so batching callers that dispatch a whole
-/// drained batch before re-checking the queue rely on this bound: any
-/// event a dispatched handler schedules strictly more than one bucket
-/// span in the future cannot land inside the batch being dispatched.
-pub const BUCKET_SPAN_MS: u64 = 1 << BUCKET_MS_SHIFT;
-
 /// An event queue ordered by time, with FIFO ordering among events scheduled
 /// for the same instant.
 ///
@@ -230,11 +221,13 @@ impl<E> EventQueue<E> {
     /// This is exactly the prefix that repeated [`EventQueue::pop`] calls
     /// would return before leaving the head bucket: entries from a single
     /// bucket, in pop order, stopping at `upto`. Entries of the head
-    /// bucket at or after `upto` stay queued. Callers wanting everything
-    /// before `upto` loop until a call appends nothing (each drained
-    /// batch may be dispatched in between — see [`BUCKET_SPAN_MS`] for
-    /// the scheduling bound that keeps that equivalent to pop-dispatch
-    /// interleaving).
+    /// bucket at or after `upto` stay queued, so everything still queued
+    /// when the call returns is at or past every drained time. Callers
+    /// wanting everything before `upto` loop until a call appends
+    /// nothing. A caller whose handlers push while it dispatches a
+    /// drained batch must re-check the queue head between batch items:
+    /// a push timed before a later item of the batch pops ahead of that
+    /// item, and one at the item's own time after it (larger `seq`).
     ///
     /// When every pending event lies beyond the addressable window (times
     /// near [`SimTime::MAX`]), at most one far-heap event is served per

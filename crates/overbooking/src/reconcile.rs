@@ -211,19 +211,9 @@ impl ReplicaTracker {
         }
     }
 
-    /// Takes (and clears) the cancellation list for `client` — called when
-    /// the client syncs.
-    pub fn take_cancellations(&mut self, client: u32) -> Vec<u64> {
-        self.pending_cancel
-            .get_mut(client as usize)
-            .map(std::mem::take)
-            .unwrap_or_default()
-    }
-
     /// Appends `client`'s queued cancellations to `out` and clears the
-    /// queue in place, keeping its allocation for reuse — the zero-churn
-    /// form of [`take_cancellations`](Self::take_cancellations) for hot
-    /// sync loops.
+    /// queue in place, keeping its allocation for reuse — called when
+    /// the client syncs.
     pub fn drain_cancellations(&mut self, client: u32, out: &mut Vec<u64>) {
         if let Some(q) = self.pending_cancel.get_mut(client as usize) {
             out.extend_from_slice(q);
@@ -299,18 +289,25 @@ impl ReplicaTracker {
 mod tests {
     use super::*;
 
+    /// `client`'s queued cancellations, consumed.
+    fn drained(t: &mut ReplicaTracker, client: u32) -> Vec<u64> {
+        let mut out = Vec::new();
+        t.drain_cancellations(client, &mut out);
+        out
+    }
+
     #[test]
     fn first_display_cancels_other_holders() {
         let mut t = ReplicaTracker::new();
         t.register(7, &[1, 2, 3], SimTime::from_hours(1));
         assert_eq!(t.record_display(7, 2), DisplayDisposition::First);
         assert!(t.is_displayed(7));
-        assert_eq!(t.take_cancellations(1), vec![7]);
-        assert_eq!(t.take_cancellations(3), vec![7]);
+        assert_eq!(drained(&mut t, 1), vec![7]);
+        assert_eq!(drained(&mut t, 3), vec![7]);
         // The displaying client gets no cancellation.
-        assert!(t.take_cancellations(2).is_empty());
+        assert!(drained(&mut t, 2).is_empty());
         // Cancellations are consumed.
-        assert!(t.take_cancellations(1).is_empty());
+        assert!(drained(&mut t, 1).is_empty());
     }
 
     #[test]
@@ -339,7 +336,7 @@ mod tests {
         t.register(2, &[1, 3], SimTime::from_hours(1));
         t.record_display(1, 2);
         t.record_display(2, 3);
-        let mut c = t.take_cancellations(1);
+        let mut c = drained(&mut t, 1);
         c.sort_unstable();
         assert_eq!(c, vec![1, 2]);
     }
@@ -365,7 +362,7 @@ mod tests {
         let mut t = ReplicaTracker::new();
         t.register(9, &[4], SimTime::from_hours(1));
         assert_eq!(t.record_display(9, 4), DisplayDisposition::First);
-        assert!(t.take_cancellations(4).is_empty());
+        assert!(drained(&mut t, 4).is_empty());
     }
 
     #[test]
@@ -381,8 +378,8 @@ mod tests {
         // If the rescue replica displays first, original holders are
         // cancelled like any other losers.
         assert_eq!(t.record_display(7, 3), DisplayDisposition::First);
-        assert_eq!(t.take_cancellations(1), vec![7]);
-        assert_eq!(t.take_cancellations(2), vec![7]);
+        assert_eq!(drained(&mut t, 1), vec![7]);
+        assert_eq!(drained(&mut t, 2), vec![7]);
     }
 
     #[test]

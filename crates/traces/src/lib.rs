@@ -34,7 +34,6 @@ pub mod csv;
 pub mod gen;
 pub mod model;
 pub mod stats;
-pub mod transform;
 
 pub use gen::PopulationConfig;
 pub use model::{shard_ranges, AdSlot, AppId, Session, Trace, UserId, UserSlots};

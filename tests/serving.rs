@@ -4,6 +4,7 @@
 //! emulation, and with the marketplace on — because both sides drive
 //! the same `ClientEngine` with the same per-shard sub-streams.
 
+use adpf_bench::baseline::SMOKE_GOLDEN;
 use adpf_core::{Simulator, SystemConfig};
 use adpf_netem::NetemConfig;
 use adpf_serve::{serve, write_events, ServeOptions};
@@ -51,7 +52,7 @@ fn serving_reproduces_the_committed_smoke_golden_at_1_2_8_threads() {
         let out = serve(&opts, stream.as_slice()).unwrap();
         assert_eq!(
             out.report.stable_hash(),
-            0xba08_fcf9_274d_6de0,
+            SMOKE_GOLDEN,
             "served smoke run drifted off the committed golden at {threads} threads"
         );
     }
@@ -106,7 +107,7 @@ fn crlf_line_endings_and_a_missing_final_newline_serve_the_same_report() {
     let unterminated = text.trim_end();
     for variant in [crlf.as_str(), unterminated] {
         let out = serve(&ServeOptions::new(cfg.clone()), variant.as_bytes()).unwrap();
-        assert_eq!(out.report.stable_hash(), 0xba08_fcf9_274d_6de0);
+        assert_eq!(out.report.stable_hash(), SMOKE_GOLDEN);
         assert_eq!(out.requests, events, "the final line is served too");
         assert_eq!(out.ingest_errors, 0);
     }
@@ -129,7 +130,7 @@ fn hostile_bytes_are_counted_rejections_and_the_rest_is_served() {
     // time, so the flood spans over a thousand chunks.
     let input = std::io::BufReader::new(dirty.as_slice());
     let out = serve(&ServeOptions::new(cfg), input).unwrap();
-    assert_eq!(out.report.stable_hash(), 0xba08_fcf9_274d_6de0);
+    assert_eq!(out.report.stable_hash(), SMOKE_GOLDEN);
     assert_eq!(out.ingest_errors, 2);
     let rejected: Vec<(usize, &str)> = out
         .error_sample
