@@ -24,9 +24,9 @@
 # `adpf_bench::baseline::ROWS` at every listed thread count and hold each
 # to its pinned report hash (any divergence means a change altered
 # simulated outcomes; intentional ones update the pinned value with the
-# code), plus one peak-RSS ceiling and the 3% metric-collection ceiling.
-# They run last: those two ceilings are the only host-dependent checks
-# left, so a noisy host cannot mask the gates ahead of them.
+# code), plus one peak-RSS ceiling and a metrics-export check on the smoke
+# rows. They run last: the RSS ceiling is the only host-dependent check
+# left, so a noisy host cannot mask the gates ahead of it.
 set -eux
 
 # Held to `adpf_bench::baseline::SMOKE_GOLDEN` by a unit test there.

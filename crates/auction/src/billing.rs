@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 
-use adpf_desim::SimTime;
+use adpf_desim::{IdDeque, SimTime};
 
 use crate::campaign::CampaignId;
 use crate::exchange::{AdId, SoldAd};
@@ -48,42 +48,6 @@ impl Default for Sale {
             campaign: CampaignId(0),
             price: 0.0,
             deadline: SimTime::ZERO,
-        }
-    }
-}
-
-/// A deque indexed by ad id: `slots[i]` belongs to ad `first + i`, and
-/// `T::default()` fills the ids in between that were never stored. The
-/// exchange numbers ads with a monotone counter, so storing appends and
-/// a lookup is one subtraction.
-#[derive(Debug, Default)]
-struct IdArena<T> {
-    slots: VecDeque<T>,
-    first: u64,
-}
-
-impl<T: Copy + Default> IdArena<T> {
-    fn index(&self, id: u64) -> Option<usize> {
-        let i = usize::try_from(id.checked_sub(self.first)?).ok()?;
-        (i < self.slots.len()).then_some(i)
-    }
-
-    /// Stores `value` for `id`, growing towards whichever end `id` is
-    /// beyond, so ids may arrive in any order.
-    fn set(&mut self, id: u64, value: T) {
-        if self.slots.is_empty() {
-            self.first = id;
-        }
-        while id < self.first {
-            self.slots.push_front(T::default());
-            self.first -= 1;
-        }
-        let i = (id - self.first) as usize;
-        if i < self.slots.len() {
-            self.slots[i] = value;
-        } else {
-            self.slots.resize(i, T::default());
-            self.slots.push_back(value);
         }
     }
 }
@@ -145,21 +109,20 @@ impl LedgerTotals {
 /// have shown other paid ads, which is precisely the "revenue loss" the
 /// overbooking model must keep negligible.
 ///
-/// Storage is two id-indexed arenas (the layout `ReplicaTracker` uses)
-/// rather than a hash map. `states` keeps one byte per ad for good: a
-/// display reported long after settlement must still come back
-/// `Duplicate` or `Late`, never `Unknown`. `sales` holds price, payer and
-/// deadline, which only a *pending* ad needs, so its front advances as
-/// the oldest ads settle and it spans the open deadline window, not the
-/// whole run. Ids may be sold in any order and with gaps; each arena
+/// Storage is two [`IdDeque`]s (as in `ReplicaTracker`) rather than a
+/// hash map. `states` keeps one byte per ad for good: a display reported
+/// long after settlement must still come back `Duplicate` or `Late`,
+/// never `Unknown`. `sales` holds price, payer and deadline, which only a
+/// *pending* ad needs, so its front advances as the oldest ads settle and
+/// it spans the open deadline window, not the whole run. Ids may be sold in any order and with gaps; each deque
 /// spans from the lowest to the highest id it holds, gaps included.
 #[derive(Debug, Default)]
 pub struct Ledger {
     /// State of every ad ever sold; `None` marks an id never sold.
-    states: IdArena<Option<AdState>>,
-    /// Sale terms. Every pending ad lies inside this arena, and while it
+    states: IdDeque<Option<AdState>>,
+    /// Sale terms. Every pending ad lies inside this window, and while it
     /// is non-empty its first ad is pending.
-    sales: IdArena<Sale>,
+    sales: IdDeque<Sale>,
     /// `(deadline, ad)` of every sale that can expire, ascending by
     /// deadline. Entries of ads displayed since are dropped when reached.
     due: VecDeque<(SimTime, u64)>,
@@ -176,15 +139,12 @@ impl Ledger {
     pub fn record_sale(&mut self, ad: &SoldAd) {
         let id = ad.id.0;
         debug_assert!(self.state(ad.id).is_none(), "ad {} sold twice", ad.id);
-        self.states.set(id, Some(AdState::Pending));
-        self.sales.set(
-            id,
-            Sale {
-                campaign: ad.campaign,
-                price: ad.price,
-                deadline: ad.deadline,
-            },
-        );
+        *self.states.entry(id) = Some(AdState::Pending);
+        *self.sales.entry(id) = Sale {
+            campaign: ad.campaign,
+            price: ad.price,
+            deadline: ad.deadline,
+        };
         // `expire_due` tests `deadline < now`, which `MAX` never passes.
         if ad.deadline != SimTime::MAX {
             match self.due.back() {
@@ -202,33 +162,27 @@ impl Ledger {
     /// Drops the sale terms of every leading ad that is no longer
     /// pending, so `sales` spans only the ids still awaiting an outcome.
     fn retire_settled(&mut self) {
-        while !self.sales.slots.is_empty()
-            && self.state(AdId(self.sales.first)) != Some(AdState::Pending)
-        {
-            self.sales.slots.pop_front();
-            self.sales.first += 1;
-        }
+        let states = &self.states;
+        self.sales
+            .trim_front(|id, _| states.get(id) != Some(&Some(AdState::Pending)));
     }
 
     /// Reports a display of `ad` at `at`.
     pub fn record_impression(&mut self, ad: AdId, at: SimTime) -> ImpressionOutcome {
-        let Some(si) = self.states.index(ad.0) else {
-            return ImpressionOutcome::Unknown;
-        };
-        let Some(state) = self.states.slots[si] else {
+        let Some(state) = self.state(ad) else {
             return ImpressionOutcome::Unknown;
         };
         match state {
             AdState::Pending => {
-                let sale = self.sales.slots[(ad.0 - self.sales.first) as usize];
+                let sale = self.sales[ad.0];
                 let outcome = if at <= sale.deadline {
-                    self.states.slots[si] = Some(AdState::Displayed);
+                    self.states[ad.0] = Some(AdState::Displayed);
                     self.totals.billed += 1;
                     self.totals.revenue += sale.price;
                     ImpressionOutcome::Billed
                 } else {
                     // The expiry sweep may not have run yet; settle it now.
-                    self.states.slots[si] = Some(AdState::Expired);
+                    self.states[ad.0] = Some(AdState::Expired);
                     self.totals.expired += 1;
                     self.totals.refunded += sale.price;
                     self.totals.late_displays += 1;
@@ -261,14 +215,13 @@ impl Ledger {
                 break;
             }
             self.due.pop_front();
-            let si = (id - self.states.first) as usize;
-            if self.states.slots[si] != Some(AdState::Pending) {
+            if self.states[id] != Some(AdState::Pending) {
                 continue;
             }
-            let sale = self.sales.slots[(id - self.sales.first) as usize];
+            let sale = self.sales[id];
             // The deadline re-check only matters for an id sold twice.
             if sale.deadline < now {
-                self.states.slots[si] = Some(AdState::Expired);
+                self.states[id] = Some(AdState::Expired);
                 out.push((AdId(id), sale.campaign, sale.price));
             }
         }
@@ -284,7 +237,7 @@ impl Ledger {
 
     /// State of an ad, if known.
     pub fn state(&self, ad: AdId) -> Option<AdState> {
-        self.states.slots[self.states.index(ad.0)?]
+        self.states.get(ad.0).copied().flatten()
     }
 
     /// Current totals.

@@ -9,9 +9,7 @@
 //! any simulated outcome — even one bit of one float — changes it.
 //!
 //! Timing claims (throughput, latency, memory under load) belong to
-//! `benchmark/`. Nothing here judges a clock against a committed number;
-//! the one ratio gated, metric-collection overhead, compares runs taken
-//! back to back in one process.
+//! `benchmark/`. Nothing here judges a clock against a committed number.
 
 use std::io;
 use std::time::Instant;
@@ -30,9 +28,6 @@ pub const SMOKE_GOLDEN: u64 = 0xba08_fcf9_274d_6de0;
 /// The smoke population under [`ScenarioSpec::mixed`].
 const MIXED_GOLDEN: u64 = 0xddb8_fd9f_23e2_7430;
 
-/// Repetitions per mode in [`obs_overhead_pct`].
-const OBS_REPS: usize = 9;
-
 /// A row's synthetic population. The seed is part of the workload
 /// identity: two runs are comparable only when every field matches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,24 +38,20 @@ pub enum Population {
     Iphone(u32, u32, u64),
 }
 
-/// How [`run`] drives a row. All four produce the same report for the
+/// How [`run`] drives a row. All three produce the same report for the
 /// same row; that equality is what the table gates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Driver {
-    /// Materialize the trace, then [`Simulator::run_parallel`].
+    /// Materialize the trace, then [`Simulator::run_trace`].
     Parallel,
-    /// [`Simulator::run_streaming_observed`]: each shard generates its
-    /// own user range, so memory is O(users-per-shard × threads). Shard
-    /// count comes from [`adpf_core::default_shards`], as in
-    /// `simulate --stream`.
+    /// [`Simulator::run_shards`]: each shard generates its own user
+    /// range, so memory is O(users-per-shard × threads). Shard count
+    /// comes from [`adpf_core::default_shards`], as in `simulate --stream`.
     Streaming,
     /// Serialize the trace to the wire protocol and replay it through
     /// [`adpf_serve::serve`] in-process; the stream must ingest with no
     /// rejected line.
     Serve,
-    /// [`Simulator::run_parallel_observed`]; the registry's JSON-lines
-    /// export must pass the schema validator.
-    Observed,
 }
 
 /// One condition a row's outcome must meet.
@@ -73,11 +64,13 @@ pub enum Gate {
     /// is a lifetime high-water mark, so rows carrying this gate come
     /// first in [`ROWS`]. Always met where no `/proc` exposes the figure.
     MaxRssMb(f64),
-    /// Ceiling on [`obs_overhead_pct`].
-    MaxObsOverheadPct(f64),
     /// The scenario layer's user-cost counters (metered bytes,
     /// display-latency samples) were populated.
     ScenarioCountersNonZero,
+    /// The merged registry's JSON-lines export is non-empty and passes
+    /// the schema validator — re-read from disk when [`check`] is given
+    /// a `metrics_out` path, since the file is what tooling consumes.
+    MetricsExport,
 }
 
 /// One pinned workload.
@@ -113,7 +106,7 @@ pub const SMOKE: Row = Row {
     config_seed: 5,
     driver: Driver::Parallel,
     threads: &[1, 2, 4, 8],
-    gates: &[Gate::Hash(SMOKE_GOLDEN)],
+    gates: &[Gate::Hash(SMOKE_GOLDEN), Gate::MetricsExport],
     slow: false,
 };
 
@@ -131,7 +124,7 @@ const SCALE_100K: Row = Row {
 
 /// Every pinned workload; `baseline` with no row names runs the ones not
 /// marked `slow`, in this order.
-pub const ROWS: [Row; 11] = [
+pub const ROWS: [Row; 10] = [
     // Big enough that materializing its trace first would blow the
     // ceiling several times over (~128 MiB for the trace alone; it
     // streams in ~58 MiB), small enough to stream in seconds. The thread
@@ -157,13 +150,6 @@ pub const ROWS: [Row; 11] = [
         name: "smoke-serve",
         driver: Driver::Serve,
         threads: &[1, 2, 8],
-        ..SMOKE
-    },
-    Row {
-        name: "smoke-observed",
-        driver: Driver::Observed,
-        threads: &[1],
-        gates: &[Gate::Hash(SMOKE_GOLDEN), Gate::MaxObsOverheadPct(3.0)],
         ..SMOKE
     },
     Row {
@@ -252,8 +238,7 @@ pub fn select(names: &[String]) -> Result<Vec<Row>, String> {
 pub struct Outcome {
     /// The merged report.
     pub report: SimReport,
-    /// The merged metric registry; empty under [`Driver::Parallel`],
-    /// which runs unobserved.
+    /// The merged metric registry.
     pub registry: MetricRegistry,
     /// Wall-clock seconds of the simulation alone — except under
     /// [`Driver::Streaming`], where generation happens inside the
@@ -286,24 +271,18 @@ pub fn run(row: &Row, threads: usize) -> Outcome {
     // such moment, its shards are generated as they are consumed.
     let mut ready = start;
     let (report, registry) = match row.driver {
-        Driver::Parallel | Driver::Observed => {
+        Driver::Parallel => {
             let trace = generate();
             ready = Instant::now();
-            if row.driver == Driver::Observed {
-                Simulator::run_parallel_observed(&cfg, &trace, threads)
-            } else {
-                let report = Simulator::run_parallel(&cfg, &trace, threads);
-                (report, MetricRegistry::new())
-            }
+            Simulator::run_trace(&cfg, &trace, threads)
         }
         Driver::Streaming => {
             let n_shards = adpf_core::default_shards(pop.num_users);
-            Simulator::run_streaming_observed(&cfg, pop.num_users, n_shards, threads, |i| {
-                match &scenario {
-                    Some(sp) => sp.generate_shard(i, n_shards),
-                    None => pop.generate_shard(i, n_shards),
-                }
-            })
+            let shard = |i| match &scenario {
+                Some(sp) => sp.generate_shard(i, n_shards),
+                None => pop.generate_shard(i, n_shards),
+            };
+            Simulator::run_shards(&cfg, pop.num_users, n_shards, threads, shard)
         }
         Driver::Serve => {
             let mut stream = Vec::new();
@@ -330,33 +309,15 @@ pub fn run(row: &Row, threads: usize) -> Outcome {
     }
 }
 
-/// Wall-clock cost of metric collection on `row`, in percent: the row
-/// run single-threaded under [`Driver::Parallel`] and under
-/// [`Driver::Observed`], minimum of [`OBS_REPS`] wall times per mode,
-/// clamped at zero (timer noise on small workloads can make the observed
-/// run measure *faster*). The two modes alternate order between
-/// repetitions so slow host-level drift cannot bias one side.
-pub fn obs_overhead_pct(row: &Row) -> f64 {
-    let modes = [Driver::Parallel, Driver::Observed].map(|driver| Row { driver, ..*row });
-    let mut best = [f64::INFINITY; 2];
-    for rep in 0..OBS_REPS {
-        for k in 0..2 {
-            let i = (rep + k) % 2;
-            best[i] = best[i].min(run(&modes[i], 1).wall_s);
-        }
-    }
-    ((best[1] - best[0]) / best[0].max(1e-9) * 100.0).max(0.0)
-}
-
 /// Runs every row at every thread count (`threads`, else the row's own
 /// list), holds each outcome to the row's gates and its driver's
 /// contract, and hands `emit` one `name threads=… hash=… ok` or
 /// `… FAILED(what expected …, got …; …)` line per run. Never stops at a
 /// failure; returns how many runs failed.
 ///
-/// Under [`Driver::Observed`] the metrics export goes through
-/// `metrics_out` when given and is validated as re-read from disk — the
-/// file is what downstream tooling consumes.
+/// Under [`Gate::MetricsExport`] the export goes through `metrics_out`
+/// when given and is validated as re-read from disk — the file is what
+/// downstream tooling consumes.
 pub fn check(
     rows: &[Row],
     threads: Option<&[usize]>,
@@ -369,54 +330,51 @@ pub fn check(
             let o = run(row, t);
             let hash = o.report.stable_hash();
             let mut notes = String::new();
-            let mut ceiling = |what: &str, got: f64, max: f64| {
-                notes += &format!(" {what}={got:.2}");
-                (got > max).then(|| format!("{what} expected <= {max}, got {got:.2}"))
-            };
-            let gate_failures = row.gates.iter().filter_map(|gate| match *gate {
-                Gate::Hash(want) => {
-                    (hash != want).then(|| format!("hash expected {want:016x}, got {hash:016x}"))
-                }
-                Gate::MaxRssMb(max) => ceiling("rss_mb", o.peak_rss_mb, max),
-                Gate::MaxObsOverheadPct(max) => {
-                    ceiling("obs_overhead_pct", obs_overhead_pct(row), max)
-                }
-                Gate::ScenarioCountersNonZero => {
-                    let sc = &o.report.scenario;
-                    let (bytes, samples) = (sc.metered_bytes(), sc.display_latency_ms.count());
-                    (bytes == 0 || samples == 0).then(|| {
-                        format!(
-                            "scenario counters expected non-zero, got {bytes} metered bytes, \
-                             {samples} display-latency samples"
-                        )
-                    })
-                }
-            });
-            let mut failures: Vec<String> = gate_failures.collect();
-            failures.extend(match row.driver {
-                Driver::Parallel | Driver::Streaming => None,
-                Driver::Serve => {
-                    let errors = o.registry.counter_value("serve.ingest_errors");
-                    (errors != 0).then(|| format!("ingest_errors expected 0, got {errors}"))
-                }
-                Driver::Observed => {
-                    let export = to_json_lines(&o.registry, row.name);
-                    let export = match metrics_out {
-                        Some(path) => std::fs::write(path, &export)
-                            .and_then(|()| std::fs::read_to_string(path))
-                            .map_err(|e| format!("{path}: {e}")),
-                        None => Ok(export),
-                    };
-                    match export.and_then(|text| validate_json_lines(&text)) {
-                        Ok(n) if n > 0 => {
-                            notes += &format!(" metric_lines={n}");
-                            None
-                        }
-                        Ok(_) => Some("metrics export expected lines, got none".to_string()),
-                        Err(e) => Some(format!("metrics export expected valid, got {e}")),
+            let mut failures = Vec::new();
+            for gate in row.gates {
+                failures.extend(match *gate {
+                    Gate::Hash(want) => (hash != want)
+                        .then(|| format!("hash expected {want:016x}, got {hash:016x}")),
+                    Gate::MaxRssMb(max) => {
+                        let got = o.peak_rss_mb;
+                        notes += &format!(" rss_mb={got:.2}");
+                        (got > max).then(|| format!("rss_mb expected <= {max}, got {got:.2}"))
                     }
-                }
-            });
+                    Gate::ScenarioCountersNonZero => {
+                        let sc = &o.report.scenario;
+                        let (bytes, samples) = (sc.metered_bytes(), sc.display_latency_ms.count());
+                        (bytes == 0 || samples == 0).then(|| {
+                            format!(
+                                "scenario counters expected non-zero, got {bytes} metered \
+                                 bytes, {samples} display-latency samples"
+                            )
+                        })
+                    }
+                    Gate::MetricsExport => {
+                        let export = to_json_lines(&o.registry, row.name);
+                        let export = match metrics_out {
+                            Some(path) => std::fs::write(path, &export)
+                                .and_then(|()| std::fs::read_to_string(path))
+                                .map_err(|e| format!("{path}: {e}")),
+                            None => Ok(export),
+                        };
+                        match export.and_then(|text| validate_json_lines(&text)) {
+                            Ok(n) if n > 0 => {
+                                notes += &format!(" metric_lines={n}");
+                                None
+                            }
+                            Ok(_) => Some("metrics export expected lines, got none".to_string()),
+                            Err(e) => Some(format!("metrics export expected valid, got {e}")),
+                        }
+                    }
+                });
+            }
+            if row.driver == Driver::Serve {
+                let errors = o.registry.counter_value("serve.ingest_errors");
+                failures.extend(
+                    (errors != 0).then(|| format!("ingest_errors expected 0, got {errors}")),
+                );
+            }
             let verdict = if failures.is_empty() {
                 "ok".to_string()
             } else {
@@ -467,8 +425,8 @@ pub fn record(
 /// work; `ads_placed` is advance sales registered with the ledger; both
 /// rates divide by `wall_s` only. `cpus` stamps the recording host,
 /// because wall-clock columns compare only between similar hardware.
-/// `obs_overhead_pct` is no longer measured at record time — `check`
-/// gates it on `smoke-observed` — and stays `0.00`.
+/// `obs_overhead_pct` is no longer measured and stays `0.00`, so the
+/// key set matches every entry recorded before.
 pub fn entry_line(label: &str, workload: &str, threads: usize, o: &Outcome) -> String {
     let (wall_s, gen_wall_s, rss) = (o.wall_s, o.gen_wall_s, o.peak_rss_mb);
     let cpus = std::thread::available_parallelism().map_or(0, |n| n.get());
@@ -517,9 +475,9 @@ mod tests {
         select(&[name.to_string()]).expect("known row")[0]
     }
 
-    fn checked(rows: &[Row]) -> (usize, Vec<String>) {
+    fn checked(rows: &[Row], metrics_out: Option<&str>) -> (usize, Vec<String>) {
         let mut lines = Vec::new();
-        let failed = check(rows, None, None, |l| lines.push(l.to_string()));
+        let failed = check(rows, None, metrics_out, |l| lines.push(l.to_string()));
         (failed, lines)
     }
 
@@ -527,22 +485,19 @@ mod tests {
     fn the_smoke_rows_pass_at_every_listed_thread_count() {
         let mut rows = select(&[]).unwrap();
         rows.retain(|r| r.name.starts_with("smoke"));
-        // The overhead ceiling is a release-build figure; ci.sh holds the
-        // binary to it.
-        assert_eq!(rows[3].name, "smoke-observed");
-        rows[3].gates = &[Gate::Hash(SMOKE_GOLDEN)];
-        let (failed, lines) = checked(&rows);
+        let (failed, lines) = checked(&rows, None);
         assert_eq!(failed, 0, "{lines:#?}");
-        assert_eq!(lines.len(), 4 + 3 + 3 + 1 + 3 + 1);
+        assert_eq!(lines.len(), 4 + 3 + 3 + 3 + 1);
         let golden = format!("hash={SMOKE_GOLDEN:016x}");
-        assert_eq!(lines[0], format!("smoke threads=1 {golden} ok"));
         assert!(
-            lines[..11].iter().all(|l| l.contains(&golden)),
+            lines[..10].iter().all(|l| l.contains(&golden)),
             "{lines:#?}"
         );
         assert!(lines.iter().all(|l| l.ends_with(" ok")), "{lines:#?}");
-        assert!(lines[10].contains(" metric_lines="), "{}", lines[10]);
-        assert!(lines[14].starts_with("smoke-mixed-stream threads=2 hash="));
+        let exported = format!("smoke threads=1 {golden} metric_lines=");
+        assert!(lines[0].starts_with(&exported), "{}", lines[0]);
+        assert!(lines[..10].iter().all(|l| l.contains(" metric_lines=")));
+        assert!(lines[13].starts_with("smoke-mixed-stream threads=2 hash="));
     }
 
     #[test]
@@ -559,14 +514,15 @@ mod tests {
             threads: &[8],
             ..row("smoke-mixed")
         };
-        // Overhead is clamped at zero and VmHWM is positive wherever it
-        // is readable, so neither ceiling can be met.
-        let ceilings = Row {
+        // No export can be written into a directory that does not exist,
+        // and VmHWM is positive wherever it is readable.
+        let unmet = Row {
             threads: &[2],
-            gates: &[Gate::MaxObsOverheadPct(-1.0), Gate::MaxRssMb(0.0)],
+            gates: &[Gate::MetricsExport, Gate::MaxRssMb(0.0)],
             ..row("smoke-stream")
         };
-        let (failed, lines) = checked(&[flipped, bare, ceilings]);
+        let nowhere = std::env::temp_dir().join("adpf-no-such-dir/m.jsonl");
+        let (failed, lines) = checked(&[flipped, bare, unmet], nowhere.to_str());
         assert_eq!(failed, 3, "every bad row is reported: {lines:#?}");
         let golden = format!("{SMOKE_GOLDEN:016x}");
         assert_eq!(
@@ -586,7 +542,7 @@ mod tests {
             "{}",
             lines[2]
         );
-        let mut wants = vec!["FAILED(obs_overhead_pct expected <= -1, got "];
+        let mut wants = vec!["FAILED(metrics export expected valid, got "];
         if adpf_obs::peak_rss_kb().is_some() {
             wants.push("; rss_mb expected <= 0, got ");
         }
@@ -612,20 +568,13 @@ mod tests {
         }
         let defaults = select(&[]).unwrap();
         assert!(defaults.iter().all(|r| !r.slow));
-        for d in [
-            Driver::Parallel,
-            Driver::Streaming,
-            Driver::Serve,
-            Driver::Observed,
-        ] {
+        for d in [Driver::Parallel, Driver::Streaming, Driver::Serve] {
             assert!(defaults.iter().any(|r| r.driver == d), "{d:?} unused");
         }
         let gates: Vec<Gate> = defaults.iter().flat_map(|r| r.gates).copied().collect();
         assert!(gates.iter().any(|g| matches!(g, Gate::Hash(_))));
         assert!(gates.iter().any(|g| matches!(g, Gate::MaxRssMb(_))));
-        assert!(gates
-            .iter()
-            .any(|g| matches!(g, Gate::MaxObsOverheadPct(_))));
+        assert!(gates.contains(&Gate::MetricsExport));
         assert!(gates.contains(&Gate::ScenarioCountersNonZero));
         // VmHWM never falls, so an RSS ceiling means something only on
         // rows that run before any ungated one — in the table, and in a
@@ -647,7 +596,7 @@ mod tests {
     fn every_driver_gives_the_same_report_and_times_both_phases() {
         let want = run(&SMOKE, 1).report;
         assert!(want.slots > 0 && want.ledger.sold > 0);
-        for name in ["smoke", "smoke-stream", "smoke-serve", "smoke-observed"] {
+        for name in ["smoke", "smoke-stream", "smoke-serve"] {
             let o = run(&row(name), 2);
             assert_eq!(o.report, want, "{name} diverged");
             assert!(o.wall_s > 0.0 && o.gen_wall_s > 0.0, "{name} untimed");

@@ -5,7 +5,7 @@
 //! ```text
 //! baseline --check                        # every default row, every listed thread count
 //! baseline --check e14 scale-1m           # only these rows (slow rows run only when named)
-//! baseline --check --metrics-out m.jsonl  # smoke-observed's export is written, then validated from disk
+//! baseline --check --metrics-out m.jsonl  # the smoke row's export is written, then validated from disk
 //! baseline --label my-change smoke e14 --threads-list 1   # append entries to BENCH_baseline.json
 //! ```
 //!

@@ -13,13 +13,13 @@
 //! the comparison (energy savings, revenue loss, SLA violations).
 //!
 //! Every run goes through the sharded simulator
-//! ([`Simulator::run_parallel`]); the logical shard count derives from
+//! ([`Simulator::run_trace`]); the logical shard count derives from
 //! the population size alone, and `--threads N` only spreads those
 //! shards (and trace generation) over N OS threads, so the report for a
 //! given trace and seed is identical at every thread count.
 //!
 //! `--stream` switches to the bounded-memory pipeline
-//! ([`Simulator::run_streaming`]): each shard materializes its own user
+//! ([`Simulator::run_shards`]): each shard materializes its own user
 //! range on the worker that consumes it, so the full trace never exists
 //! in memory and peak RSS stays O(users-per-shard × threads) instead of
 //! O(population). With a synthetic preset each shard *generates* its
@@ -102,47 +102,23 @@ enum Source {
     },
 }
 
-/// Runs one config against the source, on the pipeline the source
-/// implies; returns the registry only when `observed`.
+/// Runs one config against the source: [`Simulator::run_trace`] for a
+/// materialized trace, [`Simulator::run_shards`] for the streamed ones.
 fn run_source(
     cfg: &adpf_core::SystemConfig,
     source: &Source,
     threads: usize,
-    observed: bool,
-) -> (SimReport, Option<MetricRegistry>) {
+) -> (SimReport, MetricRegistry) {
     match source {
-        Source::Trace(t) => {
-            if observed {
-                let (r, reg) = Simulator::run_parallel_observed(cfg, t, threads);
-                (r, Some(reg))
-            } else {
-                (Simulator::run_parallel(cfg, t, threads), None)
-            }
-        }
+        Source::Trace(t) => Simulator::run_trace(cfg, t, threads),
         Source::Synthetic(p) => {
             let n = default_shards(p.num_users);
-            let make = |i: usize| p.generate_shard(i, n);
-            if observed {
-                let (r, reg) =
-                    Simulator::run_streaming_observed(cfg, p.num_users, n, threads, make);
-                (r, Some(reg))
-            } else {
-                (
-                    Simulator::run_streaming(cfg, p.num_users, n, threads, make),
-                    None,
-                )
-            }
+            Simulator::run_shards(cfg, p.num_users, n, threads, |i| p.generate_shard(i, n))
         }
         Source::Scenario(p) => {
             let users = p.num_users();
             let n = default_shards(users);
-            let make = |i: usize| p.generate_shard(i, n);
-            if observed {
-                let (r, reg) = Simulator::run_streaming_observed(cfg, users, n, threads, make);
-                (r, Some(reg))
-            } else {
-                (Simulator::run_streaming(cfg, users, n, threads, make), None)
-            }
+            Simulator::run_shards(cfg, users, n, threads, |i| p.generate_shard(i, n))
         }
         Source::File {
             path,
@@ -154,7 +130,7 @@ fn run_source(
             // Workers re-open the file per shard; a read failure here is
             // unrecoverable mid-pipeline (the file was validated by
             // trace_dims at startup), so fail the whole process.
-            let make = |i: usize| {
+            Simulator::run_shards(cfg, *users, n, threads, |i| {
                 let file = File::open(path).unwrap_or_else(|e| {
                     eprintln!("cannot reopen {path}: {e}");
                     std::process::exit(1)
@@ -163,16 +139,7 @@ fn run_source(
                     eprintln!("{e}");
                     std::process::exit(1)
                 })
-            };
-            if observed {
-                let (r, reg) = Simulator::run_streaming_observed(cfg, *users, n, threads, make);
-                (r, Some(reg))
-            } else {
-                (
-                    Simulator::run_streaming(cfg, *users, n, threads, make),
-                    None,
-                )
-            }
+            })
         }
     }
 }
@@ -201,10 +168,9 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // `--metrics` prints the registry, `--metrics-out` exports it; either
-    // one turns collection on. Collection never changes reports — see the
+    // `--metrics` prints each run's registry, `--metrics-out` exports it.
+    // Every run keeps one; reading it never changes a report — see the
     // observability test suite.
-    let collect = opts.metrics || opts.metrics_out.is_some();
     let pipeline = MetricRegistry::new();
 
     // Streaming never materializes the trace — it keeps a population
@@ -267,7 +233,7 @@ fn main() -> ExitCode {
             Source::Synthetic(Box::new(pop))
         }
     } else {
-        let gen_start = collect.then(Instant::now);
+        let gen_start = Instant::now();
         let trace = match load_trace(&opts) {
             Ok(t) => t,
             Err(e) => {
@@ -275,9 +241,7 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        if let Some(t0) = gen_start {
-            pipeline.add_time_ns("phase.trace_gen", t0.elapsed().as_nanos() as u64);
-        }
+        pipeline.add_time_ns("phase.trace_gen", gen_start.elapsed().as_nanos() as u64);
         println!(
             "trace: {} users, {} sessions, {} days ({} threads)\n",
             trace.num_users(),
@@ -307,14 +271,12 @@ fn main() -> ExitCode {
     for &(mode, label) in modes {
         let report = match build_config(&opts, mode) {
             Ok(cfg) => {
-                let (r, reg) = run_source(&cfg, &source, opts.threads, collect);
-                if let Some(reg) = reg {
-                    if opts.metrics {
-                        println!("metrics ({label}):\n{}", render_table(&reg));
-                    }
-                    if opts.metrics_out.is_some() {
-                        exports.push_str(&to_json_lines(&reg, label));
-                    }
+                let (r, reg) = run_source(&cfg, &source, opts.threads);
+                if opts.metrics {
+                    println!("metrics ({label}):\n{}", render_table(&reg));
+                }
+                if opts.metrics_out.is_some() {
+                    exports.push_str(&to_json_lines(&reg, label));
                 }
                 r
             }

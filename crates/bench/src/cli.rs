@@ -25,9 +25,9 @@ pub struct SimulateOpts {
     pub deadline_h: u64,
     /// SLA target probability.
     pub sla: f64,
-    /// Predictor name (see [`parse_predictor`]).
+    /// Predictor name (see [`PredictorKind::parse`]).
     pub predictor: String,
-    /// Planner name (see [`parse_planner`]).
+    /// Planner name (see [`PlannerKind::parse`]).
     pub planner: String,
     /// Radio profile name (`3g`, `lte`, `wifi`).
     pub radio: String,
@@ -188,15 +188,15 @@ pub fn parse_simulate_args(args: &[String]) -> Result<SimulateOpts, CliError> {
     if o.threads == 0 {
         return Err(invalid("--threads must be at least 1"));
     }
-    parse_predictor(&o.predictor).map_err(CliError::Invalid)?;
-    parse_planner(&o.planner).map_err(CliError::Invalid)?;
+    PredictorKind::parse(&o.predictor).map_err(CliError::Invalid)?;
+    PlannerKind::parse(&o.planner).map_err(CliError::Invalid)?;
     if !matches!(o.radio.as_str(), "3g" | "lte" | "wifi") {
         return Err(invalid(format!("unknown radio `{}`", o.radio)));
     }
-    parse_netem(&o.netem).map_err(CliError::Invalid)?;
-    parse_marketplace(&o.marketplace).map_err(CliError::Invalid)?;
+    NetemConfig::parse_preset(&o.netem).map_err(CliError::Invalid)?;
+    MarketplaceConfig::parse_regime(&o.marketplace).map_err(CliError::Invalid)?;
     if let Some(p) = &o.pricing {
-        parse_pricing(p).map_err(CliError::Invalid)?;
+        PricingRule::parse(p).map_err(CliError::Invalid)?;
     }
     if let Some(f) = o.floor {
         if !(f.is_finite() && f >= 0.0) {
@@ -264,36 +264,6 @@ pub fn build_scenario(o: &SimulateOpts) -> Result<Option<ScenarioPopulation>, St
     Ok(Some(ScenarioPopulation::new(build_population(o)?, spec)))
 }
 
-/// Resolves a netem preset name (delegates to
-/// [`NetemConfig::parse_preset`], the canonical parser).
-pub fn parse_netem(name: &str) -> Result<NetemConfig, String> {
-    NetemConfig::parse_preset(name)
-}
-
-/// Resolves a marketplace regime name (delegates to
-/// [`MarketplaceConfig::parse_regime`], the canonical parser).
-pub fn parse_marketplace(name: &str) -> Result<MarketplaceConfig, String> {
-    MarketplaceConfig::parse_regime(name)
-}
-
-/// Resolves a pricing-rule name (delegates to [`PricingRule::parse`],
-/// the canonical parser).
-pub fn parse_pricing(name: &str) -> Result<PricingRule, String> {
-    PricingRule::parse(name)
-}
-
-/// Resolves a predictor name (delegates to [`PredictorKind::parse`],
-/// the canonical parser).
-pub fn parse_predictor(name: &str) -> Result<PredictorKind, String> {
-    PredictorKind::parse(name)
-}
-
-/// Resolves a planner name (delegates to [`PlannerKind::parse`], the
-/// canonical parser).
-pub fn parse_planner(name: &str) -> Result<PlannerKind, String> {
-    PlannerKind::parse(name)
-}
-
 /// Builds the validated [`SystemConfig`] for one delivery mode from
 /// parsed options.
 pub fn build_config(o: &SimulateOpts, mode: DeliveryMode) -> Result<SystemConfig, String> {
@@ -304,10 +274,10 @@ pub fn build_config(o: &SimulateOpts, mode: DeliveryMode) -> Result<SystemConfig
     cfg.prefetch_interval = SimDuration::from_hours(o.interval_h);
     cfg.deadline = SimDuration::from_hours(o.deadline_h);
     cfg.sla_target = o.sla;
-    cfg.predictor = parse_predictor(&o.predictor)?;
-    cfg.planner = parse_planner(&o.planner)?;
+    cfg.predictor = PredictorKind::parse(&o.predictor)?;
+    cfg.planner = PlannerKind::parse(&o.planner)?;
     cfg.radio = profiles::by_name(&o.radio)?;
-    cfg.netem = parse_netem(&o.netem)?;
+    cfg.netem = NetemConfig::parse_preset(&o.netem)?;
     if let Some(n) = o.netem_retries {
         if !cfg.netem.enabled {
             return Err("--netem-retries requires a --netem preset other than `off`".into());
@@ -317,12 +287,12 @@ pub fn build_config(o: &SimulateOpts, mode: DeliveryMode) -> Result<SystemConfig
             ..cfg.netem.retry
         };
     }
-    cfg.marketplace = parse_marketplace(&o.marketplace)?;
+    cfg.marketplace = MarketplaceConfig::parse_regime(&o.marketplace)?;
     if let Some(p) = &o.pricing {
         if !cfg.marketplace.enabled {
             return Err("--pricing requires a --marketplace regime other than `off`".into());
         }
-        cfg.marketplace.pricing = parse_pricing(p)?;
+        cfg.marketplace.pricing = PricingRule::parse(p)?;
     }
     if let Some(f) = o.floor {
         if !cfg.marketplace.enabled {
@@ -385,7 +355,7 @@ mod tests {
         assert_eq!(err, CliError::Invalid("unknown planner `quantum`".into()));
         // fixed-K with junk K is also a reject, not a silent default.
         assert!(parse_simulate_args(&argv("--planner fixed-x")).is_err());
-        assert_eq!(parse_planner("fixed-3"), Ok(PlannerKind::FixedK(3)));
+        assert_eq!(PlannerKind::parse("fixed-3"), Ok(PlannerKind::FixedK(3)));
     }
 
     #[test]

@@ -52,12 +52,12 @@ pub fn e19_reactive_marketplace(scale: Scale, threads: usize) -> Table {
     for sla in SLA_TARGETS {
         let mut static_cfg = SystemConfig::prefetch_default(1);
         static_cfg.sla_target = sla;
-        let baseline = Simulator::run_parallel(&static_cfg, &trace, threads);
+        let baseline = Simulator::run_trace(&static_cfg, &trace, threads).0;
         for (regime, mc) in regimes() {
             let r = if mc.enabled {
                 let mut cfg = static_cfg.clone();
                 cfg.marketplace = mc;
-                Simulator::run_parallel(&cfg, &trace, threads)
+                Simulator::run_trace(&cfg, &trace, threads).0
             } else {
                 baseline.clone()
             };

@@ -42,7 +42,7 @@ fn policies() -> Vec<(&'static str, RetryPolicy)> {
 pub fn e16_degraded_network(scale: Scale, threads: usize) -> Table {
     let trace = scale.system_trace(42);
     let ideal_cfg = SystemConfig::prefetch_default(1);
-    let ideal = Simulator::run_parallel(&ideal_cfg, &trace, threads);
+    let ideal = Simulator::run_trace(&ideal_cfg, &trace, threads).0;
 
     let mut table = Table::new(
         "E16",
@@ -75,7 +75,7 @@ pub fn e16_degraded_network(scale: Scale, threads: usize) -> Table {
         for (policy, retry) in policies() {
             let mut cfg = ideal_cfg.clone();
             cfg.netem = netem.clone().with_retry(retry);
-            let r = Simulator::run_parallel(&cfg, &trace, threads);
+            let r = Simulator::run_trace(&cfg, &trace, threads).0;
             let energy_delta = if ideal.energy.total_j() > 0.0 {
                 r.energy.total_j() / ideal.energy.total_j() - 1.0
             } else {

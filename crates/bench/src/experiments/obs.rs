@@ -26,7 +26,7 @@ pub fn e18_observability_breakdown(scale: Scale, threads: usize) -> Table {
 
     let mut cfg = SystemConfig::prefetch_default(1);
     cfg.netem = NetemConfig::flaky_cellular();
-    let (report, reg) = Simulator::run_parallel_observed(&cfg, &trace, threads);
+    let (report, reg) = Simulator::run_trace(&cfg, &trace, threads);
     reg.add_time_ns("phase.trace_gen", (gen_ms * 1e6) as u64);
 
     let mut table = Table::new(

@@ -10,15 +10,10 @@ use adpf_traces::PopulationConfig;
 use crate::scale::Scale;
 use crate::table::{f, pct, Table};
 
-/// E14: (a) real-time vs. advance clearing prices in the exchange, and
-/// (b) simulator throughput versus population size, single-threaded.
-pub fn e14_scaling(scale: Scale) -> Vec<Table> {
-    e14_scaling_threads(scale, 1)
-}
-
-/// [`e14_scaling`] running the sharded simulator on `threads` worker
-/// threads for the throughput section, plus a thread-sweep table (E14c)
-/// measuring sharded scaling on the largest population of the scale.
+/// E14: (a) real-time vs. advance clearing prices in the exchange, (b)
+/// simulator throughput versus population size on `threads` worker
+/// threads, and (c) a thread sweep measuring sharded scaling on the
+/// largest population of the scale.
 pub fn e14_scaling_threads(scale: Scale, threads: usize) -> Vec<Table> {
     let mut prices = Table::new(
         "E14a",
@@ -80,7 +75,7 @@ pub fn e14_scaling_threads(scale: Scale, threads: usize) -> Vec<Table> {
         };
         let trace = cfg.generate();
         let t0 = Instant::now();
-        let report = Simulator::run_parallel(&SystemConfig::prefetch_default(1), &trace, threads);
+        let (report, _) = Simulator::run_trace(&SystemConfig::prefetch_default(1), &trace, threads);
         let wall = t0.elapsed().as_secs_f64();
         throughput.push(vec![
             users.to_string(),
@@ -108,8 +103,8 @@ pub fn e14_scaling_threads(scale: Scale, threads: usize) -> Vec<Table> {
     let mut single_thread_wall = None;
     for threads in scale.thread_counts() {
         let t0 = Instant::now();
-        let report =
-            Simulator::run_parallel(&SystemConfig::prefetch_default(1), &sweep_trace, threads);
+        let (report, _) =
+            Simulator::run_trace(&SystemConfig::prefetch_default(1), &sweep_trace, threads);
         let wall = t0.elapsed().as_secs_f64();
         let base = *single_thread_wall.get_or_insert(wall);
         thread_sweep.push(vec![
@@ -158,7 +153,7 @@ pub fn e17_thread_scaling(scale: Scale) -> Table {
         let trace = pop.generate_parallel(threads);
         let gen_s = t_gen.elapsed().as_secs_f64();
         let t_sim = Instant::now();
-        let report = Simulator::run_parallel(&cfg, &trace, threads);
+        let (report, _) = Simulator::run_trace(&cfg, &trace, threads);
         let wall = t_sim.elapsed().as_secs_f64();
         let hash = report.stable_hash();
         let expect = *base_hash.get_or_insert(hash);
@@ -183,7 +178,7 @@ mod tests {
 
     #[test]
     fn e14_discount_tracks_revenue_ratio() {
-        let tables = e14_scaling(Scale::Micro);
+        let tables = e14_scaling_threads(Scale::Micro, 1);
         let prices = &tables[0];
         for row in &prices.rows {
             let discount: f64 = row[0].parse().unwrap();

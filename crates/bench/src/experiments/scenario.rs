@@ -104,7 +104,7 @@ pub fn e21_population_mix(scale: Scale, threads: usize) -> Table {
         let trace = pop.generate_parallel(threads);
         for (policy, mut cfg) in policies(1) {
             pop.apply_to(&mut cfg);
-            let r = Simulator::run_parallel(&cfg, &trace, threads);
+            let r = Simulator::run_trace(&cfg, &trace, threads).0;
             let sc = &r.scenario;
             let user_days = (r.users as f64 * r.days as f64).max(1.0);
             table.push(vec![
@@ -182,7 +182,7 @@ pub fn e22_flash_crowd(scale: Scale, threads: usize) -> Table {
                 cfg.sla_target = sla_target;
                 pop.apply_to(&mut cfg);
                 cfg.scenario.cell = cell.clone();
-                let r = Simulator::run_parallel(&cfg, &trace, threads);
+                let r = Simulator::run_trace(&cfg, &trace, threads).0;
                 let sc = &r.scenario;
                 table.push(vec![
                     f(intensity, 1),

@@ -256,14 +256,6 @@ pub fn e13_planner_ablation(scale: Scale) -> Table {
     table
 }
 
-/// Shared helper for integration tests: one quick prefetch-vs-realtime
-/// pair on the given trace.
-pub fn headline_pair(trace: &Trace) -> (SimReport, SimReport) {
-    let rt = realtime_baseline(trace);
-    let pf = prefetch(trace, |_| {});
-    (rt, pf)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -304,7 +304,7 @@ pub enum EngineEvent {
 /// epochs — and the pool build id starts counting at 1, so a zero-filled
 /// handle can never produce a false hit.
 #[derive(Default)]
-pub struct EngineScratch {
+pub(crate) struct EngineScratch {
     /// Internal (self-scheduled) events only; external slots never enter.
     queue: EventQueue<EngineEvent>,
     /// `pool_pos[j]` is client `j`'s index into `cands`, valid iff
@@ -402,7 +402,7 @@ pub struct ClientEngine {
     /// the run is a count of simulated events, merged shard-order like
     /// the report itself, so observability can never perturb outcomes.
     /// `SimReport::netem` is derived from it at finalize.
-    pub(crate) obs: MetricRegistry,
+    obs: MetricRegistry,
     /// Pre-resolved ids into `obs` for the hot-path counters.
     mid: SimIds,
     /// Monotone id of the last candidate-pool build; versions the
@@ -457,7 +457,7 @@ impl ClientEngine {
     /// [`ClientEngine::new`], recycling the allocations of a previous
     /// engine's [`EngineScratch`]. Behaviorally identical to building
     /// from a fresh scratch set.
-    pub fn with_scratch(
+    pub(crate) fn with_scratch(
         config: SystemConfig,
         slots_by_user: &UserSlots,
         horizon: SimTime,
@@ -1439,7 +1439,7 @@ impl ClientEngine {
     /// [`ClientEngine::finalize`], additionally handing back the
     /// engine's allocation set for reuse by the next engine on this
     /// thread (see [`EngineScratch`]).
-    pub fn finalize_reclaim(mut self) -> (SimReport, MetricRegistry, EngineScratch) {
+    pub(crate) fn finalize_reclaim(mut self) -> (SimReport, MetricRegistry, EngineScratch) {
         // Flush reports that never made it to a final sync (trace ended
         // first); without this, genuinely displayed ads would be
         // misclassified as SLA violations.

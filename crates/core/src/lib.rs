@@ -25,6 +25,10 @@
 //!    violations** (sold ads that expired undisplayed), plus duplicate
 //!    displays, cache hit rates, and sync costs.
 //!
+//! Batch runs shard the population through one scheduler,
+//! [`Simulator::run_shards`]; [`Simulator::run_trace`] feeds it a
+//! materialized trace.
+//!
 //! # Examples
 //!
 //! ```
@@ -45,10 +49,10 @@ pub mod scenario;
 pub mod sim;
 
 pub use config::{DeliveryMode, PlannerKind, SystemConfig};
-pub use engine::{ClientEngine, EngineEvent, EngineScratch};
+pub use engine::{ClientEngine, EngineEvent};
 pub use report::{NetemCounters, ScenarioCounters, SimReport};
 pub use scenario::{CellCapacity, CellPolicy, DeviceClass, ScenarioConfig};
 pub use sim::{
-    default_shards, shard_configs, ShardContext, Simulator, DEFAULT_SHARDS, MAX_SHARDS,
-    MAX_USERS_PER_SHARD, USERS_PER_SHARD,
+    default_shards, merge_shards, shard_configs, ShardContext, Simulator, DEFAULT_SHARDS,
+    MAX_SHARDS, MAX_USERS_PER_SHARD, USERS_PER_SHARD,
 };

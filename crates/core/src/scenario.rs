@@ -223,11 +223,6 @@ impl ScenarioConfig {
         class_index(self.assign_seed, global_user, &self.classes)
     }
 
-    /// Cell region for a global user id.
-    pub fn region_of(&self, global_user: u64) -> u32 {
-        region_index(self.assign_seed, global_user, self.cell.regions)
-    }
-
     /// Validates scenario parameters; returns a human-readable error.
     pub fn validate(&self) -> Result<(), String> {
         if !self.enabled {

@@ -3,12 +3,13 @@
 //! Since the serving split, the per-client decision logic lives in
 //! [`crate::engine::ClientEngine`]; this module keeps what is specific
 //! to *batch replay*: the precomputed slot stream, the shard derivation
-//! and work-stealing scheduler, and the shard-ordered merge. The batch
-//! [`Simulator`] is now one client of the engine — the online server in
-//! `adpf-serve` is the other — and both produce bit-identical reports
-//! for the same `(config, slot stream)`.
+//! and work-stealing scheduler ([`Simulator::run_shards`]), and the
+//! shard-ordered merge. The batch [`Simulator`] is now one client of the
+//! engine — the online server in `adpf-serve` is the other — and both
+//! produce bit-identical reports for the same `(config, slot stream)`.
 
 use std::sync::Mutex;
+use std::time::Instant;
 
 use adpf_auction::{Campaign, CampaignCatalog, CampaignType};
 use adpf_obs::{MetricRegistry, ObsSink};
@@ -19,7 +20,7 @@ use crate::engine::{ClientEngine, EngineScratch};
 use crate::report::SimReport;
 use adpf_desim::WorkQueue;
 
-/// Minimum number of logical shards used by [`Simulator::run_parallel`]
+/// Minimum number of logical shards used by [`Simulator::run_trace`]
 /// (the historical fixed shard count, kept as the floor so every
 /// population of up to `DEFAULT_SHARDS × USERS_PER_SHARD` users keeps the
 /// report hashes recorded before shard derivation existed).
@@ -56,7 +57,7 @@ pub const USERS_PER_SHARD: usize = 40;
 /// [`MAX_SHARDS`] shards of ~15,600.
 pub const MAX_USERS_PER_SHARD: usize = 2_048;
 
-/// Number of logical shards [`Simulator::run_parallel`] uses for a
+/// Number of logical shards [`Simulator::run_trace`] uses for a
 /// population of `num_users`: one shard per [`USERS_PER_SHARD`] users,
 /// clamped to `[DEFAULT_SHARDS, cap]` where the cap is [`MAX_SHARDS`]
 /// raised, when necessary, to whatever keeps every shard at or below
@@ -118,44 +119,6 @@ impl ShardContext {
     }
 }
 
-/// Where a sharded run's per-shard traces come from.
-///
-/// `Materialized` is the classic pipeline: the full trace exists and is
-/// split up front (all shard sub-traces alive simultaneously).
-/// `Streaming` hands each worker a generator instead of a `&Trace`: a
-/// shard's sub-trace is produced on the worker thread right before
-/// simulation and dropped right after, so peak residency is bounded by
-/// the number of *workers*, not the number of shards or users. Both
-/// variants cut the population along [`shard_ranges`], which is what
-/// keeps their merged reports bit-identical.
-#[derive(Clone, Copy)]
-enum ShardSupply<'a> {
-    /// The full trace, split `n_shards` ways up front.
-    Materialized(&'a Trace, usize),
-    /// Lazy per-shard generation over an `n_shards`-way split of a
-    /// `num_users` population.
-    Streaming {
-        num_users: u32,
-        n_shards: usize,
-        make: &'a (dyn Fn(usize) -> Trace + Sync),
-    },
-}
-
-impl ShardSupply<'_> {
-    fn num_users(&self) -> u32 {
-        match self {
-            ShardSupply::Materialized(trace, _) => trace.num_users(),
-            ShardSupply::Streaming { num_users, .. } => *num_users,
-        }
-    }
-
-    fn n_shards(&self) -> usize {
-        match self {
-            ShardSupply::Materialized(_, n) | ShardSupply::Streaming { n_shards: n, .. } => *n,
-        }
-    }
-}
-
 /// One configured simulation over one trace: a [`ClientEngine`] plus the
 /// precomputed slot stream that drives it.
 ///
@@ -169,7 +132,8 @@ pub struct Simulator {
 }
 
 impl Simulator {
-    /// Builds a simulator for `config` over `trace`.
+    /// Builds a simulator running one engine on exactly `config` over
+    /// `trace` — no shard derivation; it is what runs inside each shard.
     ///
     /// # Panics
     ///
@@ -187,11 +151,7 @@ impl Simulator {
     /// simulator from it; because the context depends only on fields the
     /// shard configs share, this is bit-identical to `new` on each shard
     /// config — and to building from a fresh scratch set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.validate()` fails.
-    pub fn with_context_scratch(
+    fn with_context_scratch(
         config: SystemConfig,
         trace: &Trace,
         ctx: &ShardContext,
@@ -226,164 +186,64 @@ impl Simulator {
     /// [`Simulator::run`] that also returns the run's metric registry
     /// and hands back the engine's allocation set, so a worker can reuse
     /// it for its next shard.
-    ///
-    /// The registry is maintained unconditionally (its contents are pure
-    /// functions of simulated events), so this returns exactly the same
-    /// report as `run` — observability can be exported or dropped, never
-    /// felt.
-    pub fn run_observed(self) -> (SimReport, MetricRegistry, EngineScratch) {
+    fn run_observed(self) -> (SimReport, MetricRegistry, EngineScratch) {
         let Simulator { mut engine, slots } = self;
         engine.drive(&slots);
         engine.finalize_reclaim()
     }
 
-    /// Runs `config` over `trace` as [`default_shards`]`(users)`
-    /// independent user shards scheduled across `threads` OS threads, and
-    /// merges the per-shard reports.
-    ///
-    /// The merged report is a deterministic function of `(config, trace)`
-    /// alone: the shard count derives from the population size (clamped
-    /// to it), each shard draws from its own `(seed, shard)` RNG stream
-    /// and budget share, and reports merge in shard order. Changing
-    /// `threads` changes only wall-clock time, never the result. Note
-    /// that the *sharded* result differs from [`Simulator::run`] on the
-    /// unsharded trace whenever more than one shard is used — replication
-    /// candidates are confined to a shard — which is the price of
-    /// embarrassingly parallel execution.
-    pub fn run_parallel(config: &SystemConfig, trace: &Trace, threads: usize) -> SimReport {
-        Self::run_sharded(config, trace, default_shards(trace.num_users()), threads)
-    }
-
-    /// [`Simulator::run_parallel`] with an explicit logical shard count.
-    ///
-    /// `n_shards` is clamped to the population size; `n_shards = 1`
-    /// reproduces [`Simulator::run`] bit-for-bit (stream 0, full
-    /// budgets, the whole trace). The report is independent of `threads`.
-    pub fn run_sharded(
-        config: &SystemConfig,
-        trace: &Trace,
-        n_shards: usize,
-        threads: usize,
-    ) -> SimReport {
-        Self::run_sharded_with_hook(config, trace, n_shards, threads, |_| {})
-    }
-
-    /// [`Simulator::run_sharded`] with a per-shard hook, called with the
-    /// shard index on the worker thread immediately before that shard
-    /// simulates.
-    ///
-    /// This is a scheduling-perturbation seam for the determinism tests:
-    /// a hook that stalls one shard forces every completion interleaving
-    /// the work-stealing loop can produce, and the merged report must not
-    /// notice. The hook cannot observe or influence shard semantics.
-    pub fn run_sharded_with_hook(
-        config: &SystemConfig,
-        trace: &Trace,
-        n_shards: usize,
-        threads: usize,
-        shard_hook: impl Fn(usize) + Sync,
-    ) -> SimReport {
-        let supply = ShardSupply::Materialized(trace, n_shards);
-        Self::run_sharded_inner(config, supply, threads, shard_hook, false).0
-    }
-
-    /// [`Simulator::run_parallel`] plus the merged metric registry.
-    ///
-    /// The report is bit-identical to [`Simulator::run_parallel`] on the
-    /// same inputs — observation adds wall-clock `phase.*` timers to the
-    /// registry but never touches simulation state. The registry merges
-    /// per-shard registries in shard order, mirroring the report merge.
-    pub fn run_parallel_observed(
+    /// [`Simulator::run_shards`] over the [`default_shards`]`(users)`-way
+    /// [`Trace::split_users`] of `trace`, each shard moved to the worker
+    /// that simulates it. The result depends on `(config, trace)` alone,
+    /// never on `threads`; it differs from [`Simulator::run`] on the whole
+    /// trace whenever there is more than one shard — replication
+    /// candidates are confined to a shard, the price of embarrassingly
+    /// parallel execution.
+    pub fn run_trace(
         config: &SystemConfig,
         trace: &Trace,
         threads: usize,
     ) -> (SimReport, MetricRegistry) {
-        let supply = ShardSupply::Materialized(trace, default_shards(trace.num_users()));
-        let (report, reg) = Self::run_sharded_inner(config, supply, threads, |_| {}, true);
-        (report, reg.expect("observed run always yields a registry"))
+        let users = trace.num_users();
+        let n_shards = default_shards(users);
+        let split: Vec<Mutex<Option<Trace>>> = trace
+            .split_users(n_shards)
+            .into_iter()
+            .map(|shard| Mutex::new(Some(shard)))
+            .collect();
+        Self::run_shards(config, users, n_shards, threads, |i| {
+            let mut slot = split[i].lock().expect("shard slot poisoned");
+            slot.take().expect("each shard is handed out once")
+        })
     }
 
-    /// Streaming, bounded-memory counterpart of
-    /// [`Simulator::run_sharded`]: no global trace is ever materialized.
+    /// The one shard scheduler: runs `config` over the [`shard_ranges`]
+    /// split of `num_users` users into `n_shards` (clamped to the
+    /// population) on `threads` OS threads, returning the merged report
+    /// and registry.
     ///
-    /// `make_shard(i)` must return the sub-trace of shard `i` of an
-    /// `n_shards`-way balanced split of a `num_users` population —
-    /// normally `PopulationConfig::generate_shard(i, n_shards)`, which is
-    /// byte-identical to `generate().split_users(n_shards)[i]`. Workers
-    /// claim shard indices from the work-stealing queue, generate the
-    /// shard's user range on the worker thread, simulate it, and drop the
-    /// sub-trace before claiming the next index — so at most `threads`
-    /// shards are resident at once and peak memory is
-    /// O(users-per-shard × threads) instead of O(population).
-    ///
-    /// The merged report is **bit-identical** to
-    /// [`Simulator::run_sharded`] on the materialized trace: shard
-    /// boundaries come from the same [`shard_ranges`] formula, per-shard
-    /// configs (RNG stream, budget share) depend only on the range sizes,
-    /// and reports merge in shard order. As with the materialized path,
-    /// `threads` never changes the result.
-    pub fn run_streaming(
+    /// `shard(i)` must return shard `i`'s sub-trace, e.g.
+    /// `PopulationConfig::generate_shard(i, n_shards)`. Workers call it
+    /// once per shard, right before simulating it, and drop the sub-trace
+    /// when the shard finishes, so a generating source keeps memory at
+    /// O(users-per-shard × threads); a stalling one is how tests perturb
+    /// the completion order. Per-shard configs come from [`shard_configs`]
+    /// and results merge in shard order ([`merge_shards`]), so neither
+    /// `threads` nor the source can change the report. The registry
+    /// always carries the `phase.{trace_gen, shard_setup, event_loop,
+    /// merge}` timers and `proc.peak_rss_kb`, outside its deterministic
+    /// snapshot.
+    pub fn run_shards(
         config: &SystemConfig,
         num_users: u32,
         n_shards: usize,
         threads: usize,
-        make_shard: impl Fn(usize) -> Trace + Sync,
-    ) -> SimReport {
-        let supply = ShardSupply::Streaming {
-            num_users,
-            n_shards,
-            make: &make_shard,
-        };
-        Self::run_sharded_inner(config, supply, threads, |_| {}, false).0
-    }
-
-    /// [`Simulator::run_streaming`] plus the merged metric registry.
-    ///
-    /// Alongside the usual `phase.*` spans the registry carries
-    /// `phase.trace_gen` (per-shard generation time) and, where the host
-    /// exposes it, the `proc.peak_rss_kb` high-water gauge — both outside
-    /// the deterministic snapshot, so observing the bound cannot perturb
-    /// equivalence checks.
-    pub fn run_streaming_observed(
-        config: &SystemConfig,
-        num_users: u32,
-        n_shards: usize,
-        threads: usize,
-        make_shard: impl Fn(usize) -> Trace + Sync,
+        shard: impl Fn(usize) -> Trace + Sync,
     ) -> (SimReport, MetricRegistry) {
-        let supply = ShardSupply::Streaming {
-            num_users,
-            n_shards,
-            make: &make_shard,
-        };
-        let (report, reg) = Self::run_sharded_inner(config, supply, threads, |_| {}, true);
-        (report, reg.expect("observed run always yields a registry"))
-    }
-
-    fn run_sharded_inner(
-        config: &SystemConfig,
-        supply: ShardSupply<'_>,
-        threads: usize,
-        shard_hook: impl Fn(usize) + Sync,
-        observed: bool,
-    ) -> (SimReport, Option<MetricRegistry>) {
-        let total_users = supply.num_users();
-        // Both supplies cut the population along the same shard_ranges
-        // boundaries, so everything derived from shard *sizes* (budget
-        // shares, RNG streams, merge order) is identical between them —
-        // the heart of the streaming/materialized equivalence.
-        let ranges = shard_ranges(total_users, supply.n_shards());
+        let ranges = shard_ranges(num_users, n_shards);
         let n = ranges.len();
-        let shards: Vec<Trace> = match supply {
-            ShardSupply::Materialized(trace, n_shards) => {
-                let split = trace.split_users(n_shards);
-                debug_assert_eq!(split.len(), n);
-                split
-            }
-            ShardSupply::Streaming { .. } => Vec::new(),
-        };
         let threads = threads.clamp(1, n);
-        let configs: Vec<SystemConfig> = shard_configs(config, total_users, &ranges);
+        let configs = shard_configs(config, num_users, &ranges);
 
         // Shard setup identical across shards is built once and shared;
         // see `ShardContext` for why this cannot change results.
@@ -407,85 +267,103 @@ impl Simulator {
                     // thread instead of once per shard.
                     let mut scratch = EngineScratch::default();
                     while let Some(i) = queue.claim() {
-                        shard_hook(i);
-                        // Streaming: materialize only this shard's user
-                        // range, on this worker, for the lifetime of this
-                        // iteration — the bounded-memory property.
-                        let gen_start = observed.then(std::time::Instant::now);
-                        let generated = match supply {
-                            ShardSupply::Materialized(..) => None,
-                            ShardSupply::Streaming { make, .. } => Some(make(i)),
-                        };
-                        let gen_ns = gen_start.map(|t0| t0.elapsed().as_nanos() as u64);
-                        let shard_trace: &Trace = match &generated {
-                            Some(t) => t,
-                            None => &shards[i],
-                        };
+                        let claimed = Instant::now();
+                        let trace = shard(i);
+                        let supplied = Instant::now();
                         debug_assert_eq!(
-                            shard_trace.num_users(),
+                            trace.num_users(),
                             ranges[i].end - ranges[i].start,
                             "shard source disagrees with shard_ranges on shard {i}"
                         );
-                        // Wall-clock spans are recorded only in observed
-                        // mode; they are Time metrics, which never feed
-                        // report hashes or determinism checks.
-                        let setup_start = observed.then(std::time::Instant::now);
                         let sim = Simulator::with_context_scratch(
                             configs[i].clone(),
-                            shard_trace,
+                            &trace,
                             &ctx,
                             std::mem::take(&mut scratch),
                         );
-                        if let Some(ns) = gen_ns.filter(|_| generated.is_some()) {
-                            sim.engine.obs.add_time_ns("phase.trace_gen", ns);
-                        }
-                        if let Some(t0) = setup_start {
-                            sim.engine
-                                .obs
-                                .add_time_ns("phase.shard_setup", t0.elapsed().as_nanos() as u64);
-                        }
-                        let loop_start = observed.then(std::time::Instant::now);
+                        let built = Instant::now();
                         let (report, reg, reclaimed) = sim.run_observed();
                         scratch = reclaimed;
-                        if let Some(t0) = loop_start {
-                            reg.add_time_ns("phase.event_loop", t0.elapsed().as_nanos() as u64);
-                        }
+                        // Wall-clock spans, outside every hash. Registered
+                        // only now: registering them before the run puts
+                        // small allocations between the shard's tables
+                        // (+1.8 MiB peak RSS on `stream-netem-paced`).
+                        reg.add_time_ns("phase.trace_gen", (supplied - claimed).as_nanos() as u64);
+                        reg.add_time_ns("phase.shard_setup", (built - supplied).as_nanos() as u64);
+                        reg.add_time_ns("phase.event_loop", built.elapsed().as_nanos() as u64);
                         *results[i].lock().expect("shard slot poisoned") = Some((report, reg));
                     }
                 });
             }
         });
 
-        // Merge strictly in shard order: user ranges concatenate back to
-        // the original indexing and the floating-point summation order is
-        // fixed regardless of which thread finished first. The registry
-        // merge follows the same shard order, so merged histograms and
-        // counters are as deterministic as the report itself.
-        let merge_start = observed.then(std::time::Instant::now);
-        let mut merged = SimReport::empty();
-        merged.reserve_users(total_users as usize);
-        let mut merged_reg = observed.then(MetricRegistry::new);
-        for slot in results {
-            let (report, reg) = slot
-                .into_inner()
-                .expect("shard slot poisoned")
-                .expect("every shard reports");
-            merged.merge(&report);
-            if let Some(m) = merged_reg.as_mut() {
-                m.merge(&reg);
-            }
-        }
-        if let (Some(m), Some(t0)) = (merged_reg.as_ref(), merge_start) {
-            m.add_time_ns("phase.merge", t0.elapsed().as_nanos() as u64);
-        }
-        if let Some(m) = merged_reg.as_ref() {
-            // The pipeline's memory high-water mark. A host fact, not a
-            // simulation outcome: it lives in the proc.* namespace, which
-            // deterministic snapshots exclude.
-            adpf_obs::record_peak_rss(m);
-        }
-        (merged, merged_reg)
+        let merging = Instant::now();
+        let (report, reg) = merge_shards(num_users, results);
+        reg.add_time_ns("phase.merge", merging.elapsed().as_nanos() as u64);
+        // The pipeline's memory high-water mark. A host fact, not a
+        // simulation outcome: it lives in the proc.* namespace, which
+        // deterministic snapshots exclude.
+        adpf_obs::record_peak_rss(&reg);
+        (report, reg)
     }
+
+    /// Benchmark shim for [`Simulator::run_trace`]; deleted once `benchmark/` rebinds.
+    pub fn run_parallel(config: &SystemConfig, trace: &Trace, threads: usize) -> SimReport {
+        Self::run_trace(config, trace, threads).0
+    }
+
+    /// Benchmark shim for [`Simulator::run_trace`]; deleted once `benchmark/` rebinds.
+    pub fn run_parallel_observed(
+        config: &SystemConfig,
+        trace: &Trace,
+        threads: usize,
+    ) -> (SimReport, MetricRegistry) {
+        Self::run_trace(config, trace, threads)
+    }
+
+    /// Benchmark shim for [`Simulator::run_shards`]; deleted once `benchmark/` rebinds.
+    pub fn run_streaming(
+        config: &SystemConfig,
+        num_users: u32,
+        n_shards: usize,
+        threads: usize,
+        make_shard: impl Fn(usize) -> Trace + Sync,
+    ) -> SimReport {
+        Self::run_shards(config, num_users, n_shards, threads, make_shard).0
+    }
+
+    /// Benchmark shim for [`Simulator::run_shards`]; deleted once `benchmark/` rebinds.
+    pub fn run_streaming_observed(
+        config: &SystemConfig,
+        num_users: u32,
+        n_shards: usize,
+        threads: usize,
+        make_shard: impl Fn(usize) -> Trace + Sync,
+    ) -> (SimReport, MetricRegistry) {
+        Self::run_shards(config, num_users, n_shards, threads, make_shard)
+    }
+}
+
+/// Merges per-shard results strictly in shard order, so user ranges
+/// concatenate back to the original indexing and the floating-point
+/// summation order is fixed whichever thread finished first; registries
+/// follow the same order. Shared with `adpf-serve`'s sharded server.
+pub fn merge_shards(
+    num_users: u32,
+    results: Vec<Mutex<Option<(SimReport, MetricRegistry)>>>,
+) -> (SimReport, MetricRegistry) {
+    let mut report = SimReport::empty();
+    report.reserve_users(num_users as usize);
+    let mut registry = MetricRegistry::new();
+    for slot in results {
+        let (r, reg) = slot
+            .into_inner()
+            .expect("shard slot poisoned")
+            .expect("every shard reports");
+        report.merge(&r);
+        registry.merge(&reg);
+    }
+    (report, registry)
 }
 
 /// Derives the per-shard configs of a sharded run over `ranges` (the
@@ -524,11 +402,24 @@ mod tests {
     use super::*;
     use crate::config::PlannerKind;
     use adpf_desim::SimDuration;
+    use adpf_obs::MetricSnapshot;
     use adpf_prediction::PredictorKind;
     use adpf_traces::PopulationConfig;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn trace() -> Trace {
         PopulationConfig::small_test(42).generate()
+    }
+
+    /// [`Simulator::run_shards`] over clones of `split_users(n_shards)`.
+    fn run_split(
+        cfg: &SystemConfig,
+        t: &Trace,
+        n_shards: usize,
+        threads: usize,
+    ) -> (SimReport, MetricRegistry) {
+        let split = t.split_users(n_shards);
+        Simulator::run_shards(cfg, t.num_users(), n_shards, threads, |i| split[i].clone())
     }
 
     #[test]
@@ -676,26 +567,15 @@ mod tests {
         // the sharded path must reproduce `run()` bit-for-bit.
         let t = trace();
         let sequential = Simulator::new(SystemConfig::prefetch_default(9), &t).run();
-        let sharded = Simulator::run_sharded(&SystemConfig::prefetch_default(9), &t, 1, 1);
+        let (sharded, _) = run_split(&SystemConfig::prefetch_default(9), &t, 1, 1);
         assert_eq!(sequential, sharded);
-    }
-
-    #[test]
-    fn sharded_report_is_independent_of_thread_count() {
-        let t = trace();
-        let cfg = SystemConfig::prefetch_default(9);
-        let one = Simulator::run_parallel(&cfg, &t, 1);
-        let three = Simulator::run_parallel(&cfg, &t, 3);
-        let eight = Simulator::run_parallel(&cfg, &t, 8);
-        assert_eq!(one, three);
-        assert_eq!(one, eight);
     }
 
     #[test]
     fn sharded_run_covers_the_whole_population() {
         let t = trace();
         let cfg = SystemConfig::prefetch_default(4);
-        let r = Simulator::run_parallel(&cfg, &t, 2);
+        let r = Simulator::run_trace(&cfg, &t, 2).0;
         assert_eq!(r.users, t.num_users());
         assert_eq!(r.per_user_energy_j.len(), t.num_users() as usize);
         assert_eq!(r.days, t.days());
@@ -711,8 +591,8 @@ mod tests {
     #[test]
     fn sharded_prefetch_still_saves_energy() {
         let t = trace();
-        let rt = Simulator::run_parallel(&SystemConfig::realtime(1), &t, 2);
-        let pf = Simulator::run_parallel(&SystemConfig::prefetch_default(1), &t, 2);
+        let rt = Simulator::run_trace(&SystemConfig::realtime(1), &t, 2).0;
+        let pf = Simulator::run_trace(&SystemConfig::prefetch_default(1), &t, 2).0;
         assert!(
             pf.energy_savings_vs(&rt) > 0.40,
             "sharding must not destroy the paper's headline effect: {}",
@@ -890,8 +770,8 @@ mod tests {
         // the effective count is what matters, not the requested one).
         let t = trace(); // 40 users.
         let cfg = SystemConfig::prefetch_default(9);
-        let at_pop = Simulator::run_sharded(&cfg, &t, 40, 2);
-        let clamped = Simulator::run_sharded(&cfg, &t, 1_000, 3);
+        let (at_pop, _) = run_split(&cfg, &t, 40, 2);
+        let (clamped, _) = run_split(&cfg, &t, 1_000, 3);
         assert_eq!(at_pop, clamped);
     }
 
@@ -899,46 +779,92 @@ mod tests {
     fn stalled_shard_does_not_change_the_merged_report() {
         // Forcing shard 0 to finish last exercises the completion
         // orderings work stealing can produce; the shard-ordered merge
-        // must hide them.
+        // must hide them. The source closure is the perturbation seam.
         let t = trace();
         let cfg = SystemConfig::prefetch_default(9);
-        let baseline = Simulator::run_sharded(&cfg, &t, DEFAULT_SHARDS, 1);
-        let stalled = Simulator::run_sharded_with_hook(&cfg, &t, DEFAULT_SHARDS, 4, |shard| {
-            if shard == 0 {
+        let (baseline, _) = run_split(&cfg, &t, DEFAULT_SHARDS, 1);
+        let split = t.split_users(DEFAULT_SHARDS);
+        let (stalled, _) = Simulator::run_shards(&cfg, t.num_users(), DEFAULT_SHARDS, 4, |i| {
+            if i == 0 {
                 std::thread::sleep(std::time::Duration::from_millis(25));
             }
+            split[i].clone()
         });
         assert_eq!(baseline, stalled);
     }
 
     #[test]
-    fn observed_runs_match_plain_runs_at_every_thread_count() {
-        // `--metrics` must be invisible to simulation outcomes: the
-        // observed entry point returns the bit-identical report at any
-        // thread count, and the deterministic part of the registry (the
-        // simulated-event counts, with wall-clock timers dropped) is the
-        // same no matter how the shards were scheduled.
-        let t = trace();
+    fn every_shard_source_gives_the_same_run_at_every_thread_count() {
+        // A materialized trace moved shard by shard, clones of its split,
+        // and per-shard generation are three sources for one scheduler:
+        // neither the report nor the deterministic part of the registry
+        // may tell them or the thread count apart. Every run also carries
+        // the wall-clock phase timers and the RSS gauge, outside that part.
+        let pop = PopulationConfig::small_test(42);
+        let t = pop.generate();
         let cfg = SystemConfig::prefetch_default(9);
-        let mut snapshots = Vec::new();
+        let n = default_shards(pop.num_users);
+        let (want, want_reg) = Simulator::run_trace(&cfg, &t, 1);
         for threads in [1usize, 2, 8] {
-            let plain = Simulator::run_parallel(&cfg, &t, threads);
-            let (observed, reg) = Simulator::run_parallel_observed(&cfg, &t, threads);
-            assert_eq!(
-                plain, observed,
-                "metrics changed the report at {threads} threads"
-            );
-            snapshots.push(reg.deterministic_snapshot());
+            let runs = [
+                Simulator::run_trace(&cfg, &t, threads),
+                run_split(&cfg, &t, n, threads),
+                Simulator::run_shards(&cfg, pop.num_users, n, threads, |i| {
+                    pop.generate_shard(i, n)
+                }),
+            ];
+            for (source, (report, reg)) in runs.iter().enumerate() {
+                assert_eq!(report, &want, "source {source} at {threads} threads");
+                assert_eq!(report.stable_hash(), want.stable_hash());
+                let det = reg.deterministic_snapshot();
+                assert_eq!(det, want_reg.deterministic_snapshot(), "source {source}");
+                let all = reg.snapshot();
+                let has = |name: &str| all.iter().any(|m| m.name == name);
+                for phase in ["trace_gen", "shard_setup", "event_loop", "merge"] {
+                    assert!(has(&format!("phase.{phase}")), "phase.{phase} missing");
+                }
+                assert_eq!(
+                    has(adpf_obs::PEAK_RSS_METRIC),
+                    adpf_obs::peak_rss_kb().is_some()
+                );
+                let host = |m: &MetricSnapshot| {
+                    m.name.starts_with("phase.") || m.name.starts_with(adpf_obs::PROC_PREFIX)
+                };
+                assert!(!det.iter().any(host), "a host fact in the snapshot");
+            }
         }
-        assert_eq!(snapshots[0], snapshots[1]);
-        assert_eq!(snapshots[0], snapshots[2]);
+    }
+
+    #[test]
+    fn the_source_is_called_exactly_once_per_shard() {
+        // (users, shards, threads): 1/3/8 workers, more workers than
+        // shards, and an empty population (one empty shard).
+        let cfg = SystemConfig::prefetch_default(9);
+        for (users, n_shards, threads) in [(40, 8, 1), (40, 8, 3), (40, 8, 8), (5, 3, 8), (0, 8, 4)]
+        {
+            let mut pop = PopulationConfig::small_test(42);
+            pop.num_users = users;
+            let n = shard_ranges(users, n_shards).len();
+            let calls: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+            let (report, _) = Simulator::run_shards(&cfg, users, n_shards, threads, |i| {
+                calls[i].fetch_add(1, Ordering::Relaxed);
+                pop.generate_shard(i, n_shards)
+            });
+            assert_eq!(report.users, users);
+            let counts: Vec<usize> = calls.iter().map(|c| c.load(Ordering::Relaxed)).collect();
+            assert_eq!(
+                counts,
+                vec![1; n],
+                "{users} users, {n_shards} shards, {threads} threads"
+            );
+        }
     }
 
     #[test]
     fn registry_counters_agree_with_the_report() {
         let t = trace();
         let cfg = SystemConfig::prefetch_default(9);
-        let (r, reg) = Simulator::run_parallel_observed(&cfg, &t, 2);
+        let (r, reg) = Simulator::run_trace(&cfg, &t, 2);
         assert_eq!(reg.counter_value("sim.event.slot"), r.slots);
         assert_eq!(reg.counter_value("sim.slots"), r.slots);
         assert_eq!(reg.counter_value("sim.impressions"), r.impressions);
@@ -951,8 +877,6 @@ mod tests {
         // population, not the total.
         let users = reg.gauge_value("sim.users");
         assert!(users > 0 && users <= u64::from(r.users));
-        // Observed sharded runs carry the pipeline-phase timers.
-        assert!(reg.time_ns("phase.event_loop") > 0);
         // The energy residency histograms cover every simulated user.
         let active = reg
             .histogram_snapshot("energy.user.active_ms")
@@ -963,7 +887,7 @@ mod tests {
     #[test]
     fn unobserved_sequential_run_still_feeds_the_netem_report_field() {
         // `SimReport::netem` is derived from the always-on registry, so
-        // the plain `run()` path (no metrics requested) must still
+        // the plain `run()` path (the registry dropped) must still
         // produce populated counters under a degraded network.
         let t = trace();
         let mut cfg = SystemConfig::prefetch_default(17);

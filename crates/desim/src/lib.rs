@@ -16,6 +16,8 @@
 //! - [`steal`]: a [`WorkQueue`] atomic work queue that hands out indices
 //!   into shared read-only work slices, the scheduling primitive behind
 //!   the work-stealing sharded simulator and parallel trace generation.
+//! - [`iddeque`]: an [`IdDeque`] sliding window over a monotone id space,
+//!   the storage of the billing ledger and the replica tracker.
 //!
 //! # Examples
 //!
@@ -30,11 +32,13 @@
 //! assert_eq!(t + SimDuration::from_secs(5), SimTime::from_secs(10));
 //! ```
 
+pub mod iddeque;
 pub mod queue;
 pub mod smallvec;
 pub mod steal;
 pub mod time;
 
+pub use iddeque::IdDeque;
 pub use queue::EventQueue;
 pub use smallvec::InlineVec;
 pub use steal::WorkQueue;

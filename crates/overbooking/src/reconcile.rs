@@ -9,16 +9,14 @@
 //!
 //! The tracker stores its state in arenas rather than hash maps. Ad ids are
 //! handed out by a monotone counter and ads expire in rough deadline order,
-//! so live ads occupy a sliding window of the id space: a `VecDeque` of
-//! slots indexed by `ad - base` resolves every lookup with one subtraction
-//! instead of a hash, and the window front advances as old ads are removed.
-//! Cancellation queues are likewise a dense per-client `Vec` indexed by the
-//! simulator's `u32` client handles.
-
-use std::collections::VecDeque;
+//! so live ads occupy a sliding window of the id space: an [`IdDeque`]
+//! resolves every lookup with one subtraction instead of a hash, and the
+//! window front advances as old ads are removed. Cancellation queues are
+//! likewise a dense per-client `Vec` indexed by the simulator's `u32`
+//! client handles.
 
 use crate::planner::PLAN_INLINE;
-use adpf_desim::{InlineVec, SimTime};
+use adpf_desim::{IdDeque, InlineVec, SimTime};
 use adpf_obs::ObsSink;
 
 /// Disposition of a reported display.
@@ -77,12 +75,10 @@ pub struct TrackerStats {
 /// cancellations after the first display.
 #[derive(Debug, Default)]
 pub struct ReplicaTracker {
-    /// Sliding arena over the ad-id space: index `i` holds ad
-    /// `base + i`. Vacant slots are ids that were never registered
-    /// (realtime sales consume ids too) or already removed.
-    slots: VecDeque<Option<AdReplicas>>,
-    /// Ad id of `slots[0]`.
-    base: u64,
+    /// Sliding window over the ad-id space. Vacant slots are ids that
+    /// were never registered (realtime sales consume ids too) or already
+    /// removed.
+    slots: IdDeque<Option<AdReplicas>>,
     /// Number of occupied slots.
     live: usize,
     /// Queued cancellation hints, indexed by dense client id.
@@ -97,8 +93,7 @@ impl ReplicaTracker {
     }
 
     fn slot(&self, ad: u64) -> Option<&AdReplicas> {
-        let i = ad.checked_sub(self.base)?;
-        self.slots.get(i as usize)?.as_ref()
+        self.slots.get(ad)?.as_ref()
     }
 
     /// Registers an ad replicated across `holders`, due by `deadline`.
@@ -107,19 +102,7 @@ impl ReplicaTracker {
     /// extends the window tail; ids behind the window front are still
     /// accepted (the window slides back) so the API stays total.
     pub fn register(&mut self, ad: u64, holders: &[u32], deadline: SimTime) {
-        if self.slots.is_empty() {
-            self.base = ad;
-        } else if ad < self.base {
-            for _ in ad..self.base {
-                self.slots.push_front(None);
-            }
-            self.base = ad;
-        }
-        let i = (ad - self.base) as usize;
-        if i >= self.slots.len() {
-            self.slots.resize_with(i + 1, || None);
-        }
-        let slot = &mut self.slots[i];
+        let slot = self.slots.entry(ad);
         if slot.is_some() {
             debug_assert!(false, "ad {ad} registered twice");
             return;
@@ -142,11 +125,7 @@ impl ReplicaTracker {
     /// already displayed, already rescued once, or `client` already holds
     /// it. A successful rescue marks the ad so later scans skip it.
     pub fn rescue_to(&mut self, ad: u64, client: u32) -> bool {
-        let entry = ad
-            .checked_sub(self.base)
-            .and_then(|i| self.slots.get_mut(i as usize))
-            .and_then(Option::as_mut);
-        let Some(entry) = entry else {
+        let Some(entry) = self.slots.get_mut(ad).and_then(Option::as_mut) else {
             self.stats.rescues_refused += 1;
             return false;
         };
@@ -168,10 +147,10 @@ impl ReplicaTracker {
     ///
     /// Appends to `out` in ascending ad-id order.
     pub fn undisplayed_due_before(&self, t: SimTime, out: &mut Vec<(u64, SimTime)>) {
-        for (i, slot) in self.slots.iter().enumerate() {
+        for (ad, slot) in self.slots.iter() {
             if let Some(e) = slot {
                 if e.displayed_by.is_none() && !e.rescued && e.deadline < t {
-                    out.push((self.base + i as u64, e.deadline));
+                    out.push((ad, e.deadline));
                 }
             }
         }
@@ -180,11 +159,7 @@ impl ReplicaTracker {
     /// Records that `client` displayed `ad`; on the first display, queues
     /// cancellations for every other holder.
     pub fn record_display(&mut self, ad: u64, client: u32) -> DisplayDisposition {
-        let entry = ad
-            .checked_sub(self.base)
-            .and_then(|i| self.slots.get_mut(i as usize))
-            .and_then(Option::as_mut);
-        let Some(entry) = entry else {
+        let Some(entry) = self.slots.get_mut(ad).and_then(Option::as_mut) else {
             self.stats.unknown_displays += 1;
             return DisplayDisposition::Unknown;
         };
@@ -224,21 +199,15 @@ impl ReplicaTracker {
     /// Stops tracking an ad (its deadline passed); outstanding queued
     /// cancellations remain valid hints for holders.
     pub fn remove(&mut self, ad: u64) {
-        let slot = ad
-            .checked_sub(self.base)
-            .and_then(|i| self.slots.get_mut(i as usize));
-        let Some(slot) = slot else { return };
+        let Some(slot) = self.slots.get_mut(ad) else {
+            return;
+        };
         if slot.take().is_some() {
             self.live -= 1;
             self.stats.ads_removed += 1;
             // Keep the window tight: trim vacant slots from both ends.
-            while matches!(self.slots.front(), Some(None)) {
-                self.slots.pop_front();
-                self.base += 1;
-            }
-            while matches!(self.slots.back(), Some(None)) {
-                self.slots.pop_back();
-            }
+            self.slots.trim_front(|_, s| s.is_none());
+            self.slots.trim_back(Option::is_none);
         }
     }
 

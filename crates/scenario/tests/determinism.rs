@@ -9,7 +9,7 @@
 //! 2. **Thread-count invariance**: every scenario preset hashes
 //!    identically at 1, 2, and 8 worker threads.
 //! 3. **Streaming equivalence**: the bounded-memory streaming pipeline
-//!    (per-shard scenario generation through the `ShardSupply` seam)
+//!    (per-shard scenario generation as the `run_shards` source)
 //!    reproduces the materialized run bit for bit, with the user-cost
 //!    counters populated.
 
@@ -29,7 +29,7 @@ fn scenario_off_reproduces_the_committed_smoke_golden() {
     let cfg = SystemConfig::prefetch_default(5);
     assert!(!cfg.scenario.enabled, "default config keeps the layer off");
     for threads in THREADS {
-        let r = Simulator::run_parallel(&cfg, &trace, threads);
+        let r = Simulator::run_trace(&cfg, &trace, threads).0;
         assert_eq!(
             r.stable_hash(),
             SMOKE_GOLDEN,
@@ -54,9 +54,9 @@ fn every_preset_is_thread_count_and_streaming_invariant() {
         pop.apply_to(&mut cfg);
 
         let trace = pop.generate();
-        let reference = Simulator::run_parallel(&cfg, &trace, 1);
+        let reference = Simulator::run_trace(&cfg, &trace, 1).0;
         for threads in THREADS {
-            let r = Simulator::run_parallel(&cfg, &trace, threads);
+            let r = Simulator::run_trace(&cfg, &trace, threads).0;
             assert_eq!(
                 r.stable_hash(),
                 reference.stable_hash(),
@@ -66,7 +66,7 @@ fn every_preset_is_thread_count_and_streaming_invariant() {
 
         let n_shards = adpf_core::default_shards(users);
         for threads in THREADS {
-            let streamed = Simulator::run_streaming(&cfg, users, n_shards, threads, |i| {
+            let (streamed, _) = Simulator::run_shards(&cfg, users, n_shards, threads, |i| {
                 pop.generate_shard(i, n_shards)
             });
             assert_eq!(
@@ -101,7 +101,8 @@ fn presets_produce_distinct_outcomes() {
         let pop = ScenarioPopulation::new(base.clone(), spec);
         let mut cfg = SystemConfig::prefetch_default(5);
         pop.apply_to(&mut cfg);
-        hashes.push(Simulator::run_parallel(&cfg, &pop.generate(), 2).stable_hash());
+        let (report, _) = Simulator::run_trace(&cfg, &pop.generate(), 2);
+        hashes.push(report.stable_hash());
     }
     hashes.sort_unstable();
     hashes.dedup();

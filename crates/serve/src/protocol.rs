@@ -353,7 +353,7 @@ fn truncate(s: &str) -> String {
 /// This is the bridge that makes the equivalence claim testable: replay
 /// `write_events(trace, cfg.ad_refresh, …)` into a server running the
 /// same config and the final report is bit-identical to
-/// `Simulator::run_parallel(cfg, trace, _)`.
+/// `Simulator::run_trace(cfg, trace, _).0`.
 pub fn write_events<W: Write>(
     trace: &Trace,
     refresh: SimDuration,

@@ -9,7 +9,7 @@
 //! - the population splits along [`shard_ranges`], the shard count
 //!   defaults to [`default_shards`], per-shard configs come from
 //!   [`shard_configs`], and the shared campaign catalog from one
-//!   [`ShardContext`] — exactly the derivations `Simulator::run_parallel`
+//!   [`ShardContext`] — exactly the derivations `Simulator::run_trace`
 //!   uses;
 //! - each shard is one [`ClientEngine`], built cold (an empty
 //!   [`UserSlots`] view: an online server cannot know the future, so the
@@ -21,8 +21,8 @@
 //!   determinism contract — while distinct shards proceed in parallel;
 //! - at end of stream (EOF or the `shutdown` sentinel) every engine
 //!   drains its remaining internal events, finalizes, and the reports
-//!   merge **in shard order**, the same fixed summation order as the
-//!   batch merge.
+//!   merge **in shard order** through the batch pipeline's own
+//!   [`merge_shards`].
 //!
 //! # Ingest in batches
 //!
@@ -79,7 +79,8 @@ use std::sync::{Barrier, Mutex};
 use std::time::Instant;
 
 use adpf_core::{
-    default_shards, shard_configs, ClientEngine, ShardContext, SimReport, SystemConfig,
+    default_shards, merge_shards, shard_configs, ClientEngine, ShardContext, SimReport,
+    SystemConfig,
 };
 use adpf_desim::{SimTime, WorkQueue};
 use adpf_obs::{MetricRegistry, ObsSink};
@@ -120,7 +121,7 @@ pub struct ServeOptions {
     /// Worker threads (clamped to the shard count).
     pub threads: usize,
     /// Shard-count override; `None` derives [`default_shards`] from the
-    /// stream header's population, matching `Simulator::run_parallel`.
+    /// stream header's population, matching `Simulator::run_trace`.
     pub shards: Option<usize>,
     /// How many rejected-line errors to keep verbatim for the caller
     /// (all rejections are *counted*; only a sample is retained).
@@ -518,22 +519,11 @@ fn serve_with_cap<R: BufRead>(
     });
     route_result?;
 
-    // Merge strictly in shard order — the identical fixed summation
-    // order as the batch pipeline, which is what keeps the report hash
-    // equal at every thread count. The wall-clock-flavored serving
-    // registries follow in worker order; they carry no deterministic
-    // metrics.
-    let mut report = SimReport::empty();
-    report.reserve_users(users as usize);
-    let mut registry = MetricRegistry::new();
-    for slot in results {
-        let (r, reg) = slot
-            .into_inner()
-            .expect("shard slot poisoned")
-            .expect("every shard finalizes");
-        report.merge(&r);
-        registry.merge(&reg);
-    }
+    // Merge strictly in shard order — the batch pipeline's own merge,
+    // which is what keeps the report hash equal at every thread count.
+    // The wall-clock-flavored serving registries follow in worker order;
+    // they carry no deterministic metrics.
+    let (report, mut registry) = merge_shards(users, results);
     for wr in worker_regs {
         if let Some(reg) = wr.into_inner().expect("worker registry poisoned") {
             registry.merge(&reg);
@@ -805,7 +795,7 @@ mod tests {
     fn serve_matches_batch_simulator_bit_for_bit() {
         let cfg = SystemConfig::prefetch_default(5);
         let trace = PopulationConfig::small_test(777).generate();
-        let batch = Simulator::run_parallel(&cfg, &trace, 2);
+        let (batch, _) = Simulator::run_trace(&cfg, &trace, 2);
         let stream = smoke_stream(777, &cfg);
         let out = serve(&ServeOptions::new(cfg), stream.as_slice()).unwrap();
         assert_eq!(out.report, batch);

@@ -35,12 +35,6 @@ impl Histogram {
         self.counts[idx] += 1;
     }
 
-    /// Adds `n` observations with the same value.
-    pub fn add_n(&mut self, x: f64, n: u64) {
-        let idx = self.bin_index(x);
-        self.counts[idx] += n;
-    }
-
     fn bin_index(&self, x: f64) -> usize {
         let w = (self.hi - self.lo) / self.counts.len() as f64;
         let raw = ((x - self.lo) / w).floor();
@@ -112,11 +106,6 @@ impl HourProfile {
     /// Creates an empty profile.
     pub fn new() -> Self {
         Self { weights: [0.0; 24] }
-    }
-
-    /// Creates a profile from explicit per-hour weights.
-    pub fn from_weights(weights: [f64; 24]) -> Self {
-        Self { weights }
     }
 
     /// Adds `weight` to the given hour (wrapped modulo 24).

@@ -78,8 +78,8 @@ fn same_seed_twice_is_bit_identical() {
 fn sharded_run_with_same_seed_twice_is_bit_identical() {
     let trace = small_trace();
     let cfg = SystemConfig::prefetch_default(5);
-    let a = Simulator::run_parallel(&cfg, &trace, 4);
-    let b = Simulator::run_parallel(&cfg, &trace, 4);
+    let a = Simulator::run_trace(&cfg, &trace, 4).0;
+    let b = Simulator::run_trace(&cfg, &trace, 4).0;
     assert_eq!(a, b);
 }
 
@@ -91,8 +91,8 @@ fn one_thread_and_four_threads_agree_on_every_aggregate() {
             DeliveryMode::RealTime => SystemConfig::realtime(5),
             DeliveryMode::Prefetch => SystemConfig::prefetch_default(5),
         };
-        let t1 = Simulator::run_parallel(&cfg, &trace, 1);
-        let t4 = Simulator::run_parallel(&cfg, &trace, 4);
+        let t1 = Simulator::run_trace(&cfg, &trace, 1).0;
+        let t4 = Simulator::run_trace(&cfg, &trace, 4).0;
         assert_same_aggregates(&t1, &t4, &format!("{mode:?} threads 1 vs 4"));
         // Beyond the aggregates: the whole report, per-user series
         // included, is bit-identical.
@@ -107,8 +107,8 @@ fn iphone_preset_matches_across_thread_counts() {
     // population with the iPhone dataset's shape parameters.
     let trace = iphone_trace();
     let cfg = SystemConfig::prefetch_default(1);
-    let t1 = Simulator::run_parallel(&cfg, &trace, 1);
-    let t4 = Simulator::run_parallel(&cfg, &trace, 4);
+    let t1 = Simulator::run_trace(&cfg, &trace, 1).0;
+    let t4 = Simulator::run_trace(&cfg, &trace, 4).0;
     assert_same_aggregates(&t1, &t4, "iphone-like threads 1 vs 4");
     assert_eq!(t1, t4);
 }
@@ -132,9 +132,9 @@ fn netem_enabled_runs_are_bit_identical_across_threads() {
     // on (stream_seed, client index), never on thread scheduling.
     let trace = small_trace();
     for cfg in netem_configs() {
-        let t1 = Simulator::run_parallel(&cfg, &trace, 1);
-        let t2 = Simulator::run_parallel(&cfg, &trace, 2);
-        let t4 = Simulator::run_parallel(&cfg, &trace, 4);
+        let t1 = Simulator::run_trace(&cfg, &trace, 1).0;
+        let t2 = Simulator::run_trace(&cfg, &trace, 2).0;
+        let t4 = Simulator::run_trace(&cfg, &trace, 4).0;
         assert!(
             t1.netem.sync_failures > 0,
             "netem must be live in this check ({})",
@@ -174,11 +174,13 @@ fn stalled_first_shard_cannot_perturb_the_merged_report() {
     use adprefetch::core::DEFAULT_SHARDS;
     let trace = small_trace();
     let cfg = SystemConfig::prefetch_default(5);
-    let baseline = Simulator::run_sharded(&cfg, &trace, DEFAULT_SHARDS, 1);
-    let stalled = Simulator::run_sharded_with_hook(&cfg, &trace, DEFAULT_SHARDS, 4, |shard| {
+    let baseline = Simulator::run_trace(&cfg, &trace, 1).0;
+    let split = trace.split_users(DEFAULT_SHARDS);
+    let (stalled, _) = Simulator::run_shards(&cfg, trace.num_users(), DEFAULT_SHARDS, 4, |shard| {
         if shard == 0 {
             std::thread::sleep(std::time::Duration::from_millis(30));
         }
+        split[shard].clone()
     });
     assert_same_aggregates(&baseline, &stalled, "slow shard 0 vs single thread");
     assert_eq!(baseline, stalled);
@@ -242,11 +244,11 @@ fn parallel_trace_generation_is_deterministic_across_thread_counts() {
     let pop = PopulationConfig::small_test(777);
     let serial = pop.generate();
     let cfg = SystemConfig::prefetch_default(5);
-    let want = Simulator::run_parallel(&cfg, &serial, 1);
+    let want = Simulator::run_trace(&cfg, &serial, 1).0;
     for threads in [2, 4, 8] {
         let trace = pop.generate_parallel(threads);
         assert_eq!(serial, trace, "{threads}-thread generation diverged");
-        let got = Simulator::run_parallel(&cfg, &trace, threads);
+        let got = Simulator::run_trace(&cfg, &trace, threads).0;
         assert_eq!(want, got, "{threads}-thread pipeline diverged");
     }
 }
@@ -273,9 +275,9 @@ fn marketplace_enabled_runs_are_bit_identical_across_threads() {
     // count.
     let trace = small_trace();
     for cfg in marketplace_configs() {
-        let t1 = Simulator::run_parallel(&cfg, &trace, 1);
-        let t2 = Simulator::run_parallel(&cfg, &trace, 2);
-        let t8 = Simulator::run_parallel(&cfg, &trace, 8);
+        let t1 = Simulator::run_trace(&cfg, &trace, 1).0;
+        let t2 = Simulator::run_trace(&cfg, &trace, 2).0;
+        let t8 = Simulator::run_trace(&cfg, &trace, 8).0;
         assert!(
             t1.ledger.sold > 0,
             "marketplace {}: the market must be live in this check",
@@ -316,8 +318,8 @@ fn marketplace_actually_changes_outcomes_when_enabled() {
     // marketplace layer that never engages would also leave the hash
     // unchanged. Pacing must move revenue on the standard workload.
     let trace = small_trace();
-    let off = Simulator::run_parallel(&SystemConfig::prefetch_default(5), &trace, 4);
-    let on = Simulator::run_parallel(&marketplace_configs()[0], &trace, 4);
+    let off = Simulator::run_trace(&SystemConfig::prefetch_default(5), &trace, 4).0;
+    let on = Simulator::run_trace(&marketplace_configs()[0], &trace, 4).0;
     assert_ne!(
         off.ledger.revenue, on.ledger.revenue,
         "enabling the paced marketplace should change auction outcomes"
@@ -330,7 +332,7 @@ fn marketplace_off_run_matches_the_committed_smoke_golden() {
     // (marketplace-off) pipeline must reproduce the committed golden
     // exactly — the marketplace layer must be invisible until enabled.
     use adpf_bench::baseline::{SMOKE, SMOKE_GOLDEN};
-    let report = Simulator::run_parallel(&SMOKE.config(), &SMOKE.population().generate(), 2);
+    let report = Simulator::run_trace(&SMOKE.config(), &SMOKE.population().generate(), 2).0;
     assert_eq!(
         report.stable_hash(),
         SMOKE_GOLDEN,
@@ -343,8 +345,8 @@ fn different_seeds_actually_diverge() {
     // Guard against the degenerate way to pass the tests above: a
     // simulator that ignores its seed would also be "deterministic".
     let trace = small_trace();
-    let a = Simulator::run_parallel(&SystemConfig::prefetch_default(5), &trace, 4);
-    let b = Simulator::run_parallel(&SystemConfig::prefetch_default(6), &trace, 4);
+    let a = Simulator::run_trace(&SystemConfig::prefetch_default(5), &trace, 4).0;
+    let b = Simulator::run_trace(&SystemConfig::prefetch_default(6), &trace, 4).0;
     assert_ne!(
         a.ledger.revenue, b.ledger.revenue,
         "different seeds should produce different auctions"

@@ -71,8 +71,8 @@ fn dropout_runs_are_deterministic() {
 fn dropout_is_thread_invariant_under_sharding() {
     let t = trace();
     let cfg = dropout_cfg(17, 0.3);
-    let t1 = Simulator::run_parallel(&cfg, &t, 1);
-    let t4 = Simulator::run_parallel(&cfg, &t, 4);
+    let t1 = Simulator::run_trace(&cfg, &t, 1).0;
+    let t4 = Simulator::run_trace(&cfg, &t, 4).0;
     assert_eq!(t1, t4);
     assert!(t1.syncs_dropped > 0);
 }

@@ -1,10 +1,10 @@
-//! Observability must be a pure spectator: requesting metrics export
-//! (`--metrics` in the CLI, `run_parallel_observed` in the library)
-//! cannot change any simulated outcome, at any thread count, and the
-//! exported registry itself must be deterministic in everything except
-//! wall-clock timers.
+//! Observability must be a pure spectator: every run keeps a registry
+//! (`--metrics` in the CLI prints it, `run_trace` / `run_shards` in the
+//! library return it), it cannot change any simulated outcome at any
+//! thread count, and it must be deterministic in everything except
+//! wall-clock timers and host facts.
 
-use adprefetch::core::{SimReport, Simulator, SystemConfig};
+use adprefetch::core::{default_shards, SimReport, Simulator, SystemConfig};
 use adprefetch::netem::NetemConfig;
 use adprefetch::obs::{to_json_lines, validate_json_lines, MetricRegistry};
 use adprefetch::traces::{PopulationConfig, Trace};
@@ -14,21 +14,38 @@ fn small_trace() -> Trace {
 }
 
 fn observed(cfg: &SystemConfig, trace: &Trace, threads: usize) -> (SimReport, MetricRegistry) {
-    Simulator::run_parallel_observed(cfg, trace, threads)
+    Simulator::run_trace(cfg, trace, threads)
 }
 
 #[test]
 fn metrics_on_and_off_agree_at_every_thread_count() {
-    let trace = small_trace();
+    // There is no metrics-off path left; what must still agree are the
+    // four names the benchmark binds and the one path they forward to,
+    // until the benchmark rebinds and the shims are deleted.
+    let pop = PopulationConfig::small_test(777);
+    let trace = pop.generate();
     let mut cfg = SystemConfig::prefetch_default(5);
     cfg.netem = NetemConfig::flaky_cellular();
+    let (users, n) = (pop.num_users, default_shards(pop.num_users));
+    let make = |i| pop.generate_shard(i, n);
     for threads in [1usize, 2, 8] {
-        let plain = Simulator::run_parallel(&cfg, &trace, threads);
-        let (with_metrics, _reg) = observed(&cfg, &trace, threads);
-        assert_eq!(
-            plain, with_metrics,
-            "metrics export changed the report at {threads} threads"
-        );
+        let (want, reg) = observed(&cfg, &trace, threads);
+        let snapshot = reg.deterministic_snapshot();
+        let (parallel, parallel_reg) = Simulator::run_parallel_observed(&cfg, &trace, threads);
+        let (streamed, streamed_reg) =
+            Simulator::run_streaming_observed(&cfg, users, n, threads, make);
+        let reports = [
+            Simulator::run_parallel(&cfg, &trace, threads),
+            parallel,
+            Simulator::run_shards(&cfg, users, n, threads, make).0,
+            Simulator::run_streaming(&cfg, users, n, threads, make),
+            streamed,
+        ];
+        for (i, r) in reports.iter().enumerate() {
+            assert_eq!(r, &want, "entry point {i} diverged at {threads} threads");
+        }
+        assert_eq!(parallel_reg.deterministic_snapshot(), snapshot);
+        assert_eq!(streamed_reg.deterministic_snapshot(), snapshot);
     }
 }
 

@@ -15,7 +15,7 @@ use adpf_traces::PopulationConfig;
 /// thread count.
 fn assert_serve_matches_batch(pop: &PopulationConfig, cfg: &SystemConfig, threads: &[usize]) {
     let trace = pop.generate();
-    let batch = Simulator::run_parallel(cfg, &trace, 2);
+    let batch = Simulator::run_trace(cfg, &trace, 2).0;
     let mut stream = Vec::new();
     write_events(&trace, cfg.ad_refresh, &mut stream).unwrap();
     for &t in threads {
@@ -91,7 +91,7 @@ fn serve_requests_equal_the_batch_slot_count() {
     // request counter must agree with the batch slot accounting.
     let trace = PopulationConfig::small_test(777).generate();
     let cfg = SystemConfig::prefetch_default(5);
-    let batch = Simulator::run_parallel(&cfg, &trace, 2);
+    let batch = Simulator::run_trace(&cfg, &trace, 2).0;
     let mut stream = Vec::new();
     write_events(&trace, cfg.ad_refresh, &mut stream).unwrap();
     let out = serve(&ServeOptions::new(cfg), stream.as_slice()).unwrap();

@@ -1,8 +1,8 @@
 //! Streaming-vs-materialized equivalence: the bounded-memory pipeline
-//! (`Simulator::run_streaming`, per-shard lazy generation) must produce
-//! **byte-identical** reports to the classic materialize-then-split
-//! pipeline on the same `(config, population)` — at every thread count,
-//! for every shard count, including degenerate populations.
+//! (`Simulator::run_shards` over per-shard lazy generation) must produce
+//! **byte-identical** reports to the same scheduler over a materialized
+//! split of the same `(config, population)` — at every thread count, for
+//! every shard count, including degenerate populations.
 
 use adpf_bench::baseline::{SMOKE, SMOKE_GOLDEN};
 use adpf_core::{default_shards, Simulator, SystemConfig};
@@ -11,9 +11,10 @@ use adpf_traces::PopulationConfig;
 
 /// Runs both pipelines over `pop` with `cfg` and asserts equal reports.
 fn assert_equivalent(pop: &PopulationConfig, cfg: &SystemConfig, n_shards: usize, threads: usize) {
-    let trace = pop.generate();
-    let materialized = Simulator::run_sharded(cfg, &trace, n_shards, threads);
-    let streamed = Simulator::run_streaming(cfg, pop.num_users, n_shards, threads, |i| {
+    let split = pop.generate().split_users(n_shards);
+    let (materialized, _) =
+        Simulator::run_shards(cfg, pop.num_users, n_shards, threads, |i| split[i].clone());
+    let (streamed, _) = Simulator::run_shards(cfg, pop.num_users, n_shards, threads, |i| {
         pop.generate_shard(i, n_shards)
     });
     assert_eq!(
@@ -40,7 +41,7 @@ fn streaming_hash_equals_the_committed_smoke_golden() {
     let pop = SMOKE.population();
     let cfg = SMOKE.config();
     let n_shards = default_shards(pop.num_users);
-    let streamed = Simulator::run_streaming(&cfg, pop.num_users, n_shards, 2, |i| {
+    let (streamed, _) = Simulator::run_shards(&cfg, pop.num_users, n_shards, 2, |i| {
         pop.generate_shard(i, n_shards)
     });
     assert_eq!(
@@ -56,9 +57,10 @@ fn streaming_report_is_independent_of_thread_count() {
     let cfg = SystemConfig::prefetch_default(5);
     let n_shards = default_shards(pop.num_users);
     let run = |threads| {
-        Simulator::run_streaming(&cfg, pop.num_users, n_shards, threads, |i| {
+        Simulator::run_shards(&cfg, pop.num_users, n_shards, threads, |i| {
             pop.generate_shard(i, n_shards)
         })
+        .0
     };
     let one = run(1);
     assert_eq!(one, run(2));
@@ -111,7 +113,7 @@ fn streaming_a_csv_file_matches_the_materialized_read() {
     // Recorded-trace streaming (PR 8): re-reading the file per shard
     // through `csv::read_trace_shard` must reproduce the classic
     // read-whole-file-then-split pipeline byte for byte — the CSV
-    // input side of the same ShardSupply seam the generators use.
+    // input side of the same shard source the generators fill.
     let pop = PopulationConfig::small_test(777);
     let trace = pop.generate();
     let mut buf = Vec::new();
@@ -122,9 +124,9 @@ fn streaming_a_csv_file_matches_the_materialized_read() {
     let cfg = SystemConfig::prefetch_default(5);
     let n_shards = default_shards(users);
     let ranges = adpf_traces::shard_ranges(users, n_shards);
-    let materialized = Simulator::run_parallel(&cfg, &trace, 2);
+    let materialized = Simulator::run_trace(&cfg, &trace, 2).0;
     for threads in [1usize, 4] {
-        let streamed = Simulator::run_streaming(&cfg, users, n_shards, threads, |i| {
+        let (streamed, _) = Simulator::run_shards(&cfg, users, n_shards, threads, |i| {
             adpf_traces::csv::read_trace_shard(&buf[..], ranges[i].clone(), horizon_ms).unwrap()
         });
         assert_eq!(
@@ -139,15 +141,12 @@ fn observed_streaming_matches_plain_streaming_and_records_rss() {
     let pop = PopulationConfig::small_test(777);
     let cfg = SystemConfig::prefetch_default(5);
     let n_shards = default_shards(pop.num_users);
-    let plain = Simulator::run_streaming(&cfg, pop.num_users, n_shards, 2, |i| {
+    let (plain, _) = Simulator::run_trace(&cfg, &pop.generate(), 2);
+    let (observed, reg) = Simulator::run_shards(&cfg, pop.num_users, n_shards, 2, |i| {
         pop.generate_shard(i, n_shards)
     });
-    let (observed, reg) =
-        Simulator::run_streaming_observed(&cfg, pop.num_users, n_shards, 2, |i| {
-            pop.generate_shard(i, n_shards)
-        });
-    assert_eq!(plain, observed, "metrics export changed a streaming run");
-    // Generation happens inside the pipeline now, so the observed run
+    assert_eq!(plain, observed, "streamed run diverged");
+    // Generation happens inside the pipeline, so every streamed run
     // carries its span; on procfs hosts the RSS high-water gauge rides
     // along (outside the deterministic snapshot — see adpf-obs).
     assert!(reg.time_ns("phase.trace_gen") > 0);
