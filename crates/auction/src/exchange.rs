@@ -1,7 +1,7 @@
 //! Sealed-bid second-price exchange.
 
 use adpf_desim::SimTime;
-use adpf_obs::ObsSink;
+use adpf_obs::MetricRegistry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -460,20 +460,20 @@ impl Exchange {
         }
     }
 
-    /// Folds the exchange's counters into a metric sink (`auction.*` /
+    /// Folds the exchange's counters into a metric registry (`auction.*` /
     /// `pacing.*`). Every value is a count of simulated events, so the
     /// published metrics are deterministic.
-    pub fn publish<S: ObsSink>(&self, sink: &S) {
-        sink.add("auction.auctions", self.auctions_run);
-        sink.add("auction.filled", self.auctions_filled);
-        sink.add("auction.floor_blocked_bids", self.floor_blocked);
-        sink.add("pacing.ticks", self.pacing_ticks);
-        sink.add("pacing.adjustments", self.pacing_adjustments);
-        sink.add("pacing.clamps", self.pacing_clamps);
-        sink.add("pacing.throttle_skips", self.throttle_skips);
+    pub fn publish(&self, reg: &MetricRegistry) {
+        reg.add("auction.auctions", self.auctions_run);
+        reg.add("auction.filled", self.auctions_filled);
+        reg.add("auction.floor_blocked_bids", self.floor_blocked);
+        reg.add("pacing.ticks", self.pacing_ticks);
+        reg.add("pacing.adjustments", self.pacing_adjustments);
+        reg.add("pacing.clamps", self.pacing_clamps);
+        reg.add("pacing.throttle_skips", self.throttle_skips);
         if self.has_pacers() {
             let max = self.multipliers().into_iter().fold(0.0f64, f64::max);
-            sink.gauge_max("pacing.multiplier_max_milli", (max * 1000.0).round() as u64);
+            reg.gauge_max("pacing.multiplier_max_milli", (max * 1000.0).round() as u64);
         }
     }
 

@@ -14,9 +14,9 @@
 use std::io;
 use std::time::Instant;
 
+use adpf_core::scenario::{ScenarioPopulation, ScenarioSpec};
 use adpf_core::{SimReport, Simulator, SystemConfig};
 use adpf_obs::{to_json_lines, validate_json_lines, MetricRegistry};
-use adpf_scenario::{ScenarioPopulation, ScenarioSpec};
 use adpf_traces::PopulationConfig;
 
 /// The smoke workload's report hash. Every `smoke*` row without a

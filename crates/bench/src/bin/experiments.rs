@@ -14,7 +14,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use adpf_bench::{all_ids, run_experiment_threads, Scale};
-use adpf_obs::{render_table, to_json_lines, MetricRegistry, ObsSink};
+use adpf_obs::{render_table, to_json_lines, MetricRegistry};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -43,10 +43,10 @@ use std::time::Instant;
 use adpf_bench::cli::{
     build_config, build_population, build_scenario, parse_simulate_args, CliError, SimulateOpts,
 };
+use adpf_core::scenario::ScenarioPopulation;
 use adpf_core::{default_shards, DeliveryMode, SimReport, Simulator};
 use adpf_energy::BatteryModel;
-use adpf_obs::{render_table, to_json_lines, MetricRegistry, ObsSink};
-use adpf_scenario::ScenarioPopulation;
+use adpf_obs::{render_table, to_json_lines, MetricRegistry};
 use adpf_traces::{csv, shard_ranges, PopulationConfig, Trace};
 
 fn usage() {

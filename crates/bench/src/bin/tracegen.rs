@@ -30,7 +30,7 @@ use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::process::ExitCode;
 
-use adpf_scenario::{ScenarioPopulation, ScenarioSpec};
+use adpf_core::scenario::{ScenarioPopulation, ScenarioSpec};
 use adpf_traces::{csv, PopulationConfig, Trace, TraceStats};
 
 fn usage() {

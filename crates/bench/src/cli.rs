@@ -2,12 +2,12 @@
 //! the parser is unit-testable (no process exit, no I/O).
 
 use adpf_auction::{MarketplaceConfig, PriceFloors, PricingRule};
+use adpf_core::scenario::{ScenarioPopulation, ScenarioSpec};
 use adpf_core::{DeliveryMode, PlannerKind, SystemConfig};
 use adpf_desim::SimDuration;
 use adpf_energy::profiles;
 use adpf_netem::{NetemConfig, RetryPolicy};
 use adpf_prediction::PredictorKind;
-use adpf_scenario::{ScenarioPopulation, ScenarioSpec};
 use adpf_traces::PopulationConfig;
 
 /// Parsed `simulate` options, with defaults applied.

@@ -13,7 +13,6 @@ use std::time::Instant;
 
 use adpf_core::{Simulator, SystemConfig};
 use adpf_netem::NetemConfig;
-use adpf_obs::ObsSink;
 
 use crate::scale::Scale;
 use crate::table::{f, Table};

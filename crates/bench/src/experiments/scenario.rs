@@ -8,10 +8,11 @@
 //! display latency. E22 composes a flash crowd with an AdCell-style
 //! per-region cell ceiling and the planner's overbooking aggressiveness.
 
-use adpf_core::scenario::{CellCapacity, CellPolicy};
+use adpf_core::scenario::{
+    CellCapacity, CellPolicy, DeviceClass, ScenarioPopulation, ScenarioSpec,
+};
 use adpf_core::{Simulator, SystemConfig};
 use adpf_desim::SimDuration;
-use adpf_scenario::{ClassSpec, PopulationMix, ScenarioPopulation, ScenarioSpec};
 use adpf_traces::PopulationConfig;
 
 use crate::scale::Scale;
@@ -33,17 +34,13 @@ fn base_population(scale: Scale) -> PopulationConfig {
 /// A homogeneous single-class scenario: one class of the canonical mix
 /// promoted to the whole population. Rows for these are the per-class
 /// breakdown of E21 — class membership is the only axis that moves.
-fn solo(class: &ClassSpec) -> ScenarioSpec {
-    let mut device = class.device.clone();
-    device.weight = 1.0;
+fn solo(class: &DeviceClass) -> ScenarioSpec {
     ScenarioSpec {
-        name: format!("solo-{}", device.name),
-        mix: PopulationMix {
-            classes: vec![ClassSpec {
-                device,
-                session_scale: class.session_scale,
-            }],
-        },
+        name: format!("solo-{}", class.name),
+        classes: vec![DeviceClass {
+            weight: 1.0,
+            ..class.clone()
+        }],
         ..ScenarioSpec::mixed()
     }
 }
@@ -52,8 +49,8 @@ fn solo(class: &ClassSpec) -> ScenarioSpec {
 /// alone.
 fn mixes() -> Vec<(String, ScenarioSpec)> {
     let mut axis = vec![("mixed".to_string(), ScenarioSpec::mixed())];
-    for class in &PopulationMix::mixed().classes {
-        axis.push((class.device.name.clone(), solo(class)));
+    for class in &ScenarioSpec::mixed().classes {
+        axis.push((class.name.clone(), solo(class)));
     }
     axis
 }

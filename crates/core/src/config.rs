@@ -460,7 +460,7 @@ mod tests {
 
     #[test]
     fn scenario_config_feeds_validation_and_describe() {
-        use crate::scenario::CellCapacity;
+        use crate::scenario::{CellCapacity, ScenarioSpec};
 
         let mut c = SystemConfig::prefetch_default(1);
         let plain = c.describe();
@@ -469,7 +469,7 @@ mod tests {
             "scenario-off header stays legacy"
         );
 
-        c.scenario = ScenarioConfig::mixed(777);
+        ScenarioSpec::mixed().apply_to(&mut c, 777);
         assert_eq!(c.validate(), Ok(()));
         let d = c.describe();
         assert!(d.contains("scenario=mixed classes=3"), "header: {d}");

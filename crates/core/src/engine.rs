@@ -46,7 +46,7 @@ use adpf_auction::{
 use adpf_desim::{EventQueue, InlineVec, SimDuration, SimTime};
 use adpf_energy::{EnergyBreakdown, Radio};
 use adpf_netem::NetworkModel;
-use adpf_obs::{MetricId, MetricRegistry, ObsSink};
+use adpf_obs::{MetricId, MetricRegistry};
 use adpf_overbooking::availability::{BurstyTail, ClientAvailability};
 use adpf_overbooking::planner::{ReplicationPlanner, PLAN_INLINE};
 use adpf_traces::{AdSlot, AppId, UserId, UserSlots};
@@ -56,7 +56,7 @@ use rand::{Rng, SeedableRng};
 use crate::client::{CachedAd, ClientTable};
 use crate::config::{DeliveryMode, SystemConfig};
 use crate::report::{metric_names, NetemCounters, ScenarioCounters, SimReport};
-use crate::scenario::{CellPolicy, DeviceClass, CAP_PERIOD_MS};
+use crate::scenario::ScenarioState;
 use crate::sim::ShardContext;
 
 /// Upper bound on ads sold at one sync, guarding against a pathological
@@ -110,37 +110,11 @@ struct SimIds {
     netem_realtime_failures: MetricId,
     netem_ads_rescued: MetricId,
     netem_rescues_unplaced: MetricId,
-    /// Scenario-layer metric ids; resolved (and therefore registered)
-    /// only when the scenario layer is enabled, so scenario-off runs
-    /// export exactly the legacy metric set.
-    scen: Option<ScenIds>,
-}
-
-/// Pre-resolved ids for the scenario layer's user-cost metrics.
-struct ScenIds {
-    metered_down: MetricId,
-    metered_up: MetricId,
-    wasted_bytes: MetricId,
-    wasted_ads: MetricId,
-    cap_blocked: MetricId,
-    cell_dropped: MetricId,
-    cell_deferred: MetricId,
-    display_latency: MetricId,
 }
 
 impl SimIds {
-    fn resolve(reg: &MetricRegistry, scenario_enabled: bool) -> Self {
+    fn resolve(reg: &MetricRegistry) -> Self {
         SimIds {
-            scen: scenario_enabled.then(|| ScenIds {
-                metered_down: reg.counter(metric_names::SCEN_METERED_BYTES_DOWN),
-                metered_up: reg.counter(metric_names::SCEN_METERED_BYTES_UP),
-                wasted_bytes: reg.counter(metric_names::SCEN_WASTED_BYTES),
-                wasted_ads: reg.counter(metric_names::SCEN_WASTED_ADS),
-                cap_blocked: reg.counter(metric_names::SCEN_CAP_BLOCKED_SYNCS),
-                cell_dropped: reg.counter(metric_names::SCEN_CELL_DROPPED),
-                cell_deferred: reg.counter(metric_names::SCEN_CELL_DEFERRED),
-                display_latency: reg.histogram(metric_names::SCEN_DISPLAY_LATENCY_MS),
-            }),
             ev_slot: reg.counter("sim.event.slot"),
             ev_sync: reg.counter("sim.event.sync"),
             ev_retry: reg.counter("sim.event.retry"),
@@ -157,113 +131,6 @@ impl SimIds {
             netem_ads_rescued: reg.counter(metric_names::NETEM_ADS_RESCUED),
             netem_rescues_unplaced: reg.counter(metric_names::NETEM_RESCUES_UNPLACED),
         }
-    }
-}
-
-/// Engine-side scenario state: per-client class/region assignments,
-/// data-cap accounting, and the per-region cell-capacity windows.
-/// Built only when `config.scenario.enabled`; its absence IS the
-/// scenario-off gate (no extra branches cost anything on the legacy
-/// path beyond one `Option` check).
-struct ScenarioState {
-    /// Resolved device classes. Never empty: a scenario with no classes
-    /// gets one uniform class wrapping the config's base radio.
-    classes: Vec<DeviceClass>,
-    /// Per-client class index.
-    class_of: Vec<u16>,
-    /// Per-client cell region.
-    region: Vec<u32>,
-    /// Per-client metered flag (classes[class_of[i]].metered, flattened
-    /// for the hot path).
-    metered: Vec<bool>,
-    /// Per-client period cap in bytes (0 = uncapped), flattened.
-    cap_bytes: Vec<u64>,
-    /// Metered bytes used in the client's current billing period.
-    metered_used: Vec<u64>,
-    /// Billing-period index the usage above belongs to (lazy reset).
-    cap_period: Vec<u64>,
-    cell_on: bool,
-    /// This shard's share of the population-wide per-region ceiling.
-    cell_limit: u32,
-    cell_window_ms: u64,
-    cell_policy: CellPolicy,
-    cell_queue_delay: SimDuration,
-    /// Current window index per region (u64::MAX = untouched).
-    cell_window: Vec<u64>,
-    /// Fetches admitted per region in the current window.
-    cell_used: Vec<u32>,
-}
-
-impl ScenarioState {
-    fn new(config: &SystemConfig, num_users: usize) -> Self {
-        let sc = &config.scenario;
-        let classes: Vec<DeviceClass> = if sc.classes.is_empty() {
-            vec![DeviceClass {
-                name: "uniform".into(),
-                radio: config.radio.clone(),
-                metered: true,
-                monthly_cap_bytes: 0,
-                weight: 1.0,
-            }]
-        } else {
-            sc.classes.clone()
-        };
-        let mut class_of = Vec::with_capacity(num_users);
-        let mut region = Vec::with_capacity(num_users);
-        let mut metered = Vec::with_capacity(num_users);
-        let mut cap_bytes = Vec::with_capacity(num_users);
-        for u in 0..num_users {
-            // Assignments key on the *global* user id, so every shard
-            // (and the trace generator) agrees on who is who.
-            let g = sc.user_offset as u64 + u as u64;
-            let k = crate::scenario::class_index(sc.assign_seed, g, &classes);
-            class_of.push(k as u16);
-            region.push(crate::scenario::region_index(
-                sc.assign_seed,
-                g,
-                sc.cell.regions,
-            ));
-            metered.push(classes[k].metered);
-            cap_bytes.push(classes[k].monthly_cap_bytes);
-        }
-        let regions = sc.cell.regions.max(1) as usize;
-        // Scale the population-wide ceiling down to this shard's user
-        // share (budget_fraction already carries exactly that ratio), so
-        // sharded runs enforce the same aggregate ceiling regardless of
-        // shard count.
-        let cell_limit =
-            (((sc.cell.fetches_per_window as f64) * config.budget_fraction).round() as u32).max(1);
-        ScenarioState {
-            classes,
-            class_of,
-            region,
-            metered,
-            cap_bytes,
-            metered_used: vec![0; num_users],
-            cap_period: vec![0; num_users],
-            cell_on: sc.cell.enabled,
-            cell_limit,
-            cell_window_ms: sc.cell.window.as_millis().max(1),
-            cell_policy: sc.cell.policy,
-            cell_queue_delay: sc.cell.queue_delay,
-            cell_window: vec![u64::MAX; regions],
-            cell_used: vec![0; regions],
-        }
-    }
-
-    /// Whether client `ci`'s data budget for the period containing `now`
-    /// is exhausted. Lazily resets usage at period boundaries.
-    fn cap_blocks(&mut self, ci: usize, now: SimTime) -> bool {
-        let cap = self.cap_bytes[ci];
-        if cap == 0 {
-            return false;
-        }
-        let period = now.as_millis() / CAP_PERIOD_MS;
-        if self.cap_period[ci] != period {
-            self.cap_period[ci] = period;
-            self.metered_used[ci] = 0;
-        }
-        self.metered_used[ci] >= cap
     }
 }
 
@@ -394,9 +261,10 @@ pub struct ClientEngine {
     /// which case every link query short-circuits to "ideal" without
     /// consuming randomness — the legacy code path, bit for bit.
     net: Option<NetworkModel>,
-    /// Scenario-layer state; `None` when the scenario is disabled, in
-    /// which case every scenario query short-circuits to the legacy
-    /// behavior without touching any counter — bit for bit.
+    /// Scenario-layer state, holding its own metric ids; `None` when the
+    /// scenario is disabled, in which case every scenario query
+    /// short-circuits to the legacy behavior without touching any
+    /// counter — bit for bit.
     scen: Option<ScenarioState>,
     /// The run's metric registry. Always on: every value written during
     /// the run is a count of simulated events, merged shard-order like
@@ -471,16 +339,19 @@ impl ClientEngine {
         let num_users = slots_by_user.num_users();
         scratch.reset();
         let queue = &mut scratch.queue;
+        // Creating the registry allocates nothing; metrics allocate as
+        // they register, the scenario's first.
+        let obs = MetricRegistry::new();
         let scen = config
             .scenario
             .enabled
-            .then(|| ScenarioState::new(&config, num_users));
+            .then(|| ScenarioState::new(&config, num_users, &obs));
         let mut clients = ClientTable::with_capacity(num_users);
         for u in 0..num_users {
             // Mixed populations bind each client the radio of its device
             // class; scenario-off keeps the config's single radio.
             let radio = match &scen {
-                Some(s) => Radio::new(s.classes[s.class_of[u] as usize].radio.clone()),
+                Some(s) => Radio::new(s.radio(u).clone()),
                 None => Radio::new(config.radio.clone()),
             };
             clients.push(radio, config.predictor.build(slots_by_user.user(u)));
@@ -540,8 +411,7 @@ impl ClientEngine {
             .netem
             .enabled
             .then(|| NetworkModel::new(config.netem.clone(), n_clients, stream_seed));
-        let obs = MetricRegistry::new();
-        let mid = SimIds::resolve(&obs, config.scenario.enabled);
+        let mid = SimIds::resolve(&obs);
         // Sized last: these outlive the shard (the worker carries them to
         // its next engine), and allocated ahead of the shard's own tables
         // they fragment the heap — +1 MiB in 9 on `stream-netem-paced`.
@@ -682,167 +552,81 @@ impl ClientEngine {
     /// of app `app` at `now`. The caller must present slots in
     /// non-decreasing time order and call
     /// [`ClientEngine::drain_internal_before`]`(now)` first.
+    ///
+    /// One path for both delivery modes: a prefetching client shows a
+    /// cached ad if it has one; otherwise the slot is fetched in real
+    /// time through the cell ceiling and then the link. The radio must
+    /// wake for that fetch anyway, so a prefetching client rides the
+    /// same wakeup with a full sync — unless piggybacking is off or its
+    /// data budget is spent, in which case the fetch goes alone (and
+    /// still meters).
     pub fn on_slot(&mut self, now: SimTime, user: UserId, app: AppId) {
         self.obs.inc(self.mid.ev_slot, 1);
         self.slots_seen += 1;
         let ci = user.0 as usize;
-        let category = Self::app_category(app);
-        match self.config.mode {
-            DeliveryMode::RealTime => match self.cell_admit(ci, now) {
-                None => self.unfilled += 1,
-                Some(delay) => self.gated_realtime_fetch(ci, now, category, delay),
-            },
-            DeliveryMode::Prefetch => {
-                self.clients.slot_times[ci].push(now);
-                if let Some(ad) =
-                    self.clients.cache[ci].take_displayable(now, self.config.replica_window)
-                {
-                    self.clients.pending_reports[ci].push((ad.id, now));
-                    self.impressions += 1;
-                    self.cache_hits += 1;
-                    // A cached ad renders instantly: the user-facing
-                    // display latency is zero.
-                    if let Some(ids) = &self.mid.scen {
-                        self.obs.observe_id(ids.display_latency, 0);
-                    }
-                } else if self.config.realtime_fallback {
-                    if self.prefetch_cap_blocks(ci, now) {
-                        // Data budget exhausted: the piggybacked prefetch
-                        // sync may not ride along, but the slot is live
-                        // now — serve it with a plain realtime fetch
-                        // (which still meters).
-                        match self.cell_admit(ci, now) {
-                            None => self.unfilled += 1,
-                            Some(delay) => self.gated_realtime_fetch(ci, now, category, delay),
-                        }
-                    } else if self.config.piggyback_on_fallback {
-                        match self.cell_admit(ci, now) {
-                            None => self.unfilled += 1,
-                            Some(cell_delay) => {
-                                // The radio must wake for this fetch
-                                // anyway; ride the same wakeup with a
-                                // full sync — if the link lets the round
-                                // trip through at all.
-                                match self.net.as_mut().map(|net| net.attempt(ci, now)) {
-                                    Some(v) if !v.ok => {
-                                        // The slot is gone; there is no
-                                        // later moment to retry a display
-                                        // into. The radio still pays for
-                                        // the timeout.
-                                        self.obs.inc(self.mid.netem_realtime_failures, 1);
-                                        self.unfilled += 1;
-                                        self.clients.radio[ci].stall(now, v.latency);
-                                    }
-                                    verdict => {
-                                        // Any cell queueing delay rides
-                                        // the same stall (and latency
-                                        // sample) as the link's round
-                                        // trip; zero on the legacy path.
-                                        let latency =
-                                            verdict.map(|v| v.latency).unwrap_or(SimDuration::ZERO)
-                                                + cell_delay;
-                                        self.sync_body(ci, now, Some(category), latency);
-                                    }
-                                }
-                            }
-                        }
-                    } else {
-                        match self.cell_admit(ci, now) {
-                            None => self.unfilled += 1,
-                            Some(delay) => self.gated_realtime_fetch(ci, now, category, delay),
-                        }
-                    }
-                } else {
-                    self.unfilled += 1;
+        let prefetch = self.config.mode == DeliveryMode::Prefetch;
+        if prefetch {
+            self.clients.slot_times[ci].push(now);
+            if let Some(ad) =
+                self.clients.cache[ci].take_displayable(now, self.config.replica_window)
+            {
+                self.clients.pending_reports[ci].push((ad.id, now));
+                self.impressions += 1;
+                self.cache_hits += 1;
+                if let Some(s) = &self.scen {
+                    s.record_cache_hit(&self.obs);
                 }
+                return;
+            }
+            if !self.config.realtime_fallback {
+                self.unfilled += 1;
+                return;
             }
         }
-    }
-
-    /// Admits a realtime fetch through the per-region cell-capacity
-    /// ceiling. Returns the queueing delay to charge (zero off the
-    /// ceiling or with the scenario disabled), or `None` when the region
-    /// is saturated and the policy drops the fetch — the caller leaves
-    /// the slot unfilled.
-    fn cell_admit(&mut self, ci: usize, now: SimTime) -> Option<SimDuration> {
-        let Some(s) = self.scen.as_mut() else {
-            return Some(SimDuration::ZERO);
+        // Evaluated before the piggyback flag: a blocked sync is counted
+        // whether or not it would have ridden along.
+        let blocked = prefetch
+            && self
+                .scen
+                .as_mut()
+                .is_some_and(|s| s.prefetch_cap_blocks(ci, now, &self.obs));
+        let piggyback = prefetch && !blocked && self.config.piggyback_on_fallback;
+        let admitted = match self.scen.as_mut() {
+            Some(s) => s.cell_admit(ci, now, &self.obs),
+            None => Some(SimDuration::ZERO),
         };
-        if !s.cell_on {
-            return Some(SimDuration::ZERO);
-        }
-        let r = s.region[ci] as usize;
-        let w = now.as_millis() / s.cell_window_ms;
-        if s.cell_window[r] != w {
-            s.cell_window[r] = w;
-            s.cell_used[r] = 0;
-        }
-        s.cell_used[r] += 1;
-        if s.cell_used[r] <= s.cell_limit {
-            return Some(SimDuration::ZERO);
-        }
-        let ids = self
-            .mid
-            .scen
-            .as_ref()
-            .expect("scenario ids exist with state");
-        match s.cell_policy {
-            CellPolicy::Drop => {
-                self.obs.inc(ids.cell_dropped, 1);
-                None
-            }
-            CellPolicy::Defer => {
-                self.obs.inc(ids.cell_deferred, 1);
-                Some(s.cell_queue_delay)
-            }
-        }
-    }
-
-    /// Whether client `ci`'s data-plan budget blocks prefetch syncing
-    /// right now. False whenever the scenario layer is off.
-    fn prefetch_cap_blocks(&mut self, ci: usize, now: SimTime) -> bool {
-        let Some(s) = self.scen.as_mut() else {
-            return false;
+        let Some(mut latency) = admitted else {
+            self.unfilled += 1;
+            return;
         };
-        if !s.cap_blocks(ci, now) {
-            return false;
+        if let Some(net) = self.net.as_mut() {
+            let v = net.attempt(ci, now);
+            if !v.ok {
+                // The slot is gone; there is no later moment to retry a
+                // display into. The radio still pays for the timeout.
+                self.obs.inc(self.mid.netem_realtime_failures, 1);
+                self.unfilled += 1;
+                self.clients.radio[ci].stall(now, v.latency);
+                return;
+            }
+            // Any cell queueing delay rides the same stall (and latency
+            // sample) as the link's round trip; zero on the legacy path.
+            latency += v.latency;
         }
-        let ids = self
-            .mid
-            .scen
-            .as_ref()
-            .expect("scenario ids exist with state");
-        self.obs.inc(ids.cap_blocked, 1);
-        true
-    }
-
-    /// Adds a transfer to the metered-bytes accounting when the client's
-    /// traffic is metered. No-op with the scenario layer off.
-    fn meter(&mut self, ci: usize, down: u64, up: u64) {
-        let Some(s) = self.scen.as_mut() else { return };
-        if !s.metered[ci] {
+        let category = Self::app_category(app);
+        if piggyback {
+            self.sync_body(ci, now, Some(category), latency);
             return;
         }
-        let ids = self
-            .mid
-            .scen
-            .as_ref()
-            .expect("scenario ids exist with state");
-        self.obs.inc(ids.metered_down, down);
-        self.obs.inc(ids.metered_up, up);
-        s.metered_used[ci] += down + up;
-    }
-
-    /// Records the user-facing display latency of a fetched ad: the
-    /// class radio's transfer time for one creative plus any link
-    /// latency and cell queueing delay (`extra`). No-op with the
-    /// scenario layer off.
-    fn record_display_latency(&mut self, ci: usize, extra: SimDuration) {
-        let Some(s) = &self.scen else { return };
-        let Some(ids) = &self.mid.scen else { return };
-        let prof = &s.classes[s.class_of[ci] as usize].radio;
-        let t = prof.transfer_time(self.config.ad_bytes_down, self.config.ad_bytes_up) + extra;
-        self.obs.observe_id(ids.display_latency, t.as_millis());
+        if !latency.is_zero() {
+            self.clients.radio[ci].stall(now, latency);
+        }
+        let (down, up) = (self.config.ad_bytes_down, self.config.ad_bytes_up);
+        self.clients.radio[ci].transfer(now, down, up);
+        if let Some(s) = &mut self.scen {
+            s.meter(ci, down, up, &self.obs);
+        }
+        self.realtime_sale(ci, now, category, latency);
     }
 
     /// Maps an app to its marketplace category for contextual targeting.
@@ -850,54 +634,22 @@ impl ClientEngine {
         (app.0 % CampaignCatalog::NUM_CATEGORIES as u16) as u8
     }
 
-    /// [`ClientEngine::realtime_fetch`] gated by the network channel: on
-    /// a dead link the slot goes unfilled (a display moment cannot be
-    /// retried) and the radio pays a wasted timeout; on a degraded link
-    /// the fetch succeeds but holds the radio for the extra latency.
-    /// `extra` is a cell-capacity queueing delay to charge on top
-    /// (always zero on the legacy path). With netem disabled and no
-    /// delay this is exactly `realtime_fetch`.
-    fn gated_realtime_fetch(&mut self, ci: usize, now: SimTime, category: u8, extra: SimDuration) {
-        let mut lat = extra;
-        if let Some(net) = self.net.as_mut() {
-            let v = net.attempt(ci, now);
-            if !v.ok {
-                self.obs.inc(self.mid.netem_realtime_failures, 1);
-                self.unfilled += 1;
-                self.clients.radio[ci].stall(now, v.latency);
-                return;
-            }
-            lat += v.latency;
-        }
-        if !lat.is_zero() {
-            self.clients.radio[ci].stall(now, lat);
-        }
-        self.realtime_fetch(ci, now, category, lat);
-    }
-
-    /// Status-quo path: wake the radio, auction the slot in real time, and
-    /// bill immediately. `extra_latency` is the link + queueing stall
-    /// already charged by the caller, folded into the display-latency
-    /// sample only.
-    fn realtime_fetch(
-        &mut self,
-        ci: usize,
-        now: SimTime,
-        category: u8,
-        extra_latency: SimDuration,
-    ) {
-        self.clients.radio[ci].transfer(now, self.config.ad_bytes_down, self.config.ad_bytes_up);
-        self.meter(ci, self.config.ad_bytes_down, self.config.ad_bytes_up);
+    /// Auctions the slot being fetched in real time and bills it at once.
+    /// `latency` is the link + queueing stall the user waited on top of
+    /// the transfer, folded into the display-latency sample only.
+    fn realtime_sale(&mut self, ci: usize, now: SimTime, category: u8, latency: SimDuration) {
         self.realtime_fetches += 1;
         let offer = SlotOffer::realtime(now, Some(category));
-        if let Some(sold) = self.exchange.run_auction(&offer) {
-            self.ledger.record_sale(&sold);
-            let outcome = self.ledger.record_impression(sold.id, now);
-            debug_assert_eq!(outcome, ImpressionOutcome::Billed);
-            self.impressions += 1;
-            self.record_display_latency(ci, extra_latency);
-        } else {
+        let Some(sold) = self.exchange.run_auction(&offer) else {
             self.unfilled += 1;
+            return;
+        };
+        self.ledger.record_sale(&sold);
+        let outcome = self.ledger.record_impression(sold.id, now);
+        debug_assert_eq!(outcome, ImpressionOutcome::Billed);
+        self.impressions += 1;
+        if let Some(s) = &self.scen {
+            s.record_fetch(ci, latency, &self.obs);
         }
     }
 
@@ -910,7 +662,11 @@ impl ClientEngine {
             && self.fault_rng.gen::<f64>() < self.config.sync_dropout;
         if dropped {
             self.syncs_dropped += 1;
-        } else if self.prefetch_cap_blocks(ci, now) {
+        } else if self
+            .scen
+            .as_mut()
+            .is_some_and(|s| s.prefetch_cap_blocks(ci, now, &self.obs))
+        {
             // Data-plan budget exhausted: skip this period's prefetch
             // sync entirely (no transfer, no selling). The counter was
             // bumped by the check; the next period resets the budget.
@@ -951,7 +707,9 @@ impl ClientEngine {
         // the wasted-wakeup energy the tail model makes expensive.
         self.obs.inc(self.mid.netem_sync_failures, 1);
         self.clients.radio[ci].transfer(now, 0, self.config.sync_overhead_bytes);
-        self.meter(ci, 0, self.config.sync_overhead_bytes);
+        if let Some(s) = &mut self.scen {
+            s.meter(ci, 0, self.config.sync_overhead_bytes, &self.obs);
+        }
         self.clients.radio[ci].stall(now, v.latency);
         self.schedule_retry(ci, now, attempt);
     }
@@ -1073,22 +831,12 @@ impl ClientEngine {
         }
 
         // 3. Serve the current slot in real time if this sync rides a
-        //    fallback fetch.
+        //    fallback fetch. The user waits for the fetch inside the
+        //    sync: transfer time plus the link/queue stall.
         let mut rt_bytes = (0u64, 0u64);
         if let Some(category) = rt_fetch {
-            self.realtime_fetches += 1;
             rt_bytes = (self.config.ad_bytes_down, self.config.ad_bytes_up);
-            let offer = SlotOffer::realtime(now, Some(category));
-            if let Some(sold) = self.exchange.run_auction(&offer) {
-                self.ledger.record_sale(&sold);
-                self.ledger.record_impression(sold.id, now);
-                self.impressions += 1;
-                // The user waits for the fetch inside the piggybacked
-                // sync: transfer time plus the link/queue stall.
-                self.record_display_latency(ci, link_latency);
-            } else {
-                self.unfilled += 1;
-            }
+            self.realtime_sale(ci, now, category, link_latency);
         }
 
         // 4. Decide whether this sync transfers at all. Only things that
@@ -1143,16 +891,9 @@ impl ClientEngine {
             let disposition = self.tracker.record_display(ad.0, c);
             self.ledger.record_impression(ad, t);
             if disposition == adpf_overbooking::DisplayDisposition::First {
-                // Every holder's queue shrinks: the reporter consumed the
-                // ad, the others will drop it on cancellation. Borrowing
-                // `tracker` and mutating `clients` are disjoint field
-                // accesses, so no defensive clone of the holder list.
-                if let Some(holders) = self.tracker.holders(ad.0) {
-                    for &h in holders {
-                        let q = &mut self.clients.queued[h as usize];
-                        *q = q.saturating_sub(1);
-                    }
-                }
+                // The reporter consumed the ad, the others will drop it
+                // on cancellation.
+                self.release_holders(ad.0);
             }
         }
         self.scratch.reports.clear();
@@ -1164,7 +905,9 @@ impl ClientEngine {
         let up =
             report_count * self.config.ad_bytes_up + self.config.sync_overhead_bytes + rt_bytes.1;
         self.clients.radio[ci].transfer(now, down, up);
-        self.meter(ci, down, up);
+        if let Some(s) = &mut self.scen {
+            s.meter(ci, down, up, &self.obs);
+        }
         if !link_latency.is_zero() {
             // Degraded link: the round trip holds the radio active past
             // the payload time (queued behind the transfer just issued).
@@ -1407,25 +1150,27 @@ impl ClientEngine {
         for &(ad, campaign, price) in &expired {
             self.exchange.refund(campaign, price);
             if !self.tracker.is_displayed(ad.0) {
-                // A prefetched ad nobody displayed: the bytes that moved
-                // it were pure user cost. One creative download is the
-                // lower bound (replicas of the same ad add more).
-                if let Some(ids) = &self.mid.scen {
-                    self.obs.inc(ids.wasted_ads, 1);
-                    self.obs.inc(ids.wasted_bytes, self.config.ad_bytes_down);
+                if let Some(s) = &self.scen {
+                    s.record_wasted_ad(&self.obs);
                 }
-                if let Some(holders) = self.tracker.holders(ad.0) {
-                    // Disjoint field borrows: read `tracker`, write
-                    // `clients` — no clone needed.
-                    for &h in holders {
-                        let q = &mut self.clients.queued[h as usize];
-                        *q = q.saturating_sub(1);
-                    }
-                }
+                self.release_holders(ad.0);
             }
             self.tracker.remove(ad.0);
         }
         self.scratch.expired = expired;
+    }
+
+    /// Shrinks the queue of every holder of `ad`, which no longer waits
+    /// on any of them: it was displayed, or it expired. Borrowing
+    /// `tracker` and mutating `clients` are disjoint field accesses, so
+    /// no defensive clone of the holder list.
+    fn release_holders(&mut self, ad: u64) {
+        if let Some(holders) = self.tracker.holders(ad) {
+            for &h in holders {
+                let q = &mut self.clients.queued[h as usize];
+                *q = q.saturating_sub(1);
+            }
+        }
     }
 
     /// Settles all outstanding state and produces the run's report plus
@@ -1459,12 +1204,7 @@ impl ClientEngine {
         // loses end-of-trace tail energy; scenario-off keeps the single
         // config radio (bit-identical legacy path).
         let tail = match &self.scen {
-            Some(s) => s
-                .classes
-                .iter()
-                .map(|c| c.radio.tail_duration())
-                .max()
-                .unwrap_or_else(|| self.config.radio.tail_duration()),
+            Some(s) => s.longest_tail(),
             None => self.config.radio.tail_duration(),
         };
         let flush_at = self.horizon + tail;

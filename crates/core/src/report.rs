@@ -643,7 +643,6 @@ mod tests {
         // per-shard registries and then deriving must equal deriving
         // per shard and absorbing — the equivalence the hash-stable
         // SimReport field rests on.
-        use adpf_obs::ObsSink;
 
         let fill = |values: [u64; 7]| {
             let reg = MetricRegistry::new();
@@ -683,7 +682,6 @@ mod tests {
     fn scenario_absorb_equals_registry_merge() {
         // Same equivalence as netem: per-shard derive + absorb must equal
         // registry-merge + derive, counters and histogram alike.
-        use adpf_obs::ObsSink;
 
         let fill = |counters: [u64; 7], lat_samples: &[u64]| {
             let reg = MetricRegistry::new();

@@ -12,7 +12,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use adpf_auction::{Campaign, CampaignCatalog, CampaignType};
-use adpf_obs::{MetricRegistry, ObsSink};
+use adpf_obs::MetricRegistry;
 use adpf_traces::{shard_ranges, AdSlot, Trace, UserSlots};
 
 use crate::config::SystemConfig;

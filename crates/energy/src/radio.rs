@@ -1,7 +1,7 @@
 //! Per-client radio state machine with energy accounting.
 
 use adpf_desim::{SimDuration, SimTime};
-use adpf_obs::ObsSink;
+use adpf_obs::MetricRegistry;
 
 use crate::profile::RadioProfile;
 use crate::timeline::{RadioState, Timeline};
@@ -80,12 +80,12 @@ impl EnergyBreakdown {
     /// histograms: one sample per state per client, in milliseconds,
     /// plus per-client energy in millijoules. All inputs are simulated
     /// quantities, so the resulting metrics are deterministic.
-    pub fn publish_residency<S: ObsSink>(&self, sink: &S) {
-        sink.observe("energy.user.promo_ms", self.promo_time.as_millis());
-        sink.observe("energy.user.xfer_ms", self.transfer_time().as_millis());
-        sink.observe("energy.user.tail_ms", self.tail_time.as_millis());
-        sink.observe("energy.user.active_ms", self.active_time.as_millis());
-        sink.observe("energy.user.total_mj", (self.total_j() * 1_000.0) as u64);
+    pub fn publish_residency(&self, reg: &MetricRegistry) {
+        reg.observe("energy.user.promo_ms", self.promo_time.as_millis());
+        reg.observe("energy.user.xfer_ms", self.transfer_time().as_millis());
+        reg.observe("energy.user.tail_ms", self.tail_time.as_millis());
+        reg.observe("energy.user.active_ms", self.active_time.as_millis());
+        reg.observe("energy.user.total_mj", (self.total_j() * 1_000.0) as u64);
     }
 }
 

@@ -1,7 +1,7 @@
 //! The per-simulation network model: one deterministic channel per client.
 
 use adpf_desim::{SimDuration, SimTime};
-use adpf_obs::{Histogram, ObsSink};
+use adpf_obs::{Histogram, MetricRegistry};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -260,11 +260,11 @@ impl NetworkModel {
 
     /// Publishes accumulated link statistics: attempt/failure counts,
     /// per-state attempt counts, and backoff depth/delay histograms.
-    pub fn publish<S: ObsSink>(&self, sink: &S) {
+    pub fn publish(&self, reg: &MetricRegistry) {
         let s = &self.stats;
-        sink.add("netem.attempts", s.attempts);
-        sink.add("netem.attempt_failures", s.failures);
-        sink.add("netem.outage_blocked", s.outage_blocked);
+        reg.add("netem.attempts", s.attempts);
+        reg.add("netem.attempt_failures", s.failures);
+        reg.add("netem.outage_blocked", s.outage_blocked);
         for state in LinkState::ALL {
             let name = match state {
                 LinkState::Wifi => "netem.attempts.wifi",
@@ -272,11 +272,11 @@ impl NetworkModel {
                 LinkState::CellPoor => "netem.attempts.cell_poor",
                 LinkState::Offline => "netem.attempts.offline",
             };
-            sink.add(name, s.by_state[state as usize]);
+            reg.add(name, s.by_state[state as usize]);
         }
-        sink.add("netem.backoffs", s.backoffs);
-        sink.merge_histogram("netem.backoff_depth", &s.backoff_depth);
-        sink.merge_histogram("netem.backoff_delay_ms", &s.backoff_delay_ms);
+        reg.add("netem.backoffs", s.backoffs);
+        reg.merge_histogram("netem.backoff_depth", &s.backoff_depth);
+        reg.merge_histogram("netem.backoff_delay_ms", &s.backoff_delay_ms);
     }
 }
 

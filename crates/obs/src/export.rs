@@ -157,7 +157,6 @@ pub fn validate_json_lines(contents: &str) -> Result<usize, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::ObsSink;
 
     fn sample_registry() -> MetricRegistry {
         let reg = MetricRegistry::new();

@@ -1,21 +1,16 @@
 //! Deterministic observability for the ad-prefetching simulator.
 //!
-//! Three layers, smallest possible surface:
-//!
-//! - [`MetricRegistry`]: counters, high-water gauges, and fixed
-//!   log-linear-bucket [`Histogram`]s behind pre-resolved [`MetricId`]s, so the
-//!   hot path is an array index and an integer add — no allocation, no
-//!   string hashing, no floating point. All metric state is integral,
-//!   which makes [`MetricRegistry::merge`] exactly associative and
-//!   commutative for counters, histograms, and gauges: per-shard
-//!   registries merged in shard order (mirroring `SimReport::merge`)
-//!   produce the same values regardless of how work was scheduled.
-//! - [`ObsSink`]: the trait instrumented code writes through when it
-//!   cannot (or need not) pre-resolve ids. [`NoopSink`] reports
-//!   `enabled() == false` and has empty inline bodies, so monomorphized
-//!   call sites compile to nothing measurable.
-//! - [`Span`]: an RAII wall-clock timer that records into a sink on
-//!   drop and skips the clock read entirely when the sink is disabled.
+//! One registry, smallest possible surface: [`MetricRegistry`] holds
+//! counters, high-water gauges, fixed log-linear-bucket [`Histogram`]s
+//! and wall-clock timers. Hot paths update through pre-resolved
+//! [`MetricId`]s — an array index and an integer add, no allocation, no
+//! string hashing, no floating point; publish-at-finalize seams use the
+//! dynamic-name methods (`add`, `gauge_max`, `observe`, ...), which
+//! register the slot on first use. All metric state is integral, which
+//! makes [`MetricRegistry::merge`] exactly associative and commutative
+//! for counters, histograms, and gauges: per-shard registries merged in
+//! shard order (mirroring `SimReport::merge`) produce the same values
+//! regardless of how work was scheduled.
 //!
 //! Determinism rule of thumb: anything derived from simulated state
 //! (counts, simulated durations, sizes) may feed counters/gauges/
@@ -27,12 +22,8 @@ pub mod export;
 pub mod hist;
 pub mod registry;
 pub mod rss;
-pub mod sink;
-pub mod span;
 
 pub use export::{render_table, to_json_lines, validate_json_lines};
 pub use hist::{Histogram, NUM_BUCKETS};
 pub use registry::{MetricId, MetricKind, MetricRegistry, MetricSnapshot, MetricValue};
 pub use rss::{current_rss_kb, peak_rss_kb, record_peak_rss, PEAK_RSS_METRIC, PROC_PREFIX};
-pub use sink::{NoopSink, ObsSink};
-pub use span::Span;

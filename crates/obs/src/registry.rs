@@ -4,7 +4,6 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 
 use crate::hist::Histogram;
-use crate::sink::ObsSink;
 
 /// What a metric slot holds and how it merges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -74,10 +73,9 @@ impl Inner {
 /// A set of named metrics with deterministic merge semantics.
 ///
 /// Interior mutability (`RefCell`) keeps all update methods `&self`, so
-/// a registry can serve as an [`ObsSink`] while spans and instrumented
-/// components hold shared references to it. Registries are `Send` but
-/// not `Sync`; parallel runs keep one per shard and merge them in shard
-/// order, exactly like `SimReport::merge`.
+/// instrumented components can publish through shared references.
+/// Registries are `Send` but not `Sync`; parallel runs keep one per
+/// shard and merge them in shard order, exactly like `SimReport::merge`.
 #[derive(Default, Debug)]
 pub struct MetricRegistry {
     inner: RefCell<Inner>,
@@ -136,6 +134,43 @@ impl MetricRegistry {
         if let Slot::Time(v) = &mut self.inner.borrow_mut().slots[id.0 as usize] {
             *v += nanos;
         }
+    }
+
+    // ---- updates by name ----------------------------------------------
+    //
+    // Register (or find) the slot, then update it. For publish-at-finalize
+    // seams; hot paths hold `MetricId`s instead.
+
+    /// Adds to a counter.
+    pub fn add(&self, name: &'static str, delta: u64) {
+        let id = self.counter(name);
+        self.inc(id, delta);
+    }
+
+    /// Raises a high-water gauge to at least `value`.
+    pub fn gauge_max(&self, name: &'static str, value: u64) {
+        let id = self.gauge(name);
+        self.gauge_max_id(id, value);
+    }
+
+    /// Records one histogram sample.
+    pub fn observe(&self, name: &'static str, value: u64) {
+        let id = self.histogram(name);
+        self.observe_id(id, value);
+    }
+
+    /// Folds a pre-aggregated histogram into the named histogram.
+    pub fn merge_histogram(&self, name: &'static str, hist: &Histogram) {
+        let id = self.histogram(name);
+        if let Slot::Hist(h) = &mut self.inner.borrow_mut().slots[id.0 as usize] {
+            h.merge(hist);
+        }
+    }
+
+    /// Adds wall-clock nanoseconds to a time metric.
+    pub fn add_time_ns(&self, name: &'static str, nanos: u64) {
+        let id = self.timer(name);
+        self.add_time_ns_id(id, nanos);
     }
 
     // ---- readers -------------------------------------------------------
@@ -274,45 +309,6 @@ impl MetricValue {
     }
 }
 
-/// A registry is itself a sink: the dynamic-name path registers (or
-/// finds) the slot and updates it. Used at publish-at-finalize seams;
-/// hot paths should hold [`MetricId`]s instead.
-impl ObsSink for MetricRegistry {
-    fn add(&self, name: &'static str, delta: u64) {
-        let id = self.counter(name);
-        self.inc(id, delta);
-    }
-
-    fn gauge_max(&self, name: &'static str, value: u64) {
-        let id = self.gauge(name);
-        self.gauge_max_id(id, value);
-    }
-
-    fn observe(&self, name: &'static str, value: u64) {
-        let id = self.histogram(name);
-        self.observe_id(id, value);
-    }
-
-    fn observe_n(&self, name: &'static str, value: u64, n: u64) {
-        let id = self.histogram(name);
-        if let Slot::Hist(h) = &mut self.inner.borrow_mut().slots[id.0 as usize] {
-            h.record_n(value, n);
-        }
-    }
-
-    fn merge_histogram(&self, name: &'static str, hist: &Histogram) {
-        let id = self.histogram(name);
-        if let Slot::Hist(h) = &mut self.inner.borrow_mut().slots[id.0 as usize] {
-            h.merge(hist);
-        }
-    }
-
-    fn add_time_ns(&self, name: &'static str, nanos: u64) {
-        let id = self.timer(name);
-        self.add_time_ns_id(id, nanos);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -357,14 +353,12 @@ mod tests {
     }
 
     #[test]
-    fn sink_impl_registers_on_demand() {
+    fn updates_by_name_register_on_demand() {
         let r = MetricRegistry::new();
-        assert!(r.enabled());
         r.add("a", 1);
         r.add("a", 2);
         r.gauge_max("b", 9);
         r.observe("c", 3);
-        r.observe_n("c", 5, 2);
         let mut pre = Histogram::new();
         pre.record(8);
         r.merge_histogram("c", &pre);
@@ -372,8 +366,8 @@ mod tests {
         assert_eq!(r.counter_value("a"), 3);
         assert_eq!(r.gauge_value("b"), 9);
         let h = r.histogram_snapshot("c").unwrap();
-        assert_eq!(h.count(), 4);
-        assert_eq!(h.sum(), 3 + 10 + 8);
+        assert_eq!(h.count(), 2);
+        assert_eq!(h.sum(), 3 + 8);
         assert_eq!(r.time_ns("d"), 50);
     }
 

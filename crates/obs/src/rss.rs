@@ -11,7 +11,7 @@
 //! [`crate::MetricRegistry::deterministic_snapshot`] excludes, so RSS
 //! gauges never participate in determinism or hash-equivalence checks.
 
-use crate::sink::ObsSink;
+use crate::registry::MetricRegistry;
 
 /// Name prefix of host-fact metrics (process memory, and anything else
 /// read from the OS rather than computed by the simulation). Excluded
@@ -38,13 +38,13 @@ pub fn current_rss_kb() -> Option<u64> {
     read_status_kb("VmRSS:")
 }
 
-/// Records the current peak RSS into `sink` as the [`PEAK_RSS_METRIC`]
+/// Records the current peak RSS into `reg` as the [`PEAK_RSS_METRIC`]
 /// gauge (merge-by-max, matching the kernel's own high-water
 /// semantics); returns the value in KiB. A no-op returning `None` where
 /// RSS is unavailable.
-pub fn record_peak_rss(sink: &dyn ObsSink) -> Option<u64> {
+pub fn record_peak_rss(reg: &MetricRegistry) -> Option<u64> {
     let kb = peak_rss_kb()?;
-    sink.gauge_max(PEAK_RSS_METRIC, kb);
+    reg.gauge_max(PEAK_RSS_METRIC, kb);
     Some(kb)
 }
 
@@ -63,7 +63,6 @@ fn read_status_kb(field: &str) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::MetricRegistry;
 
     #[test]
     fn peak_rss_is_positive_and_at_least_current() {

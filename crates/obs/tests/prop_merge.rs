@@ -2,7 +2,7 @@
 //! order-insensitive for counters/gauges and bucket-exact for
 //! histograms, mirroring the `SimReport::merge` determinism contract.
 
-use adpf_obs::{Histogram, MetricRegistry, ObsSink};
+use adpf_obs::{Histogram, MetricRegistry};
 use proptest::prelude::*;
 
 const COUNTERS: [&str; 3] = ["c.syncs", "c.retries", "c.failures"];

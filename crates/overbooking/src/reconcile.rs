@@ -17,7 +17,7 @@
 
 use crate::planner::PLAN_INLINE;
 use adpf_desim::{IdDeque, InlineVec, SimTime};
-use adpf_obs::ObsSink;
+use adpf_obs::MetricRegistry;
 
 /// Disposition of a reported display.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -217,18 +217,18 @@ impl ReplicaTracker {
     }
 
     /// Publishes churn counters and the tracked-ads high-water mark.
-    pub fn publish<S: ObsSink>(&self, sink: &S) {
+    pub fn publish(&self, reg: &MetricRegistry) {
         let s = &self.stats;
-        sink.add("overbooking.ads_registered", s.ads_registered);
-        sink.add("overbooking.replicas_registered", s.replicas_registered);
-        sink.add("overbooking.rescues", s.rescues);
-        sink.add("overbooking.rescues_refused", s.rescues_refused);
-        sink.add("overbooking.first_displays", s.first_displays);
-        sink.add("overbooking.duplicate_displays", s.duplicate_displays);
-        sink.add("overbooking.unknown_displays", s.unknown_displays);
-        sink.add("overbooking.cancellations_queued", s.cancellations_queued);
-        sink.add("overbooking.ads_removed", s.ads_removed);
-        sink.gauge_max("overbooking.peak_tracked", s.peak_tracked);
+        reg.add("overbooking.ads_registered", s.ads_registered);
+        reg.add("overbooking.replicas_registered", s.replicas_registered);
+        reg.add("overbooking.rescues", s.rescues);
+        reg.add("overbooking.rescues_refused", s.rescues_refused);
+        reg.add("overbooking.first_displays", s.first_displays);
+        reg.add("overbooking.duplicate_displays", s.duplicate_displays);
+        reg.add("overbooking.unknown_displays", s.unknown_displays);
+        reg.add("overbooking.cancellations_queued", s.cancellations_queued);
+        reg.add("overbooking.ads_removed", s.ads_removed);
+        reg.gauge_max("overbooking.peak_tracked", s.peak_tracked);
     }
 
     /// Clients holding replicas of `ad`, if tracked.

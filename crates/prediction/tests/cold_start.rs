@@ -1,7 +1,7 @@
 //! Cold-start hardening: regression tests for the zero-history regime.
 //!
 //! The scenario suite's churn layer drops users into the simulation
-//! mid-trace with *no* predictor history (`adpf-scenario`), which makes
+//! mid-trace with *no* predictor history (`adpf_core::scenario`), which makes
 //! the cold paths load-bearing: a predictor that divides by an empty
 //! history or feeds NaN into the planner corrupts every downstream
 //! energy and revenue number without crashing. These tests pin the

@@ -1,60 +1,3 @@
-//! Deterministic scenario layers over the synthetic population.
-//!
-//! The base pipeline runs one homogeneous population against one device
-//! and network profile. This crate composes the regimes the paper skips
-//! on top of the existing stack, without touching its determinism
-//! contract:
-//!
-//! - **Mixed populations** ([`ScenarioSpec::mixed`]): a weighted mix of
-//!   device classes (WiFi-heavy / LTE / 3G-budget), each binding its own
-//!   energy profile, app-session shape, and optional monthly data-plan
-//!   cap that gates prefetch once exhausted. Class membership is a pure
-//!   function of `(seed, global user id)` shared with the engine
-//!   (`adpf_core::scenario::class_index`), so the trace generator and
-//!   the simulator always agree on who owns which radio.
-//! - **Churn and cold start** ([`ChurnSpec`]): a fraction of users
-//!   arrive mid-trace (no sessions — hence no predictor history — before
-//!   their arrival time) and a fraction depart early. Both are derived
-//!   from stable per-user coordinates, so churn composes with sharding
-//!   and streaming unchanged.
-//! - **Burst events** ([`BurstSpec`]): an app-release flash crowd
-//!   injects extra sessions of one hot app over a window, concentrated
-//!   on a subset of cell regions, multiplying slot arrival rates where
-//!   the per-region cell-capacity ceiling (`CellCapacity`) bites. The
-//!   scenario can additionally bind a netem preset so the burst composes
-//!   with outage windows.
-//! - **User-cost accounting**: applying a scenario flips on the engine's
-//!   scenario layer (`SystemConfig::scenario`), which populates
-//!   `SimReport::scenario` — metered bytes, wasted prefetch bytes,
-//!   display-latency percentiles, cap/cell counters.
-//!
-//! [`ScenarioPopulation`] wraps a [`PopulationConfig`] and mirrors its
-//! generation surface (`generate`, `generate_parallel`,
-//! `generate_shard`, `generate_user_range`), so it plugs into both the
-//! materialized and the bounded-memory streaming pipeline. Every
-//! transform is a pure function of `(base config, spec, global user
-//! id)`; generating a shard directly is byte-identical to materializing
-//! the scenario population and splitting it.
-//!
-//! # Examples
-//!
-//! ```
-//! use adpf_core::{DeliveryMode, Simulator, SystemConfig};
-//! use adpf_scenario::{ScenarioPopulation, ScenarioSpec};
-//! use adpf_traces::PopulationConfig;
-//!
-//! let pop = ScenarioPopulation::new(
-//!     PopulationConfig::small_test(7),
-//!     ScenarioSpec::parse_preset("mixed").unwrap(),
-//! );
-//! let mut cfg = SystemConfig::prefetch_default(7);
-//! pop.apply_to(&mut cfg);
-//! let report = Simulator::new(cfg, &pop.generate()).run();
-//! assert!(report.scenario.metered_bytes() > 0);
-//! ```
-
-pub mod population;
-pub mod spec;
-
-pub use population::ScenarioPopulation;
-pub use spec::{BurstSpec, ChurnSpec, ClassSpec, PopulationMix, ScenarioSpec};
+//! Re-export shim: the scenario layer lives in [`adpf_core::scenario`].
+//! Deleted once `benchmark/` rebinds to that path.
+pub use adpf_core::scenario::{BurstSpec, ChurnSpec, ScenarioPopulation, ScenarioSpec};

@@ -20,12 +20,12 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use adpf_auction::{MarketplaceConfig, PricingRule};
+use adpf_core::scenario::ScenarioSpec;
 use adpf_core::{PlannerKind, SystemConfig};
 use adpf_energy::profiles;
 use adpf_netem::NetemConfig;
 use adpf_obs::render_table;
 use adpf_prediction::PredictorKind;
-use adpf_scenario::ScenarioSpec;
 use adpf_serve::{
     serve, ServeOptions, ServeOutcome, BACKPRESSURE_METRIC, BATCH_EVENTS_METRIC,
     DECISION_LATENCY_METRIC, QUEUE_WAIT_METRIC,

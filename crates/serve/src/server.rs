@@ -83,7 +83,7 @@ use adpf_core::{
     SystemConfig,
 };
 use adpf_desim::{SimTime, WorkQueue};
-use adpf_obs::{MetricRegistry, ObsSink};
+use adpf_obs::MetricRegistry;
 use adpf_prediction::PredictorKind;
 use adpf_traces::{shard_ranges, AppId, UserId, UserSlots};
 
