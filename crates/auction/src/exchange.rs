@@ -5,6 +5,7 @@ use adpf_obs::MetricRegistry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::ahead::Sampler;
 use crate::campaign::{Campaign, CampaignId, PreparedBid};
 use crate::market::{CampaignType, MarketplaceConfig, PacingController, PriceFloors, PricingRule};
 
@@ -142,6 +143,14 @@ pub struct Exchange {
     pacing_ticks: u64,
     pacing_adjustments: u64,
     pacing_clamps: u64,
+    /// Whether auctions may be sampled ahead (see
+    /// [`Exchange::enable_sample_ahead`]); cleared for good by the first
+    /// draw that cannot be committed.
+    sample_ahead: bool,
+    /// The helper sampling ahead, once an auction has started it.
+    ahead: Option<Sampler>,
+    ahead_auctions: u64,
+    ahead_fallbacks: u64,
 }
 
 impl Exchange {
@@ -174,6 +183,10 @@ impl Exchange {
             pacing_ticks: 0,
             pacing_adjustments: 0,
             pacing_clamps: 0,
+            sample_ahead: false,
+            ahead: None,
+            ahead_auctions: 0,
+            ahead_fallbacks: 0,
         }
     }
 
@@ -192,6 +205,8 @@ impl Exchange {
     /// Panics when the marketplace is paced and `types` is not aligned
     /// with the campaigns.
     pub fn configure_marketplace(&mut self, mc: &MarketplaceConfig, types: &[CampaignType]) {
+        // Draws sampled ahead assumed the old floors and pacers.
+        self.ahead = None;
         self.pricing = mc.pricing;
         self.floors = mc.floors;
         self.pacers = if mc.enabled && mc.paced {
@@ -227,6 +242,7 @@ impl Exchange {
 
     /// Overrides the per-slot-kind price floors.
     pub fn set_floors(&mut self, floors: PriceFloors) {
+        self.ahead = None;
         self.floors = floors;
     }
 
@@ -284,90 +300,34 @@ impl Exchange {
     /// Runs one auction; returns the sold ad, or `None` when no bid clears
     /// the reserve.
     ///
-    /// Bids are drawn in log space and exponentiated lazily: once some
-    /// evaluated bid is known to sit at or below the running second
-    /// price, any later draw whose logarithm does not exceed that bid's
-    /// can change neither the winner nor the price (`exp` is monotone),
-    /// so it is dropped without calling `exp`. Every RNG draw still
-    /// happens, in the same order.
+    /// The bids come from one sampling loop: run here, or ahead when
+    /// [`Exchange::enable_sample_ahead`] is on and the draw can be
+    /// committed (see the `ahead` module). Either way the sale, the
+    /// budgets and the RNG stream are the same bits.
     pub fn run_auction(&mut self, slot: &SlotOffer) -> Option<SoldAd> {
         self.auctions_run += 1;
         // With no floors configured (the legacy path) `entry_floor` is
         // exactly the reserve, so bid gating, the second-price seed, and
-        // every RNG draw below match the pre-marketplace exchange bit
-        // for bit.
+        // every RNG draw match the pre-marketplace exchange bit for bit.
         let kind_floor = self.floors.for_kind(slot.kind);
         let entry_floor = kind_floor.max(self.reserve_price);
-        // A floor above the reserve counts each bid it blocks, so such
-        // an auction has to look at every bid: it never raises `skip_log`.
-        let counts_blocked = entry_floor > self.reserve_price;
-        let mut best: Option<(usize, f64)> = None;
-        let mut second = entry_floor;
-        // `skip_log` is the largest known `x` with `exp(x) <= second`;
-        // `best_log` is the leader's, banked for when it is outbid.
-        // NEG_INFINITY stands for "not known" (paced multipliers break
-        // the bid/log correspondence).
-        let mut skip_log = f64::NEG_INFINITY;
-        let mut best_log = f64::NEG_INFINITY;
-        for (i, c) in self.campaigns.iter().enumerate() {
-            if !c.can_afford(c.bid.mean_price) {
-                continue;
-            }
-            let Some(x) = self.prepared[i].sample_log_paired(
+        let (best, second) = match self.commit_ahead(entry_floor) {
+            Some(drawn) => drawn,
+            None => draw_bids(
+                &self.prepared,
                 &mut self.rng,
                 &mut self.spare_normal,
                 slot.category,
-            ) else {
-                continue;
-            };
-            let mut multiplier = 1.0;
-            if let Some(p) = self.pacers.get(i).and_then(Option::as_ref) {
-                match p.ty {
-                    CampaignType::PacedBudget | CampaignType::TargetCpc { .. } => {
-                        multiplier = p.ctl.value();
-                    }
-                    CampaignType::PacedFixedCpc => {
-                        // Pace by throttling participation, bid untouched.
-                        // The throttle draw happens after the bid draw so
-                        // it extends — never reorders — the stream.
-                        let throttle = p.ctl.value().min(1.0);
-                        if throttle < 1.0 && self.rng.gen::<f64>() >= throttle {
-                            self.throttle_skips += 1;
-                            continue;
-                        }
-                    }
-                    CampaignType::FixedCpc => {}
-                }
-            }
-            // Multiplying by exactly 1.0 is the identity, so `x` is the
-            // bid's logarithm whenever the multiplier is 1.0.
-            let ranks_by_log = multiplier == 1.0 && !counts_blocked;
-            if ranks_by_log && x <= skip_log {
-                // At most `second`: it would fall through every arm below
-                // without changing `best` or `second`.
-                continue;
-            }
-            let log = if ranks_by_log { x } else { f64::NEG_INFINITY };
-            let bid = x.exp() * multiplier;
-            if bid < entry_floor || !c.can_afford(bid) {
-                if bid >= self.reserve_price && bid < entry_floor {
-                    self.floor_blocked += 1;
-                }
-                continue;
-            }
-            match best {
-                None => (best, best_log) = (Some((i, bid)), log),
-                Some((_, b)) if bid > b => {
-                    second = b;
-                    skip_log = skip_log.max(best_log);
-                    (best, best_log) = (Some((i, bid)), log);
-                }
-                Some(_) => {
-                    second = second.max(bid);
-                    skip_log = skip_log.max(log);
-                }
-            }
-        }
+                self.reserve_price,
+                entry_floor,
+                &mut Live {
+                    campaigns: &self.campaigns,
+                    pacers: &self.pacers,
+                    throttle_skips: &mut self.throttle_skips,
+                    floor_blocked: &mut self.floor_blocked,
+                },
+            ),
+        };
         let (winner_idx, win_bid) = best?;
         let mut price = match self.pricing {
             PricingRule::SecondPrice => second,
@@ -384,6 +344,9 @@ impl Exchange {
             price = kind_floor;
         }
         self.campaigns[winner_idx].debit(price);
+        if let Some(a) = &mut self.ahead {
+            a.min_budget = a.min_budget.min(self.campaigns[winner_idx].budget);
+        }
         if let Some(p) = self.pacers.get_mut(winner_idx).and_then(Option::as_mut) {
             p.spent += price;
             p.price_sum += price;
@@ -400,6 +363,78 @@ impl Exchange {
             deadline: slot.deadline,
             sold_at: slot.at,
         })
+    }
+
+    /// Lets this exchange sample its auctions ahead, on a thread of its
+    /// own, whenever its marketplace is static: no pacers, no targeted
+    /// campaign and no floor above the reserve. Results are bit-identical
+    /// either way; the helper only pays where a core would otherwise sit
+    /// idle, since it runs flat out until it is a few batches ahead.
+    ///
+    /// The helper starts at the next auction if the marketplace is static
+    /// then, and stays off for good otherwise. It also stops for good at
+    /// the first draw that cannot be committed (a budget ran low or the
+    /// reserve moved). A reseed, a budget rescale or a marketplace change
+    /// stops it until the next auction starts it again from the new state.
+    pub fn enable_sample_ahead(&mut self) {
+        self.sample_ahead = true;
+    }
+
+    /// Whether an auction's draws depend only on the RNG stream and the
+    /// budgets — what sampling them ahead requires.
+    fn is_static(&self) -> bool {
+        let floor = self.floors.realtime.max(self.floors.advance);
+        !self.has_pacers()
+            && floor <= self.reserve_price
+            && self
+                .campaigns
+                .iter()
+                .all(|c| c.bid.target_category.is_none())
+    }
+
+    /// The next draw sampled ahead, committed: the stream moves to where
+    /// sampling it here would have left it. `None` means "sample this
+    /// auction here"; when a draw could not be committed the helper is
+    /// also stopped for good.
+    ///
+    /// A draw is committed when the reserve it was sampled under is
+    /// still the entry floor, and every budget is at least the largest
+    /// price any budget check of the draw compared against. Then every
+    /// gate of [`draw_bids`] passes here exactly as it did ahead.
+    #[inline]
+    fn commit_ahead(&mut self, entry_floor: f64) -> Option<(Option<(usize, f64)>, f64)> {
+        if !self.sample_ahead {
+            return None;
+        }
+        if self.ahead.is_none() {
+            if !self.is_static() {
+                self.sample_ahead = false;
+                return None;
+            }
+            self.ahead = Sampler::spawn(
+                &self.prepared,
+                &self.campaigns,
+                &self.rng,
+                self.spare_normal,
+                self.reserve_price,
+            );
+        }
+        if let Some(a) = &mut self.ahead {
+            let fits = entry_floor == a.reserve && self.reserve_price == a.reserve;
+            let min_budget = a.min_budget;
+            if let Some(d) = a.next().filter(|d| fits && d.need <= min_budget) {
+                self.rng.clone_from(&d.rng_after);
+                self.spare_normal = d.spare_after;
+                self.ahead_auctions += 1;
+                return Some((d.best, d.second));
+            }
+        }
+        // Not committable, or the helper would not start or died: the
+        // stream still sits before this auction, so it is sampled here.
+        self.ahead = None;
+        self.sample_ahead = false;
+        self.ahead_fallbacks += 1;
+        None
     }
 
     /// Scales every campaign budget by `fraction`.
@@ -419,6 +454,8 @@ impl Exchange {
             fraction > 0.0 && fraction <= 1.0,
             "budget fraction {fraction} outside (0, 1]"
         );
+        // Lowered budgets void the helper's running minimum.
+        self.ahead = None;
         for c in &mut self.campaigns {
             c.budget *= fraction;
         }
@@ -431,6 +468,8 @@ impl Exchange {
     /// randomness. Uses the same seed derivation as [`Exchange::new`], so
     /// reseeding with the construction seed is a stream reset.
     pub fn reseed_bids(&mut self, seed: u64) {
+        // The helper samples the old stream; the next auction restarts it.
+        self.ahead = None;
         self.rng = StdRng::seed_from_u64(seed ^ 0x5eed_ba11);
         // A stream reset must also drop the banked polar variate, or the
         // first post-reseed draw would leak the old stream's randomness.
@@ -471,6 +510,11 @@ impl Exchange {
         reg.add("pacing.adjustments", self.pacing_adjustments);
         reg.add("pacing.clamps", self.pacing_clamps);
         reg.add("pacing.throttle_skips", self.throttle_skips);
+        // Whether auctions were sampled ahead depends on the host's idle
+        // cores, not on the simulation: host facts live in `proc.*`,
+        // which deterministic snapshots exclude.
+        reg.add("proc.auction.ahead_auctions", self.ahead_auctions);
+        reg.add("proc.auction.ahead_fallbacks", self.ahead_fallbacks);
         if self.has_pacers() {
             let max = self.multipliers().into_iter().fold(0.0f64, f64::max);
             reg.gauge_max("pacing.multiplier_max_milli", (max * 1000.0).round() as u64);
@@ -505,6 +549,142 @@ impl Exchange {
     pub fn campaigns(&self) -> &[Campaign] {
         &self.campaigns
     }
+}
+
+/// What the auction's sampling loop asks of the state beyond the bids.
+/// [`Exchange::run_auction`] answers from its live budgets, pacers and
+/// counters; the helper sampling ahead answers with every gate open.
+pub(crate) trait Gates {
+    /// Whether campaign `i`'s budget covers its mean bid: the entry test
+    /// of every auction, before any draw.
+    fn enters(&mut self, i: usize) -> bool;
+    /// Whether campaign `i`'s budget covers `bid`.
+    fn affords(&mut self, i: usize, bid: f64) -> bool;
+    /// Campaign `i`'s bid multiplier, or `None` when pacing throttles it
+    /// out of this auction. Any draw comes after the bid draw, so it
+    /// extends — never reorders — the stream.
+    fn pace(&mut self, i: usize, rng: &mut StdRng) -> Option<f64>;
+    /// Counts a bid that a floor above the reserve blocked.
+    fn floor_blocked(&mut self);
+}
+
+/// The exchange's live state, as the sampling loop sees it.
+struct Live<'a> {
+    campaigns: &'a [Campaign],
+    pacers: &'a [Option<Pacer>],
+    throttle_skips: &'a mut u64,
+    floor_blocked: &'a mut u64,
+}
+
+impl Gates for Live<'_> {
+    #[inline]
+    fn enters(&mut self, i: usize) -> bool {
+        let c = &self.campaigns[i];
+        c.can_afford(c.bid.mean_price)
+    }
+
+    #[inline]
+    fn affords(&mut self, i: usize, bid: f64) -> bool {
+        self.campaigns[i].can_afford(bid)
+    }
+
+    #[inline]
+    fn pace(&mut self, i: usize, rng: &mut StdRng) -> Option<f64> {
+        let Some(p) = self.pacers.get(i).and_then(Option::as_ref) else {
+            return Some(1.0);
+        };
+        match p.ty {
+            CampaignType::PacedBudget | CampaignType::TargetCpc { .. } => Some(p.ctl.value()),
+            CampaignType::PacedFixedCpc => {
+                // Pace by throttling participation, bid untouched.
+                let throttle = p.ctl.value().min(1.0);
+                if throttle < 1.0 && rng.gen::<f64>() >= throttle {
+                    *self.throttle_skips += 1;
+                    return None;
+                }
+                Some(1.0)
+            }
+            CampaignType::FixedCpc => Some(1.0),
+        }
+    }
+
+    #[inline]
+    fn floor_blocked(&mut self) {
+        *self.floor_blocked += 1;
+    }
+}
+
+/// The auction's one sampling loop: every campaign's bid, drawn in
+/// catalog order from `rng` and `spare`, gated by `gates`. Returns the
+/// leader `(index, bid)` and the second price, seeded with `entry_floor`.
+///
+/// Bids are drawn in log space and exponentiated lazily: once some
+/// evaluated bid is known to sit at or below the running second price,
+/// any later draw whose logarithm does not exceed that bid's can change
+/// neither the winner nor the price (`exp` is monotone), so it is
+/// dropped without calling `exp`. Every RNG draw still happens, in the
+/// same order.
+#[inline]
+pub(crate) fn draw_bids<G: Gates>(
+    prepared: &[PreparedBid],
+    rng: &mut StdRng,
+    spare: &mut Option<f64>,
+    category: Option<u8>,
+    reserve: f64,
+    entry_floor: f64,
+    gates: &mut G,
+) -> (Option<(usize, f64)>, f64) {
+    // A floor above the reserve counts each bid it blocks, so such an
+    // auction has to look at every bid: it never raises `skip_log`.
+    let counts_blocked = entry_floor > reserve;
+    let mut best: Option<(usize, f64)> = None;
+    let mut second = entry_floor;
+    // `skip_log` is the largest known `x` with `exp(x) <= second`;
+    // `best_log` is the leader's, banked for when it is outbid.
+    // NEG_INFINITY stands for "not known" (paced multipliers break the
+    // bid/log correspondence).
+    let mut skip_log = f64::NEG_INFINITY;
+    let mut best_log = f64::NEG_INFINITY;
+    for (i, p) in prepared.iter().enumerate() {
+        if !gates.enters(i) {
+            continue;
+        }
+        let Some(x) = p.sample_log_paired(rng, spare, category) else {
+            continue;
+        };
+        let Some(multiplier) = gates.pace(i, rng) else {
+            continue;
+        };
+        // Multiplying by exactly 1.0 is the identity, so `x` is the
+        // bid's logarithm whenever the multiplier is 1.0.
+        let ranks_by_log = multiplier == 1.0 && !counts_blocked;
+        if ranks_by_log && x <= skip_log {
+            // At most `second`: it would fall through every arm below
+            // without changing `best` or `second`.
+            continue;
+        }
+        let log = if ranks_by_log { x } else { f64::NEG_INFINITY };
+        let bid = x.exp() * multiplier;
+        if bid < entry_floor || !gates.affords(i, bid) {
+            if bid >= reserve && bid < entry_floor {
+                gates.floor_blocked();
+            }
+            continue;
+        }
+        match best {
+            None => (best, best_log) = (Some((i, bid)), log),
+            Some((_, b)) if bid > b => {
+                second = b;
+                skip_log = skip_log.max(best_log);
+                (best, best_log) = (Some((i, bid)), log);
+            }
+            Some(_) => {
+                second = second.max(bid);
+                skip_log = skip_log.max(log);
+            }
+        }
+    }
+    (best, second)
 }
 
 #[cfg(test)]
@@ -726,6 +906,109 @@ mod tests {
                     kernel.refund(s.campaign, s.price);
                     reference.refund(s.campaign, s.price);
                 }
+            }
+        }
+
+        /// Auctions sampled ahead against the same exchange sampling them
+        /// itself, in lockstep: the same sale, budgets, RNG state and
+        /// spare after every auction, through refunds, a mid-stream
+        /// reseed, a reserve change and, when `starved`, a budget that
+        /// runs below what the draws need. Static marketplaces are served
+        /// ahead until the first draw that cannot be committed; any other
+        /// never starts the helper.
+        #[test]
+        fn ahead_matches_sequential(
+            seed in any::<u64>(),
+            campaigns in 0u32..40,
+            starved in any::<bool>(),
+            market in 0u8..5,
+        ) {
+            let mut cs = adversarial_catalog(campaigns, seed, false);
+            for c in &mut cs {
+                c.bid.target_category = None;
+            }
+            let deep = |id: u32, mean_price: f64, budget: f64| Campaign {
+                id: CampaignId(id),
+                budget,
+                bid: BidModel { mean_price, cv: 0.2, participation: 1.0, target_category: None },
+            };
+            if starved {
+                // A rival keeps the price near 0.01, so the leader's
+                // budget falls under its own 0.02 mean within a few wins.
+                cs.push(deep(campaigns, 0.02, 0.05));
+                cs.push(deep(campaigns + 1, 0.01, 1e3));
+            }
+            let mut mc = MarketplaceConfig::static_exchange();
+            match market {
+                1 => mc.floors = PriceFloors::uniform(0.00005),
+                2 => mc = MarketplaceConfig::paced(),
+                3 => mc.floors = PriceFloors::uniform(0.002),
+                4 => {
+                    let mut targeted = deep(cs.len() as u32, 0.002, 1e3);
+                    targeted.bid.target_category = Some(1);
+                    cs.push(targeted);
+                }
+                _ => {}
+            }
+            // An empty catalog has nobody to pace.
+            let is_static = market < 2 || (market == 2 && cs.is_empty());
+            let types = mc.assign_types(&cs);
+            let mk = || {
+                let mut ex = Exchange::new(cs.clone(), seed);
+                ex.configure_marketplace(&mc, &types);
+                ex
+            };
+            let (mut ahead, mut plain) = (mk(), mk());
+            ahead.enable_sample_ahead();
+            let mut script = StdRng::seed_from_u64(seed ^ 0x0a4e_ad00);
+            let horizon = SimTime::from_hours(10);
+            let mut last_sale = None;
+            for k in 0u64..300 {
+                if k == 100 {
+                    ahead.reseed_bids(seed ^ 1);
+                    plain.reseed_bids(seed ^ 1);
+                }
+                if k == 200 {
+                    prop_assert_eq!(ahead.ahead_fallbacks, u64::from(is_static && starved));
+                    ahead.reserve_price = 0.0004;
+                    plain.reserve_price = 0.0004;
+                }
+                let at = SimTime::from_mins(k);
+                let slot = match script.gen_range(0..3) {
+                    0 => SlotOffer::advance(at, at + adpf_desim::SimDuration::from_hours(4)),
+                    1 => SlotOffer::realtime(at, None),
+                    _ => SlotOffer::realtime(at, Some(script.gen_range(0..3))),
+                };
+                let sold = ahead.run_auction(&slot);
+                prop_assert_eq!(sold_bits(sold), sold_bits(plain.run_auction(&slot)));
+                prop_assert!(ahead.rng == plain.rng, "RNG streams diverged at auction {}", k);
+                prop_assert_eq!(
+                    ahead.spare_normal.map(f64::to_bits),
+                    plain.spare_normal.map(f64::to_bits)
+                );
+                for (a, b) in ahead.campaigns.iter().zip(&plain.campaigns) {
+                    prop_assert_eq!(a.budget.to_bits(), b.budget.to_bits());
+                }
+                last_sale = sold.or(last_sale);
+                if k % 16 == 15 {
+                    ahead.pacing_tick(at, horizon);
+                    plain.pacing_tick(at, horizon);
+                }
+                if let (Some(s), 0) = (last_sale, script.gen_range(0..8)) {
+                    ahead.refund(s.campaign, s.price);
+                    plain.refund(s.campaign, s.price);
+                }
+            }
+            prop_assert_eq!(ahead.floor_blocked, plain.floor_blocked);
+            prop_assert_eq!(ahead.throttle_skips, plain.throttle_skips);
+            prop_assert_eq!(plain.ahead_auctions + plain.ahead_fallbacks, 0);
+            if is_static {
+                // Served until the reserve change at the latest, which
+                // no draw sampled before it can survive.
+                prop_assert!(starved || ahead.ahead_auctions >= 200, "{}", ahead.ahead_auctions);
+                prop_assert_eq!(ahead.ahead_fallbacks, 1);
+            } else {
+                prop_assert_eq!(ahead.ahead_auctions + ahead.ahead_fallbacks, 0);
             }
         }
     }

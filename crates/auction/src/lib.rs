@@ -13,7 +13,9 @@
 //! - [`exchange`]: a sealed-bid second-price exchange. Slots can be
 //!   offered [`exchange::SlotKind::RealTime`] (display is certain, the
 //!   status quo) or [`exchange::SlotKind::Advance`] (display is predicted;
-//!   sold with a display deadline and a risk discount).
+//!   sold with a display deadline and a risk discount). Given an idle
+//!   core, an exchange samples its auctions ahead on a helper thread,
+//!   bit-identically ([`Exchange::enable_sample_ahead`]).
 //! - [`billing`]: a per-ad ledger that bills the first confirmed
 //!   impression, tracks duplicate displays from replication, and records
 //!   SLA expirations (advance-sold ads never shown by their deadline).
@@ -33,6 +35,7 @@
 //! assert!(sold.is_some(), "a 20-campaign exchange fills a slot");
 //! ```
 
+mod ahead;
 pub mod billing;
 pub mod campaign;
 pub mod exchange;

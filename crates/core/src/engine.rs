@@ -374,6 +374,9 @@ impl ClientEngine {
             // shards' combined paced spend targets the global schedule.
             exchange.configure_marketplace(&config.marketplace, &ctx.campaign_types);
         }
+        if ctx.sample_ahead {
+            exchange.enable_sample_ahead();
+        }
 
         // Seeding order mirrors the historical single queue (slots came
         // first there; here they are external): staggered first syncs in

@@ -99,6 +99,12 @@ pub struct ShardContext {
     /// state, while controller *trajectories* live per shard in each
     /// shard's exchange.
     pub(crate) campaign_types: Vec<CampaignType>,
+    /// Whether each engine's exchange samples its auctions ahead on a
+    /// helper thread (`Exchange::enable_sample_ahead`). A host fact, not
+    /// a config field: on only where the run's engine workers leave a
+    /// core idle, and invisible in every result. [`ShardContext::new`]
+    /// leaves it off.
+    pub(crate) sample_ahead: bool,
 }
 
 impl ShardContext {
@@ -115,8 +121,24 @@ impl ShardContext {
         Self {
             campaigns,
             campaign_types,
+            sample_ahead: false,
         }
     }
+
+    /// [`ShardContext::new`] for a run of `workers` engine threads,
+    /// sampling auctions ahead when they leave a core idle.
+    fn for_workers(config: &SystemConfig, workers: usize) -> Self {
+        Self {
+            sample_ahead: leaves_a_core_idle(workers),
+            ..Self::new(config)
+        }
+    }
+}
+
+/// Whether `workers` busy threads leave at least one of this host's
+/// cores idle.
+fn leaves_a_core_idle(workers: usize) -> bool {
+    std::thread::available_parallelism().is_ok_and(|cores| workers < cores.get())
 }
 
 /// One configured simulation over one trace: a [`ClientEngine`] plus the
@@ -140,7 +162,7 @@ impl Simulator {
     /// Panics if `config.validate()` fails — configurations are built in
     /// code, so an invalid one is a programming error.
     pub fn new(config: SystemConfig, trace: &Trace) -> Self {
-        let ctx = ShardContext::new(&config);
+        let ctx = ShardContext::for_workers(&config, 1);
         Self::with_context_scratch(config, trace, &ctx, EngineScratch::default())
     }
 
@@ -232,7 +254,9 @@ impl Simulator {
     /// `threads` nor the source can change the report. The registry
     /// always carries the `phase.{trace_gen, shard_setup, event_loop,
     /// merge}` timers and `proc.peak_rss_kb`, outside its deterministic
-    /// snapshot.
+    /// snapshot. When the workers leave a core of the host idle, each
+    /// engine's exchange samples its auctions ahead on it (see
+    /// `Exchange::enable_sample_ahead`), which is invisible in the report.
     pub fn run_shards(
         config: &SystemConfig,
         num_users: u32,
@@ -241,13 +265,25 @@ impl Simulator {
         shard: impl Fn(usize) -> Trace + Sync,
     ) -> (SimReport, MetricRegistry) {
         let ranges = shard_ranges(num_users, n_shards);
-        let n = ranges.len();
-        let threads = threads.clamp(1, n);
-        let configs = shard_configs(config, num_users, &ranges);
-
+        let threads = threads.clamp(1, ranges.len());
         // Shard setup identical across shards is built once and shared;
         // see `ShardContext` for why this cannot change results.
-        let ctx = ShardContext::new(config);
+        let ctx = ShardContext::for_workers(config, threads);
+        Self::schedule(config, &ctx, num_users, &ranges, threads, shard)
+    }
+
+    /// [`Simulator::run_shards`] against a prebuilt context, over
+    /// `ranges` on exactly `threads` workers.
+    fn schedule(
+        config: &SystemConfig,
+        ctx: &ShardContext,
+        num_users: u32,
+        ranges: &[std::ops::Range<u32>],
+        threads: usize,
+        shard: impl Fn(usize) -> Trace + Sync,
+    ) -> (SimReport, MetricRegistry) {
+        let n = ranges.len();
+        let configs = shard_configs(config, num_users, ranges);
 
         // Work stealing: workers claim shard indices from an atomic
         // queue, so a worker that drains its cheap shards immediately
@@ -278,7 +314,7 @@ impl Simulator {
                         let sim = Simulator::with_context_scratch(
                             configs[i].clone(),
                             &trace,
-                            &ctx,
+                            ctx,
                             std::mem::take(&mut scratch),
                         );
                         let built = Instant::now();
@@ -401,6 +437,7 @@ pub fn shard_configs(
 mod tests {
     use super::*;
     use crate::config::PlannerKind;
+    use crate::scenario::{ScenarioPopulation, ScenarioSpec};
     use adpf_desim::SimDuration;
     use adpf_obs::MetricSnapshot;
     use adpf_prediction::PredictorKind;
@@ -760,6 +797,60 @@ mod tests {
                 Simulator::with_context_scratch(cfg, &t, &ctx, EngineScratch::default()).run();
             assert_eq!(fresh, shared, "stream {stream} diverged");
         }
+    }
+
+    #[test]
+    fn ahead_sampling_keeps_the_smoke_goldens_on_and_off() {
+        // The smoke and smoke-mixed goldens of `adpf_bench::baseline`,
+        // held with every exchange's bid helper forced on and off at 1
+        // and 2 workers: a host with one core still hashes the path
+        // sampled ahead, and one with idle cores the path without it.
+        let pop = PopulationConfig::small_test(777);
+        let mixed = ScenarioPopulation::new(pop.clone(), ScenarioSpec::mixed());
+        let mut mixed_cfg = SystemConfig::prefetch_default(5);
+        mixed.apply_to(&mut mixed_cfg);
+        let runs = [
+            (
+                SystemConfig::prefetch_default(5),
+                pop.generate(),
+                0xba08_fcf9_274d_6de0,
+            ),
+            (mixed_cfg, mixed.generate(), 0xddb8_fd9f_23e2_7430),
+        ];
+        for (cfg, t, golden) in runs {
+            let users = t.num_users();
+            let ranges = shard_ranges(users, default_shards(users));
+            let split = t.split_users(ranges.len());
+            for sample_ahead in [false, true] {
+                let ctx = ShardContext {
+                    sample_ahead,
+                    ..ShardContext::new(&cfg)
+                };
+                for threads in [1, 2] {
+                    let (report, reg) =
+                        Simulator::schedule(&cfg, &ctx, users, &ranges, threads, |i| {
+                            split[i].clone()
+                        });
+                    let at = format!("{golden:016x}, ahead {sample_ahead}, {threads} threads");
+                    assert_eq!(report.stable_hash(), golden, "{at}");
+                    let ahead = reg.counter_value("proc.auction.ahead_auctions");
+                    let all = reg.counter_value("auction.auctions");
+                    assert_eq!(ahead, if sample_ahead { all } else { 0 }, "{at}");
+                    assert_eq!(reg.counter_value("proc.auction.ahead_fallbacks"), 0);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ahead_sampling_needs_an_idle_core() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert!(!leaves_a_core_idle(cores));
+        assert!(!leaves_a_core_idle(cores + 1));
+        assert_eq!(leaves_a_core_idle(cores - 1), cores > 1);
+        let ctx = ShardContext::for_workers(&SystemConfig::prefetch_default(1), cores);
+        assert!(!ctx.sample_ahead, "workers >= cores samples in place");
+        assert!(!ShardContext::new(&SystemConfig::prefetch_default(1)).sample_ahead);
     }
 
     #[test]
