@@ -16,9 +16,11 @@
 # Timing (throughput, latency, memory under load) is judged there, with
 # `benchmark/run.sh` on alternating parent/change pairs, never here.
 #
-# The full run also greps library crates for stray stdout/stderr printing:
-# all human-facing output belongs to the bench binaries, libraries speak
-# through return values and the metric registry.
+# The source rules live in one test, `crates/bench/tests/public_surface.rs`,
+# which both the full run and `quick` run: every `pub` item in a library
+# must be named outside it, and libraries must not print (human-facing
+# output belongs to the binaries; libraries speak through return values
+# and the metric registry).
 #
 # The determinism gates (`baseline --check`) run every default row of
 # `adpf_bench::baseline::ROWS` at every listed thread count and hold each
@@ -88,21 +90,9 @@ benchmark_gate() {
     benchmark/run.sh --lint
 }
 
-no_library_prints() {
-    # Library crates must not print; the only print!/println!/eprintln!
-    # call sites allowed are the bench and serve binaries
-    # (crates/{bench,serve}/src/bin/).
-    if grep -rnE '(^|[^a-zA-Z_])(e?println!|print!)\(' crates/*/src \
-        --include='*.rs' \
-        | grep -v '^crates/bench/src/bin/' \
-        | grep -v '^crates/serve/src/bin/'; then
-        echo "library crates must not print; route output through adpf-obs" >&2
-        exit 1
-    fi
-}
-
 if [ "${1:-}" = "quick" ]; then
     cargo build --release -p adpf-bench -p adpf-serve
+    cargo test -q -p adpf-bench --test public_surface
     perf_serve
     marketplace_gates
     placement_gates
@@ -114,7 +104,6 @@ cargo build --release --workspace
 cargo test -q --workspace --release
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
-no_library_prints
 perf_serve
 placement_gates
 benchmark_gate

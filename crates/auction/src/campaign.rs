@@ -35,34 +35,23 @@ impl BidModel {
     /// conversion: two `ln` calls and a square root) so per-slot bids
     /// skip straight to the draw. Campaign bid models never change after
     /// construction, so preparing once per campaign is sound.
-    pub fn prepare(&self) -> PreparedBid {
+    pub(crate) fn prepare(&self) -> PreparedBid {
         PreparedBid {
             participation: self.participation,
             target_category: self.target_category,
             dist: LogNormal::from_mean_cv(self.mean_price, self.cv).ok(),
         }
     }
-
-    /// Samples one bid for a slot with the given (possibly unknown) app
-    /// category, or `None` if the campaign sits this slot out.
-    pub fn sample_bid<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        slot_category: Option<u8>,
-    ) -> Option<f64> {
-        self.prepare().sample(rng, slot_category)
-    }
 }
 
 /// A [`BidModel`] with its bid distribution pre-parameterized.
 ///
-/// [`PreparedBid::sample`] consumes the RNG in exactly the order the
-/// original `BidModel::sample_bid` did — category check (no draw), then
-/// the participation draw, then the bid draw — so swapping prepared
-/// models into an auction leaves every RNG stream, and therefore every
-/// simulated outcome, bit-identical.
+/// [`PreparedBid::sample_log_paired`] consumes the RNG in a fixed order —
+/// category check (no draw), then the participation draw, then the bid
+/// draw — so every RNG stream, and therefore every simulated outcome, is
+/// a pure function of the seed.
 #[derive(Debug, Clone, Copy)]
-pub struct PreparedBid {
+pub(crate) struct PreparedBid {
     participation: f64,
     target_category: Option<u8>,
     /// `None` when the model's `(mean_price, cv)` are out of the
@@ -72,29 +61,12 @@ pub struct PreparedBid {
 }
 
 impl PreparedBid {
-    /// Samples one bid, or `None` if the campaign sits this slot out.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R, slot_category: Option<u8>) -> Option<f64> {
-        let mut spare = None;
-        self.sample_paired(rng, &mut spare, slot_category)
-    }
-
-    /// [`PreparedBid::sample`] with a caller-held cache for the normal
-    /// sampler's second polar variate. An exchange threading one `spare`
+    /// The natural logarithm of one bid, or `None` if the campaign sits
+    /// this slot out: the auction ranks bids in log space and pays for
+    /// `exp` only on the few that can matter. `spare` caches the normal
+    /// sampler's second polar variate; an exchange threading one `spare`
     /// slot through every bid draw of its stream halves the rejection
-    /// loops; the bid distribution is unchanged.
-    pub fn sample_paired<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        spare: &mut Option<f64>,
-        slot_category: Option<u8>,
-    ) -> Option<f64> {
-        self.sample_log_paired(rng, spare, slot_category)
-            .map(f64::exp)
-    }
-
-    /// The natural logarithm of the bid [`PreparedBid::sample_paired`]
-    /// would return, from the same draws: the auction ranks bids in log
-    /// space and pays for `exp` only on the few that can matter.
+    /// loops, and the bid distribution is unchanged.
     #[inline]
     pub fn sample_log_paired<R: Rng + ?Sized>(
         &self,
@@ -129,7 +101,7 @@ pub struct Campaign {
 
 impl Campaign {
     /// Returns `true` while the campaign can still pay `price`.
-    pub fn can_afford(&self, price: f64) -> bool {
+    pub(crate) fn can_afford(&self, price: f64) -> bool {
         self.budget >= price
     }
 
@@ -217,6 +189,14 @@ impl CampaignCatalog {
 mod tests {
     use super::*;
 
+    /// One bid from a fresh spare, or `None` if the campaign sits out.
+    fn bid(model: &BidModel, rng: &mut StdRng, slot_category: Option<u8>) -> Option<f64> {
+        model
+            .prepare()
+            .sample_log_paired(rng, &mut None, slot_category)
+            .map(f64::exp)
+    }
+
     #[test]
     fn catalog_is_deterministic_and_heterogeneous() {
         let a = CampaignCatalog::synthetic(50, 1).into_campaigns();
@@ -259,12 +239,12 @@ mod tests {
             target_category: None,
         };
         let mut rng = StdRng::seed_from_u64(3);
-        assert!((0..100).all(|_| never.sample_bid(&mut rng, None).is_none()));
+        assert!((0..100).all(|_| bid(&never, &mut rng, None).is_none()));
         let always = BidModel {
             participation: 1.0,
             ..never
         };
-        assert!((0..100).all(|_| always.sample_bid(&mut rng, None).is_some()));
+        assert!((0..100).all(|_| bid(&always, &mut rng, None).is_some()));
     }
 
     #[test]
@@ -277,7 +257,7 @@ mod tests {
         };
         let mut rng = StdRng::seed_from_u64(9);
         let bids: Vec<f64> = (0..10_000)
-            .filter_map(|_| model.sample_bid(&mut rng, None))
+            .filter_map(|_| bid(&model, &mut rng, None))
             .collect();
         assert!(bids.iter().all(|&b| b > 0.0));
         let mean = bids.iter().sum::<f64>() / bids.len() as f64;
@@ -293,9 +273,9 @@ mod tests {
             target_category: Some(3),
         };
         let mut rng = StdRng::seed_from_u64(5);
-        assert!((0..50).all(|_| model.sample_bid(&mut rng, None).is_none()));
-        assert!((0..50).all(|_| model.sample_bid(&mut rng, Some(2)).is_none()));
-        assert!((0..50).all(|_| model.sample_bid(&mut rng, Some(3)).is_some()));
+        assert!((0..50).all(|_| bid(&model, &mut rng, None).is_none()));
+        assert!((0..50).all(|_| bid(&model, &mut rng, Some(2)).is_none()));
+        assert!((0..50).all(|_| bid(&model, &mut rng, Some(3)).is_some()));
     }
 
     #[test]

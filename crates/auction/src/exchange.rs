@@ -155,7 +155,7 @@ pub struct Exchange {
 
 impl Exchange {
     /// Default risk discount on advance-sold slots.
-    pub const DEFAULT_ADVANCE_DISCOUNT: f64 = 0.95;
+    pub(crate) const DEFAULT_ADVANCE_DISCOUNT: f64 = 0.95;
 
     /// Creates an exchange over the given campaigns.
     pub fn new(campaigns: Vec<Campaign>, seed: u64) -> Self {
@@ -519,11 +519,6 @@ impl Exchange {
             let max = self.multipliers().into_iter().fold(0.0f64, f64::max);
             reg.gauge_max("pacing.multiplier_max_milli", (max * 1000.0).round() as u64);
         }
-    }
-
-    /// Auctions where a price floor (above the reserve) excluded a bid.
-    pub fn floor_blocked_bids(&self) -> u64 {
-        self.floor_blocked
     }
 
     /// Number of auctions run so far.

@@ -16,7 +16,7 @@
 //!   sold with a display deadline and a risk discount). Given an idle
 //!   core, an exchange samples its auctions ahead on a helper thread,
 //!   bit-identically ([`Exchange::enable_sample_ahead`]).
-//! - [`billing`]: a per-ad ledger that bills the first confirmed
+//! - [`Ledger`]: a per-ad ledger that bills the first confirmed
 //!   impression, tracks duplicate displays from replication, and records
 //!   SLA expirations (advance-sold ads never shown by their deadline).
 //! - [`market`]: the opt-in reactive marketplace layer — campaign types
@@ -36,12 +36,12 @@
 //! ```
 
 mod ahead;
-pub mod billing;
+mod billing;
 pub mod campaign;
 pub mod exchange;
 pub mod market;
 
 pub use billing::{AdState, ImpressionOutcome, Ledger, LedgerTotals};
-pub use campaign::{BidModel, Campaign, CampaignCatalog, CampaignId, PreparedBid};
+pub use campaign::{BidModel, Campaign, CampaignCatalog, CampaignId};
 pub use exchange::{AdId, Exchange, SlotKind, SlotOffer, SoldAd};
 pub use market::{CampaignType, MarketplaceConfig, PacingController, PriceFloors, PricingRule};

@@ -92,7 +92,7 @@ impl PriceFloors {
     }
 
     /// The floor that applies to `kind`.
-    pub fn for_kind(&self, kind: SlotKind) -> f64 {
+    pub(crate) fn for_kind(&self, kind: SlotKind) -> f64 {
         match kind {
             SlotKind::RealTime => self.realtime,
             SlotKind::Advance => self.advance,
@@ -275,7 +275,7 @@ impl MarketplaceConfig {
 
     /// Marketplace on, campaigns static: floors and the pricing rule
     /// apply, no pacing loops run.
-    pub fn static_exchange() -> Self {
+    pub(crate) fn static_exchange() -> Self {
         Self {
             enabled: true,
             name: "static",

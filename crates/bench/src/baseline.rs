@@ -427,7 +427,7 @@ pub fn record(
 /// because wall-clock columns compare only between similar hardware.
 /// `obs_overhead_pct` is no longer measured and stays `0.00`, so the
 /// key set matches every entry recorded before.
-pub fn entry_line(label: &str, workload: &str, threads: usize, o: &Outcome) -> String {
+pub(crate) fn entry_line(label: &str, workload: &str, threads: usize, o: &Outcome) -> String {
     let (wall_s, gen_wall_s, rss) = (o.wall_s, o.gen_wall_s, o.peak_rss_mb);
     let cpus = std::thread::available_parallelism().map_or(0, |n| n.get());
     let r = &o.report;
@@ -453,7 +453,7 @@ pub fn entry_line(label: &str, workload: &str, threads: usize, o: &Outcome) -> S
 /// The file is a JSON array with one object per line; this parser only
 /// needs to split it back into those lines, so hand-rolled JSON stays
 /// honest (we re-emit lines verbatim).
-pub fn parse_entry_lines(contents: &str) -> Vec<String> {
+pub(crate) fn parse_entry_lines(contents: &str) -> Vec<String> {
     contents
         .lines()
         .map(str::trim)
@@ -463,7 +463,7 @@ pub fn parse_entry_lines(contents: &str) -> Vec<String> {
 }
 
 /// Renders entry lines back into the JSON-array file format.
-pub fn render_file(entries: &[String]) -> String {
+pub(crate) fn render_file(entries: &[String]) -> String {
     format!("[\n  {}\n]\n", entries.join(",\n  "))
 }
 

@@ -35,8 +35,9 @@ pub struct SimulateOpts {
     pub seed: u64,
     /// Worker threads for the sharded simulator.
     pub threads: usize,
-    /// Network emulation preset (`off`, `flaky`, `degraded`, `blackout`).
-    pub netem: String,
+    /// Network emulation preset (`off`, `flaky`, `degraded`, `blackout`);
+    /// `None` keeps the default: off, or the `--scenario` binding.
+    pub netem: Option<String>,
     /// Override of the netem retry budget (`None` keeps the preset's).
     pub netem_retries: Option<u32>,
     /// Marketplace regime (`off`, `static`, `paced`).
@@ -83,7 +84,7 @@ impl Default for SimulateOpts {
             radio: "3g".into(),
             seed: 1,
             threads: 1,
-            netem: "off".into(),
+            netem: None,
             netem_retries: None,
             marketplace: "off".into(),
             pricing: None,
@@ -164,7 +165,7 @@ pub fn parse_simulate_args(args: &[String]) -> Result<SimulateOpts, CliError> {
             "--radio" => o.radio = value.clone(),
             "--seed" => o.seed = value.parse().map_err(|_| parse_err("--seed"))?,
             "--threads" => o.threads = value.parse().map_err(|_| parse_err("--threads"))?,
-            "--netem" => o.netem = value.clone(),
+            "--netem" => o.netem = Some(value.clone()),
             "--netem-retries" => {
                 o.netem_retries = Some(value.parse().map_err(|_| parse_err("--netem-retries"))?)
             }
@@ -193,7 +194,9 @@ pub fn parse_simulate_args(args: &[String]) -> Result<SimulateOpts, CliError> {
     if !matches!(o.radio.as_str(), "3g" | "lte" | "wifi") {
         return Err(invalid(format!("unknown radio `{}`", o.radio)));
     }
-    NetemConfig::parse_preset(&o.netem).map_err(CliError::Invalid)?;
+    if let Some(n) = &o.netem {
+        NetemConfig::parse_preset(n).map_err(CliError::Invalid)?;
+    }
     MarketplaceConfig::parse_regime(&o.marketplace).map_err(CliError::Invalid)?;
     if let Some(p) = &o.pricing {
         PricingRule::parse(p).map_err(CliError::Invalid)?;
@@ -277,7 +280,9 @@ pub fn build_config(o: &SimulateOpts, mode: DeliveryMode) -> Result<SystemConfig
     cfg.predictor = PredictorKind::parse(&o.predictor)?;
     cfg.planner = PlannerKind::parse(&o.planner)?;
     cfg.radio = profiles::by_name(&o.radio)?;
-    cfg.netem = NetemConfig::parse_preset(&o.netem)?;
+    if let Some(n) = &o.netem {
+        cfg.netem = NetemConfig::parse_preset(n)?;
+    }
     if let Some(n) = o.netem_retries {
         if !cfg.netem.enabled {
             return Err("--netem-retries requires a --netem preset other than `off`".into());
@@ -304,9 +309,10 @@ pub fn build_config(o: &SimulateOpts, mode: DeliveryMode) -> Result<SystemConfig
         let spec = ScenarioSpec::parse_preset(name)?;
         // The population seed is `o.seed` (see `build_population`), so
         // the engine's class assignment matches the trace generator's.
-        // An explicit `--netem` preset wins over the scenario's binding,
-        // so the two flags compose instead of silently clobbering.
-        let explicit_netem = (o.netem != "off").then(|| cfg.netem.clone());
+        // An explicit `--netem` preset, `off` included, wins over the
+        // scenario's binding, so the two flags compose instead of
+        // silently clobbering.
+        let explicit_netem = o.netem.is_some().then(|| cfg.netem.clone());
         spec.apply_to(&mut cfg, o.seed);
         if let Some(netem) = explicit_netem {
             cfg.netem = netem;
@@ -533,12 +539,20 @@ mod tests {
 
     #[test]
     fn explicit_netem_wins_over_the_scenario_binding() {
-        // flashcrowd binds flaky+outage; an explicit --netem degraded
-        // must override it, while the default `off` accepts the binding.
+        // flashcrowd binds flaky+outage; an explicit --netem, `off`
+        // included, must override it, while no flag accepts the binding.
         let o = parse_simulate_args(&argv("--scenario flashcrowd")).unwrap();
         let cfg = build_config(&o, DeliveryMode::Prefetch).unwrap();
         assert!(cfg.netem.enabled);
         assert!(cfg.netem.name.contains("outage"));
+
+        let o = parse_simulate_args(&argv("--scenario flashcrowd --netem off")).unwrap();
+        let cfg = build_config(&o, DeliveryMode::Prefetch).unwrap();
+        assert!(!cfg.netem.enabled);
+        assert!(
+            cfg.scenario.enabled,
+            "the rest of the scenario still applies"
+        );
 
         let o = parse_simulate_args(&argv("--scenario flashcrowd --netem degraded")).unwrap();
         let cfg = build_config(&o, DeliveryMode::Prefetch).unwrap();

@@ -34,7 +34,7 @@ fn regimes() -> Vec<(&'static str, MarketplaceConfig)> {
 
 /// E19: revenue under reactive campaigns vs the static exchange, across
 /// overbooking levels.
-pub fn e19_reactive_marketplace(scale: Scale, threads: usize) -> Table {
+pub(crate) fn e19_reactive_marketplace(scale: Scale, threads: usize) -> Table {
     let trace = scale.system_trace(42);
     let mut table = Table::new(
         "E19",

@@ -18,7 +18,7 @@ fn variant(label: &str, tweak: impl FnOnce(&mut SystemConfig)) -> (String, Syste
 }
 
 /// E15: each mechanism disabled in isolation, against the default.
-pub fn e15_mechanism_ablation(scale: Scale) -> Table {
+pub(crate) fn e15_mechanism_ablation(scale: Scale) -> Table {
     let trace = scale.system_trace(42);
     let rt = Simulator::new(SystemConfig::realtime(1), &trace).run();
 

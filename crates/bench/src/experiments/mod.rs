@@ -1,16 +1,16 @@
 //! One module per experiment family; see DESIGN.md's experiment index.
 
-pub mod marketplace;
-pub mod mechanisms;
-pub mod motivation;
-pub mod netem;
-pub mod obs;
-pub mod prediction;
-pub mod scaling;
-pub mod scenario;
-pub mod serving;
-pub mod system;
-pub mod traces;
+mod marketplace;
+mod mechanisms;
+mod motivation;
+mod netem;
+mod obs;
+mod prediction;
+mod scaling;
+mod scenario;
+mod serving;
+mod system;
+mod traces;
 
 use crate::scale::Scale;
 use crate::table::Table;
@@ -27,12 +27,7 @@ pub fn all_ids() -> Vec<&'static str> {
 ///
 /// Some ids return more than one table (e.g. E2's gap sweep plus state
 /// timeline; E8/E9 are two views of one sweep and both appear under
-/// either id).
-pub fn run_experiment(id: &str, scale: Scale) -> Option<Vec<Table>> {
-    run_experiment_threads(id, scale, 1)
-}
-
-/// [`run_experiment`] with a worker-thread count for the experiments
+/// either id). `threads` is the worker-thread count for the experiments
 /// that exercise the sharded simulator (currently E14's throughput
 /// section); single-run experiments ignore it.
 pub fn run_experiment_threads(id: &str, scale: Scale, threads: usize) -> Option<Vec<Table>> {
@@ -74,7 +69,7 @@ mod tests {
 
     #[test]
     fn unknown_id_is_none() {
-        assert!(run_experiment("e99", Scale::Micro).is_none());
+        assert!(run_experiment_threads("e99", Scale::Micro, 1).is_none());
     }
 
     #[test]

@@ -7,7 +7,7 @@ use crate::scale::Scale;
 use crate::table::{f, pct, Table};
 
 /// E1: per-app share of energy attributable to in-app ads.
-pub fn e1_ad_energy_share(scale: Scale) -> Table {
+pub(crate) fn e1_ad_energy_share(scale: Scale) -> Table {
     let days = match scale {
         Scale::Micro => 1,
         Scale::Quick => 3,
@@ -59,7 +59,7 @@ pub fn e1_ad_energy_share(scale: Scale) -> Table {
 
 /// E2: the tail-energy mechanism — per-ad energy versus inter-fetch gap,
 /// and a radio-state timeline of one ad-supported session.
-pub fn e2_tail_energy() -> Vec<Table> {
+pub(crate) fn e2_tail_energy() -> Vec<Table> {
     let profile = profiles::umts_3g();
 
     let mut sweep = Table::new(

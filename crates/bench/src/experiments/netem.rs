@@ -39,7 +39,7 @@ fn policies() -> Vec<(&'static str, RetryPolicy)> {
 
 /// E16: SLA violations, revenue loss, and ad energy under degraded
 /// networks, relative to the ideal-network prefetch baseline.
-pub fn e16_degraded_network(scale: Scale, threads: usize) -> Table {
+pub(crate) fn e16_degraded_network(scale: Scale, threads: usize) -> Table {
     let trace = scale.system_trace(42);
     let ideal_cfg = SystemConfig::prefetch_default(1);
     let ideal = Simulator::run_trace(&ideal_cfg, &trace, threads).0;

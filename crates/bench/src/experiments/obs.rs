@@ -18,7 +18,7 @@ use crate::scale::Scale;
 use crate::table::{f, Table};
 
 /// E18: phase timings and cross-layer counters from one observed run.
-pub fn e18_observability_breakdown(scale: Scale, threads: usize) -> Table {
+pub(crate) fn e18_observability_breakdown(scale: Scale, threads: usize) -> Table {
     let t_gen = Instant::now();
     let trace = scale.system_trace(42);
     let gen_ms = t_gen.elapsed().as_secs_f64() * 1e3;

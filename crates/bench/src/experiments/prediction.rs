@@ -24,7 +24,7 @@ fn predictors() -> Vec<PredictorKind> {
 
 /// E5: over/under-prediction versus prediction-window length, per
 /// predictor family.
-pub fn e5_accuracy_by_window(scale: Scale) -> Table {
+pub(crate) fn e5_accuracy_by_window(scale: Scale) -> Table {
     let trace = scale.iphone(42).generate();
     let users = trace.slots_by_user(REFRESH);
     let horizon = trace.horizon();
@@ -61,7 +61,7 @@ pub fn e5_accuracy_by_window(scale: Scale) -> Table {
 
 /// E6: CDF of normalized prediction error for the session-aware and
 /// day-hour models at several windows.
-pub fn e6_error_cdf(scale: Scale) -> Table {
+pub(crate) fn e6_error_cdf(scale: Scale) -> Table {
     let trace = scale.iphone(42).generate();
     let users = trace.slots_by_user(REFRESH);
     let horizon = trace.horizon();

@@ -14,7 +14,7 @@ use crate::table::{f, pct, Table};
 /// simulator throughput versus population size on `threads` worker
 /// threads, and (c) a thread sweep measuring sharded scaling on the
 /// largest population of the scale.
-pub fn e14_scaling_threads(scale: Scale, threads: usize) -> Vec<Table> {
+pub(crate) fn e14_scaling_threads(scale: Scale, threads: usize) -> Vec<Table> {
     let mut prices = Table::new(
         "E14a",
         "exchange clearing: real-time vs. advance sale",
@@ -124,7 +124,7 @@ pub fn e14_scaling_threads(scale: Scale, threads: usize) -> Vec<Table> {
 /// (generation used to be serial and dominated bench setup); the report
 /// hash column is the determinism witness — threads are pure scheduling,
 /// so it must be identical in every row.
-pub fn e17_thread_scaling(scale: Scale) -> Table {
+pub(crate) fn e17_thread_scaling(scale: Scale) -> Table {
     let users = *scale.scaling_sizes().last().expect("scales are non-empty");
     let pop = PopulationConfig {
         num_users: users,

@@ -75,7 +75,7 @@ fn policies(seed: u64) -> Vec<(&'static str, SystemConfig)> {
 /// hit a cap, and 3G-budget users exhaust their plan allowance under
 /// prefetching — the cap-block column — then fall back to (still
 /// metered) on-demand fetches.
-pub fn e21_population_mix(scale: Scale, threads: usize) -> Table {
+pub(crate) fn e21_population_mix(scale: Scale, threads: usize) -> Table {
     let mut table = Table::new(
         "E21",
         "population mix x prefetch policy: energy + user-cost per class",
@@ -148,7 +148,7 @@ fn cell_axis(users: u32) -> Vec<(&'static str, CellCapacity)> {
 /// slots; deferred ones as display latency. A less aggressive
 /// overbooking target (0.50) leans harder on realtime fetches, which is
 /// exactly the traffic the saturated cell throttles.
-pub fn e22_flash_crowd(scale: Scale, threads: usize) -> Table {
+pub(crate) fn e22_flash_crowd(scale: Scale, threads: usize) -> Table {
     let mut table = Table::new(
         "E22",
         "flash crowd x cell capacity x overbooking",

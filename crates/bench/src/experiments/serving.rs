@@ -46,7 +46,7 @@ fn sla_miss_rate(h: &Histogram) -> f64 {
 /// thread count. The report-hash column is the determinism witness:
 /// serving is pure scheduling, so every thread count must reproduce the
 /// identical report for a given population.
-pub fn e20_serving_load(scale: Scale) -> Table {
+pub(crate) fn e20_serving_load(scale: Scale) -> Table {
     let mut table = Table::new(
         "E20",
         "closed-loop serving: offered load × threads → latency + SLA misses",

@@ -20,7 +20,7 @@ fn prefetch(trace: &Trace, tweak: impl FnOnce(&mut SystemConfig)) -> SimReport {
 
 /// E7: the headline figure — ad energy overhead versus prefetch interval,
 /// plus the CDF of per-user savings at the default configuration.
-pub fn e7_energy_vs_interval(scale: Scale) -> Vec<Table> {
+pub(crate) fn e7_energy_vs_interval(scale: Scale) -> Vec<Table> {
     let trace = scale.system_trace(42);
     let rt = realtime_baseline(&trace);
     let mut table = Table::new(
@@ -85,7 +85,7 @@ pub fn e7_energy_vs_interval(scale: Scale) -> Vec<Table> {
 
 /// E8/E9: SLA violations and revenue loss versus overbooking
 /// aggressiveness (the SLA target the planner aims for).
-pub fn e8_e9_overbooking_sweep(scale: Scale) -> (Table, Table) {
+pub(crate) fn e8_e9_overbooking_sweep(scale: Scale) -> (Table, Table) {
     let trace = scale.system_trace(42);
     let rt = realtime_baseline(&trace);
     let mut sla = Table::new(
@@ -133,7 +133,7 @@ pub fn e8_e9_overbooking_sweep(scale: Scale) -> (Table, Table) {
 }
 
 /// E10: sensitivity to the ad display deadline the exchange demands.
-pub fn e10_deadline_sensitivity(scale: Scale) -> Table {
+pub(crate) fn e10_deadline_sensitivity(scale: Scale) -> Table {
     let trace = scale.system_trace(42);
     let rt = realtime_baseline(&trace);
     let mut table = Table::new(
@@ -159,7 +159,7 @@ pub fn e10_deadline_sensitivity(scale: Scale) -> Table {
 
 /// E11: the energy-vs-revenue trade-off frontier, swept by sell margin
 /// and sync interval.
-pub fn e11_tradeoff_frontier(scale: Scale) -> Table {
+pub(crate) fn e11_tradeoff_frontier(scale: Scale) -> Table {
     let trace = scale.system_trace(42);
     let rt = realtime_baseline(&trace);
     let mut table = Table::new(
@@ -187,7 +187,7 @@ pub fn e11_tradeoff_frontier(scale: Scale) -> Table {
 }
 
 /// E12: how prediction quality propagates into system metrics.
-pub fn e12_predictor_ablation(scale: Scale) -> Table {
+pub(crate) fn e12_predictor_ablation(scale: Scale) -> Table {
     let trace = scale.system_trace(42);
     let rt = realtime_baseline(&trace);
     let mut table = Table::new(
@@ -221,7 +221,7 @@ pub fn e12_predictor_ablation(scale: Scale) -> Table {
 }
 
 /// E13: replication-policy ablation.
-pub fn e13_planner_ablation(scale: Scale) -> Table {
+pub(crate) fn e13_planner_ablation(scale: Scale) -> Table {
     let trace = scale.system_trace(42);
     let rt = realtime_baseline(&trace);
     let mut table = Table::new(

@@ -10,7 +10,7 @@ use crate::table::{f, pct, Table};
 const REFRESH: SimDuration = SimDuration::from_secs(30);
 
 /// E3: the dataset summary table.
-pub fn e3_dataset_table(scale: Scale) -> Table {
+pub(crate) fn e3_dataset_table(scale: Scale) -> Table {
     let mut table = Table::new(
         "E3",
         "usage trace datasets (synthetic substitutes, 30 s ad refresh)",
@@ -48,7 +48,7 @@ pub fn e3_dataset_table(scale: Scale) -> Table {
 
 /// E4: predictability of slot demand — per-user slots/day CDF, the
 /// hour-of-day demand profile, and day-over-day autocorrelation.
-pub fn e4_predictability(scale: Scale) -> Vec<Table> {
+pub(crate) fn e4_predictability(scale: Scale) -> Vec<Table> {
     let trace = scale.iphone(42).generate();
 
     let mut cdf = Table::new(

@@ -32,7 +32,7 @@ impl Scale {
     }
 
     /// The Windows-Phone-like population (paper: dozens of in-lab users).
-    pub fn windows_phone(self, seed: u64) -> PopulationConfig {
+    pub(crate) fn windows_phone(self, seed: u64) -> PopulationConfig {
         match self {
             Scale::Micro => PopulationConfig {
                 num_users: 10,
@@ -49,7 +49,7 @@ impl Scale {
     }
 
     /// The default trace used by the full-system sweeps (E7–E13).
-    pub fn system_trace(self, seed: u64) -> Trace {
+    pub(crate) fn system_trace(self, seed: u64) -> Trace {
         let cfg = match self {
             Scale::Micro => PopulationConfig {
                 num_users: 30,
@@ -71,7 +71,7 @@ impl Scale {
     }
 
     /// Population sizes for the scaling experiment (E14).
-    pub fn scaling_sizes(self) -> Vec<u32> {
+    pub(crate) fn scaling_sizes(self) -> Vec<u32> {
         match self {
             Scale::Micro => vec![20, 40],
             Scale::Quick => vec![50, 100, 200, 400],
@@ -85,7 +85,7 @@ impl Scale {
     /// Counts never exceed [`adpf_core::DEFAULT_SHARDS`], the *floor* of
     /// the derived shard count — so every sweep population has at least
     /// one shard per worker at every listed count.
-    pub fn thread_counts(self) -> Vec<usize> {
+    pub(crate) fn thread_counts(self) -> Vec<usize> {
         match self {
             Scale::Micro => vec![1, 2],
             Scale::Quick => vec![1, 2, 4],
@@ -94,7 +94,7 @@ impl Scale {
     }
 
     /// Days of warmup granted to predictors in offline evaluations.
-    pub fn warmup_days(self) -> u64 {
+    pub(crate) fn warmup_days(self) -> u64 {
         match self {
             Scale::Micro => 3,
             Scale::Quick => 7,

@@ -82,7 +82,7 @@ pub fn f(x: f64, decimals: usize) -> String {
 }
 
 /// Formats a fraction as a percentage with two decimals.
-pub fn pct(x: f64) -> String {
+pub(crate) fn pct(x: f64) -> String {
     format!("{:.2}%", x * 100.0)
 }
 

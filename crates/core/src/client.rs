@@ -15,7 +15,7 @@ use adpf_prediction::SlotPredictor;
 
 /// One prefetched ad sitting in a client's cache.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CachedAd {
+pub(crate) struct CachedAd {
     /// Ledger id of the sold ad.
     pub id: AdId,
     /// Latest time the ad may still be displayed.
@@ -38,7 +38,7 @@ impl CachedAd {
 /// One client's prefetched ads, kept sorted by display priority:
 /// primaries earliest-deadline-first, then replicas.
 #[derive(Debug, Default)]
-pub struct AdCache(Vec<CachedAd>);
+pub(crate) struct AdCache(Vec<CachedAd>);
 
 impl AdCache {
     /// Inserts an ad keeping display-priority order.
@@ -47,24 +47,9 @@ impl AdCache {
         self.0.insert(pos, ad);
     }
 
-    /// Number of cached ads (primaries and replicas).
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    /// The cached ads in display-priority order.
-    pub fn iter(&self) -> impl Iterator<Item = &CachedAd> {
-        self.0.iter()
-    }
-
     /// Number of cached primary (non-replica) ads — the quantity the
     /// server compares against predicted demand when topping up.
-    pub fn primary_count(&self) -> usize {
+    pub(crate) fn primary_count(&self) -> usize {
         self.0.iter().filter(|c| !c.replica).count()
     }
 
@@ -78,7 +63,7 @@ impl AdCache {
     /// since have arrived had it succeeded. Holding replicas back keeps
     /// them from burning slots as duplicate displays of ads already shown
     /// elsewhere.
-    pub fn take_displayable(
+    pub(crate) fn take_displayable(
         &mut self,
         now: SimTime,
         replica_window: SimDuration,
@@ -94,7 +79,7 @@ impl AdCache {
     }
 
     /// Drops cache entries whose deadline has passed; returns how many.
-    pub fn purge_expired(&mut self, now: SimTime) -> usize {
+    pub(crate) fn purge_expired(&mut self, now: SimTime) -> usize {
         let before = self.0.len();
         self.0.retain(|c| c.deadline >= now);
         before - self.0.len()
@@ -113,29 +98,29 @@ impl AdCache {
 /// server-side model the ad server keeps for each (predictor, queue
 /// estimate, outbox). Column `i` across all vectors is client `i`.
 #[derive(Default)]
-pub struct ClientTable {
+pub(crate) struct ClientTable {
     /// The client's radio modem (ad traffic only).
-    pub radio: Vec<Radio>,
+    pub(crate) radio: Vec<Radio>,
     /// Prefetched ads available for display.
-    pub cache: Vec<AdCache>,
+    pub(crate) cache: Vec<AdCache>,
     /// Displays since the last sync, awaiting report.
-    pub pending_reports: Vec<Vec<(AdId, SimTime)>>,
+    pub(crate) pending_reports: Vec<Vec<(AdId, SimTime)>>,
     /// Slot times since the last sync (the predictor's observation).
-    pub slot_times: Vec<Vec<SimTime>>,
+    pub(crate) slot_times: Vec<Vec<SimTime>>,
     /// Time of the last completed sync.
-    pub last_sync: Vec<SimTime>,
+    pub(crate) last_sync: Vec<SimTime>,
     /// Time of the next scheduled sync.
-    pub next_sync: Vec<SimTime>,
+    pub(crate) next_sync: Vec<SimTime>,
     /// Server-side demand model for this client.
-    pub predictor: Vec<Box<dyn SlotPredictor>>,
+    pub(crate) predictor: Vec<Box<dyn SlotPredictor>>,
     /// Server-side assignments awaiting the client's next sync.
-    pub outbox: Vec<Vec<CachedAd>>,
+    pub(crate) outbox: Vec<Vec<CachedAd>>,
     /// Server-side estimate of undisplayed ads assigned to this client
     /// (cache + outbox), used to discount availability.
-    pub queued: Vec<u32>,
+    pub(crate) queued: Vec<u32>,
     /// Whether a netem retry event is outstanding for this client. Any
     /// completed sync clears it, turning the stale retry into a no-op.
-    pub retry_pending: Vec<bool>,
+    pub(crate) retry_pending: Vec<bool>,
 }
 
 impl ClientTable {
@@ -177,15 +162,10 @@ impl ClientTable {
         self.radio.len()
     }
 
-    /// Whether the table has no clients.
-    pub fn is_empty(&self) -> bool {
-        self.radio.is_empty()
-    }
-
     /// Removes the given ads from client `i`'s cache and outbox
     /// (server-issued cancellations); returns how many entries were
     /// actually dropped.
-    pub fn cancel(&mut self, i: usize, ads: &[u64]) -> usize {
+    pub(crate) fn cancel(&mut self, i: usize, ads: &[u64]) -> usize {
         let outbox = &mut self.outbox[i];
         let before = outbox.len();
         outbox.retain(|c| !ads.contains(&c.id.0));
@@ -223,7 +203,7 @@ mod tests {
         c.insert(ad(1, 10));
         c.insert(ad(2, 5));
         c.insert(ad(3, 7));
-        let order: Vec<u64> = c.iter().map(|a| a.id.0).collect();
+        let order: Vec<u64> = c.0.iter().map(|a| a.id.0).collect();
         assert_eq!(order, vec![2, 3, 1]);
     }
 
@@ -234,7 +214,7 @@ mod tests {
         c.insert(ad(2, 9)); // Relaxed primary.
         c.insert(replica(3, 5));
         c.insert(ad(4, 6));
-        let order: Vec<u64> = c.iter().map(|a| a.id.0).collect();
+        let order: Vec<u64> = c.0.iter().map(|a| a.id.0).collect();
         assert_eq!(order, vec![4, 2, 1, 3], "primaries EDF, then replicas EDF");
         assert_eq!(c.primary_count(), 2);
         let first = c.take_displayable(SimTime::from_hours(1), W).unwrap();
@@ -247,7 +227,7 @@ mod tests {
         c.insert(replica(1, 10));
         // Far from the deadline the replica is invisible.
         assert!(c.take_displayable(SimTime::from_hours(2), W).is_none());
-        assert_eq!(c.len(), 1, "the replica stays cached");
+        assert_eq!(c.0.len(), 1, "the replica stays cached");
         // Inside the final window it becomes displayable.
         let got = c.take_displayable(SimTime::from_hours(9), W).unwrap();
         assert_eq!(got.id.0, 1);
@@ -261,7 +241,7 @@ mod tests {
         c.insert(ad(3, 6));
         let got = c.take_displayable(SimTime::from_hours(2), W).unwrap();
         assert_eq!(got.id.0, 3, "earliest non-expired deadline first");
-        assert_eq!(c.len(), 1);
+        assert_eq!(c.0.len(), 1);
     }
 
     #[test]
@@ -270,7 +250,7 @@ mod tests {
         assert!(c.take_displayable(SimTime::ZERO, W).is_none());
         c.insert(ad(1, 1));
         assert!(c.take_displayable(SimTime::from_hours(2), W).is_none());
-        assert!(c.is_empty());
+        assert!(c.0.is_empty());
     }
 
     #[test]
@@ -288,7 +268,7 @@ mod tests {
         c.insert(ad(2, 2));
         c.insert(ad(3, 9));
         assert_eq!(c.purge_expired(SimTime::from_hours(3)), 2);
-        assert_eq!(c.len(), 1);
+        assert_eq!(c.0.len(), 1);
         assert_eq!(c.purge_expired(SimTime::from_hours(3)), 0);
     }
 
@@ -304,7 +284,7 @@ mod tests {
         t.outbox[i].push(ad(3, 7));
         let dropped = t.cancel(i, &[1, 3, 99]);
         assert_eq!(dropped, 2);
-        assert_eq!(t.cache[i].len(), 1);
+        assert_eq!(t.cache[i].0.len(), 1);
         assert!(t.outbox[i].is_empty());
     }
 
@@ -318,7 +298,6 @@ mod tests {
             );
         }
         assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
         for len in [
             t.cache.len(),
             t.pending_reports.len(),

@@ -106,11 +106,6 @@ pub struct SystemConfig {
     pub ad_bytes_down: u64,
     /// Uplink bytes per ad request/report.
     pub ad_bytes_up: u64,
-    /// Fixed protocol bytes per sync (each direction).
-    pub sync_overhead_bytes: u64,
-    /// Skip the sync radio transfer when there is nothing to deliver or
-    /// report.
-    pub skip_empty_syncs: bool,
     /// Serve a real-time fetch when a slot finds the cache empty.
     pub realtime_fallback: bool,
     /// Defer syncs whose only payload is impression reports until the
@@ -203,8 +198,6 @@ impl SystemConfig {
             radio: profiles::umts_3g(),
             ad_bytes_down: 4 * 1024,
             ad_bytes_up: 512,
-            sync_overhead_bytes: 1024,
-            skip_empty_syncs: true,
             defer_report_syncs: true,
             realtime_fallback: true,
             piggyback_on_fallback: true,
@@ -304,7 +297,7 @@ impl SystemConfig {
     }
 
     /// One-line description for report headers.
-    pub fn describe(&self) -> String {
+    pub(crate) fn describe(&self) -> String {
         let mut d = match self.mode {
             DeliveryMode::RealTime => format!("realtime radio={}", self.radio.name),
             DeliveryMode::Prefetch => format!(

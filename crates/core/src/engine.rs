@@ -1,7 +1,7 @@
 //! The per-client decision engine, extracted from the batch simulator.
 //!
 //! [`ClientEngine`] owns everything the ad server decides *per client*:
-//! the columnar client state ([`ClientTable`]/`AdCache`), prediction,
+//! the columnar client state (`ClientTable`/`AdCache`), prediction,
 //! overbooked replication, marketplace hooks, netem gating, and the
 //! energy accounting — everything the old monolithic simulator owned
 //! except the ad-slot stream itself. Slots are the engine's only
@@ -62,6 +62,9 @@ use crate::sim::ShardContext;
 /// Upper bound on ads sold at one sync, guarding against a pathological
 /// predictor output flooding the exchange.
 const MAX_SELL_PER_SYNC: u32 = 256;
+
+/// Fixed protocol bytes per sync (each direction).
+const SYNC_OVERHEAD_BYTES: u64 = 1024;
 
 /// Finalizes `z` through the 64-bit mix used by splitmix64/murmur3.
 ///
@@ -141,7 +144,7 @@ impl SimIds {
 /// variant here is scheduled by the engine itself, strictly into the
 /// future — the invariant the driving rule relies on.
 #[derive(Debug, Clone, Copy)]
-pub enum EngineEvent {
+pub(crate) enum EngineEvent {
     /// Client `c` performs its periodic sync.
     Sync(u32),
     /// Client `c` retries a failed sync; `attempt` counts round trips
@@ -709,9 +712,9 @@ impl ClientEngine {
         // spent the uplink overhead plus the timeout, and got nothing —
         // the wasted-wakeup energy the tail model makes expensive.
         self.obs.inc(self.mid.netem_sync_failures, 1);
-        self.clients.radio[ci].transfer(now, 0, self.config.sync_overhead_bytes);
+        self.clients.radio[ci].transfer(now, 0, SYNC_OVERHEAD_BYTES);
         if let Some(s) = &mut self.scen {
-            s.meter(ci, 0, self.config.sync_overhead_bytes, &self.obs);
+            s.meter(ci, 0, SYNC_OVERHEAD_BYTES, &self.obs);
         }
         self.clients.radio[ci].stall(now, v.latency);
         self.schedule_retry(ci, now, attempt);
@@ -856,8 +859,7 @@ impl ClientEngine {
         let reports_pending = !self.clients.pending_reports[ci].is_empty();
         let transfer = rt_fetch.is_some()
             || delivered_primaries > 0
-            || (reports_pending && (reports_urgent || !self.config.defer_report_syncs))
-            || !self.config.skip_empty_syncs;
+            || (reports_pending && (reports_urgent || !self.config.defer_report_syncs));
         if !transfer {
             self.syncs_skipped += 1;
             self.clients.last_sync[ci] = now;
@@ -903,10 +905,8 @@ impl ClientEngine {
 
         // 6. Pay for the batched transfer.
         let delivered = delivered_primaries + delivered_replicas;
-        let down =
-            delivered * self.config.ad_bytes_down + self.config.sync_overhead_bytes + rt_bytes.0;
-        let up =
-            report_count * self.config.ad_bytes_up + self.config.sync_overhead_bytes + rt_bytes.1;
+        let down = delivered * self.config.ad_bytes_down + SYNC_OVERHEAD_BYTES + rt_bytes.0;
+        let up = report_count * self.config.ad_bytes_up + SYNC_OVERHEAD_BYTES + rt_bytes.1;
         self.clients.radio[ci].transfer(now, down, up);
         if let Some(s) = &mut self.scen {
             s.meter(ci, down, up, &self.obs);

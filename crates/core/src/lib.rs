@@ -41,7 +41,7 @@
 //! assert!(pf.energy.total_j() < rt.energy.total_j(), "prefetch must save energy");
 //! ```
 
-pub mod client;
+mod client;
 pub mod config;
 pub mod engine;
 pub mod report;
@@ -49,10 +49,9 @@ pub mod scenario;
 pub mod sim;
 
 pub use config::{DeliveryMode, PlannerKind, SystemConfig};
-pub use engine::{ClientEngine, EngineEvent};
+pub use engine::ClientEngine;
 pub use report::{NetemCounters, ScenarioCounters, SimReport};
 pub use scenario::{CellCapacity, CellPolicy, DeviceClass, ScenarioConfig};
 pub use sim::{
     default_shards, merge_shards, shard_configs, ShardContext, Simulator, DEFAULT_SHARDS,
-    MAX_SHARDS, MAX_USERS_PER_SHARD, USERS_PER_SHARD,
 };

@@ -8,22 +8,22 @@ use adpf_obs::{Histogram, MetricRegistry};
 /// of truth for [`NetemCounters`] and [`ScenarioCounters`]. The report
 /// fields are *derived* from these at finalize, never incremented
 /// directly.
-pub mod metric_names {
-    pub const NETEM_SYNC_FAILURES: &str = "netem.sync_failures";
-    pub const NETEM_RETRIES_SCHEDULED: &str = "netem.retries_scheduled";
-    pub const NETEM_RETRIES_SUCCEEDED: &str = "netem.retries_succeeded";
-    pub const NETEM_SYNCS_ABANDONED: &str = "netem.syncs_abandoned";
-    pub const NETEM_REALTIME_FAILURES: &str = "netem.realtime_failures";
-    pub const NETEM_ADS_RESCUED: &str = "netem.ads_rescued";
-    pub const NETEM_RESCUES_UNPLACED: &str = "netem.rescues_unplaced";
-    pub const SCEN_METERED_BYTES_DOWN: &str = "scenario.metered_bytes_down";
-    pub const SCEN_METERED_BYTES_UP: &str = "scenario.metered_bytes_up";
-    pub const SCEN_WASTED_BYTES: &str = "scenario.prefetch_wasted_bytes";
-    pub const SCEN_WASTED_ADS: &str = "scenario.prefetch_wasted_ads";
-    pub const SCEN_CAP_BLOCKED_SYNCS: &str = "scenario.cap_blocked_syncs";
-    pub const SCEN_CELL_DROPPED: &str = "scenario.cell_dropped_fetches";
-    pub const SCEN_CELL_DEFERRED: &str = "scenario.cell_deferred_fetches";
-    pub const SCEN_DISPLAY_LATENCY_MS: &str = "scenario.display_latency_ms";
+pub(crate) mod metric_names {
+    pub(crate) const NETEM_SYNC_FAILURES: &str = "netem.sync_failures";
+    pub(crate) const NETEM_RETRIES_SCHEDULED: &str = "netem.retries_scheduled";
+    pub(crate) const NETEM_RETRIES_SUCCEEDED: &str = "netem.retries_succeeded";
+    pub(crate) const NETEM_SYNCS_ABANDONED: &str = "netem.syncs_abandoned";
+    pub(crate) const NETEM_REALTIME_FAILURES: &str = "netem.realtime_failures";
+    pub(crate) const NETEM_ADS_RESCUED: &str = "netem.ads_rescued";
+    pub(crate) const NETEM_RESCUES_UNPLACED: &str = "netem.rescues_unplaced";
+    pub(crate) const SCEN_METERED_BYTES_DOWN: &str = "scenario.metered_bytes_down";
+    pub(crate) const SCEN_METERED_BYTES_UP: &str = "scenario.metered_bytes_up";
+    pub(crate) const SCEN_WASTED_BYTES: &str = "scenario.prefetch_wasted_bytes";
+    pub(crate) const SCEN_WASTED_ADS: &str = "scenario.prefetch_wasted_ads";
+    pub(crate) const SCEN_CAP_BLOCKED_SYNCS: &str = "scenario.cap_blocked_syncs";
+    pub(crate) const SCEN_CELL_DROPPED: &str = "scenario.cell_dropped_fetches";
+    pub(crate) const SCEN_CELL_DEFERRED: &str = "scenario.cell_deferred_fetches";
+    pub(crate) const SCEN_DISPLAY_LATENCY_MS: &str = "scenario.display_latency_ms";
 }
 
 /// Counters produced by network-condition emulation. All zero when netem
@@ -54,7 +54,7 @@ impl NetemCounters {
     /// source of truth — see [`metric_names`]). Metrics a run never
     /// touched read as zero, so a netem-less registry derives the
     /// default counters and legacy reports keep comparing equal.
-    pub fn from_metrics(reg: &MetricRegistry) -> Self {
+    pub(crate) fn from_metrics(reg: &MetricRegistry) -> Self {
         NetemCounters {
             sync_failures: reg.counter_value(metric_names::NETEM_SYNC_FAILURES),
             retries_scheduled: reg.counter_value(metric_names::NETEM_RETRIES_SCHEDULED),
@@ -116,7 +116,7 @@ impl ScenarioCounters {
     /// source of truth — see [`metric_names`]). Metrics a run never
     /// touched read as zero/empty, so a scenario-less registry derives
     /// the default counters and legacy reports keep comparing equal.
-    pub fn from_metrics(reg: &MetricRegistry) -> Self {
+    pub(crate) fn from_metrics(reg: &MetricRegistry) -> Self {
         ScenarioCounters {
             metered_bytes_down: reg.counter_value(metric_names::SCEN_METERED_BYTES_DOWN),
             metered_bytes_up: reg.counter_value(metric_names::SCEN_METERED_BYTES_UP),
@@ -159,7 +159,7 @@ impl ScenarioCounters {
 /// Everything one simulation run measures.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
-    /// Configuration summary (from [`crate::SystemConfig::describe`]).
+    /// Configuration summary (from `SystemConfig::describe`).
     pub config: String,
     /// Users simulated.
     pub users: u32,
@@ -286,17 +286,6 @@ impl SimReport {
     /// SLA violation rate over pre-sold ads.
     pub fn sla_violation_rate(&self) -> f64 {
         self.ledger.sla_violation_rate()
-    }
-
-    /// Fraction of displayed impressions that were replication
-    /// duplicates; `0.0` when nothing was displayed.
-    pub fn duplicate_rate(&self) -> f64 {
-        let displays = self.impressions + self.ledger.duplicates;
-        if displays == 0 {
-            0.0
-        } else {
-            self.ledger.duplicates as f64 / displays as f64
-        }
     }
 
     /// Radio-waking syncs per user per day; `0.0` for an empty report
@@ -576,7 +565,6 @@ mod tests {
         assert_eq!(e.energy_per_impression_j(), 0.0);
         assert_eq!(e.cache_hit_rate(), 0.0);
         assert_eq!(e.sla_violation_rate(), 0.0);
-        assert_eq!(e.duplicate_rate(), 0.0);
         assert_eq!(e.syncs_per_user_day(), 0.0);
         assert!(!e.summary().contains("NaN"));
     }
@@ -584,8 +572,6 @@ mod tests {
     #[test]
     fn ratio_accessors_compute_expected_values() {
         let mut r = report(10.0, 1.0, 8);
-        r.ledger.duplicates = 2;
-        assert!((r.duplicate_rate() - 0.2).abs() < 1e-12);
         r.users = 4;
         r.days = 2;
         r.syncs = 24;

@@ -117,7 +117,7 @@ pub struct DeviceClass {
 
 impl DeviceClass {
     /// WiFi-heavy users: unmetered, uncapped, long sessions.
-    pub fn wifi_heavy(weight: f64) -> Self {
+    pub(crate) fn wifi_heavy(weight: f64) -> Self {
         DeviceClass {
             name: "wifi-heavy".into(),
             radio: profiles::wifi(),
@@ -144,7 +144,7 @@ impl DeviceClass {
     /// 3G users on a tight budget plan: metered, with a small monthly
     /// ad-traffic allowance that a prefetching client can exhaust, and
     /// short sessions.
-    pub fn budget_3g(weight: f64, cap_bytes: u64) -> Self {
+    pub(crate) fn budget_3g(weight: f64, cap_bytes: u64) -> Self {
         DeviceClass {
             name: "3g-budget".into(),
             radio: profiles::umts_3g(),

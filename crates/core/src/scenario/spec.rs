@@ -67,7 +67,7 @@ impl BurstSpec {
     /// The canonical flash crowd: day 3, 19:00–21:00 (the diurnal peak),
     /// three extra sessions per affected user on average, half the
     /// regions, app 0.
-    pub fn evening_release() -> Self {
+    pub(crate) fn evening_release() -> Self {
         Self {
             start: SimTime::from_days(3) + SimDuration::from_hours(19),
             duration: SimDuration::from_hours(2),
@@ -80,7 +80,7 @@ impl BurstSpec {
     }
 
     /// Number of affected regions out of `regions`.
-    pub fn affected_regions(&self, regions: u32) -> u32 {
+    pub(crate) fn affected_regions(&self, regions: u32) -> u32 {
         ((self.region_fraction * regions as f64).round() as u32).min(regions)
     }
 }

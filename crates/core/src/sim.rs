@@ -38,7 +38,7 @@ pub const DEFAULT_SHARDS: usize = 8;
 /// matter. It is a *soft* cap: once honoring it would put more than
 /// [`MAX_USERS_PER_SHARD`] users in one shard, the count grows past it —
 /// see [`default_shards`].
-pub const MAX_SHARDS: usize = 64;
+pub(crate) const MAX_SHARDS: usize = 64;
 
 /// Target users per shard when deriving the shard count. At the floor of
 /// [`DEFAULT_SHARDS`] shards this keeps every population up to 320 users
@@ -46,7 +46,7 @@ pub const MAX_SHARDS: usize = 64;
 /// shards (hash-stable), while production-scale populations get enough
 /// shards that an 8-thread run is not starved for work (the paper's
 /// 1,693-user iPhone population derives 43).
-pub const USERS_PER_SHARD: usize = 40;
+pub(crate) const USERS_PER_SHARD: usize = 40;
 
 /// Hard ceiling on users per derived shard. A shard is the streaming
 /// pipeline's unit of residency — its sub-trace, client table, and slot
@@ -55,20 +55,20 @@ pub const USERS_PER_SHARD: usize = 40;
 /// resident, regardless of population size. A million-user run derives
 /// ~489 shards of ≤2,048 users instead of being stranded at
 /// [`MAX_SHARDS`] shards of ~15,600.
-pub const MAX_USERS_PER_SHARD: usize = 2_048;
+pub(crate) const MAX_USERS_PER_SHARD: usize = 2_048;
 
 /// Number of logical shards [`Simulator::run_trace`] uses for a
-/// population of `num_users`: one shard per [`USERS_PER_SHARD`] users,
-/// clamped to `[DEFAULT_SHARDS, cap]` where the cap is [`MAX_SHARDS`]
+/// population of `num_users`: one shard per `USERS_PER_SHARD` (40) users,
+/// clamped to `[DEFAULT_SHARDS, cap]` where the cap is `MAX_SHARDS` (64)
 /// raised, when necessary, to whatever keeps every shard at or below
-/// [`MAX_USERS_PER_SHARD`] users.
+/// `MAX_USERS_PER_SHARD` (2,048) users.
 ///
 /// The derivation depends only on the population size — deliberately
 /// never on thread count or host — so the merged report stays a
 /// deterministic function of `(config, trace)` at every thread count
 /// (the invariant the equivalence suites pin). Threads are still served:
 /// any population big enough to want more parallelism than
-/// [`MAX_SHARDS`] shards already derives at least 64 of them, which
+/// `MAX_SHARDS` shards already derives at least 64 of them, which
 /// saturates every realistic worker count, and the work-stealing
 /// scheduler keeps all workers busy regardless of the shard/thread
 /// ratio.

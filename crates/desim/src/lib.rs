@@ -11,13 +11,13 @@
 //!   two runs with the same inputs produce byte-identical outputs. The
 //!   implementation is a two-lane calendar queue (near-future ring buckets
 //!   plus a far-event heap) sized for per-second slot cadences.
-//! - [`smallvec`]: an [`InlineVec`] small-vector used by hot simulator
-//!   loops to build short lists without heap allocation.
-//! - [`steal`]: a [`WorkQueue`] atomic work queue that hands out indices
-//!   into shared read-only work slices, the scheduling primitive behind
-//!   the work-stealing sharded simulator and parallel trace generation.
-//! - [`iddeque`]: an [`IdDeque`] sliding window over a monotone id space,
-//!   the storage of the billing ledger and the replica tracker.
+//! - [`InlineVec`]: a small-vector used by hot simulator loops to build
+//!   short lists without heap allocation.
+//! - [`WorkQueue`]: an atomic work queue that hands out indices into
+//!   shared read-only work slices, the scheduling primitive behind the
+//!   work-stealing sharded simulator and parallel trace generation.
+//! - [`IdDeque`]: a sliding window over a monotone id space, the storage
+//!   of the billing ledger and the replica tracker.
 //!
 //! # Examples
 //!
@@ -32,10 +32,10 @@
 //! assert_eq!(t + SimDuration::from_secs(5), SimTime::from_secs(10));
 //! ```
 
-pub mod iddeque;
+mod iddeque;
 pub mod queue;
-pub mod smallvec;
-pub mod steal;
+mod smallvec;
+mod steal;
 pub mod time;
 
 pub use iddeque::IdDeque;

@@ -80,11 +80,6 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
         self.len() == 0
     }
 
-    /// Returns `true` while the elements still fit inline (no heap).
-    pub fn is_inline(&self) -> bool {
-        self.spill.is_empty()
-    }
-
     /// Removes every element; keeps any heap capacity for reuse but
     /// returns to inline storage for subsequent pushes.
     pub fn clear(&mut self) {
@@ -102,7 +97,7 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
     }
 
     /// The elements as a mutable slice.
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [T] {
         if self.spill.is_empty() {
             &mut self.buf[..self.len]
         } else {
@@ -183,11 +178,11 @@ mod tests {
     #[test]
     fn stays_inline_up_to_capacity() {
         let mut v: InlineVec<u32, 4> = InlineVec::new();
-        assert!(v.is_empty() && v.is_inline());
+        assert!(v.is_empty());
         for i in 0..4 {
             v.push(i);
         }
-        assert!(v.is_inline(), "4 elements fit in N=4 inline storage");
+        assert!(v.spill.is_empty(), "4 elements fit in N=4 inline storage");
         assert_eq!(v.as_slice(), &[0, 1, 2, 3]);
         assert_eq!(v.len(), 4);
     }
@@ -198,7 +193,7 @@ mod tests {
         for i in 0..10 {
             v.push(i);
         }
-        assert!(!v.is_inline());
+        assert!(!v.spill.is_empty());
         assert_eq!(v.len(), 10);
         assert_eq!(v.as_slice(), (0..10).collect::<Vec<_>>().as_slice());
     }
@@ -209,11 +204,14 @@ mod tests {
         for i in 0..5 {
             v.push(i);
         }
-        assert!(!v.is_inline());
+        assert!(!v.spill.is_empty());
         v.clear();
-        assert!(v.is_empty() && v.is_inline());
+        assert!(v.is_empty() && v.spill.is_empty());
         v.push(7);
-        assert!(v.is_inline(), "post-clear pushes use the inline buffer");
+        assert!(
+            v.spill.is_empty(),
+            "post-clear pushes use the inline buffer"
+        );
         assert_eq!(v.as_slice(), &[7]);
     }
 

@@ -15,7 +15,6 @@
 //! one, so heavy-tailed item costs no longer serialize behind the
 //! unluckiest stride.
 
-use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Hands out the indices `0..len` exactly once each across threads.
@@ -59,18 +58,6 @@ impl WorkQueue {
         let i = self.next.fetch_add(1, Ordering::Relaxed);
         (i < self.len).then_some(i)
     }
-
-    /// Claims up to `max` consecutive indices in one atomic operation,
-    /// for items cheap enough that per-item claiming would contend.
-    /// Returns an empty-free range, or `None` when the queue is drained.
-    pub fn claim_chunk(&self, max: usize) -> Option<Range<usize>> {
-        let max = max.max(1);
-        let start = self.next.fetch_add(max, Ordering::Relaxed);
-        if start >= self.len {
-            return None;
-        }
-        Some(start..(start + max).min(self.len))
-    }
 }
 
 #[cfg(test)]
@@ -94,24 +81,6 @@ mod tests {
         let q = WorkQueue::new(0);
         assert!(q.is_empty());
         assert_eq!(q.claim(), None);
-        assert_eq!(q.claim_chunk(8), None);
-    }
-
-    #[test]
-    fn chunk_claims_partition_the_range() {
-        let q = WorkQueue::new(10);
-        assert_eq!(q.claim_chunk(4), Some(0..4));
-        assert_eq!(q.claim_chunk(4), Some(4..8));
-        assert_eq!(q.claim_chunk(4), Some(8..10), "tail chunk is clamped");
-        assert_eq!(q.claim_chunk(4), None);
-    }
-
-    #[test]
-    fn zero_sized_chunks_are_promoted_to_one() {
-        let q = WorkQueue::new(2);
-        assert_eq!(q.claim_chunk(0), Some(0..1));
-        assert_eq!(q.claim_chunk(0), Some(1..2));
-        assert_eq!(q.claim_chunk(0), None);
     }
 
     #[test]

@@ -9,9 +9,9 @@ use core::fmt;
 use core::ops::{Add, AddAssign, Sub};
 
 /// Milliseconds per second.
-pub const MILLIS_PER_SEC: u64 = 1_000;
+pub(crate) const MILLIS_PER_SEC: u64 = 1_000;
 /// Milliseconds per minute.
-pub const MILLIS_PER_MIN: u64 = 60 * MILLIS_PER_SEC;
+pub(crate) const MILLIS_PER_MIN: u64 = 60 * MILLIS_PER_SEC;
 /// Milliseconds per hour.
 pub const MILLIS_PER_HOUR: u64 = 60 * MILLIS_PER_MIN;
 /// Milliseconds per day.
@@ -103,14 +103,6 @@ impl SimTime {
         SimTime(self.0.saturating_sub(d.0))
     }
 
-    /// Checked addition of a duration; `None` on overflow.
-    pub const fn checked_add(self, d: SimDuration) -> Option<SimTime> {
-        match self.0.checked_add(d.0) {
-            Some(v) => Some(SimTime(v)),
-            None => None,
-        }
-    }
-
     /// Saturating addition of a duration.
     pub const fn saturating_add(self, d: SimDuration) -> SimTime {
         SimTime(self.0.saturating_add(d.0))
@@ -174,12 +166,6 @@ impl SimDuration {
         } else {
             Self((s * MILLIS_PER_SEC as f64).round() as u64)
         }
-    }
-
-    /// Creates a duration from fractional hours, saturating at zero for
-    /// negative input.
-    pub fn from_hours_f64(h: f64) -> Self {
-        Self::from_secs_f64(h * 3600.0)
     }
 
     /// Raw milliseconds.
@@ -321,7 +307,6 @@ mod tests {
         assert_eq!(a - b, SimDuration::from_secs(6));
         assert_eq!(b.saturating_since(a), SimDuration::ZERO);
         assert_eq!(a.saturating_since(b), SimDuration::from_secs(6));
-        assert_eq!(SimTime::MAX.checked_add(SimDuration::from_millis(1)), None);
         assert_eq!(
             a.saturating_sub(SimDuration::from_secs(4)),
             SimTime::from_secs(6)
@@ -347,7 +332,6 @@ mod tests {
             SimDuration::from_secs_f64(1.5),
             SimDuration::from_millis(1_500)
         );
-        assert_eq!(SimDuration::from_hours_f64(0.5), SimDuration::from_mins(30));
     }
 
     #[test]

@@ -21,7 +21,7 @@ impl BatteryModel {
     ///
     /// Panics on non-positive ratings — battery specs are compile-time
     /// constants in this codebase.
-    pub fn from_mah(mah: f64, volts: f64) -> Self {
+    pub(crate) fn from_mah(mah: f64, volts: f64) -> Self {
         assert!(
             mah > 0.0 && volts > 0.0,
             "battery spec must be positive, got {mah} mAh @ {volts} V"
@@ -39,7 +39,7 @@ impl BatteryModel {
     }
 
     /// Fraction of the battery consumed by the given energy.
-    pub fn fraction_used(&self, energy_j: f64) -> f64 {
+    pub(crate) fn fraction_used(&self, energy_j: f64) -> f64 {
         (energy_j / self.capacity_j).max(0.0)
     }
 

@@ -61,7 +61,7 @@ impl RadioProfile {
     }
 
     /// Energy of promotion from idle, in joules.
-    pub fn promotion_energy_j(&self) -> f64 {
+    pub(crate) fn promotion_energy_j(&self) -> f64 {
         self.promotion_power_mw * self.promotion_delay.as_secs_f64() / 1_000.0
     }
 

@@ -68,14 +68,6 @@ impl Timeline {
     pub fn intervals(&self) -> &[StateInterval] {
         &self.intervals
     }
-
-    /// Total time recorded in a given state.
-    pub fn time_in(&self, state: RadioState) -> SimDuration {
-        self.intervals
-            .iter()
-            .filter(|iv| iv.state == state)
-            .fold(SimDuration::ZERO, |acc, iv| acc + iv.duration())
-    }
 }
 
 #[cfg(test)]
@@ -97,8 +89,7 @@ mod tests {
             RadioState::Tail(0),
         );
         assert_eq!(tl.intervals().len(), 3);
-        assert_eq!(tl.time_in(RadioState::Tail(0)), SimDuration::from_secs(5));
-        assert_eq!(tl.time_in(RadioState::Idle), SimDuration::ZERO);
+        assert_eq!(tl.intervals()[2].duration(), SimDuration::from_secs(5));
     }
 
     #[test]

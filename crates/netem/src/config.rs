@@ -69,7 +69,7 @@ pub struct OutageWindow {
 
 impl OutageWindow {
     /// Whether a client at region coordinate `region` is dark at `now`.
-    pub fn covers(&self, now: SimTime, region: f64) -> bool {
+    pub(crate) fn covers(&self, now: SimTime, region: f64) -> bool {
         now >= self.start && now < self.end && region < self.affected_fraction
     }
 }
@@ -127,7 +127,7 @@ impl RetryPolicy {
 
     /// The un-jittered delay before retry number `attempt` (0-based):
     /// `min(cap, base * factor^attempt)`.
-    pub fn raw_delay(&self, attempt: u32) -> SimDuration {
+    pub(crate) fn raw_delay(&self, attempt: u32) -> SimDuration {
         let scaled = self.base.mul_f64(self.factor.powi(attempt.min(30) as i32));
         if scaled.as_millis() > self.cap.as_millis() {
             self.cap

@@ -20,8 +20,8 @@
 //!   correlated-failure experiments.
 //! - [`RetryPolicy`]: capped exponential backoff with deterministic
 //!   jitter, driving the simulator's client-side retry events.
-//! - [`NetworkModel`]: the per-simulation instance — one
-//!   [`ClientChannel`] per client, each with its own RNG streams so that
+//! - [`NetworkModel`]: the per-simulation instance — one channel per
+//!   client, each with its own RNG streams so that
 //!   query order across clients never changes any client's trajectory.
 //!
 //! Determinism contract: a channel's link-state trajectory is a pure
@@ -51,4 +51,4 @@ pub mod config;
 pub mod model;
 
 pub use config::{LinkProfile, LinkState, NetemConfig, OutageWindow, RetryPolicy};
-pub use model::{ClientChannel, LinkVerdict, NetworkModel};
+pub use model::{LinkVerdict, NetworkModel};

@@ -44,7 +44,7 @@ pub struct LinkVerdict {
 /// whether) the simulator queries the channel; attempt coin flips and
 /// backoff jitter draw from `attempt_rng`.
 #[derive(Debug, Clone)]
-pub struct ClientChannel {
+pub(crate) struct ClientChannel {
     state_rng: StdRng,
     attempt_rng: StdRng,
     state: LinkState,
@@ -123,7 +123,7 @@ impl ClientChannel {
     }
 
     /// Link state at `now` (advancing the trajectory as needed).
-    pub fn state_at(&mut self, cfg: &NetemConfig, now: SimTime) -> LinkState {
+    pub(crate) fn state_at(&mut self, cfg: &NetemConfig, now: SimTime) -> LinkState {
         self.advance(cfg, now);
         self.state
     }
@@ -192,7 +192,7 @@ struct LinkStats {
     backoff_delay_ms: Histogram,
 }
 
-/// The per-simulation network: one [`ClientChannel`] per client.
+/// The per-simulation network: one `ClientChannel` per client.
 #[derive(Debug, Clone)]
 pub struct NetworkModel {
     cfg: NetemConfig,

@@ -12,7 +12,7 @@
 //!
 //! `label` is omitted when empty. Histogram `buckets` are
 //! `[bucket_index, count]` pairs for non-empty buckets only, in the
-//! log-linear layout of [`crate::hist::Histogram::bucket_index`]
+//! log-linear layout of `Histogram::bucket_index`
 //! (bucket 0 holds zeros, values below 8 index themselves, then 4
 //! linear sub-buckets per power-of-two octave).
 //! Lines are sorted by `(name, kind)`, so a given registry always

@@ -47,7 +47,7 @@ impl Histogram {
     /// otherwise 4 sub-buckets per bit length, selected by the two bits
     /// after the leading one.
     #[inline]
-    pub fn bucket_index(value: u64) -> usize {
+    pub(crate) fn bucket_index(value: u64) -> usize {
         if value < 8 {
             value as usize
         } else {
@@ -79,7 +79,7 @@ impl Histogram {
 
     /// Record `n` occurrences of `value` in one update.
     #[inline]
-    pub fn record_n(&mut self, value: u64, n: u64) {
+    pub(crate) fn record_n(&mut self, value: u64, n: u64) {
         if n == 0 {
             return;
         }

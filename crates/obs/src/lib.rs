@@ -26,4 +26,4 @@ pub mod rss;
 pub use export::{render_table, to_json_lines, validate_json_lines};
 pub use hist::{Histogram, NUM_BUCKETS};
 pub use registry::{MetricId, MetricKind, MetricRegistry, MetricSnapshot, MetricValue};
-pub use rss::{current_rss_kb, peak_rss_kb, record_peak_rss, PEAK_RSS_METRIC, PROC_PREFIX};
+pub use rss::{peak_rss_kb, record_peak_rss, PEAK_RSS_METRIC, PROC_PREFIX};

@@ -92,7 +92,7 @@ impl MetricRegistry {
         self.inner.borrow_mut().register(name, MetricKind::Counter)
     }
 
-    pub fn gauge(&self, name: &'static str) -> MetricId {
+    pub(crate) fn gauge(&self, name: &'static str) -> MetricId {
         self.inner.borrow_mut().register(name, MetricKind::Gauge)
     }
 
@@ -102,7 +102,7 @@ impl MetricRegistry {
             .register(name, MetricKind::Histogram)
     }
 
-    pub fn timer(&self, name: &'static str) -> MetricId {
+    pub(crate) fn timer(&self, name: &'static str) -> MetricId {
         self.inner.borrow_mut().register(name, MetricKind::Time)
     }
 
@@ -116,7 +116,7 @@ impl MetricRegistry {
     }
 
     #[inline]
-    pub fn gauge_max_id(&self, id: MetricId, value: u64) {
+    pub(crate) fn gauge_max_id(&self, id: MetricId, value: u64) {
         if let Slot::Gauge(v) = &mut self.inner.borrow_mut().slots[id.0 as usize] {
             *v = (*v).max(value);
         }
@@ -130,7 +130,7 @@ impl MetricRegistry {
     }
 
     #[inline]
-    pub fn add_time_ns_id(&self, id: MetricId, nanos: u64) {
+    pub(crate) fn add_time_ns_id(&self, id: MetricId, nanos: u64) {
         if let Slot::Time(v) = &mut self.inner.borrow_mut().slots[id.0 as usize] {
             *v += nanos;
         }

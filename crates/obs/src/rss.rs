@@ -32,12 +32,6 @@ pub fn peak_rss_kb() -> Option<u64> {
     read_status_kb("VmHWM:")
 }
 
-/// The process's current resident set size ("VmRSS") in KiB, or `None`
-/// where unavailable.
-pub fn current_rss_kb() -> Option<u64> {
-    read_status_kb("VmRSS:")
-}
-
 /// Records the current peak RSS into `reg` as the [`PEAK_RSS_METRIC`]
 /// gauge (merge-by-max, matching the kernel's own high-water
 /// semantics); returns the value in KiB. A no-op returning `None` where
@@ -71,7 +65,7 @@ mod tests {
         // value by definition. `current` is read first: other test
         // threads allocate meanwhile, and a peak read before a later,
         // larger current value would not bound it.
-        let (Some(current), Some(peak)) = (current_rss_kb(), peak_rss_kb()) else {
+        let (Some(current), Some(peak)) = (read_status_kb("VmRSS:"), peak_rss_kb()) else {
             return; // Non-procfs host: nothing to check.
         };
         assert!(peak > 0);

@@ -55,20 +55,6 @@ pub fn poisson_tail(k: u32, lambda: f64) -> f64 {
     (1.0 - cdf).clamp(0.0, 1.0)
 }
 
-/// Probability a client displays *one more* pre-sold ad before the
-/// deadline, given `expected_slots` predicted slots in that window and
-/// `queued_ahead` ads already committed to the client.
-///
-/// Slot arrivals within the deadline window are modeled as Poisson with
-/// mean `expected_slots`; the new ad is shown iff the client produces at
-/// least `queued_ahead + 1` slots. This captures the two effects the
-/// planner must respect: clients with low predicted demand are poor
-/// replica holders, and even a heavy user stops being useful once its
-/// queue is full.
-pub fn display_probability(expected_slots: f64, queued_ahead: u32) -> f64 {
-    poisson_tail(queued_ahead + 1, expected_slots.max(0.0))
-}
-
 /// Display probability under *bursty* demand: slots arrive in sessions.
 ///
 /// Plain Poisson slot arrivals badly overestimate availability when slots
@@ -235,11 +221,6 @@ impl PoissonTailSeries {
         }
     }
 
-    /// The series' `lambda`.
-    pub fn lambda(&self) -> f64 {
-        self.lambda
-    }
-
     /// `P(X >= k)` for `X ~ Poisson(lambda)`; bit-identical to
     /// [`poisson_tail`]`(k, lambda)`.
     pub fn tail(&mut self, k: u32) -> f64 {
@@ -262,7 +243,7 @@ impl PoissonTailSeries {
 /// Multiplicative mixer for `f64`-bit cache keys: the default SipHash
 /// would cost more than the tail math it guards.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct BitsHasher(u64);
+pub(crate) struct BitsHasher(u64);
 
 impl Hasher for BitsHasher {
     fn write(&mut self, bytes: &[u8]) {
@@ -417,8 +398,9 @@ mod tests {
     #[test]
     fn bursty_availability_is_below_poisson() {
         // Same expected slots, but clustered into 4-slot sessions: the
-        // chance of at least one display drops sharply.
-        let poisson = display_probability(8.0, 0);
+        // chance of at least one display drops sharply below that of
+        // independent Poisson slots.
+        let poisson = poisson_tail(1, 8.0);
         let bursty = display_probability_bursty(8.0, 0, 4.0, 1.0);
         assert!(bursty < poisson, "bursty {bursty} vs poisson {poisson}");
         // Equivalent closed form: P(>=1 session) with lambda = 2.
@@ -440,14 +422,5 @@ mod tests {
         let deep = display_probability_bursty(8.0, 4, 4.0, 1.0);
         assert!(deep < shallow);
         assert!((deep - poisson_tail(2, 2.0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn queueing_reduces_display_probability() {
-        let free = display_probability(3.0, 0);
-        let busy = display_probability(3.0, 3);
-        assert!(free > busy);
-        assert!(display_probability(0.0, 0) == 0.0);
-        assert_eq!(display_probability(-1.0, 0), 0.0);
     }
 }

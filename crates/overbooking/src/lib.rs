@@ -13,9 +13,10 @@
 //! - [`availability`]: per-client display probabilities from predicted slot
 //!   rates (Poisson tails, discounted by ads already queued on the client).
 //! - [`planner`]: replica-set construction policies (greedy
-//!   availability-ordered, fixed factor, single-copy).
-//! - [`estimator`]: closed-form SLA-violation and duplicate-display
-//!   estimates for a chosen replica set.
+//!   availability-ordered, fixed factor, none).
+//! - [`sla_violation_prob`], [`expected_duplicates`]: closed-form
+//!   SLA-violation and duplicate-display estimates for a chosen replica
+//!   set.
 //! - [`reconcile`]: the runtime protocol that cancels outstanding replicas
 //!   once one client reports the first display, bounding duplicates to the
 //!   sync delay.
@@ -37,14 +38,13 @@
 //! ```
 
 pub mod availability;
-pub mod estimator;
+mod estimator;
 pub mod planner;
 pub mod reconcile;
 
-pub use availability::{display_probability, poisson_tail, ClientAvailability};
+pub use availability::{poisson_tail, ClientAvailability};
 pub use estimator::{expected_duplicates, sla_violation_prob};
 pub use planner::{
     FixedFactorPlanner, GreedyPlanner, NoReplicationPlanner, Plan, ReplicationPlanner,
-    SingleCopyPlanner,
 };
 pub use reconcile::{DisplayDisposition, ReplicaTracker, TrackerStats};

@@ -207,26 +207,6 @@ impl ReplicationPlanner for NoReplicationPlanner {
     }
 }
 
-/// Places exactly one copy on the best client — the no-overbooking
-/// ablation.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SingleCopyPlanner;
-
-impl ReplicationPlanner for SingleCopyPlanner {
-    fn plan(
-        &self,
-        candidates: &[ClientAvailability],
-        sla_target: f64,
-        max_replicas: usize,
-    ) -> Plan {
-        FixedFactorPlanner { k: 1 }.plan(candidates, sla_target, max_replicas)
-    }
-
-    fn name(&self) -> &'static str {
-        "single"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,7 +284,7 @@ mod tests {
     #[test]
     fn single_copy_picks_best() {
         let c = cands(&[0.2, 0.7, 0.5]);
-        let plan = SingleCopyPlanner.plan(&c, 0.99, 10);
+        let plan = FixedFactorPlanner { k: 1 }.plan(&c, 0.99, 10);
         assert_eq!(plan.clients, vec![1]);
         assert!((plan.success_prob - 0.7).abs() < 1e-12);
     }

@@ -3,30 +3,30 @@
 //! The paper's ad server sells a client's *future* ad slots in the exchange
 //! before the client has opened any app. That requires a per-client model of
 //! how many slots the client will have between now and its next sync. This
-//! crate implements that model family:
+//! crate implements that model family behind one interface:
 //!
-//! - [`predictor::SlotPredictor`]: the common interface — observe the slots
-//!   shown in each past period, predict the count for an upcoming window.
-//! - [`predictor::ZeroPredictor`], [`predictor::GlobalRatePredictor`],
-//!   [`predictor::EwmaPredictor`]: baselines.
-//! - [`tod::TimeOfDayPredictor`], [`tod::DayHourPredictor`]: diurnal models
-//!   (per-hour rates, optionally split by day of week) — the shape the
-//!   paper found effective, since app usage is strongly time-of-day bound.
-//! - [`quantile::QuantilePredictor`]: predicts a chosen percentile of the
-//!   historical demand instead of the mean. The percentile is the paper's
-//!   central knob: predicting low (e.g. p25) under-sells but rarely strands
-//!   prefetched ads; predicting high over-sells and leans on overbooking.
-//! - [`oracle::OraclePredictor`]: exact future knowledge, the upper bound.
-//! - [`eval`]: the offline evaluation harness behind experiments E5/E6
-//!   (over/under-prediction rates and error CDFs per horizon).
+//! - [`SlotPredictor`]: the common interface — observe the slots shown in
+//!   each past period, predict the count for an upcoming window.
+//! - [`PredictorKind`]: names a family and builds it. The baselines (zero,
+//!   long-run mean rate, EWMA); the diurnal models (per-hour rates,
+//!   optionally split by day of week) — the shape the paper found
+//!   effective, since app usage is strongly time-of-day bound; a two-state
+//!   Markov chain; a chosen percentile of historical demand, the paper's
+//!   central knob (predicting low under-sells but rarely strands prefetched
+//!   ads, predicting high over-sells and leans on overbooking); the
+//!   session-aware model the system defaults to; and the oracle, exact
+//!   future knowledge, the upper bound.
+//! - [`evaluate_predictor`]: the offline evaluation harness behind
+//!   experiments E5/E6 (over/under-prediction rates and error CDFs per
+//!   horizon).
 //!
 //! # Examples
 //!
 //! ```
 //! use adpf_desim::{SimDuration, SimTime};
-//! use adpf_prediction::predictor::{GlobalRatePredictor, SlotPredictor};
+//! use adpf_prediction::PredictorKind;
 //!
-//! let mut p = GlobalRatePredictor::new();
+//! let mut p = PredictorKind::GlobalRate.build(&[]);
 //! // Observe 4 slots in the first hour.
 //! let hour = SimDuration::from_hours(1);
 //! p.observe(SimTime::ZERO, SimTime::ZERO + hour, &[SimTime::from_mins(10); 4]);
@@ -34,20 +34,13 @@
 //! assert!((pred - 8.0).abs() < 1e-9);
 //! ```
 
-pub mod eval;
-pub mod markov;
-pub mod oracle;
+mod eval;
+mod markov;
+mod oracle;
 pub mod predictor;
-pub mod quantile;
-pub mod session;
-pub mod tod;
+mod quantile;
+mod session;
+mod tod;
 
 pub use eval::{evaluate_predictor, EvalReport};
-pub use markov::MarkovPredictor;
-pub use oracle::OraclePredictor;
-pub use predictor::{
-    EwmaPredictor, GlobalRatePredictor, PredictorKind, SlotPredictor, ZeroPredictor,
-};
-pub use quantile::QuantilePredictor;
-pub use session::SessionAwarePredictor;
-pub use tod::{DayHourPredictor, TimeOfDayPredictor};
+pub use predictor::{PredictorKind, SlotPredictor};

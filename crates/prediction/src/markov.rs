@@ -16,7 +16,7 @@ use crate::predictor::SlotPredictor;
 /// horizon`. Compared to the diurnal models it has no clock, only
 /// recency — the evaluation (E5/E12) shows what each signal is worth.
 #[derive(Debug, Clone)]
-pub struct MarkovPredictor {
+pub(crate) struct MarkovPredictor {
     /// `transitions[prev][next]` counts, with 0 = idle, 1 = active.
     transitions: [[u64; 2]; 2],
     /// Mean slots/hour across active periods.

@@ -10,7 +10,7 @@ use crate::predictor::SlotPredictor;
 /// experiments: it isolates how much of the system's loss comes from
 /// prediction error versus from the overbooking mechanics themselves.
 #[derive(Debug, Clone)]
-pub struct OraclePredictor {
+pub(crate) struct OraclePredictor {
     /// Sorted slot times.
     slot_times: Vec<SimTime>,
 }
@@ -24,7 +24,7 @@ impl OraclePredictor {
     }
 
     /// Exact number of slots in `[from, to)`.
-    pub fn count_in(&self, from: SimTime, to: SimTime) -> usize {
+    pub(crate) fn count_in(&self, from: SimTime, to: SimTime) -> usize {
         let lo = self.slot_times.partition_point(|&t| t < from);
         let hi = self.slot_times.partition_point(|&t| t < to);
         hi - lo

@@ -129,7 +129,7 @@ impl PredictorKind {
 
 /// Predicts zero slots — the "never pre-sell" baseline.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct ZeroPredictor;
+pub(crate) struct ZeroPredictor;
 
 impl SlotPredictor for ZeroPredictor {
     fn observe(&mut self, _start: SimTime, _end: SimTime, _slots: &[SimTime]) {}
@@ -145,7 +145,7 @@ impl SlotPredictor for ZeroPredictor {
 
 /// Long-run average slot rate over all observed time.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct GlobalRatePredictor {
+pub(crate) struct GlobalRatePredictor {
     total_slots: u64,
     observed_ms: u64,
 }
@@ -188,7 +188,7 @@ impl SlotPredictor for GlobalRatePredictor {
 /// [`GlobalRatePredictor`] to regime changes (vacation weeks, new apps) at
 /// the cost of more variance.
 #[derive(Debug, Clone, Copy)]
-pub struct EwmaPredictor {
+pub(crate) struct EwmaPredictor {
     rate_per_hour: Ewma,
 }
 

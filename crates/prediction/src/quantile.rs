@@ -14,7 +14,7 @@ use crate::predictor::SlotPredictor;
 /// materialize). `q = 0.5` tracks the median; low `q` is conservative
 /// (rarely over-predicts), high `q` is aggressive.
 #[derive(Debug, Clone)]
-pub struct QuantilePredictor {
+pub(crate) struct QuantilePredictor {
     q: f64,
     /// Normalized demand rates (slots per hour) of past periods.
     rates: Vec<f64>,
@@ -27,7 +27,7 @@ pub struct QuantilePredictor {
 impl QuantilePredictor {
     /// Maximum history length; older periods are discarded so the model
     /// adapts to regime changes over multi-month traces.
-    pub const MAX_HISTORY: usize = 512;
+    pub(crate) const MAX_HISTORY: usize = 512;
 
     /// Creates a predictor targeting quantile `q` (clamped into `[0, 1]`).
     pub fn new(q: f64) -> Self {
@@ -36,11 +36,6 @@ impl QuantilePredictor {
             rates: Vec::new(),
             cached_rate: 0.0,
         }
-    }
-
-    /// The targeted quantile.
-    pub fn q(&self) -> f64 {
-        self.q
     }
 }
 
@@ -125,8 +120,8 @@ mod tests {
 
     #[test]
     fn q_is_clamped() {
-        assert_eq!(QuantilePredictor::new(5.0).q(), 1.0);
-        assert_eq!(QuantilePredictor::new(-2.0).q(), 0.0);
+        assert_eq!(QuantilePredictor::new(5.0).q, 1.0);
+        assert_eq!(QuantilePredictor::new(-2.0).q, 0.0);
     }
 
     #[test]

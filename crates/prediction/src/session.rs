@@ -27,7 +27,7 @@ use crate::tod::TimeOfDayPredictor;
 ///   additionally predicts the *remaining* slots of the current session,
 ///   `mean session length − slots already shown in this session`.
 #[derive(Debug, Clone)]
-pub struct SessionAwarePredictor {
+pub(crate) struct SessionAwarePredictor {
     /// Gap separating two sessions in the slot stream.
     session_gap: SimDuration,
     /// Quantile of the idle rate history used for speculative selling.
@@ -75,7 +75,7 @@ impl SessionAwarePredictor {
     /// The defaults used by the end-to-end system: 90-second session gap
     /// (three missed 30-second refreshes) and the 25th percentile while
     /// idle.
-    pub fn default_config() -> Self {
+    pub(crate) fn default_config() -> Self {
         Self::new(SimDuration::from_secs(90), 0.25)
     }
 

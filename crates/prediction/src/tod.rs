@@ -15,7 +15,7 @@ const MS_PER_HOUR: u64 = adpf_desim::time::MILLIS_PER_HOUR;
 /// paper's key insight about client modeling: slot demand is strongly
 /// diurnal, so an hour-indexed rate beats a global average.
 #[derive(Debug, Clone)]
-pub struct TimeOfDayPredictor {
+pub(crate) struct TimeOfDayPredictor {
     slots: [f64; 24],
     observed_ms: [f64; 24],
 }
@@ -89,7 +89,7 @@ impl SlotPredictor for TimeOfDayPredictor {
 /// the all-days hourly rate, avoiding wild extrapolation from a single
 /// observed Monday.
 #[derive(Debug, Clone)]
-pub struct DayHourPredictor {
+pub(crate) struct DayHourPredictor {
     slots: [[f64; 24]; 7],
     observed_ms: [[f64; 24]; 7],
     fallback: TimeOfDayPredictor,
@@ -104,7 +104,7 @@ impl Default for DayHourPredictor {
 impl DayHourPredictor {
     /// Minimum per-cell observation (one full hour) before the cell's own
     /// rate is trusted.
-    pub const MIN_CELL_MS: f64 = MS_PER_HOUR as f64;
+    pub(crate) const MIN_CELL_MS: f64 = MS_PER_HOUR as f64;
 
     /// Creates a predictor with no history.
     pub fn new() -> Self {

@@ -171,8 +171,8 @@ fn build_config(o: &Opts) -> Result<SystemConfig, String> {
         // Class/region assignment keys on the *trace* seed: the stream
         // was generated by tracegen with its own seed, which the caller
         // echoes here (defaulting to the config seed for the common
-        // same-seed pipeline). An explicit --netem wins over the
-        // scenario's binding, mirroring the batch `simulate` CLI.
+        // same-seed pipeline). An explicit --netem, `off` included, wins
+        // over the scenario's binding, as in the batch `simulate` CLI.
         let explicit_netem = o.netem.is_some().then(|| cfg.netem.clone());
         spec.apply_to(&mut cfg, o.scenario_seed.unwrap_or(o.seed));
         if let Some(netem) = explicit_netem {
@@ -314,5 +314,33 @@ fn main() -> ExitCode {
             eprintln!("{reason}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn config(args: &str) -> SystemConfig {
+        let args: Vec<String> = args.split_whitespace().map(String::from).collect();
+        build_config(&parse_args(&args).unwrap()).unwrap()
+    }
+
+    #[test]
+    fn explicit_netem_wins_over_the_scenario_binding() {
+        // flashcrowd binds flaky+outage; an explicit --netem, `off`
+        // included, must override it, while no flag accepts the binding.
+        assert!(config("--scenario flashcrowd")
+            .netem
+            .name
+            .contains("outage"));
+        let off = config("--scenario flashcrowd --netem off");
+        assert!(!off.netem.enabled);
+        assert!(
+            off.scenario.enabled,
+            "the rest of the scenario still applies"
+        );
+        let degraded = config("--scenario flashcrowd --netem degraded");
+        assert_eq!(degraded.netem.name, "degraded");
     }
 }

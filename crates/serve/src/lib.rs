@@ -32,8 +32,7 @@ pub mod server;
 
 pub use mailbox::Mailbox;
 pub use protocol::{
-    write_events, write_events_paced, write_header, Framer, IngestError, Parser, SlotEvent,
-    StreamHeader,
+    write_events, write_events_paced, Framer, IngestError, Parser, SlotEvent, StreamHeader,
 };
 pub use server::{
     serve, ServeError, ServeOptions, ServeOutcome, BACKPRESSURE_METRIC, BATCH_EVENTS_METRIC,

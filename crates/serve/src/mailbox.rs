@@ -111,7 +111,7 @@ impl<T> Mailbox<T> {
     }
 
     /// How many pushes had to wait for room so far.
-    pub fn blocked_pushes(&self) -> u64 {
+    pub(crate) fn blocked_pushes(&self) -> u64 {
         self.lock().blocked_pushes
     }
 }

@@ -32,7 +32,7 @@
 //!
 //! Input reaches the parser through a [`Framer`], which cuts whatever
 //! byte chunks the transport delivers into lines without copying them:
-//! a line that is not valid UTF-8, or longer than [`MAX_LINE_BYTES`], is
+//! a line that is not valid UTF-8, or longer than `MAX_LINE_BYTES`, is
 //! one more rejected line, wherever the chunk boundaries fall.
 
 use std::io::Write;
@@ -41,15 +41,15 @@ use adpf_desim::SimDuration;
 use adpf_traces::Trace;
 
 /// Leading tag of the mandatory stream header.
-pub const HEADER_PREFIX: &str = "#serve,";
+pub(crate) const HEADER_PREFIX: &str = "#serve,";
 /// Tag of an ad-slot event line.
-pub const EVENT_TAG: &str = "slot";
+pub(crate) const EVENT_TAG: &str = "slot";
 /// Sentinel line requesting a graceful finalize-and-report.
-pub const SHUTDOWN: &str = "shutdown";
+pub(crate) const SHUTDOWN: &str = "shutdown";
 /// Longest line (bytes before the `\n`) the ingest path accepts, more
 /// than 20× the longest legal record. It bounds the [`Framer`]'s carry
 /// buffer: a longer run is rejected once and skipped, never buffered.
-pub const MAX_LINE_BYTES: usize = 1024;
+pub(crate) const MAX_LINE_BYTES: usize = 1024;
 
 /// The stream header: the population bounds the server sizes itself
 /// from, mirroring what the batch pipeline reads off a [`Trace`].
@@ -253,7 +253,7 @@ impl Parser {
 /// chunk.
 ///
 /// Only the unterminated tail of a chunk is copied, into a carry buffer
-/// that never exceeds [`MAX_LINE_BYTES`]: a longer run is rejected where
+/// that never exceeds `MAX_LINE_BYTES`: a longer run is rejected where
 /// it crosses the limit and discarded up to its `\n`. What a stream
 /// parses to is therefore a function of its bytes alone — the same lines,
 /// line numbers and rejections whether it arrives whole or a byte at a
@@ -417,7 +417,11 @@ pub fn write_events_paced<W: Write>(
 }
 
 /// Writes just the stream header line.
-pub fn write_header<W: Write>(w: &mut W, users: u32, horizon_ms: u64) -> std::io::Result<()> {
+pub(crate) fn write_header<W: Write>(
+    w: &mut W,
+    users: u32,
+    horizon_ms: u64,
+) -> std::io::Result<()> {
     writeln!(w, "{HEADER_PREFIX}users={users},horizon_ms={horizon_ms}")
 }
 

@@ -33,8 +33,7 @@
 //! - **Framing.** The ingest thread takes whatever bytes `fill_buf`
 //!   returns, and a [`Framer`] cuts complete lines out of that chunk in
 //!   place — no per-line `String`; only a chunk's unterminated tail is
-//!   copied, into a carry buffer capped at
-//!   [`MAX_LINE_BYTES`](crate::protocol::MAX_LINE_BYTES). Every event of
+//!   copied, into a carry buffer capped at `MAX_LINE_BYTES`. Every event of
 //!   a chunk carries the one `Instant` at which the chunk arrived.
 //! - **Hand-off.** Each worker has a bounded swap [`Mailbox`]. The
 //!   ingest thread collects a chunk's events per worker and appends
@@ -564,6 +563,13 @@ mod tests {
         buf
     }
 
+    /// The batch simulator's report hash for `smoke_stream(777, cfg)`:
+    /// what every session serving that stream must reproduce.
+    fn batch_hash(cfg: &SystemConfig) -> u64 {
+        let trace = PopulationConfig::small_test(777).generate();
+        Simulator::run_trace(cfg, &trace, 2).0.stable_hash()
+    }
+
     /// Delivers `data` one piece per `read`, cut at the given offsets.
     struct Pieces<'a> {
         data: &'a [u8],
@@ -693,8 +699,9 @@ mod tests {
     fn with_room_for_one_event_every_push_is_its_own_take() {
         let cfg = SystemConfig::prefetch_default(5);
         let stream = smoke_stream(777, &cfg);
+        let batch = batch_hash(&cfg);
         let out = serve_with_cap(&ServeOptions::new(cfg), stream.as_slice(), 1).unwrap();
-        assert_eq!(out.report.stable_hash(), 0xba08_fcf9_274d_6de0);
+        assert_eq!(out.report.stable_hash(), batch);
         // With room for one event, a push is admitted only into an empty
         // mailbox: every take is exactly one push, of FLUSH_EVENTS or a
         // chunk's remainder, and only a push can have had to wait.
@@ -786,9 +793,10 @@ mod tests {
     fn interrupted_reads_are_retried() {
         let cfg = SystemConfig::prefetch_default(5);
         let stream = smoke_stream(777, &cfg);
+        let batch = batch_hash(&cfg);
         let input = std::io::BufReader::new(Interrupting(&stream, false));
         let out = serve(&ServeOptions::new(cfg), input).unwrap();
-        assert_eq!(out.report.stable_hash(), 0xba08_fcf9_274d_6de0);
+        assert_eq!(out.report.stable_hash(), batch);
     }
 
     #[test]

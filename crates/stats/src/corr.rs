@@ -4,7 +4,7 @@
 ///
 /// Returns `0.0` if the series differ in length, are shorter than two
 /// elements, or either has zero variance.
-pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
+pub(crate) fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
     if xs.len() != ys.len() || xs.len() < 2 {
         return 0.0;
     }

@@ -33,22 +33,8 @@ pub struct Normal {
 }
 
 impl Normal {
-    /// Creates a normal distribution with the given mean and standard
-    /// deviation.
-    ///
-    /// Returns an error if `std_dev` is not finite and positive.
-    pub fn new(mean: f64, std_dev: f64) -> Result<Self, ParamError> {
-        let valid = std_dev.is_finite() && std_dev > 0.0 && mean.is_finite();
-        if !valid {
-            return Err(ParamError {
-                reason: "Normal requires finite mean and std_dev > 0",
-            });
-        }
-        Ok(Self { mean, std_dev })
-    }
-
     /// Samples a standard normal variate.
-    pub fn standard_sample<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+    pub(crate) fn standard_sample<R: Rng + ?Sized>(rng: &mut R) -> f64 {
         Self::standard_pair(rng).0
     }
 
@@ -57,7 +43,7 @@ impl Normal {
     /// The Marsaglia polar method produces two variates per accepted
     /// point; bulk samplers that keep the second one halve the cost of
     /// the rejection loop (and its `ln`/`sqrt`) on average.
-    pub fn standard_pair<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
+    pub(crate) fn standard_pair<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
         // Marsaglia polar method: draw points uniformly in the unit square
         // until one falls inside the unit circle, then transform.
         loop {
@@ -184,16 +170,6 @@ impl Exponential {
         }
         Ok(Self { rate })
     }
-
-    /// Creates an exponential distribution with the given mean.
-    pub fn from_mean(mean: f64) -> Result<Self, ParamError> {
-        if !(mean.is_finite() && mean > 0.0) {
-            return Err(ParamError {
-                reason: "Exponential requires mean > 0",
-            });
-        }
-        Self::new(1.0 / mean)
-    }
 }
 
 impl Distribution<f64> for Exponential {
@@ -201,35 +177,6 @@ impl Distribution<f64> for Exponential {
         // Inverse CDF: -ln(1 - U) / lambda; `gen` draws from [0, 1).
         let u: f64 = rng.gen();
         -(1.0 - u).ln() / self.rate
-    }
-}
-
-/// Pareto (type I) distribution with scale `x_min` and shape `alpha`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Pareto {
-    /// Minimum value (scale); strictly positive.
-    pub x_min: f64,
-    /// Tail exponent (shape); strictly positive.
-    pub alpha: f64,
-}
-
-impl Pareto {
-    /// Creates a Pareto distribution.
-    pub fn new(x_min: f64, alpha: f64) -> Result<Self, ParamError> {
-        let valid = x_min.is_finite() && x_min > 0.0 && alpha.is_finite() && alpha > 0.0;
-        if !valid {
-            return Err(ParamError {
-                reason: "Pareto requires x_min > 0 and alpha > 0",
-            });
-        }
-        Ok(Self { x_min, alpha })
-    }
-}
-
-impl Distribution<f64> for Pareto {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let u: f64 = rng.gen();
-        self.x_min / (1.0 - u).powf(1.0 / self.alpha)
     }
 }
 
@@ -378,83 +325,6 @@ impl Distribution<u64> for Poisson {
     }
 }
 
-/// Bernoulli distribution returning `true` with probability `p`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Bernoulli {
-    /// Success probability in `[0, 1]`.
-    pub p: f64,
-}
-
-impl Bernoulli {
-    /// Creates a Bernoulli distribution.
-    pub fn new(p: f64) -> Result<Self, ParamError> {
-        if !(0.0..=1.0).contains(&p) {
-            return Err(ParamError {
-                reason: "Bernoulli requires p in [0, 1]",
-            });
-        }
-        Ok(Self { p })
-    }
-}
-
-impl Distribution<bool> for Bernoulli {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
-        rng.gen::<f64>() < self.p
-    }
-}
-
-/// Binomial distribution: number of successes in `n` Bernoulli(`p`) trials.
-///
-/// Uses direct simulation for small `n` and a normal approximation with
-/// continuity correction otherwise.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Binomial {
-    /// Number of trials.
-    pub n: u64,
-    /// Per-trial success probability in `[0, 1]`.
-    pub p: f64,
-}
-
-impl Binomial {
-    /// Trial count above which the normal approximation is used.
-    const NORMAL_APPROX_THRESHOLD: u64 = 256;
-
-    /// Creates a binomial distribution.
-    pub fn new(n: u64, p: f64) -> Result<Self, ParamError> {
-        if !(0.0..=1.0).contains(&p) {
-            return Err(ParamError {
-                reason: "Binomial requires p in [0, 1]",
-            });
-        }
-        Ok(Self { n, p })
-    }
-}
-
-impl Distribution<u64> for Binomial {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        if self.p == 0.0 || self.n == 0 {
-            return 0;
-        }
-        if self.p == 1.0 {
-            return self.n;
-        }
-        if self.n <= Self::NORMAL_APPROX_THRESHOLD {
-            let mut successes = 0;
-            for _ in 0..self.n {
-                if rng.gen::<f64>() < self.p {
-                    successes += 1;
-                }
-            }
-            successes
-        } else {
-            let mean = self.n as f64 * self.p;
-            let std = (mean * (1.0 - self.p)).sqrt();
-            let x = mean + std * Normal::standard_sample(rng);
-            x.round().clamp(0.0, self.n as f64) as u64
-        }
-    }
-}
-
 /// Discrete distribution over indices `0..weights.len()` with arbitrary
 /// non-negative weights.
 #[derive(Debug, Clone, PartialEq)]
@@ -548,21 +418,16 @@ mod tests {
 
     #[test]
     fn normal_matches_moments() {
-        let d = Normal::new(5.0, 2.0).unwrap();
+        let d = Normal {
+            mean: 5.0,
+            std_dev: 2.0,
+        };
         let mut r = rng();
         let xs = d.sample_n(&mut r, 50_000);
         let m = mean_of(&xs);
         let var = xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64;
         assert!((m - 5.0).abs() < 0.05, "mean {m}");
         assert!((var - 4.0).abs() < 0.15, "var {var}");
-    }
-
-    #[test]
-    fn normal_rejects_bad_params() {
-        assert!(Normal::new(0.0, 0.0).is_err());
-        assert!(Normal::new(0.0, -1.0).is_err());
-        assert!(Normal::new(f64::NAN, 1.0).is_err());
-        assert!(Normal::new(0.0, f64::INFINITY).is_err());
     }
 
     #[test]
@@ -597,22 +462,11 @@ mod tests {
 
     #[test]
     fn exponential_mean() {
-        let d = Exponential::from_mean(3.0).unwrap();
+        let d = Exponential::new(1.0 / 3.0).unwrap();
         let mut r = rng();
         let xs = d.sample_n(&mut r, 100_000);
         assert!((mean_of(&xs) - 3.0).abs() < 0.05);
         assert!(xs.iter().all(|&x| x >= 0.0));
-    }
-
-    #[test]
-    fn pareto_respects_minimum() {
-        let d = Pareto::new(2.0, 2.5).unwrap();
-        let mut r = rng();
-        let xs = d.sample_n(&mut r, 10_000);
-        assert!(xs.iter().all(|&x| x >= 2.0));
-        // Mean of Pareto(x_min, alpha) is x_min * alpha / (alpha - 1).
-        let expected = 2.0 * 2.5 / 1.5;
-        assert!((mean_of(&xs) - expected).abs() < 0.15);
     }
 
     #[test]
@@ -675,37 +529,6 @@ mod tests {
                 assert_eq!(d.lambda, 0.0);
                 assert_eq!(d.sample(&mut r), 0);
             }
-        }
-    }
-
-    #[test]
-    fn bernoulli_frequency() {
-        let d = Bernoulli::new(0.3).unwrap();
-        let mut r = rng();
-        let hits = (0..100_000).filter(|_| d.sample(&mut r)).count();
-        let p = hits as f64 / 100_000.0;
-        assert!((p - 0.3).abs() < 0.01);
-    }
-
-    #[test]
-    fn bernoulli_rejects_out_of_range() {
-        assert!(Bernoulli::new(-0.01).is_err());
-        assert!(Bernoulli::new(1.01).is_err());
-        assert!(Bernoulli::new(f64::NAN).is_err());
-    }
-
-    #[test]
-    fn binomial_edges_and_mean() {
-        let mut r = rng();
-        assert_eq!(Binomial::new(10, 0.0).unwrap().sample(&mut r), 0);
-        assert_eq!(Binomial::new(10, 1.0).unwrap().sample(&mut r), 10);
-        for &n in &[50u64, 2_000] {
-            let d = Binomial::new(n, 0.25).unwrap();
-            let xs: Vec<u64> = (0..20_000).map(|_| d.sample(&mut r)).collect();
-            let m = xs.iter().sum::<u64>() as f64 / xs.len() as f64;
-            let expected = n as f64 * 0.25;
-            assert!((m - expected).abs() < expected * 0.05 + 0.5, "n {n} m {m}");
-            assert!(xs.iter().all(|&x| x <= n));
         }
     }
 

@@ -43,40 +43,6 @@ impl Ecdf {
         quantile_sorted(&self.sorted, q)
     }
 
-    /// Iterates the ECDF's step points as `(x, F(x))` pairs, one per
-    /// distinct observation — convenient for printing figure series.
-    pub fn points(&self) -> Vec<(f64, f64)> {
-        let n = self.sorted.len();
-        let mut out = Vec::new();
-        let mut i = 0;
-        while i < n {
-            let x = self.sorted[i];
-            let mut j = i + 1;
-            while j < n && self.sorted[j] == x {
-                j += 1;
-            }
-            out.push((x, j as f64 / n as f64));
-            i = j;
-        }
-        out
-    }
-
-    /// Downsamples [`Ecdf::points`] to at most `max_points` evenly spaced
-    /// probability levels, preserving the first and last point.
-    pub fn points_downsampled(&self, max_points: usize) -> Vec<(f64, f64)> {
-        let pts = self.points();
-        if pts.len() <= max_points || max_points < 2 {
-            return pts;
-        }
-        let mut out = Vec::with_capacity(max_points);
-        for k in 0..max_points {
-            let idx = k * (pts.len() - 1) / (max_points - 1);
-            out.push(pts[idx]);
-        }
-        out.dedup_by(|a, b| a.0 == b.0);
-        out
-    }
-
     /// Kolmogorov–Smirnov statistic between two ECDFs: the maximum absolute
     /// difference of the two step functions.
     pub fn ks_statistic(&self, other: &Ecdf) -> f64 {
@@ -108,25 +74,6 @@ mod tests {
         assert!(e.is_empty());
         assert_eq!(e.cdf(1.0), 0.0);
         assert_eq!(e.quantile(0.5), 0.0);
-        assert!(e.points().is_empty());
-    }
-
-    #[test]
-    fn points_collapse_duplicates() {
-        let e = Ecdf::new(vec![1.0, 1.0, 2.0]);
-        let pts = e.points();
-        assert_eq!(pts.len(), 2);
-        assert!((pts[0].1 - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(pts[1], (2.0, 1.0));
-    }
-
-    #[test]
-    fn downsampling_preserves_extremes() {
-        let e = Ecdf::new((0..1000).map(|i| i as f64).collect());
-        let pts = e.points_downsampled(11);
-        assert!(pts.len() <= 11);
-        assert_eq!(pts.first().unwrap().0, 0.0);
-        assert_eq!(pts.last().unwrap().0, 999.0);
     }
 
     #[test]

