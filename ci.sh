@@ -51,14 +51,17 @@ placement_gates() {
     # leaving zero-probability candidates out exact. Likewise the one
     # internal-event drain, in lockstep with the pop-by-pop loop it
     # replaced, sub-bucket scheduling deltas included. And auctions
-    # sampled ahead, in lockstep with the exchange sampling them itself,
+    # sampled ahead, in lockstep with the exchange sampling them itself
+    # (one exchange, and several sharing one worker's sampler),
     # allocation-free on the helper thread, and held to the smoke goldens
-    # with the helper forced on and off whatever the host's core count.
+    # and to serve == batch with the sampler forced on and off whatever
+    # the host's core count.
     cargo test -q --release -p adpf-overbooking --test prop_availability
     cargo test -q --release -p adpf-core placement_
     cargo test -q --release -p adpf-core dispatch_
     cargo test -q --release -p adpf-auction ahead_
     cargo test -q --release -p adpf-core ahead_
+    cargo test -q --release -p adpf-serve ahead_
 }
 
 determinism_gates() {

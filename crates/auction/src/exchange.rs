@@ -5,7 +5,7 @@ use adpf_obs::MetricRegistry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::ahead::Sampler;
+use crate::ahead::{BidSampler, Lane, SamplerRef};
 use crate::campaign::{Campaign, CampaignId, PreparedBid};
 use crate::market::{CampaignType, MarketplaceConfig, PacingController, PriceFloors, PricingRule};
 
@@ -143,14 +143,15 @@ pub struct Exchange {
     pacing_ticks: u64,
     pacing_adjustments: u64,
     pacing_clamps: u64,
-    /// Whether auctions may be sampled ahead (see
-    /// [`Exchange::enable_sample_ahead`]); cleared for good by the first
-    /// draw that cannot be committed.
-    sample_ahead: bool,
-    /// The helper sampling ahead, once an auction has started it.
-    ahead: Option<Sampler>,
+    /// The worker's sampler, when auctions may be sampled ahead (see
+    /// [`Exchange::sample_ahead_on`]); dropped for good by the first draw
+    /// that cannot be committed.
+    sampler: Option<SamplerRef>,
+    /// This exchange's lane on it, once an auction has registered one.
+    lane: Option<Lane>,
     ahead_auctions: u64,
     ahead_fallbacks: u64,
+    ahead_waits: u64,
 }
 
 impl Exchange {
@@ -183,10 +184,11 @@ impl Exchange {
             pacing_ticks: 0,
             pacing_adjustments: 0,
             pacing_clamps: 0,
-            sample_ahead: false,
-            ahead: None,
+            sampler: None,
+            lane: None,
             ahead_auctions: 0,
             ahead_fallbacks: 0,
+            ahead_waits: 0,
         }
     }
 
@@ -206,7 +208,7 @@ impl Exchange {
     /// with the campaigns.
     pub fn configure_marketplace(&mut self, mc: &MarketplaceConfig, types: &[CampaignType]) {
         // Draws sampled ahead assumed the old floors and pacers.
-        self.ahead = None;
+        self.lane = None;
         self.pricing = mc.pricing;
         self.floors = mc.floors;
         self.pacers = if mc.enabled && mc.paced {
@@ -242,7 +244,7 @@ impl Exchange {
 
     /// Overrides the per-slot-kind price floors.
     pub fn set_floors(&mut self, floors: PriceFloors) {
-        self.ahead = None;
+        self.lane = None;
         self.floors = floors;
     }
 
@@ -301,7 +303,7 @@ impl Exchange {
     /// the reserve.
     ///
     /// The bids come from one sampling loop: run here, or ahead when
-    /// [`Exchange::enable_sample_ahead`] is on and the draw can be
+    /// [`Exchange::sample_ahead_on`] gave it a sampler and the draw can be
     /// committed (see the `ahead` module). Either way the sale, the
     /// budgets and the RNG stream are the same bits.
     pub fn run_auction(&mut self, slot: &SlotOffer) -> Option<SoldAd> {
@@ -344,8 +346,8 @@ impl Exchange {
             price = kind_floor;
         }
         self.campaigns[winner_idx].debit(price);
-        if let Some(a) = &mut self.ahead {
-            a.min_budget = a.min_budget.min(self.campaigns[winner_idx].budget);
+        if let Some(lane) = &mut self.lane {
+            lane.min_budget = lane.min_budget.min(self.campaigns[winner_idx].budget);
         }
         if let Some(p) = self.pacers.get_mut(winner_idx).and_then(Option::as_mut) {
             p.spent += price;
@@ -365,19 +367,23 @@ impl Exchange {
         })
     }
 
-    /// Lets this exchange sample its auctions ahead, on a thread of its
-    /// own, whenever its marketplace is static: no pacers, no targeted
-    /// campaign and no floor above the reserve. Results are bit-identical
-    /// either way; the helper only pays where a core would otherwise sit
-    /// idle, since it runs flat out until it is a few batches ahead.
+    /// Lets this exchange sample its auctions ahead on `sampler`, the
+    /// helper of the worker that drives it, whenever its marketplace is
+    /// static: no pacers, no targeted campaign and no floor above the
+    /// reserve. Results are bit-identical either way; the helper only
+    /// pays where a core would otherwise sit idle, since it runs flat out
+    /// until every lane is a few batches ahead.
     ///
-    /// The helper starts at the next auction if the marketplace is static
-    /// then, and stays off for good otherwise. It also stops for good at
-    /// the first draw that cannot be committed (a budget ran low or the
-    /// reserve moved). A reseed, a budget rescale or a marketplace change
-    /// stops it until the next auction starts it again from the new state.
-    pub fn enable_sample_ahead(&mut self) {
-        self.sample_ahead = true;
+    /// The next auction registers this exchange's lane if the marketplace
+    /// is static then, and sampling ahead stays off for good otherwise.
+    /// It also stops for good at the first draw that cannot be committed
+    /// (a budget ran low or the reserve moved) and once the sampler is
+    /// dropped. A reseed, a budget rescale or a marketplace change drops
+    /// the lane until the next auction registers it again from the new
+    /// state.
+    pub fn sample_ahead_on(&mut self, sampler: &BidSampler) {
+        self.lane = None;
+        self.sampler = Some(sampler.handle());
     }
 
     /// Whether an auction's draws depend only on the RNG stream and the
@@ -394,8 +400,8 @@ impl Exchange {
 
     /// The next draw sampled ahead, committed: the stream moves to where
     /// sampling it here would have left it. `None` means "sample this
-    /// auction here"; when a draw could not be committed the helper is
-    /// also stopped for good.
+    /// auction here"; when a draw could not be committed sampling ahead
+    /// also stops for good.
     ///
     /// A draw is committed when the reserve it was sampled under is
     /// still the entry floor, and every budget is at least the largest
@@ -403,15 +409,13 @@ impl Exchange {
     /// gate of [`draw_bids`] passes here exactly as it did ahead.
     #[inline]
     fn commit_ahead(&mut self, entry_floor: f64) -> Option<(Option<(usize, f64)>, f64)> {
-        if !self.sample_ahead {
-            return None;
-        }
-        if self.ahead.is_none() {
+        let sampler = self.sampler.as_ref()?;
+        if self.lane.is_none() {
             if !self.is_static() {
-                self.sample_ahead = false;
+                self.sampler = None;
                 return None;
             }
-            self.ahead = Sampler::spawn(
+            self.lane = sampler.lane(
                 &self.prepared,
                 &self.campaigns,
                 &self.rng,
@@ -419,20 +423,22 @@ impl Exchange {
                 self.reserve_price,
             );
         }
-        if let Some(a) = &mut self.ahead {
-            let fits = entry_floor == a.reserve && self.reserve_price == a.reserve;
-            let min_budget = a.min_budget;
-            if let Some(d) = a.next().filter(|d| fits && d.need <= min_budget) {
+        if let Some(lane) = &mut self.lane {
+            let fits = entry_floor == lane.reserve && self.reserve_price == lane.reserve;
+            let min_budget = lane.min_budget;
+            let drawn = lane.next(&mut self.ahead_waits);
+            if let Some(d) = drawn.filter(|d| fits && d.need <= min_budget) {
                 self.rng.clone_from(&d.rng_after);
                 self.spare_normal = d.spare_after;
                 self.ahead_auctions += 1;
                 return Some((d.best, d.second));
             }
         }
-        // Not committable, or the helper would not start or died: the
-        // stream still sits before this auction, so it is sampled here.
-        self.ahead = None;
-        self.sample_ahead = false;
+        // Not committable, or the sampler is gone or its helper would not
+        // start or died: the stream still sits before this auction, so it
+        // is sampled here.
+        self.lane = None;
+        self.sampler = None;
         self.ahead_fallbacks += 1;
         None
     }
@@ -454,8 +460,8 @@ impl Exchange {
             fraction > 0.0 && fraction <= 1.0,
             "budget fraction {fraction} outside (0, 1]"
         );
-        // Lowered budgets void the helper's running minimum.
-        self.ahead = None;
+        // Lowered budgets void the lane's running minimum.
+        self.lane = None;
         for c in &mut self.campaigns {
             c.budget *= fraction;
         }
@@ -468,8 +474,9 @@ impl Exchange {
     /// randomness. Uses the same seed derivation as [`Exchange::new`], so
     /// reseeding with the construction seed is a stream reset.
     pub fn reseed_bids(&mut self, seed: u64) {
-        // The helper samples the old stream; the next auction restarts it.
-        self.ahead = None;
+        // The lane samples the old stream; the next auction registers a
+        // new one.
+        self.lane = None;
         self.rng = StdRng::seed_from_u64(seed ^ 0x5eed_ba11);
         // A stream reset must also drop the banked polar variate, or the
         // first post-reseed draw would leak the old stream's randomness.
@@ -515,6 +522,8 @@ impl Exchange {
         // which deterministic snapshots exclude.
         reg.add("proc.auction.ahead_auctions", self.ahead_auctions);
         reg.add("proc.auction.ahead_fallbacks", self.ahead_fallbacks);
+        // Refills that found no draw ready: whether the helper kept up.
+        reg.add("proc.auction.ahead_waits", self.ahead_waits);
         if self.has_pacers() {
             let max = self.multipliers().into_iter().fold(0.0f64, f64::max);
             reg.gauge_max("pacing.multiplier_max_milli", (max * 1000.0).round() as u64);
@@ -821,6 +830,67 @@ mod tests {
             .collect()
     }
 
+    fn deep(id: u32, mean_price: f64, budget: f64) -> Campaign {
+        Campaign {
+            id: CampaignId(id),
+            budget,
+            bid: BidModel {
+                mean_price,
+                cv: 0.2,
+                participation: 1.0,
+                target_category: None,
+            },
+        }
+    }
+
+    /// [`adversarial_catalog`] without contextual targets, so a static
+    /// marketplace over it samples ahead. When `starved`, a rival keeps
+    /// the price near 0.01, so the leader's budget falls under its own
+    /// 0.02 mean within a few wins.
+    fn static_catalog(n: u32, seed: u64, starved: bool) -> Vec<Campaign> {
+        let mut cs = adversarial_catalog(n, seed, false);
+        for c in &mut cs {
+            c.bid.target_category = None;
+        }
+        if starved {
+            cs.push(deep(n, 0.02, 0.05));
+            cs.push(deep(n + 1, 0.01, 1e3));
+        }
+        cs
+    }
+
+    fn random_slot(script: &mut StdRng, at: SimTime) -> SlotOffer {
+        match script.gen_range(0..3) {
+            0 => SlotOffer::advance(at, at + adpf_desim::SimDuration::from_hours(4)),
+            1 => SlotOffer::realtime(at, None),
+            _ => SlotOffer::realtime(at, Some(script.gen_range(0..3))),
+        }
+    }
+
+    /// One auction on both exchanges: the same sale, RNG state, spare and
+    /// budgets after it.
+    fn lockstep(
+        ahead: &mut Exchange,
+        plain: &mut Exchange,
+        slot: &SlotOffer,
+    ) -> Result<Option<SoldAd>, TestCaseError> {
+        let sold = ahead.run_auction(slot);
+        prop_assert_eq!(sold_bits(sold), sold_bits(plain.run_auction(slot)));
+        prop_assert!(
+            ahead.rng == plain.rng,
+            "RNG streams diverged at auction {}",
+            plain.auctions_run
+        );
+        prop_assert_eq!(
+            ahead.spare_normal.map(f64::to_bits),
+            plain.spare_normal.map(f64::to_bits)
+        );
+        for (a, b) in ahead.campaigns.iter().zip(&plain.campaigns) {
+            prop_assert_eq!(a.budget.to_bits(), b.budget.to_bits());
+        }
+        Ok(sold)
+    }
+
     fn sold_bits(s: Option<SoldAd>) -> Option<(AdId, CampaignId, u64, u64, SimTime, SimTime)> {
         s.map(|s| {
             (
@@ -910,7 +980,7 @@ mod tests {
         /// reseed, a reserve change and, when `starved`, a budget that
         /// runs below what the draws need. Static marketplaces are served
         /// ahead until the first draw that cannot be committed; any other
-        /// never starts the helper.
+        /// never registers a lane.
         #[test]
         fn ahead_matches_sequential(
             seed in any::<u64>(),
@@ -918,21 +988,7 @@ mod tests {
             starved in any::<bool>(),
             market in 0u8..5,
         ) {
-            let mut cs = adversarial_catalog(campaigns, seed, false);
-            for c in &mut cs {
-                c.bid.target_category = None;
-            }
-            let deep = |id: u32, mean_price: f64, budget: f64| Campaign {
-                id: CampaignId(id),
-                budget,
-                bid: BidModel { mean_price, cv: 0.2, participation: 1.0, target_category: None },
-            };
-            if starved {
-                // A rival keeps the price near 0.01, so the leader's
-                // budget falls under its own 0.02 mean within a few wins.
-                cs.push(deep(campaigns, 0.02, 0.05));
-                cs.push(deep(campaigns + 1, 0.01, 1e3));
-            }
+            let mut cs = static_catalog(campaigns, seed, starved);
             let mut mc = MarketplaceConfig::static_exchange();
             match market {
                 1 => mc.floors = PriceFloors::uniform(0.00005),
@@ -954,7 +1010,8 @@ mod tests {
                 ex
             };
             let (mut ahead, mut plain) = (mk(), mk());
-            ahead.enable_sample_ahead();
+            let sampler = BidSampler::new();
+            ahead.sample_ahead_on(&sampler);
             let mut script = StdRng::seed_from_u64(seed ^ 0x0a4e_ad00);
             let horizon = SimTime::from_hours(10);
             let mut last_sale = None;
@@ -969,21 +1026,7 @@ mod tests {
                     plain.reserve_price = 0.0004;
                 }
                 let at = SimTime::from_mins(k);
-                let slot = match script.gen_range(0..3) {
-                    0 => SlotOffer::advance(at, at + adpf_desim::SimDuration::from_hours(4)),
-                    1 => SlotOffer::realtime(at, None),
-                    _ => SlotOffer::realtime(at, Some(script.gen_range(0..3))),
-                };
-                let sold = ahead.run_auction(&slot);
-                prop_assert_eq!(sold_bits(sold), sold_bits(plain.run_auction(&slot)));
-                prop_assert!(ahead.rng == plain.rng, "RNG streams diverged at auction {}", k);
-                prop_assert_eq!(
-                    ahead.spare_normal.map(f64::to_bits),
-                    plain.spare_normal.map(f64::to_bits)
-                );
-                for (a, b) in ahead.campaigns.iter().zip(&plain.campaigns) {
-                    prop_assert_eq!(a.budget.to_bits(), b.budget.to_bits());
-                }
+                let sold = lockstep(&mut ahead, &mut plain, &random_slot(&mut script, at))?;
                 last_sale = sold.or(last_sale);
                 if k % 16 == 15 {
                     ahead.pacing_tick(at, horizon);
@@ -1004,6 +1047,95 @@ mod tests {
                 prop_assert_eq!(ahead.ahead_fallbacks, 1);
             } else {
                 prop_assert_eq!(ahead.ahead_auctions + ahead.ahead_fallbacks, 0);
+            }
+        }
+
+        /// Two to five exchanges on one sampler, driven the way a serve
+        /// worker drives its engines: runs of auctions on one exchange
+        /// at a time, in random order and of random length, each held in
+        /// lockstep with a twin sampling in place. When `starved`, lane 0
+        /// falls back while the others stay served; lane 1 is reseeded
+        /// mid-stream, and the last lane is dropped and registered again
+        /// from the middle of its stream. Dropping the sampler ends every
+        /// lane, and the exchanges carry on in place.
+        #[test]
+        fn ahead_lanes_share_one_sampler(
+            seed in any::<u64>(),
+            exchanges in 2usize..6,
+            starved in any::<bool>(),
+        ) {
+            let mut pairs: Vec<(Exchange, Exchange)> = (0..exchanges)
+                .map(|e| {
+                    let lane_seed = seed ^ (e as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                    let campaigns = 5 + (lane_seed % 35) as u32;
+                    let cs = static_catalog(campaigns, lane_seed, starved && e == 0);
+                    (Exchange::new(cs.clone(), lane_seed), Exchange::new(cs, lane_seed))
+                })
+                .collect();
+            let sampler = BidSampler::new();
+            for (ahead, _) in &mut pairs {
+                ahead.sample_ahead_on(&sampler);
+            }
+            let mut script = StdRng::seed_from_u64(seed ^ 0x1a9e_5000);
+            let mut last_sale = vec![None; exchanges];
+            let mut at = SimTime::ZERO;
+            let mut run = |pairs: &mut [(Exchange, Exchange)],
+                           script: &mut StdRng,
+                           e: usize,
+                           len: u32|
+             -> Result<(), TestCaseError> {
+                let (ahead, plain) = &mut pairs[e];
+                for _ in 0..len {
+                    at += adpf_desim::SimDuration::from_secs(1);
+                    let sold = lockstep(ahead, plain, &random_slot(script, at))?;
+                    last_sale[e] = sold.or(last_sale[e]);
+                    if let (Some(s), 0) = (last_sale[e], script.gen_range(0..8)) {
+                        ahead.refund(s.campaign, s.price);
+                        plain.refund(s.campaign, s.price);
+                    }
+                }
+                Ok(())
+            };
+            // Each exchange first runs long enough for the starved lane to
+            // fall back; then runs of up to 700 auctions, past the 192
+            // draws a lane holds, so the worker also waits on the helper.
+            for e in 0..exchanges {
+                let len = script.gen_range(200..700);
+                run(&mut pairs, &mut script, e, len)?;
+            }
+            for r in 0..12 {
+                if r == 4 {
+                    let (ahead, plain) = &mut pairs[1];
+                    ahead.reseed_bids(seed ^ 0x5eed);
+                    plain.reseed_bids(seed ^ 0x5eed);
+                }
+                if r == 8 {
+                    // Drops the lane without touching the stream, which
+                    // may hold a banked spare the new lane must start from.
+                    let (ahead, plain) = &mut pairs[exchanges - 1];
+                    ahead.set_floors(PriceFloors::none());
+                    plain.set_floors(PriceFloors::none());
+                    prop_assert!(ahead.lane.is_none());
+                }
+                let e = script.gen_range(0..exchanges);
+                let len = script.gen_range(1..700);
+                run(&mut pairs, &mut script, e, len)?;
+            }
+            for (e, (ahead, _)) in pairs.iter().enumerate() {
+                let fell_back = starved && e == 0;
+                prop_assert_eq!(ahead.ahead_fallbacks, u64::from(fell_back), "lane {}", e);
+                if !fell_back {
+                    prop_assert_eq!(ahead.ahead_auctions, ahead.auctions_run, "lane {}", e);
+                }
+            }
+            // Every lane ends within a batch of the sampler's drop.
+            drop(sampler);
+            for e in 0..exchanges {
+                run(&mut pairs, &mut script, e, 300)?;
+            }
+            for (e, (ahead, _)) in pairs.iter().enumerate() {
+                prop_assert!(ahead.lane.is_none() && ahead.sampler.is_none(), "lane {}", e);
+                prop_assert_eq!(ahead.ahead_fallbacks, 1, "lane {}", e);
             }
         }
     }

@@ -14,8 +14,8 @@
 //!   offered [`exchange::SlotKind::RealTime`] (display is certain, the
 //!   status quo) or [`exchange::SlotKind::Advance`] (display is predicted;
 //!   sold with a display deadline and a risk discount). Given an idle
-//!   core, an exchange samples its auctions ahead on a helper thread,
-//!   bit-identically ([`Exchange::enable_sample_ahead`]).
+//!   core, an exchange samples its auctions ahead on its worker's
+//!   [`BidSampler`], bit-identically ([`Exchange::sample_ahead_on`]).
 //! - [`Ledger`]: a per-ad ledger that bills the first confirmed
 //!   impression, tracks duplicate displays from replication, and records
 //!   SLA expirations (advance-sold ads never shown by their deadline).
@@ -41,6 +41,7 @@ pub mod campaign;
 pub mod exchange;
 pub mod market;
 
+pub use ahead::BidSampler;
 pub use billing::{AdState, ImpressionOutcome, Ledger, LedgerTotals};
 pub use campaign::{BidModel, Campaign, CampaignCatalog, CampaignId};
 pub use exchange::{AdId, Exchange, SlotKind, SlotOffer, SoldAd};

@@ -1,23 +1,41 @@
-//! The allocation rule of auctions sampled ahead: once the helper
-//! thread has started, neither it nor the exchange committing its draws
-//! calls the allocator.
+//! The allocation rule of auctions sampled ahead: once a worker's
+//! helper thread has started, neither it nor the exchanges committing
+//! its draws call the allocator, and the helper never frees, not even
+//! when a lane is dropped.
 //!
 //! A counting global allocator sees every allocation and free of every
-//! thread in the process. The binary runs without the test harness
-//! (`harness = false`), so no harness thread allocates beside the
-//! exchange: `cargo test -p adpf-auction --test ahead_alloc`.
+//! thread in the process, and tells the main thread's apart from the
+//! rest. The binary runs without the test harness (`harness = false`),
+//! so the only other thread is the helper:
+//! `cargo test -p adpf-auction --test ahead_alloc`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use adpf_auction::{CampaignCatalog, Exchange, SlotOffer};
+use adpf_auction::{BidSampler, CampaignCatalog, Exchange, SlotOffer};
 use adpf_desim::SimTime;
 use adpf_obs::MetricRegistry;
 
 /// Allocator calls (allocations, reallocations and frees) so far.
 static CALLS: AtomicU64 = AtomicU64::new(0);
+
+/// Frees (and reallocations) made by any thread but the main one.
+static OFF_MAIN_FREES: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// Set on the main thread only. Constant-initialized and without a
+    /// destructor, so reading it never allocates.
+    static ON_MAIN: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count_free() {
+    if !ON_MAIN.with(Cell::get) {
+        OFF_MAIN_FREES.fetch_add(1, Ordering::Relaxed);
+    }
+}
 
 struct Counting;
 
@@ -39,12 +57,14 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         CALLS.fetch_add(1, Ordering::Relaxed);
+        count_free();
         // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         CALLS.fetch_add(1, Ordering::Relaxed);
+        count_free();
         // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -53,39 +73,100 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Auctions committed after the helper's first batch.
+/// Auctions committed after the helpers' first batches, in all.
 const AUCTIONS: u64 = 20_000;
 
+/// Run lengths the two exchanges take turns with: single auctions,
+/// partial batches, and runs past the 192 draws a lane holds, which make
+/// the exchange wait for the helper.
+const RUNS: [u64; 6] = [1, 300, 17, 1_500, 255, 700];
+
+/// Allocator calls since `from`.
+fn calls_since(from: u64) -> u64 {
+    CALLS.load(Ordering::SeqCst) - from
+}
+
 fn main() {
-    let mut ex = Exchange::new(CampaignCatalog::synthetic(50, 7).into_campaigns(), 7);
-    ex.enable_sample_ahead();
+    ON_MAIN.with(|m| m.set(true));
+    let sampler = BidSampler::new();
+    let lane = |seed: u64| {
+        let mut ex = Exchange::new(CampaignCatalog::synthetic(50, seed).into_campaigns(), seed);
+        ex.sample_ahead_on(&sampler);
+        ex
+    };
+    let (mut a, mut b) = (lane(7), lane(8));
     let slot = SlotOffer::realtime(SimTime::ZERO, None);
-    // Starts the helper and waits for its first batch, so whatever the
-    // thread does once at start-up is behind us.
-    black_box(ex.run_auction(&slot));
-    let started = CALLS.load(Ordering::SeqCst);
-
-    // Only the helper runs: it fills every free batch, then waits.
+    // Registers both lanes and starts the helper, then gives it time to
+    // fill them, so whatever the thread does once at start-up is behind
+    // us; the auctions after that leave it spent batches to refill.
+    black_box(a.run_auction(&slot));
+    black_box(b.run_auction(&slot));
     std::thread::sleep(Duration::from_millis(100));
-    let helper_alone = CALLS.load(Ordering::SeqCst) - started;
-
-    // Committing draws hands spent batches back for refilling.
-    for _ in 0..AUCTIONS {
-        black_box(ex.run_auction(&slot));
+    for _ in 0..100 {
+        black_box(a.run_auction(&slot));
+        black_box(b.run_auction(&slot));
     }
-    let committing = CALLS.load(Ordering::SeqCst) - started - helper_alone;
+    let helper_frees = OFF_MAIN_FREES.load(Ordering::SeqCst);
+
+    // Only the helper runs: it refills every free batch of both lanes,
+    // then waits.
+    let from = CALLS.load(Ordering::SeqCst);
+    std::thread::sleep(Duration::from_millis(100));
+    let helper_alone = calls_since(from);
+
+    // The two exchanges take turns, as a serve worker's engines do;
+    // spent batches go back for refilling.
+    let from = CALLS.load(Ordering::SeqCst);
+    let mut committed = 0;
+    for (k, run) in RUNS.iter().cycle().enumerate() {
+        if committed >= AUCTIONS / 2 {
+            break;
+        }
+        let ex = if k % 2 == 0 { &mut a } else { &mut b };
+        for _ in 0..*run {
+            black_box(ex.run_auction(&slot));
+        }
+        committed += run;
+    }
+    let interleaved = calls_since(from);
 
     let reg = MetricRegistry::new();
-    ex.publish(&reg);
+    b.publish(&reg);
     assert_eq!(
         reg.counter_value("proc.auction.ahead_auctions"),
-        AUCTIONS + 1,
+        b.auctions_run(),
+        "every auction of the dropped lane was sampled ahead"
+    );
+    // Dropping `b` drops its lane: its batches are freed here, on the
+    // main thread, after any batch the helper was filling comes back.
+    drop(b);
+
+    // The remaining lane goes on alone.
+    let from = CALLS.load(Ordering::SeqCst);
+    for _ in committed..AUCTIONS {
+        black_box(a.run_auction(&slot));
+    }
+    let alone = calls_since(from);
+    let helper_frees = OFF_MAIN_FREES.load(Ordering::SeqCst) - helper_frees;
+
+    let reg = MetricRegistry::new();
+    a.publish(&reg);
+    assert_eq!(
+        reg.counter_value("proc.auction.ahead_auctions"),
+        a.auctions_run(),
         "every auction was sampled ahead"
     );
     assert_eq!(reg.counter_value("proc.auction.ahead_fallbacks"), 0);
     assert_eq!(helper_alone, 0, "allocator calls while only the helper ran");
     assert_eq!(
-        committing, 0,
-        "allocator calls over {AUCTIONS} committed auctions"
+        interleaved, 0,
+        "allocator calls over {committed} interleaved committed auctions"
     );
+    assert_eq!(
+        alone,
+        0,
+        "allocator calls over {} committed auctions after a lane was dropped",
+        AUCTIONS - committed
+    );
+    assert_eq!(helper_frees, 0, "frees on the helper thread");
 }

@@ -41,7 +41,7 @@
 //! [`finalize`]: ClientEngine::finalize
 
 use adpf_auction::{
-    AdId, CampaignCatalog, CampaignId, Exchange, ImpressionOutcome, Ledger, SlotOffer,
+    AdId, BidSampler, CampaignCatalog, CampaignId, Exchange, ImpressionOutcome, Ledger, SlotOffer,
 };
 use adpf_desim::{EventQueue, InlineVec, SimDuration, SimTime};
 use adpf_energy::{EnergyBreakdown, Radio};
@@ -377,9 +377,6 @@ impl ClientEngine {
             // shards' combined paced spend targets the global schedule.
             exchange.configure_marketplace(&config.marketplace, &ctx.campaign_types);
         }
-        if ctx.sample_ahead {
-            exchange.enable_sample_ahead();
-        }
 
         // Seeding order mirrors the historical single queue (slots came
         // first there; here they are external): staggered first syncs in
@@ -453,6 +450,13 @@ impl ClientEngine {
             syncs_skipped: 0,
             replicas_assigned: 0,
         }
+    }
+
+    /// Lets this engine's exchange sample its auctions ahead on
+    /// `sampler`, the one helper of the worker that drives this engine
+    /// (see `ShardContext::bid_sampler`). Invisible in every result.
+    pub fn sample_ahead_on(&mut self, sampler: &BidSampler) {
+        self.exchange.sample_ahead_on(sampler);
     }
 
     /// Number of clients this engine owns.

@@ -11,7 +11,7 @@
 use std::sync::Mutex;
 use std::time::Instant;
 
-use adpf_auction::{Campaign, CampaignCatalog, CampaignType};
+use adpf_auction::{BidSampler, Campaign, CampaignCatalog, CampaignType};
 use adpf_obs::MetricRegistry;
 use adpf_traces::{shard_ranges, AdSlot, Trace, UserSlots};
 
@@ -99,11 +99,11 @@ pub struct ShardContext {
     /// state, while controller *trajectories* live per shard in each
     /// shard's exchange.
     pub(crate) campaign_types: Vec<CampaignType>,
-    /// Whether each engine's exchange samples its auctions ahead on a
-    /// helper thread (`Exchange::enable_sample_ahead`). A host fact, not
-    /// a config field: on only where the run's engine workers leave a
-    /// core idle, and invisible in every result. [`ShardContext::new`]
-    /// leaves it off.
+    /// Whether each engine worker samples its engines' auctions ahead on
+    /// a helper thread of its own ([`ShardContext::bid_sampler`]). A host
+    /// fact, not a config field: on only where the run's engine workers
+    /// leave a core idle, and invisible in every result.
+    /// [`ShardContext::new`] leaves it off.
     pub(crate) sample_ahead: bool,
 }
 
@@ -126,17 +126,38 @@ impl ShardContext {
     }
 
     /// [`ShardContext::new`] for a run of `workers` engine threads,
-    /// sampling auctions ahead when they leave a core idle.
-    fn for_workers(config: &SystemConfig, workers: usize) -> Self {
+    /// sampling auctions ahead when they leave a core idle: the one gate
+    /// of both drivers, `Simulator::run_shards` and `adpf-serve`.
+    pub fn for_workers(config: &SystemConfig, workers: usize) -> Self {
+        Self::new(config).sampling_ahead(leaves_a_core_idle(workers))
+    }
+
+    /// This context with sampling ahead forced `on` or off, whatever the
+    /// host: how tests hash both paths on any core count.
+    pub fn sampling_ahead(self, on: bool) -> Self {
         Self {
-            sample_ahead: leaves_a_core_idle(workers),
-            ..Self::new(config)
+            sample_ahead: on,
+            ..self
         }
+    }
+
+    /// A bid sampler for one engine worker, when this context samples
+    /// ahead: the engines the worker builds register with it
+    /// (`ClientEngine::sample_ahead_on`), and it adds one helper thread
+    /// however many of them it serves. Drop it after the engines' last
+    /// auction.
+    pub fn bid_sampler(&self) -> Option<BidSampler> {
+        self.sample_ahead.then(BidSampler::new)
     }
 }
 
 /// Whether `workers` busy threads leave at least one of this host's
 /// cores idle.
+///
+/// Serve's router thread is not counted: it parses a line in ≈ 40 ns
+/// while the worker spends ≈ 1.3 µs deciding it, so router plus one
+/// worker keep a two-core host only ≈ 1.0 cores busy (`proc.cpu_util`
+/// on `serve-firehose`), and the helper gets the rest.
 fn leaves_a_core_idle(workers: usize) -> bool {
     std::thread::available_parallelism().is_ok_and(|cores| workers < cores.get())
 }
@@ -151,6 +172,9 @@ fn leaves_a_core_idle(workers: usize) -> bool {
 pub struct Simulator {
     engine: ClientEngine,
     slots: Vec<AdSlot>,
+    /// The helper [`Simulator::new`]'s engine samples ahead on; sharded
+    /// runs pass their worker's instead.
+    sampler: Option<BidSampler>,
 }
 
 impl Simulator {
@@ -163,11 +187,20 @@ impl Simulator {
     /// code, so an invalid one is a programming error.
     pub fn new(config: SystemConfig, trace: &Trace) -> Self {
         let ctx = ShardContext::for_workers(&config, 1);
-        Self::with_context_scratch(config, trace, &ctx, EngineScratch::default())
+        let sampler = ctx.bid_sampler();
+        let sim = Self::with_context_scratch(
+            config,
+            trace,
+            &ctx,
+            EngineScratch::default(),
+            sampler.as_ref(),
+        );
+        Self { sampler, ..sim }
     }
 
     /// [`Simulator::new`] against a prebuilt [`ShardContext`], recycling
-    /// a previous engine's allocation set (see [`EngineScratch`]).
+    /// a previous engine's allocation set (see [`EngineScratch`]), its
+    /// auctions sampled ahead on the worker's `sampler` if given.
     ///
     /// Sharded runs build the context once and construct every shard's
     /// simulator from it; because the context depends only on fields the
@@ -178,6 +211,7 @@ impl Simulator {
         trace: &Trace,
         ctx: &ShardContext,
         scratch: EngineScratch,
+        sampler: Option<&BidSampler>,
     ) -> Self {
         if let Err(reason) = config.validate() {
             panic!("invalid SystemConfig: {reason}");
@@ -189,7 +223,7 @@ impl Simulator {
         // same stream: one allocation for the population, not one per
         // user.
         let slots_by_user = UserSlots::from_slots(&slots, trace.num_users());
-        let engine = ClientEngine::with_scratch(
+        let mut engine = ClientEngine::with_scratch(
             config,
             &slots_by_user,
             trace.horizon(),
@@ -197,7 +231,14 @@ impl Simulator {
             ctx,
             scratch,
         );
-        Self { engine, slots }
+        if let Some(sampler) = sampler {
+            engine.sample_ahead_on(sampler);
+        }
+        Self {
+            engine,
+            slots,
+            sampler: None,
+        }
     }
 
     /// Runs the simulation to completion and returns the report.
@@ -209,9 +250,15 @@ impl Simulator {
     /// and hands back the engine's allocation set, so a worker can reuse
     /// it for its next shard.
     fn run_observed(self) -> (SimReport, MetricRegistry, EngineScratch) {
-        let Simulator { mut engine, slots } = self;
+        let Simulator {
+            mut engine,
+            slots,
+            sampler,
+        } = self;
         engine.drive(&slots);
-        engine.finalize_reclaim()
+        let done = engine.finalize_reclaim();
+        drop(sampler);
+        done
     }
 
     /// [`Simulator::run_shards`] over the [`default_shards`]`(users)`-way
@@ -255,8 +302,9 @@ impl Simulator {
     /// always carries the `phase.{trace_gen, shard_setup, event_loop,
     /// merge}` timers and `proc.peak_rss_kb`, outside its deterministic
     /// snapshot. When the workers leave a core of the host idle, each
-    /// engine's exchange samples its auctions ahead on it (see
-    /// `Exchange::enable_sample_ahead`), which is invisible in the report.
+    /// worker samples its engines' auctions ahead on it, on one helper
+    /// thread ([`ShardContext::bid_sampler`]), which is invisible in the
+    /// report.
     pub fn run_shards(
         config: &SystemConfig,
         num_users: u32,
@@ -297,10 +345,13 @@ impl Simulator {
         std::thread::scope(|scope| {
             for _ in 0..threads {
                 scope.spawn(|| {
-                    // One scratch set per worker, threaded through every
-                    // shard this worker simulates: the queue ring and
-                    // engine scratch vectors are allocated once per
-                    // thread instead of once per shard.
+                    // One scratch set and one bid sampler per worker,
+                    // threaded through every shard this worker simulates:
+                    // the queue ring and engine scratch vectors are
+                    // allocated once per thread instead of once per shard,
+                    // and the worker has one helper thread, not one per
+                    // shard.
+                    let sampler = ctx.bid_sampler();
                     let mut scratch = EngineScratch::default();
                     while let Some(i) = queue.claim() {
                         let claimed = Instant::now();
@@ -316,6 +367,7 @@ impl Simulator {
                             &trace,
                             ctx,
                             std::mem::take(&mut scratch),
+                            sampler.as_ref(),
                         );
                         let built = Instant::now();
                         let (report, reg, reclaimed) = sim.run_observed();
@@ -794,7 +846,8 @@ mod tests {
             cfg.rng_stream = stream;
             let fresh = Simulator::new(cfg.clone(), &t).run();
             let shared =
-                Simulator::with_context_scratch(cfg, &t, &ctx, EngineScratch::default()).run();
+                Simulator::with_context_scratch(cfg, &t, &ctx, EngineScratch::default(), None)
+                    .run();
             assert_eq!(fresh, shared, "stream {stream} diverged");
         }
     }
@@ -802,9 +855,9 @@ mod tests {
     #[test]
     fn ahead_sampling_keeps_the_smoke_goldens_on_and_off() {
         // The smoke and smoke-mixed goldens of `adpf_bench::baseline`,
-        // held with every exchange's bid helper forced on and off at 1
-        // and 2 workers: a host with one core still hashes the path
-        // sampled ahead, and one with idle cores the path without it.
+        // held with each worker's bid sampler forced on and off at 1 and
+        // 2 workers: a host with one core still hashes the path sampled
+        // ahead, and one with idle cores the path without it.
         let pop = PopulationConfig::small_test(777);
         let mixed = ScenarioPopulation::new(pop.clone(), ScenarioSpec::mixed());
         let mut mixed_cfg = SystemConfig::prefetch_default(5);
@@ -822,10 +875,7 @@ mod tests {
             let ranges = shard_ranges(users, default_shards(users));
             let split = t.split_users(ranges.len());
             for sample_ahead in [false, true] {
-                let ctx = ShardContext {
-                    sample_ahead,
-                    ..ShardContext::new(&cfg)
-                };
+                let ctx = ShardContext::new(&cfg).sampling_ahead(sample_ahead);
                 for threads in [1, 2] {
                     let (report, reg) =
                         Simulator::schedule(&cfg, &ctx, users, &ranges, threads, |i| {
@@ -848,9 +898,15 @@ mod tests {
         assert!(!leaves_a_core_idle(cores));
         assert!(!leaves_a_core_idle(cores + 1));
         assert_eq!(leaves_a_core_idle(cores - 1), cores > 1);
-        let ctx = ShardContext::for_workers(&SystemConfig::prefetch_default(1), cores);
-        assert!(!ctx.sample_ahead, "workers >= cores samples in place");
-        assert!(!ShardContext::new(&SystemConfig::prefetch_default(1)).sample_ahead);
+        let cfg = SystemConfig::prefetch_default(1);
+        let ctx = ShardContext::for_workers(&cfg, cores);
+        assert!(
+            ctx.bid_sampler().is_none(),
+            "workers >= cores samples in place"
+        );
+        assert!(ShardContext::new(&cfg).bid_sampler().is_none());
+        let idle = ShardContext::for_workers(&cfg, cores - 1);
+        assert_eq!(idle.bid_sampler().is_some(), cores > 1);
     }
 
     #[test]

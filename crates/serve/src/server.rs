@@ -14,6 +14,9 @@
 //! - each shard is one [`ClientEngine`], built cold (an empty
 //!   [`UserSlots`] view: an online server cannot know the future, so the
 //!   oracle predictor is rejected up front);
+//! - where the workers leave a core idle, each worker samples its
+//!   engines' auctions ahead on one helper thread
+//!   ([`ShardContext::bid_sampler`]), as the batch pipeline's workers do;
 //! - workers claim shard indices from the work-stealing [`WorkQueue`]
 //!   to build engines, then own what they built: the ingest thread
 //!   routes each event to its shard's owning worker, so one shard's
@@ -318,15 +321,18 @@ fn group_by_shard(batch: &[Routed], ends: &mut [usize], order: &mut Vec<u32>) {
 /// never kills the session — see [`crate::protocol`] for the rejection
 /// rules.
 pub fn serve<R: BufRead>(opts: &ServeOptions, input: R) -> Result<ServeOutcome, ServeError> {
-    serve_with_cap(opts, input, MAILBOX_CAP)
+    serve_with(opts, input, MAILBOX_CAP, None)
 }
 
 /// [`serve`] with the mailbox cap exposed, so tests can make it tiny and
-/// run the backpressure and multi-take paths on small streams.
-fn serve_with_cap<R: BufRead>(
+/// run the backpressure and multi-take paths on small streams, and with
+/// sampling ahead forced on or off (`Some`) instead of left to the
+/// host's idle cores (`None`), so tests hash both paths on any host.
+fn serve_with<R: BufRead>(
     opts: &ServeOptions,
     mut input: R,
     mailbox_cap: usize,
+    sample_ahead: Option<bool>,
 ) -> Result<ServeOutcome, ServeError> {
     if matches!(opts.config.predictor, PredictorKind::Oracle) {
         return Err(ServeError::Unsupported(
@@ -371,8 +377,12 @@ fn serve_with_cap<R: BufRead>(
     let ranges = shard_ranges(users, want_shards);
     let n = ranges.len();
     let configs = shard_configs(&opts.config, users, &ranges);
-    let ctx = ShardContext::new(&opts.config);
     let threads = opts.threads.clamp(1, n);
+    let ctx = ShardContext::for_workers(&opts.config, threads);
+    let ctx = match sample_ahead {
+        Some(on) => ctx.sampling_ahead(on),
+        None => ctx,
+    };
 
     // Shard ownership: workers claim construction jobs from the
     // work-stealing queue and keep what they build, so engine setup
@@ -398,6 +408,9 @@ fn serve_with_cap<R: BufRead>(
                 // A worker that dies closes its mailbox, so the router
                 // fails on its next push instead of waiting for room.
                 let _close = CloseOnDrop(std::slice::from_ref(mailbox));
+                // One helper samples ahead for every engine this worker
+                // owns, however many it keeps alive.
+                let sampler = ctx.bid_sampler();
                 // Build phase: claim shard indices until the queue runs
                 // dry. Engines start cold — the empty UserSlots view is
                 // bit-identical to the populated one for every
@@ -407,13 +420,12 @@ fn serve_with_cap<R: BufRead>(
                 while let Some(i) = queue.claim() {
                     let len = ranges[i].end - ranges[i].start;
                     let cold = UserSlots::from_slots(&[], len);
-                    engines[i] = Some(ClientEngine::new(
-                        configs[i].clone(),
-                        &cold,
-                        horizon,
-                        days,
-                        ctx,
-                    ));
+                    let mut engine =
+                        ClientEngine::new(configs[i].clone(), &cold, horizon, days, ctx);
+                    if let Some(sampler) = &sampler {
+                        engine.sample_ahead_on(sampler);
+                    }
+                    engines[i] = Some(engine);
                     ownership[i].store(w, Ordering::Release);
                 }
                 barrier.wait();
@@ -679,7 +691,7 @@ mod tests {
                 // take many times even on this small stream.
                 for cap in [5, MAILBOX_CAP] {
                     let out =
-                        serve_with_cap(&opts, Pieces::new(&stream, cuts.clone()), cap).unwrap();
+                        serve_with(&opts, Pieces::new(&stream, cuts.clone()), cap, None).unwrap();
                     assert_eq!(
                         fingerprint(&out),
                         expected,
@@ -700,7 +712,7 @@ mod tests {
         let cfg = SystemConfig::prefetch_default(5);
         let stream = smoke_stream(777, &cfg);
         let batch = batch_hash(&cfg);
-        let out = serve_with_cap(&ServeOptions::new(cfg), stream.as_slice(), 1).unwrap();
+        let out = serve_with(&ServeOptions::new(cfg), stream.as_slice(), 1, None).unwrap();
         assert_eq!(out.report.stable_hash(), batch);
         // With room for one event, a push is admitted only into an empty
         // mailbox: every take is exactly one push, of FLUSH_EVENTS or a
@@ -715,6 +727,59 @@ mod tests {
         assert!(out.registry.counter_value(BACKPRESSURE_METRIC) <= batches.count());
         let waits = out.registry.histogram_snapshot(QUEUE_WAIT_METRIC).unwrap();
         assert_eq!(waits.count(), out.requests);
+    }
+
+    #[test]
+    fn ahead_sampling_keeps_serve_equal_to_batch_on_and_off() {
+        // Each worker's bid sampler forced on and off at 1 and 2 workers,
+        // through the normal and the one-event mailbox: a one-core host
+        // still hashes the path sampled ahead, a multi-core one the path
+        // without it. Real-time mode runs one auction per slot.
+        for cfg in [SystemConfig::prefetch_default(5), SystemConfig::realtime(5)] {
+            let stream = smoke_stream(777, &cfg);
+            let batch = batch_hash(&cfg);
+            let mut opts = ServeOptions::new(cfg);
+            for threads in [1, 2] {
+                opts.threads = threads;
+                for cap in [1, MAILBOX_CAP] {
+                    for ahead in [false, true] {
+                        let out = serve_with(&opts, stream.as_slice(), cap, Some(ahead)).unwrap();
+                        let at = format!("{threads} threads, cap {cap}, ahead {ahead}");
+                        assert_eq!(out.report.stable_hash(), batch, "{at}");
+                        let reg = &out.registry;
+                        let served = reg.counter_value("proc.auction.ahead_auctions");
+                        let all = reg.counter_value("auction.auctions");
+                        assert!(all > 0);
+                        assert_eq!(served, if ahead { all } else { 0 }, "{at}");
+                        assert_eq!(reg.counter_value("proc.auction.ahead_fallbacks"), 0);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ahead_sampling_in_serve_needs_an_idle_core() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let cfg = SystemConfig::prefetch_default(5);
+        let stream = smoke_stream(777, &cfg);
+        let mut opts = ServeOptions::new(cfg);
+        // The router is not a worker: one worker leaves a core idle on
+        // any multi-core host.
+        for threads in [1, cores] {
+            opts.threads = threads;
+            let out = serve(&opts, stream.as_slice()).unwrap();
+            let served = out.registry.counter_value("proc.auction.ahead_auctions");
+            if out.threads >= cores {
+                assert_eq!(
+                    served, 0,
+                    "{} workers >= {cores} cores samples in place",
+                    out.threads
+                );
+            } else {
+                assert_eq!(served, out.registry.counter_value("auction.auctions"));
+            }
+        }
     }
 
     #[test]
@@ -762,7 +827,7 @@ mod tests {
             let mut opts = ServeOptions::new(cfg.clone());
             opts.threads = threads;
             let input = std::io::BufReader::new(ThenFails(half, ErrorKind::ConnectionReset));
-            match serve_with_cap(&opts, input, 5) {
+            match serve_with(&opts, input, 5, None) {
                 Err(ServeError::Io(e)) => assert_eq!(e.kind(), ErrorKind::ConnectionReset),
                 other => panic!("expected an I/O error, got {other:?}"),
             }
