@@ -1,34 +1,51 @@
 //! Auctions sampled ahead: exchanges' bid draws, made on a helper thread
 //! before the event loop asks for them.
 //!
-//! In a static marketplace (no pacers, no targeted campaign, no floor
-//! above the reserve) one auction's draws depend on three things: the
-//! RNG state, the banked polar spare, and whether each budget covers the
-//! prices the loop checks it against. The helper runs the exchange's one
-//! sampling loop, [`draw_bids`], from a copy of the RNG and spare with
-//! every budget gate open, and records with each draw the largest price
-//! a gate was asked about, plus the RNG state and spare after it.
+//! One auction's draws depend on the RNG state, the banked polar spare,
+//! and what the gates of the exchange's one sampling loop, [`draw_bids`],
+//! answer: whether each campaign's budget covers its mean price (its
+//! entry), each campaign's pacing multiplier or throttle, and whether a
+//! budget covers a bid. The helper runs that loop from a copy of the RNG
+//! and spare under an *anchor*: a snapshot of every entry and every
+//! campaign's [`Pace`], the reserve, and a small *thin* set of campaigns
+//! whose budgets sit below the lane's cover. Throttle draws replay
+//! against the snapshot, so each draw records its throttle skips. The
+//! other campaigns are *covered*: their budget gates stay open, and the
+//! draw records the largest bid one was asked about, its *need*. A thin
+//! campaign is left out of the ranking, and the draw records its bid.
 //!
-//! The exchange commits a draw when every budget is at least that need
-//! and the reserve is the one the draw saw. Then each gate the loop
-//! would evaluate passes, so the draw is the one the loop would make,
-//! and installing its `rng_after`/`spare_after` leaves the stream where
-//! the loop would. Otherwise the exchange drops its lane and samples
-//! the auction itself, from a stream that still sits before it.
+//! The exchange commits a draw when the reserve is the one the draw saw
+//! and the lowest covered budget is at least its need. Then every gate
+//! of the loop here passes as it did ahead. The exchange merges each
+//! thin bid its live budget affords, in catalog order (the leader is the
+//! earliest maximum, the second price the maximum of the rest), so the
+//! sale is the one the loop would make here. Installing the draw's
+//! `rng_after` and `spare_after` leaves the stream where the loop would.
+//!
+//! Anything that would change the answers *re-anchors* the lane in place
+//! at the exchange's current stream position: a pacing tick that moves
+//! some campaign's `Pace`, a budget crossing its mean price either way,
+//! a reseed or a rescale, and a *miss*, a draw that cannot be committed,
+//! after which the exchange samples that auction itself. A re-anchor
+//! hands every queued draw back unread and bumps the lane's epoch, so a
+//! batch the helper was filling is thrown away. Contextual campaigns and
+//! floors above the reserve are still sampled in place.
 //!
 //! One helper serves one engine worker: a [`BidSampler`] holds the
 //! thread, and every exchange the worker drives registers a *lane* with
-//! it, holding that exchange's RNG, spare, bids and batches. The helper
-//! fills the lane with the fewest batches ready. A lane nobody reads
-//! stays full, so the lane the worker is draining is the one refilled,
-//! and however many engines a worker keeps alive, it adds one thread.
+//! it, holding that exchange's RNG, spare, anchor, bids and batches. The
+//! helper fills the lane with the fewest batches ready. A lane nobody
+//! reads stays full, so the lane the worker is draining is the one
+//! refilled, and however many engines a worker keeps alive, it adds one
+//! thread.
 //!
 //! The helper never calls the allocator, to allocate or to free: the
-//! exchange's thread allocates a lane's batches when it registers the
-//! lane, batches circulate between the two threads, and when the lane is
-//! dropped the exchange waits out any batch the helper is filling and
-//! frees them itself. The handoff is a `Mutex` + `Condvar`, which block
-//! on a futex; `std::sync::mpsc` allocates on its first blocking receive.
+//! exchange's thread allocates a lane's batches and the helper's copy of
+//! its anchor when it registers the lane, batches circulate between the
+//! two threads, re-anchoring reuses them, and when the lane is dropped
+//! the exchange waits out any batch the helper is filling and frees them
+//! itself. The handoff is a `Mutex` and a `Condvar`, which block on a
+//! futex; `std::sync::mpsc` allocates on its first blocking receive.
 //!
 //! Helpers outlive their samplers. A dropped sampler ends its lanes and
 //! parks its helper in an idle pool, and the next sampler takes it from
@@ -40,17 +57,17 @@
 //! with helpers kept.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use rand::rngs::StdRng;
 
 use crate::campaign::{Campaign, PreparedBid};
-use crate::exchange::{draw_bids, Gates};
+use crate::exchange::{draw_bids, Gates, Pace};
 
-/// Draws per batch: what one lock round trip hands over. An exchange's
-/// first auction on a new lane waits for a whole batch, and a serve
-/// worker starts a lane per engine, so batches stay small.
+/// Draws per batch, at most: what one lock round trip hands over. A
+/// serve worker keeps a lane per engine, and a short session never
+/// reads what the helper queued, so batches stay small.
 const BATCH: usize = 64;
 
 /// Batches per lane: the one the exchange reads, the one the helper
@@ -60,34 +77,148 @@ const BATCH: usize = 64;
 /// 14 % longer than sampling in place, with three 0.5–7 %.
 const BATCHES: usize = 3;
 
+/// Most campaigns a lane checks at commit rather than ahead.
+const THIN: usize = 4;
+
+/// A campaign is thin when its budget is below this many times the
+/// largest mean price, times its pacing multiplier, of the campaigns
+/// that enter: a bid that far above a mean is more than four standard
+/// deviations out at the catalogs' largest spread (`cv` 0.8), so
+/// covered campaigns almost never miss.
+const COVER: f64 = 16.0;
+
 /// One auction's bids, sampled ahead.
 #[derive(Debug)]
 pub(crate) struct Draw {
-    /// The leading campaign's index and bid.
-    pub(crate) best: Option<(usize, f64)>,
-    /// The second price, seeded with the reserve.
-    pub(crate) second: f64,
-    /// The largest price any budget gate of the draw was asked about;
-    /// every budget at or above it passes every one of them.
-    pub(crate) need: f64,
+    /// The leading covered campaign's index and bid.
+    best: Option<(usize, f64)>,
+    /// The second price over the covered campaigns, seeded with the
+    /// reserve.
+    second: f64,
+    /// The largest bid any covered campaign's budget gate was asked
+    /// about; every budget at or above it passes every one of them.
+    need: f64,
+    /// Throttle draws that left a campaign out.
+    pub(crate) skips: u64,
+    /// Each thin campaign's bid, in the lane's thin order; `NaN` where it
+    /// made none, which no budget affords.
+    thin: [f64; THIN],
     pub(crate) rng_after: StdRng,
     pub(crate) spare_after: Option<f64>,
 }
 
-/// Every budget gate open, recording what it would have needed.
+/// How one campaign's gates answer under an anchor.
+#[derive(Debug, Clone, Copy)]
+struct Gate {
+    /// Whether the budget covered the mean price: the campaign takes part.
+    enters: bool,
+    /// The campaign's place in the lane's thin list, if it is thin.
+    thin: Option<u8>,
+    pace: Pace,
+}
+
+/// What a lane's draws are sampled under: the reserve, and each
+/// campaign's [`Gate`], index-aligned with the catalog.
+#[derive(Debug, Clone, Default)]
+struct Params {
+    reserve: f64,
+    gates: Vec<Gate>,
+}
+
+impl Params {
+    /// Copies `other` into these params' own buffer, which never
+    /// allocates: a lane's params all hold its catalog's length.
+    fn copy_from(&mut self, other: &Params) {
+        self.reserve = other.reserve;
+        self.gates.copy_from_slice(&other.gates);
+    }
+}
+
+/// The worker's side of an anchor: the params it computed, the thin
+/// campaigns and the running minimum of the covered budgets.
+#[derive(Debug)]
+struct Anchor {
+    params: Params,
+    /// Thin campaigns' indices, in catalog order: `thin[k]`'s bid is
+    /// [`Draw::thin`]`[k]`.
+    thin: [usize; THIN],
+    thins: usize,
+    /// At most every covered budget since the anchor: lowered on each
+    /// debit of a covered campaign, left alone on refunds.
+    min_covered: f64,
+}
+
+impl Anchor {
+    /// Snapshots `campaigns`' entries, `pace` and `reserve`, and picks the
+    /// thin set: of the campaigns that enter with a budget under the
+    /// cover, the [`THIN`] with the smallest budgets.
+    fn set(&mut self, campaigns: &[Campaign], reserve: f64, pace: impl Fn(usize) -> Pace) {
+        let p = &mut self.params;
+        p.reserve = reserve;
+        let mut top = f64::NEG_INFINITY;
+        for (i, (g, c)) in p.gates.iter_mut().zip(campaigns).enumerate() {
+            let pace = pace(i);
+            let enters = c.can_afford(c.bid.mean_price);
+            *g = Gate {
+                enters,
+                thin: None,
+                pace,
+            };
+            if enters {
+                top = top.max(c.bid.mean_price * pace.scale());
+            }
+        }
+        let cover = COVER * top;
+        // The smallest budgets under the cover, ascending; an insertion
+        // that bubbles each candidate through the fixed array.
+        let mut low = [(f64::INFINITY, usize::MAX); THIN];
+        for (i, (g, c)) in p.gates.iter().zip(campaigns).enumerate() {
+            if g.enters && c.budget < cover {
+                let mut cand = (c.budget, i);
+                for held in &mut low {
+                    if cand.0 < held.0 {
+                        std::mem::swap(held, &mut cand);
+                    }
+                }
+            }
+        }
+        self.thins = low.iter().take_while(|(_, i)| *i != usize::MAX).count();
+        let low = &mut low[..self.thins];
+        low.sort_unstable_by_key(|&(_, i)| i);
+        for (k, &(_, i)) in low.iter().enumerate() {
+            self.thin[k] = i;
+            p.gates[i].thin = Some(k as u8);
+        }
+        self.min_covered = campaigns
+            .iter()
+            .zip(&p.gates)
+            .filter(|(_, g)| g.enters && g.thin.is_none())
+            .map(|(c, _)| c.budget)
+            .fold(f64::INFINITY, f64::min);
+    }
+}
+
+/// The helper's gates under an anchor: entries and paces from the
+/// snapshot, covered budgets open, thin bids recorded and left out.
 struct Open<'a> {
-    mean_prices: &'a [f64],
+    gates: &'a [Gate],
     need: f64,
+    skips: u64,
+    thin: [f64; THIN],
 }
 
 impl Gates for Open<'_> {
     #[inline]
     fn enters(&mut self, i: usize) -> bool {
-        self.affords(i, self.mean_prices[i])
+        self.gates[i].enters
     }
 
     #[inline]
-    fn affords(&mut self, _: usize, price: f64) -> bool {
+    fn affords(&mut self, i: usize, price: f64) -> bool {
+        if let Some(k) = self.gates[i].thin {
+            self.thin[usize::from(k)] = price;
+            return false;
+        }
         // `budget >= NaN` fails whatever the budget; any other price
         // passes every budget of at least `need`.
         if price.is_nan() {
@@ -98,13 +229,44 @@ impl Gates for Open<'_> {
     }
 
     #[inline]
-    fn pace(&mut self, _: usize, _: &mut StdRng) -> Option<f64> {
-        Some(1.0)
+    fn pace(&mut self, i: usize, rng: &mut StdRng) -> Option<f64> {
+        self.gates[i].pace.apply(rng, &mut self.skips)
     }
 
     /// Unreachable with the entry floor at the reserve.
     #[inline]
     fn floor_blocked(&mut self) {}
+}
+
+/// Ranks one more valid bid into a sale: the leader is the earliest
+/// maximum, and the second price the maximum of the rest.
+#[inline]
+fn rank(best: &mut Option<(usize, f64)>, second: &mut f64, i: usize, bid: f64) {
+    match *best {
+        Some((lead, b)) if bid < b || (bid == b && lead < i) => *second = second.max(bid),
+        Some((_, b)) => {
+            *second = second.max(b);
+            *best = Some((i, bid));
+        }
+        None => *best = Some((i, bid)),
+    }
+}
+
+/// Why a lane's next draw was not committed.
+#[derive(Debug)]
+pub(crate) enum Missed {
+    /// The draw's gates would not all pass here: sample this auction in
+    /// place, then re-anchor.
+    Draw,
+    /// The sampler is gone, or its helper would not start or died.
+    Ended,
+}
+
+/// A committed draw and the sale it makes with the thin bids merged.
+pub(crate) struct Committed<'a> {
+    pub(crate) draw: &'a Draw,
+    pub(crate) best: Option<(usize, f64)>,
+    pub(crate) second: f64,
 }
 
 /// One engine worker's bid sampler: a helper thread, taken at the first
@@ -134,7 +296,7 @@ static IDLE: Mutex<Vec<Arc<Shared>>> = Mutex::new(Vec::new());
 struct Shared {
     state: Mutex<State>,
     /// Signals a change of `state`: a batch was queued or freed, a lane
-    /// came or is going, the helper ended.
+    /// came, went or was re-anchored, the helper ended.
     changed: Condvar,
 }
 
@@ -160,8 +322,11 @@ struct Slot {
     /// Where the lane's next draw starts.
     rng: StdRng,
     spare: Option<f64>,
-    /// The reserve, and entry floor, every draw is sampled under.
-    reserve: f64,
+    /// The current anchor's params.
+    params: Params,
+    /// The helper's copy of `params`, which it takes out under the lock
+    /// and fills a batch under without it.
+    scratch: Params,
     /// Filled batches, oldest first.
     full: VecDeque<Vec<Draw>>,
     /// Spent batches to refill.
@@ -172,15 +337,26 @@ struct Slot {
 #[derive(Debug)]
 struct LaneData {
     prepared: Vec<PreparedBid>,
-    /// Each campaign's mean bid, the price its entry gate checks.
-    mean_prices: Vec<f64>,
+    /// Counts the lane's re-anchors; changed only under the lock. A batch
+    /// started under an older epoch is thrown away. `Relaxed` suffices:
+    /// the helper decides under the lock, and its lock-free reads only
+    /// stop a stale batch early; the value publishes nothing else.
+    epoch: AtomicU64,
     /// The lane is being dropped or its sampler is gone: stop filling.
     cancel: AtomicBool,
 }
 
+impl LaneData {
+    /// Whether a batch started at `epoch` should stop filling.
+    #[inline]
+    fn stale(&self, epoch: u64) -> bool {
+        self.epoch.load(Ordering::Relaxed) != epoch || self.cancel.load(Ordering::Relaxed)
+    }
+}
+
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    // Every update under these locks is one push, pop, take or field
-    // store, so a panic elsewhere cannot leave the data half-changed.
+    // Every update under these locks is one push, pop, take, copy or
+    // field store, so a panic elsewhere cannot leave the data half-changed.
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -228,9 +404,10 @@ impl Drop for BidSampler {
 }
 
 impl SamplerRef {
-    /// Registers a lane sampling ahead from `rng` and `spare`, spawning
-    /// the helper if no lane ever had one. `None` once the sampler is
-    /// dropped or its helper has ended.
+    /// Registers a lane sampling ahead from `rng` and `spare`, anchored
+    /// at `campaigns`' budgets, `pace` and `reserve`, and spawns the
+    /// helper if no lane ever had one. `None` once the sampler is dropped
+    /// or its helper has ended.
     pub(crate) fn lane(
         &self,
         prepared: &[PreparedBid],
@@ -238,23 +415,43 @@ impl SamplerRef {
         rng: &StdRng,
         spare: Option<f64>,
         reserve: f64,
+        pace: impl Fn(usize) -> Pace,
     ) -> Option<Lane> {
         let sh = &self.shared;
+        let mut anchor = Anchor {
+            params: Params {
+                reserve,
+                gates: vec![
+                    Gate {
+                        enters: false,
+                        thin: None,
+                        pace: Pace::Scale(1.0),
+                    };
+                    campaigns.len()
+                ],
+            },
+            thin: [0; THIN],
+            thins: 0,
+            min_covered: f64::INFINITY,
+        };
+        anchor.set(campaigns, reserve, pace);
         // Room for every batch in either queue, so a push never grows one.
         let mut free = VecDeque::with_capacity(BATCHES);
         free.extend((1..BATCHES).map(|_| Vec::with_capacity(BATCH)));
         let slot = Slot {
             data: Arc::new(LaneData {
                 prepared: prepared.to_vec(),
-                mean_prices: campaigns.iter().map(|c| c.bid.mean_price).collect(),
+                epoch: AtomicU64::new(0),
                 cancel: AtomicBool::new(false),
             }),
             rng: rng.clone(),
             spare,
-            reserve,
+            params: anchor.params.clone(),
+            scratch: anchor.params.clone(),
             full: VecDeque::with_capacity(BATCHES),
             free,
         };
+        let current = Vec::with_capacity(BATCH);
         let mut st = lock(&sh.state);
         if st.generation != self.generation || st.ended {
             return None;
@@ -275,7 +472,7 @@ impl SamplerRef {
             let spawned = std::thread::Builder::new()
                 .name("bid-sampler".into())
                 .spawn(move || sample(&helper));
-            // The lane's first `next` finds the helper ended.
+            // The lane's first commit finds the helper ended.
             st.ended = spawned.is_err();
         }
         drop(st);
@@ -283,13 +480,9 @@ impl SamplerRef {
         Some(Lane {
             sampler: self.clone(),
             id,
-            current: Vec::with_capacity(BATCH),
+            current,
             pos: 0,
-            reserve,
-            min_budget: campaigns
-                .iter()
-                .map(|c| c.budget)
-                .fold(f64::INFINITY, f64::min),
+            anchor,
         })
     }
 }
@@ -303,28 +496,87 @@ pub(crate) struct Lane {
     /// The batch being committed, read from `pos` on.
     current: Vec<Draw>,
     pos: usize,
-    /// The reserve, and entry floor, every draw was sampled under.
-    pub(crate) reserve: f64,
-    /// At most every campaign budget since the lane started: lowered on
-    /// each debit, left alone on refunds.
-    pub(crate) min_budget: f64,
+    anchor: Anchor,
 }
 
 impl Lane {
-    /// The next draw, waiting for the helper if it is behind and adding
-    /// one to `waits` when it had to; `None` once the sampler is dropped
-    /// or its helper has ended.
+    /// The reserve, and entry floor, every draw is sampled under.
+    pub(crate) fn reserve(&self) -> f64 {
+        self.anchor.params.reserve
+    }
+
+    /// The next draw, committed against `campaigns`' live budgets, with
+    /// the thin bids they afford merged in. Waits for the helper if it
+    /// is behind, adding one to `waits` when it had to. [`Missed::Draw`]
+    /// when a covered budget fell below the draw's need,
+    /// [`Missed::Ended`] once the sampler is dropped or its helper ended.
     #[inline]
-    pub(crate) fn next(&mut self, waits: &mut u64) -> Option<&Draw> {
+    pub(crate) fn commit(
+        &mut self,
+        campaigns: &[Campaign],
+        waits: &mut u64,
+    ) -> Result<Committed<'_>, Missed> {
         while self.pos == self.current.len() {
-            self.swap_batch(waits)?;
+            self.swap_batch(waits).ok_or(Missed::Ended)?;
         }
         self.pos += 1;
-        Some(&self.current[self.pos - 1])
+        let draw = &self.current[self.pos - 1];
+        let a = &self.anchor;
+        // Neither is ever NaN: a NaN bid fails its gate unrecorded.
+        if draw.need > a.min_covered {
+            return Err(Missed::Draw);
+        }
+        let (mut best, mut second) = (draw.best, draw.second);
+        for (&i, &bid) in a.thin[..a.thins].iter().zip(&draw.thin) {
+            if campaigns[i].can_afford(bid) {
+                rank(&mut best, &mut second, i, bid);
+            }
+        }
+        Ok(Committed { draw, best, second })
+    }
+
+    /// Records a debit that left campaign `i` with `budget`, still at or
+    /// above its mean price.
+    #[inline]
+    pub(crate) fn debited(&mut self, i: usize, budget: f64) {
+        if self.anchor.params.gates[i].thin.is_none() {
+            self.anchor.min_covered = self.anchor.min_covered.min(budget);
+        }
+    }
+
+    /// Re-anchors the lane at the exchange's stream position `rng` and
+    /// `spare`, under `campaigns`' budgets, `pace` and `reserve`: every
+    /// queued draw goes back unread, and the helper starts over from
+    /// there. Allocates nothing.
+    pub(crate) fn reanchor(
+        &mut self,
+        campaigns: &[Campaign],
+        rng: &StdRng,
+        spare: Option<f64>,
+        reserve: f64,
+        pace: impl Fn(usize) -> Pace,
+    ) {
+        self.anchor.set(campaigns, reserve, pace);
+        self.current.clear();
+        self.pos = 0;
+        let sh = &*self.sampler.shared;
+        let mut st = lock(&sh.state);
+        let slot = st.lanes[self.id]
+            .as_mut()
+            .expect("a live lane is registered");
+        slot.data.epoch.fetch_add(1, Ordering::Relaxed);
+        slot.rng.clone_from(rng);
+        slot.spare = spare;
+        slot.params.copy_from(&self.anchor.params);
+        while let Some(stale) = slot.full.pop_front() {
+            slot.free.push_back(stale);
+        }
+        drop(st);
+        sh.changed.notify_all();
     }
 
     /// Hands the spent batch back for refilling and takes the next full
-    /// one.
+    /// one; `None` once the sampler is dropped or its helper has ended.
     fn swap_batch(&mut self, waits: &mut u64) -> Option<()> {
         let sh = &*self.sampler.shared;
         let mut st = lock(&sh.state);
@@ -414,45 +666,112 @@ fn sample(sh: &Shared) {
             .as_mut()
             .expect("picked among registered lanes");
         let mut batch = slot.free.pop_front().expect("picked for a free batch");
+        // Taking the scratch out leaves an empty `Params`, which holds no
+        // allocation; it goes back before the lane can be dropped.
+        let mut params = std::mem::take(&mut slot.scratch);
+        params.copy_from(&slot.params);
         let data = Arc::clone(&slot.data);
-        let (mut rng, mut spare, reserve) = (slot.rng.clone(), slot.spare, slot.reserve);
+        let epoch = data.epoch.load(Ordering::Relaxed);
+        let (mut rng, mut spare) = (slot.rng.clone(), slot.spare);
         st.filling = Some(id);
         drop(st);
         batch.clear();
         // Never past capacity: pushes stay allocation-free.
-        while batch.len() < batch.capacity() && !data.cancel.load(Ordering::Relaxed) {
+        while batch.len() < batch.capacity() && !data.stale(epoch) {
             let mut open = Open {
-                mean_prices: &data.mean_prices,
+                gates: &params.gates,
                 need: f64::NEG_INFINITY,
+                skips: 0,
+                thin: [f64::NAN; THIN],
             };
             let (best, second) = draw_bids(
                 &data.prepared,
                 &mut rng,
                 &mut spare,
                 None,
-                reserve,
-                reserve,
+                params.reserve,
+                params.reserve,
                 &mut open,
             );
             batch.push(Draw {
                 best,
                 second,
                 need: open.need,
+                skips: open.skips,
+                thin: open.thin,
                 rng_after: rng.clone(),
                 spare_after: spare,
             });
         }
         st = lock(&sh.state);
+        let current = data.epoch.load(Ordering::Relaxed) == epoch;
         // A lane stays registered while it is being filled, so the slot
         // keeps a reference to `data` and this one is never the last.
         drop(data);
         let slot = st.lanes[id]
             .as_mut()
             .expect("a lane being filled stays registered");
-        slot.full.push_back(batch);
-        slot.rng = rng;
-        slot.spare = spare;
+        slot.scratch = params;
+        if current {
+            slot.full.push_back(batch);
+            slot.rng = rng;
+            slot.spare = spare;
+        } else {
+            // Sampled from before a re-anchor: nobody will read it.
+            slot.free.push_back(batch);
+        }
         st.filling = None;
         sh.changed.notify_all();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+
+    /// The sampling loop's ranking: every valid bid in catalog order.
+    fn ranked(bids: impl Iterator<Item = (usize, f64)>, floor: f64) -> (Option<(usize, f64)>, f64) {
+        let (mut best, mut second) = (None, floor);
+        for (i, bid) in bids {
+            match best {
+                None => best = Some((i, bid)),
+                Some((_, b)) if bid > b => {
+                    second = b;
+                    best = Some((i, bid));
+                }
+                Some(_) => second = second.max(bid),
+            }
+        }
+        (best, second)
+    }
+
+    proptest! {
+        /// Thin bids ranked in after the covered ones make the sale the
+        /// loop makes from every bid in catalog order: the leader is the
+        /// earliest maximum, the second price the maximum of the rest.
+        /// Bids take one of three values, so ties are common.
+        #[test]
+        fn ahead_thin_bids_rank_in_as_the_loop_would(seed in any::<u64>(), n in 0usize..12) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // `(index, bid, thin)` for each campaign that bids.
+            let mut bids = Vec::new();
+            for i in 0..n {
+                if rng.gen_bool(0.8) {
+                    let bid = [0.001, 0.002, 0.003][rng.gen_range(0..3usize)];
+                    bids.push((i, bid, rng.gen_bool(0.4)));
+                }
+            }
+            let floor = 0.0001;
+            let want = ranked(bids.iter().map(|&(i, b, _)| (i, b)), floor);
+            let covered = bids.iter().filter(|t| !t.2).map(|&(i, b, _)| (i, b));
+            let (mut best, mut second) = ranked(covered, floor);
+            for &(i, bid, _) in bids.iter().filter(|t| t.2) {
+                rank(&mut best, &mut second, i, bid);
+            }
+            let bits = |(b, s): (Option<(usize, f64)>, f64)| (b.map(|(i, b)| (i, b.to_bits())), s.to_bits());
+            prop_assert_eq!(bits((best, second)), bits(want));
+        }
     }
 }

@@ -1,7 +1,8 @@
 //! The allocation rule of auctions sampled ahead: once a worker's
 //! helper thread has started, neither it nor the exchanges committing
 //! its draws call the allocator, and the helper never frees, not even
-//! when a lane is dropped.
+//! when a lane is dropped. A paced lane's pacing ticks re-anchor it in
+//! place, and that allocates nothing either.
 //!
 //! A counting global allocator sees every allocation and free of every
 //! thread in the process, and tells the main thread's apart from the
@@ -15,7 +16,7 @@ use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use adpf_auction::{BidSampler, CampaignCatalog, Exchange, SlotOffer};
+use adpf_auction::{BidSampler, CampaignCatalog, Exchange, MarketplaceConfig, SlotOffer};
 use adpf_desim::SimTime;
 use adpf_obs::MetricRegistry;
 
@@ -76,10 +77,13 @@ static GLOBAL: Counting = Counting;
 /// Auctions committed after the helpers' first batches, in all.
 const AUCTIONS: u64 = 20_000;
 
-/// Run lengths the two exchanges take turns with: single auctions,
-/// partial batches, and runs past the 192 draws a lane holds, which make
-/// the exchange wait for the helper.
+/// Run lengths the exchanges take turns with: single auctions, partial
+/// batches, and runs past the 192 draws a lane holds, which make the
+/// exchange wait for the helper.
 const RUNS: [u64; 6] = [1, 300, 17, 1_500, 255, 700];
+
+/// The paced exchange's auctions between pacing ticks.
+const TICK_EVERY: u64 = 250;
 
 /// Allocator calls since `from`.
 fn calls_since(from: u64) -> u64 {
@@ -95,16 +99,42 @@ fn main() {
         ex
     };
     let (mut a, mut b) = (lane(7), lane(8));
+    // A paced exchange, ticked early and late in its schedule in turn:
+    // every tick moves some campaign's pace, which re-anchors its lane.
+    let mut paced = {
+        let mut ex = lane(9);
+        let mc = MarketplaceConfig::paced();
+        let types = mc.assign_types(ex.campaigns());
+        ex.configure_marketplace(&mc, &types);
+        ex
+    };
+    let horizon = SimTime::from_hours(48);
+    let mut paced_auctions = 0u64;
+    let mut run_paced = |ex: &mut Exchange, slot: &SlotOffer| {
+        black_box(ex.run_auction(slot));
+        paced_auctions += 1;
+        if paced_auctions.is_multiple_of(TICK_EVERY) {
+            let early = paced_auctions.is_multiple_of(2 * TICK_EVERY);
+            let now = if early {
+                SimTime::from_millis(1)
+            } else {
+                horizon
+            };
+            ex.pacing_tick(now, horizon);
+        }
+    };
     let slot = SlotOffer::realtime(SimTime::ZERO, None);
-    // Registers both lanes and starts the helper, then gives it time to
+    // Registers the lanes and starts the helper, then gives it time to
     // fill them, so whatever the thread does once at start-up is behind
     // us; the auctions after that leave it spent batches to refill.
     black_box(a.run_auction(&slot));
     black_box(b.run_auction(&slot));
+    run_paced(&mut paced, &slot);
     std::thread::sleep(Duration::from_millis(100));
     for _ in 0..100 {
         black_box(a.run_auction(&slot));
         black_box(b.run_auction(&slot));
+        run_paced(&mut paced, &slot);
     }
     let helper_frees = OFF_MAIN_FREES.load(Ordering::SeqCst);
 
@@ -114,17 +144,24 @@ fn main() {
     std::thread::sleep(Duration::from_millis(100));
     let helper_alone = calls_since(from);
 
-    // The two exchanges take turns, as a serve worker's engines do;
-    // spent batches go back for refilling.
+    // The exchanges take turns, as a serve worker's engines do; spent
+    // batches go back for refilling.
     let from = CALLS.load(Ordering::SeqCst);
     let mut committed = 0;
     for (k, run) in RUNS.iter().cycle().enumerate() {
         if committed >= AUCTIONS / 2 {
             break;
         }
-        let ex = if k % 2 == 0 { &mut a } else { &mut b };
         for _ in 0..*run {
-            black_box(ex.run_auction(&slot));
+            match k % 3 {
+                0 => {
+                    black_box(a.run_auction(&slot));
+                }
+                1 => {
+                    black_box(b.run_auction(&slot));
+                }
+                _ => run_paced(&mut paced, &slot),
+            }
         }
         committed += run;
     }
@@ -141,22 +178,36 @@ fn main() {
     // main thread, after any batch the helper was filling comes back.
     drop(b);
 
-    // The remaining lane goes on alone.
+    // The remaining lanes go on without it.
     let from = CALLS.load(Ordering::SeqCst);
-    for _ in committed..AUCTIONS {
-        black_box(a.run_auction(&slot));
+    for k in committed..AUCTIONS {
+        if k % 2 == 0 {
+            black_box(a.run_auction(&slot));
+        } else {
+            run_paced(&mut paced, &slot);
+        }
     }
     let alone = calls_since(from);
     let helper_frees = OFF_MAIN_FREES.load(Ordering::SeqCst) - helper_frees;
 
+    for ex in [&a, &paced] {
+        let reg = MetricRegistry::new();
+        ex.publish(&reg);
+        assert_eq!(
+            reg.counter_value("proc.auction.ahead_auctions"),
+            ex.auctions_run(),
+            "every auction was sampled ahead"
+        );
+        assert_eq!(reg.counter_value("proc.auction.ahead_fallbacks"), 0);
+    }
     let reg = MetricRegistry::new();
-    a.publish(&reg);
-    assert_eq!(
-        reg.counter_value("proc.auction.ahead_auctions"),
-        a.auctions_run(),
-        "every auction was sampled ahead"
+    paced.publish(&reg);
+    let reanchors = reg.counter_value("proc.auction.ahead_reanchors");
+    assert!(
+        reanchors * TICK_EVERY >= paced.auctions_run() / 2,
+        "{reanchors} re-anchors over {} paced auctions",
+        paced.auctions_run()
     );
-    assert_eq!(reg.counter_value("proc.auction.ahead_fallbacks"), 0);
     assert_eq!(helper_alone, 0, "allocator calls while only the helper ran");
     assert_eq!(
         interleaved, 0,

@@ -14,8 +14,10 @@
 use std::io;
 use std::time::Instant;
 
+use adpf_auction::MarketplaceConfig;
 use adpf_core::scenario::{ScenarioPopulation, ScenarioSpec};
 use adpf_core::{SimReport, Simulator, SystemConfig};
+use adpf_netem::NetemConfig;
 use adpf_obs::{to_json_lines, validate_json_lines, MetricRegistry};
 use adpf_traces::PopulationConfig;
 
@@ -27,6 +29,9 @@ pub const SMOKE_GOLDEN: u64 = 0xba08_fcf9_274d_6de0;
 
 /// The smoke population under [`ScenarioSpec::mixed`].
 const MIXED_GOLDEN: u64 = 0xddb8_fd9f_23e2_7430;
+
+/// The smoke population over flaky links in a paced marketplace.
+const PACED_GOLDEN: u64 = 0x1466_5b69_73c3_9963;
 
 /// A row's synthetic population. The seed is part of the workload
 /// identity: two runs are comparable only when every field matches.
@@ -83,6 +88,10 @@ pub struct Row {
     /// Scenario layered over the population and installed on the config
     /// (class assignment keyed on the population seed on both halves).
     pub scenario: Option<fn() -> ScenarioSpec>,
+    /// Runs over [`NetemConfig::flaky_cellular`] links in a
+    /// [`MarketplaceConfig::paced`] marketplace: retries, pacing ticks
+    /// and throttles do work.
+    pub netem_paced: bool,
     /// Master seed for [`SystemConfig::prefetch_default`].
     pub config_seed: u64,
     /// How the row is driven.
@@ -103,6 +112,7 @@ pub const SMOKE: Row = Row {
     name: "smoke",
     population: Population::SmallTest(777),
     scenario: None,
+    netem_paced: false,
     config_seed: 5,
     driver: Driver::Parallel,
     threads: &[1, 2, 4, 8],
@@ -115,6 +125,7 @@ const SCALE_100K: Row = Row {
     name: "scale-100k",
     population: Population::Iphone(100_000, 2, 42),
     scenario: None,
+    netem_paced: false,
     config_seed: 1,
     driver: Driver::Streaming,
     threads: &[1],
@@ -124,7 +135,7 @@ const SCALE_100K: Row = Row {
 
 /// Every pinned workload; `baseline` with no row names runs the ones not
 /// marked `slow`, in this order.
-pub const ROWS: [Row; 10] = [
+pub const ROWS: [Row; 11] = [
     // Big enough that materializing its trace first would blow the
     // ceiling several times over (~128 MiB for the trace alone; it
     // streams in ~58 MiB), small enough to stream in seconds. The thread
@@ -133,6 +144,7 @@ pub const ROWS: [Row; 10] = [
         name: "memcheck",
         population: Population::Iphone(100_000, 1, 42),
         scenario: None,
+        netem_paced: false,
         config_seed: 1,
         driver: Driver::Streaming,
         threads: &[2],
@@ -168,9 +180,17 @@ pub const ROWS: [Row; 10] = [
         ..SMOKE
     },
     Row {
+        name: "smoke-paced",
+        netem_paced: true,
+        threads: &[1, 2],
+        gates: &[Gate::Hash(PACED_GOLDEN)],
+        ..SMOKE
+    },
+    Row {
         name: "e14",
         population: Population::Iphone(300, 7, 42),
         scenario: None,
+        netem_paced: false,
         config_seed: 1,
         driver: Driver::Parallel,
         threads: &[1, 4],
@@ -213,6 +233,10 @@ impl Row {
         let mut cfg = SystemConfig::prefetch_default(self.config_seed);
         if let Some(spec) = self.scenario {
             spec().apply_to(&mut cfg, self.population().seed);
+        }
+        if self.netem_paced {
+            cfg.netem = NetemConfig::flaky_cellular();
+            cfg.marketplace = MarketplaceConfig::paced();
         }
         cfg
     }
@@ -487,7 +511,7 @@ mod tests {
         rows.retain(|r| r.name.starts_with("smoke"));
         let (failed, lines) = checked(&rows, None);
         assert_eq!(failed, 0, "{lines:#?}");
-        assert_eq!(lines.len(), 4 + 3 + 3 + 3 + 1);
+        assert_eq!(lines.len(), 4 + 3 + 3 + 3 + 1 + 2);
         let golden = format!("hash={SMOKE_GOLDEN:016x}");
         assert!(
             lines[..10].iter().all(|l| l.contains(&golden)),
@@ -498,6 +522,8 @@ mod tests {
         assert!(lines[0].starts_with(&exported), "{}", lines[0]);
         assert!(lines[..10].iter().all(|l| l.contains(" metric_lines=")));
         assert!(lines[13].starts_with("smoke-mixed-stream threads=2 hash="));
+        let paced = format!("hash={PACED_GOLDEN:016x}");
+        assert!(lines[14..].iter().all(|l| l.contains(&paced)), "{lines:#?}");
     }
 
     #[test]

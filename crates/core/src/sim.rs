@@ -854,14 +854,20 @@ mod tests {
 
     #[test]
     fn ahead_sampling_keeps_the_smoke_goldens_on_and_off() {
-        // The smoke and smoke-mixed goldens of `adpf_bench::baseline`,
-        // held with each worker's bid sampler forced on and off at 1 and
-        // 2 workers: a host with one core still hashes the path sampled
-        // ahead, and one with idle cores the path without it.
+        // The smoke, smoke-mixed and smoke-paced goldens of
+        // `adpf_bench::baseline`, held with each worker's bid sampler
+        // forced on and off at 1 and 2 workers: a host with one core
+        // still hashes the path sampled ahead, and one with idle cores
+        // the path without it. The paced run re-anchors its lanes at
+        // pacing ticks and budget crossings and is served ahead all the
+        // same.
         let pop = PopulationConfig::small_test(777);
         let mixed = ScenarioPopulation::new(pop.clone(), ScenarioSpec::mixed());
         let mut mixed_cfg = SystemConfig::prefetch_default(5);
         mixed.apply_to(&mut mixed_cfg);
+        let mut paced_cfg = SystemConfig::prefetch_default(5);
+        paced_cfg.netem = adpf_netem::NetemConfig::flaky_cellular();
+        paced_cfg.marketplace = adpf_auction::MarketplaceConfig::paced();
         let runs = [
             (
                 SystemConfig::prefetch_default(5),
@@ -869,6 +875,7 @@ mod tests {
                 0xba08_fcf9_274d_6de0,
             ),
             (mixed_cfg, mixed.generate(), 0xddb8_fd9f_23e2_7430),
+            (paced_cfg, pop.generate(), 0x1466_5b69_73c3_9963),
         ];
         for (cfg, t, golden) in runs {
             let users = t.num_users();
