@@ -22,25 +22,30 @@
 # output belongs to the binaries; libraries speak through return values
 # and the metric registry).
 #
-# The determinism gates (`baseline --check`) run every default row of
-# `adpf_bench::baseline::ROWS` at every listed thread count and hold each
-# to its pinned report hash (any divergence means a change altered
-# simulated outcomes; intentional ones update the pinned value with the
-# code), plus one peak-RSS ceiling and a metrics-export check on the smoke
-# rows. They run last: the RSS ceiling is the only host-dependent check
-# left, so a noisy host cannot mask the gates ahead of it.
+# Every pinned run is a row of one table, `adpf_bench::baseline::ROWS`,
+# and `baseline::check` is the only code that drives one: each row runs
+# under every driver (materialized, streamed, served) at every listed
+# thread count, held to its pinned report hash (any divergence means a
+# change altered simulated outcomes; intentional ones update the pinned
+# value with the code), to balanced books, to serve's one request per slot
+# with no rejected line, and to one set of deterministic metrics across
+# its batch runs. Tier 1 (`cargo test`) drives the smoke-scale rows from
+# `tests/determinism.rs` at 1 and 8 workers; the determinism gates
+# (`baseline --check`) run every default row at its own thread counts,
+# plus one peak-RSS ceiling and a metrics-export check on the smoke row.
+# They run last: the RSS ceiling is the only host-dependent check left,
+# so a noisy host cannot mask the gates ahead of it.
 set -eux
 
 # Held to `adpf_bench::baseline::SMOKE_GOLDEN` by a unit test there.
 SERVE_GOLDEN="report-hash: ba08fcf9274d6de0"
 
 marketplace_gates() {
-    # The reactive-marketplace suites: adversarial exchange properties,
-    # pacing convergence to the analytic optimum, and the library-level
-    # assertion that a marketplace-off run reproduces the smoke golden.
+    # The reactive-marketplace suites: adversarial exchange properties and
+    # pacing convergence to the analytic optimum. The marketplace's pinned
+    # runs are rows, which `determinism_gates` covers.
     cargo test -q --release -p adpf-auction \
         --test prop_marketplace --test convergence
-    cargo test -q --release --test determinism marketplace_
 }
 
 placement_gates() {

@@ -1,11 +1,11 @@
 //! Determinism gates and the recorded trajectory.
 //!
-//! One table, [`ROWS`], names every fixed-seed workload this repo pins:
-//! its population, how it is driven, and what must hold of the result.
-//! [`run`] is the only place a row is generated and driven; [`check`]
-//! holds rows to their gates and [`record`] appends a row's run to
-//! `BENCH_baseline.json`. Because the workloads are fixed-seed, the
-//! report hash is exact and machine-independent: a change that alters
+//! One table, [`ROWS`], names every fixed-seed run this repo pins: its
+//! population, its configuration, the drivers it runs under and what must
+//! hold of the result. [`run`] is the only place a row is generated and
+//! driven; [`check`] holds rows to their gates and [`record`] appends a
+//! row's runs to `BENCH_baseline.json`. Because the runs are fixed-seed,
+//! the report hash is exact and machine-independent: a change that alters
 //! any simulated outcome — even one bit of one float — changes it.
 //!
 //! Timing claims (throughput, latency, memory under load) belong to
@@ -14,24 +14,18 @@
 use std::io;
 use std::time::Instant;
 
-use adpf_auction::MarketplaceConfig;
-use adpf_core::scenario::{ScenarioPopulation, ScenarioSpec};
+use adpf_auction::{MarketplaceConfig, PriceFloors, PricingRule};
+use adpf_core::scenario::{CellCapacity, CellPolicy, ScenarioPopulation, ScenarioSpec};
 use adpf_core::{SimReport, Simulator, SystemConfig};
+use adpf_desim::SimDuration;
 use adpf_netem::NetemConfig;
-use adpf_obs::{to_json_lines, validate_json_lines, MetricRegistry};
+use adpf_obs::{to_json_lines, validate_json_lines, MetricRegistry, MetricSnapshot};
 use adpf_traces::PopulationConfig;
 
-/// The smoke workload's report hash. Every `smoke*` row without a
-/// scenario, the root determinism tests and ci.sh's served replay
-/// (`SERVE_GOLDEN`) are held to this one value; a deliberate behaviour
-/// change updates it here and in ci.sh, nowhere else.
+/// The smoke row's report hash, which ci.sh's served replay
+/// (`SERVE_GOLDEN`) is held to as well; a deliberate behaviour change
+/// updates it here and in ci.sh, nowhere else.
 pub const SMOKE_GOLDEN: u64 = 0xba08_fcf9_274d_6de0;
-
-/// The smoke population under [`ScenarioSpec::mixed`].
-const MIXED_GOLDEN: u64 = 0xddb8_fd9f_23e2_7430;
-
-/// The smoke population over flaky links in a paced marketplace.
-const PACED_GOLDEN: u64 = 0x1466_5b69_73c3_9963;
 
 /// A row's synthetic population. The seed is part of the workload
 /// identity: two runs are comparable only when every field matches.
@@ -55,15 +49,27 @@ pub enum Driver {
     Streaming,
     /// Serialize the trace to the wire protocol and replay it through
     /// [`adpf_serve::serve`] in-process; the stream must ingest with no
-    /// rejected line.
+    /// rejected line and one request per slot.
     Serve,
 }
 
-/// One condition a row's outcome must meet.
+/// Every driver, in the order [`check`] runs them.
+const EVERY_DRIVER: &[Driver] = &[Driver::Parallel, Driver::Streaming, Driver::Serve];
+
+impl Driver {
+    /// How check lines and recorded workloads name the driver.
+    fn name(self) -> &'static str {
+        match self {
+            Driver::Parallel => "parallel",
+            Driver::Streaming => "stream",
+            Driver::Serve => "serve",
+        }
+    }
+}
+
+/// One condition a row's outcome must meet besides its hash.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Gate {
-    /// The report's [`SimReport::stable_hash`].
-    Hash(u64),
     /// Ceiling on process peak RSS (VmHWM) in MiB — the tripwire for a
     /// change that re-materializes the full trace before sharding. VmHWM
     /// is a lifetime high-water mark, so rows carrying this gate come
@@ -78,46 +84,145 @@ pub enum Gate {
     MetricsExport,
 }
 
-/// One pinned workload.
+/// One pinned run.
 #[derive(Debug, Clone, Copy)]
 pub struct Row {
-    /// Name the row is picked by, and recorded under as `workload`.
+    /// Name the row is picked by, and that its first driver's runs are
+    /// recorded under as `workload`.
     pub name: &'static str,
     /// The synthetic population.
     pub population: Population,
     /// Scenario layered over the population and installed on the config
     /// (class assignment keyed on the population seed on both halves).
     pub scenario: Option<fn() -> ScenarioSpec>,
-    /// Runs over [`NetemConfig::flaky_cellular`] links in a
-    /// [`MarketplaceConfig::paced`] marketplace: retries, pacing ticks
-    /// and throttles do work.
-    pub netem_paced: bool,
-    /// Master seed for [`SystemConfig::prefetch_default`].
-    pub config_seed: u64,
-    /// How the row is driven.
-    pub driver: Driver,
+    /// The simulator config, before any scenario is installed.
+    pub config: fn() -> SystemConfig,
+    /// How the row is driven: every driver, unless the row exists to
+    /// bound memory or time at scale (an RSS ceiling, or `slow`).
+    pub drivers: &'static [Driver],
     /// Worker-thread counts the row runs at; counts above the shard
     /// count cover the more-threads-than-shards regime.
     pub threads: &'static [usize],
-    /// What must hold at every thread count.
+    /// The report's [`SimReport::stable_hash`], under every driver at
+    /// every thread count.
+    pub hash: u64,
+    /// What else must hold of every run.
     pub gates: &'static [Gate],
     /// Minutes-long rows, run only when named.
     pub slow: bool,
 }
 
+/// The smoke population's delivery config, which the `smoke-*` rows vary.
+fn prefetch() -> SystemConfig {
+    SystemConfig::prefetch_default(5)
+}
+
+fn realtime() -> SystemConfig {
+    SystemConfig::realtime(5)
+}
+
+/// Misses go to real-time fetches that never carry a sync.
+fn no_piggyback() -> SystemConfig {
+    SystemConfig {
+        piggyback_on_fallback: false,
+        ..prefetch()
+    }
+}
+
+/// Lossy cellular links: failed syncs, retries, rescued ads.
+fn flaky() -> SystemConfig {
+    SystemConfig {
+        netem: NetemConfig::flaky_cellular(),
+        ..prefetch()
+    }
+}
+
+/// Flaky links plus a six-hour blackout of half the population two days
+/// in, which outlives retry budgets.
+fn outage() -> SystemConfig {
+    SystemConfig {
+        netem: NetemConfig::flaky_cellular().with_outage(48, SimDuration::from_hours(6), 0.5),
+        ..prefetch()
+    }
+}
+
+/// Pacing controllers and participation throttles over clean links.
+fn paced_market() -> SystemConfig {
+    SystemConfig {
+        marketplace: MarketplaceConfig::paced(),
+        ..prefetch()
+    }
+}
+
+/// The paced market charging first price above a uniform floor: every
+/// marketplace mechanism live at once.
+fn floored_first_price() -> SystemConfig {
+    let mut cfg = paced_market();
+    cfg.marketplace.pricing = PricingRule::FirstPrice;
+    cfg.marketplace.floors = PriceFloors::uniform(0.0005);
+    cfg
+}
+
+/// Flaky links in a paced market: retries, pacing ticks and throttles
+/// all do work.
+fn flaky_paced() -> SystemConfig {
+    SystemConfig {
+        marketplace: MarketplaceConfig::paced(),
+        ..flaky()
+    }
+}
+
+/// Three periodic syncs in ten dropped before they start.
+fn dropout() -> SystemConfig {
+    SystemConfig {
+        sync_dropout: 0.3,
+        ..prefetch()
+    }
+}
+
+/// The config of the rows over iPhone-like populations.
+fn iphone() -> SystemConfig {
+    SystemConfig::prefetch_default(1)
+}
+
+/// The flash crowd under a ceiling of two fetches per region-minute:
+/// tight enough that the overflow policy decides thousands of fetches.
+fn capped(policy: CellPolicy) -> ScenarioSpec {
+    let mut spec = ScenarioSpec::flash_crowd();
+    spec.cell = CellCapacity {
+        policy,
+        ..CellCapacity::capped(4, 2, SimDuration::from_mins(1))
+    };
+    spec
+}
+
+fn capped_drop() -> ScenarioSpec {
+    capped(CellPolicy::Drop)
+}
+
+fn capped_defer() -> ScenarioSpec {
+    capped(CellPolicy::Defer)
+}
+
 /// The `smoke` row: seconds-scale, still exercising every simulator
-/// subsystem. The other `smoke-*` rows are this one under another driver
-/// or scenario.
-pub const SMOKE: Row = Row {
+/// subsystem. The other `smoke-*` rows vary its config or scenario.
+const SMOKE: Row = Row {
     name: "smoke",
     population: Population::SmallTest(777),
     scenario: None,
-    netem_paced: false,
-    config_seed: 5,
-    driver: Driver::Parallel,
+    config: prefetch,
+    drivers: EVERY_DRIVER,
     threads: &[1, 2, 4, 8],
-    gates: &[Gate::Hash(SMOKE_GOLDEN), Gate::MetricsExport],
+    hash: SMOKE_GOLDEN,
+    gates: &[Gate::MetricsExport],
     slow: false,
+};
+
+/// What the `smoke-*` rows share, name, config, hash and gates aside.
+const VARIANT: Row = Row {
+    threads: &[1, 2, 8],
+    gates: &[],
+    ..SMOKE
 };
 
 /// The `scale-100k` row; the other `scale-*` rows vary it.
@@ -125,17 +230,17 @@ const SCALE_100K: Row = Row {
     name: "scale-100k",
     population: Population::Iphone(100_000, 2, 42),
     scenario: None,
-    netem_paced: false,
-    config_seed: 1,
-    driver: Driver::Streaming,
+    config: iphone,
+    drivers: &[Driver::Streaming],
     threads: &[1],
-    gates: &[Gate::Hash(0xfbc5_8485_16c9_6f9a)],
+    hash: 0xfbc5_8485_16c9_6f9a,
+    gates: &[],
     slow: true,
 };
 
-/// Every pinned workload; `baseline` with no row names runs the ones not
+/// Every pinned run; `baseline` with no row names runs the ones not
 /// marked `slow`, in this order.
-pub const ROWS: [Row; 11] = [
+pub const ROWS: [Row; 25] = [
     // Big enough that materializing its trace first would blow the
     // ceiling several times over (~128 MiB for the trace alone; it
     // streams in ~58 MiB), small enough to stream in seconds. The thread
@@ -143,80 +248,180 @@ pub const ROWS: [Row; 11] = [
     Row {
         name: "memcheck",
         population: Population::Iphone(100_000, 1, 42),
-        scenario: None,
-        netem_paced: false,
-        config_seed: 1,
-        driver: Driver::Streaming,
+        hash: 0x5dba_ec35_e607_f63c,
+        gates: &[Gate::MaxRssMb(96.0)],
         threads: &[2],
-        gates: &[Gate::MaxRssMb(96.0), Gate::Hash(0x5dba_ec35_e607_f63c)],
         slow: false,
+        ..SCALE_100K
     },
     SMOKE,
     Row {
-        name: "smoke-stream",
-        driver: Driver::Streaming,
-        threads: &[1, 2, 8],
-        ..SMOKE
+        name: "smoke-realtime",
+        config: realtime,
+        hash: 0xcdba_9393_c93e_e236,
+        ..VARIANT
     },
     Row {
-        name: "smoke-serve",
-        driver: Driver::Serve,
-        threads: &[1, 2, 8],
-        ..SMOKE
+        name: "smoke-flaky",
+        config: flaky,
+        hash: 0x557e_6a97_51a0_12d1,
+        ..VARIANT
     },
     Row {
-        name: "smoke-mixed",
-        scenario: Some(ScenarioSpec::mixed),
-        threads: &[1, 2, 8],
-        gates: &[Gate::Hash(MIXED_GOLDEN), Gate::ScenarioCountersNonZero],
-        ..SMOKE
+        name: "smoke-outage",
+        config: outage,
+        hash: 0xdda8_a987_389a_e9e6,
+        ..VARIANT
     },
     Row {
-        name: "smoke-mixed-stream",
-        scenario: Some(ScenarioSpec::mixed),
-        driver: Driver::Streaming,
-        threads: &[2],
-        gates: &[Gate::Hash(MIXED_GOLDEN), Gate::ScenarioCountersNonZero],
-        ..SMOKE
+        name: "smoke-market",
+        config: paced_market,
+        hash: 0x067d_6408_6fe2_4077,
+        ..VARIANT
+    },
+    Row {
+        name: "smoke-market-floored",
+        config: floored_first_price,
+        hash: 0xee8f_5f64_5873_2ae6,
+        ..VARIANT
     },
     Row {
         name: "smoke-paced",
-        netem_paced: true,
-        threads: &[1, 2],
-        gates: &[Gate::Hash(PACED_GOLDEN)],
-        ..SMOKE
+        config: flaky_paced,
+        hash: 0x1466_5b69_73c3_9963,
+        ..VARIANT
+    },
+    Row {
+        name: "smoke-dropout",
+        config: dropout,
+        hash: 0x02bb_b377_468f_5f7d,
+        ..VARIANT
+    },
+    // The iPhone dataset's shape parameters at smoke scale.
+    Row {
+        name: "iphone-60",
+        population: Population::Iphone(60, 7, 2013),
+        config: iphone,
+        hash: 0x9f7b_741e_6479_2595,
+        ..VARIANT
+    },
+    // Every scenario preset under both delivery modes, the mixed one
+    // without piggybacking too, and the capped flash crowd dropping
+    // (1,093 prefetch-mode fetches; 4,350 real-time) or deferring
+    // (1,022; 4,350) what the cell ceiling refuses.
+    Row {
+        name: "smoke-mixed",
+        scenario: Some(ScenarioSpec::mixed),
+        hash: 0xddb8_fd9f_23e2_7430,
+        gates: &[Gate::ScenarioCountersNonZero],
+        ..VARIANT
+    },
+    Row {
+        name: "smoke-mixed-realtime",
+        scenario: Some(ScenarioSpec::mixed),
+        config: realtime,
+        hash: 0xeb0c_5a35_a004_6549,
+        gates: &[Gate::ScenarioCountersNonZero],
+        ..VARIANT
+    },
+    Row {
+        name: "smoke-mixed-no-piggyback",
+        scenario: Some(ScenarioSpec::mixed),
+        config: no_piggyback,
+        hash: 0x5451_f589_645c_c359,
+        gates: &[Gate::ScenarioCountersNonZero],
+        ..VARIANT
+    },
+    Row {
+        name: "smoke-churn",
+        scenario: Some(ScenarioSpec::churn),
+        hash: 0xde65_db09_8721_6443,
+        gates: &[Gate::ScenarioCountersNonZero],
+        ..VARIANT
+    },
+    Row {
+        name: "smoke-churn-realtime",
+        scenario: Some(ScenarioSpec::churn),
+        config: realtime,
+        hash: 0x316c_41b2_69b2_02d4,
+        gates: &[Gate::ScenarioCountersNonZero],
+        ..VARIANT
+    },
+    Row {
+        name: "smoke-flashcrowd",
+        scenario: Some(ScenarioSpec::flash_crowd),
+        hash: 0x8949_83e7_2143_ad19,
+        gates: &[Gate::ScenarioCountersNonZero],
+        ..VARIANT
+    },
+    Row {
+        name: "smoke-flashcrowd-realtime",
+        scenario: Some(ScenarioSpec::flash_crowd),
+        config: realtime,
+        hash: 0xa21e_72ba_fc13_7557,
+        gates: &[Gate::ScenarioCountersNonZero],
+        ..VARIANT
+    },
+    Row {
+        name: "smoke-capped-drop",
+        scenario: Some(capped_drop),
+        hash: 0xc968_711b_7ecb_0098,
+        gates: &[Gate::ScenarioCountersNonZero],
+        ..VARIANT
+    },
+    Row {
+        name: "smoke-capped-drop-realtime",
+        scenario: Some(capped_drop),
+        config: realtime,
+        hash: 0x39a9_515d_5453_0207,
+        gates: &[Gate::ScenarioCountersNonZero],
+        ..VARIANT
+    },
+    Row {
+        name: "smoke-capped-defer",
+        scenario: Some(capped_defer),
+        hash: 0xf6ba_eba9_d28f_aa5d,
+        gates: &[Gate::ScenarioCountersNonZero],
+        ..VARIANT
+    },
+    Row {
+        name: "smoke-capped-defer-realtime",
+        scenario: Some(capped_defer),
+        config: realtime,
+        hash: 0x21b3_6ef0_ca94_a8a3,
+        gates: &[Gate::ScenarioCountersNonZero],
+        ..VARIANT
     },
     Row {
         name: "e14",
         population: Population::Iphone(300, 7, 42),
-        scenario: None,
-        netem_paced: false,
-        config_seed: 1,
-        driver: Driver::Parallel,
+        config: iphone,
         threads: &[1, 4],
-        gates: &[Gate::Hash(0x875d_772f_cf03_8dbf)],
-        slow: false,
+        hash: 0x875d_772f_cf03_8dbf,
+        gates: &[],
+        ..SMOKE
     },
     SCALE_100K,
     Row {
         name: "scale-100k-mixed",
         scenario: Some(ScenarioSpec::mixed),
         threads: &[2],
-        gates: &[Gate::Hash(0x1ebd_65e2_361a_92f7)],
+        hash: 0x1ebd_65e2_361a_92f7,
         ..SCALE_100K
     },
     Row {
         name: "scale-1m",
         population: Population::Iphone(1_000_000, 1, 42),
-        gates: &[Gate::Hash(0xa536_bad7_d08c_6736)],
+        hash: 0xa536_bad7_d08c_6736,
         ..SCALE_100K
     },
 ];
 
 impl Row {
-    /// The row's population config — the single source both pipelines
-    /// generate from (`generate_parallel` materialized, `generate_shard`
-    /// streamed), which is what keeps them hash-comparable.
+    /// The row's population config — the single source every driver
+    /// generates from (`generate_parallel` materialized and served,
+    /// `generate_shard` streamed), which is what keeps them
+    /// hash-comparable.
     pub fn population(&self) -> PopulationConfig {
         match self.population {
             Population::SmallTest(seed) => PopulationConfig::small_test(seed),
@@ -229,16 +434,19 @@ impl Row {
     }
 
     /// The row's simulator config, scenario layer installed if any.
-    pub fn config(&self) -> SystemConfig {
-        let mut cfg = SystemConfig::prefetch_default(self.config_seed);
+    fn system_config(&self) -> SystemConfig {
+        let mut cfg = (self.config)();
         if let Some(spec) = self.scenario {
             spec().apply_to(&mut cfg, self.population().seed);
         }
-        if self.netem_paced {
-            cfg.netem = NetemConfig::flaky_cellular();
-            cfg.marketplace = MarketplaceConfig::paced();
-        }
         cfg
+    }
+
+    /// Whether the row exists to bound memory or time at scale (an RSS
+    /// ceiling, or `slow`): such a row streams, and [`check`] holds every
+    /// other row to every driver.
+    fn at_scale(&self) -> bool {
+        self.slow || self.gates.iter().any(|g| matches!(g, Gate::MaxRssMb(_)))
     }
 }
 
@@ -279,13 +487,14 @@ pub struct Outcome {
     pub peak_rss_mb: f64,
 }
 
-/// Generates `row`'s workload and drives it once at `threads` workers.
-pub fn run(row: &Row, threads: usize) -> Outcome {
+/// Generates `row`'s workload and drives it once under `driver` at
+/// `threads` workers.
+pub fn run(row: &Row, driver: Driver, threads: usize) -> Outcome {
     let pop = row.population();
     let scenario = row
         .scenario
         .map(|spec| ScenarioPopulation::new(pop.clone(), spec()));
-    let cfg = row.config();
+    let cfg = row.system_config();
     let generate = || match &scenario {
         Some(sp) => sp.generate_parallel(threads),
         None => pop.generate_parallel(threads),
@@ -294,7 +503,7 @@ pub fn run(row: &Row, threads: usize) -> Outcome {
     // When the input existed and the simulation began; streaming has no
     // such moment, its shards are generated as they are consumed.
     let mut ready = start;
-    let (report, registry) = match row.driver {
+    let (report, registry) = match driver {
         Driver::Parallel => {
             let trace = generate();
             ready = Instant::now();
@@ -323,7 +532,7 @@ pub fn run(row: &Row, threads: usize) -> Outcome {
     };
     Outcome {
         wall_s: ready.elapsed().as_secs_f64(),
-        gen_wall_s: match row.driver {
+        gen_wall_s: match driver {
             Driver::Streaming => registry.time_ns("phase.trace_gen") as f64 / 1e9,
             _ => (ready - start).as_secs_f64(),
         },
@@ -333,11 +542,21 @@ pub fn run(row: &Row, threads: usize) -> Outcome {
     }
 }
 
-/// Runs every row at every thread count (`threads`, else the row's own
-/// list), holds each outcome to the row's gates and its driver's
-/// contract, and hands `emit` one `name threads=… hash=… ok` or
-/// `… FAILED(what expected …, got …; …)` line per run. Never stops at a
-/// failure; returns how many runs failed.
+/// Runs every row under each of its drivers at every thread count
+/// (`threads`, else the row's own list), holds each outcome to the row's
+/// gates and to what holds of every run, and hands `emit` one
+/// `name driver threads=… hash=… ok` or `… FAILED(what expected …, got
+/// …; …)` line per run. A driver the row must run under but does not list
+/// gets a FAILED line at each thread count. Never stops at a failure;
+/// returns how many runs failed.
+///
+/// What holds of every run: the books balance (every slot is an
+/// impression or unfilled, every sold ad billed or expired, revenue plus
+/// refunds is the sold value to 1e-9 of it); a served stream ingests
+/// without a rejected line and with one request per slot; and every batch
+/// run of a row repeats its first one's deterministic metrics. Serve is
+/// left out of that last one: its `serve.threads` gauge and batch
+/// histograms are host facts.
 ///
 /// Under [`Gate::MetricsExport`] the export goes through `metrics_out`
 /// when given and is validated as re-read from disk — the file is what
@@ -350,74 +569,139 @@ pub fn check(
 ) -> usize {
     let mut failed = 0;
     for row in rows {
-        for &t in threads.unwrap_or(row.threads) {
-            let o = run(row, t);
-            let hash = o.report.stable_hash();
-            let mut notes = String::new();
-            let mut failures = Vec::new();
-            for gate in row.gates {
-                failures.extend(match *gate {
-                    Gate::Hash(want) => (hash != want)
-                        .then(|| format!("hash expected {want:016x}, got {hash:016x}")),
-                    Gate::MaxRssMb(max) => {
-                        let got = o.peak_rss_mb;
-                        notes += &format!(" rss_mb={got:.2}");
-                        (got > max).then(|| format!("rss_mb expected <= {max}, got {got:.2}"))
-                    }
-                    Gate::ScenarioCountersNonZero => {
-                        let sc = &o.report.scenario;
-                        let (bytes, samples) = (sc.metered_bytes(), sc.display_latency_ms.count());
-                        (bytes == 0 || samples == 0).then(|| {
-                            format!(
-                                "scenario counters expected non-zero, got {bytes} metered \
-                                 bytes, {samples} display-latency samples"
-                            )
-                        })
-                    }
-                    Gate::MetricsExport => {
-                        let export = to_json_lines(&o.registry, row.name);
-                        let export = match metrics_out {
-                            Some(path) => std::fs::write(path, &export)
-                                .and_then(|()| std::fs::read_to_string(path))
-                                .map_err(|e| format!("{path}: {e}")),
-                            None => Ok(export),
-                        };
-                        match export.and_then(|text| validate_json_lines(&text)) {
-                            Ok(n) if n > 0 => {
-                                notes += &format!(" metric_lines={n}");
-                                None
-                            }
-                            Ok(_) => Some("metrics export expected lines, got none".to_string()),
-                            Err(e) => Some(format!("metrics export expected valid, got {e}")),
-                        }
-                    }
-                });
+        // The row's first batch run and its deterministic metrics.
+        let mut first_batch: Option<(String, Vec<MetricSnapshot>)> = None;
+        for &driver in EVERY_DRIVER {
+            let listed = row.drivers.contains(&driver);
+            if !listed && row.at_scale() {
+                continue;
             }
-            if row.driver == Driver::Serve {
-                let errors = o.registry.counter_value("serve.ingest_errors");
-                failures.extend(
-                    (errors != 0).then(|| format!("ingest_errors expected 0, got {errors}")),
-                );
+            for &t in threads.unwrap_or(row.threads) {
+                let at = format!("{} {} threads={t}", row.name, driver.name());
+                if !listed {
+                    failed += 1;
+                    emit(&format!(
+                        "{at} FAILED(a run expected, the row omits its driver)"
+                    ));
+                    continue;
+                }
+                let o = run(row, driver, t);
+                let (notes, mut failures) = judge(row, driver, &o, metrics_out);
+                if driver != Driver::Serve {
+                    let metrics = o.registry.deterministic_snapshot();
+                    match &first_batch {
+                        None => first_batch = Some((at.clone(), metrics)),
+                        Some((first, want)) => failures.extend(
+                            metrics_differ(want, &metrics)
+                                .map(|m| format!("{m} expected as in {first}, got another")),
+                        ),
+                    }
+                }
+                let verdict = if failures.is_empty() {
+                    "ok".to_string()
+                } else {
+                    failed += 1;
+                    format!("FAILED({})", failures.join("; "))
+                };
+                let hash = o.report.stable_hash();
+                emit(&format!("{at} hash={hash:016x}{notes} {verdict}"));
             }
-            let verdict = if failures.is_empty() {
-                "ok".to_string()
-            } else {
-                failed += 1;
-                format!("FAILED({})", failures.join("; "))
-            };
-            let name = row.name;
-            emit(&format!(
-                "{name} threads={t} hash={hash:016x}{notes} {verdict}"
-            ));
         }
     }
     failed
 }
 
-/// Runs every row at every thread count (`threads`, else the row's own
-/// list) and appends one entry per run to the JSON file at `path`,
-/// preserving previously recorded entries verbatim and handing `emit`
-/// each new line. Returns the new-entry count.
+/// Holds one run to its row's hash and gates, the books and, under
+/// [`Driver::Serve`], the ingest contract. Returns the notes for its
+/// check line and what failed.
+fn judge(
+    row: &Row,
+    driver: Driver,
+    o: &Outcome,
+    metrics_out: Option<&str>,
+) -> (String, Vec<String>) {
+    let r = &o.report;
+    let (hash, want) = (r.stable_hash(), row.hash);
+    let mut notes = String::new();
+    let mut failures = Vec::new();
+    if hash != want {
+        failures.push(format!("hash expected {want:016x}, got {hash:016x}"));
+    }
+    for gate in row.gates {
+        failures.extend(match *gate {
+            Gate::MaxRssMb(max) => {
+                let got = o.peak_rss_mb;
+                notes += &format!(" rss_mb={got:.2}");
+                (got > max).then(|| format!("rss_mb expected <= {max}, got {got:.2}"))
+            }
+            Gate::ScenarioCountersNonZero => {
+                let sc = &r.scenario;
+                let (bytes, samples) = (sc.metered_bytes(), sc.display_latency_ms.count());
+                (bytes == 0 || samples == 0).then(|| {
+                    format!(
+                        "scenario counters expected non-zero, got {bytes} metered \
+                         bytes, {samples} display-latency samples"
+                    )
+                })
+            }
+            Gate::MetricsExport => {
+                let export = to_json_lines(&o.registry, row.name);
+                let export = match metrics_out {
+                    Some(path) => std::fs::write(path, &export)
+                        .and_then(|()| std::fs::read_to_string(path))
+                        .map_err(|e| format!("{path}: {e}")),
+                    None => Ok(export),
+                };
+                match export.and_then(|text| validate_json_lines(&text)) {
+                    Ok(n) if n > 0 => {
+                        notes += &format!(" metric_lines={n}");
+                        None
+                    }
+                    Ok(_) => Some("metrics export expected lines, got none".to_string()),
+                    Err(e) => Some(format!("metrics export expected valid, got {e}")),
+                }
+            }
+        });
+    }
+    // The books — slots are impressions or unfilled, sold ads billed or
+    // expired — and serve's one request per slot with no rejected line.
+    let l = &r.ledger;
+    let mut counts = vec![
+        ("slots", r.slots, r.impressions + r.unfilled),
+        ("sold", l.sold, l.billed + l.expired),
+    ];
+    if driver == Driver::Serve {
+        let counter = |name| o.registry.counter_value(name);
+        counts.push(("requests", counter("serve.requests"), r.slots));
+        counts.push(("ingest_errors", counter("serve.ingest_errors"), 0));
+    }
+    for (what, got, want) in counts {
+        if got != want {
+            failures.push(format!("{what} expected {want}, got {got}"));
+        }
+    }
+    let drift = (l.revenue + l.refunded - l.sold_value).abs();
+    if drift > 1e-9 * l.sold_value {
+        failures.push(format!(
+            "revenue + refunded expected the sold value {}, got {drift:e} off",
+            l.sold_value
+        ));
+    }
+    (notes, failures)
+}
+
+/// The name of the first metric `got` does not repeat from `want`.
+fn metrics_differ(want: &[MetricSnapshot], got: &[MetricSnapshot]) -> Option<String> {
+    match want.iter().zip(got).find(|(w, g)| w != g) {
+        Some((w, _)) => Some(format!("metric {}", w.name)),
+        None => (want.len() != got.len()).then(|| "the metric count".to_string()),
+    }
+}
+
+/// Runs every row under each of its drivers at every thread count
+/// (`threads`, else the row's own list) and appends one entry per run to
+/// the JSON file at `path`, preserving previously recorded entries
+/// verbatim and handing `emit` each new line. Returns the new-entry count.
 pub fn record(
     rows: &[Row],
     threads: Option<&[usize]>,
@@ -433,10 +717,18 @@ pub fn record(
     };
     let before = entries.len();
     for row in rows {
-        for &t in threads.unwrap_or(row.threads) {
-            let entry = entry_line(label, row.name, t, &run(row, t));
-            emit(&entry);
-            entries.push(entry);
+        for (i, &driver) in row.drivers.iter().enumerate() {
+            // A row's first driver records under the bare row name, as
+            // every entry did before a row listed several.
+            let workload = match i {
+                0 => row.name.to_string(),
+                _ => format!("{}-{}", row.name, driver.name()),
+            };
+            for &t in threads.unwrap_or(row.threads) {
+                let entry = entry_line(label, &workload, t, &run(row, driver, t));
+                emit(&entry);
+                entries.push(entry);
+            }
         }
     }
     std::fs::write(path, render_file(&entries))?;
@@ -506,32 +798,12 @@ mod tests {
     }
 
     #[test]
-    fn the_smoke_rows_pass_at_every_listed_thread_count() {
-        let mut rows = select(&[]).unwrap();
-        rows.retain(|r| r.name.starts_with("smoke"));
-        let (failed, lines) = checked(&rows, None);
-        assert_eq!(failed, 0, "{lines:#?}");
-        assert_eq!(lines.len(), 4 + 3 + 3 + 3 + 1 + 2);
-        let golden = format!("hash={SMOKE_GOLDEN:016x}");
-        assert!(
-            lines[..10].iter().all(|l| l.contains(&golden)),
-            "{lines:#?}"
-        );
-        assert!(lines.iter().all(|l| l.ends_with(" ok")), "{lines:#?}");
-        let exported = format!("smoke threads=1 {golden} metric_lines=");
-        assert!(lines[0].starts_with(&exported), "{}", lines[0]);
-        assert!(lines[..10].iter().all(|l| l.contains(" metric_lines=")));
-        assert!(lines[13].starts_with("smoke-mixed-stream threads=2 hash="));
-        let paced = format!("hash={PACED_GOLDEN:016x}");
-        assert!(lines[14..].iter().all(|l| l.contains(&paced)), "{lines:#?}");
-    }
-
-    #[test]
     fn seeded_mutations_each_fail_without_stopping_the_run() {
+        let churn = row("smoke-churn");
         let flipped = Row {
-            threads: &[2],
-            gates: &[Gate::Hash(SMOKE_GOLDEN ^ 1)],
-            ..SMOKE
+            hash: churn.hash ^ 1,
+            threads: &[1],
+            ..churn
         };
         // Scenario left off: the plain smoke report comes back, so the
         // pinned mixed hash and the counter gate both trip.
@@ -543,38 +815,52 @@ mod tests {
         // No export can be written into a directory that does not exist,
         // and VmHWM is positive wherever it is readable.
         let unmet = Row {
+            drivers: &[Driver::Streaming],
             threads: &[2],
             gates: &[Gate::MetricsExport, Gate::MaxRssMb(0.0)],
-            ..row("smoke-stream")
+            ..SMOKE
+        };
+        let missing = Row {
+            drivers: &[Driver::Parallel, Driver::Streaming],
+            threads: &[2],
+            ..row("smoke-dropout")
         };
         let nowhere = std::env::temp_dir().join("adpf-no-such-dir/m.jsonl");
-        let (failed, lines) = checked(&[flipped, bare, unmet], nowhere.to_str());
-        assert_eq!(failed, 3, "every bad row is reported: {lines:#?}");
-        let golden = format!("{SMOKE_GOLDEN:016x}");
-        assert_eq!(
-            lines[0],
-            format!(
-                "smoke threads=2 hash={golden} FAILED(hash expected {:016x}, got {golden})",
-                SMOKE_GOLDEN ^ 1
-            )
-        );
-        let want = format!(
-            "smoke-mixed threads=8 hash={golden} FAILED(hash expected {MIXED_GOLDEN:016x}, got \
-             {golden}; scenario counters expected non-zero, got 0 metered bytes"
-        );
-        assert!(lines[1].starts_with(&want), "{}", lines[1]);
-        assert!(
-            lines[2].starts_with("smoke-stream threads=2 "),
-            "{}",
-            lines[2]
-        );
-        let mut wants = vec!["FAILED(metrics export expected valid, got "];
+        let (failed, lines) = checked(&[flipped, bare, unmet, missing], nowhere.to_str());
+        assert_eq!(failed, 3 + 3 + 1 + 1, "every bad run counts: {lines:#?}");
+        assert_eq!(lines.len(), 3 + 3 + 1 + 3, "{lines:#?}");
+        let got = format!("{:016x}", churn.hash);
+        for (line, driver) in lines.iter().zip(["parallel", "stream", "serve"]) {
+            let want = format!(
+                "smoke-churn {driver} threads=1 hash={got} FAILED(hash expected {:016x}, got {got})",
+                churn.hash ^ 1
+            );
+            assert_eq!(*line, want);
+        }
+        let (mixed, smoke) = (row("smoke-mixed").hash, SMOKE_GOLDEN);
+        for (line, driver) in lines[3..6].iter().zip(["parallel", "stream", "serve"]) {
+            let want = format!(
+                "smoke-mixed {driver} threads=8 hash={smoke:016x} FAILED(hash expected \
+                 {mixed:016x}, got {smoke:016x}; scenario counters expected non-zero, got 0 \
+                 metered bytes"
+            );
+            assert!(line.starts_with(&want), "{line}");
+        }
+        let mut wants = vec![
+            "smoke stream threads=2 ",
+            "FAILED(metrics export expected valid, got ",
+        ];
         if adpf_obs::peak_rss_kb().is_some() {
             wants.push("; rss_mb expected <= 0, got ");
         }
         for want in wants {
-            assert!(lines[2].contains(want), "{}", lines[2]);
+            assert!(lines[6].contains(want), "{}", lines[6]);
         }
+        assert!(lines[7..9].iter().all(|l| l.ends_with(" ok")), "{lines:#?}");
+        assert_eq!(
+            lines[9],
+            "smoke-dropout serve threads=2 FAILED(a run expected, the row omits its driver)"
+        );
     }
 
     #[test]
@@ -591,14 +877,21 @@ mod tests {
         for (i, r) in ROWS.iter().enumerate() {
             let dup = ROWS[..i].iter().any(|q| q.name == r.name);
             assert!(!dup, "duplicate row name {}", r.name);
+            // No two rows alias one report, so each pins a regime of its
+            // own: a layer that never engaged would collide with the row
+            // it varies.
+            let alias = ROWS[..i].iter().find(|q| q.hash == r.hash);
+            assert!(alias.is_none(), "{} and {alias:?} pin one hash", r.name);
+            let wanted = if r.at_scale() {
+                &[Driver::Streaming][..]
+            } else {
+                EVERY_DRIVER
+            };
+            assert_eq!(r.drivers, wanted, "{}", r.name);
         }
         let defaults = select(&[]).unwrap();
         assert!(defaults.iter().all(|r| !r.slow));
-        for d in [Driver::Parallel, Driver::Streaming, Driver::Serve] {
-            assert!(defaults.iter().any(|r| r.driver == d), "{d:?} unused");
-        }
         let gates: Vec<Gate> = defaults.iter().flat_map(|r| r.gates).copied().collect();
-        assert!(gates.iter().any(|g| matches!(g, Gate::Hash(_))));
         assert!(gates.iter().any(|g| matches!(g, Gate::MaxRssMb(_))));
         assert!(gates.contains(&Gate::MetricsExport));
         assert!(gates.contains(&Gate::ScenarioCountersNonZero));
@@ -620,12 +913,12 @@ mod tests {
 
     #[test]
     fn every_driver_gives_the_same_report_and_times_both_phases() {
-        let want = run(&SMOKE, 1).report;
+        let want = run(&SMOKE, Driver::Parallel, 1).report;
         assert!(want.slots > 0 && want.ledger.sold > 0);
-        for name in ["smoke", "smoke-stream", "smoke-serve"] {
-            let o = run(&row(name), 2);
-            assert_eq!(o.report, want, "{name} diverged");
-            assert!(o.wall_s > 0.0 && o.gen_wall_s > 0.0, "{name} untimed");
+        for &driver in EVERY_DRIVER {
+            let o = run(&SMOKE, driver, 2);
+            assert_eq!(o.report, want, "{driver:?} diverged");
+            assert!(o.wall_s > 0.0 && o.gen_wall_s > 0.0, "{driver:?} untimed");
             if adpf_obs::peak_rss_kb().is_some() {
                 assert!(o.peak_rss_mb > 0.0);
             }
@@ -634,7 +927,7 @@ mod tests {
 
     #[test]
     fn report_hash_is_sensitive_to_every_field_class() {
-        let base = run(&SMOKE, 1).report;
+        let base = run(&SMOKE, Driver::Parallel, 1).report;
         let h0 = base.stable_hash();
         let mut counters = base.clone();
         counters.cache_hits += 1;
@@ -654,8 +947,8 @@ mod tests {
     #[test]
     fn json_round_trip_preserves_existing_entries() {
         let entries = [
-            entry_line("pre", "w", 1, &run(&SMOKE, 1)),
-            entry_line("post", "w", 2, &run(&SMOKE, 2)),
+            entry_line("pre", "w", 1, &run(&SMOKE, Driver::Parallel, 1)),
+            entry_line("post", "w", 2, &run(&SMOKE, Driver::Parallel, 2)),
         ];
         let file = render_file(&entries[..1]);
         assert_eq!(parse_entry_lines(&file), entries[..1]);
@@ -668,7 +961,7 @@ mod tests {
 
     #[test]
     fn entry_line_is_valid_single_object() {
-        let line = entry_line("x", "smoke-stream", 2, &run(&row("smoke-stream"), 2));
+        let line = entry_line("x", "smoke-stream", 2, &run(&SMOKE, Driver::Streaming, 2));
         assert!(line.starts_with('{') && line.ends_with('}'));
         assert!(!line.contains('\n'));
         // Same keys, same order, as the last batch row recorded before

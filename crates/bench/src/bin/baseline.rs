@@ -3,15 +3,15 @@
 //! `benchmark/run.sh`'s job.
 //!
 //! ```text
-//! baseline --check                        # every default row, every listed thread count
+//! baseline --check                        # every default row × driver × listed thread count
 //! baseline --check e14 scale-1m           # only these rows (slow rows run only when named)
 //! baseline --check --metrics-out m.jsonl  # the smoke row's export is written, then validated from disk
 //! baseline --label my-change smoke e14 --threads-list 1   # append entries to BENCH_baseline.json
 //! ```
 //!
-//! `--check` prints one `name threads=… hash=… ok|FAILED(… expected …,
-//! got …)` line per run, runs everything it was asked to even after a
-//! failure, and exits non-zero if any run failed.
+//! `--check` prints one `name driver threads=… hash=… ok|FAILED(…
+//! expected …, got …)` line per run, runs everything it was asked to even
+//! after a failure, and exits non-zero if any run failed.
 
 use std::process::ExitCode;
 

@@ -865,19 +865,6 @@ mod tests {
     }
 
     #[test]
-    fn serve_matches_batch_simulator_bit_for_bit() {
-        let cfg = SystemConfig::prefetch_default(5);
-        let trace = PopulationConfig::small_test(777).generate();
-        let (batch, _) = Simulator::run_trace(&cfg, &trace, 2);
-        let stream = smoke_stream(777, &cfg);
-        let out = serve(&ServeOptions::new(cfg), stream.as_slice()).unwrap();
-        assert_eq!(out.report, batch);
-        assert_eq!(out.report.stable_hash(), batch.stable_hash());
-        assert_eq!(out.ingest_errors, 0);
-        assert_eq!(out.requests, batch.slots);
-    }
-
-    #[test]
     fn thread_count_is_invisible_in_the_report() {
         let cfg = SystemConfig::prefetch_default(9);
         let stream = smoke_stream(41, &cfg);

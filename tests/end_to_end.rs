@@ -14,25 +14,30 @@ fn small_trace() -> adprefetch::traces::Trace {
 #[test]
 fn headline_claim_holds_end_to_end() {
     // The paper's abstract: >50% ad energy reduction with negligible
-    // revenue loss and SLA violation rate.
+    // revenue loss and SLA violation rate, on the smoke population run
+    // serially and sharded. Measured (savings, revenue loss, cache hit
+    // rate, SLA violations): serial 57.0%, 1.2%, 62.9%, 1.4%; sharded
+    // 56.9%, 1.0%, 62.6%, 1.3%.
     let trace = small_trace();
-    let rt = Simulator::new(SystemConfig::realtime(5), &trace).run();
-    let pf = Simulator::new(SystemConfig::prefetch_default(5), &trace).run();
-    assert!(
-        pf.energy_savings_vs(&rt) > 0.45,
-        "savings {:.3}",
-        pf.energy_savings_vs(&rt)
-    );
-    assert!(
-        pf.revenue_loss_vs(&rt) < 0.05,
-        "loss {:.3}",
-        pf.revenue_loss_vs(&rt)
-    );
-    assert!(
-        pf.sla_violation_rate() < 0.05,
-        "sla {:.3}",
-        pf.sla_violation_rate()
-    );
+    let runs = |cfg: SystemConfig| {
+        let serial = Simulator::new(cfg.clone(), &trace).run();
+        let sharded = Simulator::run_trace(&cfg, &trace, 2).0;
+        [("serial", serial), ("sharded", sharded)]
+    };
+    let realtime = runs(SystemConfig::realtime(5));
+    let prefetch = runs(SystemConfig::prefetch_default(5));
+    for ((how, rt), (_, pf)) in realtime.iter().zip(&prefetch) {
+        let savings = pf.energy_savings_vs(rt);
+        let loss = pf.revenue_loss_vs(rt);
+        let (hits, sla) = (pf.cache_hit_rate(), pf.sla_violation_rate());
+        assert!(
+            savings > 0.5 && loss < 0.05 && hits > 0.5 && sla < 0.05,
+            "{how}: savings {savings:.3}, revenue loss {loss:.3}, hit rate {hits:.3}, \
+             sla {sla:.3}\nrt: {}\npf: {}",
+            rt.summary(),
+            pf.summary()
+        );
+    }
 }
 
 #[test]

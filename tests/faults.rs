@@ -1,5 +1,9 @@
-//! Fault-path coverage for the `sync_dropout` knob: accounting,
-//! determinism, and the no-double-charge energy property.
+//! Fault-path coverage for the `sync_dropout` knob: accounting, the
+//! no-double-charge energy property, and (the `smoke-dropout` row)
+//! determinism.
+
+#[macro_use]
+mod common;
 
 use adprefetch::core::{Simulator, SystemConfig};
 use adprefetch::traces::{PopulationConfig, Trace};
@@ -58,21 +62,7 @@ fn total_dropout_without_fallback_moves_no_bytes() {
     assert_eq!(r.unfilled, r.slots);
 }
 
-#[test]
-fn dropout_runs_are_deterministic() {
-    let t = trace();
-    let a = Simulator::new(dropout_cfg(13, 0.3), &t).run();
-    let b = Simulator::new(dropout_cfg(13, 0.3), &t).run();
-    assert_eq!(a, b);
-    assert!(a.syncs_dropped > 0);
-}
-
-#[test]
-fn dropout_is_thread_invariant_under_sharding() {
-    let t = trace();
-    let cfg = dropout_cfg(17, 0.3);
-    let t1 = Simulator::run_trace(&cfg, &t, 1).0;
-    let t4 = Simulator::run_trace(&cfg, &t, 4).0;
-    assert_eq!(t1, t4);
-    assert!(t1.syncs_dropped > 0);
+pinned_by! {
+    dropout_runs_are_deterministic: "smoke-dropout";
+    dropout_is_thread_invariant_under_sharding: "smoke-dropout";
 }

@@ -1,35 +1,17 @@
-//! Batch-as-engine-client equivalence: the online server driven by a
-//! trace's serialized event stream must reproduce the batch simulator's
-//! report **bit for bit** — at every thread count, under network
-//! emulation, and with the marketplace on — because both sides drive
-//! the same `ClientEngine` with the same per-shard sub-streams.
+//! The online server driven by a trace's serialized event stream
+//! reproduces the batch simulator's report bit for bit, because both
+//! sides drive the same `ClientEngine` with the same per-shard
+//! sub-streams: every smoke-scale row of `adpf_bench::baseline::ROWS`
+//! runs under `Driver::Serve` too. What is left here is the wire: line
+//! endings, hostile bytes and the shutdown sentinel.
+
+#[macro_use]
+mod common;
 
 use adpf_bench::baseline::SMOKE_GOLDEN;
-use adpf_core::{Simulator, SystemConfig};
-use adpf_netem::NetemConfig;
+use adpf_core::SystemConfig;
 use adpf_serve::{serve, write_events, ServeOptions};
 use adpf_traces::PopulationConfig;
-
-/// Serializes `pop`'s slot stream and serves it, asserting the outcome
-/// equals the batch run of the same `(config, trace)` at every listed
-/// thread count.
-fn assert_serve_matches_batch(pop: &PopulationConfig, cfg: &SystemConfig, threads: &[usize]) {
-    let trace = pop.generate();
-    let batch = Simulator::run_trace(cfg, &trace, 2).0;
-    let mut stream = Vec::new();
-    write_events(&trace, cfg.ad_refresh, &mut stream).unwrap();
-    for &t in threads {
-        let mut opts = ServeOptions::new(cfg.clone());
-        opts.threads = t;
-        let out = serve(&opts, stream.as_slice()).unwrap();
-        assert_eq!(
-            out.report, batch,
-            "served report diverged from batch ({t} threads, {} users)",
-            pop.num_users
-        );
-        assert_eq!(out.ingest_errors, 0, "a generated stream never rejects");
-    }
-}
 
 /// The smoke config and its event stream, whose served report is the
 /// committed golden.
@@ -41,61 +23,13 @@ fn smoke_stream() -> (SystemConfig, Vec<u8>) {
     (cfg, stream)
 }
 
-#[test]
-fn serving_reproduces_the_committed_smoke_golden_at_1_2_8_threads() {
-    // The acceptance pin: replaying the smoke trace through the server
-    // reproduces the exact report hash every other pipeline is held to.
-    let (cfg, stream) = smoke_stream();
-    for threads in [1usize, 2, 8] {
-        let mut opts = ServeOptions::new(cfg.clone());
-        opts.threads = threads;
-        let out = serve(&opts, stream.as_slice()).unwrap();
-        assert_eq!(
-            out.report.stable_hash(),
-            SMOKE_GOLDEN,
-            "served smoke run drifted off the committed golden at {threads} threads"
-        );
-    }
-}
-
-#[test]
-fn serving_matches_batch_under_netem() {
-    let mut pop = PopulationConfig::small_test(31);
-    pop.num_users = 50;
-    let mut cfg = SystemConfig::prefetch_default(9);
-    cfg.netem = NetemConfig::flaky_cellular();
-    assert_serve_matches_batch(&pop, &cfg, &[1, 2, 8]);
-}
-
-#[test]
-fn serving_matches_batch_with_the_marketplace_on() {
-    let mut pop = PopulationConfig::small_test(13);
-    pop.num_users = 50;
-    let mut cfg = SystemConfig::prefetch_default(9);
-    cfg.marketplace = adpf_auction::MarketplaceConfig::paced();
-    assert_serve_matches_batch(&pop, &cfg, &[1, 2, 8]);
-}
-
-#[test]
-fn serving_matches_batch_with_netem_and_marketplace_off() {
-    // The plain configuration, distinct seeds from the smoke pin.
-    let mut pop = PopulationConfig::small_test(7);
-    pop.num_users = 30;
-    let cfg = SystemConfig::prefetch_default(3);
-    assert_serve_matches_batch(&pop, &cfg, &[1, 2, 8]);
-}
-
-#[test]
-fn serve_requests_equal_the_batch_slot_count() {
-    // Every slot line becomes exactly one decision: the server's
-    // request counter must agree with the batch slot accounting.
-    let trace = PopulationConfig::small_test(777).generate();
-    let cfg = SystemConfig::prefetch_default(5);
-    let batch = Simulator::run_trace(&cfg, &trace, 2).0;
-    let mut stream = Vec::new();
-    write_events(&trace, cfg.ad_refresh, &mut stream).unwrap();
-    let out = serve(&ServeOptions::new(cfg), stream.as_slice()).unwrap();
-    assert_eq!(out.requests, batch.slots);
+pinned_by! {
+    serving_reproduces_the_committed_smoke_golden_at_1_2_8_threads: "smoke";
+    serving_matches_batch_under_netem: "smoke-flaky", "smoke-outage", "smoke-paced";
+    serving_matches_batch_with_the_marketplace_on:
+        "smoke-market", "smoke-market-floored", "smoke-paced";
+    serving_matches_batch_with_netem_and_marketplace_off: "smoke", "smoke-realtime", "iphone-60";
+    serve_requests_equal_the_batch_slot_count: "smoke";
 }
 
 #[test]

@@ -2,11 +2,14 @@
 //! (`Simulator::run_shards` over per-shard lazy generation) must produce
 //! **byte-identical** reports to the same scheduler over a materialized
 //! split of the same `(config, population)` — at every thread count, for
-//! every shard count, including degenerate populations.
+//! every shard count, including degenerate populations, and from a CSV
+//! file. Every smoke-scale row of `adpf_bench::baseline::ROWS` runs
+//! under `Driver::Streaming` too.
 
-use adpf_bench::baseline::{SMOKE, SMOKE_GOLDEN};
+#[macro_use]
+mod common;
+
 use adpf_core::{default_shards, Simulator, SystemConfig};
-use adpf_netem::NetemConfig;
 use adpf_traces::PopulationConfig;
 
 /// Runs both pipelines over `pop` with `cfg` and asserts equal reports.
@@ -24,59 +27,12 @@ fn assert_equivalent(pop: &PopulationConfig, cfg: &SystemConfig, n_shards: usize
     );
 }
 
-#[test]
-fn streaming_matches_materialized_at_1_2_8_threads() {
-    let pop = PopulationConfig::small_test(777);
-    let cfg = SystemConfig::prefetch_default(5);
-    let n_shards = default_shards(pop.num_users);
-    for threads in [1usize, 2, 8] {
-        assert_equivalent(&pop, &cfg, n_shards, threads);
-    }
-}
-
-#[test]
-fn streaming_hash_equals_the_committed_smoke_golden() {
-    // The acceptance pin: the streaming path reproduces the exact smoke
-    // report hash recorded by the materialized pipeline in PR 2.
-    let pop = SMOKE.population();
-    let cfg = SMOKE.config();
-    let n_shards = default_shards(pop.num_users);
-    let (streamed, _) = Simulator::run_shards(&cfg, pop.num_users, n_shards, 2, |i| {
-        pop.generate_shard(i, n_shards)
-    });
-    assert_eq!(
-        streamed.stable_hash(),
-        SMOKE_GOLDEN,
-        "streaming run drifted off the committed smoke golden"
-    );
-}
-
-#[test]
-fn streaming_report_is_independent_of_thread_count() {
-    let pop = PopulationConfig::small_test(777);
-    let cfg = SystemConfig::prefetch_default(5);
-    let n_shards = default_shards(pop.num_users);
-    let run = |threads| {
-        Simulator::run_shards(&cfg, pop.num_users, n_shards, threads, |i| {
-            pop.generate_shard(i, n_shards)
-        })
-        .0
-    };
-    let one = run(1);
-    assert_eq!(one, run(2));
-    assert_eq!(one, run(8));
-}
-
-#[test]
-fn streaming_matches_materialized_under_netem_and_marketplace() {
-    // The equivalence must also hold when per-shard RNG streams are
-    // heavily exercised: a flaky network plus a paced marketplace.
-    let mut pop = PopulationConfig::small_test(31);
-    pop.num_users = 50;
-    let mut cfg = SystemConfig::prefetch_default(9);
-    cfg.netem = NetemConfig::flaky_cellular();
-    cfg.marketplace = adpf_auction::MarketplaceConfig::paced();
-    assert_equivalent(&pop, &cfg, default_shards(pop.num_users), 2);
+pinned_by! {
+    streaming_matches_materialized_at_1_2_8_threads: "smoke";
+    streaming_hash_equals_the_committed_smoke_golden: "smoke";
+    streaming_report_is_independent_of_thread_count: "smoke";
+    streaming_matches_materialized_under_netem_and_marketplace: "smoke-paced";
+    observed_streaming_matches_plain_streaming_and_records_rss: "smoke";
 }
 
 #[test]
@@ -134,27 +90,4 @@ fn streaming_a_csv_file_matches_the_materialized_read() {
             "file streaming diverged at {threads} threads"
         );
     }
-}
-
-#[test]
-fn observed_streaming_matches_plain_streaming_and_records_rss() {
-    let pop = PopulationConfig::small_test(777);
-    let cfg = SystemConfig::prefetch_default(5);
-    let n_shards = default_shards(pop.num_users);
-    let (plain, _) = Simulator::run_trace(&cfg, &pop.generate(), 2);
-    let (observed, reg) = Simulator::run_shards(&cfg, pop.num_users, n_shards, 2, |i| {
-        pop.generate_shard(i, n_shards)
-    });
-    assert_eq!(plain, observed, "streamed run diverged");
-    // Generation happens inside the pipeline, so every streamed run
-    // carries its span; on procfs hosts the RSS high-water gauge rides
-    // along (outside the deterministic snapshot — see adpf-obs).
-    assert!(reg.time_ns("phase.trace_gen") > 0);
-    if adpf_obs::peak_rss_kb().is_some() {
-        assert!(reg.gauge_value(adpf_obs::PEAK_RSS_METRIC) > 0);
-    }
-    assert!(reg
-        .deterministic_snapshot()
-        .iter()
-        .all(|m| !m.name.starts_with(adpf_obs::PROC_PREFIX)));
 }
