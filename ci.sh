@@ -29,10 +29,11 @@
 # change altered simulated outcomes; intentional ones update the pinned
 # value with the code), to balanced books, to serve's one request per slot
 # with no rejected line, and to one set of deterministic metrics across
-# its batch runs. Tier 1 (`cargo test`) drives the smoke-scale rows from
-# `tests/determinism.rs` at 1 and 8 workers; the determinism gates
-# (`baseline --check`) run every default row at its own thread counts,
-# plus one peak-RSS ceiling and a metrics-export check on the smoke row.
+# all its runs, served ones included. Tier 1 (`cargo test`) drives the
+# smoke-scale rows from `tests/determinism.rs` at 1 and 8 workers; the
+# determinism gates (`baseline --check`) run every default row at its own
+# thread counts, plus one peak-RSS ceiling and a metrics-export check on
+# the smoke row.
 # They run last: the RSS ceiling is the only host-dependent check left,
 # so a noisy host cannot mask the gates ahead of it.
 set -eux

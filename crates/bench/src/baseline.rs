@@ -19,7 +19,7 @@ use adpf_core::scenario::{CellCapacity, CellPolicy, ScenarioPopulation, Scenario
 use adpf_core::{SimReport, Simulator, SystemConfig};
 use adpf_desim::SimDuration;
 use adpf_netem::NetemConfig;
-use adpf_obs::{to_json_lines, validate_json_lines, MetricRegistry, MetricSnapshot};
+use adpf_obs::{to_json_lines, validate_json_lines, MetricSnapshot};
 use adpf_traces::PopulationConfig;
 
 /// The smoke row's report hash, which ci.sh's served replay
@@ -78,7 +78,7 @@ pub enum Gate {
     /// The scenario layer's user-cost counters (metered bytes,
     /// display-latency samples) were populated.
     ScenarioCountersNonZero,
-    /// The merged registry's JSON-lines export is non-empty and passes
+    /// The report's metrics export as JSON lines, non-empty and passing
     /// the schema validator — re-read from disk when [`check`] is given
     /// a `metrics_out` path, since the file is what tooling consumes.
     MetricsExport,
@@ -468,10 +468,11 @@ pub fn select(names: &[String]) -> Result<Vec<Row>, String> {
 /// What one [`run`] produced.
 #[derive(Debug)]
 pub struct Outcome {
-    /// The merged report.
+    /// The merged report, its metrics inside.
     pub report: SimReport,
-    /// The merged metric registry.
-    pub registry: MetricRegistry,
+    /// Under [`Driver::Serve`], the requests the server decided and the
+    /// lines it rejected.
+    pub ingest: Option<(u64, u64)>,
     /// Wall-clock seconds of the simulation alone — except under
     /// [`Driver::Streaming`], where generation happens inside the
     /// pipeline and this covers both.
@@ -503,11 +504,11 @@ pub fn run(row: &Row, driver: Driver, threads: usize) -> Outcome {
     // When the input existed and the simulation began; streaming has no
     // such moment, its shards are generated as they are consumed.
     let mut ready = start;
-    let (report, registry) = match driver {
+    let (report, ingest) = match driver {
         Driver::Parallel => {
             let trace = generate();
             ready = Instant::now();
-            Simulator::run_trace(&cfg, &trace, threads)
+            (Simulator::run_trace(&cfg, &trace, threads), None)
         }
         Driver::Streaming => {
             let n_shards = adpf_core::default_shards(pop.num_users);
@@ -515,7 +516,8 @@ pub fn run(row: &Row, driver: Driver, threads: usize) -> Outcome {
                 Some(sp) => sp.generate_shard(i, n_shards),
                 None => pop.generate_shard(i, n_shards),
             };
-            Simulator::run_shards(&cfg, pop.num_users, n_shards, threads, shard)
+            let report = Simulator::run_shards(&cfg, pop.num_users, n_shards, threads, shard);
+            (report, None)
         }
         Driver::Serve => {
             let mut stream = Vec::new();
@@ -527,18 +529,18 @@ pub fn run(row: &Row, driver: Driver, threads: usize) -> Outcome {
             ready = Instant::now();
             let out = adpf_serve::serve(&opts, stream.as_slice())
                 .expect("a generated stream carries its header and reads from memory");
-            (out.report, out.registry)
+            (out.report, Some((out.requests, out.ingest_errors)))
         }
     };
     Outcome {
         wall_s: ready.elapsed().as_secs_f64(),
         gen_wall_s: match driver {
-            Driver::Streaming => registry.time_ns("phase.trace_gen") as f64 / 1e9,
+            Driver::Streaming => report.metrics.time_ns("phase.trace_gen") as f64 / 1e9,
             _ => (ready - start).as_secs_f64(),
         },
         peak_rss_mb: adpf_obs::peak_rss_kb().map_or(0.0, |kb| kb as f64 / 1024.0),
         report,
-        registry,
+        ingest,
     }
 }
 
@@ -553,10 +555,9 @@ pub fn run(row: &Row, driver: Driver, threads: usize) -> Outcome {
 /// What holds of every run: the books balance (every slot is an
 /// impression or unfilled, every sold ad billed or expired, revenue plus
 /// refunds is the sold value to 1e-9 of it); a served stream ingests
-/// without a rejected line and with one request per slot; and every batch
-/// run of a row repeats its first one's deterministic metrics. Serve is
-/// left out of that last one: its `serve.threads` gauge and batch
-/// histograms are host facts.
+/// without a rejected line and with one request per slot; and every run
+/// of a row, served ones included, repeats its first one's deterministic
+/// metrics.
 ///
 /// Under [`Gate::MetricsExport`] the export goes through `metrics_out`
 /// when given and is validated as re-read from disk — the file is what
@@ -569,8 +570,8 @@ pub fn check(
 ) -> usize {
     let mut failed = 0;
     for row in rows {
-        // The row's first batch run and its deterministic metrics.
-        let mut first_batch: Option<(String, Vec<MetricSnapshot>)> = None;
+        // The row's first run and its deterministic metrics.
+        let mut first: Option<(String, Vec<MetricSnapshot>)> = None;
         for &driver in EVERY_DRIVER {
             let listed = row.drivers.contains(&driver);
             if !listed && row.at_scale() {
@@ -586,16 +587,14 @@ pub fn check(
                     continue;
                 }
                 let o = run(row, driver, t);
-                let (notes, mut failures) = judge(row, driver, &o, metrics_out);
-                if driver != Driver::Serve {
-                    let metrics = o.registry.deterministic_snapshot();
-                    match &first_batch {
-                        None => first_batch = Some((at.clone(), metrics)),
-                        Some((first, want)) => failures.extend(
-                            metrics_differ(want, &metrics)
-                                .map(|m| format!("{m} expected as in {first}, got another")),
-                        ),
-                    }
+                let (notes, mut failures) = judge(row, &o, metrics_out);
+                let metrics = o.report.metrics.deterministic_snapshot();
+                match &first {
+                    None => first = Some((at.clone(), metrics)),
+                    Some((first, want)) => failures.extend(
+                        metrics_differ(want, &metrics)
+                            .map(|m| format!("{m} expected as in {first}, got another")),
+                    ),
                 }
                 let verdict = if failures.is_empty() {
                     "ok".to_string()
@@ -614,12 +613,7 @@ pub fn check(
 /// Holds one run to its row's hash and gates, the books and, under
 /// [`Driver::Serve`], the ingest contract. Returns the notes for its
 /// check line and what failed.
-fn judge(
-    row: &Row,
-    driver: Driver,
-    o: &Outcome,
-    metrics_out: Option<&str>,
-) -> (String, Vec<String>) {
+fn judge(row: &Row, o: &Outcome, metrics_out: Option<&str>) -> (String, Vec<String>) {
     let r = &o.report;
     let (hash, want) = (r.stable_hash(), row.hash);
     let mut notes = String::new();
@@ -635,8 +629,7 @@ fn judge(
                 (got > max).then(|| format!("rss_mb expected <= {max}, got {got:.2}"))
             }
             Gate::ScenarioCountersNonZero => {
-                let sc = &r.scenario;
-                let (bytes, samples) = (sc.metered_bytes(), sc.display_latency_ms.count());
+                let (bytes, samples) = (r.metered_bytes(), r.display_latency_ms().count());
                 (bytes == 0 || samples == 0).then(|| {
                     format!(
                         "scenario counters expected non-zero, got {bytes} metered \
@@ -645,7 +638,7 @@ fn judge(
                 })
             }
             Gate::MetricsExport => {
-                let export = to_json_lines(&o.registry, row.name);
+                let export = to_json_lines(&r.metrics, row.name);
                 let export = match metrics_out {
                     Some(path) => std::fs::write(path, &export)
                         .and_then(|()| std::fs::read_to_string(path))
@@ -667,13 +660,12 @@ fn judge(
     // expired — and serve's one request per slot with no rejected line.
     let l = &r.ledger;
     let mut counts = vec![
-        ("slots", r.slots, r.impressions + r.unfilled),
+        ("slots", r.slots(), r.impressions() + r.unfilled()),
         ("sold", l.sold, l.billed + l.expired),
     ];
-    if driver == Driver::Serve {
-        let counter = |name| o.registry.counter_value(name);
-        counts.push(("requests", counter("serve.requests"), r.slots));
-        counts.push(("ingest_errors", counter("serve.ingest_errors"), 0));
+    if let Some((requests, ingest_errors)) = o.ingest {
+        counts.push(("requests", requests, r.slots()));
+        counts.push(("ingest_errors", ingest_errors, 0));
     }
     for (what, got, want) in counts {
         if got != want {
@@ -747,7 +739,7 @@ pub(crate) fn entry_line(label: &str, workload: &str, threads: usize, o: &Outcom
     let (wall_s, gen_wall_s, rss) = (o.wall_s, o.gen_wall_s, o.peak_rss_mb);
     let cpus = std::thread::available_parallelism().map_or(0, |n| n.get());
     let r = &o.report;
-    let events = r.slots + r.syncs + r.syncs_skipped + r.syncs_dropped;
+    let events = r.slots() + r.syncs() + r.syncs_skipped() + r.syncs_dropped();
     let ads = r.ledger.sold;
     let per_sec = |n: u64| n as f64 / wall_s.max(1e-9);
     let (events_rate, ads_rate) = (per_sec(events), per_sec(ads));
@@ -914,7 +906,7 @@ mod tests {
     #[test]
     fn every_driver_gives_the_same_report_and_times_both_phases() {
         let want = run(&SMOKE, Driver::Parallel, 1).report;
-        assert!(want.slots > 0 && want.ledger.sold > 0);
+        assert!(want.slots() > 0 && want.ledger.sold > 0);
         for &driver in EVERY_DRIVER {
             let o = run(&SMOKE, driver, 2);
             assert_eq!(o.report, want, "{driver:?} diverged");
@@ -929,8 +921,8 @@ mod tests {
     fn report_hash_is_sensitive_to_every_field_class() {
         let base = run(&SMOKE, Driver::Parallel, 1).report;
         let h0 = base.stable_hash();
-        let mut counters = base.clone();
-        counters.cache_hits += 1;
+        let counters = base.clone();
+        counters.metrics.add("sim.cache_hits", 1);
         assert_ne!(counters.stable_hash(), h0);
         let mut floats = base.clone();
         // One ULP, not a fixed epsilon: the hash covers exact bit

@@ -104,11 +104,7 @@ enum Source {
 
 /// Runs one config against the source: [`Simulator::run_trace`] for a
 /// materialized trace, [`Simulator::run_shards`] for the streamed ones.
-fn run_source(
-    cfg: &adpf_core::SystemConfig,
-    source: &Source,
-    threads: usize,
-) -> (SimReport, MetricRegistry) {
+fn run_source(cfg: &adpf_core::SystemConfig, source: &Source, threads: usize) -> SimReport {
     match source {
         Source::Trace(t) => Simulator::run_trace(cfg, t, threads),
         Source::Synthetic(p) => {
@@ -271,12 +267,12 @@ fn main() -> ExitCode {
     for &(mode, label) in modes {
         let report = match build_config(&opts, mode) {
             Ok(cfg) => {
-                let (r, reg) = run_source(&cfg, &source, opts.threads);
+                let r = run_source(&cfg, &source, opts.threads);
                 if opts.metrics {
-                    println!("metrics ({label}):\n{}", render_table(&reg));
+                    println!("metrics ({label}):\n{}", render_table(&r.metrics));
                 }
                 if opts.metrics_out.is_some() {
-                    exports.push_str(&to_json_lines(&reg, label));
+                    exports.push_str(&to_json_lines(&r.metrics, label));
                 }
                 r
             }

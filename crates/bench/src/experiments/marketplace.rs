@@ -52,12 +52,12 @@ pub(crate) fn e19_reactive_marketplace(scale: Scale, threads: usize) -> Table {
     for sla in SLA_TARGETS {
         let mut static_cfg = SystemConfig::prefetch_default(1);
         static_cfg.sla_target = sla;
-        let baseline = Simulator::run_trace(&static_cfg, &trace, threads).0;
+        let baseline = Simulator::run_trace(&static_cfg, &trace, threads);
         for (regime, mc) in regimes() {
             let r = if mc.enabled {
                 let mut cfg = static_cfg.clone();
                 cfg.marketplace = mc;
-                Simulator::run_trace(&cfg, &trace, threads).0
+                Simulator::run_trace(&cfg, &trace, threads)
             } else {
                 baseline.clone()
             };

@@ -66,7 +66,7 @@ pub(crate) fn e15_mechanism_ablation(scale: Scale) -> Table {
             pct(pf.cache_hit_rate()),
             pct(pf.revenue_loss_vs(&rt)),
             pct(pf.sla_violation_rate()),
-            pct(pf.ledger.duplicates as f64 / pf.slots.max(1) as f64),
+            pct(pf.ledger.duplicates as f64 / pf.slots().max(1) as f64),
         ]);
     }
     table

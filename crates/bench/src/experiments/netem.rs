@@ -42,7 +42,7 @@ fn policies() -> Vec<(&'static str, RetryPolicy)> {
 pub(crate) fn e16_degraded_network(scale: Scale, threads: usize) -> Table {
     let trace = scale.system_trace(42);
     let ideal_cfg = SystemConfig::prefetch_default(1);
-    let ideal = Simulator::run_trace(&ideal_cfg, &trace, threads).0;
+    let ideal = Simulator::run_trace(&ideal_cfg, &trace, threads);
 
     let mut table = Table::new(
         "E16",
@@ -75,7 +75,7 @@ pub(crate) fn e16_degraded_network(scale: Scale, threads: usize) -> Table {
         for (policy, retry) in policies() {
             let mut cfg = ideal_cfg.clone();
             cfg.netem = netem.clone().with_retry(retry);
-            let r = Simulator::run_trace(&cfg, &trace, threads).0;
+            let r = Simulator::run_trace(&cfg, &trace, threads);
             let energy_delta = if ideal.energy.total_j() > 0.0 {
                 r.energy.total_j() / ideal.energy.total_j() - 1.0
             } else {
@@ -84,9 +84,9 @@ pub(crate) fn e16_degraded_network(scale: Scale, threads: usize) -> Table {
             table.push(vec![
                 scenario.to_string(),
                 policy.to_string(),
-                r.netem.sync_failures.to_string(),
-                r.netem.syncs_abandoned.to_string(),
-                r.netem.ads_rescued.to_string(),
+                r.metrics.counter_value("netem.sync_failures").to_string(),
+                r.metrics.counter_value("netem.syncs_abandoned").to_string(),
+                r.metrics.counter_value("overbooking.rescues").to_string(),
                 pct(r.cache_hit_rate()),
                 pct(r.sla_violation_rate()),
                 pct(r.revenue_loss_vs(&ideal)),

@@ -25,7 +25,8 @@ pub(crate) fn e18_observability_breakdown(scale: Scale, threads: usize) -> Table
 
     let mut cfg = SystemConfig::prefetch_default(1);
     cfg.netem = NetemConfig::flaky_cellular();
-    let (report, reg) = Simulator::run_trace(&cfg, &trace, threads);
+    let report = Simulator::run_trace(&cfg, &trace, threads);
+    let reg = &report.metrics;
     reg.add_time_ns("phase.trace_gen", (gen_ms * 1e6) as u64);
 
     let mut table = Table::new(
@@ -75,12 +76,6 @@ pub(crate) fn e18_observability_breakdown(scale: Scale, threads: usize) -> Table
             f(h.mean(), 0),
         ]);
     }
-    table.push(vec![
-        "sim.slots (report)".into(),
-        "core".into(),
-        "-".into(),
-        report.slots.to_string(),
-    ]);
     table
 }
 
@@ -110,9 +105,5 @@ mod tests {
         };
         assert!(count_of(&a, "sim.event.slot") > 0);
         assert!(count_of(&a, "netem.attempts") > 0);
-        assert_eq!(
-            count_of(&a, "sim.event.slot"),
-            count_of(&a, "sim.slots (report)")
-        );
     }
 }

@@ -75,14 +75,14 @@ pub(crate) fn e14_scaling_threads(scale: Scale, threads: usize) -> Vec<Table> {
         };
         let trace = cfg.generate();
         let t0 = Instant::now();
-        let (report, _) = Simulator::run_trace(&SystemConfig::prefetch_default(1), &trace, threads);
+        let report = Simulator::run_trace(&SystemConfig::prefetch_default(1), &trace, threads);
         let wall = t0.elapsed().as_secs_f64();
         throughput.push(vec![
             users.to_string(),
             threads.to_string(),
-            report.slots.to_string(),
+            report.slots().to_string(),
             f(wall, 2),
-            f(report.slots as f64 / wall.max(1e-9), 0),
+            f(report.slots() as f64 / wall.max(1e-9), 0),
         ]);
     }
 
@@ -103,15 +103,15 @@ pub(crate) fn e14_scaling_threads(scale: Scale, threads: usize) -> Vec<Table> {
     let mut single_thread_wall = None;
     for threads in scale.thread_counts() {
         let t0 = Instant::now();
-        let (report, _) =
+        let report =
             Simulator::run_trace(&SystemConfig::prefetch_default(1), &sweep_trace, threads);
         let wall = t0.elapsed().as_secs_f64();
         let base = *single_thread_wall.get_or_insert(wall);
         thread_sweep.push(vec![
             threads.to_string(),
-            report.slots.to_string(),
+            report.slots().to_string(),
             f(wall, 2),
-            f(report.slots as f64 / wall.max(1e-9), 0),
+            f(report.slots() as f64 / wall.max(1e-9), 0),
             f(base / wall.max(1e-9), 2),
         ]);
     }
@@ -153,12 +153,13 @@ pub(crate) fn e17_thread_scaling(scale: Scale) -> Table {
         let trace = pop.generate_parallel(threads);
         let gen_s = t_gen.elapsed().as_secs_f64();
         let t_sim = Instant::now();
-        let (report, _) = Simulator::run_trace(&cfg, &trace, threads);
+        let report = Simulator::run_trace(&cfg, &trace, threads);
         let wall = t_sim.elapsed().as_secs_f64();
         let hash = report.stable_hash();
         let expect = *base_hash.get_or_insert(hash);
         assert_eq!(hash, expect, "thread count changed the merged report");
-        let events = report.slots + report.syncs + report.syncs_skipped + report.syncs_dropped;
+        let events =
+            report.slots() + report.syncs() + report.syncs_skipped() + report.syncs_dropped();
         let base = *base_wall.get_or_insert(wall);
         table.push(vec![
             threads.to_string(),

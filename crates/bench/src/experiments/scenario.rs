@@ -101,20 +101,21 @@ pub(crate) fn e21_population_mix(scale: Scale, threads: usize) -> Table {
         let trace = pop.generate_parallel(threads);
         for (policy, mut cfg) in policies(1) {
             pop.apply_to(&mut cfg);
-            let r = Simulator::run_trace(&cfg, &trace, threads).0;
-            let sc = &r.scenario;
+            let r = Simulator::run_trace(&cfg, &trace, threads);
+            let count = |name| r.metrics.counter_value(name);
+            let latency = r.display_latency_ms();
             let user_days = (r.users as f64 * r.days as f64).max(1.0);
             table.push(vec![
                 mix_label.clone(),
                 policy.to_string(),
                 f(r.energy_per_impression_j(), 3),
-                f(sc.metered_bytes() as f64 / 1e6, 2),
-                f(sc.metered_bytes() as f64 / 1e6 / user_days, 3),
-                f(sc.prefetch_wasted_bytes as f64 / 1e6, 2),
-                sc.prefetch_wasted_ads.to_string(),
-                sc.cap_blocked_syncs.to_string(),
-                sc.display_latency_p(0.50).to_string(),
-                sc.display_latency_p(0.95).to_string(),
+                f(r.metered_bytes() as f64 / 1e6, 2),
+                f(r.metered_bytes() as f64 / 1e6 / user_days, 3),
+                f(count("scenario.prefetch_wasted_bytes") as f64 / 1e6, 2),
+                count("scenario.prefetch_wasted_ads").to_string(),
+                count("scenario.cap_blocked_syncs").to_string(),
+                latency.quantile_upper_bound(0.50).to_string(),
+                latency.quantile_upper_bound(0.95).to_string(),
             ]);
         }
     }
@@ -179,17 +180,19 @@ pub(crate) fn e22_flash_crowd(scale: Scale, threads: usize) -> Table {
                 cfg.sla_target = sla_target;
                 pop.apply_to(&mut cfg);
                 cfg.scenario.cell = cell.clone();
-                let r = Simulator::run_trace(&cfg, &trace, threads).0;
-                let sc = &r.scenario;
+                let r = Simulator::run_trace(&cfg, &trace, threads);
+                let count = |name| r.metrics.counter_value(name);
                 table.push(vec![
                     f(intensity, 1),
                     cell_label.to_string(),
                     f(sla_target, 2),
-                    sc.cell_dropped_fetches.to_string(),
-                    sc.cell_deferred_fetches.to_string(),
-                    r.unfilled.to_string(),
+                    count("scenario.cell_dropped_fetches").to_string(),
+                    count("scenario.cell_deferred_fetches").to_string(),
+                    r.unfilled().to_string(),
                     pct(r.sla_violation_rate()),
-                    sc.display_latency_p(0.95).to_string(),
+                    r.display_latency_ms()
+                        .quantile_upper_bound(0.95)
+                        .to_string(),
                     f(r.energy_per_impression_j(), 3),
                 ]);
             }

@@ -108,11 +108,11 @@ pub(crate) fn e8_e9_overbooking_sweep(scale: Scale) -> (Table, Table) {
     );
     for target in [0.5, 0.8, 0.9, 0.95, 0.99] {
         let pf = prefetch(&trace, |c| c.sla_target = target);
-        let advance_sold = pf.ledger.sold.saturating_sub(pf.realtime_fetches);
+        let advance_sold = pf.ledger.sold.saturating_sub(pf.realtime_fetches());
         let replicas_per_ad = if advance_sold == 0 {
             0.0
         } else {
-            pf.replicas_assigned as f64 / advance_sold as f64
+            pf.replicas_assigned() as f64 / advance_sold as f64
         };
         sla.push(vec![
             f(target, 2),
@@ -125,7 +125,7 @@ pub(crate) fn e8_e9_overbooking_sweep(scale: Scale) -> (Table, Table) {
             f(target, 2),
             f(replicas_per_ad, 2),
             pf.ledger.duplicates.to_string(),
-            pct(pf.ledger.duplicates as f64 / pf.slots.max(1) as f64),
+            pct(pf.ledger.duplicates as f64 / pf.slots().max(1) as f64),
             pct(pf.revenue_loss_vs(&rt)),
         ]);
     }
@@ -239,11 +239,11 @@ pub(crate) fn e13_planner_ablation(scale: Scale) -> Table {
     ];
     for planner in planners {
         let pf = prefetch(&trace, |c| c.planner = planner);
-        let advance_sold = pf.ledger.sold.saturating_sub(pf.realtime_fetches);
+        let advance_sold = pf.ledger.sold.saturating_sub(pf.realtime_fetches());
         let replicas_per_ad = if advance_sold == 0 {
             0.0
         } else {
-            pf.replicas_assigned as f64 / advance_sold as f64
+            pf.replicas_assigned() as f64 / advance_sold as f64
         };
         table.push(vec![
             planner.label(),

@@ -56,7 +56,8 @@ fn lockstep(name: &str, config: &SystemConfig, pop: &PopulationConfig, hours: u6
     }
     one.drain_internal();
     reference.drain_reference(None);
-    let ((got, got_reg), (want, want_reg)) = (one.finalize(), reference.finalize());
+    let (got, want) = (one.into_report(), reference.into_report());
+    let (got_reg, want_reg) = (&got.metrics, &want.metrics);
     assert_eq!(got.stable_hash(), want.stable_hash(), "{name}");
     assert!(got == want, "{name}: reports differ");
     assert_eq!(

@@ -24,7 +24,7 @@
 //!    scheduled strictly *before* `t` ([`drain_internal_before`]);
 //! 2. handle the slot ([`on_slot`]);
 //! 3. at end of stream, drain all remaining internal events
-//!    ([`drain_internal`]) and [`finalize`].
+//!    ([`drain_internal`]) and [`into_report`].
 //!
 //! Why this is exact: the old simulator seeded *all* slots into the
 //! queue first (sequence numbers `0..S`), so at equal timestamps a slot
@@ -38,7 +38,7 @@
 //! [`drain_internal_before`]: ClientEngine::drain_internal_before
 //! [`on_slot`]: ClientEngine::on_slot
 //! [`drain_internal`]: ClientEngine::drain_internal
-//! [`finalize`]: ClientEngine::finalize
+//! [`into_report`]: ClientEngine::into_report
 
 use adpf_auction::{
     AdId, BidSampler, CampaignCatalog, CampaignId, Exchange, ImpressionOutcome, Ledger, SlotOffer,
@@ -55,7 +55,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::client::{CachedAd, ClientTable};
 use crate::config::{DeliveryMode, SystemConfig};
-use crate::report::{metric_names, NetemCounters, ScenarioCounters, SimReport};
+use crate::report::{metric_names, SimReport};
 use crate::scenario::ScenarioState;
 use crate::sim::ShardContext;
 
@@ -95,8 +95,8 @@ fn advance_cursor(cursor: &mut usize, n: usize) -> usize {
 /// path. Resolving once at construction keeps every increment an array
 /// index plus an integer add. All of these count simulated events, so
 /// they are deterministic and safe to keep always on — which is what
-/// lets `SimReport::netem` be *derived* from the registry while
-/// `--metrics` toggles only export and wall-clock spans.
+/// lets [`SimReport`] read every count from the registry while
+/// `--metrics` toggles only export.
 struct SimIds {
     ev_slot: MetricId,
     ev_sync: MetricId,
@@ -111,14 +111,13 @@ struct SimIds {
     netem_retries_succeeded: MetricId,
     netem_syncs_abandoned: MetricId,
     netem_realtime_failures: MetricId,
-    netem_ads_rescued: MetricId,
     netem_rescues_unplaced: MetricId,
 }
 
 impl SimIds {
     fn resolve(reg: &MetricRegistry) -> Self {
         SimIds {
-            ev_slot: reg.counter("sim.event.slot"),
+            ev_slot: reg.counter(metric_names::SLOTS),
             ev_sync: reg.counter("sim.event.sync"),
             ev_retry: reg.counter("sim.event.retry"),
             ev_sweep: reg.counter("sim.event.expiry_sweep"),
@@ -131,7 +130,6 @@ impl SimIds {
             netem_retries_succeeded: reg.counter(metric_names::NETEM_RETRIES_SUCCEEDED),
             netem_syncs_abandoned: reg.counter(metric_names::NETEM_SYNCS_ABANDONED),
             netem_realtime_failures: reg.counter(metric_names::NETEM_REALTIME_FAILURES),
-            netem_ads_rescued: reg.counter(metric_names::NETEM_ADS_RESCUED),
             netem_rescues_unplaced: reg.counter(metric_names::NETEM_RESCUES_UNPLACED),
         }
     }
@@ -239,7 +237,7 @@ struct SyncPlacement {
 ///
 /// Construction precomputes per-client state; driving it (via
 /// [`ClientEngine::drive`] or the `on_slot`/`drain_*` primitives) and
-/// then [`ClientEngine::finalize`] produces a [`SimReport`]. Runs are
+/// then [`ClientEngine::into_report`] produces a [`SimReport`]. Runs are
 /// deterministic: the same `(config, slot stream)` pair always yields
 /// the same report.
 pub struct ClientEngine {
@@ -259,7 +257,6 @@ pub struct ClientEngine {
     cand_cursor: usize,
     /// Randomness for failure injection (sync dropout).
     fault_rng: StdRng,
-    syncs_dropped: u64,
     /// Per-client network channels; `None` when netem is disabled, in
     /// which case every link query short-circuits to "ideal" without
     /// consuming randomness — the legacy code path, bit for bit.
@@ -272,24 +269,21 @@ pub struct ClientEngine {
     /// The run's metric registry. Always on: every value written during
     /// the run is a count of simulated events, merged shard-order like
     /// the report itself, so observability can never perturb outcomes.
-    /// `SimReport::netem` is derived from it at finalize.
+    /// It becomes the report's `metrics` at finalize.
     obs: MetricRegistry,
     /// Pre-resolved ids into `obs` for the hot-path counters.
     mid: SimIds,
     /// Monotone id of the last candidate-pool build; versions the
     /// `scratch.pool_pos` handles.
     pool_build_id: u64,
-    // Counters.
-    /// External slot events seen; the engine has no slot vector of its
-    /// own, so this is what `SimReport::slots` reports.
-    slots_seen: u64,
+    // Per-slot counts, published into `obs` once at finalize.
     impressions: u64,
     cache_hits: u64,
     realtime_fetches: u64,
     unfilled: u64,
     syncs: u64,
     syncs_skipped: u64,
-    replicas_assigned: u64,
+    syncs_dropped: u64,
 }
 
 impl ClientEngine {
@@ -436,19 +430,17 @@ impl ClientEngine {
             next_internal,
             cand_cursor: 0,
             fault_rng,
-            syncs_dropped: 0,
             net,
             scen,
             obs,
             mid,
-            slots_seen: 0,
             impressions: 0,
             cache_hits: 0,
             realtime_fetches: 0,
             unfilled: 0,
             syncs: 0,
             syncs_skipped: 0,
-            replicas_assigned: 0,
+            syncs_dropped: 0,
         }
     }
 
@@ -471,7 +463,7 @@ impl ClientEngine {
 
     /// Drives the engine over a time-sorted slot stream (what
     /// [`Trace::ad_slots`](adpf_traces::Trace::ad_slots) returns) to
-    /// exhaustion and leaves it ready to [`ClientEngine::finalize`]: the
+    /// exhaustion and leaves it ready to [`ClientEngine::into_report`]: the
     /// driving rule (drain-before, slot, drain-at-end) in one place.
     pub fn drive(&mut self, slots: &[AdSlot]) {
         for s in slots {
@@ -572,7 +564,6 @@ impl ClientEngine {
     /// still meters).
     pub fn on_slot(&mut self, now: SimTime, user: UserId, app: AppId) {
         self.obs.inc(self.mid.ev_slot, 1);
-        self.slots_seen += 1;
         let ci = user.0 as usize;
         let prefetch = self.config.mode == DeliveryMode::Prefetch;
         if prefetch {
@@ -815,7 +806,6 @@ impl ClientEngine {
             };
             self.ledger.record_sale(&sold);
             let holders = self.place_ad(ci, now, deadline, &mut placement);
-            self.replicas_assigned += holders.len() as u64 - 1;
             self.tracker.register(sold.id.0, &holders, deadline);
             // The first holder in placement order is the primary copy; the
             // rest are insurance replicas that display only after the
@@ -1136,8 +1126,6 @@ impl ClientEngine {
             }
             match target {
                 Some(t) if self.tracker.rescue_to(ad, t) => {
-                    self.obs.inc(self.mid.netem_ads_rescued, 1);
-                    self.replicas_assigned += 1;
                     self.clients.queued[t as usize] += 1;
                     self.clients.outbox[t as usize].push(CachedAd {
                         id: AdId(ad),
@@ -1180,18 +1168,25 @@ impl ClientEngine {
         }
     }
 
-    /// Settles all outstanding state and produces the run's report plus
-    /// its metric registry. Call after the external stream ended and
+    /// Settles all outstanding state and produces the run's report, its
+    /// metric registry inside. Call after the external stream ended and
     /// [`ClientEngine::drain_internal`] ran.
-    pub fn finalize(self) -> (SimReport, MetricRegistry) {
-        let (report, obs, _) = self.finalize_reclaim();
-        (report, obs)
+    pub fn into_report(self) -> SimReport {
+        self.finalize_reclaim().0
     }
 
-    /// [`ClientEngine::finalize`], additionally handing back the
+    /// Benchmark shim for [`ClientEngine::into_report`], with a copy of
+    /// the report's metrics beside it; deleted once `benchmark/` rebinds.
+    pub fn finalize(self) -> (SimReport, MetricRegistry) {
+        let report = self.into_report();
+        let metrics = report.metrics.clone();
+        (report, metrics)
+    }
+
+    /// [`ClientEngine::into_report`], additionally handing back the
     /// engine's allocation set for reuse by the next engine on this
     /// thread (see [`EngineScratch`]).
-    pub(crate) fn finalize_reclaim(mut self) -> (SimReport, MetricRegistry, EngineScratch) {
+    pub(crate) fn finalize_reclaim(mut self) -> (SimReport, EngineScratch) {
         // Flush reports that never made it to a final sync (trace ended
         // first); without this, genuinely displayed ads would be
         // misclassified as SLA violations.
@@ -1231,47 +1226,28 @@ impl ClientEngine {
         if let Some(net) = &self.net {
             net.publish(&self.obs);
         }
-        let slots = self.slots_seen;
-        self.obs.add("sim.slots", slots);
-        self.obs.add("sim.impressions", self.impressions);
-        self.obs.add("sim.cache_hits", self.cache_hits);
-        self.obs.add("sim.realtime_fetches", self.realtime_fetches);
-        self.obs.add("sim.unfilled", self.unfilled);
-        self.obs.add("sim.syncs", self.syncs);
-        self.obs.add("sim.syncs_skipped", self.syncs_skipped);
-        self.obs.add("sim.syncs_dropped", self.syncs_dropped);
-        self.obs
-            .add("sim.replicas_assigned", self.replicas_assigned);
+        use metric_names::*;
+        self.obs.add(IMPRESSIONS, self.impressions);
+        self.obs.add(CACHE_HITS, self.cache_hits);
+        self.obs.add(REALTIME_FETCHES, self.realtime_fetches);
+        self.obs.add(UNFILLED, self.unfilled);
+        self.obs.add(SYNCS, self.syncs);
+        self.obs.add(SYNCS_SKIPPED, self.syncs_skipped);
+        self.obs.add(SYNCS_DROPPED, self.syncs_dropped);
         self.obs.gauge_max("sim.users", self.clients.len() as u64);
 
-        // `SimReport::netem` is *derived* from the registry: the counters
-        // are the single source of truth, the report field only preserves
-        // the serialized shape (and hash inputs) of earlier revisions.
-        let netem = NetemCounters::from_metrics(&self.obs);
-        // Same derivation for the scenario layer: an engine that never
-        // registered scenario metrics reads back the all-default value.
-        let scenario = ScenarioCounters::from_metrics(&self.obs);
-
-        let report = SimReport {
+        let mut report = SimReport {
             config: self.config.describe(),
             users: self.clients.len() as u32,
             days: self.days,
-            slots,
-            impressions: self.impressions,
-            cache_hits: self.cache_hits,
-            realtime_fetches: self.realtime_fetches,
-            unfilled: self.unfilled,
             energy,
-            syncs: self.syncs,
-            syncs_skipped: self.syncs_skipped,
-            syncs_dropped: self.syncs_dropped,
-            replicas_assigned: self.replicas_assigned,
-            netem,
-            scenario,
             per_user_energy_j: per_user,
             ledger: self.ledger.totals(),
+            metrics: self.obs,
+            ..SimReport::empty()
         };
-        (report, self.obs, self.scratch)
+        report.fill_shims();
+        (report, self.scratch)
     }
 }
 

@@ -23,7 +23,8 @@
 //!    trades: **energy** (promotion/transfer/tail joules of ad traffic),
 //!    **revenue** (billed impressions minus refunds), and **SLA
 //!    violations** (sold ads that expired undisplayed), plus duplicate
-//!    displays, cache hit rates, and sync costs.
+//!    displays, cache hit rates, and sync costs. Every count in it is
+//!    read from the run's metric registry, which the report carries.
 //!
 //! Batch runs shard the population through one scheduler,
 //! [`Simulator::run_shards`]; [`Simulator::run_trace`] feeds it a
@@ -50,7 +51,7 @@ pub mod sim;
 
 pub use config::{DeliveryMode, PlannerKind, SystemConfig};
 pub use engine::ClientEngine;
-pub use report::{NetemCounters, ScenarioCounters, SimReport};
+pub use report::SimReport;
 pub use scenario::{CellCapacity, CellPolicy, DeviceClass, ScenarioConfig};
 pub use sim::{
     default_shards, merge_shards, shard_configs, ShardContext, Simulator, DEFAULT_SHARDS,

@@ -364,7 +364,8 @@ proptest! {
         k.drain_internal();
         e.drain_internal();
         prop_assert_eq!(k.cand_cursor, e.cand_cursor);
-        let ((kr, kreg), (er, ereg)) = (k.finalize(), e.finalize());
+        let (kr, er) = (k.into_report(), e.into_report());
+        let (kreg, ereg) = (&kr.metrics, &er.metrics);
         prop_assert_eq!(kr.stable_hash(), er.stable_hash());
         prop_assert!(kr == er);
         for name in ["sim.pool.builds", "sim.pool.candidates_scored", "sim.pool.candidates_rescored"] {

@@ -4,17 +4,24 @@ use adpf_auction::LedgerTotals;
 use adpf_energy::EnergyBreakdown;
 use adpf_obs::{Histogram, MetricRegistry};
 
-/// Registry names of the metrics the simulator maintains as the source
-/// of truth for [`NetemCounters`] and [`ScenarioCounters`]. The report
-/// fields are *derived* from these at finalize, never incremented
-/// directly.
+/// Registry names of the counts a [`SimReport`] reads out of its
+/// metrics. The engine counts into these, and nothing else keeps a copy.
 pub(crate) mod metric_names {
+    pub(crate) const SLOTS: &str = "sim.event.slot";
+    pub(crate) const IMPRESSIONS: &str = "sim.impressions";
+    pub(crate) const CACHE_HITS: &str = "sim.cache_hits";
+    pub(crate) const REALTIME_FETCHES: &str = "sim.realtime_fetches";
+    pub(crate) const UNFILLED: &str = "sim.unfilled";
+    pub(crate) const SYNCS: &str = "sim.syncs";
+    pub(crate) const SYNCS_SKIPPED: &str = "sim.syncs_skipped";
+    pub(crate) const SYNCS_DROPPED: &str = "sim.syncs_dropped";
+    pub(crate) const REPLICAS_REGISTERED: &str = "overbooking.replicas_registered";
+    pub(crate) const RESCUES: &str = "overbooking.rescues";
     pub(crate) const NETEM_SYNC_FAILURES: &str = "netem.sync_failures";
     pub(crate) const NETEM_RETRIES_SCHEDULED: &str = "netem.retries_scheduled";
     pub(crate) const NETEM_RETRIES_SUCCEEDED: &str = "netem.retries_succeeded";
     pub(crate) const NETEM_SYNCS_ABANDONED: &str = "netem.syncs_abandoned";
     pub(crate) const NETEM_REALTIME_FAILURES: &str = "netem.realtime_failures";
-    pub(crate) const NETEM_ADS_RESCUED: &str = "netem.ads_rescued";
     pub(crate) const NETEM_RESCUES_UNPLACED: &str = "netem.rescues_unplaced";
     pub(crate) const SCEN_METERED_BYTES_DOWN: &str = "scenario.metered_bytes_down";
     pub(crate) const SCEN_METERED_BYTES_UP: &str = "scenario.metered_bytes_up";
@@ -26,138 +33,107 @@ pub(crate) mod metric_names {
     pub(crate) const SCEN_DISPLAY_LATENCY_MS: &str = "scenario.display_latency_ms";
 }
 
-/// Counters produced by network-condition emulation. All zero when netem
-/// is disabled, so legacy (netem-less) reports compare and hash equal.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NetemCounters {
-    /// Sync round trips that failed on the link (before any retry).
-    pub sync_failures: u64,
-    /// Client-side retries placed on the event queue.
-    pub retries_scheduled: u64,
-    /// Retries whose round trip then succeeded.
-    pub retries_succeeded: u64,
-    /// Sync attempts abandoned after exhausting the retry budget.
-    pub syncs_abandoned: u64,
-    /// Real-time fetches (status quo or fallback) lost to the link; the
-    /// slot goes unfilled — there is no later moment to retry into.
-    pub realtime_failures: u64,
-    /// Ads re-replicated by the deadline-rescue path because every
-    /// holder had gone dark.
-    pub ads_rescued: u64,
-    /// Rescue attempts that found no reachable client syncing before the
-    /// ad's deadline.
-    pub rescues_unplaced: u64,
+use metric_names::*;
+
+/// How one hashed count reads its words out of the registry.
+#[derive(Debug, Clone, Copy)]
+enum Count {
+    /// One counter.
+    Counter(&'static str),
+    /// One fact the registry keeps in two counters, fed as their sum.
+    Sum(&'static str, &'static str),
+    /// A histogram: count, sum, min, max, then every nonzero bucket as
+    /// `(index, samples)`.
+    Histogram(&'static str),
 }
 
-impl NetemCounters {
-    /// Reads the counters back out of a metric registry (the simulator's
-    /// source of truth — see [`metric_names`]). Metrics a run never
-    /// touched read as zero, so a netem-less registry derives the
-    /// default counters and legacy reports keep comparing equal.
-    pub(crate) fn from_metrics(reg: &MetricRegistry) -> Self {
-        NetemCounters {
-            sync_failures: reg.counter_value(metric_names::NETEM_SYNC_FAILURES),
-            retries_scheduled: reg.counter_value(metric_names::NETEM_RETRIES_SCHEDULED),
-            retries_succeeded: reg.counter_value(metric_names::NETEM_RETRIES_SUCCEEDED),
-            syncs_abandoned: reg.counter_value(metric_names::NETEM_SYNCS_ABANDONED),
-            realtime_failures: reg.counter_value(metric_names::NETEM_REALTIME_FAILURES),
-            ads_rescued: reg.counter_value(metric_names::NETEM_ADS_RESCUED),
-            rescues_unplaced: reg.counter_value(metric_names::NETEM_RESCUES_UNPLACED),
-        }
-    }
-
-    /// Adds another run's counters into this one.
-    pub fn absorb(&mut self, other: &NetemCounters) {
-        self.sync_failures += other.sync_failures;
-        self.retries_scheduled += other.retries_scheduled;
-        self.retries_succeeded += other.retries_succeeded;
-        self.syncs_abandoned += other.syncs_abandoned;
-        self.realtime_failures += other.realtime_failures;
-        self.ads_rescued += other.ads_rescued;
-        self.rescues_unplaced += other.rescues_unplaced;
-    }
+/// A run of hashed counts, fed to [`SimReport::stable_hash`] at one place
+/// in its byte stream.
+struct Group {
+    /// Fed only when one of its words is nonzero, so that runs without
+    /// the layer keep the byte stream, and the pinned hashes, they had
+    /// before the layer existed.
+    gated: bool,
+    counts: &'static [Count],
 }
 
-/// User-cost counters produced by the scenario layer: bytes over metered
-/// networks, prefetch traffic that never turned into a display, data-cap
-/// and cell-capacity interventions, and the ad-display-latency
-/// distribution. All default (zero) when the scenario layer is disabled,
-/// so legacy reports compare and hash equal.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Slot outcomes, fed after `users` and `days`.
+const OUTCOMES: Group = Group {
+    gated: false,
+    counts: &[
+        Count::Counter(SLOTS),
+        Count::Counter(IMPRESSIONS),
+        Count::Counter(CACHE_HITS),
+        Count::Counter(REALTIME_FETCHES),
+        Count::Counter(UNFILLED),
+    ],
+};
+
+/// Syncs and replicas, fed after the energy terms; the replicas an ad
+/// got at sale plus those a rescue added.
+const SYNCS_GROUP: Group = Group {
+    gated: false,
+    counts: &[
+        Count::Counter(SYNCS),
+        Count::Counter(SYNCS_SKIPPED),
+        Count::Counter(SYNCS_DROPPED),
+        Count::Sum(REPLICAS_REGISTERED, RESCUES),
+    ],
+};
+
+/// Network emulation; all zero when netem is disabled. A rescue happens
+/// only under netem, so `overbooking.rescues` counts its rescued ads.
+const NETEM: Group = Group {
+    gated: true,
+    counts: &[
+        Count::Counter(NETEM_SYNC_FAILURES),
+        Count::Counter(NETEM_RETRIES_SCHEDULED),
+        Count::Counter(NETEM_RETRIES_SUCCEEDED),
+        Count::Counter(NETEM_SYNCS_ABANDONED),
+        Count::Counter(NETEM_REALTIME_FAILURES),
+        Count::Counter(RESCUES),
+        Count::Counter(NETEM_RESCUES_UNPLACED),
+    ],
+};
+
+/// The scenario layer's user-side costs; all zero when it is disabled.
+const SCENARIO: Group = Group {
+    gated: true,
+    counts: &[
+        Count::Counter(SCEN_METERED_BYTES_DOWN),
+        Count::Counter(SCEN_METERED_BYTES_UP),
+        Count::Counter(SCEN_WASTED_BYTES),
+        Count::Counter(SCEN_WASTED_ADS),
+        Count::Counter(SCEN_CAP_BLOCKED_SYNCS),
+        Count::Counter(SCEN_CELL_DROPPED),
+        Count::Counter(SCEN_CELL_DEFERRED),
+        Count::Histogram(SCEN_DISPLAY_LATENCY_MS),
+    ],
+};
+
+/// Every count [`SimReport::stable_hash`] and `==` read, in hash byte
+/// order. A metric that is not here moves neither.
+const HASHED: [&Group; 4] = [&OUTCOMES, &SYNCS_GROUP, &NETEM, &SCENARIO];
+
+/// Benchmark shim for the scenario counts, filled from
+/// [`SimReport::metrics`]; deleted once `benchmark/` rebinds.
+#[derive(Debug, Clone, Default)]
 pub struct ScenarioCounters {
-    /// Downlink bytes moved over metered links (ad payloads, sync
-    /// overhead, realtime fetches — everything the plan bills for).
     pub metered_bytes_down: u64,
-    /// Uplink bytes moved over metered links.
     pub metered_bytes_up: u64,
-    /// Downlink bytes spent prefetching ads that expired undisplayed
-    /// (one `ad_bytes_down` per wasted ad — a lower bound; replicas of
-    /// the same ad add more).
-    pub prefetch_wasted_bytes: u64,
-    /// Prefetched ads that expired without a single display.
-    pub prefetch_wasted_ads: u64,
-    /// Prefetch syncs blocked because the user's data-plan budget for
-    /// the current period was exhausted.
     pub cap_blocked_syncs: u64,
-    /// Realtime fetches rejected by a saturated cell region (the slot
-    /// went unfilled).
-    pub cell_dropped_fetches: u64,
-    /// Realtime fetches queued behind a saturated cell region (charged
-    /// the configured queueing delay).
-    pub cell_deferred_fetches: u64,
-    /// Ad display latency in milliseconds, one sample per displayed ad:
-    /// zero for cache hits, fetch transfer time (plus link latency and
-    /// any cell queueing delay) for realtime paths.
-    pub display_latency_ms: Histogram,
 }
 
 impl ScenarioCounters {
-    /// Reads the counters back out of a metric registry (the engine's
-    /// source of truth — see [`metric_names`]). Metrics a run never
-    /// touched read as zero/empty, so a scenario-less registry derives
-    /// the default counters and legacy reports keep comparing equal.
-    pub(crate) fn from_metrics(reg: &MetricRegistry) -> Self {
-        ScenarioCounters {
-            metered_bytes_down: reg.counter_value(metric_names::SCEN_METERED_BYTES_DOWN),
-            metered_bytes_up: reg.counter_value(metric_names::SCEN_METERED_BYTES_UP),
-            prefetch_wasted_bytes: reg.counter_value(metric_names::SCEN_WASTED_BYTES),
-            prefetch_wasted_ads: reg.counter_value(metric_names::SCEN_WASTED_ADS),
-            cap_blocked_syncs: reg.counter_value(metric_names::SCEN_CAP_BLOCKED_SYNCS),
-            cell_dropped_fetches: reg.counter_value(metric_names::SCEN_CELL_DROPPED),
-            cell_deferred_fetches: reg.counter_value(metric_names::SCEN_CELL_DEFERRED),
-            display_latency_ms: reg
-                .histogram_snapshot(metric_names::SCEN_DISPLAY_LATENCY_MS)
-                .unwrap_or_default(),
-        }
-    }
-
-    /// Adds another run's counters into this one (histogram merges
-    /// bucket-wise, so shard-order merging is order-independent here).
-    pub fn absorb(&mut self, other: &ScenarioCounters) {
-        self.metered_bytes_down += other.metered_bytes_down;
-        self.metered_bytes_up += other.metered_bytes_up;
-        self.prefetch_wasted_bytes += other.prefetch_wasted_bytes;
-        self.prefetch_wasted_ads += other.prefetch_wasted_ads;
-        self.cap_blocked_syncs += other.cap_blocked_syncs;
-        self.cell_dropped_fetches += other.cell_dropped_fetches;
-        self.cell_deferred_fetches += other.cell_deferred_fetches;
-        self.display_latency_ms.merge(&other.display_latency_ms);
-    }
-
-    /// Total bytes over metered links.
+    /// Benchmark shim; deleted once `benchmark/` rebinds.
     pub fn metered_bytes(&self) -> u64 {
         self.metered_bytes_down + self.metered_bytes_up
     }
-
-    /// Upper bound on the display-latency quantile `q` in milliseconds;
-    /// `0` with no samples.
-    pub fn display_latency_p(&self, q: f64) -> u64 {
-        self.display_latency_ms.quantile_upper_bound(q)
-    }
 }
 
-/// Everything one simulation run measures.
-#[derive(Debug, Clone, PartialEq)]
+/// Everything one simulation run measures: what a counter registry
+/// cannot hold exactly, plus the registry that holds every count.
+#[derive(Debug, Clone, Default)]
 pub struct SimReport {
     /// Configuration summary (from `SystemConfig::describe`).
     pub config: String,
@@ -165,96 +141,84 @@ pub struct SimReport {
     pub users: u32,
     /// Trace length in days.
     pub days: u32,
-    /// Total ad slots that occurred.
-    pub slots: u64,
-    /// Slots filled with a paid ad (cache hit or real-time fetch).
-    pub impressions: u64,
-    /// Slots served from the prefetch cache.
-    pub cache_hits: u64,
-    /// Slots served by a real-time fallback fetch.
-    pub realtime_fetches: u64,
-    /// Slots left unfilled (auction produced no buyer).
-    pub unfilled: u64,
     /// Aggregate ad-related radio energy across all clients.
     pub energy: EnergyBreakdown,
-    /// Syncs that actually woke the radio.
-    pub syncs: u64,
-    /// Syncs skipped because there was nothing to move.
-    pub syncs_skipped: u64,
-    /// Periodic syncs lost to injected faults (device unreachable).
-    pub syncs_dropped: u64,
-    /// Insurance replicas assigned across all sold ads (holders beyond
-    /// the primary).
-    pub replicas_assigned: u64,
-    /// Network-emulation counters; all zero when netem is disabled.
-    pub netem: NetemCounters,
-    /// Scenario-layer user-cost counters; all default when the scenario
-    /// layer is disabled.
-    pub scenario: ScenarioCounters,
     /// Per-user total ad radio energy in joules, indexed by user id — the
     /// raw series behind the paper's per-user savings CDF.
     pub per_user_energy_j: Vec<f64>,
     /// Exchange/billing totals.
     pub ledger: LedgerTotals,
+    /// The run's metrics, its shards' merged in shard order: every count
+    /// the accessors read, plus spectators (`phase.*` timers, `proc.*`
+    /// host facts, layer counters) that take no part in the hash or `==`.
+    pub metrics: MetricRegistry,
+    /// Benchmark shim, filled from `metrics`; deleted once `benchmark/` rebinds.
+    pub slots: u64,
+    /// Benchmark shim, filled from `metrics`; deleted once `benchmark/` rebinds.
+    pub syncs: u64,
+    /// Benchmark shim, filled from `metrics`; deleted once `benchmark/` rebinds.
+    pub syncs_skipped: u64,
+    /// Benchmark shim, filled from `metrics`; deleted once `benchmark/` rebinds.
+    pub scenario: ScenarioCounters,
+}
+
+/// Stored fields and every hashed count. Nothing else in `metrics` takes
+/// part, so timers, host facts and counters outside [`HASHED`] never
+/// make two reports differ.
+impl PartialEq for SimReport {
+    fn eq(&self, other: &Self) -> bool {
+        self.config == other.config
+            && self.users == other.users
+            && self.days == other.days
+            && self.energy == other.energy
+            && self.per_user_energy_j == other.per_user_energy_j
+            && self.ledger == other.ledger
+            && HASHED.iter().all(|g| self.fed(g) == other.fed(g))
+    }
 }
 
 impl SimReport {
     /// The identity element of [`SimReport::merge`]: a report of zero
     /// users over zero slots, with every counter at zero.
     pub fn empty() -> Self {
-        SimReport {
-            config: String::new(),
-            users: 0,
-            days: 0,
-            slots: 0,
-            impressions: 0,
-            cache_hits: 0,
-            realtime_fetches: 0,
-            unfilled: 0,
-            energy: EnergyBreakdown::default(),
-            syncs: 0,
-            syncs_skipped: 0,
-            syncs_dropped: 0,
-            replicas_assigned: 0,
-            netem: NetemCounters::default(),
-            scenario: ScenarioCounters::default(),
-            per_user_energy_j: Vec::new(),
-            ledger: LedgerTotals::default(),
-        }
+        Self::default()
     }
 
     /// Accumulates another (disjoint) run's results into this report.
     ///
-    /// This is the reduction step of sharded simulation: every additive
-    /// field — users, slots, impressions, sync counters, energy terms,
-    /// ledger totals — sums exactly, `days` takes the maximum (shards
-    /// share one horizon), and `per_user_energy_j` concatenates, so
-    /// merging shards in shard order rebuilds the original user indexing
-    /// (shards hold contiguous user ranges). Merging in a fixed order
-    /// also fixes the floating-point summation order, which keeps merged
-    /// reports deterministic. An empty `config` adopts the other's, so
-    /// [`SimReport::empty`] is a true identity.
+    /// This is the reduction step of sharded simulation: the registries
+    /// merge (counters sum exactly), energy terms and ledger totals sum,
+    /// `days` takes the maximum (shards share one horizon), and
+    /// `per_user_energy_j` concatenates, so merging shards in shard order
+    /// rebuilds the original user indexing (shards hold contiguous user
+    /// ranges). Merging in a fixed order also fixes the floating-point
+    /// summation order, which keeps merged reports deterministic. An
+    /// empty `config` adopts the other's, so [`SimReport::empty`] is a
+    /// true identity.
     pub fn merge(&mut self, other: &SimReport) {
         if self.config.is_empty() {
             self.config = other.config.clone();
         }
         self.users += other.users;
         self.days = self.days.max(other.days);
-        self.slots += other.slots;
-        self.impressions += other.impressions;
-        self.cache_hits += other.cache_hits;
-        self.realtime_fetches += other.realtime_fetches;
-        self.unfilled += other.unfilled;
         self.energy.absorb(&other.energy);
-        self.syncs += other.syncs;
-        self.syncs_skipped += other.syncs_skipped;
-        self.syncs_dropped += other.syncs_dropped;
-        self.replicas_assigned += other.replicas_assigned;
-        self.netem.absorb(&other.netem);
-        self.scenario.absorb(&other.scenario);
         self.per_user_energy_j
             .extend_from_slice(&other.per_user_energy_j);
         self.ledger.merge(&other.ledger);
+        self.metrics.merge(&other.metrics);
+        self.fill_shims();
+    }
+
+    /// Re-reads the benchmark shim fields from `metrics`.
+    pub(crate) fn fill_shims(&mut self) {
+        self.slots = self.slots();
+        self.syncs = self.syncs();
+        self.syncs_skipped = self.syncs_skipped();
+        self.scenario = ScenarioCounters {
+            metered_bytes_down: self.count(SCEN_METERED_BYTES_DOWN),
+            metered_bytes_up: self.count(SCEN_METERED_BYTES_UP),
+            cap_blocked_syncs: self.count(SCEN_CAP_BLOCKED_SYNCS),
+        };
     }
 
     /// Pre-sizes the per-user accumulator for a merge over `users` total
@@ -264,22 +228,106 @@ impl SimReport {
         self.per_user_energy_j.reserve_exact(users);
     }
 
+    fn count(&self, name: &str) -> u64 {
+        self.metrics.counter_value(name)
+    }
+
+    /// Total ad slots that occurred.
+    pub fn slots(&self) -> u64 {
+        self.count(SLOTS)
+    }
+
+    /// Slots filled with a paid ad (cache hit or real-time fetch).
+    pub fn impressions(&self) -> u64 {
+        self.count(IMPRESSIONS)
+    }
+
+    /// Slots served from the prefetch cache.
+    pub fn cache_hits(&self) -> u64 {
+        self.count(CACHE_HITS)
+    }
+
+    /// Slots served by a real-time fallback fetch.
+    pub fn realtime_fetches(&self) -> u64 {
+        self.count(REALTIME_FETCHES)
+    }
+
+    /// Slots left unfilled (no buyer, no cached ad, or the fetch failed).
+    pub fn unfilled(&self) -> u64 {
+        self.count(UNFILLED)
+    }
+
+    /// Syncs that actually woke the radio.
+    pub fn syncs(&self) -> u64 {
+        self.count(SYNCS)
+    }
+
+    /// Syncs skipped because there was nothing to move.
+    pub fn syncs_skipped(&self) -> u64 {
+        self.count(SYNCS_SKIPPED)
+    }
+
+    /// Periodic syncs lost to injected faults (device unreachable).
+    pub fn syncs_dropped(&self) -> u64 {
+        self.count(SYNCS_DROPPED)
+    }
+
+    /// Insurance replicas assigned across all sold ads (holders beyond
+    /// the primary), deadline rescues included.
+    pub fn replicas_assigned(&self) -> u64 {
+        self.count(REPLICAS_REGISTERED) + self.count(RESCUES)
+    }
+
+    /// Bytes moved over metered links, both directions.
+    pub fn metered_bytes(&self) -> u64 {
+        self.count(SCEN_METERED_BYTES_DOWN) + self.count(SCEN_METERED_BYTES_UP)
+    }
+
+    /// Ad display latency in milliseconds, one sample per displayed ad
+    /// (scenario layer only; empty without it).
+    pub fn display_latency_ms(&self) -> Histogram {
+        self.metrics
+            .histogram_snapshot(SCEN_DISPLAY_LATENCY_MS)
+            .unwrap_or_default()
+    }
+
+    /// The words `group` feeds the hash, in order: none for a gated group
+    /// whose layer left no trace in this run.
+    fn fed(&self, group: &Group) -> Vec<u64> {
+        let mut words = Vec::new();
+        for &count in group.counts {
+            match count {
+                Count::Counter(name) => words.push(self.count(name)),
+                Count::Sum(a, b) => words.push(self.count(a) + self.count(b)),
+                Count::Histogram(name) => {
+                    let h = self.metrics.histogram_snapshot(name).unwrap_or_default();
+                    words.extend([h.count(), h.sum(), h.min(), h.max()]);
+                    for (i, n) in h.nonzero_buckets() {
+                        words.extend([i as u64, n]);
+                    }
+                }
+            }
+        }
+        if group.gated && words.iter().all(|&w| w == 0) {
+            words.clear();
+        }
+        words
+    }
+
     /// Ad energy per displayed impression, in joules; `0.0` with no
     /// impressions.
     pub fn energy_per_impression_j(&self) -> f64 {
-        if self.impressions == 0 {
-            0.0
-        } else {
-            self.energy.total_j() / self.impressions as f64
+        match self.impressions() {
+            0 => 0.0,
+            n => self.energy.total_j() / n as f64,
         }
     }
 
     /// Fraction of slots served from the cache.
     pub fn cache_hit_rate(&self) -> f64 {
-        if self.slots == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / self.slots as f64
+        match self.slots() {
+            0 => 0.0,
+            n => self.cache_hits() as f64 / n as f64,
         }
     }
 
@@ -295,7 +343,7 @@ impl SimReport {
         if user_days == 0.0 {
             0.0
         } else {
-            self.syncs as f64 / user_days
+            self.syncs() as f64 / user_days
         }
     }
 
@@ -346,18 +394,18 @@ impl SimReport {
             self.config,
             self.users,
             self.days,
-            self.slots,
-            self.impressions,
+            self.slots(),
+            self.impressions(),
             self.cache_hit_rate() * 100.0,
-            self.realtime_fetches,
-            self.unfilled,
+            self.realtime_fetches(),
+            self.unfilled(),
             self.energy.total_j(),
             self.energy.promotion_j,
             self.energy.transfer_j,
             self.energy.tail_j,
             self.energy_per_impression_j(),
-            self.syncs,
-            self.syncs_skipped,
+            self.syncs(),
+            self.syncs_skipped(),
             self.revenue(),
             self.ledger.sold,
             self.ledger.billed,
@@ -365,40 +413,40 @@ impl SimReport {
             self.sla_violation_rate() * 100.0,
             self.ledger.duplicates,
         );
-        if self.netem != NetemCounters::default() {
-            let n = &self.netem;
+        if !self.fed(&NETEM).is_empty() {
             s.push_str(&format!(
                 "\n  netem: sync failures={} retries={}/{} abandoned={} rt failures={} rescued={} (+{} unplaced)",
-                n.sync_failures,
-                n.retries_succeeded,
-                n.retries_scheduled,
-                n.syncs_abandoned,
-                n.realtime_failures,
-                n.ads_rescued,
-                n.rescues_unplaced,
+                self.count(NETEM_SYNC_FAILURES),
+                self.count(NETEM_RETRIES_SUCCEEDED),
+                self.count(NETEM_RETRIES_SCHEDULED),
+                self.count(NETEM_SYNCS_ABANDONED),
+                self.count(NETEM_REALTIME_FAILURES),
+                self.count(RESCUES),
+                self.count(NETEM_RESCUES_UNPLACED),
             ));
         }
-        if self.scenario != ScenarioCounters::default() {
-            let sc = &self.scenario;
+        if !self.fed(&SCENARIO).is_empty() {
+            let lat = self.display_latency_ms();
             s.push_str(&format!(
                 "\n  scenario: metered={:.2} MB (down {:.2} / up {:.2}) wasted={:.2} MB ({} ads) cap-blocked={} cell drop/defer={}/{} display-lat p50/p95/p99={}/{}/{} ms",
-                sc.metered_bytes() as f64 / 1e6,
-                sc.metered_bytes_down as f64 / 1e6,
-                sc.metered_bytes_up as f64 / 1e6,
-                sc.prefetch_wasted_bytes as f64 / 1e6,
-                sc.prefetch_wasted_ads,
-                sc.cap_blocked_syncs,
-                sc.cell_dropped_fetches,
-                sc.cell_deferred_fetches,
-                sc.display_latency_p(0.50),
-                sc.display_latency_p(0.95),
-                sc.display_latency_p(0.99),
+                self.metered_bytes() as f64 / 1e6,
+                self.count(SCEN_METERED_BYTES_DOWN) as f64 / 1e6,
+                self.count(SCEN_METERED_BYTES_UP) as f64 / 1e6,
+                self.count(SCEN_WASTED_BYTES) as f64 / 1e6,
+                self.count(SCEN_WASTED_ADS),
+                self.count(SCEN_CAP_BLOCKED_SYNCS),
+                self.count(SCEN_CELL_DROPPED),
+                self.count(SCEN_CELL_DEFERRED),
+                lat.quantile_upper_bound(0.50),
+                lat.quantile_upper_bound(0.95),
+                lat.quantile_upper_bound(0.99),
             ));
         }
         s
     }
 
-    /// FNV-1a over a canonical byte serialization of every report field.
+    /// FNV-1a over a canonical byte serialization of the stored fields
+    /// and the counts in [`HASHED`].
     ///
     /// Any change to any simulated outcome — a counter, a float bit, a
     /// per-user energy entry — changes this hash, which is what makes it
@@ -411,11 +459,10 @@ impl SimReport {
         h.write(self.config.as_bytes());
         h.write_u64(self.users as u64);
         h.write_u64(self.days as u64);
-        h.write_u64(self.slots);
-        h.write_u64(self.impressions);
-        h.write_u64(self.cache_hits);
-        h.write_u64(self.realtime_fetches);
-        h.write_u64(self.unfilled);
+        let [outcomes, after_energy @ ..] = HASHED;
+        for w in self.fed(outcomes) {
+            h.write_u64(w);
+        }
         h.write_f64(self.energy.promotion_j);
         h.write_f64(self.energy.transfer_j);
         h.write_f64(self.energy.tail_j);
@@ -424,42 +471,8 @@ impl SimReport {
         h.write_u64(self.energy.bytes_down);
         h.write_u64(self.energy.bytes_up);
         h.write_u64(self.energy.active_time.as_millis());
-        h.write_u64(self.syncs);
-        h.write_u64(self.syncs_skipped);
-        h.write_u64(self.syncs_dropped);
-        h.write_u64(self.replicas_assigned);
-        // Netem counters fold in only when any is nonzero: netem-off runs
-        // keep the exact pre-netem byte stream, so recorded golden hashes
-        // (e.g. the ci.sh smoke golden) stay valid.
-        if self.netem != NetemCounters::default() {
-            h.write_u64(self.netem.sync_failures);
-            h.write_u64(self.netem.retries_scheduled);
-            h.write_u64(self.netem.retries_succeeded);
-            h.write_u64(self.netem.syncs_abandoned);
-            h.write_u64(self.netem.realtime_failures);
-            h.write_u64(self.netem.ads_rescued);
-            h.write_u64(self.netem.rescues_unplaced);
-        }
-        // Scenario counters gate the same way: scenario-off runs keep the
-        // exact pre-scenario byte stream and the smoke golden survives.
-        if self.scenario != ScenarioCounters::default() {
-            let sc = &self.scenario;
-            h.write_u64(sc.metered_bytes_down);
-            h.write_u64(sc.metered_bytes_up);
-            h.write_u64(sc.prefetch_wasted_bytes);
-            h.write_u64(sc.prefetch_wasted_ads);
-            h.write_u64(sc.cap_blocked_syncs);
-            h.write_u64(sc.cell_dropped_fetches);
-            h.write_u64(sc.cell_deferred_fetches);
-            let hist = &sc.display_latency_ms;
-            h.write_u64(hist.count());
-            h.write_u64(hist.sum());
-            h.write_u64(hist.min());
-            h.write_u64(hist.max());
-            for (i, n) in hist.nonzero_buckets() {
-                h.write_u64(i as u64);
-                h.write_u64(n);
-            }
+        for w in after_energy.iter().flat_map(|g| self.fed(g)) {
+            h.write_u64(w);
         }
         h.write_u64(self.per_user_energy_j.len() as u64);
         for &e in &self.per_user_energy_j {
@@ -510,31 +523,25 @@ mod tests {
     use super::*;
 
     fn report(energy_j: f64, revenue: f64, impressions: u64) -> SimReport {
-        SimReport {
+        let r = SimReport {
             config: "test".into(),
             users: 1,
             days: 1,
-            slots: impressions,
-            impressions,
-            cache_hits: 0,
-            realtime_fetches: impressions,
-            unfilled: 0,
             energy: EnergyBreakdown {
                 transfer_j: energy_j,
                 ..EnergyBreakdown::default()
             },
-            syncs: 0,
-            syncs_skipped: 0,
-            syncs_dropped: 0,
-            replicas_assigned: 0,
-            netem: NetemCounters::default(),
-            scenario: ScenarioCounters::default(),
             per_user_energy_j: vec![energy_j],
             ledger: LedgerTotals {
                 revenue,
                 ..LedgerTotals::default()
             },
+            ..SimReport::empty()
+        };
+        for name in [SLOTS, IMPRESSIONS, REALTIME_FETCHES] {
+            r.metrics.add(name, impressions);
         }
+        r
     }
 
     #[test]
@@ -574,29 +581,29 @@ mod tests {
         let mut r = report(10.0, 1.0, 8);
         r.users = 4;
         r.days = 2;
-        r.syncs = 24;
+        r.metrics.add(SYNCS, 24);
         assert!((r.syncs_per_user_day() - 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn merge_sums_counters_and_concatenates_users() {
         let mut a = report(100.0, 10.0, 50);
-        a.cache_hits = 30;
-        a.syncs = 7;
+        a.metrics.add(CACHE_HITS, 30);
+        a.metrics.add(SYNCS, 7);
         a.ledger.sold = 40;
         let mut b = report(40.0, 4.0, 20);
-        b.cache_hits = 10;
-        b.syncs = 3;
+        b.metrics.add(CACHE_HITS, 10);
+        b.metrics.add(SYNCS, 3);
         b.ledger.sold = 15;
         b.days = 3;
         let mut merged = a.clone();
         merged.merge(&b);
         assert_eq!(merged.users, 2);
         assert_eq!(merged.days, 3, "days take the max, not the sum");
-        assert_eq!(merged.slots, 70);
-        assert_eq!(merged.impressions, 70);
-        assert_eq!(merged.cache_hits, 40);
-        assert_eq!(merged.syncs, 10);
+        assert_eq!(merged.slots(), 70);
+        assert_eq!(merged.impressions(), 70);
+        assert_eq!(merged.cache_hits(), 40);
+        assert_eq!(merged.syncs(), 10);
         assert_eq!(merged.ledger.sold, 55);
         assert!((merged.energy.total_j() - 140.0).abs() < 1e-9);
         assert_eq!(merged.per_user_energy_j, vec![100.0, 40.0]);
@@ -611,102 +618,85 @@ mod tests {
             !a.summary().contains("netem"),
             "all-zero netem stays out of the summary"
         );
-        a.netem.sync_failures = 3;
-        a.netem.retries_scheduled = 2;
-        let mut b = report(1.0, 1.0, 1);
-        b.netem.sync_failures = 4;
-        b.netem.ads_rescued = 1;
+        a.metrics.add(NETEM_SYNC_FAILURES, 3);
+        a.metrics.add(NETEM_RETRIES_SCHEDULED, 2);
+        let b = report(1.0, 1.0, 1);
+        b.metrics.add(NETEM_SYNC_FAILURES, 4);
+        b.metrics.add(RESCUES, 1);
         a.merge(&b);
-        assert_eq!(a.netem.sync_failures, 7);
-        assert_eq!(a.netem.retries_scheduled, 2);
-        assert_eq!(a.netem.ads_rescued, 1);
+        assert_eq!(a.metrics.counter_value(NETEM_SYNC_FAILURES), 7);
+        assert_eq!(a.metrics.counter_value(NETEM_RETRIES_SCHEDULED), 2);
+        assert_eq!(a.replicas_assigned(), 1, "a rescue adds a replica");
         assert!(a.summary().contains("netem"));
+        assert!(a.summary().contains("rescued=1"));
+    }
+
+    /// Two shard reports whose registries hold `group`'s counters, and
+    /// the registry merge of the two registries on their own.
+    fn shards_over(group: &Group) -> (SimReport, SimReport, MetricRegistry) {
+        let (a, b) = (report(1.0, 1.0, 1), report(2.0, 1.0, 2));
+        for (k, &count) in group.counts.iter().enumerate() {
+            let k = k as u64;
+            match count {
+                Count::Counter(name) => {
+                    a.metrics.add(name, 3 * k + 1);
+                    b.metrics.add(name, k % 2);
+                }
+                Count::Sum(x, y) => {
+                    a.metrics.add(x, k);
+                    b.metrics.add(y, k);
+                }
+                Count::Histogram(name) => {
+                    for s in [0, 120, 450] {
+                        a.metrics.observe(name, s);
+                    }
+                    for s in [0, 0, 900] {
+                        b.metrics.observe(name, s);
+                    }
+                }
+            }
+        }
+        let mut merged = a.metrics.clone();
+        merged.merge(&b.metrics);
+        (a, b, merged)
     }
 
     #[test]
-    fn netem_absorb_equals_registry_merge() {
-        // The registry is the source of truth for NetemCounters; folding
-        // per-shard registries and then deriving must equal deriving
-        // per shard and absorbing — the equivalence the hash-stable
-        // SimReport field rests on.
-
-        let fill = |values: [u64; 7]| {
-            let reg = MetricRegistry::new();
-            let names = [
-                metric_names::NETEM_SYNC_FAILURES,
-                metric_names::NETEM_RETRIES_SCHEDULED,
-                metric_names::NETEM_RETRIES_SUCCEEDED,
-                metric_names::NETEM_SYNCS_ABANDONED,
-                metric_names::NETEM_REALTIME_FAILURES,
-                metric_names::NETEM_ADS_RESCUED,
-                metric_names::NETEM_RESCUES_UNPLACED,
-            ];
-            for (name, v) in names.iter().zip(values) {
-                reg.add(name, v);
-            }
-            reg
-        };
-        let shard_a = fill([3, 2, 1, 0, 5, 1, 0]);
-        let shard_b = fill([4, 0, 0, 2, 1, 0, 3]);
-
-        let mut absorbed = NetemCounters::from_metrics(&shard_a);
-        absorbed.absorb(&NetemCounters::from_metrics(&shard_b));
-
-        let mut merged = MetricRegistry::new();
-        merged.merge(&shard_a);
-        merged.merge(&shard_b);
-        assert_eq!(absorbed, NetemCounters::from_metrics(&merged));
-
-        // An untouched registry derives the all-zero default.
-        assert_eq!(
-            NetemCounters::from_metrics(&MetricRegistry::new()),
-            NetemCounters::default()
-        );
+    fn netem_counts_merge_through_the_registry() {
+        // The report merge is the registry merge: merged counts read the
+        // same through the report as through a registry merged on its
+        // own, and a run that never touched netem feeds no netem words.
+        let (mut a, b, merged) = shards_over(&NETEM);
+        a.merge(&b);
+        for &count in NETEM.counts {
+            let Count::Counter(name) = count else {
+                unreachable!("netem counts are counters")
+            };
+            assert_eq!(a.metrics.counter_value(name), merged.counter_value(name));
+        }
+        assert!(!a.fed(&NETEM).is_empty());
+        assert!(SimReport::empty().fed(&NETEM).is_empty());
     }
 
     #[test]
-    fn scenario_absorb_equals_registry_merge() {
-        // Same equivalence as netem: per-shard derive + absorb must equal
-        // registry-merge + derive, counters and histogram alike.
-
-        let fill = |counters: [u64; 7], lat_samples: &[u64]| {
-            let reg = MetricRegistry::new();
-            let names = [
-                metric_names::SCEN_METERED_BYTES_DOWN,
-                metric_names::SCEN_METERED_BYTES_UP,
-                metric_names::SCEN_WASTED_BYTES,
-                metric_names::SCEN_WASTED_ADS,
-                metric_names::SCEN_CAP_BLOCKED_SYNCS,
-                metric_names::SCEN_CELL_DROPPED,
-                metric_names::SCEN_CELL_DEFERRED,
-            ];
-            for (name, v) in names.iter().zip(counters) {
-                reg.add(name, v);
-            }
-            for &s in lat_samples {
-                reg.observe(metric_names::SCEN_DISPLAY_LATENCY_MS, s);
-            }
-            reg
-        };
-        let shard_a = fill([4096, 512, 8192, 2, 1, 0, 3], &[0, 120, 450]);
-        let shard_b = fill([1024, 128, 0, 0, 4, 2, 0], &[0, 0, 900]);
-
-        let mut absorbed = ScenarioCounters::from_metrics(&shard_a);
-        absorbed.absorb(&ScenarioCounters::from_metrics(&shard_b));
-
-        let mut merged = MetricRegistry::new();
-        merged.merge(&shard_a);
-        merged.merge(&shard_b);
-        assert_eq!(absorbed, ScenarioCounters::from_metrics(&merged));
-        assert_eq!(absorbed.metered_bytes(), 4096 + 512 + 1024 + 128);
-        assert_eq!(absorbed.display_latency_ms.count(), 6);
-        assert!(absorbed.display_latency_p(0.99) >= 900);
-
-        // An untouched registry derives the all-zero default.
+    fn scenario_counts_merge_through_the_registry() {
+        // Same for the scenario layer, histogram included: it merges
+        // bucket-wise, so shard order cannot change it.
+        let (mut a, b, merged) = shards_over(&SCENARIO);
+        a.merge(&b);
         assert_eq!(
-            ScenarioCounters::from_metrics(&MetricRegistry::new()),
-            ScenarioCounters::default()
+            a.fed(&SCENARIO),
+            SimReport {
+                metrics: merged,
+                ..SimReport::empty()
+            }
+            .fed(&SCENARIO)
         );
+        let metered = a.count(SCEN_METERED_BYTES_DOWN) + a.count(SCEN_METERED_BYTES_UP);
+        assert_eq!(a.metered_bytes(), metered);
+        assert_eq!(a.display_latency_ms().count(), 6);
+        assert!(a.display_latency_ms().quantile_upper_bound(0.99) >= 900);
+        assert!(SimReport::empty().fed(&SCENARIO).is_empty());
     }
 
     #[test]
@@ -716,10 +706,10 @@ mod tests {
             !plain.summary().contains("scenario"),
             "all-default scenario stays out of the summary"
         );
-        let mut with = plain.clone();
-        with.scenario.metered_bytes_down = 4096;
-        with.scenario.prefetch_wasted_ads = 1;
-        with.scenario.display_latency_ms.record(250);
+        let with = plain.clone();
+        with.metrics.add(SCEN_METERED_BYTES_DOWN, 4096);
+        with.metrics.add(SCEN_WASTED_ADS, 1);
+        with.metrics.observe(SCEN_DISPLAY_LATENCY_MS, 250);
         assert!(with.summary().contains("scenario"));
         assert_ne!(
             plain.stable_hash(),
@@ -728,8 +718,35 @@ mod tests {
         );
         let mut merged = plain.clone();
         merged.merge(&with);
-        assert_eq!(merged.scenario.metered_bytes_down, 4096);
-        assert_eq!(merged.scenario.display_latency_ms.count(), 1);
+        assert_eq!(merged.metered_bytes(), 4096);
+        assert_eq!(merged.display_latency_ms().count(), 1);
+    }
+
+    #[test]
+    fn counters_outside_the_table_move_neither_hash_nor_eq() {
+        let plain = report(1.0, 1.0, 3);
+        let probed = plain.clone();
+        probed.metrics.add("audit.probe", 1);
+        probed.metrics.gauge_max("audit.peak", 9);
+        probed.metrics.observe("audit.lat", 5);
+        assert_eq!(probed.stable_hash(), plain.stable_hash());
+        assert_eq!(probed, plain);
+        // A hashed counter does move both.
+        probed.metrics.add(UNFILLED, 1);
+        assert_ne!(probed.stable_hash(), plain.stable_hash());
+        assert_ne!(probed, plain);
+    }
+
+    #[test]
+    fn phase_timers_and_host_facts_never_affect_eq() {
+        let plain = report(1.0, 1.0, 3);
+        let timed = plain.clone();
+        timed.metrics.add_time_ns("phase.event_loop", 12_345);
+        timed.metrics.add_time_ns("phase.merge", 1);
+        timed.metrics.gauge_max(adpf_obs::PEAK_RSS_METRIC, 4096);
+        timed.metrics.add("proc.auction.ahead_auctions", 7);
+        assert_eq!(timed, plain);
+        assert_eq!(timed.stable_hash(), plain.stable_hash());
     }
 
     #[test]

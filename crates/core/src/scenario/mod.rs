@@ -49,7 +49,7 @@
 //! let mut cfg = SystemConfig::prefetch_default(7);
 //! pop.apply_to(&mut cfg);
 //! let report = Simulator::new(cfg, &pop.generate()).run();
-//! assert!(report.scenario.metered_bytes() > 0);
+//! assert!(report.metered_bytes() > 0);
 //! ```
 
 mod population;

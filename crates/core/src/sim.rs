@@ -243,13 +243,12 @@ impl Simulator {
 
     /// Runs the simulation to completion and returns the report.
     pub fn run(self) -> SimReport {
-        self.run_observed().0
+        self.run_reclaim().0
     }
 
-    /// [`Simulator::run`] that also returns the run's metric registry
-    /// and hands back the engine's allocation set, so a worker can reuse
-    /// it for its next shard.
-    fn run_observed(self) -> (SimReport, MetricRegistry, EngineScratch) {
+    /// [`Simulator::run`] that also hands back the engine's allocation
+    /// set, so a worker can reuse it for its next shard.
+    fn run_reclaim(self) -> (SimReport, EngineScratch) {
         let Simulator {
             mut engine,
             slots,
@@ -268,11 +267,7 @@ impl Simulator {
     /// trace whenever there is more than one shard — replication
     /// candidates are confined to a shard, the price of embarrassingly
     /// parallel execution.
-    pub fn run_trace(
-        config: &SystemConfig,
-        trace: &Trace,
-        threads: usize,
-    ) -> (SimReport, MetricRegistry) {
+    pub fn run_trace(config: &SystemConfig, trace: &Trace, threads: usize) -> SimReport {
         let users = trace.num_users();
         let n_shards = default_shards(users);
         let split: Vec<Mutex<Option<Trace>>> = trace
@@ -288,8 +283,7 @@ impl Simulator {
 
     /// The one shard scheduler: runs `config` over the [`shard_ranges`]
     /// split of `num_users` users into `n_shards` (clamped to the
-    /// population) on `threads` OS threads, returning the merged report
-    /// and registry.
+    /// population) on `threads` OS threads, returning the merged report.
     ///
     /// `shard(i)` must return shard `i`'s sub-trace, e.g.
     /// `PopulationConfig::generate_shard(i, n_shards)`. Workers call it
@@ -298,10 +292,10 @@ impl Simulator {
     /// O(users-per-shard × threads); a stalling one is how tests perturb
     /// the completion order. Per-shard configs come from [`shard_configs`]
     /// and results merge in shard order ([`merge_shards`]), so neither
-    /// `threads` nor the source can change the report. The registry
-    /// always carries the `phase.{trace_gen, shard_setup, event_loop,
-    /// merge}` timers and `proc.peak_rss_kb`, outside its deterministic
-    /// snapshot. When the workers leave a core of the host idle, each
+    /// `threads` nor the source can change the report. Its metrics
+    /// always carry the `phase.{trace_gen, shard_setup, event_loop,
+    /// merge}` timers and `proc.peak_rss_kb`, outside their deterministic
+    /// snapshot and outside the report's hash and `==`. When the workers leave a core of the host idle, each
     /// worker samples its engines' auctions ahead on it, on one helper
     /// thread ([`ShardContext::bid_sampler`]), which is invisible in the
     /// report.
@@ -311,7 +305,7 @@ impl Simulator {
         n_shards: usize,
         threads: usize,
         shard: impl Fn(usize) -> Trace + Sync,
-    ) -> (SimReport, MetricRegistry) {
+    ) -> SimReport {
         let ranges = shard_ranges(num_users, n_shards);
         let threads = threads.clamp(1, ranges.len());
         // Shard setup identical across shards is built once and shared;
@@ -329,7 +323,7 @@ impl Simulator {
         ranges: &[std::ops::Range<u32>],
         threads: usize,
         shard: impl Fn(usize) -> Trace + Sync,
-    ) -> (SimReport, MetricRegistry) {
+    ) -> SimReport {
         let n = ranges.len();
         let configs = shard_configs(config, num_users, ranges);
 
@@ -340,8 +334,7 @@ impl Simulator {
         // users). Each result lands in its shard's slot; the claim order
         // and thread count are invisible after the shard-ordered merge.
         let queue = WorkQueue::new(n);
-        type ShardResult = (SimReport, MetricRegistry);
-        let results: Vec<Mutex<Option<ShardResult>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        let results: Vec<Mutex<Option<SimReport>>> = (0..n).map(|_| Mutex::new(None)).collect();
         std::thread::scope(|scope| {
             for _ in 0..threads {
                 scope.spawn(|| {
@@ -370,43 +363,48 @@ impl Simulator {
                             sampler.as_ref(),
                         );
                         let built = Instant::now();
-                        let (report, reg, reclaimed) = sim.run_observed();
+                        let (report, reclaimed) = sim.run_reclaim();
                         scratch = reclaimed;
                         // Wall-clock spans, outside every hash. Registered
                         // only now: registering them before the run puts
                         // small allocations between the shard's tables
                         // (+1.8 MiB peak RSS on `stream-netem-paced`).
+                        let reg = &report.metrics;
                         reg.add_time_ns("phase.trace_gen", (supplied - claimed).as_nanos() as u64);
                         reg.add_time_ns("phase.shard_setup", (built - supplied).as_nanos() as u64);
                         reg.add_time_ns("phase.event_loop", built.elapsed().as_nanos() as u64);
-                        *results[i].lock().expect("shard slot poisoned") = Some((report, reg));
+                        *results[i].lock().expect("shard slot poisoned") = Some(report);
                     }
                 });
             }
         });
 
         let merging = Instant::now();
-        let (report, reg) = merge_shards(num_users, results);
+        let report = merge_shards(num_users, results);
+        let reg = &report.metrics;
         reg.add_time_ns("phase.merge", merging.elapsed().as_nanos() as u64);
         // The pipeline's memory high-water mark. A host fact, not a
         // simulation outcome: it lives in the proc.* namespace, which
         // deterministic snapshots exclude.
-        adpf_obs::record_peak_rss(&reg);
-        (report, reg)
+        adpf_obs::record_peak_rss(reg);
+        report
     }
 
     /// Benchmark shim for [`Simulator::run_trace`]; deleted once `benchmark/` rebinds.
     pub fn run_parallel(config: &SystemConfig, trace: &Trace, threads: usize) -> SimReport {
-        Self::run_trace(config, trace, threads).0
+        Self::run_trace(config, trace, threads)
     }
 
-    /// Benchmark shim for [`Simulator::run_trace`]; deleted once `benchmark/` rebinds.
+    /// Benchmark shim for [`Simulator::run_trace`], with a copy of the
+    /// report's metrics beside it; deleted once `benchmark/` rebinds.
     pub fn run_parallel_observed(
         config: &SystemConfig,
         trace: &Trace,
         threads: usize,
     ) -> (SimReport, MetricRegistry) {
-        Self::run_trace(config, trace, threads)
+        let report = Self::run_trace(config, trace, threads);
+        let metrics = report.metrics.clone();
+        (report, metrics)
     }
 
     /// Benchmark shim for [`Simulator::run_shards`]; deleted once `benchmark/` rebinds.
@@ -417,10 +415,11 @@ impl Simulator {
         threads: usize,
         make_shard: impl Fn(usize) -> Trace + Sync,
     ) -> SimReport {
-        Self::run_shards(config, num_users, n_shards, threads, make_shard).0
+        Self::run_shards(config, num_users, n_shards, threads, make_shard)
     }
 
-    /// Benchmark shim for [`Simulator::run_shards`]; deleted once `benchmark/` rebinds.
+    /// Benchmark shim for [`Simulator::run_shards`], with a copy of the
+    /// report's metrics beside it; deleted once `benchmark/` rebinds.
     pub fn run_streaming_observed(
         config: &SystemConfig,
         num_users: u32,
@@ -428,30 +427,28 @@ impl Simulator {
         threads: usize,
         make_shard: impl Fn(usize) -> Trace + Sync,
     ) -> (SimReport, MetricRegistry) {
-        Self::run_shards(config, num_users, n_shards, threads, make_shard)
+        let report = Self::run_shards(config, num_users, n_shards, threads, make_shard);
+        let metrics = report.metrics.clone();
+        (report, metrics)
     }
 }
 
-/// Merges per-shard results strictly in shard order, so user ranges
+/// Merges per-shard reports strictly in shard order, so user ranges
 /// concatenate back to the original indexing and the floating-point
-/// summation order is fixed whichever thread finished first; registries
-/// follow the same order. Shared with `adpf-serve`'s sharded server.
-pub fn merge_shards(
-    num_users: u32,
-    results: Vec<Mutex<Option<(SimReport, MetricRegistry)>>>,
-) -> (SimReport, MetricRegistry) {
+/// summation order is fixed whichever thread finished first; their
+/// registries merge in the same order. Shared with `adpf-serve`'s
+/// sharded server.
+pub fn merge_shards(num_users: u32, results: Vec<Mutex<Option<SimReport>>>) -> SimReport {
     let mut report = SimReport::empty();
     report.reserve_users(num_users as usize);
-    let mut registry = MetricRegistry::new();
     for slot in results {
-        let (r, reg) = slot
+        let r = slot
             .into_inner()
             .expect("shard slot poisoned")
             .expect("every shard reports");
         report.merge(&r);
-        registry.merge(&reg);
     }
-    (report, registry)
+    report
 }
 
 /// Derives the per-shard configs of a sharded run over `ranges` (the
@@ -501,24 +498,23 @@ mod tests {
     }
 
     /// [`Simulator::run_shards`] over clones of `split_users(n_shards)`.
-    fn run_split(
-        cfg: &SystemConfig,
-        t: &Trace,
-        n_shards: usize,
-        threads: usize,
-    ) -> (SimReport, MetricRegistry) {
+    fn run_split(cfg: &SystemConfig, t: &Trace, n_shards: usize, threads: usize) -> SimReport {
         let split = t.split_users(n_shards);
         Simulator::run_shards(cfg, t.num_users(), n_shards, threads, |i| split[i].clone())
+    }
+
+    fn count(r: &SimReport, name: &str) -> u64 {
+        r.metrics.counter_value(name)
     }
 
     #[test]
     fn realtime_mode_fetches_every_slot() {
         let t = trace();
         let r = Simulator::new(SystemConfig::realtime(1), &t).run();
-        assert_eq!(r.slots, r.realtime_fetches);
-        assert_eq!(r.cache_hits, 0);
-        assert_eq!(r.syncs, 0);
-        assert_eq!(r.impressions + r.unfilled, r.slots);
+        assert_eq!(r.slots(), r.realtime_fetches());
+        assert_eq!(r.cache_hits(), 0);
+        assert_eq!(r.syncs(), 0);
+        assert_eq!(r.impressions() + r.unfilled(), r.slots());
         assert!(r.energy.total_j() > 0.0);
         assert_eq!(r.sla_violation_rate(), 0.0, "real-time never violates");
         assert_eq!(r.ledger.duplicates, 0);
@@ -553,8 +549,8 @@ mod tests {
         let rz = Simulator::new(zero, &t).run();
         assert!(ro.cache_hit_rate() > rz.cache_hit_rate());
         // With a zero predictor nothing is pre-sold.
-        assert_eq!(rz.ledger.sold, rz.realtime_fetches);
-        assert_eq!(rz.cache_hits, 0);
+        assert_eq!(rz.ledger.sold, rz.realtime_fetches());
+        assert_eq!(rz.cache_hits(), 0);
     }
 
     #[test]
@@ -563,10 +559,10 @@ mod tests {
         let mut cfg = SystemConfig::prefetch_default(7);
         cfg.realtime_fallback = false;
         let r = Simulator::new(cfg, &t).run();
-        assert_eq!(r.realtime_fetches, 0);
-        assert_eq!(r.impressions, r.cache_hits);
-        assert!(r.unfilled > 0);
-        assert_eq!(r.impressions + r.unfilled, r.slots);
+        assert_eq!(r.realtime_fetches(), 0);
+        assert_eq!(r.impressions(), r.cache_hits());
+        assert!(r.unfilled() > 0);
+        assert_eq!(r.impressions() + r.unfilled(), r.slots());
     }
 
     #[test]
@@ -576,8 +572,8 @@ mod tests {
         let lt = r.ledger;
         assert_eq!(lt.billed + lt.expired, lt.sold, "every sold ad settles");
         assert!((lt.revenue + lt.refunded - lt.sold_value).abs() < 1e-9);
-        assert!(r.impressions <= r.slots);
-        assert!(r.cache_hits + r.realtime_fetches >= r.impressions);
+        assert!(r.impressions() <= r.slots());
+        assert!(r.cache_hits() + r.realtime_fetches() >= r.impressions());
     }
 
     #[test]
@@ -587,9 +583,9 @@ mod tests {
         let mut cfg = SystemConfig::prefetch_default(17);
         cfg.sync_dropout = 0.5;
         let flaky = Simulator::new(cfg, &t).run();
-        assert!(flaky.syncs_dropped > 0, "faults must actually fire");
+        assert!(flaky.syncs_dropped() > 0, "faults must actually fire");
         // The system still settles every slot and every sold ad.
-        assert_eq!(flaky.impressions + flaky.unfilled, flaky.slots);
+        assert_eq!(flaky.impressions() + flaky.unfilled(), flaky.slots());
         assert_eq!(
             flaky.ledger.billed + flaky.ledger.expired,
             flaky.ledger.sold
@@ -611,7 +607,7 @@ mod tests {
         // the sharded path must reproduce `run()` bit-for-bit.
         let t = trace();
         let sequential = Simulator::new(SystemConfig::prefetch_default(9), &t).run();
-        let (sharded, _) = run_split(&SystemConfig::prefetch_default(9), &t, 1, 1);
+        let sharded = run_split(&SystemConfig::prefetch_default(9), &t, 1, 1);
         assert_eq!(sequential, sharded);
     }
 
@@ -619,16 +615,16 @@ mod tests {
     fn sharded_run_covers_the_whole_population() {
         let t = trace();
         let cfg = SystemConfig::prefetch_default(4);
-        let r = Simulator::run_trace(&cfg, &t, 2).0;
+        let r = Simulator::run_trace(&cfg, &t, 2);
         assert_eq!(r.users, t.num_users());
         assert_eq!(r.per_user_energy_j.len(), t.num_users() as usize);
         assert_eq!(r.days, t.days());
         assert_eq!(
-            r.slots,
+            r.slots(),
             t.ad_slots(cfg.ad_refresh).len() as u64,
             "every slot is simulated in exactly one shard"
         );
-        assert_eq!(r.impressions + r.unfilled, r.slots);
+        assert_eq!(r.impressions() + r.unfilled(), r.slots());
         assert_eq!(r.ledger.billed + r.ledger.expired, r.ledger.sold);
     }
 
@@ -654,8 +650,10 @@ mod tests {
     fn netem_disabled_runs_leave_all_netem_counters_zero() {
         let t = trace();
         let r = Simulator::new(SystemConfig::prefetch_default(1), &t).run();
-        assert_eq!(r.netem, crate::report::NetemCounters::default());
-        assert!(!r.summary().contains("netem"));
+        assert!(
+            !r.summary().contains("netem"),
+            "every hashed netem count is 0"
+        );
     }
 
     #[test]
@@ -664,16 +662,18 @@ mod tests {
         let mut cfg = SystemConfig::prefetch_default(21);
         cfg.netem = adpf_netem::NetemConfig::flaky_cellular();
         let r = Simulator::new(cfg, &t).run();
-        assert!(r.netem.sync_failures > 0, "flaky link must bite: {r:?}");
-        assert!(r.netem.retries_scheduled > 0);
         assert!(
-            r.netem.retries_succeeded > 0,
-            "some retries must get through: {:?}",
-            r.netem
+            count(&r, "netem.sync_failures") > 0,
+            "flaky link must bite: {r:?}"
         );
-        assert!(r.netem.retries_succeeded <= r.netem.retries_scheduled);
+        assert!(count(&r, "netem.retries_scheduled") > 0);
+        assert!(
+            count(&r, "netem.retries_succeeded") > 0,
+            "some retries must get through: {r:?}"
+        );
+        assert!(count(&r, "netem.retries_succeeded") <= count(&r, "netem.retries_scheduled"));
         // Failures never break the books.
-        assert_eq!(r.impressions + r.unfilled, r.slots);
+        assert_eq!(r.impressions() + r.unfilled(), r.slots());
         assert_eq!(r.ledger.billed + r.ledger.expired, r.ledger.sold);
         assert!(r.summary().contains("netem"));
     }
@@ -697,13 +697,13 @@ mod tests {
         let mut cfg = SystemConfig::realtime(25);
         cfg.netem = adpf_netem::NetemConfig::degraded();
         let r = Simulator::new(cfg, &t).run();
-        assert!(r.netem.realtime_failures > 0);
+        assert!(count(&r, "netem.realtime_failures") > 0);
         // A failed fetch leaves its slot unfilled, never half-billed.
-        assert_eq!(r.impressions + r.unfilled, r.slots);
-        assert!(r.unfilled >= r.netem.realtime_failures);
+        assert_eq!(r.impressions() + r.unfilled(), r.slots());
+        assert!(r.unfilled() >= count(&r, "netem.realtime_failures"));
         assert_eq!(
-            r.realtime_fetches + r.netem.realtime_failures,
-            r.slots,
+            r.realtime_fetches() + count(&r, "netem.realtime_failures"),
+            r.slots(),
             "every slot either fetched or failed on the link"
         );
     }
@@ -721,14 +721,12 @@ mod tests {
         );
         let r = Simulator::new(cfg.clone(), &t).run();
         assert!(
-            r.netem.syncs_abandoned > 0,
-            "a 10h blackout must exhaust retry budgets: {:?}",
-            r.netem
+            count(&r, "netem.syncs_abandoned") > 0,
+            "a 10h blackout must exhaust retry budgets: {r:?}"
         );
         assert!(
-            r.netem.ads_rescued > 0,
-            "dark holders' ads must be re-replicated: {:?}",
-            r.netem
+            count(&r, "overbooking.rescues") > 0,
+            "dark holders' ads must be re-replicated: {r:?}"
         );
         assert_eq!(r.ledger.billed + r.ledger.expired, r.ledger.sold);
 
@@ -736,7 +734,7 @@ mod tests {
         let mut flaky_cfg = cfg;
         flaky_cfg.netem = adpf_netem::NetemConfig::flaky_cellular();
         let flaky = Simulator::new(flaky_cfg, &t).run();
-        assert!(r.netem.sync_failures > flaky.netem.sync_failures);
+        assert!(count(&r, "netem.sync_failures") > count(&flaky, "netem.sync_failures"));
     }
 
     #[test]
@@ -827,10 +825,10 @@ mod tests {
             for sample_ahead in [false, true] {
                 let ctx = ShardContext::new(&cfg).sampling_ahead(sample_ahead);
                 for threads in [1, 2] {
-                    let (report, reg) =
-                        Simulator::schedule(&cfg, &ctx, users, &ranges, threads, |i| {
-                            split[i].clone()
-                        });
+                    let report = Simulator::schedule(&cfg, &ctx, users, &ranges, threads, |i| {
+                        split[i].clone()
+                    });
+                    let reg = &report.metrics;
                     let at = format!("{golden:016x}, ahead {sample_ahead}, {threads} threads");
                     assert_eq!(report.stable_hash(), golden, "{at}");
                     let ahead = reg.counter_value("proc.auction.ahead_auctions");
@@ -867,8 +865,8 @@ mod tests {
         // the effective count is what matters, not the requested one).
         let t = trace(); // 40 users.
         let cfg = SystemConfig::prefetch_default(9);
-        let (at_pop, _) = run_split(&cfg, &t, 40, 2);
-        let (clamped, _) = run_split(&cfg, &t, 1_000, 3);
+        let at_pop = run_split(&cfg, &t, 40, 2);
+        let clamped = run_split(&cfg, &t, 1_000, 3);
         assert_eq!(at_pop, clamped);
     }
 
@@ -879,9 +877,9 @@ mod tests {
         // must hide them. The source closure is the perturbation seam.
         let t = trace();
         let cfg = SystemConfig::prefetch_default(9);
-        let (baseline, _) = run_split(&cfg, &t, DEFAULT_SHARDS, 1);
+        let baseline = run_split(&cfg, &t, DEFAULT_SHARDS, 1);
         let split = t.split_users(DEFAULT_SHARDS);
-        let (stalled, _) = Simulator::run_shards(&cfg, t.num_users(), DEFAULT_SHARDS, 4, |i| {
+        let stalled = Simulator::run_shards(&cfg, t.num_users(), DEFAULT_SHARDS, 4, |i| {
             if i == 0 {
                 std::thread::sleep(std::time::Duration::from_millis(25));
             }
@@ -907,7 +905,8 @@ mod tests {
             run_split(&cfg, &t, n, 2),
             Simulator::run_shards(&cfg, pop.num_users, n, 2, |i| pop.generate_shard(i, n)),
         ];
-        for (_, reg) in &runs {
+        for report in &runs {
+            let reg = &report.metrics;
             let all = reg.snapshot();
             let has = |name: &str| all.iter().any(|m| m.name == name);
             for phase in ["trace_gen", "shard_setup", "event_loop", "merge"] {
@@ -936,7 +935,7 @@ mod tests {
             pop.num_users = users;
             let n = shard_ranges(users, n_shards).len();
             let calls: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-            let (report, _) = Simulator::run_shards(&cfg, users, n_shards, threads, |i| {
+            let report = Simulator::run_shards(&cfg, users, n_shards, threads, |i| {
                 calls[i].fetch_add(1, Ordering::Relaxed);
                 pop.generate_shard(i, n_shards)
             });
@@ -951,18 +950,22 @@ mod tests {
     }
 
     #[test]
-    fn registry_counters_agree_with_the_report() {
+    fn the_report_reads_its_counts_from_its_registry() {
         let t = trace();
         let cfg = SystemConfig::prefetch_default(9);
-        let (r, reg) = Simulator::run_trace(&cfg, &t, 2);
-        assert_eq!(reg.counter_value("sim.event.slot"), r.slots);
-        assert_eq!(reg.counter_value("sim.slots"), r.slots);
-        assert_eq!(reg.counter_value("sim.impressions"), r.impressions);
-        assert_eq!(reg.counter_value("sim.syncs"), r.syncs);
+        let r = Simulator::run_trace(&cfg, &t, 2);
+        let reg = &r.metrics;
+        // The benchmark counts slots by this name.
+        assert_eq!(reg.counter_value("sim.event.slot"), r.slots());
         assert_eq!(
-            reg.counter_value("sim.replicas_assigned"),
-            r.replicas_assigned
+            reg.counter_value("overbooking.replicas_registered")
+                + reg.counter_value("overbooking.rescues"),
+            r.replicas_assigned()
         );
+        // One counter per fact: the copies these once had are gone.
+        for gone in ["sim.slots", "sim.replicas_assigned", "netem.ads_rescued"] {
+            assert!(reg.snapshot().iter().all(|m| m.name != gone), "{gone}");
+        }
         // Gauges merge by max, so the merged value is the largest shard
         // population, not the total.
         let users = reg.gauge_value("sim.users");
@@ -975,16 +978,15 @@ mod tests {
     }
 
     #[test]
-    fn unobserved_sequential_run_still_feeds_the_netem_report_field() {
-        // `SimReport::netem` is derived from the always-on registry, so
-        // the plain `run()` path (the registry dropped) must still
-        // produce populated counters under a degraded network.
+    fn unobserved_sequential_run_still_feeds_the_netem_counts() {
+        // The plain `run()` path keeps the always-on registry in its
+        // report, so netem counts are there under a degraded network.
         let t = trace();
         let mut cfg = SystemConfig::prefetch_default(17);
         cfg.netem = adpf_netem::NetemConfig::flaky_cellular();
         let r = Simulator::new(cfg, &t).run();
         assert!(
-            r.netem.sync_failures > 0,
+            count(&r, "netem.sync_failures") > 0,
             "degraded network should fail some syncs"
         );
     }

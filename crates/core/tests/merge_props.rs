@@ -1,5 +1,6 @@
-//! Property tests for the sharded-report reduction: `SimReport::merge`
-//! must behave like a sum over disjoint shard populations.
+//! Property tests for the sharded-report reduction: `SimReport::merge`,
+//! one registry merge plus the energy, ledger and per-user folds, must
+//! behave like a sum over disjoint shard populations.
 
 use adpf_auction::LedgerTotals;
 use adpf_core::SimReport;
@@ -21,11 +22,24 @@ fn report(
     r.config = "prop".into();
     r.users = per_user.len() as u32;
     r.days = days;
-    r.slots = slots;
-    r.impressions = impressions;
-    r.cache_hits = cache_hits;
-    r.realtime_fetches = impressions.saturating_sub(cache_hits);
-    r.unfilled = slots.saturating_sub(impressions);
+    let counts = [
+        ("sim.event.slot", slots),
+        ("sim.impressions", impressions),
+        ("sim.cache_hits", cache_hits),
+        (
+            "sim.realtime_fetches",
+            impressions.saturating_sub(cache_hits),
+        ),
+        ("sim.unfilled", slots.saturating_sub(impressions)),
+        ("sim.syncs", syncs),
+        ("sim.syncs_skipped", syncs / 2),
+        ("sim.syncs_dropped", syncs / 7),
+        ("overbooking.replicas_registered", sold / 3),
+        ("overbooking.rescues", sold / 11),
+    ];
+    for (name, n) in counts {
+        r.metrics.add(name, n);
+    }
     r.energy = EnergyBreakdown {
         promotion_j,
         transfer_j,
@@ -36,10 +50,6 @@ fn report(
         bytes_up: impressions * 512,
         ..EnergyBreakdown::default()
     };
-    r.syncs = syncs;
-    r.syncs_skipped = syncs / 2;
-    r.syncs_dropped = syncs / 7;
-    r.replicas_assigned = sold / 3;
     r.per_user_energy_j = per_user;
     r.ledger = LedgerTotals {
         sold,
@@ -82,15 +92,15 @@ fn int_fields(r: &SimReport) -> Vec<u64> {
     vec![
         r.users as u64,
         r.days as u64,
-        r.slots,
-        r.impressions,
-        r.cache_hits,
-        r.realtime_fetches,
-        r.unfilled,
-        r.syncs,
-        r.syncs_skipped,
-        r.syncs_dropped,
-        r.replicas_assigned,
+        r.slots(),
+        r.impressions(),
+        r.cache_hits(),
+        r.realtime_fetches(),
+        r.unfilled(),
+        r.syncs(),
+        r.syncs_skipped(),
+        r.syncs_dropped(),
+        r.replicas_assigned(),
         r.energy.transfers,
         r.energy.promotions,
         r.energy.bytes_down,

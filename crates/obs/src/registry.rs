@@ -36,7 +36,7 @@ impl MetricKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MetricId(u32);
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum Slot {
     Counter(u64),
     Gauge(u64),
@@ -44,7 +44,7 @@ enum Slot {
     Time(u64),
 }
 
-#[derive(Default, Debug)]
+#[derive(Default, Debug, Clone)]
 struct Inner {
     /// Names and kinds in registration order, parallel to `slots`.
     names: Vec<(&'static str, MetricKind)>,
@@ -75,8 +75,8 @@ impl Inner {
 /// Interior mutability (`RefCell`) keeps all update methods `&self`, so
 /// instrumented components can publish through shared references.
 /// Registries are `Send` but not `Sync`; parallel runs keep one per
-/// shard and merge them in shard order, exactly like `SimReport::merge`.
-#[derive(Default, Debug)]
+/// shard, inside its `SimReport`, and merge them in shard order.
+#[derive(Default, Debug, Clone)]
 pub struct MetricRegistry {
     inner: RefCell<Inner>,
 }

@@ -75,7 +75,7 @@ mod tests {
     #[test]
     fn recorded_gauge_is_excluded_from_deterministic_snapshots() {
         let reg = MetricRegistry::new();
-        reg.add("sim.slots", 3);
+        reg.add("sim.event.slot", 3);
         let Some(kb) = record_peak_rss(&reg) else {
             return;
         };
@@ -85,7 +85,7 @@ mod tests {
             det.iter().all(|m| !m.name.starts_with(PROC_PREFIX)),
             "host facts must not enter determinism checks"
         );
-        assert!(det.iter().any(|m| m.name == "sim.slots"));
+        assert!(det.iter().any(|m| m.name == "sim.event.slot"));
     }
 
     #[test]

@@ -306,7 +306,10 @@ fn main() -> ExitCode {
                 );
             }
             if o.metrics {
-                println!("metrics:\n{}", render_table(&out.registry));
+                // The simulation's metrics, then the serving layer's.
+                let mut all = out.report.metrics.clone();
+                all.merge(&out.registry);
+                println!("metrics:\n{}", render_table(&all));
             }
             ExitCode::SUCCESS
         }

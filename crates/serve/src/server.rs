@@ -152,13 +152,13 @@ pub struct ServeOutcome {
     pub shards: usize,
     /// Worker threads actually used.
     pub threads: usize,
-    /// The final report; bit-identical to the batch simulator's on the
-    /// same `(config, event stream)`.
+    /// The final report, its shards' metrics merged inside;
+    /// bit-identical to the batch simulator's on the same `(config, event
+    /// stream)`.
     pub report: SimReport,
-    /// Merged metric registry: per-shard simulation registries in shard
-    /// order, then the per-worker serving registries (decision-latency,
-    /// queue-wait and batch-size histograms), then the ingest counters
-    /// (`serve.*` namespace).
+    /// The serving layer's own metrics (`serve.*`): the per-worker
+    /// decision-latency, queue-wait and batch-size histograms, then the
+    /// ingest counters. Host facts, kept out of the report.
     pub registry: MetricRegistry,
     /// Well-formed events decided.
     pub requests: u64,
@@ -311,8 +311,8 @@ fn group_by_shard(batch: &[Routed], ends: &mut [usize], order: &mut Vec<u32>) {
 }
 
 /// Runs one serve session over `input` to completion (EOF or the
-/// `shutdown` sentinel) and returns the final report plus observability
-/// snapshot.
+/// `shutdown` sentinel) and returns the final report plus the serving
+/// layer's metrics.
 ///
 /// The report is a deterministic function of `(config, event stream)`:
 /// thread count, shard claiming order, chunk boundaries, batch sizes and
@@ -392,8 +392,7 @@ fn serve_with<R: BufRead>(
     // All workers (and the router) meet here once every engine is built
     // and the ownership table is complete.
     let barrier = Barrier::new(threads + 1);
-    type ShardResult = (SimReport, MetricRegistry);
-    let results: Vec<Mutex<Option<ShardResult>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let results: Vec<Mutex<Option<SimReport>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let worker_regs: Vec<Mutex<Option<MetricRegistry>>> =
         (0..threads).map(|_| Mutex::new(None)).collect();
     let mailboxes: Vec<Mailbox<Routed>> = (0..threads).map(|_| Mailbox::new(mailbox_cap)).collect();
@@ -474,7 +473,8 @@ fn serve_with<R: BufRead>(
                 for (i, slot) in engines.into_iter().enumerate() {
                     if let Some(mut engine) = slot {
                         engine.drain_internal();
-                        *results[i].lock().expect("shard slot poisoned") = Some(engine.finalize());
+                        *results[i].lock().expect("shard slot poisoned") =
+                            Some(engine.into_report());
                     }
                 }
                 *worker_regs[w].lock().expect("worker registry poisoned") = Some(obs);
@@ -532,9 +532,10 @@ fn serve_with<R: BufRead>(
 
     // Merge strictly in shard order — the batch pipeline's own merge,
     // which is what keeps the report hash equal at every thread count.
-    // The wall-clock-flavored serving registries follow in worker order;
-    // they carry no deterministic metrics.
-    let (report, mut registry) = merge_shards(users, results);
+    // The wall-clock-flavored serving registries merge in worker order,
+    // beside the report; they carry no deterministic metrics.
+    let report = merge_shards(users, results);
+    let mut registry = MetricRegistry::new();
     for wr in worker_regs {
         if let Some(reg) = wr.into_inner().expect("worker registry poisoned") {
             registry.merge(&reg);
@@ -579,7 +580,7 @@ mod tests {
     /// what every session serving that stream must reproduce.
     fn batch_hash(cfg: &SystemConfig) -> u64 {
         let trace = PopulationConfig::small_test(777).generate();
-        Simulator::run_trace(cfg, &trace, 2).0.stable_hash()
+        Simulator::run_trace(cfg, &trace, 2).stable_hash()
     }
 
     /// Delivers `data` one piece per `read`, cut at the given offsets.
@@ -746,7 +747,7 @@ mod tests {
                         let out = serve_with(&opts, stream.as_slice(), cap, Some(ahead)).unwrap();
                         let at = format!("{threads} threads, cap {cap}, ahead {ahead}");
                         assert_eq!(out.report.stable_hash(), batch, "{at}");
-                        let reg = &out.registry;
+                        let reg = &out.report.metrics;
                         let served = reg.counter_value("proc.auction.ahead_auctions");
                         let all = reg.counter_value("auction.auctions");
                         assert!(all > 0);
@@ -769,7 +770,8 @@ mod tests {
         for threads in [1, cores] {
             opts.threads = threads;
             let out = serve(&opts, stream.as_slice()).unwrap();
-            let served = out.registry.counter_value("proc.auction.ahead_auctions");
+            let reg = &out.report.metrics;
+            let served = reg.counter_value("proc.auction.ahead_auctions");
             if out.threads >= cores {
                 assert_eq!(
                     served, 0,
@@ -777,7 +779,7 @@ mod tests {
                     out.threads
                 );
             } else {
-                assert_eq!(served, out.registry.counter_value("auction.auctions"));
+                assert_eq!(served, reg.counter_value("auction.auctions"));
             }
         }
     }
@@ -931,7 +933,7 @@ mod tests {
             out.ingest_errors, 0,
             "the rest of the chunk is not parsed: t=0 there would be out of order"
         );
-        assert!(out.report.syncs > 0, "internal events still drained");
+        assert!(out.report.syncs() > 0, "internal events still drained");
     }
 
     #[test]

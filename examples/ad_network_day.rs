@@ -27,7 +27,7 @@ fn main() {
     println!(
         "population: {} users, {} slots/week; real-time books: ${:.2} revenue, {:.2} J/impression\n",
         trace.num_users(),
-        realtime.slots,
+        realtime.slots(),
         realtime.revenue(),
         realtime.energy_per_impression_j()
     );
@@ -46,7 +46,7 @@ fn main() {
             pf.revenue(),
             pf.revenue_loss_vs(&realtime) * 100.0,
             pf.sla_violation_rate() * 100.0,
-            pf.ledger.duplicates as f64 / pf.slots.max(1) as f64 * 100.0,
+            pf.ledger.duplicates as f64 / pf.slots().max(1) as f64 * 100.0,
             pf.energy_savings_vs(&realtime) * 100.0
         );
     }

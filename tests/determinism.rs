@@ -102,8 +102,8 @@ fn different_seeds_actually_diverge() {
     // Guard against the degenerate way to pass the rows: a simulator that
     // ignores its seed would also be "deterministic".
     let trace = PopulationConfig::small_test(777).generate();
-    let a = Simulator::run_trace(&SystemConfig::prefetch_default(5), &trace, 4).0;
-    let b = Simulator::run_trace(&SystemConfig::prefetch_default(6), &trace, 4).0;
+    let a = Simulator::run_trace(&SystemConfig::prefetch_default(5), &trace, 4);
+    let b = Simulator::run_trace(&SystemConfig::prefetch_default(6), &trace, 4);
     assert_ne!(
         a.ledger.revenue, b.ledger.revenue,
         "different seeds should produce different auctions"

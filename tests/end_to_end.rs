@@ -21,7 +21,7 @@ fn headline_claim_holds_end_to_end() {
     let trace = small_trace();
     let runs = |cfg: SystemConfig| {
         let serial = Simulator::new(cfg.clone(), &trace).run();
-        let sharded = Simulator::run_trace(&cfg, &trace, 2).0;
+        let sharded = Simulator::run_trace(&cfg, &trace, 2);
         [("serial", serial), ("sharded", sharded)]
     };
     let realtime = runs(SystemConfig::realtime(5));
@@ -75,8 +75,8 @@ fn all_predictors_run_in_the_full_system() {
         cfg.predictor = predictor;
         let report = Simulator::new(cfg, &trace).run();
         assert_eq!(
-            report.impressions + report.unfilled,
-            report.slots,
+            report.impressions() + report.unfilled(),
+            report.slots(),
             "{predictor:?} must settle every slot"
         );
         let lt = report.ledger;

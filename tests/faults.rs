@@ -21,10 +21,10 @@ fn dropout_cfg(seed: u64, p: f64) -> SystemConfig {
 #[test]
 fn dropped_syncs_are_counted_and_books_still_balance() {
     let r = Simulator::new(dropout_cfg(3, 0.4), &trace()).run();
-    assert!(r.syncs_dropped > 0, "a 40% dropout must drop something");
+    assert!(r.syncs_dropped() > 0, "a 40% dropout must drop something");
     // Dropped syncs are periodic syncs that never happened: they appear
     // in no other counter, and every slot and sold ad still settles.
-    assert_eq!(r.impressions + r.unfilled, r.slots);
+    assert_eq!(r.impressions() + r.unfilled(), r.slots());
     assert_eq!(r.ledger.billed + r.ledger.expired, r.ledger.sold);
 }
 
@@ -38,13 +38,14 @@ fn dropped_syncs_never_charge_the_radio() {
     let flaky = Simulator::new(dropout_cfg(7, 0.5), &trace()).run();
     for r in [&healthy, &flaky] {
         assert_eq!(
-            r.energy.transfers, r.syncs,
+            r.energy.transfers,
+            r.syncs(),
             "one radio transfer per completed sync"
         );
     }
-    assert!(flaky.syncs_dropped > 0);
+    assert!(flaky.syncs_dropped() > 0);
     // Fewer completed syncs can only mean fewer charged transfers.
-    assert!(flaky.energy.transfers < healthy.energy.transfers + flaky.syncs_dropped);
+    assert!(flaky.energy.transfers < healthy.energy.transfers + flaky.syncs_dropped());
 }
 
 #[test]
@@ -54,12 +55,12 @@ fn total_dropout_without_fallback_moves_no_bytes() {
     let mut cfg = dropout_cfg(11, 1.0);
     cfg.realtime_fallback = false;
     let r = Simulator::new(cfg, &trace()).run();
-    assert!(r.syncs_dropped > 0);
-    assert_eq!(r.syncs, 0);
+    assert!(r.syncs_dropped() > 0);
+    assert_eq!(r.syncs(), 0);
     assert_eq!(r.energy.transfers, 0);
     assert_eq!(r.energy.total_j(), 0.0, "no sync, no energy");
-    assert_eq!(r.impressions, 0);
-    assert_eq!(r.unfilled, r.slots);
+    assert_eq!(r.impressions(), 0);
+    assert_eq!(r.unfilled(), r.slots());
 }
 
 pinned_by! {

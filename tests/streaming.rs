@@ -15,9 +15,9 @@ use adpf_traces::PopulationConfig;
 /// Runs both pipelines over `pop` with `cfg` and asserts equal reports.
 fn assert_equivalent(pop: &PopulationConfig, cfg: &SystemConfig, n_shards: usize, threads: usize) {
     let split = pop.generate().split_users(n_shards);
-    let (materialized, _) =
+    let materialized =
         Simulator::run_shards(cfg, pop.num_users, n_shards, threads, |i| split[i].clone());
-    let (streamed, _) = Simulator::run_shards(cfg, pop.num_users, n_shards, threads, |i| {
+    let streamed = Simulator::run_shards(cfg, pop.num_users, n_shards, threads, |i| {
         pop.generate_shard(i, n_shards)
     });
     assert_eq!(
@@ -80,9 +80,9 @@ fn streaming_a_csv_file_matches_the_materialized_read() {
     let cfg = SystemConfig::prefetch_default(5);
     let n_shards = default_shards(users);
     let ranges = adpf_traces::shard_ranges(users, n_shards);
-    let materialized = Simulator::run_trace(&cfg, &trace, 2).0;
+    let materialized = Simulator::run_trace(&cfg, &trace, 2);
     for threads in [1usize, 4] {
-        let (streamed, _) = Simulator::run_shards(&cfg, users, n_shards, threads, |i| {
+        let streamed = Simulator::run_shards(&cfg, users, n_shards, threads, |i| {
             adpf_traces::csv::read_trace_shard(&buf[..], ranges[i].clone(), horizon_ms).unwrap()
         });
         assert_eq!(
