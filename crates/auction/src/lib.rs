@@ -8,9 +8,9 @@
 //! sold — so this crate implements the standard machinery the paper builds
 //! on:
 //!
-//! - [`campaign`]: advertiser campaigns with budgets, lognormal bid
+//! - `campaign`: advertiser campaigns with budgets, lognormal bid
 //!   distributions, and participation (targeting reach) probabilities.
-//! - [`exchange`]: a sealed-bid second-price exchange. Slots can be
+//! - `exchange`: a sealed-bid second-price exchange. Slots can be
 //!   offered [`exchange::SlotKind::RealTime`] (display is certain, the
 //!   status quo) or [`exchange::SlotKind::Advance`] (display is predicted;
 //!   sold with a display deadline and a risk discount). Given an idle
@@ -19,7 +19,7 @@
 //! - [`Ledger`]: a per-ad ledger that bills the first confirmed
 //!   impression, tracks duplicate displays from replication, and records
 //!   SLA expirations (advance-sold ads never shown by their deadline).
-//! - [`market`]: the opt-in reactive marketplace layer — campaign types
+//! - `market`: the opt-in reactive marketplace layer — campaign types
 //!   with proportional pacing controllers, per-slot-kind price floors,
 //!   and a first-price/second-price switch. Off by default; the static
 //!   exchange above is the paper's model.
@@ -37,9 +37,9 @@
 
 mod ahead;
 mod billing;
-pub mod campaign;
-pub mod exchange;
-pub mod market;
+mod campaign;
+mod exchange;
+mod market;
 
 pub use ahead::BidSampler;
 pub use billing::{AdState, ImpressionOutcome, Ledger, LedgerTotals};

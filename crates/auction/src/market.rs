@@ -76,7 +76,7 @@ pub struct PriceFloors {
 
 impl PriceFloors {
     /// No floors: every price down to the exchange reserve clears.
-    pub fn none() -> Self {
+    pub(crate) fn none() -> Self {
         Self {
             realtime: 0.0,
             advance: 0.0,

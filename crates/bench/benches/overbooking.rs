@@ -1,7 +1,7 @@
 //! Microbenchmarks of the overbooking math (substrate of E8/E9/E13).
 
 use adpf_overbooking::availability::{poisson_tail, ClientAvailability};
-use adpf_overbooking::planner::{GreedyPlanner, ReplicationPlanner};
+use adpf_overbooking::PlannerKind;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -24,7 +24,7 @@ fn bench_greedy_planner(c: &mut Criterion) {
             BenchmarkId::from_parameter(pool),
             &candidates,
             |b, cands| {
-                b.iter(|| black_box(GreedyPlanner.plan(cands, 0.95, 8)));
+                b.iter(|| black_box(PlannerKind::Greedy.plan(cands, 0.95, 8)));
             },
         );
     }

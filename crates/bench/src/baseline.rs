@@ -2,7 +2,7 @@
 //!
 //! One table, [`ROWS`], names every fixed-seed run this repo pins: its
 //! population, its configuration, the drivers it runs under and what must
-//! hold of the result. [`run`] is the only place a row is generated and
+//! hold of the result. `run` is the only place a row is generated and
 //! driven; [`check`] holds rows to their gates and [`record`] appends a
 //! row's runs to `BENCH_baseline.json`. Because the runs are fixed-seed,
 //! the report hash is exact and machine-independent: a change that alters
@@ -37,7 +37,7 @@ pub enum Population {
     Iphone(u32, u32, u64),
 }
 
-/// How [`run`] drives a row. All three produce the same report for the
+/// How `run` drives a row. All three produce the same report for the
 /// same row; that equality is what the table gates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Driver {
@@ -467,7 +467,7 @@ pub fn select(names: &[String]) -> Result<Vec<Row>, String> {
 
 /// What one [`run`] produced.
 #[derive(Debug)]
-pub struct Outcome {
+pub(crate) struct Outcome {
     /// The merged report, its metrics inside.
     pub report: SimReport,
     /// Under [`Driver::Serve`], the requests the server decided and the
@@ -490,7 +490,7 @@ pub struct Outcome {
 
 /// Generates `row`'s workload and drives it once under `driver` at
 /// `threads` workers.
-pub fn run(row: &Row, driver: Driver, threads: usize) -> Outcome {
+pub(crate) fn run(row: &Row, driver: Driver, threads: usize) -> Outcome {
     let pop = row.population();
     let scenario = row
         .scenario

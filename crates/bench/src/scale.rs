@@ -15,7 +15,7 @@ pub enum Scale {
 
 impl Scale {
     /// The iPhone-like population (paper: 1,693 users, several weeks).
-    pub fn iphone(self, seed: u64) -> PopulationConfig {
+    pub(crate) fn iphone(self, seed: u64) -> PopulationConfig {
         match self {
             Scale::Micro => PopulationConfig {
                 num_users: 30,

@@ -19,7 +19,7 @@ pub struct Table {
 
 impl Table {
     /// Creates an empty table.
-    pub fn new(id: &str, title: &str, note: &str, header: &[&str]) -> Self {
+    pub(crate) fn new(id: &str, title: &str, note: &str, header: &[&str]) -> Self {
         Self {
             id: id.to_string(),
             title: title.to_string(),
@@ -77,7 +77,7 @@ impl fmt::Display for Table {
 }
 
 /// Formats a float with the given number of decimals.
-pub fn f(x: f64, decimals: usize) -> String {
+pub(crate) fn f(x: f64, decimals: usize) -> String {
     format!("{x:.decimals$}")
 }
 

@@ -125,7 +125,7 @@ pub(crate) struct ClientTable {
 
 impl ClientTable {
     /// A table with room reserved for `n` clients.
-    pub fn with_capacity(n: usize) -> Self {
+    pub(crate) fn with_capacity(n: usize) -> Self {
         Self {
             radio: Vec::with_capacity(n),
             cache: Vec::with_capacity(n),

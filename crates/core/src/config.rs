@@ -4,9 +4,7 @@ use adpf_auction::MarketplaceConfig;
 use adpf_desim::SimDuration;
 use adpf_energy::{profiles, RadioProfile};
 use adpf_netem::NetemConfig;
-use adpf_overbooking::planner::{
-    FixedFactorPlanner, GreedyPlanner, NoReplicationPlanner, ReplicationPlanner,
-};
+use adpf_overbooking::PlannerKind;
 use adpf_prediction::PredictorKind;
 
 use crate::scenario::ScenarioConfig;
@@ -20,53 +18,6 @@ pub enum DeliveryMode {
     /// The paper's scheme: predicted slots are pre-sold, overbooked across
     /// clients, and delivered in batched syncs.
     Prefetch,
-}
-
-/// Which replication policy the server uses.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum PlannerKind {
-    /// Greedy availability-ordered replication sized to the SLA target
-    /// (the paper's planner).
-    Greedy,
-    /// Fixed replication factor, ignoring the SLA target (static
-    /// overbooking ablation).
-    FixedK(usize),
-    /// No replication: every ad lives only on its origin client (the
-    /// no-overbooking ablation).
-    NoReplication,
-}
-
-impl PlannerKind {
-    /// Resolves a CLI planner name (`greedy`, `none`, or `fixed-K`). The
-    /// canonical name set shared by the `simulate` and `serve` binaries.
-    pub fn parse(name: &str) -> Result<Self, String> {
-        match name {
-            "greedy" => Ok(PlannerKind::Greedy),
-            "none" => Ok(PlannerKind::NoReplication),
-            other => match other.strip_prefix("fixed-").and_then(|k| k.parse().ok()) {
-                Some(k) => Ok(PlannerKind::FixedK(k)),
-                None => Err(format!("unknown planner `{other}`")),
-            },
-        }
-    }
-
-    /// Builds the planner.
-    pub fn build(&self) -> Box<dyn ReplicationPlanner> {
-        match *self {
-            PlannerKind::Greedy => Box::new(GreedyPlanner),
-            PlannerKind::FixedK(k) => Box::new(FixedFactorPlanner { k }),
-            PlannerKind::NoReplication => Box::new(NoReplicationPlanner),
-        }
-    }
-
-    /// Stable label for tables.
-    pub fn label(&self) -> String {
-        match self {
-            PlannerKind::Greedy => "greedy".to_string(),
-            PlannerKind::FixedK(k) => format!("fixed-{k}"),
-            PlannerKind::NoReplication => "none".to_string(),
-        }
-    }
 }
 
 /// Full configuration of one simulation run.
@@ -484,10 +435,15 @@ mod tests {
 
     #[test]
     fn planner_kinds_build() {
-        assert_eq!(PlannerKind::Greedy.build().name(), "greedy");
-        assert_eq!(PlannerKind::FixedK(3).build().name(), "fixed-k");
-        assert_eq!(PlannerKind::NoReplication.build().name(), "none");
-        assert_eq!(PlannerKind::FixedK(3).label(), "fixed-3");
+        for (kind, label) in [
+            (PlannerKind::Greedy, "greedy"),
+            (PlannerKind::FixedK(3), "fixed-3"),
+            (PlannerKind::NoReplication, "none"),
+        ] {
+            assert_eq!(kind.build(), kind);
+            assert_eq!(PlannerKind::parse(&kind.label()), Ok(kind));
+            assert_eq!(kind.label(), label);
+        }
     }
 
     #[test]

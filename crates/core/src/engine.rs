@@ -48,7 +48,7 @@ use adpf_energy::{EnergyBreakdown, Radio};
 use adpf_netem::NetworkModel;
 use adpf_obs::{MetricId, MetricRegistry};
 use adpf_overbooking::availability::{BurstyTail, ClientAvailability};
-use adpf_overbooking::planner::{ReplicationPlanner, PLAN_INLINE};
+use adpf_overbooking::planner::PLAN_INLINE;
 use adpf_traces::{AdSlot, AppId, UserId, UserSlots};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -236,7 +236,7 @@ struct SyncPlacement {
 /// external ad-slot events plus a self-scheduled internal event queue.
 ///
 /// Construction precomputes per-client state; driving it (via
-/// [`ClientEngine::drive`] or the `on_slot`/`drain_*` primitives) and
+/// `ClientEngine::drive` or the `on_slot`/`drain_*` primitives) and
 /// then [`ClientEngine::into_report`] produces a [`SimReport`]. Runs are
 /// deterministic: the same `(config, slot stream)` pair always yields
 /// the same report.
@@ -248,7 +248,6 @@ pub struct ClientEngine {
     exchange: Exchange,
     ledger: Ledger,
     tracker: adpf_overbooking::reconcile::ReplicaTracker,
-    planner: Box<dyn ReplicationPlanner>,
     /// The internal event queue and every reusable buffer.
     scratch: EngineScratch,
     /// Cached time of the earliest internal event, so the per-slot
@@ -401,7 +400,6 @@ impl ClientEngine {
         }
         let next_internal = queue.peek_time();
 
-        let planner = config.planner.build();
         let fault_rng = StdRng::seed_from_u64(stream_seed ^ 0xd20_0ff);
         let n_clients = clients.len();
         let net = config
@@ -425,7 +423,6 @@ impl ClientEngine {
             exchange,
             ledger: Ledger::new(),
             tracker: adpf_overbooking::reconcile::ReplicaTracker::new(),
-            planner,
             scratch,
             next_internal,
             cand_cursor: 0,
@@ -465,7 +462,7 @@ impl ClientEngine {
     /// [`Trace::ad_slots`](adpf_traces::Trace::ad_slots) returns) to
     /// exhaustion and leaves it ready to [`ClientEngine::into_report`]: the
     /// driving rule (drain-before, slot, drain-at-end) in one place.
-    pub fn drive(&mut self, slots: &[AdSlot]) {
+    pub(crate) fn drive(&mut self, slots: &[AdSlot]) {
         for s in slots {
             self.drain_internal_before(s.time);
             self.on_slot(s.time, s.user, s.app);
@@ -622,12 +619,17 @@ impl ClientEngine {
         if !latency.is_zero() {
             self.clients.radio[ci].stall(now, latency);
         }
-        let (down, up) = (self.config.ad_bytes_down, self.config.ad_bytes_up);
+        self.transfer(ci, now, self.config.ad_bytes_down, self.config.ad_bytes_up);
+        self.realtime_sale(ci, now, category, latency);
+    }
+
+    /// Moves `down` + `up` bytes over client `ci`'s radio at `now` and
+    /// meters them against its data plan when the scenario layer is on.
+    fn transfer(&mut self, ci: usize, now: SimTime, down: u64, up: u64) {
         self.clients.radio[ci].transfer(now, down, up);
         if let Some(s) = &mut self.scen {
             s.meter(ci, down, up, &self.obs);
         }
-        self.realtime_sale(ci, now, category, latency);
     }
 
     /// Maps an app to its marketplace category for contextual targeting.
@@ -707,10 +709,7 @@ impl ClientEngine {
         // spent the uplink overhead plus the timeout, and got nothing —
         // the wasted-wakeup energy the tail model makes expensive.
         self.obs.inc(self.mid.netem_sync_failures, 1);
-        self.clients.radio[ci].transfer(now, 0, SYNC_OVERHEAD_BYTES);
-        if let Some(s) = &mut self.scen {
-            s.meter(ci, 0, SYNC_OVERHEAD_BYTES, &self.obs);
-        }
+        self.transfer(ci, now, 0, SYNC_OVERHEAD_BYTES);
         self.clients.radio[ci].stall(now, v.latency);
         self.schedule_retry(ci, now, attempt);
     }
@@ -901,10 +900,7 @@ impl ClientEngine {
         let delivered = delivered_primaries + delivered_replicas;
         let down = delivered * self.config.ad_bytes_down + SYNC_OVERHEAD_BYTES + rt_bytes.0;
         let up = report_count * self.config.ad_bytes_up + SYNC_OVERHEAD_BYTES + rt_bytes.1;
-        self.clients.radio[ci].transfer(now, down, up);
-        if let Some(s) = &mut self.scen {
-            s.meter(ci, down, up, &self.obs);
-        }
+        self.transfer(ci, now, down, up);
         if !link_latency.is_zero() {
             // Degraded link: the round trip holds the radio active past
             // the payload time (queued behind the transfer just issued).
@@ -956,7 +952,7 @@ impl ClientEngine {
             self.build_candidate_pool(origin, now, deadline);
             sync.pool_built = true;
         }
-        let plan = self.planner.plan(
+        let plan = self.config.planner.plan(
             &self.scratch.cands,
             residual_target,
             self.config.max_replicas.saturating_sub(1),

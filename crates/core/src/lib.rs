@@ -43,13 +43,14 @@
 //! ```
 
 mod client;
-pub mod config;
-pub mod engine;
-pub mod report;
+mod config;
+mod engine;
+mod report;
 pub mod scenario;
-pub mod sim;
+mod sim;
 
-pub use config::{DeliveryMode, PlannerKind, SystemConfig};
+pub use adpf_overbooking::PlannerKind;
+pub use config::{DeliveryMode, SystemConfig};
 pub use engine::ClientEngine;
 pub use report::SimReport;
 pub use scenario::{CellCapacity, CellPolicy, DeviceClass, ScenarioConfig};

@@ -19,7 +19,7 @@ use adpf_traces::PopulationConfig;
 use proptest::prelude::*;
 
 use super::*;
-use crate::config::PlannerKind;
+use crate::PlannerKind;
 
 /// The state the reference path needs and the engine no longer has.
 struct ReferencePool {
@@ -70,7 +70,7 @@ impl ClientEngine {
             self.build_candidate_pool_reference(r, origin, now, deadline);
             *pool_built = true;
         }
-        let plan = self.planner.plan(
+        let plan = self.config.planner.plan(
             &r.cands,
             residual_target,
             self.config.max_replicas.saturating_sub(1),
@@ -399,10 +399,9 @@ proptest! {
         let positive: Vec<ClientAvailability> =
             all.iter().copied().filter(|c| c.prob > 0.0).collect();
         for kind in [PlannerKind::Greedy, PlannerKind::FixedK(k), PlannerKind::NoReplication] {
-            let planner = kind.build();
             prop_assert_eq!(
-                planner.plan(&all, target, max_replicas),
-                planner.plan(&positive, target, max_replicas),
+                kind.plan(&all, target, max_replicas),
+                kind.plan(&positive, target, max_replicas),
                 "{}", kind.label()
             );
         }

@@ -163,7 +163,7 @@ pub struct SimReport {
 }
 
 /// Stored fields and every hashed count. Nothing else in `metrics` takes
-/// part, so timers, host facts and counters outside [`HASHED`] never
+/// part, so timers, host facts and counters outside `HASHED` never
 /// make two reports differ.
 impl PartialEq for SimReport {
     fn eq(&self, other: &Self) -> bool {
@@ -446,7 +446,7 @@ impl SimReport {
     }
 
     /// FNV-1a over a canonical byte serialization of the stored fields
-    /// and the counts in [`HASHED`].
+    /// and the counts in `HASHED`.
     ///
     /// Any change to any simulated outcome — a counter, a float bit, a
     /// per-user energy entry — changes this hash, which is what makes it

@@ -130,7 +130,7 @@ impl DeviceClass {
 
     /// LTE users on a generous plan: metered but effectively uncapped
     /// for ad traffic.
-    pub fn lte(weight: f64) -> Self {
+    pub(crate) fn lte(weight: f64) -> Self {
         DeviceClass {
             name: "lte".into(),
             radio: profiles::lte(),
@@ -242,7 +242,7 @@ pub struct ScenarioConfig {
 
 impl ScenarioConfig {
     /// The scenario-off default.
-    pub fn disabled() -> Self {
+    pub(crate) fn disabled() -> Self {
         ScenarioConfig {
             enabled: false,
             name: String::new(),

@@ -32,7 +32,7 @@ pub struct ChurnSpec {
 
 impl ChurnSpec {
     /// No churn: everyone is present for the whole trace.
-    pub fn none() -> Self {
+    pub(crate) fn none() -> Self {
         Self {
             arrival_fraction: 0.0,
             departure_fraction: 0.0,

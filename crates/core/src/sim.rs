@@ -485,8 +485,8 @@ pub fn shard_configs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::PlannerKind;
     use crate::scenario::{ScenarioPopulation, ScenarioSpec};
+    use crate::PlannerKind;
     use adpf_desim::SimDuration;
     use adpf_obs::MetricSnapshot;
     use adpf_prediction::PredictorKind;

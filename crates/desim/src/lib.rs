@@ -7,7 +7,7 @@
 //! - [`time`]: a millisecond-resolution simulated clock ([`SimTime`]) and
 //!   duration type ([`SimDuration`]) with calendar helpers (hour of day, day
 //!   index) used by diurnal models.
-//! - [`queue`]: an [`EventQueue`] ordered by time with FIFO tie-breaking, so
+//! - `queue`: an [`EventQueue`] ordered by time with FIFO tie-breaking, so
 //!   two runs with the same inputs produce byte-identical outputs. The
 //!   implementation is a two-lane calendar queue (near-future ring buckets
 //!   plus a far-event heap) sized for per-second slot cadences.
@@ -33,7 +33,7 @@
 //! ```
 
 mod iddeque;
-pub mod queue;
+mod queue;
 mod smallvec;
 mod steal;
 pub mod time;

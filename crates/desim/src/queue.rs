@@ -104,14 +104,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Creates an empty queue with pre-allocated far-heap capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        Self {
-            far: BinaryHeap::with_capacity(cap),
-            ..Self::new()
-        }
-    }
-
     fn bucket_of(t_ms: u64) -> usize {
         ((t_ms >> BUCKET_MS_SHIFT) as usize) & BUCKET_MASK
     }

@@ -130,8 +130,6 @@ impl SimTime {
 impl SimDuration {
     /// The zero-length duration.
     pub const ZERO: SimDuration = SimDuration(0);
-    /// The largest representable duration.
-    pub const MAX: SimDuration = SimDuration(u64::MAX);
 
     /// Creates a duration from raw milliseconds.
     pub const fn from_millis(ms: u64) -> Self {
@@ -340,7 +338,10 @@ mod tests {
         assert_eq!(d.saturating_mul(6), SimDuration::from_mins(1));
         assert_eq!(d.mul_f64(0.5), SimDuration::from_secs(5));
         assert_eq!(d.mul_f64(-3.0), SimDuration::ZERO);
-        assert_eq!(SimDuration::MAX.saturating_mul(2), SimDuration::MAX);
+        assert_eq!(
+            SimDuration(u64::MAX).saturating_mul(2),
+            SimDuration(u64::MAX)
+        );
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! how much of the app's communication energy — and of its total energy —
 //! is caused by ad downloads? The paper measured 65% of communication
 //! energy and 23% of total energy on the top-15 free Windows Phone apps;
-//! here the measurement harness is the radio model of [`crate::radio`] and
+//! here the measurement harness is the radio model of `crate::radio` and
 //! the app population is a catalog of synthetic app profiles spanning the
 //! same categories (games, social, news, tools).
 

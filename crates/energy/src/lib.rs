@@ -8,15 +8,15 @@
 //!
 //! This crate models that structure explicitly:
 //!
-//! - [`profile`]: parameterized radio profiles — promotion delay/power,
+//! - `profile`: parameterized radio profiles — promotion delay/power,
 //!   transfer power and throughput, and a sequence of post-transfer tail
 //!   phases (3G: DCH then FACH tails; LTE: one long tail; WiFi: a short
 //!   PSM tail). Constants follow the measurement literature the paper
 //!   builds on (Balasubramanian et al. IMC'09, Huang et al. MobiSys'12).
-//! - [`radio`]: a per-client radio state machine that converts a stream of
+//! - `radio`: a per-client radio state machine that converts a stream of
 //!   timestamped transfers into an [`EnergyBreakdown`] split into
 //!   promotion, transfer, and tail energy.
-//! - [`timeline`]: optional recording of state intervals for figure output.
+//! - `timeline`: optional recording of state intervals for figure output.
 //! - [`audit`]: app-level energy audits that attribute marginal energy to
 //!   in-app advertising, reproducing the paper's "ads are 65% of an app's
 //!   communication energy" motivation study.
@@ -36,10 +36,10 @@
 //! ```
 
 pub mod audit;
-pub mod battery;
-pub mod profile;
-pub mod radio;
-pub mod timeline;
+mod battery;
+mod profile;
+mod radio;
+mod timeline;
 
 pub use audit::{AdTrafficModel, AppProfile, AppTrafficModel, EnergyAudit};
 pub use battery::BatteryModel;

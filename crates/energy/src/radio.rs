@@ -144,11 +144,6 @@ impl Radio {
         &self.profile
     }
 
-    /// Energy accumulated so far (not including any pending tail).
-    pub fn energy(&self) -> &EnergyBreakdown {
-        &self.energy
-    }
-
     /// Recorded timeline, if enabled.
     pub fn timeline(&self) -> Option<&Timeline> {
         self.timeline.as_ref()
@@ -165,63 +160,11 @@ impl Radio {
     /// Requests must arrive in non-decreasing `at` order; earlier requests
     /// are treated as arriving at the end of the in-flight transfer.
     pub fn transfer(&mut self, at: SimTime, down_bytes: u64, up_bytes: u64) -> TransferRecord {
-        let before = self.energy.total_j();
-        let tail_total = self.profile.tail_duration();
-
-        let (mut start, promoted) = match self.last_activity_end {
-            None => {
-                // First ever transfer: promotion from idle.
-                (at, true)
-            }
-            Some(prev_end) => {
-                let arrival = at.max(prev_end);
-                let gap = arrival.saturating_since(prev_end);
-                self.charge_tail(prev_end, gap);
-                if gap >= tail_total {
-                    // The radio demoted all the way to idle.
-                    if let Some(tl) = self.timeline.as_mut() {
-                        tl.record(prev_end + tail_total, arrival, RadioState::Idle);
-                    }
-                    (arrival, true)
-                } else {
-                    (arrival, false)
-                }
-            }
-        };
-
-        if promoted {
-            self.energy.promotion_j += self.profile.promotion_energy_j();
-            self.energy.promotions += 1;
-            self.energy.active_time += self.profile.promotion_delay;
-            self.energy.promo_time += self.profile.promotion_delay;
-            if let Some(tl) = self.timeline.as_mut() {
-                tl.record(
-                    start,
-                    start + self.profile.promotion_delay,
-                    RadioState::Promoting,
-                );
-            }
-            start += self.profile.promotion_delay;
-        }
-
-        let duration = self.profile.transfer_time(down_bytes, up_bytes);
-        let end = start + duration;
-        self.energy.transfer_j += self.profile.transfer_power_mw * duration.as_secs_f64() / 1_000.0;
+        let record = self.stall(at, self.profile.transfer_time(down_bytes, up_bytes));
         self.energy.transfers += 1;
         self.energy.bytes_down += down_bytes;
         self.energy.bytes_up += up_bytes;
-        self.energy.active_time += duration;
-        if let Some(tl) = self.timeline.as_mut() {
-            tl.record(start, end, RadioState::Transferring);
-        }
-        self.last_activity_end = Some(end);
-
-        TransferRecord {
-            start,
-            end,
-            promoted,
-            energy_j: self.energy.total_j() - before,
-        }
+        record
     }
 
     /// Holds the radio active for `duration` starting at `at` without moving
@@ -234,17 +177,25 @@ impl Radio {
     /// order. A zero `duration` on an idle radio still pays the promotion —
     /// the modem woke up for nothing, which is exactly the waste the paper's
     /// tail-energy analysis worries about.
+    ///
+    /// This is the radio's one activity path: [`Radio::transfer`] is a
+    /// stall for the payload's transfer time that also counts the transfer
+    /// and its bytes.
     pub fn stall(&mut self, at: SimTime, duration: SimDuration) -> TransferRecord {
         let before = self.energy.total_j();
         let tail_total = self.profile.tail_duration();
 
         let (mut start, promoted) = match self.last_activity_end {
-            None => (at, true),
+            None => {
+                // First ever activity: promotion from idle.
+                (at, true)
+            }
             Some(prev_end) => {
                 let arrival = at.max(prev_end);
                 let gap = arrival.saturating_since(prev_end);
                 self.charge_tail(prev_end, gap);
                 if gap >= tail_total {
+                    // The radio demoted all the way to idle.
                     if let Some(tl) = self.timeline.as_mut() {
                         tl.record(prev_end + tail_total, arrival, RadioState::Idle);
                     }
@@ -340,7 +291,7 @@ mod tests {
             rec.start,
             SimTime::from_secs(10) + r.profile().promotion_delay
         );
-        let e = r.energy();
+        let e = &r.energy;
         assert_eq!(e.transfers, 1);
         assert_eq!(e.promotions, 1);
         assert!((e.promotion_j - r.profile().promotion_energy_j()).abs() < 1e-12);
@@ -410,7 +361,7 @@ mod tests {
         let b = r.transfer(SimTime::from_secs(1), 1_000, 0);
         assert_eq!(b.start, a.end);
         assert!(!b.promoted);
-        assert_eq!(r.energy().tail_j, 0.0);
+        assert_eq!(r.energy.tail_j, 0.0);
     }
 
     #[test]
@@ -463,7 +414,7 @@ mod tests {
         let mut r = Radio::new(p.clone());
         let rec = r.stall(SimTime::from_secs(5), SimDuration::from_millis(1_500));
         assert!(rec.promoted);
-        let e = *r.energy();
+        let e = r.energy;
         assert_eq!(e.transfers, 0);
         assert_eq!(e.bytes_down + e.bytes_up, 0);
         assert_eq!(e.promotions, 1);
@@ -487,8 +438,8 @@ mod tests {
             SimDuration::from_secs(1),
         );
         assert!(!s.promoted);
-        assert_eq!(r.energy().promotions, 1);
-        assert!(r.energy().tail_j > 0.0);
+        assert_eq!(r.energy.promotions, 1);
+        assert!(r.energy.tail_j > 0.0);
     }
 
     #[test]
@@ -500,8 +451,8 @@ mod tests {
         let s = r.stall(SimTime::from_secs(1), SimDuration::from_secs(2));
         assert_eq!(s.start, a.end);
         assert!(!s.promoted);
-        assert_eq!(r.energy().tail_j, 0.0);
-        assert_eq!(r.energy().transfers, 1);
+        assert_eq!(r.energy.tail_j, 0.0);
+        assert_eq!(r.energy.transfers, 1);
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub struct Timeline {
 
 impl Timeline {
     /// Creates an empty timeline.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 

@@ -20,7 +20,7 @@ pub enum LinkState {
 
 impl LinkState {
     /// All states, in profile-index order.
-    pub const ALL: [LinkState; 4] = [
+    pub(crate) const ALL: [LinkState; 4] = [
         LinkState::Wifi,
         LinkState::CellGood,
         LinkState::CellPoor,

@@ -47,8 +47,8 @@
 //! assert_eq!(verdict, again.attempt(0, SimTime::from_hours(1)));
 //! ```
 
-pub mod config;
-pub mod model;
+mod config;
+mod model;
 
 pub use config::{LinkProfile, LinkState, NetemConfig, OutageWindow, RetryPolicy};
 pub use model::{LinkVerdict, NetworkModel};

@@ -56,7 +56,7 @@ pub(crate) struct ClientChannel {
 
 impl ClientChannel {
     /// Builds the channel for client `index` under `stream_seed`.
-    pub fn new(cfg: &NetemConfig, stream_seed: u64, index: u64) -> Self {
+    pub(crate) fn new(cfg: &NetemConfig, stream_seed: u64, index: u64) -> Self {
         let mut state_rng = StdRng::seed_from_u64(mix_stream(stream_seed, index * 2));
         let attempt_rng = StdRng::seed_from_u64(mix_stream(stream_seed, index * 2 + 1));
         let region = state_rng.gen::<f64>();
@@ -215,11 +215,6 @@ impl NetworkModel {
             channels,
             stats: LinkStats::default(),
         }
-    }
-
-    /// The configuration this model runs.
-    pub fn config(&self) -> &NetemConfig {
-        &self.cfg
     }
 
     /// The retry policy in force.

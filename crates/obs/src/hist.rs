@@ -14,7 +14,7 @@
 
 /// One bucket for zero, seven exact buckets for `1..=7`, then 4 linear
 /// sub-buckets per octave for bit lengths `4..=64`: `8 + 61 * 4 = 252`.
-pub const NUM_BUCKETS: usize = 252;
+pub(crate) const NUM_BUCKETS: usize = 252;
 
 /// Fixed-size log-linear histogram over `u64` samples.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -18,12 +18,12 @@
 //! time goes only into `time` metrics, which are expected to vary and
 //! must never feed back into simulation decisions.
 
-pub mod export;
-pub mod hist;
-pub mod registry;
-pub mod rss;
+mod export;
+mod hist;
+mod registry;
+mod rss;
 
 pub use export::{render_table, to_json_lines, validate_json_lines};
-pub use hist::{Histogram, NUM_BUCKETS};
+pub use hist::Histogram;
 pub use registry::{MetricId, MetricKind, MetricRegistry, MetricSnapshot, MetricValue};
 pub use rss::{peak_rss_kb, record_peak_rss, PEAK_RSS_METRIC, PROC_PREFIX};

@@ -12,8 +12,9 @@
 //!
 //! - [`availability`]: per-client display probabilities from predicted slot
 //!   rates (Poisson tails, discounted by ads already queued on the client).
-//! - [`planner`]: replica-set construction policies (greedy
-//!   availability-ordered, fixed factor, none).
+//! - [`planner`]: [`PlannerKind`], the replica-set construction policy
+//!   (greedy availability-ordered, fixed factor, none) and its one
+//!   selection loop.
 //! - [`sla_violation_prob`], [`expected_duplicates`]: closed-form
 //!   SLA-violation and duplicate-display estimates for a chosen replica
 //!   set.
@@ -25,14 +26,14 @@
 //!
 //! ```
 //! use adpf_overbooking::availability::ClientAvailability;
-//! use adpf_overbooking::planner::{GreedyPlanner, ReplicationPlanner};
+//! use adpf_overbooking::PlannerKind;
 //!
 //! let candidates = vec![
 //!     ClientAvailability { client: 0, prob: 0.6 },
 //!     ClientAvailability { client: 1, prob: 0.5 },
 //!     ClientAvailability { client: 2, prob: 0.4 },
 //! ];
-//! let plan = GreedyPlanner.plan(&candidates, 0.9, 8);
+//! let plan = PlannerKind::Greedy.plan(&candidates, 0.9, 8);
 //! assert!(plan.success_prob >= 0.85);
 //! assert!(plan.clients.len() >= 2, "one 0.6 client cannot meet a 0.9 SLA");
 //! ```
@@ -44,7 +45,5 @@ pub mod reconcile;
 
 pub use availability::{poisson_tail, ClientAvailability};
 pub use estimator::{expected_duplicates, sla_violation_prob};
-pub use planner::{
-    FixedFactorPlanner, GreedyPlanner, NoReplicationPlanner, Plan, ReplicationPlanner,
-};
+pub use planner::{Plan, PlannerKind};
 pub use reconcile::{DisplayDisposition, ReplicaTracker, TrackerStats};

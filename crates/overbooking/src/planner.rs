@@ -40,16 +40,6 @@ impl Plan {
         }
     }
 
-    /// An empty plan (the ad is left unplaced).
-    pub fn empty() -> Self {
-        Self {
-            clients: InlineVec::new(),
-            probs: InlineVec::new(),
-            success_prob: 0.0,
-            expected_duplicates: 0.0,
-        }
-    }
-
     /// Replication factor.
     pub fn replicas(&self) -> usize {
         self.clients.len()
@@ -68,7 +58,7 @@ fn precedes(a: (f64, u32), b: (f64, u32)) -> bool {
 /// The best positive-probability candidate strictly after `prev` in
 /// selection order, or `None` when the pool is exhausted.
 ///
-/// Planners take at most `max_replicas` holders (single digits) from pools
+/// Policies take at most `max_replicas` holders (single digits) from pools
 /// of at most `candidate_pool` entries, so repeated `O(n)` partial
 /// selection replaces the full sort the hot path used to pay per sold ad —
 /// and, because the order is total, picks exactly the same clients in
@@ -96,47 +86,82 @@ fn next_in_order(
     best
 }
 
-/// A policy that picks replica holders for one ad.
-pub trait ReplicationPlanner {
-    /// Chooses a replica set from `candidates` aiming for
-    /// `P(shown) >= sla_target`, using at most `max_replicas` holders.
+/// Which replication policy the server uses: the paper's planner and its
+/// two ablations.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum PlannerKind {
+    /// Greedy availability-ordered replication sized to the SLA target
+    /// (the paper's planner).
     ///
-    /// Candidates may arrive in any order and may include zero-probability
-    /// clients; planners must tolerate both, and must return the same
-    /// plan with or without the `prob <= 0.0` entries. The engine relies
-    /// on that: it no longer offers zero-probability candidates at all
-    /// (its pool build leaves them out), which is exact only because no
-    /// planner could have picked one.
-    fn plan(&self, candidates: &[ClientAvailability], sla_target: f64, max_replicas: usize)
-        -> Plan;
-
-    /// Policy name for reports.
-    fn name(&self) -> &'static str;
+    /// Taking clients in decreasing availability minimizes the number of
+    /// replicas — and therefore the expected duplicates — needed to reach
+    /// a given success probability, because the highest-probability holder
+    /// contributes the largest single factor to `1 - prod(1 - p_i)`.
+    Greedy,
+    /// Fixed replication factor, ignoring the SLA target (static
+    /// overbooking ablation).
+    FixedK(usize),
+    /// No replication: every ad lives only on its origin client (the
+    /// no-overbooking ablation).
+    NoReplication,
 }
 
-/// The paper's planner: take clients in decreasing availability until the
-/// SLA target is met (or replicas run out).
-///
-/// Sorting by availability minimizes the number of replicas — and therefore
-/// the expected duplicates — needed to reach a given success probability,
-/// because the highest-probability holder contributes the largest single
-/// factor to `1 - prod(1 - p_i)`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GreedyPlanner;
+impl PlannerKind {
+    /// Resolves a CLI planner name (`greedy`, `none`, or `fixed-K`). The
+    /// canonical name set shared by the `simulate` and `serve` binaries.
+    pub fn parse(name: &str) -> Result<Self, String> {
+        match name {
+            "greedy" => Ok(PlannerKind::Greedy),
+            "none" => Ok(PlannerKind::NoReplication),
+            other => match other.strip_prefix("fixed-").and_then(|k| k.parse().ok()) {
+                Some(k) => Ok(PlannerKind::FixedK(k)),
+                None => Err(format!("unknown planner `{other}`")),
+            },
+        }
+    }
 
-impl ReplicationPlanner for GreedyPlanner {
-    fn plan(
+    /// Benchmark shim; deleted once `benchmark/` rebinds.
+    pub fn build(&self) -> Self {
+        *self
+    }
+
+    /// Stable label for tables.
+    pub fn label(&self) -> String {
+        match self {
+            PlannerKind::Greedy => "greedy".to_string(),
+            PlannerKind::FixedK(k) => format!("fixed-{k}"),
+            PlannerKind::NoReplication => "none".to_string(),
+        }
+    }
+
+    /// Chooses a replica set from `candidates` aiming for
+    /// `P(shown) >= sla_target`, using at most `max_replicas` holders,
+    /// taken in decreasing availability: `Greedy` until the target is met
+    /// (always at least one holder when any candidate can display),
+    /// `FixedK(k)` exactly `k` where the pool and cap allow, and
+    /// `NoReplication` none.
+    ///
+    /// Candidates may arrive in any order and may include zero-probability
+    /// clients; the plan is the same with or without the `prob <= 0.0`
+    /// entries. The engine relies on that: it no longer offers
+    /// zero-probability candidates at all (its pool build leaves them
+    /// out), which is exact only because no policy could have picked one.
+    pub fn plan(
         &self,
         candidates: &[ClientAvailability],
         sla_target: f64,
         max_replicas: usize,
     ) -> Plan {
-        let target = sla_target.clamp(0.0, 1.0);
+        let (take, target) = match *self {
+            PlannerKind::Greedy => (max_replicas, Some(sla_target.clamp(0.0, 1.0))),
+            PlannerKind::FixedK(k) => (k.min(max_replicas), None),
+            PlannerKind::NoReplication => (0, None),
+        };
         let mut chosen: InlineVec<(u32, f64), PLAN_INLINE> = InlineVec::new();
         let mut violation = 1.0;
         let mut prev = None;
-        while chosen.len() < max_replicas {
-            if !chosen.is_empty() && 1.0 - violation >= target {
+        while chosen.len() < take {
+            if !chosen.is_empty() && target.is_some_and(|t| 1.0 - violation >= t) {
                 break;
             }
             let Some((prob, client)) = next_in_order(candidates, prev) else {
@@ -147,63 +172,6 @@ impl ReplicationPlanner for GreedyPlanner {
             prev = Some((prob, client));
         }
         Plan::from_choice(&chosen)
-    }
-
-    fn name(&self) -> &'static str {
-        "greedy"
-    }
-}
-
-/// Always replicates to exactly `k` holders (highest availability first),
-/// regardless of the SLA target — the static-overbooking ablation.
-#[derive(Debug, Clone, Copy)]
-pub struct FixedFactorPlanner {
-    /// Replication factor.
-    pub k: usize,
-}
-
-impl ReplicationPlanner for FixedFactorPlanner {
-    fn plan(
-        &self,
-        candidates: &[ClientAvailability],
-        _sla_target: f64,
-        max_replicas: usize,
-    ) -> Plan {
-        let take = self.k.min(max_replicas);
-        let mut chosen: InlineVec<(u32, f64), PLAN_INLINE> = InlineVec::new();
-        let mut prev = None;
-        while chosen.len() < take {
-            let Some((prob, client)) = next_in_order(candidates, prev) else {
-                break;
-            };
-            chosen.push((client, prob));
-            prev = Some((prob, client));
-        }
-        Plan::from_choice(&chosen)
-    }
-
-    fn name(&self) -> &'static str {
-        "fixed-k"
-    }
-}
-
-/// Never replicates — the no-overbooking ablation. Callers that keep a
-/// primary copy elsewhere get zero insurance replicas from this planner.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoReplicationPlanner;
-
-impl ReplicationPlanner for NoReplicationPlanner {
-    fn plan(
-        &self,
-        _candidates: &[ClientAvailability],
-        _sla_target: f64,
-        _max_replicas: usize,
-    ) -> Plan {
-        Plan::empty()
-    }
-
-    fn name(&self) -> &'static str {
-        "none"
     }
 }
 
@@ -225,7 +193,7 @@ mod tests {
     #[test]
     fn greedy_meets_target_with_fewest_replicas() {
         let c = cands(&[0.2, 0.9, 0.5, 0.3]);
-        let plan = GreedyPlanner.plan(&c, 0.9, 10);
+        let plan = PlannerKind::Greedy.plan(&c, 0.9, 10);
         // The 0.9 client alone meets the target.
         assert_eq!(plan.clients, vec![1]);
         assert!((plan.success_prob - 0.9).abs() < 1e-12);
@@ -235,7 +203,7 @@ mod tests {
     #[test]
     fn greedy_stacks_replicas_for_high_targets() {
         let c = cands(&[0.5, 0.5, 0.5, 0.5, 0.5]);
-        let plan = GreedyPlanner.plan(&c, 0.95, 10);
+        let plan = PlannerKind::Greedy.plan(&c, 0.95, 10);
         // Need 1 - 0.5^k >= 0.95 → k = 5.
         assert_eq!(plan.replicas(), 5);
         assert!(plan.success_prob >= 0.95);
@@ -244,7 +212,7 @@ mod tests {
     #[test]
     fn greedy_respects_replica_cap() {
         let c = cands(&[0.1; 20]);
-        let plan = GreedyPlanner.plan(&c, 0.999, 4);
+        let plan = PlannerKind::Greedy.plan(&c, 0.999, 4);
         assert_eq!(plan.replicas(), 4);
         assert!(plan.success_prob < 0.999);
     }
@@ -252,39 +220,39 @@ mod tests {
     #[test]
     fn greedy_skips_zero_probability_clients() {
         let c = cands(&[0.0, 0.0, 0.6]);
-        let plan = GreedyPlanner.plan(&c, 0.99, 10);
+        let plan = PlannerKind::Greedy.plan(&c, 0.99, 10);
         assert_eq!(plan.clients, vec![2]);
     }
 
     #[test]
     fn greedy_with_no_candidates_is_empty() {
-        let plan = GreedyPlanner.plan(&[], 0.9, 5);
+        let plan = PlannerKind::Greedy.plan(&[], 0.9, 5);
         assert_eq!(plan.replicas(), 0);
         assert_eq!(plan.success_prob, 0.0);
-        let plan = GreedyPlanner.plan(&cands(&[0.0, 0.0]), 0.9, 5);
+        let plan = PlannerKind::Greedy.plan(&cands(&[0.0, 0.0]), 0.9, 5);
         assert_eq!(plan.replicas(), 0);
     }
 
     #[test]
     fn greedy_always_places_at_least_one_when_possible() {
         // Even with a 0.0 target, a sold ad should be placed somewhere.
-        let plan = GreedyPlanner.plan(&cands(&[0.4]), 0.0, 5);
+        let plan = PlannerKind::Greedy.plan(&cands(&[0.4]), 0.0, 5);
         assert_eq!(plan.replicas(), 1);
     }
 
     #[test]
     fn fixed_factor_ignores_target() {
         let c = cands(&[0.9, 0.8, 0.7, 0.6]);
-        let plan = FixedFactorPlanner { k: 3 }.plan(&c, 0.1, 10);
+        let plan = PlannerKind::FixedK(3).plan(&c, 0.1, 10);
         assert_eq!(plan.clients, vec![0, 1, 2]);
-        let plan = FixedFactorPlanner { k: 3 }.plan(&c, 0.99999, 2);
+        let plan = PlannerKind::FixedK(3).plan(&c, 0.99999, 2);
         assert_eq!(plan.replicas(), 2, "cap still applies");
     }
 
     #[test]
     fn single_copy_picks_best() {
         let c = cands(&[0.2, 0.7, 0.5]);
-        let plan = FixedFactorPlanner { k: 1 }.plan(&c, 0.99, 10);
+        let plan = PlannerKind::FixedK(1).plan(&c, 0.99, 10);
         assert_eq!(plan.clients, vec![1]);
         assert!((plan.success_prob - 0.7).abs() < 1e-12);
     }
@@ -292,8 +260,8 @@ mod tests {
     #[test]
     fn tie_break_is_deterministic() {
         let c = cands(&[0.5, 0.5, 0.5]);
-        let a = GreedyPlanner.plan(&c, 0.74, 10);
-        let b = GreedyPlanner.plan(&c, 0.74, 10);
+        let a = PlannerKind::Greedy.plan(&c, 0.74, 10);
+        let b = PlannerKind::Greedy.plan(&c, 0.74, 10);
         assert_eq!(a, b);
         assert_eq!(a.clients, vec![0, 1]);
     }
@@ -331,8 +299,8 @@ mod tests {
     #[test]
     fn greedy_duplicates_grow_with_target() {
         let c = cands(&[0.5; 10]);
-        let lo = GreedyPlanner.plan(&c, 0.5, 10);
-        let hi = GreedyPlanner.plan(&c, 0.99, 10);
+        let lo = PlannerKind::Greedy.plan(&c, 0.5, 10);
+        let hi = PlannerKind::Greedy.plan(&c, 0.99, 10);
         assert!(hi.expected_duplicates > lo.expected_duplicates);
         assert!(hi.success_prob > lo.success_prob);
     }

@@ -37,7 +37,7 @@
 mod eval;
 mod markov;
 mod oracle;
-pub mod predictor;
+mod predictor;
 mod quantile;
 mod session;
 mod tod;

@@ -33,7 +33,7 @@ impl Default for MarkovPredictor {
 
 impl MarkovPredictor {
     /// Creates a predictor with no history.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             transitions: [[0; 2]; 2],
             active_rate: Welford::new(),

@@ -18,7 +18,7 @@ pub(crate) struct OraclePredictor {
 impl OraclePredictor {
     /// Creates an oracle from the user's full slot-time series (sorted
     /// internally).
-    pub fn new(mut slot_times: Vec<SimTime>) -> Self {
+    pub(crate) fn new(mut slot_times: Vec<SimTime>) -> Self {
         slot_times.sort_unstable();
         Self { slot_times }
     }

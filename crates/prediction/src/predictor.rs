@@ -152,7 +152,7 @@ pub(crate) struct GlobalRatePredictor {
 
 impl GlobalRatePredictor {
     /// Creates a predictor with no history.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -194,7 +194,7 @@ pub(crate) struct EwmaPredictor {
 
 impl EwmaPredictor {
     /// Creates an EWMA predictor with smoothing factor `alpha` in `(0, 1]`.
-    pub fn new(alpha: f64) -> Self {
+    pub(crate) fn new(alpha: f64) -> Self {
         Self {
             rate_per_hour: Ewma::new(alpha),
         }

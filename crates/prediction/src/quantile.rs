@@ -30,7 +30,7 @@ impl QuantilePredictor {
     pub(crate) const MAX_HISTORY: usize = 512;
 
     /// Creates a predictor targeting quantile `q` (clamped into `[0, 1]`).
-    pub fn new(q: f64) -> Self {
+    pub(crate) fn new(q: f64) -> Self {
         Self {
             q: q.clamp(0.0, 1.0),
             rates: Vec::new(),

@@ -58,7 +58,7 @@ impl SessionAwarePredictor {
     const MAX_HISTORY: usize = 512;
 
     /// Creates a predictor with the given session gap and idle quantile.
-    pub fn new(session_gap: SimDuration, idle_q: f64) -> Self {
+    pub(crate) fn new(session_gap: SimDuration, idle_q: f64) -> Self {
         Self {
             session_gap,
             idle_q: idle_q.clamp(0.0, 1.0),

@@ -28,7 +28,7 @@ impl Default for TimeOfDayPredictor {
 
 impl TimeOfDayPredictor {
     /// Creates a predictor with no history.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             slots: [0.0; 24],
             observed_ms: [0.0; 24],
@@ -107,7 +107,7 @@ impl DayHourPredictor {
     pub(crate) const MIN_CELL_MS: f64 = MS_PER_HOUR as f64;
 
     /// Creates a predictor with no history.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             slots: [[0.0; 24]; 7],
             observed_ms: [[0.0; 24]; 7],

@@ -12,9 +12,9 @@
 //!
 //! - [`protocol`] — the wire format, its panic-free, line-numbered
 //!   ingest parser, and the zero-copy chunk framer in front of it.
-//! - [`mailbox`] — the bounded swap mailbox that hands events from the
+//! - `mailbox` — the bounded swap mailbox that hands events from the
 //!   ingest thread to a worker in batches.
-//! - [`server`] — the sharded serving loop: work-stealing engine
+//! - `server` — the sharded serving loop: work-stealing engine
 //!   construction, per-shard single-owner event routing in
 //!   shard-grouped batches, latency histograms, graceful shutdown into
 //!   a final [`SimReport`](adpf_core::SimReport) plus obs snapshot.
@@ -26,9 +26,9 @@
 //!
 //! [`ClientEngine`]: adpf_core::ClientEngine
 
-pub mod mailbox;
+mod mailbox;
 pub mod protocol;
-pub mod server;
+mod server;
 
 pub use mailbox::Mailbox;
 pub use protocol::{

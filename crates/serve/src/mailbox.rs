@@ -104,7 +104,7 @@ impl<T> Mailbox<T> {
     }
 
     /// Ends the session from either side and wakes whoever is waiting.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         self.lock().closed = true;
         self.filled.notify_one();
         self.drained.notify_one();

@@ -125,16 +125,6 @@ impl Parser {
         Self::default()
     }
 
-    /// Number of lines fed so far.
-    pub fn line(&self) -> usize {
-        self.line
-    }
-
-    /// The stream header, once seen.
-    pub fn header(&self) -> Option<StreamHeader> {
-        self.header
-    }
-
     fn reject(&self, reason: String) -> Parsed {
         Parsed::Rejected(IngestError {
             line: self.line,
@@ -465,7 +455,7 @@ mod tests {
             Parsed::Event(SlotEvent { time_ms: 9, .. })
         ));
         assert_eq!(out[4], Parsed::Shutdown);
-        assert_eq!(p.header().unwrap().users, 10);
+        assert_eq!(p.header.unwrap().users, 10);
     }
 
     #[test]

@@ -75,7 +75,7 @@ pub struct LogNormal {
 
 impl LogNormal {
     /// Creates a log-normal from the parameters of the underlying normal.
-    pub fn new(mu: f64, sigma: f64) -> Result<Self, ParamError> {
+    pub(crate) fn new(mu: f64, sigma: f64) -> Result<Self, ParamError> {
         let valid = sigma.is_finite() && sigma > 0.0 && mu.is_finite();
         if !valid {
             return Err(ParamError {
@@ -105,11 +105,6 @@ impl LogNormal {
     /// Arithmetic mean of the distribution.
     pub fn mean(&self) -> f64 {
         (self.mu + self.sigma * self.sigma / 2.0).exp()
-    }
-
-    /// Median of the distribution (`exp(mu)`).
-    pub fn median(&self) -> f64 {
-        self.mu.exp()
     }
 }
 
@@ -443,7 +438,7 @@ mod tests {
     #[test]
     fn lognormal_median_below_mean() {
         let d = LogNormal::from_mean_cv(10.0, 2.0).unwrap();
-        assert!(d.median() < d.mean());
+        assert!(d.mu.exp() < d.mean(), "median exp(mu) below the mean");
     }
 
     #[test]

@@ -8,11 +8,11 @@
 //!   in-tree so that every sample drawn anywhere in the simulator is
 //!   reproducible from a single seed and auditable.
 //! - [`summary`]: one-pass descriptive statistics and quantiles.
-//! - [`ecdf`]: empirical cumulative distribution functions.
-//! - [`hist`]: fixed-bin histograms and hour-of-day profiles.
+//! - `ecdf`: empirical cumulative distribution functions.
+//! - [`hist`]: hour-of-day profiles.
 //! - [`autocorrelation`]: lag autocorrelation (Pearson's r of a series
 //!   against itself shifted).
-//! - [`online`]: Welford online means and exponentially weighted means.
+//! - `online`: Welford online means and exponentially weighted means.
 //!
 //! # Examples
 //!
@@ -30,15 +30,14 @@
 
 mod corr;
 pub mod dist;
-pub mod ecdf;
+mod ecdf;
 pub mod hist;
-pub mod online;
+mod online;
 pub mod summary;
 
 pub use corr::autocorrelation;
 pub use dist::Distribution;
 pub use ecdf::Ecdf;
-pub use hist::Histogram;
 pub use online::{Ewma, Welford};
 pub use summary::Summary;
 

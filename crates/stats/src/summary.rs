@@ -55,16 +55,6 @@ impl Summary {
             p99: quantile_sorted(&sorted, 0.99),
         }
     }
-
-    /// Coefficient of variation (`std_dev / mean`), or `0.0` when the mean is
-    /// zero.
-    pub fn cv(&self) -> f64 {
-        if self.mean == 0.0 {
-            0.0
-        } else {
-            self.std_dev / self.mean
-        }
-    }
 }
 
 /// Returns the `q`-quantile of an **ascending-sorted** slice using linear
@@ -103,7 +93,7 @@ mod tests {
         let s = Summary::from_slice(&[]);
         assert_eq!(s.count, 0);
         assert_eq!(s.mean, 0.0);
-        assert_eq!(s.cv(), 0.0);
+        assert_eq!(s.std_dev, 0.0);
     }
 
     #[test]

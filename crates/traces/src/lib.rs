@@ -4,10 +4,10 @@
 //! Phone users (app foreground sessions over several weeks). Those traces
 //! are not available, so this crate provides:
 //!
-//! - [`model`]: the trace data model — users, apps, foreground
+//! - `model`: the trace data model — users, apps, foreground
 //!   [`Session`]s, and the derived [`AdSlot`] stream (one slot at session
 //!   start plus one per refresh interval while the app stays foreground).
-//! - [`gen`]: a seeded synthetic population generator reproducing the
+//! - `gen`: a seeded synthetic population generator reproducing the
 //!   statistical structure the paper's mechanisms rely on: diurnal rhythm,
 //!   weekday/weekend modulation, heavy-tailed per-user activity, Zipf app
 //!   popularity, and lognormal session lengths. Presets
@@ -22,7 +22,7 @@
 //!
 //! ```
 //! use adpf_desim::SimDuration;
-//! use adpf_traces::gen::PopulationConfig;
+//! use adpf_traces::PopulationConfig;
 //!
 //! let trace = PopulationConfig::small_test(42).generate();
 //! assert!(trace.sessions().len() > 0);
@@ -31,8 +31,8 @@
 //! ```
 
 pub mod csv;
-pub mod gen;
-pub mod model;
+mod gen;
+mod model;
 pub mod stats;
 
 pub use gen::PopulationConfig;

@@ -136,11 +136,6 @@ impl UserSlots {
     pub fn user(&self, u: usize) -> &[SimTime] {
         &self.times[self.offsets[u] as usize..self.offsets[u + 1] as usize]
     }
-
-    /// Total slot count across all users.
-    pub fn total_slots(&self) -> usize {
-        self.times.len()
-    }
 }
 
 /// A complete usage trace: sessions of a user population over a horizon.
@@ -479,7 +474,7 @@ mod tests {
             time: SimTime::from_secs(1),
         }];
         let csr = UserSlots::from_slots(&slots, 2);
-        assert_eq!(csr.total_slots(), 0);
+        assert!(csr.times.is_empty());
     }
 
     #[test]

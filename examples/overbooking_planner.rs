@@ -11,9 +11,7 @@
 //! ```
 
 use adprefetch::overbooking::availability::{display_probability_bursty, ClientAvailability};
-use adprefetch::overbooking::planner::{
-    FixedFactorPlanner, GreedyPlanner, NoReplicationPlanner, ReplicationPlanner,
-};
+use adprefetch::overbooking::PlannerKind;
 
 fn main() {
     // Candidate replica holders: expected slots before the ad's deadline,
@@ -45,20 +43,19 @@ fn main() {
         );
     }
 
-    let planners: Vec<Box<dyn ReplicationPlanner>> = vec![
-        Box::new(NoReplicationPlanner),
-        Box::new(FixedFactorPlanner { k: 2 }),
-        Box::new(GreedyPlanner),
-    ];
     println!(
         "\n{:>8}  {:>8} {:>14} {:>18}",
         "planner", "replicas", "P(violation)", "E[duplicates]"
     );
-    for planner in planners {
+    for planner in [
+        PlannerKind::NoReplication,
+        PlannerKind::FixedK(2),
+        PlannerKind::Greedy,
+    ] {
         let plan = planner.plan(&candidates, 0.95, 8);
         println!(
             "{:>8}  {:>8} {:>14.4} {:>18.3}",
-            planner.name(),
+            planner.label(),
             plan.replicas(),
             1.0 - plan.success_prob,
             plan.expected_duplicates

@@ -4,8 +4,7 @@
 use adprefetch::desim::{EventQueue, SimDuration, SimTime};
 use adprefetch::energy::{profiles, Radio};
 use adprefetch::overbooking::availability::{poisson_tail, ClientAvailability};
-use adprefetch::overbooking::planner::{GreedyPlanner, ReplicationPlanner};
-use adprefetch::overbooking::{expected_duplicates, sla_violation_prob};
+use adprefetch::overbooking::{expected_duplicates, sla_violation_prob, PlannerKind};
 use adprefetch::stats::summary::quantile;
 use adprefetch::stats::{Ecdf, Summary};
 use proptest::prelude::*;
@@ -85,19 +84,22 @@ proptest! {
     }
 
     /// The greedy plan only uses offered candidates, never repeats a
-    /// client, respects the cap, and reports consistent analytics.
+    /// client, respects the cap, and reports consistent analytics; the
+    /// ablations take exactly what they name (`FixedK(k)` the best
+    /// holders the cap and the pool allow, `NoReplication` none).
     #[test]
     fn greedy_plans_are_sound(
         probs in prop::collection::vec(0.0f64..1.0, 0..40),
         target in 0.0f64..1.0,
         cap in 1usize..10,
+        k in 0usize..10,
     ) {
         let candidates: Vec<ClientAvailability> = probs
             .iter()
             .enumerate()
             .map(|(i, &p)| ClientAvailability { client: i as u32, prob: p })
             .collect();
-        let plan = GreedyPlanner.plan(&candidates, target, cap);
+        let plan = PlannerKind::Greedy.plan(&candidates, target, cap);
         prop_assert!(plan.replicas() <= cap);
         let mut seen = std::collections::HashSet::new();
         for &c in &plan.clients {
@@ -108,6 +110,10 @@ proptest! {
         prop_assert!((plan.success_prob - (1.0 - viol)).abs() < 1e-9);
         prop_assert!((plan.expected_duplicates - expected_duplicates(&plan.probs)).abs() < 1e-9);
         prop_assert!(plan.expected_duplicates >= -1e-12);
+        let positive = probs.iter().filter(|&&p| p > 0.0).count();
+        let fixed = PlannerKind::FixedK(k).plan(&candidates, target, cap);
+        prop_assert_eq!(fixed.replicas(), k.min(cap).min(positive));
+        prop_assert_eq!(PlannerKind::NoReplication.plan(&candidates, target, cap).replicas(), 0);
     }
 
     /// Quantiles are bounded by the extremes and monotone in q.
@@ -140,4 +146,21 @@ proptest! {
         prop_assert!(s.min <= s.median && s.median <= s.max);
         prop_assert!(s.mean >= s.min - 1e-9 && s.mean <= s.max + 1e-9);
     }
+}
+
+/// Greedy stops at the first holder set that meets the target, equality
+/// included (two 0.5 holders reach exactly 0.75), and places one holder
+/// even when no target is asked of it.
+#[test]
+fn greedy_stops_at_the_first_set_that_meets_the_target() {
+    let candidates: Vec<ClientAvailability> = (0..4)
+        .map(|client| ClientAvailability { client, prob: 0.5 })
+        .collect();
+    let plan = PlannerKind::Greedy.plan(&candidates, 0.75, 8);
+    assert_eq!(plan.clients, vec![0, 1]);
+    assert_eq!(plan.success_prob, 0.75);
+    assert_eq!(
+        PlannerKind::Greedy.plan(&candidates, 0.0, 8).clients,
+        vec![0]
+    );
 }
