@@ -16,13 +16,14 @@
 //!   sold with a display deadline and a risk discount). Given an idle
 //!   core, an exchange samples its auctions ahead on its worker's
 //!   [`BidSampler`], bit-identically ([`Exchange::sample_ahead_on`]).
-//! - [`Ledger`]: a per-ad ledger that bills the first confirmed
-//!   impression, tracks duplicate displays from replication, and records
-//!   SLA expirations (advance-sold ads never shown by their deadline).
 //! - `market`: the opt-in reactive marketplace layer — campaign types
 //!   with proportional pacing controllers, per-slot-kind price floors,
 //!   and a first-price/second-price switch. Off by default; the static
 //!   exchange above is the paper's model.
+//!
+//! What happens to a sold ad afterwards — billed at its first display in
+//! time, refunded at expiry — is `adpf_overbooking::AdBook`'s, which
+//! keeps one record per sold ad; [`Exchange::refund`] credits the payer.
 //!
 //! # Examples
 //!
@@ -36,13 +37,11 @@
 //! ```
 
 mod ahead;
-mod billing;
 mod campaign;
 mod exchange;
 mod market;
 
 pub use ahead::BidSampler;
-pub use billing::{AdState, ImpressionOutcome, Ledger, LedgerTotals};
 pub use campaign::{BidModel, Campaign, CampaignCatalog, CampaignId};
 pub use exchange::{AdId, Exchange, SlotKind, SlotOffer, SoldAd};
 pub use market::{CampaignType, MarketplaceConfig, PacingController, PriceFloors, PricingRule};

@@ -1,12 +1,13 @@
 //! Microbenchmarks of the sale path (substrate of E14a and every system
 //! run): the exchange's auction kernel under each regime that takes a
-//! different route through it, and the billing ledger's sale → impression
-//! → expiry cycle.
+//! different route through it, and the ad book's sale → impression →
+//! expiry cycle.
 
 use adpf_auction::{
-    AdId, CampaignCatalog, CampaignId, Exchange, Ledger, MarketplaceConfig, SlotOffer, SoldAd,
+    AdId, CampaignCatalog, CampaignId, Exchange, MarketplaceConfig, SlotOffer, SoldAd,
 };
 use adpf_desim::{SimDuration, SimTime};
+use adpf_overbooking::AdBook;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
@@ -96,7 +97,7 @@ fn bench_auction_regimes(c: &mut Criterion) {
     g.finish();
 }
 
-/// One ledger's life over a 12 h window: an ad sold every 40 ms with a
+/// One book's life over a 12 h window: an ad sold every 40 ms with a
 /// 4 h deadline, nine in ten displayed half an hour later, and the
 /// engine's hourly expiry sweep.
 fn bench_ledger(c: &mut Criterion) {
@@ -106,29 +107,30 @@ fn bench_ledger(c: &mut Criterion) {
     g.bench_function("sale_impression_expire_12h", |b| {
         let mut refunds = Vec::new();
         b.iter(|| {
-            let mut ledger = Ledger::new();
+            let mut book = AdBook::new();
             let mut next_sweep = SimTime::from_hours(1);
             let display_lag = 30 * 60_000 / 40;
             for id in 0..SALES {
                 let now = SimTime::from_millis(id * 40);
                 if now >= next_sweep {
-                    ledger.expire_due(now, &mut refunds);
+                    book.expire_due(now, &mut refunds);
                     black_box(refunds.len());
                     next_sweep += SimDuration::from_hours(1);
                 }
-                ledger.record_sale(&SoldAd {
+                let sold = SoldAd {
                     id: AdId(id),
                     campaign: CampaignId((id % 50) as u32),
                     price: 0.0015,
                     winning_bid: 0.002,
                     deadline: now + SimDuration::from_hours(4),
                     sold_at: now,
-                });
+                };
+                book.sell(&sold, &[0]);
                 if let Some(shown) = id.checked_sub(display_lag).filter(|s| s % 10 != 0) {
-                    black_box(ledger.record_impression(AdId(shown), now));
+                    black_box(book.report(AdId(shown), 0, now));
                 }
             }
-            black_box(ledger.totals())
+            black_box(book.totals())
         });
     });
     g.finish();

@@ -554,7 +554,8 @@ pub(crate) fn run(row: &Row, driver: Driver, threads: usize) -> Outcome {
 ///
 /// What holds of every run: the books balance (every slot is an
 /// impression or unfilled, every sold ad billed or expired, revenue plus
-/// refunds is the sold value to 1e-9 of it); a served stream ingests
+/// refunds is the sold value to 1e-9 of it); the engine's end-of-run
+/// audit is clean (no `audit.*` counter is nonzero); a served stream ingests
 /// without a rejected line and with one request per slot; and every run
 /// of a row, served ones included, repeats its first one's deterministic
 /// metrics.
@@ -678,6 +679,14 @@ fn judge(row: &Row, o: &Outcome, metrics_out: Option<&str>) -> (String, Vec<Stri
             "revenue + refunded expected the sold value {}, got {drift:e} off",
             l.sold_value
         ));
+    }
+    // AuditClean: the engine registers an `audit.*` counter only for a
+    // violation it found.
+    for m in r.metrics.snapshot() {
+        let got = r.metrics.counter_value(m.name);
+        if m.name.starts_with("audit.") && got != 0 {
+            failures.push(format!("{} expected 0, got {got}", m.name));
+        }
     }
     (notes, failures)
 }
@@ -852,6 +861,17 @@ mod tests {
         assert_eq!(
             lines[9],
             "smoke-dropout serve threads=2 FAILED(a run expected, the row omits its driver)"
+        );
+    }
+
+    #[test]
+    fn a_nonzero_audit_counter_fails_the_run() {
+        let o = run(&SMOKE, Driver::Parallel, 2);
+        assert_eq!(judge(&SMOKE, &o, None).1, Vec::<String>::new());
+        o.report.metrics.add("audit.book.open_records", 3);
+        assert_eq!(
+            judge(&SMOKE, &o, None).1,
+            ["audit.book.open_records expected 0, got 3"]
         );
     }
 

@@ -25,8 +25,9 @@
 //!
 //! An item is a line declaring `pub fn`, `pub const fn`, `pub struct`,
 //! `pub enum`, `pub trait`, `pub type`, `pub const`, `pub static` or
-//! `pub mod`; everything after a file's first `#[cfg(test)]` is test code
-//! and declares none. Run with
+//! `pub mod`; the item after each `#[cfg(test)]` line (a test module,
+//! inline or `#[path]`-ed, or a test helper) is test code, stripped to
+//! its closing brace or `;`, and declares none. Run with
 //! `cargo test -p adpf-bench --test public_surface`.
 
 use std::collections::{HashMap, HashSet};
@@ -247,14 +248,41 @@ impl Reached {
     }
 }
 
+/// The byte offset just past the item that starts at `src[from..]`: its
+/// first `;` or the brace closing its first `{`.
+fn item_end(src: &str, from: usize) -> usize {
+    let mut depth = 0;
+    for tok in tokens(&src[from..]) {
+        match tok {
+            "{" => depth += 1,
+            "}" => depth -= 1,
+            ";" if depth == 0 => {}
+            _ => continue,
+        }
+        if depth == 0 {
+            return tok.as_ptr() as usize - src.as_ptr() as usize + 1;
+        }
+    }
+    src.len()
+}
+
 /// `(line number, line)` for the lines of a library file that declare
-/// items: those before its first `#[cfg(test)]`.
+/// items: all but the lines of its `#[cfg(test)]` items.
 fn item_lines(text: &str) -> Vec<(usize, &str)> {
-    text.lines()
-        .enumerate()
-        .take_while(|(_, l)| l.trim() != "#[cfg(test)]")
-        .map(|(i, l)| (i + 1, l))
-        .collect()
+    let at = |line: &str| line.as_ptr() as usize - text.as_ptr() as usize;
+    // Lines starting before this offset belong to a test item.
+    let mut test_until = 0;
+    let mut out = Vec::new();
+    for (i, line) in text.lines().enumerate() {
+        if at(line) < test_until {
+            continue;
+        } else if line.trim() == "#[cfg(test)]" {
+            test_until = item_end(text, at(line) + line.len());
+        } else {
+            out.push((i + 1, line));
+        }
+    }
+    out
 }
 
 /// `(keyword, name)` when the line declares a plain-`pub` item.
@@ -467,7 +495,8 @@ fn every_pub_item_is_named_outside_its_library() {
     );
 }
 
-/// The scanner on hand-written source: shared names are not reaches.
+/// The scanner on hand-written source: shared names are not reaches, and
+/// test items declare nothing.
 #[test]
 fn reaches_go_through_the_crate_or_the_type() {
     let src = r##"
@@ -506,6 +535,26 @@ fn reaches_go_through_the_crate_or_the_type() {
     let lines = item_lines("impl<T: Ord> Queue<T> {\n    pub fn new() {}\n}\npub fn free() {}\n");
     assert_eq!(impl_type(&lines, 1).as_deref(), Some("Queue"));
     assert_eq!(impl_type(&lines, 3), None);
+
+    // Test items are stripped to their end, and the scan goes on past them.
+    let src = r##"pub fn before() {}
+#[cfg(test)]
+#[path = "x_tests.rs"]
+mod x_tests;
+pub fn between() {}
+#[cfg(test)]
+mod tests {
+    pub fn helper() { let s = "}"; let c = '{'; }
+    // } a brace in a comment
+    pub struct Inner { x: u8 }
+}
+pub fn after() {}
+"##;
+    let items: Vec<(usize, &str)> = item_lines(src)
+        .into_iter()
+        .filter_map(|(n, l)| Some((n, pub_item(l)?.1)))
+        .collect();
+    assert_eq!(items, [(1, "before"), (5, "between"), (12, "after")]);
 }
 
 #[test]

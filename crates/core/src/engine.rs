@@ -40,15 +40,14 @@
 //! [`drain_internal`]: ClientEngine::drain_internal
 //! [`into_report`]: ClientEngine::into_report
 
-use adpf_auction::{
-    AdId, BidSampler, CampaignCatalog, CampaignId, Exchange, ImpressionOutcome, Ledger, SlotOffer,
-};
+use adpf_auction::{AdId, BidSampler, CampaignCatalog, Exchange, SlotOffer};
 use adpf_desim::{EventQueue, InlineVec, SimDuration, SimTime};
 use adpf_energy::{EnergyBreakdown, Radio};
 use adpf_netem::NetworkModel;
 use adpf_obs::{MetricId, MetricRegistry};
 use adpf_overbooking::availability::{BurstyTail, ClientAvailability};
 use adpf_overbooking::planner::PLAN_INLINE;
+use adpf_overbooking::{AdBook, Record, Shown};
 use adpf_traces::{AdSlot, AppId, UserId, UserSlots};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -192,11 +191,11 @@ pub(crate) struct EngineScratch {
     /// re-scoring the entry at a deeper queue extends.
     tails: Vec<BurstyTail>,
     /// The rescue scan's due-ad list.
-    due: Vec<(u64, SimTime)>,
-    /// The expiry sweep's refund list.
-    expired: Vec<(AdId, CampaignId, f64)>,
-    /// Cancellation ids drained from the tracker at a sync, without
-    /// surrendering the tracker queue's allocation.
+    due: Vec<(AdId, SimTime)>,
+    /// The expiry sweep's closed records.
+    expired: Vec<Record>,
+    /// Cancellation ids drained from the book at a sync, without
+    /// surrendering the book queue's allocation.
     cancel: Vec<u64>,
     /// One near-lane bucket's events, drained at a time by
     /// [`ClientEngine::drain_internal_before`].
@@ -246,8 +245,13 @@ pub struct ClientEngine {
     horizon: SimTime,
     days: u32,
     exchange: Exchange,
-    ledger: Ledger,
-    tracker: adpf_overbooking::reconcile::ReplicaTracker,
+    /// Every sold ad from sale to its first display or expiry.
+    book: AdBook,
+    /// Holder claims given back by [`ClientEngine::release_holders`], and
+    /// the refunds handed to the exchange in the order handed: what the
+    /// book is audited against at finalize.
+    claims_released: u64,
+    refunded: f64,
     /// The internal event queue and every reusable buffer.
     scratch: EngineScratch,
     /// Cached time of the earliest internal event, so the per-slot
@@ -421,8 +425,9 @@ impl ClientEngine {
             horizon,
             days,
             exchange,
-            ledger: Ledger::new(),
-            tracker: adpf_overbooking::reconcile::ReplicaTracker::new(),
+            book: AdBook::new(),
+            claims_released: 0,
+            refunded: 0.0,
             scratch,
             next_internal,
             cand_cursor: 0,
@@ -647,9 +652,7 @@ impl ClientEngine {
             self.unfilled += 1;
             return;
         };
-        self.ledger.record_sale(&sold);
-        let outcome = self.ledger.record_impression(sold.id, now);
-        debug_assert_eq!(outcome, ImpressionOutcome::Billed);
+        self.book.bill_now(&sold);
         self.impressions += 1;
         if let Some(s) = &self.scen {
             s.record_fetch(ci, latency, &self.obs);
@@ -803,9 +806,8 @@ impl ClientEngine {
             let Some(sold) = self.exchange.run_auction(&offer) else {
                 break; // Exchange demand exhausted.
             };
-            self.ledger.record_sale(&sold);
             let holders = self.place_ad(ci, now, deadline, &mut placement);
-            self.tracker.register(sold.id.0, &holders, deadline);
+            self.book.sell(&sold, &holders);
             // The first holder in placement order is the primary copy; the
             // rest are insurance replicas that display only after the
             // holder's own primaries.
@@ -861,11 +863,10 @@ impl ClientEngine {
 
         // 5. The radio is waking up: apply queued cancellations, deliver
         //    outstanding replicas, and ship the impression reports. The
-        //    drain keeps both the tracker queue's and the scratch
+        //    drain keeps both the book queue's and the scratch
         //    buffer's allocations alive across syncs.
         self.scratch.cancel.clear();
-        self.tracker
-            .drain_cancellations(c, &mut self.scratch.cancel);
+        self.book.drain_cancellations(c, &mut self.scratch.cancel);
         if !self.scratch.cancel.is_empty() {
             self.clients.cancel(ci, &self.scratch.cancel);
         }
@@ -886,13 +887,7 @@ impl ClientEngine {
         let report_count = self.scratch.reports.len() as u64;
         for i in 0..self.scratch.reports.len() {
             let (ad, t) = self.scratch.reports[i];
-            let disposition = self.tracker.record_display(ad.0, c);
-            self.ledger.record_impression(ad, t);
-            if disposition == adpf_overbooking::DisplayDisposition::First {
-                // The reporter consumed the ad, the others will drop it
-                // on cancellation.
-                self.release_holders(ad.0);
-            }
+            self.settle_report(c, ad, t);
         }
         self.scratch.reports.clear();
 
@@ -1089,18 +1084,18 @@ impl ClientEngine {
         }
         let mut due = std::mem::take(&mut self.scratch.due);
         due.clear();
-        self.tracker
-            .undisplayed_due_before(now + self.config.prefetch_interval, &mut due);
+        self.book
+            .unrescued_due_before(now + self.config.prefetch_interval, &mut due);
         // Ascending ad-id order, which the rotating cursor depends on.
         for &(ad, deadline) in &due {
             if deadline <= now {
                 continue; // Too late for any new holder to display it.
             }
             let Some(net) = self.net.as_mut() else { break };
-            // Copy the holder set out so the tracker can be mutated below.
-            let holders: InlineVec<u32, { PLAN_INLINE + 1 }> = match self.tracker.holders(ad) {
-                Some(h) => InlineVec::from_slice(h),
-                None => continue,
+            // Borrowing `book` beside `net`, `clients` and the cursor is a
+            // set of disjoint field borrows; it ends before the rescue.
+            let Some(holders) = self.book.holders(ad) else {
+                continue;
             };
             // Reachability only consults the link trajectory (no failure
             // coin), so the scan cannot perturb later attempt outcomes.
@@ -1112,7 +1107,7 @@ impl ClientEngine {
             let mut target = None;
             for _ in 0..self.config.candidate_pool.min(n) {
                 let j = advance_cursor(&mut self.cand_cursor, n);
-                if holders.as_slice().contains(&(j as u32)) {
+                if holders.contains(&(j as u32)) {
                     continue;
                 }
                 if self.clients.next_sync[j] < deadline && net.reachable(j, now) {
@@ -1121,10 +1116,10 @@ impl ClientEngine {
                 }
             }
             match target {
-                Some(t) if self.tracker.rescue_to(ad, t) => {
+                Some(t) if self.book.rescue_to(ad, t) => {
                     self.clients.queued[t as usize] += 1;
                     self.clients.outbox[t as usize].push(CachedAd {
-                        id: AdId(ad),
+                        id: ad,
                         deadline,
                         replica: true,
                     });
@@ -1135,33 +1130,46 @@ impl ClientEngine {
         self.scratch.due = due;
     }
 
+    /// Expires every record due before `now`. An ad that expires was
+    /// never shown, so each one is a wasted prefetch.
     fn expire(&mut self, now: SimTime) {
         let mut expired = std::mem::take(&mut self.scratch.expired);
-        self.ledger.expire_due(now, &mut expired);
-        for &(ad, campaign, price) in &expired {
-            self.exchange.refund(campaign, price);
-            if !self.tracker.is_displayed(ad.0) {
-                if let Some(s) = &self.scen {
-                    s.record_wasted_ad(&self.obs);
-                }
-                self.release_holders(ad.0);
+        self.book.expire_due(now, &mut expired);
+        for record in &expired {
+            self.refund(record);
+            if let Some(s) = &self.scen {
+                s.record_wasted_ad(&self.obs);
             }
-            self.tracker.remove(ad.0);
         }
         self.scratch.expired = expired;
     }
 
-    /// Shrinks the queue of every holder of `ad`, which no longer waits
-    /// on any of them: it was displayed, or it expired. Borrowing
-    /// `tracker` and mutating `clients` are disjoint field accesses, so
-    /// no defensive clone of the holder list.
-    fn release_holders(&mut self, ad: u64) {
-        if let Some(holders) = self.tracker.holders(ad) {
-            for &h in holders {
-                let q = &mut self.clients.queued[h as usize];
-                *q = q.saturating_sub(1);
-            }
+    /// Books `client`'s report of displaying `ad` at `t`, releasing the
+    /// holders of a record it closes and refunding one it expires.
+    fn settle_report(&mut self, client: u32, ad: AdId, t: SimTime) {
+        match self.book.report(ad, client, t) {
+            Shown::Billed(record) => self.release_holders(&record),
+            Shown::Expired(record) => self.refund(&record),
+            Shown::Duplicate | Shown::Late | Shown::Unknown => {}
         }
+    }
+
+    /// Credits an expired ad's price back to its campaign and releases
+    /// its holders.
+    fn refund(&mut self, record: &Record) {
+        self.exchange.refund(record.campaign, record.price);
+        self.refunded += record.price;
+        self.release_holders(record);
+    }
+
+    /// Shrinks the queue of every holder of a closed record's ad, which
+    /// no longer waits on any of them: it was displayed, or it expired.
+    fn release_holders(&mut self, record: &Record) {
+        for &h in &record.holders {
+            let q = &mut self.clients.queued[h as usize];
+            *q = q.saturating_sub(1);
+        }
+        self.claims_released += record.holders.len() as u64;
     }
 
     /// Settles all outstanding state and produces the run's report, its
@@ -1189,12 +1197,14 @@ impl ClientEngine {
         for ci in 0..self.clients.len() {
             let reports = std::mem::take(&mut self.clients.pending_reports[ci]);
             for (ad, t) in reports {
-                self.tracker.record_display(ad.0, ci as u32);
-                self.ledger.record_impression(ad, t);
+                self.settle_report(ci as u32, ad, t);
             }
         }
-        // Settle everything still pending.
+        // Settle everything still pending, then hold the book to what
+        // the engine released and refunded.
         self.expire(self.horizon + self.config.deadline + SimDuration::from_millis(1));
+        self.book
+            .audit(&self.obs, self.claims_released, self.refunded);
 
         let mut energy = EnergyBreakdown::default();
         let mut per_user = Vec::with_capacity(self.clients.len());
@@ -1217,7 +1227,7 @@ impl ClientEngine {
         // covers the whole stack. All of these count simulated events, so
         // they stay deterministic regardless of whether metrics export is
         // requested.
-        self.tracker.publish(&self.obs);
+        self.book.publish(&self.obs);
         self.exchange.publish(&self.obs);
         if let Some(net) = &self.net {
             net.publish(&self.obs);
@@ -1238,7 +1248,7 @@ impl ClientEngine {
             days: self.days,
             energy,
             per_user_energy_j: per_user,
-            ledger: self.ledger.totals(),
+            ledger: self.book.totals(),
             metrics: self.obs,
             ..SimReport::empty()
         };

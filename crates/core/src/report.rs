@@ -1,8 +1,8 @@
 //! Simulation reports.
 
-use adpf_auction::LedgerTotals;
 use adpf_energy::EnergyBreakdown;
 use adpf_obs::{Histogram, MetricRegistry};
+use adpf_overbooking::LedgerTotals;
 
 /// Registry names of the counts a [`SimReport`] reads out of its
 /// metrics. The engine counts into these, and nothing else keeps a copy.

@@ -2,9 +2,9 @@
 //! one registry merge plus the energy, ledger and per-user folds, must
 //! behave like a sum over disjoint shard populations.
 
-use adpf_auction::LedgerTotals;
 use adpf_core::SimReport;
 use adpf_energy::EnergyBreakdown;
+use adpf_overbooking::LedgerTotals;
 use proptest::prelude::*;
 
 /// Builds a report from a compact tuple of generated scalars.

@@ -3,8 +3,9 @@ use std::collections::VecDeque;
 
 /// A sliding window over a monotone id space: slot `i` belongs to id
 /// `first + i`, and `T::default()` fills the ids never stored. Ads are
-/// numbered by a counter and settle in rough id order, so the ledger and
-/// the replica tracker keep per-ad state in one; their tests cover it.
+/// numbered by a counter and settle in rough id order, so the ad book
+/// (`adpf_overbooking::AdBook`) keeps its per-ad states in one and its
+/// open records in another; its tests cover both.
 #[derive(Debug, Default)]
 pub struct IdDeque<T> {
     slots: VecDeque<T>,

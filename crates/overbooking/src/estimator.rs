@@ -14,7 +14,7 @@ pub fn sla_violation_prob(probs: &[f64]) -> f64 {
 /// per-holder display probabilities `probs`, assuming no cancellation:
 /// `E[displays] - P(at least one display) = sum(p_i) - (1 - prod(1 - p_i))`.
 ///
-/// The runtime cancellation protocol ([`crate::reconcile`]) pushes real
+/// The runtime cancellation protocol ([`crate::AdBook`]) pushes real
 /// duplicates below this bound; the planner uses it as a conservative cost.
 pub fn expected_duplicates(probs: &[f64]) -> f64 {
     let sum: f64 = probs.iter().map(|p| p.clamp(0.0, 1.0)).sum();

@@ -18,9 +18,9 @@
 //! - [`sla_violation_prob`], [`expected_duplicates`]: closed-form
 //!   SLA-violation and duplicate-display estimates for a chosen replica
 //!   set.
-//! - [`reconcile`]: the runtime protocol that cancels outstanding replicas
-//!   once one client reports the first display, bounding duplicates to the
-//!   sync delay.
+//! - [`AdBook`]: one record per sold ad, from sale to its first display
+//!   (billed, outstanding replicas cancelled, bounding duplicates to the
+//!   sync delay) or its expiry (refunded).
 //!
 //! # Examples
 //!
@@ -39,11 +39,11 @@
 //! ```
 
 pub mod availability;
+mod book;
 mod estimator;
 pub mod planner;
-pub mod reconcile;
 
 pub use availability::{poisson_tail, ClientAvailability};
+pub use book::{AdBook, AdState, LedgerTotals, Record, ReplicaTracker, Shown};
 pub use estimator::{expected_duplicates, sla_violation_prob};
 pub use planner::{Plan, PlannerKind};
-pub use reconcile::{DisplayDisposition, ReplicaTracker, TrackerStats};

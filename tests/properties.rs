@@ -1,15 +1,51 @@
 //! Cross-crate property-based tests (proptest) on the invariants the
 //! reproduction relies on.
 
+use adprefetch::auction::{AdId, CampaignId, SoldAd};
 use adprefetch::desim::{EventQueue, SimDuration, SimTime};
 use adprefetch::energy::{profiles, Radio};
 use adprefetch::overbooking::availability::{poisson_tail, ClientAvailability};
-use adprefetch::overbooking::{expected_duplicates, sla_violation_prob, PlannerKind};
+use adprefetch::overbooking::{expected_duplicates, sla_violation_prob, AdBook, PlannerKind};
 use adprefetch::stats::summary::quantile;
 use adprefetch::stats::{Ecdf, Summary};
 use proptest::prelude::*;
 
 proptest! {
+    /// The ad book settles every sold ad once, whatever order the deadlines
+    /// fall in: a sweep hands back and sums its refunds in id order.
+    #[test]
+    fn the_ad_book_settles_each_ad_once_refunding_in_id_order(
+        ads in prop::collection::vec((1u64..48, any::<bool>()), 1..60),
+        sweep_h in 1u64..48,
+    ) {
+        let mut book = AdBook::new();
+        for (i, &(deadline_h, shown)) in ads.iter().enumerate() {
+            let price = 0.001 + i as f64 * 1.37e-5;
+            let sold = SoldAd {
+                id: AdId(i as u64),
+                campaign: CampaignId(i as u32 % 3),
+                price,
+                winning_bid: price,
+                deadline: SimTime::from_hours(deadline_h),
+                sold_at: SimTime::ZERO,
+            };
+            book.sell(&sold, &[i as u32 % 5]);
+            if shown {
+                book.report(sold.id, i as u32 % 5, SimTime::from_hours(deadline_h - 1));
+            }
+        }
+        let mut refunds = Vec::new();
+        book.expire_due(SimTime::from_hours(sweep_h), &mut refunds);
+        prop_assert!(refunds.windows(2).all(|w| w[0].id < w[1].id), "refunds out of id order");
+        let summed = refunds.iter().fold(0.0, |sum, r| sum + r.price);
+        prop_assert_eq!(book.totals().refunded.to_bits(), summed.to_bits());
+        book.expire_due(SimTime::MAX, &mut refunds);
+        let t = book.totals();
+        prop_assert_eq!(t.billed, ads.iter().filter(|a| a.1).count() as u64);
+        prop_assert_eq!(t.billed + t.expired, t.sold);
+        prop_assert!(book.is_empty());
+    }
+
     /// The event queue always pops in non-decreasing time order, FIFO
     /// within ties, and never loses or invents events.
     #[test]
