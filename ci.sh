@@ -56,7 +56,9 @@ placement_gates() {
     # gather/rate/score reference, plus the planner contract that makes
     # leaving zero-probability candidates out exact. Likewise the one
     # internal-event drain, in lockstep with the pop-by-pop loop it
-    # replaced, sub-bucket scheduling deltas included. And auctions
+    # replaced, sub-bucket scheduling deltas included. The auction's bid
+    # loop in place, in lockstep with the eager reference it replaced
+    # (`kernel_matches_the_eager_reference`). And auctions
     # sampled ahead, in lockstep with the exchange sampling them itself
     # (one exchange, and several sharing one worker's sampler),
     # allocation-free on the helper thread, and held to the smoke goldens
@@ -65,6 +67,7 @@ placement_gates() {
     cargo test -q --release -p adpf-overbooking --test prop_availability
     cargo test -q --release -p adpf-core placement_
     cargo test -q --release -p adpf-core dispatch_
+    cargo test -q --release -p adpf-auction kernel_
     cargo test -q --release -p adpf-auction ahead_
     cargo test -q --release -p adpf-core ahead_
     cargo test -q --release -p adpf-serve ahead_

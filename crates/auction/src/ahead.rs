@@ -7,8 +7,9 @@
 //! entry), each campaign's pacing multiplier or throttle, and whether a
 //! budget covers a bid. The helper runs that loop from a copy of the RNG
 //! and spare under an *anchor*: a snapshot of every entry and every
-//! campaign's [`Pace`], the reserve, and a small *thin* set of campaigns
-//! whose budgets sit below the lane's cover. Throttle draws replay
+//! campaign's [`Pace`] (and whether any of them is not unit, which the
+//! loop asks once per draw), the reserve, and a small *thin* set of
+//! campaigns whose budgets sit below the lane's cover. Throttle draws replay
 //! against the snapshot, so each draw records its throttle skips. The
 //! other campaigns are *covered*: their budget gates stay open, and the
 //! draw records the largest bid one was asked about, its *need*. A thin
@@ -123,6 +124,9 @@ struct Gate {
 struct Params {
     reserve: f64,
     gates: Vec<Gate>,
+    /// Whether some gate's pace is not unit: what [`Gates::paced`]
+    /// answers for every draw under these params.
+    paced: bool,
 }
 
 impl Params {
@@ -131,6 +135,7 @@ impl Params {
     fn copy_from(&mut self, other: &Params) {
         self.reserve = other.reserve;
         self.gates.copy_from_slice(&other.gates);
+        self.paced = other.paced;
     }
 }
 
@@ -155,9 +160,11 @@ impl Anchor {
     fn set(&mut self, campaigns: &[Campaign], reserve: f64, pace: impl Fn(usize) -> Pace) {
         let p = &mut self.params;
         p.reserve = reserve;
+        p.paced = false;
         let mut top = f64::NEG_INFINITY;
         for (i, (g, c)) in p.gates.iter_mut().zip(campaigns).enumerate() {
             let pace = pace(i);
+            p.paced |= !pace.is_unit();
             let enters = c.can_afford(c.bid.mean_price);
             *g = Gate {
                 enters,
@@ -202,6 +209,7 @@ impl Anchor {
 /// snapshot, covered budgets open, thin bids recorded and left out.
 struct Open<'a> {
     gates: &'a [Gate],
+    paced: bool,
     need: f64,
     skips: u64,
     thin: [f64; THIN],
@@ -226,6 +234,11 @@ impl Gates for Open<'_> {
         }
         self.need = self.need.max(price);
         true
+    }
+
+    #[inline]
+    fn paced(&self) -> bool {
+        self.paced
     }
 
     #[inline]
@@ -429,6 +442,7 @@ impl SamplerRef {
                     };
                     campaigns.len()
                 ],
+                paced: false,
             },
             thin: [0; THIN],
             thins: 0,
@@ -680,6 +694,7 @@ fn sample(sh: &Shared) {
         while batch.len() < batch.capacity() && !data.stale(epoch) {
             let mut open = Open {
                 gates: &params.gates,
+                paced: params.paced,
                 need: f64::NEG_INFINITY,
                 skips: 0,
                 thin: [f64::NAN; THIN],

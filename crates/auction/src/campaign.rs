@@ -37,10 +37,31 @@ impl BidModel {
     /// construction, so preparing once per campaign is sound.
     pub(crate) fn prepare(&self) -> PreparedBid {
         PreparedBid {
-            participation: self.participation,
+            part_k: participation_threshold(self.participation),
             target_category: self.target_category,
             dist: LogNormal::from_mean_cv(self.mean_price, self.cv).ok(),
         }
+    }
+}
+
+/// Sentinel [`PreparedBid::part_k`]: the campaign bids without a
+/// participation draw.
+const NO_DRAW: u64 = u64::MAX;
+
+/// The integer form of the participation test `unit(w) >= p`.
+///
+/// A uniform draw is `unit(w) = k · 2^-53` with `k = w >> 11`, so for an
+/// integer `k` it holds exactly when `k >= ceil(p · 2^53)`; scaling by a
+/// power of two is exact for every `p < 1`, subnormals included. `p >= 1`
+/// and NaN draw nothing ([`NO_DRAW`]); `p <= 0` gives 0, which every
+/// draw reaches, so the campaign always sits out. Every drawing threshold
+/// is below `2^53`.
+fn participation_threshold(p: f64) -> u64 {
+    if p < 1.0 {
+        // The cast saturates negative values at 0.
+        (p * (1u64 << 53) as f64).ceil() as u64
+    } else {
+        NO_DRAW
     }
 }
 
@@ -52,7 +73,9 @@ impl BidModel {
 /// a pure function of the seed.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PreparedBid {
-    participation: f64,
+    /// The participation threshold: the campaign sits out when
+    /// `next_u64() >> 11` reaches it (see [`participation_threshold`]).
+    part_k: u64,
     target_category: Option<u8>,
     /// `None` when the model's `(mean_price, cv)` are out of the
     /// distribution's domain — such campaigns never bid (matching
@@ -79,7 +102,7 @@ impl PreparedBid {
                 return None;
             }
         }
-        if self.participation < 1.0 && rng.gen::<f64>() >= self.participation {
+        if self.part_k != NO_DRAW && (rng.next_u64() >> 11) >= self.part_k {
             return None;
         }
         // The participation draw above must happen even when `dist` is
@@ -188,6 +211,8 @@ impl CampaignCatalog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::RngCore;
 
     /// One bid from a fresh spare, or `None` if the campaign sits out.
     fn bid(model: &BidModel, rng: &mut StdRng, slot_category: Option<u8>) -> Option<f64> {
@@ -195,6 +220,111 @@ mod tests {
             .prepare()
             .sample_log_paired(rng, &mut None, slot_category)
             .map(f64::exp)
+    }
+
+    /// The float participation test the integer threshold replaced:
+    /// the uniform `rng.gen::<f64>()` makes from `w`, against `p`.
+    fn float_sits_out(w: u64, p: f64) -> bool {
+        (w >> 11) as f64 * (1.0 / (1u64 << 53) as f64) >= p
+    }
+
+    /// Yields `first`, then `rest`'s words, counting them: puts a chosen
+    /// word under the participation draw.
+    struct Scripted {
+        first: Option<u64>,
+        rest: StdRng,
+        words: u64,
+    }
+
+    impl RngCore for Scripted {
+        fn next_u64(&mut self) -> u64 {
+            self.words += 1;
+            self.first.take().unwrap_or_else(|| self.rest.next_u64())
+        }
+    }
+
+    fn scripted(first: u64, rest: &StdRng) -> Scripted {
+        Scripted {
+            first: Some(first),
+            rest: rest.clone(),
+            words: 0,
+        }
+    }
+
+    /// One bid of a valid model of participation `p`, its first word `w`
+    /// and the rest from `rest`, and the words it read.
+    fn bid_on(p: f64, w: u64, rest: &StdRng) -> (Option<u64>, u64) {
+        let model = BidModel {
+            mean_price: 0.002,
+            cv: 0.4,
+            participation: p,
+            target_category: None,
+        };
+        let mut rng = scripted(w, rest);
+        let bid = model.prepare().sample_log_paired(&mut rng, &mut None, None);
+        (bid.map(f64::to_bits), rng.words)
+    }
+
+    proptest! {
+        /// A campaign of participation `p < 1` reads one word and sits out
+        /// exactly when the float test on that word says so, reading no
+        /// other: on a random word and on the words either side of
+        /// `ceil(p · 2^53) << 11`, for random `p` in (0, 1), exact
+        /// multiples of 2^-53, 1 - 2^-53, subnormals, zero, a negative
+        /// value and a synthetic catalog's values. `floor` for `ceil`
+        /// fails on the word below a threshold and `>` for `>=` on the
+        /// threshold itself.
+        #[test]
+        fn participation_threshold_is_exact(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let unit = 1.0 / (1u64 << 53) as f64;
+            let mut ps = vec![
+                rng.gen::<f64>(),
+                // Uniform in exponent too, down to 2^-60.
+                rng.gen::<f64>() * 2f64.powi(-rng.gen_range(0..60i32)),
+                (rng.gen::<u64>() >> 11) as f64 * unit,
+                1.0 - unit,
+                unit,
+                f64::from_bits(rng.gen_range(1..1u64 << 52)),
+                f64::MIN_POSITIVE,
+                0.0,
+                -1.0,
+            ];
+            ps.extend(
+                CampaignCatalog::synthetic(50, seed)
+                    .into_campaigns()
+                    .iter()
+                    .map(|c| c.bid.participation),
+            );
+            for p in ps {
+                let k = participation_threshold(p);
+                prop_assert!(k < 1 << 53, "p = {:e} must draw", p);
+                let mut words = vec![rng.gen::<u64>(), k << 11];
+                if k > 0 {
+                    words.push(((k - 1) << 11) | 0x7ff);
+                }
+                for w in words {
+                    let (bid, read) = bid_on(p, w, &rng);
+                    let at = format!("p = {p:e}, w = {w:#x}");
+                    prop_assert_eq!(bid.is_none(), float_sits_out(w, p), "{}", at);
+                    prop_assert!(bid.is_some() || read == 1, "{}: read {} words", at, read);
+                }
+            }
+        }
+
+        /// NaN and `p >= 1` read no participation word: the bid is the
+        /// distribution's draw from the first word on.
+        #[test]
+        fn participation_of_one_or_nan_draws_nothing(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let w = rng.gen::<u64>();
+            let dist = LogNormal::from_mean_cv(0.002, 0.4).expect("valid bid params");
+            let mut direct = scripted(w, &rng);
+            let x = dist.sample_log_paired(&mut direct, &mut None);
+            for p in [f64::NAN, 1.0, 1.5, f64::INFINITY] {
+                prop_assert_eq!(bid_on(p, w, &rng), (Some(x.to_bits()), direct.words), "p = {}", p);
+            }
+        }
     }
 
     #[test]

@@ -151,6 +151,15 @@ impl Pace {
         }
     }
 
+    /// Whether [`Pace::apply`] answers `Some(1.0)` without a draw: the
+    /// campaign bids as if it had no pacer.
+    pub(crate) fn is_unit(self) -> bool {
+        match self {
+            Pace::Scale(m) => m == 1.0,
+            Pace::Throttle(t) => t >= 1.0 || t.is_nan(),
+        }
+    }
+
     /// What the pace multiplies a bid by when the campaign takes part.
     pub(crate) fn scale(self) -> f64 {
         match self {
@@ -687,6 +696,10 @@ pub(crate) trait Gates {
     fn enters(&mut self, i: usize) -> bool;
     /// Whether campaign `i`'s budget covers `bid`.
     fn affords(&mut self, i: usize, bid: f64) -> bool;
+    /// Whether some campaign's pace may not be unit ([`Pace::is_unit`]).
+    /// Asked once per auction; when `false` the loop never asks
+    /// [`Gates::pace`], whose every answer would be `Some(1.0)`.
+    fn paced(&self) -> bool;
     /// Campaign `i`'s bid multiplier, or `None` when pacing throttles it
     /// out of this auction. Any draw comes after the bid draw, so it
     /// extends — never reorders — the stream.
@@ -713,6 +726,13 @@ impl Gates for Live<'_> {
     #[inline]
     fn affords(&mut self, i: usize, bid: f64) -> bool {
         self.campaigns[i].can_afford(bid)
+    }
+
+    /// Whether pacers are configured: the paces themselves move at every
+    /// tick, and one vector test is cheaper than tracking them.
+    #[inline]
+    fn paced(&self) -> bool {
+        !self.pacers.is_empty()
     }
 
     #[inline]
@@ -749,6 +769,9 @@ pub(crate) fn draw_bids<G: Gates>(
     // A floor above the reserve counts each bid it blocks, so such an
     // auction has to look at every bid: it never raises `skip_log`.
     let counts_blocked = entry_floor > reserve;
+    // With every pace unit no bid is multiplied or throttled, and every
+    // bid that is drawn ranks by its logarithm unless a floor counts it.
+    let paced = gates.paced();
     let mut best: Option<(usize, f64)> = None;
     let mut second = entry_floor;
     // `skip_log` is the largest known `x` with `exp(x) <= second`;
@@ -764,19 +787,26 @@ pub(crate) fn draw_bids<G: Gates>(
         let Some(x) = p.sample_log_paired(rng, spare, category) else {
             continue;
         };
-        let Some(multiplier) = gates.pace(i, rng) else {
-            continue;
-        };
+        let mut multiplier = 1.0;
+        if paced {
+            let Some(m) = gates.pace(i, rng) else {
+                continue;
+            };
+            multiplier = m;
+        }
         // Multiplying by exactly 1.0 is the identity, so `x` is the
         // bid's logarithm whenever the multiplier is 1.0.
-        let ranks_by_log = multiplier == 1.0 && !counts_blocked;
+        let ranks_by_log = !counts_blocked && (!paced || multiplier == 1.0);
         if ranks_by_log && x <= skip_log {
             // At most `second`: it would fall through every arm below
             // without changing `best` or `second`.
             continue;
         }
         let log = if ranks_by_log { x } else { f64::NEG_INFINITY };
-        let bid = x.exp() * multiplier;
+        let mut bid = x.exp();
+        if paced {
+            bid *= multiplier;
+        }
         if bid < entry_floor || !gates.affords(i, bid) {
             if bid >= reserve && bid < entry_floor {
                 gates.floor_blocked();
@@ -970,6 +1000,32 @@ mod tests {
         cs
     }
 
+    /// Campaign types whose paces stay unit through ticks at the end of
+    /// the schedule: fixed and throttled campaigns alternate, and a
+    /// throttle behind its schedule rises to `Throttle(1.0)`. With
+    /// `moves`, the last campaign is budget-paced instead, so the first
+    /// such tick scales its bids by more than 1.
+    fn unit_types(n: usize, moves: bool) -> Vec<CampaignType> {
+        (0..n)
+            .map(|i| {
+                if moves && i + 1 == n {
+                    CampaignType::PacedBudget
+                } else if i % 2 == 0 {
+                    CampaignType::PacedFixedCpc
+                } else {
+                    CampaignType::FixedCpc
+                }
+            })
+            .collect()
+    }
+
+    /// How many campaigns' paces are not unit.
+    fn off_unit(ex: &Exchange) -> usize {
+        (0..ex.campaigns.len())
+            .filter(|&i| !pace_of(&ex.pacers, i).is_unit())
+            .count()
+    }
+
     fn random_slot(script: &mut StdRng, at: SimTime) -> SlotOffer {
         match script.gen_range(0..3) {
             0 => SlotOffer::advance(at, at + adpf_desim::SimDuration::from_hours(4)),
@@ -1019,21 +1075,29 @@ mod tests {
     proptest! {
         /// The lazily evaluated kernel against the eager reference, in
         /// lockstep over one random marketplace: the same sale, counters,
-        /// budgets and RNG state after every single auction.
+        /// budgets and RNG state after every single auction. Markets 2
+        /// and 3 have pacers whose paces all stay unit (`unit_types`), so
+        /// the loop's pacing check is on while every pace is unit; in 3
+        /// the first tick then moves a budget-paced leader's pace off
+        /// unit.
         #[test]
         fn kernel_matches_the_eager_reference(
             seed in any::<u64>(),
             campaigns in 0u32..40,
             starved in any::<bool>(),
-            paced in any::<bool>(),
+            market in 0u8..4,
             first_price in any::<bool>(),
             floor_sel in 0u8..3,
         ) {
-            let cs = adversarial_catalog(campaigns, seed, starved);
-            let mut mc = if paced {
-                MarketplaceConfig::paced()
-            } else {
+            let mut cs = adversarial_catalog(campaigns, seed, starved);
+            let unit = market >= 2;
+            if market == 3 {
+                cs.push(deep(campaigns, 0.02, 1e3));
+            }
+            let mut mc = if market == 0 {
                 MarketplaceConfig::static_exchange()
+            } else {
+                MarketplaceConfig::paced()
             };
             if first_price {
                 mc.pricing = PricingRule::FirstPrice;
@@ -1041,7 +1105,11 @@ mod tests {
             // No floor; one below the 0.0001 reserve; one above it that
             // blocks a real share of bids.
             mc.floors = PriceFloors::uniform([0.0, 0.00005, 0.002][floor_sel as usize]);
-            let types = mc.assign_types(&cs);
+            let types = if unit {
+                unit_types(cs.len(), market == 3)
+            } else {
+                mc.assign_types(&cs)
+            };
             let mk = || {
                 let mut ex = Exchange::new(cs.clone(), seed);
                 ex.configure_marketplace(&mc, &types);
@@ -1075,9 +1143,12 @@ mod tests {
                 // Ticks early and late against the linear schedule push
                 // multipliers to both sides of 1; refunds reopen budgets.
                 if k % 16 == 15 {
-                    let now = if script.gen::<bool>() { at } else { horizon };
+                    let now = if !unit && script.gen::<bool>() { at } else { horizon };
                     kernel.pacing_tick(now, horizon);
                     reference.pacing_tick(now, horizon);
+                    if unit {
+                        prop_assert_eq!(off_unit(&kernel), usize::from(market == 3));
+                    }
                 }
                 if let (Some(s), 0) = (last_sale, script.gen_range(0..8)) {
                     kernel.refund(s.campaign, s.price);
@@ -1092,18 +1163,21 @@ mod tests {
         /// mid-stream reseed, a reserve change and, when `starved`, budgets
         /// that run below their own mean price. In the paced market
         /// (`market == 2`) pacing ticks move multipliers to both sides of
-        /// 1 and throttles fire. Every marketplace without a targeted
-        /// campaign or a floor above the reserve is served ahead
-        /// throughout, but for the one draw the reserve change voids and,
-        /// when `starved`, at most one miss as the covered leader drains
-        /// (after it, that leader is thin); the others never register a
-        /// lane.
+        /// 1 and throttles fire. Markets 5 and 6 have pacers whose paces
+        /// all stay unit (`unit_types`), so the lane registers unpaced; in
+        /// 6 the first tick moves a budget-paced leader's pace off unit,
+        /// and the re-anchor must start pacing the helper's draws. Every
+        /// marketplace without a targeted campaign or a floor above the
+        /// reserve is served ahead throughout, but for the one draw the
+        /// reserve change voids and, when `starved`, at most one miss as
+        /// the covered leader drains (after it, that leader is thin); the
+        /// others never register a lane.
         #[test]
         fn ahead_matches_sequential(
             seed in any::<u64>(),
             campaigns in 0u32..40,
             starved in any::<bool>(),
-            market in 0u8..5,
+            market in 0u8..7,
         ) {
             let mut cs = static_catalog(campaigns, seed, starved);
             let mut mc = MarketplaceConfig::static_exchange();
@@ -1126,10 +1200,20 @@ mod tests {
                     targeted.bid.target_category = Some(1);
                     cs.push(targeted);
                 }
+                5 => mc = MarketplaceConfig::paced(),
+                6 => {
+                    mc = MarketplaceConfig::paced();
+                    cs.push(deep(cs.len() as u32, 0.02, 1e3));
+                }
                 _ => {}
             }
-            let samples_ahead = market < 3;
-            let types = mc.assign_types(&cs);
+            let unit = market >= 5;
+            let samples_ahead = market < 3 || unit;
+            let types = if unit {
+                unit_types(cs.len(), market == 6)
+            } else {
+                mc.assign_types(&cs)
+            };
             let mk = || {
                 let mut ex = Exchange::new(cs.clone(), seed);
                 ex.configure_marketplace(&mc, &types);
@@ -1159,13 +1243,18 @@ mod tests {
                     // A tick at the start of the schedule finds every
                     // campaign that spent ahead of it, one at the end
                     // every campaign behind. The first two come early.
-                    let now = if k < 32 || script.gen::<bool>() {
+                    let now = if unit {
+                        horizon
+                    } else if k < 32 || script.gen::<bool>() {
                         SimTime::from_millis(1)
                     } else {
                         horizon
                     };
                     ahead.pacing_tick(now, horizon);
                     plain.pacing_tick(now, horizon);
+                    if unit {
+                        prop_assert_eq!(off_unit(&plain), usize::from(market == 6));
+                    }
                     for m in plain.multipliers() {
                         above |= m > 1.0;
                         below |= m < 1.0;

@@ -48,13 +48,38 @@ fn bench_auctions(c: &mut Criterion) {
 }
 
 /// The routes besides the plain real-time one, all on the default
-/// 50-campaign catalog size: advance slots (discounted, no app context),
-/// a contextual catalog offered slots with a known category, and the
-/// paced marketplace (multiplied bids, throttle draws, floors off).
+/// 50-campaign catalog size: the `batch-realtime-2t` workload's auction
+/// (real-time slots, sales debited and never refunded), advance slots
+/// (discounted, no app context), a contextual catalog offered slots with
+/// a known category, and the paced marketplace (multiplied bids,
+/// throttle draws, floors off).
 fn bench_auction_regimes(c: &mut Criterion) {
     let mut g = c.benchmark_group("exchange_auction_regime");
     g.throughput(Throughput::Elements(BATCH));
     let advance = |_| SlotOffer::advance(SimTime::ZERO, SimTime::from_hours(4));
+
+    // A real-time run bills every sale as it is shown, so nothing is
+    // refunded and budgets only fall. A workload iteration runs about
+    // 10^5 auctions per shard from fresh budgets; left to run for
+    // millions, the field would thin (3 of 50 campaigns drop out by the
+    // millionth), so the exchange starts over every 100 batches.
+    g.bench_function("batch-realtime-2t", |b| {
+        let catalog = CampaignCatalog::synthetic(50, 7).into_campaigns();
+        let mut ex = Exchange::new(catalog.clone(), 7);
+        let mut batches = 0u32;
+        b.iter(|| {
+            batches += 1;
+            if batches.is_multiple_of(100) {
+                ex = Exchange::new(catalog.clone(), 7);
+            }
+            let mut filled = 0u32;
+            for _ in 0..BATCH {
+                let slot = SlotOffer::realtime(SimTime::ZERO, None);
+                filled += u32::from(ex.run_auction(&slot).is_some());
+            }
+            black_box(filled)
+        });
+    });
 
     g.bench_function("advance", |b| {
         let mut ex = Exchange::new(CampaignCatalog::synthetic(50, 7).into_campaigns(), 7);

@@ -5,7 +5,7 @@ use std::collections::VecDeque;
 /// `first + i`, and `T::default()` fills the ids never stored. Ads are
 /// numbered by a counter and settle in rough id order, so the ad book
 /// (`adpf_overbooking::AdBook`) keeps its per-ad states in one and its
-/// open records in another; its tests cover both.
+/// open records' slab positions in another; its tests cover both.
 #[derive(Debug, Default)]
 pub struct IdDeque<T> {
     slots: VecDeque<T>,

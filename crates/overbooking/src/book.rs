@@ -14,8 +14,10 @@
 //! the book is two [`IdDeque`]s, not hash maps. `states` keeps one byte
 //! per ad for the whole run: a display reported long after settlement
 //! must still come back [`Shown::Duplicate`] or [`Shown::Late`]. `open`
-//! holds the [`Record`]s of the pending ads and trims its settled ends,
-//! so it spans the pending ads alone.
+//! maps each pending ad to its [`Record`] in a dense slab and trims its
+//! settled ends. One unshown ad pins the window open until its deadline,
+//! so the window spans every id sold since; it costs 4 bytes an id, and
+//! the records themselves are held for the pending ads alone.
 
 use std::collections::VecDeque;
 
@@ -128,10 +130,12 @@ pub enum Shown {
 pub struct AdBook {
     /// State of every id sold in advance; `None` marks any other id.
     states: IdDeque<Option<AdState>>,
-    /// The record of every pending ad; `None` marks closed or unsold
-    /// ids. Trimmed at both ends as records close.
-    open: IdDeque<Option<Record>>,
-    open_len: usize,
+    /// Where each pending ad's record sits in `records`, plus one; 0
+    /// marks closed or unsold ids. Trimmed at both ends as records close.
+    open: IdDeque<u32>,
+    /// The open records, in no order: a closed one is swapped out for
+    /// the last.
+    records: Vec<Record>,
     /// `(deadline, ad)` of every record that can expire, ascending by
     /// deadline. Entries of ads displayed since are dropped when reached.
     due: VecDeque<(SimTime, u64)>,
@@ -166,7 +170,7 @@ impl AdBook {
         debug_assert!(self.state(sold.id).is_none(), "ad {id} sold twice");
         debug_assert!(!holders.is_empty(), "ad {id} placed on no client");
         *self.states.entry(id) = Some(AdState::Pending);
-        *self.open.entry(id) = Some(Record {
+        self.records.push(Record {
             id: sold.id,
             campaign: sold.campaign,
             price: sold.price,
@@ -174,8 +178,8 @@ impl AdBook {
             holders: InlineVec::from_slice(holders),
             rescued: false,
         });
-        self.open_len += 1;
-        self.peak_open = self.peak_open.max(self.open_len as u64);
+        *self.open.entry(id) = u32::try_from(self.records.len()).expect("open records fit a u32");
+        self.peak_open = self.peak_open.max(self.records.len() as u64);
         // `expire_due` tests `deadline < now`, which `MAX` never passes.
         if sold.deadline != SimTime::MAX {
             match self.due.back() {
@@ -200,13 +204,28 @@ impl AdBook {
         self.totals.revenue += sold.price;
     }
 
+    /// Where the open record of `id` sits in `records`, if it has one.
+    fn slab_index(&self, id: u64) -> Option<usize> {
+        (*self.open.get(id)? as usize).checked_sub(1)
+    }
+
+    /// The open record of `id`, if it has one.
+    fn record(&self, id: u64) -> Option<&Record> {
+        self.slab_index(id).map(|i| &self.records[i])
+    }
+
     /// Closes the open record of `id`, leaving `state` behind.
     fn close(&mut self, id: u64, state: AdState) -> Record {
         self.states[id] = Some(state);
-        let record = self.open[id].take().expect("a pending ad has a record");
-        self.open_len -= 1;
-        self.open.trim_front(|_, r| r.is_none());
-        self.open.trim_back(Option::is_none);
+        let i = self.slab_index(id).expect("a pending ad has a record");
+        self.open[id] = 0;
+        let record = self.records.swap_remove(i);
+        // The last record took the closed one's place.
+        if let Some(moved) = self.records.get(i) {
+            self.open[moved.id.0] = i as u32 + 1;
+        }
+        self.open.trim_front(|_, &at| at == 0);
+        self.open.trim_back(|&at| at == 0);
         record
     }
 
@@ -225,7 +244,7 @@ impl AdBook {
                 self.totals.late_displays += 1;
                 Shown::Late
             }
-            Some(AdState::Pending) if self.open[id].as_ref().is_some_and(|r| at <= r.deadline) => {
+            Some(AdState::Pending) if self.record(id).is_some_and(|r| at <= r.deadline) => {
                 let record = self.close(id, AdState::Displayed);
                 self.totals.billed += 1;
                 self.totals.revenue += record.price;
@@ -282,7 +301,7 @@ impl AdBook {
     /// Returns `false` — and changes nothing — when the ad has no open
     /// record, was already rescued once, or `client` already holds it.
     pub fn rescue_to(&mut self, ad: AdId, client: u32) -> bool {
-        match self.open.get_mut(ad.0).and_then(Option::as_mut) {
+        match self.slab_index(ad.0).map(|i| &mut self.records[i]) {
             Some(r) if !r.rescued && !r.holders.contains(&client) => {
                 r.holders.push(client);
                 r.rescued = true;
@@ -299,8 +318,8 @@ impl AdBook {
     /// Appends `(ad, deadline)` to `out` for every open record not yet
     /// rescued and due before `t`, in ascending ad-id order.
     pub fn unrescued_due_before(&self, t: SimTime, out: &mut Vec<(AdId, SimTime)>) {
-        for (_, slot) in self.open.iter() {
-            if let Some(r) = slot {
+        for (_, &at) in self.open.iter() {
+            if let Some(r) = (at as usize).checked_sub(1).map(|i| &self.records[i]) {
                 if !r.rescued && r.deadline < t {
                     out.push((r.id, r.deadline));
                 }
@@ -310,7 +329,7 @@ impl AdBook {
 
     /// Clients holding `ad`, while its record is open.
     pub fn holders(&self, ad: AdId) -> Option<&[u32]> {
-        self.open.get(ad.0)?.as_ref().map(|r| r.holders.as_slice())
+        self.record(ad.0).map(|r| r.holders.as_slice())
     }
 
     /// Appends `client`'s queued cancellations to `out` and clears the
@@ -335,12 +354,12 @@ impl AdBook {
 
     /// Number of open records.
     pub fn len(&self) -> usize {
-        self.open_len
+        self.records.len()
     }
 
     /// Returns `true` when no record is open.
     pub fn is_empty(&self) -> bool {
-        self.open_len == 0
+        self.records.is_empty()
     }
 
     /// Publishes the churn and reconciliation counters and the
@@ -375,7 +394,7 @@ impl AdBook {
         let unreleased = claims.abs_diff(claims_released);
         let drift = u64::from(refunded.to_bits() != t.refunded.to_bits());
         for (name, count) in [
-            ("audit.book.open_records", self.open_len as u64),
+            ("audit.book.open_records", self.records.len() as u64),
             ("audit.book.unsettled", unsettled),
             ("audit.book.claims_unreleased", unreleased),
             ("audit.book.refund_drift", drift),
@@ -657,6 +676,32 @@ mod tests {
         sell(&mut b, 31, &[2], 2);
         assert_eq!(b.holders(AdId(31)), Some(&[2][..]));
         assert_eq!(report(&mut b, 13, 1, 0), Err(Shown::Duplicate));
+    }
+
+    #[test]
+    fn record_storage_tracks_open_records_only() {
+        // Ad 0 is never shown, so it pins the id window open behind the
+        // 10,000 ads sold and shown after it; only its record stays.
+        let mut b = AdBook::new();
+        sell(&mut b, 0, &[1], 12);
+        for id in 1..10_000 {
+            sell(&mut b, id, &[2, 3], 12);
+            if id % 2 == 0 {
+                report(&mut b, id - 1, 2, 0).unwrap();
+                report(&mut b, id, 3, 0).unwrap();
+            }
+        }
+        sell(&mut b, 10_000, &[4], 12);
+        assert_eq!(b.open.iter().count(), 10_001);
+        assert_eq!((b.len(), b.records.len()), (3, 3));
+        assert!(b.records.capacity() < 16, "{}", b.records.capacity());
+        // Closing out of slab order keeps every index right.
+        assert_eq!(b.holders(AdId(9_999)), Some(&[2, 3][..]));
+        assert_eq!(report(&mut b, 0, 1, 0), Ok(vec![1]));
+        assert_eq!(b.holders(AdId(10_000)), Some(&[4][..]));
+        assert_eq!(report(&mut b, 9_999, 3, 0), Ok(vec![2, 3]));
+        assert_eq!(report(&mut b, 10_000, 4, 0), Ok(vec![4]));
+        assert!(b.is_empty() && b.open.iter().next().is_none());
     }
 
     #[test]
