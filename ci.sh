@@ -36,6 +36,12 @@
 # the smoke row.
 # They run last: the RSS ceiling is the only host-dependent check left,
 # so a noisy host cannot mask the gates ahead of it.
+#
+# The sweep gate runs the system sweeps, the rows of `SWEEPS` in
+# crates/bench/src/experiments/sweeps.rs, at quick scale (~14 s on 2 vCPUs):
+# every table is held to its row's checks, the claims its rows must
+# show, and `experiments` exits non-zero naming any check that fails.
+# Tier 1 holds the same checks at micro scale (tests/experiments.rs).
 set -eux
 
 # Held to `adpf_bench::baseline::SMOKE_GOLDEN` by a unit test there.
@@ -97,6 +103,11 @@ perf_serve() {
     grep -q '^serve: .*ingest_errors=0' target/serve_smoke_rechunked.out
 }
 
+sweep_gate() {
+    ./target/release/experiments e7 e8 e10 e11 e12 e13 e15 e16 e19 e21 e22 \
+        > target/sweeps_quick.out
+}
+
 benchmark_gate() {
     cargo test --offline --manifest-path benchmark/Cargo.toml
     benchmark/run.sh --lint
@@ -118,5 +129,6 @@ cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 perf_serve
 placement_gates
+sweep_gate
 benchmark_gate
 determinism_gates

@@ -9,6 +9,10 @@
 //! experiments e14 --threads 4  # sharded simulator on 4 worker threads
 //! experiments all --metrics    # print per-experiment wall-time metrics
 //! ```
+//!
+//! Stdout carries the tables alone, so it depends on the scale and
+//! nothing else; progress lines go to stderr. The exit status is non-zero
+//! when a table fails one of its checks (each failure is named on stderr).
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -64,6 +68,7 @@ fn main() -> ExitCode {
     // id so the registry stays allocation-free on names.
     let collect = metrics || metrics_out.is_some();
     let reg = MetricRegistry::new();
+    let mut failed = false;
     for id in &ids {
         let t0 = Instant::now();
         match run_experiment_threads(id, scale, threads) {
@@ -76,8 +81,13 @@ fn main() -> ExitCode {
                 }
                 for table in tables {
                     println!("{table}");
+                    for check in &table.failed {
+                        eprintln!("{}: check failed: {check}", table.id);
+                        failed = true;
+                    }
                 }
-                println!("[{} done in {:.1}s]\n", id, t0.elapsed().as_secs_f64());
+                println!();
+                eprintln!("[{} done in {:.1}s]", id, t0.elapsed().as_secs_f64());
             }
             None => {
                 eprintln!("unknown experiment `{id}`; known: {}", all_ids().join(", "));
@@ -94,6 +104,9 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
         println!("metrics written to {path}");
+    }
+    if failed {
+        return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
 }

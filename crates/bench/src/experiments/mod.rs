@@ -1,15 +1,12 @@
 //! One module per experiment family; see DESIGN.md's experiment index.
+//! The system sweeps are rows of one table, [`sweeps::SWEEPS`].
 
-mod marketplace;
-mod mechanisms;
 mod motivation;
-mod netem;
 mod obs;
 mod prediction;
 mod scaling;
-mod scenario;
 mod serving;
-mod system;
+mod sweeps;
 mod traces;
 
 use crate::scale::Scale;
@@ -28,38 +25,31 @@ pub fn all_ids() -> Vec<&'static str> {
 /// Some ids return more than one table (e.g. E2's gap sweep plus state
 /// timeline; E8/E9 are two views of one sweep and both appear under
 /// either id). `threads` is the worker-thread count for the experiments
-/// that exercise the sharded simulator (currently E14's throughput
-/// section); single-run experiments ignore it.
+/// that exercise the sharded simulator; single-run experiments ignore it.
+/// A table that fails one of its checks names it in [`Table::failed`].
 pub fn run_experiment_threads(id: &str, scale: Scale, threads: usize) -> Option<Vec<Table>> {
-    match id.to_ascii_lowercase().as_str() {
+    let id = id.to_ascii_lowercase();
+    let sweep = || sweeps::SWEEPS.iter().find(|s| s.answers(&id));
+    match id.as_str() {
         "e1" => Some(vec![motivation::e1_ad_energy_share(scale)]),
         "e2" => Some(motivation::e2_tail_energy()),
         "e3" => Some(vec![traces::e3_dataset_table(scale)]),
         "e4" => Some(traces::e4_predictability(scale)),
         "e5" => Some(vec![prediction::e5_accuracy_by_window(scale)]),
         "e6" => Some(vec![prediction::e6_error_cdf(scale)]),
-        "e7" => Some(system::e7_energy_vs_interval(scale)),
-        "e8" | "e9" => {
-            let (sla, loss) = system::e8_e9_overbooking_sweep(scale);
-            Some(vec![sla, loss])
+        "e7" => {
+            let mut tables = sweep()?.run(scale, threads);
+            tables.push(sweeps::e7b_per_user_savings(scale));
+            Some(tables)
         }
-        "e10" => Some(vec![system::e10_deadline_sensitivity(scale)]),
-        "e11" => Some(vec![system::e11_tradeoff_frontier(scale)]),
-        "e12" => Some(vec![system::e12_predictor_ablation(scale)]),
-        "e13" => Some(vec![system::e13_planner_ablation(scale)]),
         "e14" => Some(scaling::e14_scaling_threads(scale, threads)),
-        "e15" => Some(vec![mechanisms::e15_mechanism_ablation(scale)]),
-        "e16" => Some(vec![netem::e16_degraded_network(scale, threads)]),
         // E17 sweeps its own thread counts; the caller's `threads` is
         // irrelevant to a scaling experiment.
         "e17" => Some(vec![scaling::e17_thread_scaling(scale)]),
         "e18" => Some(vec![obs::e18_observability_breakdown(scale, threads)]),
-        "e19" => Some(vec![marketplace::e19_reactive_marketplace(scale, threads)]),
         // E20 sweeps its own thread counts, like E17.
         "e20" => Some(vec![serving::e20_serving_load(scale)]),
-        "e21" => Some(vec![scenario::e21_population_mix(scale, threads)]),
-        "e22" => Some(vec![scenario::e22_flash_crowd(scale, threads)]),
-        _ => None,
+        _ => Some(sweep()?.run(scale, threads)),
     }
 }
 

@@ -100,6 +100,7 @@ mod tests {
                 .iter()
                 .find(|r| r[0] == name)
                 .unwrap_or_else(|| panic!("row {name}"))[3]
+                .to_string()
                 .parse()
                 .unwrap()
         };

@@ -106,14 +106,14 @@ mod tests {
         let t = e5_accuracy_by_window(Scale::Micro);
         assert_eq!(t.rows.len(), 8 * 6);
         for row in &t.rows {
-            let over: f64 = row[2].trim_end_matches('%').parse().unwrap();
-            let under: f64 = row[3].trim_end_matches('%').parse().unwrap();
-            let exact: f64 = row[4].trim_end_matches('%').parse().unwrap();
+            let over: f64 = row[2].to_string().trim_end_matches('%').parse().unwrap();
+            let under: f64 = row[3].to_string().trim_end_matches('%').parse().unwrap();
+            let exact: f64 = row[4].to_string().trim_end_matches('%').parse().unwrap();
             assert!((over + under + exact - 100.0).abs() < 0.2, "{row:?}");
         }
         let oracle_rows: Vec<_> = t.rows.iter().filter(|r| r[0] == "oracle").collect();
         for r in oracle_rows {
-            let exact: f64 = r[4].trim_end_matches('%').parse().unwrap();
+            let exact: f64 = r[4].to_string().trim_end_matches('%').parse().unwrap();
             assert!(exact > 99.9, "oracle exact {exact}");
         }
     }
@@ -122,7 +122,10 @@ mod tests {
     fn e6_quantiles_are_monotone() {
         let t = e6_error_cdf(Scale::Micro);
         for row in &t.rows {
-            let qs: Vec<f64> = row[2..].iter().map(|c| c.parse().unwrap()).collect();
+            let qs: Vec<f64> = row[2..]
+                .iter()
+                .map(|c| c.to_string().parse().unwrap())
+                .collect();
             assert!(qs.windows(2).all(|w| w[0] <= w[1]), "{row:?}");
         }
     }

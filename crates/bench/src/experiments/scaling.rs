@@ -182,9 +182,9 @@ mod tests {
         let tables = e14_scaling_threads(Scale::Micro, 1);
         let prices = &tables[0];
         for row in &prices.rows {
-            let discount: f64 = row[0].parse().unwrap();
-            let contextual: f64 = row[1].trim_end_matches('%').parse().unwrap();
-            let ratio: f64 = row[4].parse().unwrap();
+            let discount: f64 = row[0].to_string().parse().unwrap();
+            let contextual: f64 = row[1].to_string().trim_end_matches('%').parse().unwrap();
+            let ratio: f64 = row[4].to_string().parse().unwrap();
             if contextual == 0.0 {
                 assert!(
                     (ratio - discount).abs() < 0.05,
@@ -202,7 +202,7 @@ mod tests {
     fn e17_hashes_are_identical_at_every_thread_count() {
         let t = e17_thread_scaling(Scale::Micro);
         assert_eq!(t.rows.len(), Scale::Micro.thread_counts().len());
-        let hashes: Vec<&String> = t.rows.iter().map(|r| &r[5]).collect();
+        let hashes: Vec<_> = t.rows.iter().map(|r| &r[5]).collect();
         assert!(
             hashes.windows(2).all(|w| w[0] == w[1]),
             "report hash must not depend on threads: {hashes:?}"
@@ -214,7 +214,7 @@ mod tests {
         let tables = e14_scaling_threads(Scale::Micro, 2);
         let sweep = &tables[2];
         assert_eq!(sweep.rows.len(), Scale::Micro.thread_counts().len());
-        let slots: Vec<&String> = sweep.rows.iter().map(|r| &r[1]).collect();
+        let slots: Vec<_> = sweep.rows.iter().map(|r| &r[1]).collect();
         assert!(
             slots.windows(2).all(|w| w[0] == w[1]),
             "thread count must not change the simulated work: {slots:?}"

@@ -115,12 +115,12 @@ mod tests {
         // Rows group by population; within a group only wall-clock
         // columns may vary — the hash is the determinism witness.
         for group in t.rows.chunks(threads.len()) {
-            let hashes: Vec<&String> = group.iter().map(|r| &r[8]).collect();
+            let hashes: Vec<_> = group.iter().map(|r| &r[8]).collect();
             assert!(
                 hashes.windows(2).all(|w| w[0] == w[1]),
                 "thread count changed a served report: {hashes:?}"
             );
-            let requests: Vec<&String> = group.iter().map(|r| &r[2]).collect();
+            let requests: Vec<_> = group.iter().map(|r| &r[2]).collect();
             assert!(requests.windows(2).all(|w| w[0] == w[1]));
         }
     }

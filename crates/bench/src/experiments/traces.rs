@@ -100,8 +100,8 @@ mod tests {
         let t = e3_dataset_table(Scale::Micro);
         assert_eq!(t.rows.len(), 2);
         assert_eq!(t.rows[0][0], "iphone-like");
-        let slots: f64 = t.rows[0][6].parse().unwrap();
-        let sessions: f64 = t.rows[0][5].parse().unwrap();
+        let slots: f64 = t.rows[0][6].to_string().parse().unwrap();
+        let sessions: f64 = t.rows[0][5].to_string().parse().unwrap();
         assert!(slots >= sessions, "every session has at least one slot");
     }
 
@@ -112,15 +112,20 @@ mod tests {
         let vals: Vec<f64> = tables[0]
             .rows
             .iter()
-            .map(|r| r[1].parse().unwrap())
+            .map(|r| r[1].to_string().parse().unwrap())
             .collect();
         assert!(vals.windows(2).all(|w| w[0] <= w[1]));
         // Evening exceeds pre-dawn demand.
-        let share =
-            |t: &Table, h: usize| -> f64 { t.rows[h][1].trim_end_matches('%').parse().unwrap() };
+        let share = |t: &Table, h: usize| -> f64 {
+            t.rows[h][1]
+                .to_string()
+                .trim_end_matches('%')
+                .parse()
+                .unwrap()
+        };
         assert!(share(&tables[1], 20) > share(&tables[1], 3));
         // Positive day-over-day autocorrelation at lag 1.
-        let ac1: f64 = tables[2].rows[0][1].parse().unwrap();
+        let ac1: f64 = tables[2].rows[0][1].to_string().parse().unwrap();
         assert!(ac1 > -0.2, "lag-1 autocorrelation {ac1}");
     }
 }

@@ -2,8 +2,60 @@
 
 use core::fmt;
 
+/// How a numeric cell prints.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Format {
+    /// Fixed point with this many decimals.
+    Fixed(usize),
+    /// A fraction as a percentage with two decimals.
+    Pct,
+}
+
+/// One table cell: a label, or a number kept as a number until the
+/// table prints, so code can read it back.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Cell {
+    /// A label or a pre-formatted figure.
+    Text(String),
+    /// A number and how it prints.
+    Num(f64, Format),
+}
+
+impl Cell {
+    /// The number in a numeric cell; `None` for text.
+    pub(crate) fn num(&self) -> Option<f64> {
+        match *self {
+            Cell::Num(x, _) => Some(x),
+            Cell::Text(_) => None,
+        }
+    }
+}
+
+impl From<String> for Cell {
+    fn from(s: String) -> Self {
+        Cell::Text(s)
+    }
+}
+
+/// A text cell equals its text; a numeric cell equals no label.
+impl PartialEq<&str> for Cell {
+    fn eq(&self, other: &&str) -> bool {
+        matches!(self, Cell::Text(s) if s == other)
+    }
+}
+
+impl fmt::Display for Cell {
+    fn fmt(&self, out: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Cell::Text(ref s) => out.write_str(s),
+            Cell::Num(x, Format::Fixed(decimals)) => out.write_str(&f(x, decimals)),
+            Cell::Num(x, Format::Pct) => out.write_str(&pct(x)),
+        }
+    }
+}
+
 /// One experiment table (a reconstructed figure series or table).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     /// Experiment id, e.g. `"E7"`.
     pub id: String,
@@ -13,8 +65,11 @@ pub struct Table {
     pub note: String,
     /// Column names.
     pub header: Vec<String>,
-    /// Data rows (already formatted).
-    pub rows: Vec<Vec<String>>,
+    /// Data rows.
+    pub rows: Vec<Vec<Cell>>,
+    /// The names of the table's checks that failed on these rows (never
+    /// printed with the table).
+    pub failed: Vec<&'static str>,
 }
 
 impl Table {
@@ -26,24 +81,62 @@ impl Table {
             note: note.to_string(),
             header: header.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
+            failed: Vec::new(),
         }
     }
 
     /// Appends one row; missing cells render empty, extra cells are kept.
-    pub fn push(&mut self, row: Vec<String>) {
-        self.rows.push(row);
+    pub fn push<C: Into<Cell>>(&mut self, row: Vec<C>) {
+        self.rows.push(row.into_iter().map(Into::into).collect());
     }
 
-    fn widths(&self) -> Vec<usize> {
+    /// The numbers in the column headed `header`, top to bottom, text
+    /// cells skipped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no column has that header.
+    pub(crate) fn column(&self, header: &str) -> Vec<f64> {
+        let col = self.col(header);
+        self.rows
+            .iter()
+            .filter_map(|row| row.get(col).and_then(Cell::num))
+            .collect()
+    }
+
+    /// The number under `header` in the row whose leading cells are
+    /// `labels`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there is no such row or column, or the cell is text.
+    pub(crate) fn num(&self, labels: &[&str], header: &str) -> f64 {
+        let col = self.col(header);
+        self.rows
+            .iter()
+            .find(|row| labels.iter().zip(row.iter()).all(|(l, c)| c == l))
+            .unwrap_or_else(|| panic!("{}: no row {labels:?}", self.id))[col]
+            .num()
+            .unwrap_or_else(|| panic!("{}: {labels:?} {header} is text", self.id))
+    }
+
+    fn col(&self, header: &str) -> usize {
+        self.header
+            .iter()
+            .position(|h| h == header)
+            .unwrap_or_else(|| panic!("{}: no column {header}", self.id))
+    }
+
+    fn widths(&self, rows: &[Vec<String>]) -> Vec<usize> {
         let cols = self
             .header
             .len()
-            .max(self.rows.iter().map(|r| r.len()).max().unwrap_or(0));
+            .max(rows.iter().map(|r| r.len()).max().unwrap_or(0));
         let mut w = vec![0usize; cols];
         for (i, h) in self.header.iter().enumerate() {
             w[i] = w[i].max(h.len());
         }
-        for row in &self.rows {
+        for row in rows {
             for (i, cell) in row.iter().enumerate() {
                 w[i] = w[i].max(cell.len());
             }
@@ -58,7 +151,12 @@ impl fmt::Display for Table {
         if !self.note.is_empty() {
             writeln!(f, "   (paper: {})", self.note)?;
         }
-        let w = self.widths();
+        let rows: Vec<Vec<String>> = self
+            .rows
+            .iter()
+            .map(|row| row.iter().map(Cell::to_string).collect())
+            .collect();
+        let w = self.widths(&rows);
         let fmt_row = |row: &[String]| -> String {
             row.iter()
                 .enumerate()
@@ -69,7 +167,7 @@ impl fmt::Display for Table {
         writeln!(f, "{}", fmt_row(&self.header))?;
         let total: usize = w.iter().sum::<usize>() + 2 * w.len().saturating_sub(1);
         writeln!(f, "{}", "-".repeat(total))?;
-        for row in &self.rows {
+        for row in &rows {
             writeln!(f, "{}", fmt_row(row))?;
         }
         Ok(())
@@ -93,8 +191,8 @@ mod tests {
     #[test]
     fn renders_aligned_columns() {
         let mut t = Table::new("E0", "demo", "a note", &["name", "value"]);
-        t.push(vec!["longer-name".into(), "1".into()]);
-        t.push(vec!["x".into(), "123.45".into()]);
+        t.push(vec!["longer-name".to_string(), "1".into()]);
+        t.push(vec!["x".to_string(), "123.45".into()]);
         let s = t.to_string();
         assert!(s.contains("E0: demo"));
         assert!(s.contains("(paper: a note)"));
@@ -108,8 +206,8 @@ mod tests {
     #[test]
     fn ragged_rows_are_tolerated() {
         let mut t = Table::new("E0", "demo", "", &["a", "b"]);
-        t.push(vec!["1".into()]);
-        t.push(vec!["1".into(), "2".into(), "3".into()]);
+        t.push(vec!["1".to_string()]);
+        t.push(vec!["1".to_string(), "2".into(), "3".into()]);
         let s = t.to_string();
         assert!(s.contains('3'));
     }
@@ -118,5 +216,24 @@ mod tests {
     fn formatters() {
         assert_eq!(f(1.23456, 2), "1.23");
         assert_eq!(pct(0.1234), "12.34%");
+    }
+
+    #[test]
+    fn numbers_print_as_formatted_and_read_back_exactly() {
+        let mut t = Table::new("E0", "demo", "", &["label", "share", "count"]);
+        t.push(vec![
+            Cell::Text("a".into()),
+            Cell::Num(0.1234, Format::Pct),
+            Cell::Num(1325.0, Format::Fixed(0)),
+        ]);
+        t.push(vec![
+            Cell::Text("b".into()),
+            Cell::Text("-".into()),
+            Cell::Num(7.0, Format::Fixed(0)),
+        ]);
+        assert!(t.to_string().contains("a  12.34%   1325"));
+        assert_eq!(t.num(&["a"], "share"), 0.1234);
+        assert_eq!(t.column("share"), vec![0.1234]);
+        assert_eq!(t.column("count"), vec![1325.0, 7.0]);
     }
 }
