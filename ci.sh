@@ -37,6 +37,11 @@
 # They run last: the RSS ceiling is the only host-dependent check left,
 # so a noisy host cannot mask the gates ahead of it.
 #
+# The simulate gate runs the `simulate` binary itself: the materialized
+# and streamed pipelines must print the same reports, once on the smoke
+# preset (both delivery modes, two threads) and once on a recorded CSV
+# trace, with only the `trace:` line (which names the pipeline) removed.
+#
 # The sweep gate runs the system sweeps, the rows of `SWEEPS` in
 # crates/bench/src/experiments/sweeps.rs, at quick scale (~14 s on 2 vCPUs):
 # every table is held to its row's checks, the claims its rows must
@@ -103,6 +108,21 @@ perf_serve() {
     grep -q '^serve: .*ingest_errors=0' target/serve_smoke_rechunked.out
 }
 
+simulate_gate() {
+    sim=./target/release/simulate
+    $sim --preset small --mode both --threads 2 > target/simulate_smoke.out
+    $sim --preset small --mode both --threads 2 --stream > target/simulate_smoke_stream.out
+    grep -q '^energy savings' target/simulate_smoke.out
+    ./target/release/tracegen --preset small --seed 777 --out target/t.csv
+    $sim --trace target/t.csv --mode prefetch > target/simulate_csv.out
+    $sim --trace target/t.csv --mode prefetch --stream > target/simulate_csv_stream.out
+    grep -q '^prefetch ' target/simulate_csv.out
+    for run in smoke csv; do
+        grep -v '^trace:' "target/simulate_$run.out" > "target/simulate_$run.cmp"
+        grep -v '^trace:' "target/simulate_${run}_stream.out" | cmp - "target/simulate_$run.cmp"
+    done
+}
+
 sweep_gate() {
     ./target/release/experiments e7 e8 e10 e11 e12 e13 e15 e16 e19 e21 e22 \
         > target/sweeps_quick.out
@@ -114,9 +134,10 @@ benchmark_gate() {
 }
 
 if [ "${1:-}" = "quick" ]; then
-    cargo build --release -p adpf-bench -p adpf-serve
+    cargo build --release -p adpf-bench
     cargo test -q -p adpf-bench --test public_surface
     perf_serve
+    simulate_gate
     marketplace_gates
     placement_gates
     determinism_gates
@@ -128,6 +149,7 @@ cargo test -q --workspace --release
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 perf_serve
+simulate_gate
 placement_gates
 sweep_gate
 benchmark_gate

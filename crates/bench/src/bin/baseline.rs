@@ -15,7 +15,8 @@
 
 use std::process::ExitCode;
 
-use adpf_bench::baseline::{check, record, select, ROWS};
+use adpf_bench::baseline::{check, record, select, Row, ROWS};
+use adpf_bench::cli::{Args, CliError};
 
 fn usage() -> String {
     format!(
@@ -25,8 +26,65 @@ fn usage() -> String {
     )
 }
 
+/// A parsed command line: the rows, and `Some(label)` to record them
+/// instead of checking them.
+#[derive(Debug)]
+struct Opts {
+    rows: Vec<Row>,
+    label: Option<String>,
+    out: String,
+    threads_list: Option<Vec<usize>>,
+    metrics_out: Option<String>,
+}
+
+fn parse(args: impl IntoIterator<Item = String>) -> Result<Opts, CliError> {
+    let mut args = Args::new(args, &["--check"])?;
+    let checking = args.has("--check");
+    let label = args.get::<String>("--label")?;
+    let out = args.get("--out")?;
+    let threads_list = args.value("--threads-list", |v| {
+        let parsed: Result<Vec<usize>, _> = v.split(',').map(str::parse).collect();
+        let positives = parsed.ok().filter(|t| !t.contains(&0));
+        positives.ok_or_else(|| "wants comma-separated positives".into())
+    })?;
+    let metrics_out = args.get("--metrics-out")?;
+    let names = args.positionals();
+    args.finish()?;
+    if checking == label.is_some() {
+        return Err(CliError::Invalid("pick one of --check and --label".into()));
+    }
+    Ok(Opts {
+        rows: select(&names).map_err(CliError::Invalid)?,
+        label,
+        out: out.unwrap_or_else(|| "BENCH_baseline.json".into()),
+        threads_list,
+        metrics_out,
+    })
+}
+
 fn main() -> ExitCode {
-    match cli(std::env::args().skip(1)) {
+    let o = match parse(std::env::args().skip(1)) {
+        Ok(o) => o,
+        Err(CliError::Help) => {
+            println!("{}", usage());
+            return ExitCode::SUCCESS;
+        }
+        Err(CliError::Invalid(why)) => {
+            eprintln!("{why}\n{}", usage());
+            return ExitCode::FAILURE;
+        }
+    };
+    let (threads, emit) = (o.threads_list.as_deref(), |l: &str| println!("{l}"));
+    let result = match &o.label {
+        None => match check(&o.rows, threads, o.metrics_out.as_deref(), emit) {
+            0 => Ok(()),
+            failed => Err(format!("baseline --check: {failed} run(s) FAILED")),
+        },
+        Some(label) => record(&o.rows, threads, label, &o.out, emit)
+            .map(|n| println!("recorded {n} entries into {}", o.out))
+            .map_err(|e| format!("failed to write {}: {e}", o.out)),
+    };
+    match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(why) => {
             eprintln!("{why}");
@@ -35,56 +93,44 @@ fn main() -> ExitCode {
     }
 }
 
-fn cli(mut args: impl Iterator<Item = String>) -> Result<(), String> {
-    let mut checking = false;
-    let mut label: Option<String> = None;
-    let mut out = String::from("BENCH_baseline.json");
-    let mut threads_list: Option<Vec<usize>> = None;
-    let mut metrics_out: Option<String> = None;
-    let mut names = Vec::new();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--check" => checking = true,
-            "--help" | "-h" => {
-                eprintln!("{}", usage());
-                return Ok(());
-            }
-            flag @ ("--label" | "--out" | "--threads-list" | "--metrics-out") => {
-                let missing = || format!("flag `{flag}` is missing its value");
-                let value = args.next().ok_or_else(missing)?;
-                match flag {
-                    "--label" => label = Some(value),
-                    "--out" => out = value,
-                    "--metrics-out" => metrics_out = Some(value),
-                    _ => {
-                        let parsed: Result<Vec<usize>, _> =
-                            value.split(',').map(str::parse).collect();
-                        let positives = parsed.ok().filter(|t| !t.contains(&0));
-                        threads_list = Some(
-                            positives.ok_or("--threads-list wants comma-separated positives")?,
-                        );
-                    }
-                }
-            }
-            flag if flag.starts_with('-') => {
-                return Err(format!("unknown flag `{flag}`\n{}", usage()));
-            }
-            _ => names.push(arg),
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_str(s: &str) -> Result<Opts, CliError> {
+        parse(s.split_whitespace().map(String::from))
+    }
+
+    fn why(s: &str) -> String {
+        match parse_str(s) {
+            Err(CliError::Invalid(why)) => why,
+            other => panic!("expected a rejection, got {other:?}"),
         }
     }
-    let rows = select(&names)?;
-    let threads = threads_list.as_deref();
-    match (checking, label) {
-        (true, None) => match check(&rows, threads, metrics_out.as_deref(), |l| println!("{l}")) {
-            0 => Ok(()),
-            failed => Err(format!("baseline --check: {failed} run(s) FAILED")),
-        },
-        (false, Some(label)) => {
-            let n = record(&rows, threads, &label, &out, |l| println!("{l}"))
-                .map_err(|e| format!("failed to write {out}: {e}"))?;
-            println!("recorded {n} entries into {out}");
-            Ok(())
-        }
-        _ => Err(format!("pick one of --check and --label\n{}", usage())),
+
+    #[test]
+    fn rejects_an_unknown_flag_a_missing_value_a_bad_value_and_helps() {
+        assert_eq!(why("--check --chek"), "unknown flag `--chek`");
+        assert_eq!(why("--label"), "`--label` is missing its value");
+        assert_eq!(
+            why("--check --threads-list 1,0"),
+            "`--threads-list 1,0`: wants comma-separated positives"
+        );
+        assert!(why("--check no-such-row").starts_with("unknown row `no-such-row`"));
+        assert_eq!(why("smoke"), "pick one of --check and --label");
+        assert_eq!(why("--check --label x"), "pick one of --check and --label");
+        assert!(matches!(parse_str("-h"), Err(CliError::Help)));
+    }
+
+    #[test]
+    fn rows_and_threads_parse() {
+        let o = parse_str("--check e14 smoke --threads-list 1,2").unwrap();
+        assert_eq!(
+            o.rows.iter().map(|r| r.name).collect::<Vec<_>>(),
+            ["smoke", "e14"]
+        );
+        assert_eq!(o.threads_list, Some(vec![1, 2]));
+        assert!(o.label.is_none());
+        assert_eq!(o.out, "BENCH_baseline.json");
     }
 }

@@ -10,95 +10,120 @@
 //! experiments all --metrics    # print per-experiment wall-time metrics
 //! ```
 //!
-//! Stdout carries the tables alone, so it depends on the scale and
-//! nothing else; progress lines go to stderr. The exit status is non-zero
-//! when a table fails one of its checks (each failure is named on stderr).
+//! Stdout carries the tables alone; progress lines go to stderr. Every
+//! table depends on the scale alone except those with wall-clock columns,
+//! which read the host: E14b and E14c (seconds, slots/s, speedup), E17
+//! (generation and simulation seconds, events/s, speedup), E18 (the
+//! `phase.*` timers) and E20 (requests/s, latency percentiles, SLA
+//! misses). The exit status is non-zero when a table fails one of its
+//! checks (each failure is named on stderr).
 
 use std::process::ExitCode;
 use std::time::Instant;
 
+use adpf_bench::cli::{positive, Args, CliError};
 use adpf_bench::{all_ids, run_experiment_threads, Scale};
 use adpf_obs::{render_table, to_json_lines, MetricRegistry};
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let full = args.iter().any(|a| a == "--full");
-    let scale = if full { Scale::Full } else { Scale::Quick };
-    let metrics = args.iter().any(|a| a == "--metrics");
-    let threads_pos = args.iter().position(|a| a == "--threads");
-    let threads = match threads_pos {
-        Some(i) => match args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) {
-            Some(t) if t >= 1 => t,
-            _ => {
-                eprintln!("--threads requires a positive integer");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => 1,
-    };
-    let metrics_out_pos = args.iter().position(|a| a == "--metrics-out");
-    let metrics_out = match metrics_out_pos {
-        Some(i) => match args.get(i + 1) {
-            Some(path) => Some(path.clone()),
-            None => {
-                eprintln!("--metrics-out requires a path");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
-    };
-    let value_positions = [threads_pos.map(|p| p + 1), metrics_out_pos.map(|p| p + 1)];
-    let mut ids: Vec<String> = args
-        .iter()
-        .enumerate()
-        .filter(|&(i, a)| !a.starts_with("--") && !value_positions.contains(&Some(i)))
-        .map(|(_, a)| a.to_ascii_lowercase())
-        .collect();
-    if ids.is_empty() || ids.iter().any(|a| a == "all") {
-        ids = all_ids().iter().map(|s| s.to_string()).collect();
-        // E9 is printed as part of E8.
-        ids.retain(|i| i != "e9");
-    }
+const USAGE: &str = "\
+usage: experiments [all | e1 … e22]… [--full] [--threads N]
+                   [--metrics] [--metrics-out FILE]
+Regenerates the paper's tables: the named experiments, or with no id
+(or `all`) every one but e9, which prints with e8. --full runs the
+paper-scale populations.";
 
-    println!(
-        "adprefetch experiment harness — scale: {:?} (pass --full for paper-scale populations)\n",
-        scale
-    );
-    // Per-experiment wall-time metrics, keyed by the experiment's static
-    // id so the registry stays allocation-free on names.
-    let collect = metrics || metrics_out.is_some();
-    let reg = MetricRegistry::new();
-    let mut failed = false;
-    for id in &ids {
-        let t0 = Instant::now();
-        match run_experiment_threads(id, scale, threads) {
-            Some(tables) => {
-                if collect {
-                    if let Some(name) = all_ids().into_iter().find(|&s| s == id.as_str()) {
-                        reg.add_time_ns(name, t0.elapsed().as_nanos() as u64);
-                        reg.add(name, tables.len() as u64);
-                    }
-                }
-                for table in tables {
-                    println!("{table}");
-                    for check in &table.failed {
-                        eprintln!("{}: check failed: {check}", table.id);
-                        failed = true;
-                    }
-                }
-                println!();
-                eprintln!("[{} done in {:.1}s]", id, t0.elapsed().as_secs_f64());
-            }
+/// A parsed command line.
+#[derive(Debug)]
+struct Opts {
+    ids: Vec<&'static str>,
+    scale: Scale,
+    threads: usize,
+    metrics: bool,
+    metrics_out: Option<String>,
+}
+
+fn parse(args: impl IntoIterator<Item = String>) -> Result<Opts, CliError> {
+    let mut args = Args::new(args, &["--full", "--metrics"])?;
+    let scale = if args.has("--full") {
+        Scale::Full
+    } else {
+        Scale::Quick
+    };
+    let metrics = args.has("--metrics");
+    let threads = args.value("--threads", positive)?.unwrap_or(1);
+    let metrics_out = args.get("--metrics-out")?;
+    let named = args.positionals();
+    args.finish()?;
+    let known = all_ids();
+    let mut ids = Vec::new();
+    for name in named.iter().map(|n| n.to_ascii_lowercase()) {
+        match known.iter().find(|&&id| id == name) {
+            Some(&id) => ids.push(id),
+            None if name == "all" => {}
             None => {
-                eprintln!("unknown experiment `{id}`; known: {}", all_ids().join(", "));
-                return ExitCode::FAILURE;
+                let known = known.join(", ");
+                let why = format!("unknown experiment `{name}`; known: {known}");
+                return Err(CliError::Invalid(why));
             }
         }
     }
-    if metrics {
+    // No id, or an `all` among them, runs every experiment; E9 is printed
+    // as part of E8.
+    if ids.len() < named.len() || ids.is_empty() {
+        ids = known.into_iter().filter(|&id| id != "e9").collect();
+    }
+    Ok(Opts {
+        ids,
+        scale,
+        threads,
+        metrics,
+        metrics_out,
+    })
+}
+
+fn main() -> ExitCode {
+    let o = match parse(std::env::args().skip(1)) {
+        Ok(o) => o,
+        Err(CliError::Help) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
+        Err(CliError::Invalid(why)) => {
+            eprintln!("{why}\n{USAGE}");
+            return ExitCode::FAILURE;
+        }
+    };
+    println!(
+        "adprefetch experiment harness — scale: {:?} (pass --full for paper-scale populations)\n",
+        o.scale
+    );
+    // Per-experiment wall-time metrics, keyed by the experiment's static
+    // id so the registry stays allocation-free on names.
+    let collect = o.metrics || o.metrics_out.is_some();
+    let reg = MetricRegistry::new();
+    let mut failed = false;
+    for &id in &o.ids {
+        let t0 = Instant::now();
+        let tables =
+            run_experiment_threads(id, o.scale, o.threads).expect("ids are checked at parse");
+        if collect {
+            reg.add_time_ns(id, t0.elapsed().as_nanos() as u64);
+            reg.add(id, tables.len() as u64);
+        }
+        for table in tables {
+            println!("{table}");
+            for check in &table.failed {
+                eprintln!("{}: check failed: {check}", table.id);
+                failed = true;
+            }
+        }
+        println!();
+        eprintln!("[{} done in {:.1}s]", id, t0.elapsed().as_secs_f64());
+    }
+    if o.metrics {
         println!("metrics (experiments):\n{}", render_table(&reg));
     }
-    if let Some(path) = &metrics_out {
+    if let Some(path) = &o.metrics_out {
         if let Err(e) = std::fs::write(path, to_json_lines(&reg, "experiments")) {
             eprintln!("cannot write {path}: {e}");
             return ExitCode::FAILURE;
@@ -109,4 +134,42 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_str(s: &str) -> Result<Opts, CliError> {
+        parse(s.split_whitespace().map(String::from))
+    }
+
+    fn why(s: &str) -> String {
+        match parse_str(s) {
+            Err(CliError::Invalid(why)) => why,
+            other => panic!("expected a rejection, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn rejects_an_unknown_flag_a_missing_value_a_bad_value_and_helps() {
+        assert_eq!(why("e13 --ful"), "unknown flag `--ful`");
+        assert_eq!(why("e13 --thread 3"), "unknown flag `--thread`");
+        assert_eq!(why("e13 --threads"), "`--threads` is missing its value");
+        assert_eq!(why("e13 --threads 0"), "`--threads 0`: must be at least 1");
+        assert!(why("e13 e99").starts_with("unknown experiment `e99`"));
+        assert!(why("all e99").starts_with("unknown experiment `e99`"));
+        assert!(matches!(parse_str("--help"), Err(CliError::Help)));
+    }
+
+    #[test]
+    fn ids_default_to_every_experiment_but_e9() {
+        let o = parse_str("E13 e7 --threads 2 --full").unwrap();
+        assert_eq!(o.ids, ["e13", "e7"]);
+        assert_eq!((o.threads, o.scale), (2, Scale::Full));
+        let every = parse_str("").unwrap().ids;
+        assert_eq!(every.len(), all_ids().len() - 1);
+        assert!(!every.contains(&"e9"));
+        assert_eq!(parse_str("e7 all").unwrap().ids, every);
+    }
 }

@@ -40,58 +40,34 @@ use std::fs::File;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use adpf_bench::cli::{
-    build_config, build_population, build_scenario, parse_simulate_args, CliError, SimulateOpts,
-};
-use adpf_core::scenario::ScenarioPopulation;
-use adpf_core::{default_shards, DeliveryMode, SimReport, Simulator};
+use adpf_bench::cli::{CliError, Input, Population, SimulateArgs};
+use adpf_core::{default_shards, DeliveryMode, SimReport, Simulator, SystemConfig};
 use adpf_energy::BatteryModel;
 use adpf_obs::{render_table, to_json_lines, MetricRegistry};
-use adpf_traces::{csv, shard_ranges, PopulationConfig, Trace};
+use adpf_traces::{csv, shard_ranges, Trace};
 
-fn usage() {
-    eprintln!(
-        "usage: simulate [--trace FILE | --preset iphone|wp|small]\n\
-         \x20                [--stream] [--users N] [--days N]\n\
-         \x20                [--mode realtime|prefetch|both]\n\
-         \x20                [--interval-h N] [--deadline-h N] [--sla P]\n\
-         \x20                [--predictor session|day-hour|tod|markov|mean|oracle|zero]\n\
-         \x20                [--planner greedy|fixed-K|none]\n\
-         \x20                [--radio 3g|lte|wifi] [--seed N] [--threads N]\n\
-         \x20                [--netem off|flaky|degraded|blackout] [--netem-retries N]\n\
-         \x20                [--marketplace off|static|paced] [--pricing first|second]\n\
-         \x20                [--floor PRICE]\n\
-         \x20                [--scenario mixed|churn|flashcrowd]\n\
-         \x20                [--metrics] [--metrics-out FILE]"
-    );
-}
+const USAGE: &str = "\
+usage: simulate [--trace FILE | --preset iphone|wp|small]
+                [--stream] [--users N] [--days N]
+                [--mode realtime|prefetch|both]
+                [--interval-h N] [--deadline-h N] [--sla P]
+                [--predictor session|day-hour|tod|markov|mean|oracle|zero]
+                [--planner greedy|fixed-K|none]
+                [--radio 3g|lte|wifi] [--seed N] [--threads N]
+                [--netem off|flaky|degraded|blackout] [--netem-retries N]
+                [--marketplace off|static|paced] [--pricing first|second]
+                [--floor PRICE]
+                [--scenario mixed|churn|flashcrowd]
+                [--metrics] [--metrics-out FILE]";
 
-fn load_trace(o: &SimulateOpts) -> Result<Trace, String> {
-    if let Some(path) = &o.trace {
-        let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-        return csv::read_trace(file).map_err(|e| e.to_string());
-    }
-    // Generation parallelizes over the same thread budget as the
-    // simulation, and is byte-identical at any count. A scenario wraps
-    // the same base population with its trace-side transforms.
-    if let Some(pop) = build_scenario(o)? {
-        return Ok(pop.generate_parallel(o.threads));
-    }
-    Ok(build_population(o)?.generate_parallel(o.threads))
-}
-
-/// Where the slot events come from: the three supply modes of the CLI.
+/// Where the slot events come from.
 enum Source {
     /// The default path: a fully materialized trace.
     Trace(Trace),
-    /// `--stream` with a synthetic preset: shards regenerate their
-    /// user range on the worker that consumes it. Boxed so the rare
-    /// streaming variant doesn't inflate the common `Trace` one.
-    Synthetic(Box<PopulationConfig>),
-    /// `--stream --scenario`: like `Synthetic`, but each shard applies
-    /// the scenario's trace-side transforms to its own user range — the
-    /// scenario layers ride the bounded-memory pipeline unchanged.
-    Scenario(Box<ScenarioPopulation>),
+    /// `--stream` with a synthetic population: shards regenerate their
+    /// user range on the worker that consumes it, scenario transforms
+    /// included.
+    Population(Population),
     /// `--stream --trace`: shards re-read the CSV file, keeping only
     /// their own user range, so peak memory is O(users-per-shard ×
     /// threads) no matter how large the recording is.
@@ -102,40 +78,101 @@ enum Source {
     },
 }
 
-/// Runs one config against the source: [`Simulator::run_trace`] for a
-/// materialized trace, [`Simulator::run_shards`] for the streamed ones.
-fn run_source(cfg: &adpf_core::SystemConfig, source: &Source, threads: usize) -> SimReport {
-    match source {
-        Source::Trace(t) => Simulator::run_trace(cfg, t, threads),
-        Source::Synthetic(p) => {
-            let n = default_shards(p.num_users);
-            Simulator::run_shards(cfg, p.num_users, n, threads, |i| p.generate_shard(i, n))
-        }
-        Source::Scenario(p) => {
-            let users = p.num_users();
-            let n = default_shards(users);
-            Simulator::run_shards(cfg, users, n, threads, |i| p.generate_shard(i, n))
-        }
-        Source::File {
-            path,
-            users,
-            horizon_ms,
-        } => {
-            let n = default_shards(*users);
-            let ranges = shard_ranges(*users, n);
-            // Workers re-open the file per shard; a read failure here is
-            // unrecoverable mid-pipeline (the file was validated by
-            // trace_dims at startup), so fail the whole process.
-            Simulator::run_shards(cfg, *users, n, threads, |i| {
-                let file = File::open(path).unwrap_or_else(|e| {
-                    eprintln!("cannot reopen {path}: {e}");
-                    std::process::exit(1)
-                });
-                csv::read_trace_shard(file, ranges[i].clone(), *horizon_ms).unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    std::process::exit(1)
+impl Source {
+    /// Opens the input, printing its `trace:` line: streamed inputs keep
+    /// a population or the file's dimensions, the default path loads or
+    /// generates the whole trace up front.
+    fn open(
+        input: Input,
+        stream: bool,
+        threads: usize,
+        pipeline: &MetricRegistry,
+    ) -> Result<Self, String> {
+        Ok(match input {
+            Input::Csv(path) if stream => {
+                let file = File::open(&path).map_err(|e| format!("cannot open {path}: {e}"))?;
+                let (users, horizon_ms) = csv::trace_dims(file).map_err(|e| e.to_string())?;
+                println!(
+                    "trace: {users} users, {} shards (streaming from {path}, {threads} threads)\n",
+                    default_shards(users)
+                );
+                Source::File {
+                    path,
+                    users,
+                    horizon_ms,
+                }
+            }
+            Input::Synthetic(pop) if stream => {
+                let p = pop.base();
+                let scenario = match &pop {
+                    Population::Scenario(s) => format!("scenario {}, ", s.spec.name),
+                    Population::Plain(_) => String::new(),
+                };
+                println!(
+                    "trace: {} users, {} days, {} shards (streaming, {scenario}{threads} threads)\n",
+                    p.num_users,
+                    p.days,
+                    default_shards(p.num_users),
+                );
+                Source::Population(pop)
+            }
+            input => {
+                let gen_start = Instant::now();
+                let trace = match input {
+                    Input::Csv(path) => {
+                        let file =
+                            File::open(&path).map_err(|e| format!("cannot open {path}: {e}"))?;
+                        csv::read_trace(file).map_err(|e| e.to_string())?
+                    }
+                    // Generation parallelizes over the simulation's thread
+                    // budget, and is byte-identical at any count.
+                    Input::Synthetic(pop) => pop.generate_parallel(threads),
+                };
+                pipeline.add_time_ns("phase.trace_gen", gen_start.elapsed().as_nanos() as u64);
+                println!(
+                    "trace: {} users, {} sessions, {} days ({threads} threads)\n",
+                    trace.num_users(),
+                    trace.sessions().len(),
+                    trace.days(),
+                );
+                Source::Trace(trace)
+            }
+        })
+    }
+
+    /// Runs one config: [`Simulator::run_trace`] for a materialized
+    /// trace, [`Simulator::run_shards`] for the streamed ones.
+    fn run(&self, cfg: &SystemConfig, threads: usize) -> SimReport {
+        match self {
+            Source::Trace(t) => Simulator::run_trace(cfg, t, threads),
+            Source::Population(p) => {
+                let users = p.base().num_users;
+                let n = default_shards(users);
+                Simulator::run_shards(cfg, users, n, threads, |i| p.generate_shard(i, n))
+            }
+            Source::File {
+                path,
+                users,
+                horizon_ms,
+            } => {
+                let n = default_shards(*users);
+                let ranges = shard_ranges(*users, n);
+                // Workers re-open the file per shard; a read failure here is
+                // unrecoverable mid-pipeline (the file was validated by
+                // trace_dims at startup), so fail the whole process.
+                Simulator::run_shards(cfg, *users, n, threads, |i| {
+                    let file = File::open(path).unwrap_or_else(|e| {
+                        eprintln!("cannot reopen {path}: {e}");
+                        std::process::exit(1)
+                    });
+                    csv::read_trace_shard(file, ranges[i].clone(), *horizon_ms).unwrap_or_else(
+                        |e| {
+                            eprintln!("{e}");
+                            std::process::exit(1)
+                        },
+                    )
                 })
-            })
+            }
         }
     }
 }
@@ -151,136 +188,55 @@ fn print_report(report: &SimReport) {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse_simulate_args(&args) {
+    let o = match SimulateArgs::parse(std::env::args().skip(1)) {
         Ok(o) => o,
         Err(CliError::Help) => {
-            usage();
-            return ExitCode::FAILURE;
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
         }
-        Err(CliError::Invalid(reason)) => {
-            eprintln!("{reason}");
-            usage();
+        Err(CliError::Invalid(why)) => {
+            eprintln!("{why}\n{USAGE}");
             return ExitCode::FAILURE;
         }
     };
+    match run(o) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(why) => {
+            eprintln!("{why}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn run(o: SimulateArgs) -> Result<(), String> {
     // `--metrics` prints each run's registry, `--metrics-out` exports it.
     // Every run keeps one; reading it never changes a report — see the
     // observability test suite.
     let pipeline = MetricRegistry::new();
-
-    // Streaming never materializes the trace — it keeps a population
-    // config (synthetic) or the file's dimensions (recorded); the
-    // classic path loads/generates the whole trace up front.
-    let source = if opts.stream {
-        if let Some(path) = &opts.trace {
-            let dims = File::open(path)
-                .map_err(|e| format!("cannot open {path}: {e}"))
-                .and_then(|f| csv::trace_dims(f).map_err(|e| e.to_string()));
-            let (users, horizon_ms) = match dims {
-                Ok(d) => d,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            println!(
-                "trace: {} users, {} shards (streaming from {path}, {} threads)\n",
-                users,
-                default_shards(users),
-                opts.threads
-            );
-            Source::File {
-                path: path.clone(),
-                users,
-                horizon_ms,
-            }
-        } else if let Some(pop) = match build_scenario(&opts) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        } {
-            println!(
-                "trace: {} users, {} days, {} shards (streaming, scenario {}, {} threads)\n",
-                pop.num_users(),
-                pop.days(),
-                default_shards(pop.num_users()),
-                pop.spec.name,
-                opts.threads
-            );
-            Source::Scenario(Box::new(pop))
-        } else {
-            let pop = match build_population(&opts) {
-                Ok(p) => p,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            println!(
-                "trace: {} users, {} days, {} shards (streaming, {} threads)\n",
-                pop.num_users,
-                pop.days,
-                default_shards(pop.num_users),
-                opts.threads
-            );
-            Source::Synthetic(Box::new(pop))
-        }
-    } else {
-        let gen_start = Instant::now();
-        let trace = match load_trace(&opts) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        pipeline.add_time_ns("phase.trace_gen", gen_start.elapsed().as_nanos() as u64);
-        println!(
-            "trace: {} users, {} sessions, {} days ({} threads)\n",
-            trace.num_users(),
-            trace.sessions().len(),
-            trace.days(),
-            opts.threads
-        );
-        Source::Trace(trace)
-    };
-
-    let modes: &[(DeliveryMode, &str)] = match opts.mode.as_str() {
-        "realtime" => &[(DeliveryMode::RealTime, "realtime")],
-        "prefetch" => &[(DeliveryMode::Prefetch, "prefetch")],
-        "both" => &[
-            (DeliveryMode::RealTime, "realtime"),
-            (DeliveryMode::Prefetch, "prefetch"),
-        ],
-        other => {
-            eprintln!("unknown mode `{other}`");
-            usage();
-            return ExitCode::FAILURE;
-        }
-    };
+    let SimulateArgs {
+        input,
+        configs,
+        threads,
+        stream,
+        metrics,
+        metrics_out,
+    } = o;
+    let source = Source::open(input, stream, threads, &pipeline)?;
 
     let mut exports = String::new();
     let mut reports = Vec::new();
-    for &(mode, label) in modes {
-        let report = match build_config(&opts, mode) {
-            Ok(cfg) => {
-                let r = run_source(&cfg, &source, opts.threads);
-                if opts.metrics {
-                    println!("metrics ({label}):\n{}", render_table(&r.metrics));
-                }
-                if opts.metrics_out.is_some() {
-                    exports.push_str(&to_json_lines(&r.metrics, label));
-                }
-                r
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
+    for cfg in &configs {
+        let label = match cfg.mode {
+            DeliveryMode::RealTime => "realtime",
+            DeliveryMode::Prefetch => "prefetch",
         };
+        let report = source.run(cfg, threads);
+        if metrics {
+            println!("metrics ({label}):\n{}", render_table(&report.metrics));
+        }
+        if metrics_out.is_some() {
+            exports.push_str(&to_json_lines(&report.metrics, label));
+        }
         print_report(&report);
         reports.push(report);
     }
@@ -293,16 +249,13 @@ fn main() -> ExitCode {
         );
     }
 
-    if opts.metrics {
+    if metrics {
         println!("metrics (pipeline):\n{}", render_table(&pipeline));
     }
-    if let Some(path) = &opts.metrics_out {
+    if let Some(path) = &metrics_out {
         exports.push_str(&to_json_lines(&pipeline, "pipeline"));
-        if let Err(e) = std::fs::write(path, &exports) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        std::fs::write(path, &exports).map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("metrics written to {path}");
     }
-    ExitCode::SUCCESS
+    Ok(())
 }

@@ -30,135 +30,69 @@ use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::process::ExitCode;
 
-use adpf_core::scenario::{ScenarioPopulation, ScenarioSpec};
-use adpf_traces::{csv, PopulationConfig, Trace, TraceStats};
+use adpf_bench::cli::{positive, Args, CliError, Population};
+use adpf_traces::{csv, PopulationConfig, TraceStats};
 
-fn usage() {
-    eprintln!(
-        "usage: tracegen [--preset iphone|wp|small] [--users N] [--days N] [--seed N]\n\
-         \x20               [--threads N] [--out FILE] [--events] [--refresh-ms N]\n\
-         \x20               [--pace RATE] [--scenario mixed|churn|flashcrowd]\n\
-         Generates a synthetic app-usage trace in the adprefetch CSV format,\n\
-         or (with --events) the serve wire protocol for the `serve` binary.\n\
-         --threads parallelizes generation; the output is identical at any count.\n\
-         --pace throttles event emission to RATE events/s (requires --events)."
-    );
-}
+const USAGE: &str = "\
+usage: tracegen [--preset iphone|wp|small] [--users N] [--days N] [--seed N]
+                [--threads N] [--out FILE] [--events] [--refresh-ms N]
+                [--pace RATE] [--scenario mixed|churn|flashcrowd]
+Generates a synthetic app-usage trace in the adprefetch CSV format,
+or (with --events) the serve wire protocol for the `serve` binary.
+--threads parallelizes generation; the output is identical at any count.
+--pace throttles event emission to RATE events/s (requires --events).";
 
-/// Parsed command line; `None` means print usage and fail.
+/// A parsed command line.
+#[derive(Debug)]
 struct Opts {
-    preset: String,
-    users: Option<u32>,
-    days: Option<u32>,
-    seed: u64,
+    population: Population,
     threads: usize,
     out: Option<String>,
     events: bool,
     refresh_ms: u64,
     pace: Option<f64>,
-    scenario: Option<String>,
 }
 
-fn parse(args: &[String]) -> Option<Opts> {
-    let mut opts = Opts {
-        preset: "iphone".to_string(),
-        users: None,
-        days: None,
-        seed: 42,
-        threads: 1,
-        out: None,
-        events: false,
-        refresh_ms: 30_000,
-        pace: None,
-        scenario: None,
+fn parse(args: impl IntoIterator<Item = String>) -> Result<Opts, CliError> {
+    let mut args = Args::new(args, &["--events"])?;
+    let seed = args.get("--seed")?.unwrap_or(42);
+    let population = Population::read(&mut args, PopulationConfig::iphone_like, seed)?;
+    let opts = Opts {
+        population,
+        threads: args.value("--threads", positive)?.unwrap_or(1),
+        out: args.get("--out")?,
+        events: args.has("--events"),
+        refresh_ms: args.value("--refresh-ms", positive)?.unwrap_or(30_000),
+        pace: args.value("--pace", |v| match v.parse::<f64>() {
+            Ok(r) if r.is_finite() && r > 0.0 => Ok(r),
+            _ => Err("must be finite and > 0".into()),
+        })?,
     };
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        if flag == "--help" || flag == "-h" {
-            return None;
-        }
-        if flag == "--events" {
-            opts.events = true;
-            i += 1;
-            continue;
-        }
-        let value = args.get(i + 1)?;
-        match flag {
-            "--preset" => opts.preset = value.clone(),
-            "--users" => opts.users = Some(value.parse().ok()?),
-            "--days" => opts.days = Some(value.parse().ok()?),
-            "--seed" => opts.seed = value.parse().ok()?,
-            "--threads" => {
-                opts.threads = value.parse().ok().filter(|&n| n >= 1)?;
-            }
-            "--refresh-ms" => {
-                opts.refresh_ms = value.parse().ok().filter(|&n| n >= 1)?;
-            }
-            "--pace" => {
-                opts.pace = Some(
-                    value
-                        .parse()
-                        .ok()
-                        .filter(|&r: &f64| r.is_finite() && r > 0.0)?,
-                );
-            }
-            "--scenario" => opts.scenario = Some(value.clone()),
-            "--out" => opts.out = Some(value.clone()),
-            other => {
-                eprintln!("unknown flag `{other}`");
-                return None;
-            }
-        }
-        i += 2;
+    args.finish()?;
+    if opts.population.base().num_users == 0 {
+        return Err(CliError::Invalid("--users must be at least 1".into()));
     }
-    Some(opts)
+    if opts.pace.is_some() && !opts.events {
+        return Err(CliError::Invalid(
+            "--pace throttles the serve event stream; it requires --events".into(),
+        ));
+    }
+    Ok(opts)
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(opts) = parse(&args) else {
-        usage();
-        return ExitCode::FAILURE;
-    };
-
-    let mut cfg = match opts.preset.as_str() {
-        "iphone" => PopulationConfig::iphone_like(opts.seed),
-        "wp" => PopulationConfig::windows_phone_like(opts.seed),
-        "small" => PopulationConfig::small_test(opts.seed),
-        other => {
-            eprintln!("unknown preset `{other}` (expected iphone, wp, or small)");
-            usage();
+    let opts = match parse(std::env::args().skip(1)) {
+        Ok(o) => o,
+        Err(CliError::Help) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
+        Err(CliError::Invalid(why)) => {
+            eprintln!("{why}\n{USAGE}");
             return ExitCode::FAILURE;
         }
     };
-    cfg.seed = opts.seed;
-    if let Some(u) = opts.users {
-        cfg.num_users = u;
-    }
-    if let Some(d) = opts.days {
-        cfg.days = d;
-    }
-    if cfg.num_users == 0 || cfg.days == 0 {
-        eprintln!("--users and --days must be positive");
-        return ExitCode::FAILURE;
-    }
-    if opts.pace.is_some() && !opts.events {
-        eprintln!("--pace throttles the serve event stream; it requires --events");
-        return ExitCode::FAILURE;
-    }
-
-    let trace: Trace = match &opts.scenario {
-        Some(name) => match ScenarioSpec::parse_preset(name) {
-            Ok(spec) => ScenarioPopulation::new(cfg, spec).generate_parallel(opts.threads),
-            Err(e) => {
-                eprintln!("{e}");
-                usage();
-                return ExitCode::FAILURE;
-            }
-        },
-        None => cfg.generate_parallel(opts.threads),
-    };
+    let trace = opts.population.generate_parallel(opts.threads);
     let refresh = adpf_desim::SimDuration::from_millis(opts.refresh_ms);
     let stats = TraceStats::compute(&trace, refresh);
     eprintln!(
@@ -191,5 +125,43 @@ fn main() -> ExitCode {
             eprintln!("write failed: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_str(s: &str) -> Result<Opts, CliError> {
+        parse(s.split_whitespace().map(String::from))
+    }
+
+    #[test]
+    fn rejects_an_unknown_flag_a_missing_value_a_bad_value_and_helps() {
+        let why = |s| match parse_str(s) {
+            Err(CliError::Invalid(why)) => why,
+            other => panic!("expected a rejection, got {other:?}"),
+        };
+        assert_eq!(why("--event"), "unknown flag `--event`");
+        assert_eq!(why("--out"), "`--out` is missing its value");
+        assert_eq!(why("--seed x"), "`--seed x`: invalid digit found in string");
+        assert!(parse_str("--users 0").is_err());
+        assert!(parse_str("--pace 100").is_err(), "--pace needs --events");
+        assert!(matches!(parse_str("--help"), Err(CliError::Help)));
+    }
+
+    #[test]
+    fn defaults_to_the_iphone_population_at_seed_42() {
+        let o = parse_str("").unwrap();
+        assert_eq!(
+            o.population,
+            Population::Plain(Box::new(PopulationConfig::iphone_like(42)))
+        );
+        assert_eq!(
+            (o.threads, o.events, o.refresh_ms, o.pace),
+            (1, false, 30_000, None)
+        );
+        let o = parse_str("--preset small --seed 777 --scenario mixed --events --pace 5").unwrap();
+        assert!(matches!(&o.population, Population::Scenario(p) if p.assign_seed() == 777));
     }
 }

@@ -1,325 +1,457 @@
-//! Argument parsing for the `simulate` binary, split out of the binary so
-//! the parser is unit-testable (no process exit, no I/O).
+//! The command line of the five binaries: one flag reader ([`Args`]),
+//! one population resolver ([`Population::read`]) for `simulate` and
+//! `tracegen`, and one [`SystemConfig`] builder for `simulate` and
+//! `serve`. Nothing here prints or exits, so every parser is
+//! unit-testable; the binaries print the [`CliError`] and their usage.
+
+use std::fmt::Display;
+use std::str::FromStr;
 
 use adpf_auction::{MarketplaceConfig, PriceFloors, PricingRule};
 use adpf_core::scenario::{ScenarioPopulation, ScenarioSpec};
 use adpf_core::{DeliveryMode, PlannerKind, SystemConfig};
 use adpf_desim::SimDuration;
-use adpf_energy::profiles;
+use adpf_energy::{profiles, RadioProfile};
 use adpf_netem::{NetemConfig, RetryPolicy};
 use adpf_prediction::PredictorKind;
-use adpf_traces::PopulationConfig;
+use adpf_serve::ServeOptions;
+use adpf_traces::{PopulationConfig, Trace};
 
-/// Parsed `simulate` options, with defaults applied.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SimulateOpts {
-    /// CSV trace path; `None` uses the synthetic `preset`.
-    pub trace: Option<String>,
-    /// Synthetic population preset (`iphone`, `wp`, `small`).
-    pub preset: String,
-    /// Delivery mode: `realtime`, `prefetch`, or `both`.
-    pub mode: String,
-    /// Sync period in hours.
-    pub interval_h: u64,
-    /// Display deadline in hours.
-    pub deadline_h: u64,
-    /// SLA target probability.
-    pub sla: f64,
-    /// Predictor name (see [`PredictorKind::parse`]).
-    pub predictor: String,
-    /// Planner name (see [`PlannerKind::parse`]).
-    pub planner: String,
-    /// Radio profile name (`3g`, `lte`, `wifi`).
-    pub radio: String,
-    /// Master seed.
-    pub seed: u64,
-    /// Worker threads for the sharded simulator.
-    pub threads: usize,
-    /// Network emulation preset (`off`, `flaky`, `degraded`, `blackout`);
-    /// `None` keeps the default: off, or the `--scenario` binding.
-    pub netem: Option<String>,
-    /// Override of the netem retry budget (`None` keeps the preset's).
-    pub netem_retries: Option<u32>,
-    /// Marketplace regime (`off`, `static`, `paced`).
-    pub marketplace: String,
-    /// Override of the pricing rule (`first`, `second`; `None` keeps the
-    /// regime's default). Requires `--marketplace` other than `off`.
-    pub pricing: Option<String>,
-    /// Uniform price floor for both slot kinds (`None` = no floor).
-    /// Requires `--marketplace` other than `off`.
-    pub floor: Option<f64>,
-    /// Run the bounded-memory streaming pipeline: each shard generates
-    /// (synthetic presets) or re-reads from the CSV file (recorded
-    /// traces) only its own user range, so the full trace never exists
-    /// in memory. Reports are byte-identical to the default path.
-    pub stream: bool,
-    /// Population-size override for synthetic presets (`None` keeps the
-    /// preset's). This is how million-user runs are requested.
-    pub users: Option<u32>,
-    /// Trace-length override in days for synthetic presets.
-    pub days: Option<u32>,
-    /// Scenario preset (`mixed`, `churn`, `flashcrowd`; `None` runs the
-    /// plain population). Shapes the synthetic trace *and* enables the
-    /// engine's scenario layer (device classes, data-plan caps, cell
-    /// ceiling, user-cost metrics) with the matching assignment seed.
-    pub scenario: Option<String>,
-    /// Print the metric registry as a table after each run.
-    pub metrics: bool,
-    /// Write the metric registry as JSON lines to this path (implies
-    /// metric collection, independent of `metrics`).
-    pub metrics_out: Option<String>,
-}
-
-impl Default for SimulateOpts {
-    fn default() -> Self {
-        Self {
-            trace: None,
-            preset: "small".into(),
-            mode: "both".into(),
-            interval_h: 2,
-            deadline_h: 12,
-            sla: 0.95,
-            predictor: "session".into(),
-            planner: "greedy".into(),
-            radio: "3g".into(),
-            seed: 1,
-            threads: 1,
-            netem: None,
-            netem_retries: None,
-            marketplace: "off".into(),
-            pricing: None,
-            floor: None,
-            stream: false,
-            users: None,
-            days: None,
-            scenario: None,
-            metrics: false,
-            metrics_out: None,
-        }
-    }
-}
-
-/// Why parsing did not produce options.
+/// Why a command line did not produce options.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CliError {
-    /// `--help`/`-h` was requested.
+    /// `--help`/`-h` was given: usage goes to stdout and the exit status is 0.
     Help,
-    /// The arguments are unusable, with a human-readable reason.
+    /// The arguments are unusable, with the reason.
     Invalid(String),
-}
-
-impl core::fmt::Display for CliError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            CliError::Help => f.write_str("help requested"),
-            CliError::Invalid(reason) => f.write_str(reason),
-        }
-    }
 }
 
 fn invalid(reason: impl Into<String>) -> CliError {
     CliError::Invalid(reason.into())
 }
 
-/// Parses `simulate` arguments (without the program name).
+/// A command line split into flags and positionals, then read flag by
+/// flag.
 ///
-/// Every enumerated value (`--mode`, `--predictor`, `--planner`,
-/// `--radio`, `--preset`) is validated here, so a typo fails fast with a
-/// message instead of surfacing after a long trace load.
-pub fn parse_simulate_args(args: &[String]) -> Result<SimulateOpts, CliError> {
-    let mut o = SimulateOpts::default();
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        if flag == "--help" || flag == "-h" {
-            return Err(CliError::Help);
-        }
-        // Boolean flags take no value; handle them before the value fetch.
-        if flag == "--metrics" {
-            o.metrics = true;
-            i += 1;
-            continue;
-        }
-        if flag == "--stream" {
-            o.stream = true;
-            i += 1;
-            continue;
-        }
-        let value = args
-            .get(i + 1)
-            .ok_or_else(|| invalid(format!("flag `{flag}` is missing its value")))?;
-        let parse_err = |name: &str| invalid(format!("invalid `{name}` value `{value}`"));
-        match flag {
-            "--trace" => o.trace = Some(value.clone()),
-            "--preset" => o.preset = value.clone(),
-            "--mode" => o.mode = value.clone(),
-            "--interval-h" => {
-                o.interval_h = value.parse().map_err(|_| parse_err("--interval-h"))?
+/// Every token starting with `-` is a flag. A flag named in `switches`
+/// stands alone; any other takes the next token as its value, whatever
+/// it looks like, so `--floor -1` reaches the `--floor` check. A repeated
+/// flag takes its last value. [`Args::finish`] rejects whatever no reader
+/// took, so a misspelt flag fails before any work starts.
+pub struct Args {
+    flags: Vec<Flag>,
+    positionals: Vec<String>,
+}
+
+struct Flag {
+    name: String,
+    value: Option<String>,
+    read: bool,
+}
+
+impl Args {
+    /// Splits `args` (without the program name); [`CliError::Help`] when
+    /// `--help` or `-h` stands in a flag's place.
+    pub fn new(
+        args: impl IntoIterator<Item = String>,
+        switches: &[&str],
+    ) -> Result<Self, CliError> {
+        let mut args = args.into_iter();
+        let (mut flags, mut positionals) = (Vec::new(), Vec::new());
+        while let Some(arg) = args.next() {
+            if arg == "--help" || arg == "-h" {
+                return Err(CliError::Help);
             }
-            "--deadline-h" => {
-                o.deadline_h = value.parse().map_err(|_| parse_err("--deadline-h"))?
+            if !arg.starts_with('-') {
+                positionals.push(arg);
+                continue;
             }
-            "--sla" => o.sla = value.parse().map_err(|_| parse_err("--sla"))?,
-            "--predictor" => o.predictor = value.clone(),
-            "--planner" => o.planner = value.clone(),
-            "--radio" => o.radio = value.clone(),
-            "--seed" => o.seed = value.parse().map_err(|_| parse_err("--seed"))?,
-            "--threads" => o.threads = value.parse().map_err(|_| parse_err("--threads"))?,
-            "--netem" => o.netem = Some(value.clone()),
-            "--netem-retries" => {
-                o.netem_retries = Some(value.parse().map_err(|_| parse_err("--netem-retries"))?)
+            let value = if switches.contains(&arg.as_str()) {
+                None
+            } else {
+                args.next()
+            };
+            flags.push(Flag {
+                name: arg,
+                value,
+                read: false,
+            });
+        }
+        Ok(Self { flags, positionals })
+    }
+
+    /// Marks every `name` flag read and returns the last one.
+    fn take(&mut self, name: &str) -> Option<&Flag> {
+        let mut last = None;
+        for (i, flag) in self.flags.iter_mut().enumerate() {
+            if flag.name == name {
+                flag.read = true;
+                last = Some(i);
             }
-            "--marketplace" => o.marketplace = value.clone(),
-            "--pricing" => o.pricing = Some(value.clone()),
-            "--floor" => o.floor = Some(value.parse().map_err(|_| parse_err("--floor"))?),
-            "--users" => o.users = Some(value.parse().map_err(|_| parse_err("--users"))?),
-            "--days" => o.days = Some(value.parse().map_err(|_| parse_err("--days"))?),
-            "--scenario" => o.scenario = Some(value.clone()),
-            "--metrics-out" => o.metrics_out = Some(value.clone()),
-            other => return Err(invalid(format!("unknown flag `{other}`"))),
         }
-        i += 2;
+        last.map(|i| &self.flags[i])
     }
-    if !matches!(o.mode.as_str(), "realtime" | "prefetch" | "both") {
-        return Err(invalid(format!("unknown mode `{}`", o.mode)));
+
+    /// Whether flag `name` was given: a switch, or a flag whose value
+    /// is not wanted.
+    pub fn has(&mut self, name: &str) -> bool {
+        self.take(name).is_some()
     }
-    if o.trace.is_none() && !matches!(o.preset.as_str(), "iphone" | "wp" | "small") {
-        return Err(invalid(format!("unknown preset `{}`", o.preset)));
+
+    /// The value of flag `name` through `parse`; `None` when the flag is
+    /// absent. The one place a flag's error is worded: it names the flag
+    /// and the value.
+    pub fn value<T>(
+        &mut self,
+        name: &str,
+        parse: impl FnOnce(&str) -> Result<T, String>,
+    ) -> Result<Option<T>, CliError> {
+        let Some(flag) = self.take(name) else {
+            return Ok(None);
+        };
+        let Some(value) = &flag.value else {
+            return Err(invalid(format!("`{name}` is missing its value")));
+        };
+        parse(value)
+            .map(Some)
+            .map_err(|why| invalid(format!("`{name} {value}`: {why}")))
     }
-    if o.threads == 0 {
-        return Err(invalid("--threads must be at least 1"));
+
+    /// [`Args::value`] through the type's `FromStr`.
+    pub fn get<T: FromStr>(&mut self, name: &str) -> Result<Option<T>, CliError>
+    where
+        T::Err: Display,
+    {
+        self.value(name, |v| v.parse().map_err(|e: T::Err| e.to_string()))
     }
-    PredictorKind::parse(&o.predictor).map_err(CliError::Invalid)?;
-    PlannerKind::parse(&o.planner).map_err(CliError::Invalid)?;
-    if !matches!(o.radio.as_str(), "3g" | "lte" | "wifi") {
-        return Err(invalid(format!("unknown radio `{}`", o.radio)));
+
+    /// Takes the positionals (experiment ids, baseline rows).
+    pub fn positionals(&mut self) -> Vec<String> {
+        std::mem::take(&mut self.positionals)
     }
-    if let Some(n) = &o.netem {
-        NetemConfig::parse_preset(n).map_err(CliError::Invalid)?;
-    }
-    MarketplaceConfig::parse_regime(&o.marketplace).map_err(CliError::Invalid)?;
-    if let Some(p) = &o.pricing {
-        PricingRule::parse(p).map_err(CliError::Invalid)?;
-    }
-    if let Some(f) = o.floor {
-        if !(f.is_finite() && f >= 0.0) {
-            return Err(invalid(format!("--floor {f} must be finite and >= 0")));
+
+    /// Ends the reading: a flag no reader took, or a positional nobody
+    /// asked for, is an error.
+    pub fn finish(self) -> Result<(), CliError> {
+        if let Some(flag) = self.flags.iter().find(|f| !f.read) {
+            return Err(invalid(format!("unknown flag `{}`", flag.name)));
+        }
+        match self.positionals.first() {
+            Some(arg) => Err(invalid(format!("unexpected argument `{arg}`"))),
+            None => Ok(()),
         }
     }
-    // Population overrides regenerate from a synthetic preset; a CSV
-    // trace already fixes its own shape, so combining them would
-    // silently ignore one side. Reject instead. (`--stream` combines
-    // with both: synthetic presets regenerate per shard, recorded
-    // traces re-read the file per shard through `read_trace_shard`.)
-    if o.trace.is_some() && (o.users.is_some() || o.days.is_some()) {
-        return Err(invalid(
-            "--users/--days override a synthetic --preset, not --trace",
-        ));
+}
+
+/// A count of at least 1 (`--threads`, `--days`, `--refresh-ms`).
+pub fn positive<T: FromStr + PartialOrd + From<u8>>(v: &str) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    let n: T = v.parse().map_err(|e: T::Err| e.to_string())?;
+    if n >= T::from(1) {
+        Ok(n)
+    } else {
+        Err("must be at least 1".into())
     }
-    // A scenario shapes the *synthetic* trace and keys class assignment
-    // on the population seed; a CSV trace fixes its own sessions and has
-    // no such seed, so the combination would silently half-apply.
-    if let Some(name) = &o.scenario {
-        ScenarioSpec::parse_preset(name).map_err(CliError::Invalid)?;
-        if o.trace.is_some() {
+}
+
+/// The synthetic population `simulate` and `tracegen` generate.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Population {
+    /// A preset alone.
+    Plain(Box<PopulationConfig>),
+    /// A preset with a `--scenario`'s trace-side transforms on top.
+    Scenario(Box<ScenarioPopulation>),
+}
+
+impl Population {
+    /// Reads `--preset` (else `default(seed)`), its `--users`/`--days`
+    /// overrides and `--scenario`.
+    pub fn read(
+        args: &mut Args,
+        default: fn(u64) -> PopulationConfig,
+        seed: u64,
+    ) -> Result<Self, CliError> {
+        let mut base = args
+            .value("--preset", |p| PopulationConfig::preset(p, seed))?
+            .unwrap_or_else(|| default(seed));
+        if let Some(users) = args.get("--users")? {
+            base.num_users = users;
+        }
+        if let Some(days) = args.value("--days", positive)? {
+            base.days = days;
+        }
+        let scenario = args.value("--scenario", ScenarioSpec::parse_preset)?;
+        Ok(match scenario {
+            Some(spec) => Self::Scenario(Box::new(ScenarioPopulation::new(base, spec))),
+            None => Self::Plain(Box::new(base)),
+        })
+    }
+
+    /// The preset shape, overrides applied.
+    pub fn base(&self) -> &PopulationConfig {
+        match self {
+            Self::Plain(p) => p,
+            Self::Scenario(p) => &p.base,
+        }
+    }
+
+    /// The whole trace, generation fanned over `threads`; the same bytes
+    /// at any count.
+    pub fn generate_parallel(&self, threads: usize) -> Trace {
+        match self {
+            Self::Plain(p) => p.generate_parallel(threads),
+            Self::Scenario(p) => p.generate_parallel(threads),
+        }
+    }
+
+    /// Shard `shard` of an `n_shards`-way split, generated alone.
+    pub fn generate_shard(&self, shard: usize, n_shards: usize) -> Trace {
+        match self {
+            Self::Plain(p) => p.generate_shard(shard, n_shards),
+            Self::Scenario(p) => p.generate_shard(shard, n_shards),
+        }
+    }
+}
+
+/// The engine flags `simulate` and `serve` share, parsed once into typed
+/// values; `None` keeps [`SystemConfig::prefetch_default`]'s value.
+#[derive(Default)]
+struct ConfigArgs {
+    seed: u64,
+    predictor: Option<PredictorKind>,
+    planner: Option<PlannerKind>,
+    radio: Option<RadioProfile>,
+    netem: Option<NetemConfig>,
+    marketplace: Option<MarketplaceConfig>,
+    pricing: Option<PricingRule>,
+    /// The scenario and the seed its class assignment keys on.
+    scenario: Option<(ScenarioSpec, u64)>,
+    // `simulate` alone reads these.
+    interval_h: Option<u64>,
+    deadline_h: Option<u64>,
+    sla: Option<f64>,
+    netem_retries: Option<u32>,
+    floor: Option<f64>,
+}
+
+impl ConfigArgs {
+    /// Reads the flags both binaries take, `--scenario` aside: `simulate`
+    /// reads it with the population.
+    fn read(args: &mut Args, seed: u64) -> Result<Self, CliError> {
+        Ok(Self {
+            seed,
+            predictor: args.value("--predictor", PredictorKind::parse)?,
+            planner: args.value("--planner", PlannerKind::parse)?,
+            radio: args.value("--radio", profiles::by_name)?,
+            netem: args.value("--netem", NetemConfig::parse_preset)?,
+            marketplace: args.value("--marketplace", MarketplaceConfig::parse_regime)?,
+            pricing: args.value("--pricing", PricingRule::parse)?,
+            ..Self::default()
+        })
+    }
+
+    /// The validated config for `mode`.
+    fn build(&self, mode: DeliveryMode) -> Result<SystemConfig, CliError> {
+        let d = SystemConfig::prefetch_default(self.seed);
+        let mut cfg = SystemConfig {
+            mode,
+            prefetch_interval: self
+                .interval_h
+                .map_or(d.prefetch_interval, SimDuration::from_hours),
+            deadline: self.deadline_h.map_or(d.deadline, SimDuration::from_hours),
+            sla_target: self.sla.unwrap_or(d.sla_target),
+            predictor: self.predictor.unwrap_or(d.predictor),
+            planner: self.planner.unwrap_or(d.planner),
+            radio: self.radio.clone().unwrap_or(d.radio),
+            marketplace: self.marketplace.clone().unwrap_or(d.marketplace),
+            ..d
+        };
+        // Overrides of a layer that is off would silently do nothing.
+        let mut netem = self.netem.clone();
+        if let Some(max_retries) = self.netem_retries {
+            let Some(n) = netem.as_mut().filter(|n| n.enabled) else {
+                return Err(invalid(
+                    "--netem-retries requires a --netem preset other than `off`",
+                ));
+            };
+            n.retry = RetryPolicy {
+                max_retries,
+                ..n.retry
+            };
+        }
+        let priced = self
+            .pricing
+            .map(|_| "--pricing")
+            .or(self.floor.map(|_| "--floor"));
+        if let Some(flag) = priced.filter(|_| !cfg.marketplace.enabled) {
+            return Err(invalid(format!(
+                "{flag} requires a --marketplace regime other than `off`"
+            )));
+        }
+        if let Some(p) = self.pricing {
+            cfg.marketplace.pricing = p;
+        }
+        if let Some(f) = self.floor {
+            cfg.marketplace.floors = PriceFloors::uniform(f);
+        }
+        if let Some((spec, assign_seed)) = &self.scenario {
+            spec.apply_to(&mut cfg, *assign_seed);
+        }
+        // An explicit `--netem` preset, `off` included, wins over the
+        // scenario's binding, so the two flags compose.
+        if let Some(n) = netem {
+            cfg.netem = n;
+        }
+        cfg.validate().map_err(CliError::Invalid)?;
+        Ok(cfg)
+    }
+}
+
+/// Where `simulate` reads its users from.
+#[derive(Debug)]
+pub enum Input {
+    /// `--trace FILE`: a recorded CSV trace.
+    Csv(String),
+    /// A synthetic population (the default).
+    Synthetic(Population),
+}
+
+/// A parsed `simulate` command line.
+#[derive(Debug)]
+pub struct SimulateArgs {
+    /// Where the users come from.
+    pub input: Input,
+    /// One validated config per `--mode` run, real time first.
+    pub configs: Vec<SystemConfig>,
+    /// Worker threads for generation and the sharded simulator.
+    pub threads: usize,
+    /// Run the bounded-memory streaming pipeline: each shard generates
+    /// (synthetic) or re-reads from the CSV file (recorded) only its own
+    /// user range. Reports are byte-identical to the default path.
+    pub stream: bool,
+    /// Print each run's metric registry as a table.
+    pub metrics: bool,
+    /// Write the metric registries as JSON lines to this path.
+    pub metrics_out: Option<String>,
+}
+
+impl SimulateArgs {
+    /// Parses `simulate`'s arguments (without the program name).
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, CliError> {
+        let mut args = Args::new(args, &["--metrics", "--stream"])?;
+        let seed = args.get("--seed")?.unwrap_or(1);
+        let mut knobs = ConfigArgs::read(&mut args, seed)?;
+        knobs.interval_h = args.get("--interval-h")?;
+        knobs.deadline_h = args.get("--deadline-h")?;
+        knobs.sla = args.get("--sla")?;
+        knobs.netem_retries = args.get("--netem-retries")?;
+        knobs.floor = args.value("--floor", |v| match v.parse::<f64>() {
+            Ok(f) if f.is_finite() && f >= 0.0 => Ok(f),
+            _ => Err("must be finite and >= 0".into()),
+        })?;
+        let input = match args.get::<String>("--trace")? {
+            Some(path) => {
+                // A CSV trace fixes its own users, days and sessions, and
+                // has no population seed to key a scenario on: the
+                // population flags would silently half-apply. (`--preset`
+                // is ignored.)
+                args.has("--preset");
+                if args.has("--users") || args.has("--days") {
+                    return Err(invalid(
+                        "--users/--days override a synthetic --preset, not --trace",
+                    ));
+                }
+                if args.has("--scenario") {
+                    return Err(invalid(
+                        "--scenario shapes a synthetic --preset, not --trace",
+                    ));
+                }
+                Input::Csv(path)
+            }
+            None => {
+                let pop = Population::read(&mut args, PopulationConfig::small_test, seed)?;
+                if let Population::Scenario(p) = &pop {
+                    knobs.scenario = Some((p.spec.clone(), p.assign_seed()));
+                }
+                Input::Synthetic(pop)
+            }
+        };
+        const BOTH: &[DeliveryMode] = &[DeliveryMode::RealTime, DeliveryMode::Prefetch];
+        let modes = args
+            .value("--mode", |m| match m {
+                "realtime" => Ok(&BOTH[..1]),
+                "prefetch" => Ok(&BOTH[1..]),
+                "both" => Ok(BOTH),
+                other => Err(format!("unknown mode `{other}`")),
+            })?
+            .unwrap_or(BOTH);
+        let threads = args.value("--threads", positive)?.unwrap_or(1);
+        let stream = args.has("--stream");
+        let metrics = args.has("--metrics");
+        let metrics_out = args.get("--metrics-out")?;
+        args.finish()?;
+        Ok(Self {
+            input,
+            configs: modes
+                .iter()
+                .map(|&m| knobs.build(m))
+                .collect::<Result<_, _>>()?,
+            threads,
+            stream,
+            metrics,
+            metrics_out,
+        })
+    }
+}
+
+/// A parsed `serve` command line.
+#[derive(Debug)]
+pub struct ServeArgs {
+    /// Accept one TCP connection here instead of reading stdin.
+    pub listen: Option<String>,
+    /// The serving config, threads and shard override.
+    pub options: ServeOptions,
+    /// Print the metric registries after the final report.
+    pub metrics: bool,
+}
+
+impl ServeArgs {
+    /// Parses `serve`'s arguments (without the program name). Unflagged,
+    /// the config is `prefetch_default(5)`, the one behind the batch
+    /// smoke golden.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, CliError> {
+        let mut args = Args::new(args, &["--metrics"])?;
+        let seed = args.get("--seed")?.unwrap_or(5);
+        let mut knobs = ConfigArgs::read(&mut args, seed)?;
+        if knobs.predictor == Some(PredictorKind::Oracle) {
             return Err(invalid(
-                "--scenario shapes a synthetic --preset, not --trace",
+                "`--predictor oracle` needs the future slot stream; the online server \
+                 cannot provide it",
             ));
         }
-    }
-    if o.days == Some(0) {
-        return Err(invalid("--days must be at least 1"));
-    }
-    Ok(o)
-}
-
-/// Resolves the synthetic population for parsed options: the `--preset`
-/// shape with any `--users`/`--days` overrides applied. Errors when the
-/// options name a CSV trace instead (callers handle that path
-/// separately).
-pub fn build_population(o: &SimulateOpts) -> Result<PopulationConfig, String> {
-    if o.trace.is_some() {
-        return Err("a CSV trace has no synthetic population".into());
-    }
-    let mut pop = match o.preset.as_str() {
-        "iphone" => PopulationConfig::iphone_like(o.seed),
-        "wp" => PopulationConfig::windows_phone_like(o.seed),
-        "small" => PopulationConfig::small_test(o.seed),
-        other => return Err(format!("unknown preset `{other}`")),
-    };
-    if let Some(users) = o.users {
-        pop.num_users = users;
-    }
-    if let Some(days) = o.days {
-        pop.days = days;
-    }
-    Ok(pop)
-}
-
-/// Resolves the scenario population for parsed options: the synthetic
-/// population wrapped with the `--scenario` preset's spec. `Ok(None)`
-/// when no scenario was requested.
-pub fn build_scenario(o: &SimulateOpts) -> Result<Option<ScenarioPopulation>, String> {
-    let Some(name) = &o.scenario else {
-        return Ok(None);
-    };
-    let spec = ScenarioSpec::parse_preset(name)?;
-    Ok(Some(ScenarioPopulation::new(build_population(o)?, spec)))
-}
-
-/// Builds the validated [`SystemConfig`] for one delivery mode from
-/// parsed options.
-pub fn build_config(o: &SimulateOpts, mode: DeliveryMode) -> Result<SystemConfig, String> {
-    let mut cfg = match mode {
-        DeliveryMode::RealTime => SystemConfig::realtime(o.seed),
-        DeliveryMode::Prefetch => SystemConfig::prefetch_default(o.seed),
-    };
-    cfg.prefetch_interval = SimDuration::from_hours(o.interval_h);
-    cfg.deadline = SimDuration::from_hours(o.deadline_h);
-    cfg.sla_target = o.sla;
-    cfg.predictor = PredictorKind::parse(&o.predictor)?;
-    cfg.planner = PlannerKind::parse(&o.planner)?;
-    cfg.radio = profiles::by_name(&o.radio)?;
-    if let Some(n) = &o.netem {
-        cfg.netem = NetemConfig::parse_preset(n)?;
-    }
-    if let Some(n) = o.netem_retries {
-        if !cfg.netem.enabled {
-            return Err("--netem-retries requires a --netem preset other than `off`".into());
-        }
-        cfg.netem.retry = RetryPolicy {
-            max_retries: n,
-            ..cfg.netem.retry
+        // Class assignment keys on the seed the stream was generated
+        // with, which the caller echoes (by default the config seed).
+        let scenario = args.value("--scenario", ScenarioSpec::parse_preset)?;
+        knobs.scenario = match (scenario, args.get("--scenario-seed")?) {
+            (Some(spec), assign_seed) => Some((spec, assign_seed.unwrap_or(seed))),
+            (None, Some(_)) => return Err(invalid("--scenario-seed requires --scenario")),
+            (None, None) => None,
         };
+        let threads = args.value("--threads", positive)?.unwrap_or(2);
+        let shards = args.get("--shards")?;
+        let listen = args.get("--listen")?;
+        let metrics = args.has("--metrics");
+        args.finish()?;
+        let mut options = ServeOptions::new(knobs.build(DeliveryMode::Prefetch)?);
+        (options.threads, options.shards) = (threads, shards);
+        Ok(Self {
+            listen,
+            options,
+            metrics,
+        })
     }
-    cfg.marketplace = MarketplaceConfig::parse_regime(&o.marketplace)?;
-    if let Some(p) = &o.pricing {
-        if !cfg.marketplace.enabled {
-            return Err("--pricing requires a --marketplace regime other than `off`".into());
-        }
-        cfg.marketplace.pricing = PricingRule::parse(p)?;
-    }
-    if let Some(f) = o.floor {
-        if !cfg.marketplace.enabled {
-            return Err("--floor requires a --marketplace regime other than `off`".into());
-        }
-        cfg.marketplace.floors = PriceFloors::uniform(f);
-    }
-    if let Some(name) = &o.scenario {
-        let spec = ScenarioSpec::parse_preset(name)?;
-        // The population seed is `o.seed` (see `build_population`), so
-        // the engine's class assignment matches the trace generator's.
-        // An explicit `--netem` preset, `off` included, wins over the
-        // scenario's binding, so the two flags compose instead of
-        // silently clobbering.
-        let explicit_netem = o.netem.is_some().then(|| cfg.netem.clone());
-        spec.apply_to(&mut cfg, o.seed);
-        if let Some(netem) = explicit_netem {
-            cfg.netem = netem;
-        }
-    }
-    cfg.validate()?;
-    Ok(cfg)
 }
 
 #[cfg(test)]
@@ -330,244 +462,266 @@ mod tests {
         s.split_whitespace().map(String::from).collect()
     }
 
-    #[test]
-    fn no_args_yield_defaults() {
-        let o = parse_simulate_args(&[]).unwrap();
-        assert_eq!(o, SimulateOpts::default());
+    fn simulate(s: &str) -> Result<SimulateArgs, CliError> {
+        SimulateArgs::parse(argv(s))
+    }
+
+    fn serve(s: &str) -> Result<ServeArgs, CliError> {
+        ServeArgs::parse(argv(s))
+    }
+
+    /// The prefetch config of a `simulate` command line.
+    fn prefetch(s: &str) -> SystemConfig {
+        let args = simulate(&format!("--mode prefetch {s}")).unwrap();
+        args.configs.into_iter().next().unwrap()
+    }
+
+    fn rejected(r: Result<impl std::fmt::Debug, CliError>) -> String {
+        match r {
+            Err(CliError::Invalid(why)) => why,
+            other => panic!("expected a rejection, got {other:?}"),
+        }
     }
 
     #[test]
-    fn threads_flag_is_accepted() {
-        let o = parse_simulate_args(&argv("--preset iphone --threads 4")).unwrap();
+    fn the_reader_takes_switches_values_and_positionals() {
+        let mut args = Args::new(argv("e7 --on --n 3 e8 --n 4 --x -1"), &["--on"]).unwrap();
+        assert!(args.has("--on"));
+        assert!(!args.has("--off"));
+        assert_eq!(args.get::<u32>("--n"), Ok(Some(4)), "the last value wins");
+        assert_eq!(
+            args.get::<i32>("--x"),
+            Ok(Some(-1)),
+            "a value may start with -"
+        );
+        assert_eq!(args.get::<u32>("--absent"), Ok(None));
+        assert_eq!(args.positionals(), ["e7", "e8"]);
+        assert_eq!(args.finish(), Ok(()));
+    }
+
+    #[test]
+    fn the_reader_rejects_what_nobody_read() {
+        let args = Args::new(argv("--ful"), &[]).unwrap();
+        assert_eq!(args.finish(), Err(invalid("unknown flag `--ful`")));
+        let args = Args::new(argv("e13 --thread 3"), &[]).unwrap();
+        assert_eq!(args.finish(), Err(invalid("unknown flag `--thread`")));
+        let args = Args::new(argv("3"), &[]).unwrap();
+        assert_eq!(args.finish(), Err(invalid("unexpected argument `3`")));
+        let mut args = Args::new(argv("--n"), &[]).unwrap();
+        assert_eq!(
+            args.get::<u32>("--n"),
+            Err(invalid("`--n` is missing its value"))
+        );
+        assert_eq!(Args::new(argv("--n 3 -h"), &[]).err(), Some(CliError::Help));
+        assert_eq!(positive::<usize>("0"), Err("must be at least 1".into()));
+    }
+
+    #[test]
+    fn simulate_rejects_an_unknown_flag_a_missing_value_a_bad_value_and_helps() {
+        assert_eq!(rejected(simulate("--bogus 1")), "unknown flag `--bogus`");
+        assert_eq!(
+            rejected(simulate("--seed")),
+            "`--seed` is missing its value"
+        );
+        assert_eq!(
+            rejected(simulate("--mode warp")),
+            "`--mode warp`: unknown mode `warp`"
+        );
+        assert_eq!(simulate("--help").err(), Some(CliError::Help));
+    }
+
+    #[test]
+    fn serve_rejects_an_unknown_flag_a_missing_value_a_bad_value_and_helps() {
+        // `serve` takes neither `--interval-h` nor `--floor`.
+        assert_eq!(
+            rejected(serve("--interval-h 4")),
+            "unknown flag `--interval-h`"
+        );
+        assert_eq!(rejected(serve("--floor 0.1")), "unknown flag `--floor`");
+        assert_eq!(
+            rejected(serve("--listen")),
+            "`--listen` is missing its value"
+        );
+        assert_eq!(
+            rejected(serve("--threads 0")),
+            "`--threads 0`: must be at least 1"
+        );
+        assert_eq!(serve("-h").err(), Some(CliError::Help));
+        assert!(serve("--predictor oracle").is_err());
+        assert!(serve("--scenario-seed 7").is_err());
+    }
+
+    #[test]
+    fn no_args_yield_the_defaults() {
+        let o = simulate("").unwrap();
+        assert!(
+            matches!(&o.input, Input::Synthetic(Population::Plain(p)) if **p == PopulationConfig::small_test(1))
+        );
+        assert_eq!(o.configs.len(), 2);
+        assert_eq!(o.configs[0].mode, DeliveryMode::RealTime);
+        assert_eq!(
+            format!("{:?}", o.configs[1]),
+            format!("{:?}", SystemConfig::prefetch_default(1))
+        );
+        assert_eq!((o.threads, o.stream, o.metrics), (1, false, false));
+        assert_eq!(o.metrics_out, None);
+
+        let s = serve("").unwrap();
+        assert_eq!(
+            format!("{:?}", s.options.config),
+            format!("{:?}", SystemConfig::prefetch_default(5))
+        );
+        assert_eq!((s.options.threads, s.options.shards), (2, None));
+        assert!(s.listen.is_none() && !s.metrics);
+
+        // Switches take no value: `--metrics` must not swallow `--threads`.
+        let o = simulate("--metrics --stream --threads 4 --metrics-out m.jsonl").unwrap();
+        assert!(o.metrics && o.stream);
         assert_eq!(o.threads, 4);
-        assert_eq!(o.preset, "iphone");
+        assert_eq!(o.metrics_out.as_deref(), Some("m.jsonl"));
     }
 
     #[test]
-    fn zero_threads_are_rejected() {
-        let err = parse_simulate_args(&argv("--threads 0")).unwrap_err();
-        assert!(matches!(err, CliError::Invalid(r) if r.contains("--threads")));
+    fn enumerated_values_are_checked() {
+        for bad in [
+            "--planner quantum",
+            "--planner fixed-x",
+            "--predictor psychic",
+            "--radio 5g",
+            "--preset android",
+            "--threads 0",
+            "--netem lossy",
+            "--netem-retries many",
+            "--marketplace chaotic",
+            "--pricing dutch",
+            "--floor -0.1",
+            "--floor cheap",
+            "--days 0",
+            "--users many",
+            "--scenario rush-hour",
+        ] {
+            assert!(simulate(bad).is_err(), "{bad}");
+        }
+        assert_eq!(
+            rejected(simulate("--planner quantum")),
+            "`--planner quantum`: unknown planner `quantum`"
+        );
     }
 
     #[test]
-    fn unknown_mode_is_rejected() {
-        let err = parse_simulate_args(&argv("--mode warp")).unwrap_err();
-        assert_eq!(err, CliError::Invalid("unknown mode `warp`".into()));
-    }
-
-    #[test]
-    fn unknown_planner_is_rejected() {
-        let err = parse_simulate_args(&argv("--planner quantum")).unwrap_err();
-        assert_eq!(err, CliError::Invalid("unknown planner `quantum`".into()));
-        // fixed-K with junk K is also a reject, not a silent default.
-        assert!(parse_simulate_args(&argv("--planner fixed-x")).is_err());
-        assert_eq!(PlannerKind::parse("fixed-3"), Ok(PlannerKind::FixedK(3)));
-    }
-
-    #[test]
-    fn unknown_flag_predictor_radio_preset_are_rejected() {
-        assert!(parse_simulate_args(&argv("--bogus 1")).is_err());
-        assert!(parse_simulate_args(&argv("--predictor psychic")).is_err());
-        assert!(parse_simulate_args(&argv("--radio 5g")).is_err());
-        assert!(parse_simulate_args(&argv("--preset android")).is_err());
-    }
-
-    #[test]
-    fn missing_value_and_help_are_distinct() {
-        assert!(matches!(
-            parse_simulate_args(&argv("--seed")),
-            Err(CliError::Invalid(_))
-        ));
-        assert_eq!(parse_simulate_args(&argv("--help")), Err(CliError::Help));
-    }
-
-    #[test]
-    fn build_config_honors_parsed_options() {
-        let o = parse_simulate_args(&argv(
+    fn parsed_options_reach_the_config() {
+        let cfg = prefetch(
             "--interval-h 4 --deadline-h 12 --sla 0.9 --predictor oracle --planner none --radio lte",
-        ))
-        .unwrap();
-        let cfg = build_config(&o, DeliveryMode::Prefetch).unwrap();
+        );
         assert_eq!(cfg.prefetch_interval, SimDuration::from_hours(4));
         assert_eq!(cfg.sla_target, 0.9);
+        assert_eq!(cfg.predictor, PredictorKind::Oracle);
         assert_eq!(cfg.planner, PlannerKind::NoReplication);
         assert_eq!(cfg.radio.name, "LTE");
-    }
+        assert_eq!(
+            prefetch("--planner fixed-3").planner,
+            PlannerKind::FixedK(3)
+        );
 
-    #[test]
-    fn netem_flags_parse_and_reach_the_config() {
-        let o = parse_simulate_args(&argv("--netem flaky --netem-retries 5")).unwrap();
-        let cfg = build_config(&o, DeliveryMode::Prefetch).unwrap();
+        let cfg = prefetch("--netem flaky --netem-retries 5");
         assert!(cfg.netem.enabled);
         assert_eq!(cfg.netem.name, "flaky");
         assert_eq!(cfg.netem.retry.max_retries, 5);
+        assert_eq!(prefetch("--netem blackout").netem.outages.len(), 1);
 
-        let blackout = parse_simulate_args(&argv("--netem blackout")).unwrap();
-        let cfg = build_config(&blackout, DeliveryMode::Prefetch).unwrap();
-        assert_eq!(cfg.netem.outages.len(), 1);
-    }
-
-    #[test]
-    fn netem_defaults_off_and_bad_values_are_rejected() {
-        let o = parse_simulate_args(&[]).unwrap();
-        let cfg = build_config(&o, DeliveryMode::Prefetch).unwrap();
-        assert!(!cfg.netem.enabled);
-
-        assert!(parse_simulate_args(&argv("--netem lossy")).is_err());
-        assert!(parse_simulate_args(&argv("--netem-retries many")).is_err());
-        // Retries without an active preset would silently do nothing;
-        // reject instead.
-        let o = parse_simulate_args(&argv("--netem-retries 2")).unwrap();
-        assert!(build_config(&o, DeliveryMode::Prefetch).is_err());
-    }
-
-    #[test]
-    fn marketplace_flags_parse_and_reach_the_config() {
-        let o = parse_simulate_args(&argv("--marketplace paced --pricing first --floor 0.0005"))
-            .unwrap();
-        let cfg = build_config(&o, DeliveryMode::Prefetch).unwrap();
-        assert!(cfg.marketplace.enabled);
-        assert!(cfg.marketplace.paced);
+        let cfg = prefetch("--marketplace paced --pricing first --floor 0.0005");
+        assert!(cfg.marketplace.enabled && cfg.marketplace.paced);
         assert_eq!(cfg.marketplace.pricing, PricingRule::FirstPrice);
         assert_eq!(cfg.marketplace.floors, PriceFloors::uniform(0.0005));
-
-        // The static regime applies floors/pricing without pacing.
-        let o = parse_simulate_args(&argv("--marketplace static --pricing second")).unwrap();
-        let cfg = build_config(&o, DeliveryMode::Prefetch).unwrap();
+        let cfg = prefetch("--marketplace static --pricing second");
         assert!(cfg.marketplace.enabled && !cfg.marketplace.paced);
+
+        let cfg = prefetch("");
+        assert!(!cfg.netem.enabled && !cfg.marketplace.enabled && !cfg.scenario.enabled);
     }
 
     #[test]
-    fn marketplace_defaults_off_and_bad_values_are_rejected() {
-        let o = parse_simulate_args(&[]).unwrap();
-        let cfg = build_config(&o, DeliveryMode::Prefetch).unwrap();
-        assert!(!cfg.marketplace.enabled);
-
-        assert!(parse_simulate_args(&argv("--marketplace chaotic")).is_err());
-        assert!(parse_simulate_args(&argv("--pricing dutch")).is_err());
-        assert!(parse_simulate_args(&argv("--floor -0.1")).is_err());
-        assert!(parse_simulate_args(&argv("--floor cheap")).is_err());
-
-        // Pricing/floor overrides without an active marketplace would
-        // silently do nothing; reject instead, mirroring --netem-retries.
-        let o = parse_simulate_args(&argv("--pricing first")).unwrap();
-        assert!(build_config(&o, DeliveryMode::Prefetch).is_err());
-        let o = parse_simulate_args(&argv("--floor 0.001")).unwrap();
-        assert!(build_config(&o, DeliveryMode::Prefetch).is_err());
+    fn overrides_that_would_do_nothing_are_rejected() {
+        assert!(simulate("--netem-retries 2").is_err());
+        assert!(simulate("--netem off --netem-retries 2").is_err());
+        assert!(simulate("--scenario flashcrowd --netem-retries 2").is_err());
+        assert!(simulate("--pricing first").is_err());
+        assert!(simulate("--floor 0.001").is_err());
+        assert!(serve("--pricing first").is_err());
+        // Parses fine, but the deadline falls inside the sync interval.
+        assert!(simulate("--interval-h 8 --deadline-h 2").is_err());
     }
 
     #[test]
-    fn metrics_flags_parse() {
-        // `--metrics` is a bare boolean: it must not swallow the flag
-        // that follows it.
-        let o = parse_simulate_args(&argv("--metrics --threads 4")).unwrap();
-        assert!(o.metrics);
-        assert_eq!(o.threads, 4);
-        assert_eq!(o.metrics_out, None);
-
-        let o = parse_simulate_args(&argv("--metrics-out out.jsonl")).unwrap();
-        assert!(!o.metrics);
-        assert_eq!(o.metrics_out.as_deref(), Some("out.jsonl"));
-
-        let o = parse_simulate_args(&[]).unwrap();
-        assert!(!o.metrics && o.metrics_out.is_none());
-    }
-
-    #[test]
-    fn stream_and_population_flags_parse() {
-        // `--stream` is a bare boolean: it must not swallow what follows.
-        let o =
-            parse_simulate_args(&argv("--stream --preset iphone --users 100000 --days 2")).unwrap();
+    fn population_flags_shape_synthetic_users_only() {
+        let o = simulate("--stream --preset iphone --users 100000 --days 2").unwrap();
         assert!(o.stream);
-        assert_eq!(o.users, Some(100_000));
-        assert_eq!(o.days, Some(2));
-        let pop = build_population(&o).unwrap();
-        assert_eq!((pop.num_users, pop.days), (100_000, 2));
-
-        // Overrides default to the preset's own shape.
-        let o = parse_simulate_args(&argv("--preset small")).unwrap();
+        let Input::Synthetic(pop) = &o.input else {
+            panic!("a preset is synthetic")
+        };
+        let iphone = PopulationConfig::iphone_like(1);
         assert_eq!(
-            build_population(&o).unwrap(),
-            adpf_traces::PopulationConfig::small_test(o.seed)
+            *pop,
+            Population::Plain(Box::new(PopulationConfig {
+                num_users: 100_000,
+                days: 2,
+                ..iphone
+            }))
         );
+
+        let o = simulate("--trace t.csv --stream").unwrap();
+        assert!(o.stream && matches!(&o.input, Input::Csv(p) if p == "t.csv"));
+        for bad in ["--users 10", "--days 2", "--scenario mixed"] {
+            assert!(simulate(&format!("--trace t.csv {bad}")).is_err(), "{bad}");
+        }
     }
 
     #[test]
-    fn stream_and_overrides_reject_csv_traces_and_zero_days() {
-        // Streaming a recorded trace is supported (per-shard file
-        // re-reads); only the population overrides conflict with one.
-        let o = parse_simulate_args(&argv("--trace t.csv --stream")).unwrap();
-        assert!(o.stream && o.trace.is_some());
-        assert!(parse_simulate_args(&argv("--trace t.csv --users 10")).is_err());
-        assert!(parse_simulate_args(&argv("--trace t.csv --days 2")).is_err());
-        assert!(parse_simulate_args(&argv("--days 0")).is_err());
-        assert!(parse_simulate_args(&argv("--users many")).is_err());
-        let o = parse_simulate_args(&argv("--trace t.csv")).unwrap();
-        assert!(build_population(&o).is_err());
-    }
-
-    #[test]
-    fn scenario_flag_parses_and_reaches_the_config() {
-        let o = parse_simulate_args(&argv("--scenario mixed --seed 777")).unwrap();
-        assert_eq!(o.scenario.as_deref(), Some("mixed"));
-        let cfg = build_config(&o, DeliveryMode::Prefetch).unwrap();
-        assert!(cfg.scenario.enabled);
-        assert_eq!(
-            cfg.scenario.assign_seed, 777,
-            "assignment keys on the population seed"
-        );
-        assert_eq!(cfg.scenario.classes.len(), 3);
-        let pop = build_scenario(&o).unwrap().unwrap();
+    fn scenario_keys_class_assignment_on_the_population_seed() {
+        let o = simulate("--mode prefetch --scenario mixed --seed 777").unwrap();
+        let Input::Synthetic(Population::Scenario(pop)) = &o.input else {
+            panic!("--scenario wraps the population")
+        };
         assert_eq!(pop.assign_seed(), 777);
+        let cfg = &o.configs[0];
+        assert!(cfg.scenario.enabled);
+        assert_eq!(cfg.scenario.assign_seed, 777);
+        assert_eq!(cfg.scenario.classes.len(), 3);
 
-        // No scenario: config layer off, no population wrapper.
-        let o = parse_simulate_args(&[]).unwrap();
-        assert!(
-            !build_config(&o, DeliveryMode::Prefetch)
-                .unwrap()
-                .scenario
-                .enabled
-        );
-        assert!(build_scenario(&o).unwrap().is_none());
+        let s = serve("--seed 5 --scenario mixed --scenario-seed 777").unwrap();
+        assert_eq!(s.options.config.scenario.assign_seed, 777);
+        assert_eq!(s.options.config.seed, 5);
     }
 
     #[test]
-    fn scenario_flag_rejects_unknown_presets_and_csv_traces() {
-        assert!(parse_simulate_args(&argv("--scenario rush-hour")).is_err());
-        assert!(parse_simulate_args(&argv("--trace t.csv --scenario mixed")).is_err());
-    }
-
-    #[test]
-    fn explicit_netem_wins_over_the_scenario_binding() {
-        // flashcrowd binds flaky+outage; an explicit --netem, `off`
-        // included, must override it, while no flag accepts the binding.
-        let o = parse_simulate_args(&argv("--scenario flashcrowd")).unwrap();
-        let cfg = build_config(&o, DeliveryMode::Prefetch).unwrap();
-        assert!(cfg.netem.enabled);
-        assert!(cfg.netem.name.contains("outage"));
-
-        let o = parse_simulate_args(&argv("--scenario flashcrowd --netem off")).unwrap();
-        let cfg = build_config(&o, DeliveryMode::Prefetch).unwrap();
-        assert!(!cfg.netem.enabled);
+    fn serve_and_batch_build_one_config() {
+        // Every flag both binaries take, and the explicit-`--netem` rule:
+        // flashcrowd binds flaky + outage, and an explicit preset, `off`
+        // included, wins while the rest of the scenario still applies.
+        for flags in [
+            "",
+            "--scenario flashcrowd",
+            "--scenario flashcrowd --netem off",
+            "--scenario flashcrowd --netem degraded",
+            "--marketplace paced --pricing first",
+            "--marketplace static --pricing second --netem blackout",
+            "--predictor markov --planner fixed-3 --radio wifi --scenario churn",
+        ] {
+            let batch = prefetch(&format!("--seed 5 {flags}"));
+            let served = serve(&format!("--seed 5 {flags}")).unwrap().options.config;
+            assert_eq!(format!("{batch:?}"), format!("{served:?}"), "{flags}");
+        }
+        assert!(prefetch("--scenario flashcrowd")
+            .netem
+            .name
+            .contains("outage"));
+        let off = prefetch("--scenario flashcrowd --netem off");
+        assert!(!off.netem.enabled && off.scenario.enabled);
+        let degraded = prefetch("--scenario flashcrowd --netem degraded");
+        assert_eq!(degraded.netem.name, "degraded");
         assert!(
-            cfg.scenario.enabled,
-            "the rest of the scenario still applies"
-        );
-
-        let o = parse_simulate_args(&argv("--scenario flashcrowd --netem degraded")).unwrap();
-        let cfg = build_config(&o, DeliveryMode::Prefetch).unwrap();
-        assert_eq!(cfg.netem.name, "degraded");
-        assert!(
-            cfg.scenario.cell.enabled,
+            degraded.scenario.cell.enabled,
             "cell ceiling survives the override"
         );
-    }
-
-    #[test]
-    fn build_config_rejects_invalid_combinations() {
-        // Parses fine, but violates a SystemConfig invariant
-        // (deadline < interval): the validation error surfaces.
-        let o = parse_simulate_args(&argv("--interval-h 8 --deadline-h 2")).unwrap();
-        assert!(build_config(&o, DeliveryMode::Prefetch).is_err());
     }
 }

@@ -78,6 +78,19 @@ impl PopulationConfig {
         ]
     }
 
+    /// Resolves a CLI preset name: `iphone` ([`Self::iphone_like`]), `wp`
+    /// ([`Self::windows_phone_like`]) or `small` ([`Self::small_test`]).
+    /// The canonical name set shared by the `simulate` and `tracegen`
+    /// binaries.
+    pub fn preset(name: &str, seed: u64) -> Result<Self, String> {
+        Ok(match name {
+            "iphone" => Self::iphone_like(seed),
+            "wp" => Self::windows_phone_like(seed),
+            "small" => Self::small_test(seed),
+            other => return Err(format!("unknown preset `{other}`")),
+        })
+    }
+
     /// Population shaped like the paper's iPhone dataset: 1,693 users.
     pub fn iphone_like(seed: u64) -> Self {
         Self {
@@ -344,6 +357,23 @@ mod tests {
         assert_eq!(a, b);
         let c = PopulationConfig::small_test(8).generate();
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn presets_resolve_by_name() {
+        assert_eq!(
+            PopulationConfig::preset("iphone", 3),
+            Ok(PopulationConfig::iphone_like(3))
+        );
+        assert_eq!(
+            PopulationConfig::preset("wp", 3),
+            Ok(PopulationConfig::windows_phone_like(3))
+        );
+        assert_eq!(
+            PopulationConfig::preset("small", 3),
+            Ok(PopulationConfig::small_test(3))
+        );
+        assert!(PopulationConfig::preset("android", 3).is_err());
     }
 
     #[test]
