@@ -42,6 +42,11 @@
 # preset (both delivery modes, two threads) and once on a recorded CSV
 # trace, with only the `trace:` line (which names the pipeline) removed.
 #
+# The heap gate (`tests/materialized_heap.rs`, a harness-less binary with
+# a counting allocator) runs `Simulator::run_trace` on a materialized
+# trace at two threads and holds the live-heap high-water above the input
+# under 1.0× the trace's session bytes: the run holds the trace once.
+#
 # The sweep gate runs the system sweeps, the rows of `SWEEPS` in
 # crates/bench/src/experiments/sweeps.rs, at quick scale (~14 s on 2 vCPUs):
 # every table is held to its row's checks, the claims its rows must
@@ -136,6 +141,7 @@ benchmark_gate() {
 if [ "${1:-}" = "quick" ]; then
     cargo build --release -p adpf-bench
     cargo test -q -p adpf-bench --test public_surface
+    cargo test -q --release --test materialized_heap
     perf_serve
     simulate_gate
     marketplace_gates

@@ -13,6 +13,7 @@ use std::time::Instant;
 
 use adpf_auction::{BidSampler, Campaign, CampaignCatalog, CampaignType};
 use adpf_obs::MetricRegistry;
+use adpf_prediction::PredictorKind;
 use adpf_traces::{shard_ranges, AdSlot, Trace, UserSlots};
 
 use crate::config::SystemConfig;
@@ -217,12 +218,14 @@ impl Simulator {
             panic!("invalid SystemConfig: {reason}");
         }
         let slots = trace.ad_slots(config.ad_refresh);
-        // Both views of the slot stream come from the one derivation
-        // above; deriving it twice used to double trace-setup time. The
-        // per-user view is a CSR (offsets + one flat array) over the
-        // same stream: one allocation for the population, not one per
-        // user.
-        let slots_by_user = UserSlots::from_slots(&slots, trace.num_users());
+        // The per-user view (a CSR over the same stream) is read only by
+        // the oracle (`PredictorKind::build`); every other predictor
+        // starts cold, as serve's engines do, from an empty view.
+        let oracle_slots: &[AdSlot] = match config.predictor {
+            PredictorKind::Oracle => &slots,
+            _ => &[],
+        };
+        let slots_by_user = UserSlots::from_slots(oracle_slots, trace.num_users());
         let mut engine = ClientEngine::with_scratch(
             config,
             &slots_by_user,
@@ -261,24 +264,18 @@ impl Simulator {
     }
 
     /// [`Simulator::run_shards`] over the [`default_shards`]`(users)`-way
-    /// [`Trace::split_users`] of `trace`, each shard moved to the worker
-    /// that simulates it. The result depends on `(config, trace)` alone,
-    /// never on `threads`; it differs from [`Simulator::run`] on the whole
-    /// trace whenever there is more than one shard — replication
-    /// candidates are confined to a shard, the price of embarrassingly
-    /// parallel execution.
+    /// [`Trace::split_users`] of `trace`. Shards are copied out of one
+    /// [`Trace::shard_index`] by the worker that claims them, right
+    /// before it simulates them, so the run never holds the whole split.
+    /// The result depends on `(config, trace)` alone, never on `threads`;
+    /// it differs from [`Simulator::run`] on the whole trace whenever
+    /// there is more than one shard — replication candidates are confined
+    /// to a shard, the price of embarrassingly parallel execution.
     pub fn run_trace(config: &SystemConfig, trace: &Trace, threads: usize) -> SimReport {
         let users = trace.num_users();
         let n_shards = default_shards(users);
-        let split: Vec<Mutex<Option<Trace>>> = trace
-            .split_users(n_shards)
-            .into_iter()
-            .map(|shard| Mutex::new(Some(shard)))
-            .collect();
-        Self::run_shards(config, users, n_shards, threads, |i| {
-            let mut slot = split[i].lock().expect("shard slot poisoned");
-            slot.take().expect("each shard is handed out once")
-        })
+        let index = trace.shard_index(n_shards);
+        Self::run_shards(config, users, n_shards, threads, |i| index.shard(i))
     }
 
     /// The one shard scheduler: runs `config` over the [`shard_ranges`]
@@ -489,7 +486,6 @@ mod tests {
     use crate::PlannerKind;
     use adpf_desim::SimDuration;
     use adpf_obs::MetricSnapshot;
-    use adpf_prediction::PredictorKind;
     use adpf_traces::PopulationConfig;
     use std::sync::atomic::{AtomicUsize, Ordering};
 

@@ -36,5 +36,5 @@ mod model;
 pub mod stats;
 
 pub use gen::PopulationConfig;
-pub use model::{shard_ranges, AdSlot, AppId, Session, Trace, UserId, UserSlots};
+pub use model::{shard_ranges, AdSlot, AppId, Session, ShardIndex, Trace, UserId, UserSlots};
 pub use stats::TraceStats;

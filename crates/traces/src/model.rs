@@ -256,43 +256,103 @@ impl Trace {
     /// Concatenating the shards' users in shard order reconstructs the
     /// original user indexing, which is what report merging relies on to
     /// reassemble per-user series.
+    ///
+    /// Every shard is copied out of one [`Trace::shard_index`]; a caller
+    /// that wants one shard at a time should take them from the index.
     pub fn split_users(&self, n_shards: usize) -> Vec<Trace> {
-        let users = self.num_users as usize;
-        if users == 0 {
-            return vec![Trace::new(Vec::new(), 0, self.horizon)];
-        }
+        let index = self.shard_index(n_shards);
+        (0..index.ranges.len()).map(|i| index.shard(i)).collect()
+    }
+
+    /// Indexes this trace's sessions by shard of the `n_shards`-way
+    /// split of [`Trace::split_users`], in one stable counting pass.
+    ///
+    /// The index costs 4 bytes per session; [`ShardIndex::shard`]
+    /// copies out one shard when asked, so a sharded run holds the trace,
+    /// the index and the shards in flight instead of the trace twice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace holds more than `u32::MAX` sessions.
+    pub fn shard_index(&self, n_shards: usize) -> ShardIndex<'_> {
         let ranges = shard_ranges(self.num_users, n_shards);
         let n = ranges.len();
-        // The first `extra` shards hold `base + 1` users, the rest `base`;
-        // a user's shard is therefore computable in O(1), so sessions are
-        // routed in one pass over the trace instead of one filtering scan
-        // per shard (which at production shard counts dominated setup).
-        let base = users / n;
-        let extra = users % n;
-        let wide = (extra * (base + 1)) as u32; // First user id in a base-sized shard.
-        let mut per_shard: Vec<Vec<Session>> = (0..n)
-            .map(|i| Vec::with_capacity(self.sessions.len() / n + usize::from(i < extra)))
-            .collect();
-        for s in &self.sessions {
-            let u = s.user.0;
-            if u as usize >= users {
-                continue; // Out-of-contract id; the old per-shard filter dropped it too.
-            }
-            let shard = if u < wide {
-                (u as usize) / (base + 1)
-            } else {
-                extra + ((u - wide) as usize) / base
-            };
-            per_shard[shard].push(Session {
-                user: UserId(u - ranges[shard].start),
-                ..*s
-            });
+        assert!(
+            u32::try_from(self.sessions.len()).is_ok(),
+            "a shard index addresses at most u32::MAX sessions"
+        );
+        // The one routing of a user to their shard: a lookup table laid
+        // out from the ranges. Ids at or above the population have no
+        // entry and are dropped.
+        let mut shard_of = vec![0u32; self.num_users as usize];
+        for (i, range) in ranges.iter().enumerate() {
+            shard_of[range.start as usize..range.end as usize].fill(i as u32);
         }
-        per_shard
-            .into_iter()
-            .zip(&ranges)
-            .map(|(sessions, range)| Trace::new(sessions, range.end - range.start, self.horizon))
-            .collect()
+        let route = |s: &Session| shard_of.get(s.user.0 as usize).map(|&i| i as usize);
+        let mut starts = vec![0u32; n + 1];
+        for s in &self.sessions {
+            if let Some(i) = route(s) {
+                starts[i + 1] += 1;
+            }
+        }
+        for i in 0..n {
+            starts[i + 1] += starts[i];
+        }
+        let mut cursor = starts[..n].to_vec();
+        let mut positions = vec![0u32; starts[n] as usize];
+        for (p, s) in self.sessions.iter().enumerate() {
+            if let Some(i) = route(s) {
+                positions[cursor[i] as usize] = p as u32;
+                cursor[i] += 1;
+            }
+        }
+        ShardIndex {
+            trace: self,
+            ranges,
+            starts,
+            positions,
+        }
+    }
+}
+
+/// A trace's sessions indexed by shard (see [`Trace::shard_index`]):
+/// shard `i`'s sessions sit at `positions[starts[i]..starts[i + 1]]` of
+/// the trace, in trace order.
+#[derive(Debug)]
+pub struct ShardIndex<'a> {
+    trace: &'a Trace,
+    ranges: Vec<core::ops::Range<u32>>,
+    starts: Vec<u32>,
+    positions: Vec<u32>,
+}
+
+impl ShardIndex<'_> {
+    /// Copies out shard `i` as a trace of its own, users renumbered to
+    /// `0..len_i`: exactly [`Trace::split_users`]`(n)[i]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not a shard of the clamped split.
+    pub fn shard(&self, i: usize) -> Trace {
+        let offset = self.ranges[i].start;
+        let sessions = self.positions[self.starts[i] as usize..self.starts[i + 1] as usize]
+            .iter()
+            .map(|&p| {
+                let s = self.trace.sessions[p as usize];
+                Session {
+                    user: UserId(s.user.0 - offset),
+                    ..s
+                }
+            })
+            .collect();
+        // Already in `Trace::new`'s order: a subsequence of a sorted
+        // trace, every user id shifted by the same offset. The global
+        // horizon covers every session end.
+        Trace {
+            sessions,
+            num_users: self.ranges[i].end - offset,
+            horizon: self.trace.horizon,
+        }
     }
 }
 
