@@ -42,10 +42,16 @@
 # preset (both delivery modes, two threads) and once on a recorded CSV
 # trace, with only the `trace:` line (which names the pipeline) removed.
 #
-# The heap gate (`tests/materialized_heap.rs`, a harness-less binary with
-# a counting allocator) runs `Simulator::run_trace` on a materialized
-# trace at two threads and holds the live-heap high-water above the input
-# under 1.0× the trace's session bytes: the run holds the trace once.
+# The heap gates are harness-less binaries sharing one counting
+# allocator (`tests/heap/`). `tests/materialized_heap.rs` runs
+# `Simulator::run_trace` on a materialized trace at two threads and holds
+# the live-heap high-water above the input under 1.0× the trace's session
+# bytes: the run holds the trace once. `tests/serve_heap.rs` serves a
+# generated stream of 2,000 users at 16 shards and one worker and holds
+# the high-water above the input under 10,000 bytes per client: the
+# per-client outbox and cancellation queues share one slab, so the
+# session holds the entries live at its peak, not each client's
+# high-water mark.
 #
 # The sweep gate runs the system sweeps, the rows of `SWEEPS` in
 # crates/bench/src/experiments/sweeps.rs, at quick scale (~14 s on 2 vCPUs):
@@ -141,7 +147,7 @@ benchmark_gate() {
 if [ "${1:-}" = "quick" ]; then
     cargo build --release -p adpf-bench
     cargo test -q -p adpf-bench --test public_surface
-    cargo test -q --release --test materialized_heap
+    cargo test -q --release --test materialized_heap --test serve_heap
     perf_serve
     simulate_gate
     marketplace_gates

@@ -55,10 +55,10 @@ fn bench_frame_parse(c: &mut Criterion) {
 }
 
 fn bench_mailbox(c: &mut Criterion) {
-    // A routed event is 40 bytes. One uncontended push + take per batch:
+    // A routed event is 24 bytes. One uncontended push + take per batch:
     // the lock, the append, the swap and both notifications, without a
     // second thread's wake-up latency.
-    type Item = [u64; 5];
+    type Item = [u64; 3];
     let mut g = c.benchmark_group("serve_ingest");
     for batch in [16usize, 16_384] {
         g.throughput(Throughput::Elements(batch as u64));
@@ -70,7 +70,7 @@ fn bench_mailbox(c: &mut Criterion) {
                 let mut outbox: Vec<Item> = Vec::new();
                 let mut taken: Vec<Item> = Vec::new();
                 b.iter(|| {
-                    outbox.extend((0..batch as u64).map(|i| [i; 5]));
+                    outbox.extend((0..batch as u64).map(|i| [i; 3]));
                     mailbox.push(&mut outbox).expect("open mailbox");
                     assert!(mailbox.take(&mut taken));
                     black_box(taken.len())

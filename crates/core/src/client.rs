@@ -6,10 +6,12 @@
 //! scans, sync scheduling) touch one or two scalar fields across many
 //! clients, so the columnar layout keeps those scans contiguous in
 //! cache, and the table's per-client heap footprint is a handful of
-//! `Vec` headers instead of a boxed struct per user.
+//! `Vec` headers instead of a boxed struct per user. The outboxes share
+//! one [`SlabQueues`] slab, which holds the replicas queued across the
+//! table at its peak rather than each client's own high-water mark.
 
 use adpf_auction::AdId;
-use adpf_desim::{SimDuration, SimTime};
+use adpf_desim::{SimDuration, SimTime, SlabQueues};
 use adpf_energy::Radio;
 use adpf_prediction::SlotPredictor;
 
@@ -96,7 +98,8 @@ impl AdCache {
 
 /// Struct-of-arrays state of every simulated client device plus the
 /// server-side model the ad server keeps for each (predictor, queue
-/// estimate, outbox). Column `i` across all vectors is client `i`.
+/// estimate, outbox). Column `i` across all vectors, and queue `i` of
+/// the outbox slab, is client `i`.
 #[derive(Default)]
 pub(crate) struct ClientTable {
     /// The client's radio modem (ad traffic only).
@@ -113,8 +116,9 @@ pub(crate) struct ClientTable {
     pub(crate) next_sync: Vec<SimTime>,
     /// Server-side demand model for this client.
     pub(crate) predictor: Vec<Box<dyn SlotPredictor>>,
-    /// Server-side assignments awaiting the client's next sync.
-    pub(crate) outbox: Vec<Vec<CachedAd>>,
+    /// Server-side assignments awaiting the client's next sync, one
+    /// queue per client.
+    pub(crate) outbox: SlabQueues<CachedAd>,
     /// Server-side estimate of undisplayed ads assigned to this client
     /// (cache + outbox), used to discount availability.
     pub(crate) queued: Vec<u32>,
@@ -134,7 +138,7 @@ impl ClientTable {
             last_sync: Vec::with_capacity(n),
             next_sync: Vec::with_capacity(n),
             predictor: Vec::with_capacity(n),
-            outbox: Vec::with_capacity(n),
+            outbox: SlabQueues::default(),
             queued: Vec::with_capacity(n),
             retry_pending: Vec::with_capacity(n),
         }
@@ -151,7 +155,7 @@ impl ClientTable {
         self.last_sync.push(SimTime::ZERO);
         self.next_sync.push(SimTime::ZERO);
         self.predictor.push(predictor);
-        self.outbox.push(Vec::new());
+        self.outbox.grow_to(id + 1);
         self.queued.push(0);
         self.retry_pending.push(false);
         id
@@ -166,10 +170,7 @@ impl ClientTable {
     /// (server-issued cancellations); returns how many entries were
     /// actually dropped.
     pub(crate) fn cancel(&mut self, i: usize, ads: &[u64]) -> usize {
-        let outbox = &mut self.outbox[i];
-        let before = outbox.len();
-        outbox.retain(|c| !ads.contains(&c.id.0));
-        self.cache[i].cancel(ads) + before - outbox.len()
+        self.cache[i].cancel(ads) + self.outbox.retain(i, |c| !ads.contains(&c.id.0))
     }
 }
 
@@ -281,11 +282,11 @@ mod tests {
         );
         t.cache[i].insert(ad(1, 5));
         t.cache[i].insert(ad(2, 6));
-        t.outbox[i].push(ad(3, 7));
+        t.outbox.push(i, ad(3, 7));
         let dropped = t.cancel(i, &[1, 3, 99]);
         assert_eq!(dropped, 2);
         assert_eq!(t.cache[i].0.len(), 1);
-        assert!(t.outbox[i].is_empty());
+        assert!(t.outbox.is_empty(i));
     }
 
     #[test]
@@ -305,7 +306,7 @@ mod tests {
             t.last_sync.len(),
             t.next_sync.len(),
             t.predictor.len(),
-            t.outbox.len(),
+            t.outbox.queues(),
             t.queued.len(),
             t.retry_pending.len(),
         ] {

@@ -183,7 +183,6 @@ pub(crate) struct EngineScratch {
     // holds the retained capacity of whatever client vector it was last
     // swapped with.
     slot_times: Vec<SimTime>,
-    outbox: Vec<CachedAd>,
     reports: Vec<(AdId, SimTime)>,
     /// The current sync's replica-candidate pool (planner input).
     cands: Vec<ClientAvailability>,
@@ -209,7 +208,6 @@ impl EngineScratch {
         self.pool_pos.clear();
         self.pool_epoch.clear();
         self.slot_times.clear();
-        self.outbox.clear();
         self.reports.clear();
         self.cands.clear();
         self.tails.clear();
@@ -822,7 +820,7 @@ impl ClientEngine {
                     self.clients.cache[ci].insert(cached);
                     delivered_primaries += 1;
                 } else {
-                    self.clients.outbox[h as usize].push(cached);
+                    self.clients.outbox.push(h as usize, cached);
                 }
             }
             // Re-score the pool entries of the replica holders just
@@ -863,23 +861,22 @@ impl ClientEngine {
 
         // 5. The radio is waking up: apply queued cancellations, deliver
         //    outstanding replicas, and ship the impression reports. The
-        //    drain keeps both the book queue's and the scratch
-        //    buffer's allocations alive across syncs.
+        //    cancellation and outbox queues drain in place, their nodes
+        //    freed for the next push, and the scratch buffer keeps its
+        //    allocation across syncs.
         self.scratch.cancel.clear();
         self.book.drain_cancellations(c, &mut self.scratch.cancel);
         if !self.scratch.cancel.is_empty() {
             self.clients.cancel(ci, &self.scratch.cancel);
         }
-        std::mem::swap(&mut self.scratch.outbox, &mut self.clients.outbox[ci]);
         let mut delivered_replicas = 0u64;
-        for i in 0..self.scratch.outbox.len() {
-            let ad = self.scratch.outbox[i];
+        let cache = &mut self.clients.cache[ci];
+        self.clients.outbox.drain(ci, |ad| {
             if ad.deadline >= now {
-                self.clients.cache[ci].insert(ad);
+                cache.insert(ad);
                 delivered_replicas += 1;
             }
-        }
-        self.scratch.outbox.clear();
+        });
         std::mem::swap(
             &mut self.scratch.reports,
             &mut self.clients.pending_reports[ci],
@@ -1118,11 +1115,14 @@ impl ClientEngine {
             match target {
                 Some(t) if self.book.rescue_to(ad, t) => {
                     self.clients.queued[t as usize] += 1;
-                    self.clients.outbox[t as usize].push(CachedAd {
-                        id: ad,
-                        deadline,
-                        replica: true,
-                    });
+                    self.clients.outbox.push(
+                        t as usize,
+                        CachedAd {
+                            id: ad,
+                            deadline,
+                            replica: true,
+                        },
+                    );
                 }
                 _ => self.obs.inc(self.mid.netem_rescues_unplaced, 1),
             }

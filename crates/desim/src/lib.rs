@@ -18,6 +18,9 @@
 //!   work-stealing sharded simulator and parallel trace generation.
 //! - [`IdDeque`]: a sliding window over a monotone id space, the storage
 //!   of the billing ledger and the replica tracker.
+//! - [`SlabQueues`]: many FIFO queues sharing one slab of nodes, so
+//!   per-client queues hold the peak number of entries live at once,
+//!   not each queue's own high-water mark.
 //!
 //! # Examples
 //!
@@ -34,12 +37,14 @@
 
 mod iddeque;
 mod queue;
+mod slabqueues;
 mod smallvec;
 mod steal;
 pub mod time;
 
 pub use iddeque::IdDeque;
 pub use queue::EventQueue;
+pub use slabqueues::SlabQueues;
 pub use smallvec::InlineVec;
 pub use steal::WorkQueue;
 pub use time::{SimDuration, SimTime};

@@ -22,7 +22,7 @@
 use std::collections::VecDeque;
 
 use adpf_auction::{AdId, CampaignId, SoldAd};
-use adpf_desim::{IdDeque, InlineVec, SimTime};
+use adpf_desim::{IdDeque, InlineVec, SimTime, SlabQueues};
 use adpf_obs::MetricRegistry;
 
 use crate::planner::PLAN_INLINE;
@@ -139,8 +139,10 @@ pub struct AdBook {
     /// `(deadline, ad)` of every record that can expire, ascending by
     /// deadline. Entries of ads displayed since are dropped when reached.
     due: VecDeque<(SimTime, u64)>,
-    /// Queued cancellation hints, indexed by dense client id.
-    pending_cancel: Vec<Vec<u64>>,
+    /// Queued cancellation hints, one queue per dense client id, all in
+    /// one slab: it holds the hints queued at the peak, not each
+    /// client's own high-water mark.
+    pending_cancel: SlabQueues<u64>,
     totals: LedgerTotals,
     /// Sales billed on the spot ([`AdBook::bill_now`]); every other sale
     /// opened a record.
@@ -250,11 +252,8 @@ impl AdBook {
                 self.totals.revenue += record.price;
                 for &h in &record.holders {
                     if h != client {
-                        let hi = h as usize;
-                        if hi >= self.pending_cancel.len() {
-                            self.pending_cancel.resize_with(hi + 1, Vec::new);
-                        }
-                        self.pending_cancel[hi].push(id);
+                        self.pending_cancel.grow_to(h as usize + 1);
+                        self.pending_cancel.push(h as usize, id);
                         self.cancellations_queued += 1;
                     }
                 }
@@ -332,14 +331,12 @@ impl AdBook {
         self.record(ad.0).map(|r| r.holders.as_slice())
     }
 
-    /// Appends `client`'s queued cancellations to `out` and clears the
-    /// queue in place, keeping its allocation for reuse — called when
-    /// the client syncs.
+    /// Appends `client`'s queued cancellations to `out`, in the order
+    /// they were queued, and empties its queue, the slab nodes freed for
+    /// reuse — called when the client syncs.
     pub fn drain_cancellations(&mut self, client: u32, out: &mut Vec<u64>) {
-        if let Some(q) = self.pending_cancel.get_mut(client as usize) {
-            out.extend_from_slice(q);
-            q.clear();
-        }
+        self.pending_cancel
+            .drain(client as usize, |id| out.push(id));
     }
 
     /// State of an ad sold in advance.

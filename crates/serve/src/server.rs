@@ -37,7 +37,8 @@
 //!   returns, and a [`Framer`] cuts complete lines out of that chunk in
 //!   place — no per-line `String`; only a chunk's unterminated tail is
 //!   copied, into a carry buffer capped at `MAX_LINE_BYTES`. Every event of
-//!   a chunk carries the one `Instant` at which the chunk arrived.
+//!   a chunk carries the one time at which the chunk arrived, in
+//!   nanoseconds since the session began.
 //! - **Hand-off.** Each worker has a bounded swap [`Mailbox`]. The
 //!   ingest thread collects a chunk's events per worker and appends
 //!   them at the end of the chunk (and every `FLUSH_EVENTS` inside a
@@ -49,11 +50,12 @@
 //!   thread waits on one full mailbox it feeds nobody: head-of-line
 //!   blocking, the price of a single in-order reader.
 //! - **Decide.** The worker groups a batch by shard (a stable counting
-//!   sort) and runs each shard's events back to back. Shards share no
-//!   mutable state and each still sees its own events in arrival order,
-//!   so the report cannot tell; but one engine's clients, predictor
-//!   tables, candidate pool and ledger now stay in cache for a whole
-//!   run instead of being evicted by the other engines between any two
+//!   sort on the shard each event's user falls in) and runs each
+//!   shard's events back to back. Shards share no mutable state and
+//!   each still sees its own events in arrival order, so the report
+//!   cannot tell; but one engine's clients, predictor tables,
+//!   candidate pool and ledger now stay in cache for a whole run
+//!   instead of being evicted by the other engines between any two
 //!   requests.
 //!
 //! Decisions are answered in-line: an event is fully decided (cache
@@ -75,7 +77,7 @@
 //! way, and identical inputs + identical configs = identical reports.
 
 use std::io::{BufRead, ErrorKind};
-use std::ops::ControlFlow;
+use std::ops::{ControlFlow, Range};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex};
 use std::time::Instant;
@@ -104,11 +106,13 @@ pub const BATCH_EVENTS_METRIC: &str = "serve.batch_events";
 /// Counter of mailbox pushes that found the mailbox full and waited.
 pub const BACKPRESSURE_METRIC: &str = "serve.router_backpressure";
 
-/// Events a worker's mailbox may hold before the ingest thread blocks
-/// (about 2.5 MiB of [`Routed`]). A constant, not an option: it only
-/// has to be large enough that a saturated worker's batches give each
-/// shard a run of thousands of events — most of the batching gain — and
-/// the memory it bounds is small beside the engines'.
+/// Events a worker's mailbox may hold before the ingest thread blocks.
+/// A constant, not an option: it only has to be large enough that a
+/// saturated worker's batches give each shard a run of thousands of
+/// events — most of the batching gain. The memory it bounds is two
+/// buffers per worker, the pending one and the batch the worker swapped
+/// out, each of up to `MAILBOX_CAP + FLUSH_EVENTS - 1` [`Routed`] events
+/// of 24 bytes: about 3.0 MiB a worker.
 const MAILBOX_CAP: usize = 65_536;
 /// Inside one large chunk, hand a worker its events at least this often
 /// so it is not idle while the rest of the chunk is parsed.
@@ -213,14 +217,29 @@ impl From<std::io::Error> for ServeError {
     }
 }
 
-/// One routed event: shard-local addressing plus the arrival time of
-/// the chunk it came in, which the latency histograms measure from.
+/// One routed event: the global user, whose shard and shard-local id
+/// the worker derives from the shard ranges, and the arrival time of the
+/// chunk it came in, which the latency histograms measure from.
 struct Routed {
-    shard: u32,
     time: SimTime,
+    /// Nanoseconds from the session's epoch to the chunk's arrival.
+    arrived_ns: u64,
     user: UserId,
     app: AppId,
-    arrived: Instant,
+}
+
+// Two mailbox buffers of these per worker are the serve path's largest
+// allocation after the engines; see `MAILBOX_CAP`.
+const _: () = assert!(std::mem::size_of::<Routed>() == 24);
+
+/// Nanoseconds from `epoch` to now.
+fn nanos_since(epoch: Instant) -> u64 {
+    epoch.elapsed().as_nanos() as u64
+}
+
+/// The shard whose range holds `user`: the first range ending past it.
+fn shard_of(ranges: &[Range<u32>], user: UserId) -> usize {
+    ranges.partition_point(|r| r.end <= user.0)
 }
 
 /// Tallies rejected lines, keeping the first `cap` verbatim.
@@ -253,14 +272,15 @@ impl Drop for CloseOnDrop<'_> {
 }
 
 /// Reads the next chunk of `input` and hands each record in it, with
-/// the chunk's arrival time, to `on_record` until that breaks. Returns
-/// whether to go on: `false` at end of input (after the final
-/// unterminated line, if any) or once `on_record` broke — input after
-/// the record it broke on is left unread.
+/// the chunk's arrival time in nanoseconds since `epoch`, to `on_record`
+/// until that breaks. Returns whether to go on: `false` at end of input
+/// (after the final unterminated line, if any) or once `on_record`
+/// broke — input after the record it broke on is left unread.
 fn next_chunk<R: BufRead>(
     input: &mut R,
     framer: &mut Framer,
-    mut on_record: impl FnMut(Parsed, Instant) -> ControlFlow<()>,
+    epoch: Instant,
+    mut on_record: impl FnMut(Parsed, u64) -> ControlFlow<()>,
 ) -> std::io::Result<bool> {
     let chunk = loop {
         match input.fill_buf() {
@@ -269,7 +289,7 @@ fn next_chunk<R: BufRead>(
             Err(e) => return Err(e),
         }
     };
-    let arrived = Instant::now();
+    let arrived = nanos_since(epoch);
     if chunk.is_empty() {
         if let Some(parsed) = framer.finish() {
             let _ = on_record(parsed, arrived);
@@ -288,14 +308,20 @@ fn next_chunk<R: BufRead>(
     Ok(more)
 }
 
-/// Stable counting sort of `batch` by shard. Fills `order` with the
-/// batch's indices grouped by shard, arrival order kept within a group,
-/// and `ends[s]` with the end of shard `s`'s span in `order` (it starts
-/// where shard `s - 1` ends).
-fn group_by_shard(batch: &[Routed], ends: &mut [usize], order: &mut Vec<u32>) {
+/// Stable counting sort of `batch` by the shard of `ranges` each
+/// event's user falls in. Fills `order` with the batch's indices grouped
+/// by shard, arrival order kept within a group, and `ends[s]` with the
+/// end of shard `s`'s span in `order` (it starts where shard `s - 1`
+/// ends).
+fn group_by_shard(
+    batch: &[Routed],
+    ranges: &[Range<u32>],
+    ends: &mut [usize],
+    order: &mut Vec<u32>,
+) {
     ends.fill(0);
     for m in batch {
-        ends[m.shard as usize] += 1;
+        ends[shard_of(ranges, m.user)] += 1;
     }
     let mut start = 0;
     for e in ends.iter_mut() {
@@ -304,7 +330,7 @@ fn group_by_shard(batch: &[Routed], ends: &mut [usize], order: &mut Vec<u32>) {
     order.clear();
     order.resize(batch.len(), 0);
     for (i, m) in batch.iter().enumerate() {
-        let at = &mut ends[m.shard as usize];
+        let at = &mut ends[shard_of(ranges, m.user)];
         order[*at] = i as u32;
         *at += 1;
     }
@@ -342,6 +368,8 @@ fn serve_with<R: BufRead>(
         ));
     }
 
+    // Arrival times are kept as nanoseconds since this instant.
+    let epoch = Instant::now();
     let mut framer = Framer::new();
     let mut errors = ErrorLog {
         count: 0,
@@ -353,7 +381,7 @@ fn serve_with<R: BufRead>(
     // before the header, malformed headers) is counted like any other
     // bad line; only end-of-input without a header is fatal.
     let mut header = None;
-    while next_chunk(&mut input, &mut framer, |parsed, _| match parsed {
+    while next_chunk(&mut input, &mut framer, epoch, |parsed, _| match parsed {
         Parsed::Header(h) => {
             header = Some(h);
             ControlFlow::Break(())
@@ -444,9 +472,9 @@ fn serve_with<R: BufRead>(
                 let mut ends = vec![0usize; ranges.len()];
                 while mailbox.take(&mut batch) {
                     obs.observe_id(batch_events, batch.len() as u64);
-                    group_by_shard(&batch, &mut ends, &mut order);
+                    group_by_shard(&batch, ranges, &mut ends, &mut order);
                     let mut from = 0;
-                    for (engine, &to) in engines.iter_mut().zip(&ends) {
+                    for ((engine, &to), range) in engines.iter_mut().zip(&ends).zip(ranges) {
                         let run = &order[from..to];
                         from = to;
                         if run.is_empty() {
@@ -455,14 +483,15 @@ fn serve_with<R: BufRead>(
                         let engine = engine
                             .as_mut()
                             .expect("event routed to a worker that owns its shard");
-                        let started = Instant::now();
+                        let started = nanos_since(epoch);
                         for &i in run {
                             let m = &batch[i as usize];
-                            let waited = started.saturating_duration_since(m.arrived);
-                            obs.observe_id(wait, waited.as_micros() as u64);
+                            let waited = started.saturating_sub(m.arrived_ns);
+                            obs.observe_id(wait, waited / 1_000);
                             engine.drain_internal_before(m.time);
-                            engine.on_slot(m.time, m.user, m.app);
-                            obs.observe_id(lat, m.arrived.elapsed().as_micros() as u64);
+                            engine.on_slot(m.time, UserId(m.user.0 - range.start), m.app);
+                            let decided = nanos_since(epoch).saturating_sub(m.arrived_ns);
+                            obs.observe_id(lat, decided / 1_000);
                         }
                     }
                 }
@@ -493,19 +522,18 @@ fn serve_with<R: BufRead>(
                 .expect("worker outlives the router")
         };
         loop {
-            let more = next_chunk(&mut input, &mut framer, |parsed, arrived| {
+            let more = next_chunk(&mut input, &mut framer, epoch, |parsed, arrived_ns| {
                 match parsed {
                     Parsed::Event(e) => {
-                        // First range whose end exceeds the user id; the
-                        // parser guarantees `user < users`, so this hits.
-                        let shard = ranges.partition_point(|r| r.end <= e.user);
-                        let w = ownership[shard].load(Ordering::Acquire);
+                        // The parser guarantees `user < users`, so some
+                        // range holds the user.
+                        let user = UserId(e.user);
+                        let w = ownership[shard_of(ranges, user)].load(Ordering::Acquire);
                         outbox[w].push(Routed {
-                            shard: shard as u32,
                             time: SimTime::from_millis(e.time_ms),
-                            user: UserId(e.user - ranges[shard].start),
+                            arrived_ns,
+                            user,
                             app: AppId(e.app),
-                            arrived,
                         });
                         requests += 1;
                         if outbox[w].len() >= FLUSH_EVENTS {
@@ -786,21 +814,21 @@ mod tests {
 
     #[test]
     fn group_by_shard_is_a_stable_grouping() {
-        let at = Instant::now();
-        let batch: Vec<Routed> = [2u32, 0, 2, 1, 0, 2]
+        // Shards of two users each, and an empty last one.
+        let ranges = [0..2, 2..4, 4..6, 6..6];
+        let batch: Vec<Routed> = [5u32, 0, 4, 3, 1, 5]
             .iter()
             .enumerate()
-            .map(|(i, &shard)| Routed {
-                shard,
+            .map(|(i, &user)| Routed {
                 time: SimTime::from_millis(i as u64),
-                user: UserId(0),
+                arrived_ns: 0,
+                user: UserId(user),
                 app: AppId(0),
-                arrived: at,
             })
             .collect();
         let mut ends = vec![0; 4];
         let mut order = vec![7; 9];
-        group_by_shard(&batch, &mut ends, &mut order);
+        group_by_shard(&batch, &ranges, &mut ends, &mut order);
         assert_eq!(order, [1, 4, 3, 0, 2, 5]);
         assert_eq!(ends, [2, 3, 6, 6]);
     }

@@ -4,79 +4,17 @@
 //! above its input is the index and the shards in flight, never a second
 //! copy of every session.
 //!
-//! A counting global allocator tracks the bytes live in the process and
-//! their high-water mark. The binary runs without the test harness
-//! (`harness = false`), so only the run's own threads allocate while it
-//! is measured: `cargo test --test materialized_heap`.
+//! The counting allocator of `heap/` tracks the bytes live in the
+//! process and their high-water mark; the binary runs without the test
+//! harness, so only the run's own threads allocate while it is measured:
+//! `cargo test --test materialized_heap`.
 
-use std::alloc::{GlobalAlloc, Layout, System};
+mod heap;
+
 use std::hint::black_box;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use adpf_core::{Simulator, SystemConfig};
 use adpf_traces::{PopulationConfig, Session};
-
-/// Bytes allocated and not yet freed.
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-
-/// High-water mark of [`LIVE`] since it was last reset.
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-fn grow(bytes: usize) {
-    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
-    PEAK.fetch_max(live, Ordering::Relaxed);
-}
-
-fn shrink(bytes: usize) {
-    LIVE.fetch_sub(bytes, Ordering::Relaxed);
-}
-
-struct Counting;
-
-// SAFETY: every method forwards to `System` with the caller's arguments
-// unchanged, so `System`'s guarantees carry over; the counters are
-// statistics that publish nothing.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        let ptr = unsafe { System.alloc(layout) };
-        if !ptr.is_null() {
-            grow(layout.size());
-        }
-        ptr
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
-        let ptr = unsafe { System.alloc_zeroed(layout) };
-        if !ptr.is_null() {
-            grow(layout.size());
-        }
-        ptr
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
-        let moved = unsafe { System.realloc(ptr, layout, new_size) };
-        if !moved.is_null() {
-            if new_size >= layout.size() {
-                grow(new_size - layout.size());
-            } else {
-                shrink(layout.size() - new_size);
-            }
-        }
-        moved
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        shrink(layout.size());
-        // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
 
 /// The population: iPhone-shaped, as the benchmark's materialized
 /// workload, over a week, so that the session bytes outweigh the
@@ -100,10 +38,9 @@ fn main() {
     let session_bytes = std::mem::size_of_val(trace.sessions());
     let config = SystemConfig::realtime(1);
 
-    let input = LIVE.load(Ordering::SeqCst);
-    PEAK.store(input, Ordering::SeqCst);
+    let input = heap::start();
     let report = black_box(Simulator::run_trace(&config, &trace, 2));
-    let above = PEAK.load(Ordering::SeqCst) - input;
+    let above = heap::high_water_above(input);
     assert_eq!(
         report.slots(),
         trace.ad_slots(config.ad_refresh).len() as u64
