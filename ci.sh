@@ -48,10 +48,11 @@
 # the live-heap high-water above the input under 1.0× the trace's session
 # bytes: the run holds the trace once. `tests/serve_heap.rs` serves a
 # generated stream of 2,000 users at 16 shards and one worker and holds
-# the high-water above the input under 10,000 bytes per client: the
-# per-client outbox and cancellation queues share one slab, so the
-# session holds the entries live at its peak, not each client's
-# high-water mark.
+# the high-water above the input under 8,300 bytes per client: each
+# engine's event queue is one heap, and the per-client slot-time, report,
+# outbox and cancellation queues share slabs, so the session holds the
+# entries live at its peak, not each client's high-water mark (restoring
+# the queue's calendar ring reads ≈ 8,890).
 #
 # The sweep gate runs the system sweeps, the rows of `SWEEPS` in
 # crates/bench/src/experiments/sweeps.rs, at quick scale (~14 s on 2 vCPUs):
@@ -78,8 +79,10 @@ placement_gates() {
     # gather/rate/score reference, plus the planner contract that makes
     # leaving zero-probability candidates out exact. Likewise the one
     # internal-event drain, in lockstep with the pop-by-pop loop it
-    # replaced, sub-bucket scheduling deltas included. The auction's bid
-    # loop in place, in lockstep with the eager reference it replaced
+    # replaced, sub-bucket scheduling deltas included, and the event queue
+    # and the slab queues each against an O(n) reference (tier 1 runs
+    # only the root package's tests). The auction's bid loop in place, in
+    # lockstep with the eager reference it replaced
     # (`kernel_matches_the_eager_reference`). And auctions
     # sampled ahead, in lockstep with the exchange sampling them itself
     # (one exchange, and several sharing one worker's sampler),
@@ -89,6 +92,7 @@ placement_gates() {
     cargo test -q --release -p adpf-overbooking --test prop_availability
     cargo test -q --release -p adpf-core placement_
     cargo test -q --release -p adpf-core dispatch_
+    cargo test -q --release -p adpf-desim --test prop_queue --test prop_slab_queues
     cargo test -q --release -p adpf-auction kernel_
     cargo test -q --release -p adpf-auction ahead_
     cargo test -q --release -p adpf-core ahead_

@@ -6,8 +6,9 @@
 //! scans, sync scheduling) touch one or two scalar fields across many
 //! clients, so the columnar layout keeps those scans contiguous in
 //! cache, and the table's per-client heap footprint is a handful of
-//! `Vec` headers instead of a boxed struct per user. The outboxes share
-//! one [`SlabQueues`] slab, which holds the replicas queued across the
+//! `Vec` headers instead of a boxed struct per user. The per-client
+//! queues (slot times, pending reports, outboxes) are [`SlabQueues`]:
+//! each kind shares one slab, which holds the entries queued across the
 //! table at its peak rather than each client's own high-water mark.
 
 use adpf_auction::AdId;
@@ -99,17 +100,19 @@ impl AdCache {
 /// Struct-of-arrays state of every simulated client device plus the
 /// server-side model the ad server keeps for each (predictor, queue
 /// estimate, outbox). Column `i` across all vectors, and queue `i` of
-/// the outbox slab, is client `i`.
+/// each slab, is client `i`.
 #[derive(Default)]
 pub(crate) struct ClientTable {
     /// The client's radio modem (ad traffic only).
     pub(crate) radio: Vec<Radio>,
     /// Prefetched ads available for display.
     pub(crate) cache: Vec<AdCache>,
-    /// Displays since the last sync, awaiting report.
-    pub(crate) pending_reports: Vec<Vec<(AdId, SimTime)>>,
-    /// Slot times since the last sync (the predictor's observation).
-    pub(crate) slot_times: Vec<Vec<SimTime>>,
+    /// Displays since the last sync, awaiting report, one queue per
+    /// client.
+    pub(crate) pending_reports: SlabQueues<(AdId, SimTime)>,
+    /// Slot times since the last sync (the predictor's observation), one
+    /// queue per client.
+    pub(crate) slot_times: SlabQueues<SimTime>,
     /// Time of the last completed sync.
     pub(crate) last_sync: Vec<SimTime>,
     /// Time of the next scheduled sync.
@@ -133,8 +136,8 @@ impl ClientTable {
         Self {
             radio: Vec::with_capacity(n),
             cache: Vec::with_capacity(n),
-            pending_reports: Vec::with_capacity(n),
-            slot_times: Vec::with_capacity(n),
+            pending_reports: SlabQueues::default(),
+            slot_times: SlabQueues::default(),
             last_sync: Vec::with_capacity(n),
             next_sync: Vec::with_capacity(n),
             predictor: Vec::with_capacity(n),
@@ -150,8 +153,8 @@ impl ClientTable {
         let id = self.radio.len();
         self.radio.push(radio);
         self.cache.push(AdCache::default());
-        self.pending_reports.push(Vec::new());
-        self.slot_times.push(Vec::new());
+        self.pending_reports.grow_to(id + 1);
+        self.slot_times.grow_to(id + 1);
         self.last_sync.push(SimTime::ZERO);
         self.next_sync.push(SimTime::ZERO);
         self.predictor.push(predictor);
@@ -301,8 +304,8 @@ mod tests {
         assert_eq!(t.len(), 2);
         for len in [
             t.cache.len(),
-            t.pending_reports.len(),
-            t.slot_times.len(),
+            t.pending_reports.queues(),
+            t.slot_times.queues(),
             t.last_sync.len(),
             t.next_sync.len(),
             t.predictor.len(),

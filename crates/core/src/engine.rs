@@ -165,9 +165,9 @@ pub(crate) enum EngineEvent {
 /// A worker thread that simulates many shards hands the set from one
 /// finished engine ([`ClientEngine::finalize_reclaim`]) to the next
 /// ([`ClientEngine::with_scratch`]) so per-shard construction stops paying
-/// the allocation (and warm-up) cost of the queue ring and scratch
+/// the allocation (and warm-up) cost of the queue's heap and scratch
 /// vectors. Reuse is exact: construction clears every buffer, resets the
-/// queue's sequence counter and window, and zero-fills the pool-handle
+/// queue's sequence counter, and zero-fills the pool-handle
 /// epochs — and the pool build id starts counting at 1, so a zero-filled
 /// handle can never produce a false hit.
 #[derive(Default)]
@@ -179,9 +179,9 @@ pub(crate) struct EngineScratch {
     /// that replaces the linear pool scan when a holder must be re-scored.
     pool_pos: Vec<u32>,
     pool_epoch: Vec<u64>,
-    // Buffers reused across syncs so the hot path never allocates: each
-    // holds the retained capacity of whatever client vector it was last
-    // swapped with.
+    // Buffers reused across syncs so the hot path never allocates: a
+    // sync drains the client's slot times and reports out of their slabs
+    // into these.
     slot_times: Vec<SimTime>,
     reports: Vec<(AdId, SimTime)>,
     /// The current sync's replica-candidate pool (planner input).
@@ -196,7 +196,7 @@ pub(crate) struct EngineScratch {
     /// Cancellation ids drained from the book at a sync, without
     /// surrendering the book queue's allocation.
     cancel: Vec<u64>,
-    /// One near-lane bucket's events, drained at a time by
+    /// One 1.024 s bucket of internal events, drained at a time by
     /// [`ClientEngine::drain_internal_before`].
     batch: Vec<(SimTime, EngineEvent)>,
 }
@@ -477,12 +477,13 @@ impl ClientEngine {
     /// `(time, seq)` order. Call immediately before handing the engine
     /// an external slot at `t`.
     ///
-    /// Due events leave the queue one near-lane bucket at a time and are
-    /// dispatched from a flat buffer — one queue traversal and re-anchor
-    /// per bucket instead of per event. A handler may schedule an event
-    /// into the part of the bucket not yet dispatched; everything still
-    /// queued when the bucket was taken is at or past every batch time,
-    /// so such a newcomer is the queue head, and `schedule` has already
+    /// Due events leave the queue one 1.024 s bucket at a time
+    /// ([`EventQueue::drain_near_bucket`]) and are dispatched from a flat
+    /// buffer, so the queue head is re-read once per bucket, not once per
+    /// event. A handler may schedule an event into the part of the
+    /// bucket not yet dispatched; everything still queued when the
+    /// bucket was taken is at or past every batch time, so such a
+    /// newcomer is the queue head, and `schedule` has already
     /// lowered `next_internal` to it. Ahead of each batch item the queue
     /// head is therefore compared against the item's time and popped
     /// first while strictly earlier. Strictly: a newcomer at the item's
@@ -567,11 +568,11 @@ impl ClientEngine {
         let ci = user.0 as usize;
         let prefetch = self.config.mode == DeliveryMode::Prefetch;
         if prefetch {
-            self.clients.slot_times[ci].push(now);
+            self.clients.slot_times.push(ci, now);
             if let Some(ad) =
                 self.clients.cache[ci].take_displayable(now, self.config.replica_window)
             {
-                self.clients.pending_reports[ci].push((ad.id, now));
+                self.clients.pending_reports.push(ci, (ad.id, now));
                 self.impressions += 1;
                 self.cache_hits += 1;
                 if let Some(s) = &self.scen {
@@ -767,13 +768,10 @@ impl ClientEngine {
         self.clients.retry_pending[ci] = false;
 
         // 1. Update the server-side demand model with the observed period.
-        //    Swapping with the scratch buffer (instead of `mem::take`)
-        //    hands the client back a vector with retained capacity, so
-        //    next interval's slot pushes don't regrow from zero.
-        std::mem::swap(
-            &mut self.scratch.slot_times,
-            &mut self.clients.slot_times[ci],
-        );
+        //    The client's slot times drain out of their slab into the
+        //    scratch buffer, their nodes freed for the next interval.
+        let slot_times = &mut self.scratch.slot_times;
+        self.clients.slot_times.drain(ci, |t| slot_times.push(t));
         let last = self.clients.last_sync[ci];
         self.clients.predictor[ci].observe(last, now, &self.scratch.slot_times);
         self.scratch.slot_times.clear();
@@ -845,11 +843,13 @@ impl ClientEngine {
         //    transfer once the oldest has aged a full interval (they are
         //    billed by display timestamp, so bounded delay is safe within
         //    the expiry grace period).
-        let reports_urgent = self.clients.pending_reports[ci]
-            .first()
+        let reports_urgent = self
+            .clients
+            .pending_reports
+            .first(ci)
             .map(|&(_, t)| now.saturating_since(t) >= self.config.prefetch_interval)
             .unwrap_or(false);
-        let reports_pending = !self.clients.pending_reports[ci].is_empty();
+        let reports_pending = !self.clients.pending_reports.is_empty(ci);
         let transfer = rt_fetch.is_some()
             || delivered_primaries > 0
             || (reports_pending && (reports_urgent || !self.config.defer_report_syncs));
@@ -861,9 +861,9 @@ impl ClientEngine {
 
         // 5. The radio is waking up: apply queued cancellations, deliver
         //    outstanding replicas, and ship the impression reports. The
-        //    cancellation and outbox queues drain in place, their nodes
-        //    freed for the next push, and the scratch buffer keeps its
-        //    allocation across syncs.
+        //    cancellation, outbox and report queues drain in place, their
+        //    nodes freed for the next push, and the scratch buffers keep
+        //    their allocations across syncs.
         self.scratch.cancel.clear();
         self.book.drain_cancellations(c, &mut self.scratch.cancel);
         if !self.scratch.cancel.is_empty() {
@@ -877,16 +877,7 @@ impl ClientEngine {
                 delivered_replicas += 1;
             }
         });
-        std::mem::swap(
-            &mut self.scratch.reports,
-            &mut self.clients.pending_reports[ci],
-        );
-        let report_count = self.scratch.reports.len() as u64;
-        for i in 0..self.scratch.reports.len() {
-            let (ad, t) = self.scratch.reports[i];
-            self.settle_report(c, ad, t);
-        }
-        self.scratch.reports.clear();
+        let report_count = self.settle_pending_reports(ci);
 
         // 6. Pay for the batched transfer.
         let delivered = delivered_primaries + delivered_replicas;
@@ -1144,6 +1135,19 @@ impl ClientEngine {
         self.scratch.expired = expired;
     }
 
+    /// Settles every report client `ci` still owes, in display order,
+    /// draining its queue; returns how many.
+    fn settle_pending_reports(&mut self, ci: usize) -> u64 {
+        let mut reports = std::mem::take(&mut self.scratch.reports);
+        self.clients.pending_reports.drain(ci, |r| reports.push(r));
+        let n = reports.len() as u64;
+        for (ad, t) in reports.drain(..) {
+            self.settle_report(ci as u32, ad, t);
+        }
+        self.scratch.reports = reports;
+        n
+    }
+
     /// Books `client`'s report of displaying `ad` at `t`, releasing the
     /// holders of a record it closes and refunding one it expires.
     fn settle_report(&mut self, client: u32, ad: AdId, t: SimTime) {
@@ -1195,10 +1199,7 @@ impl ClientEngine {
         // first); without this, genuinely displayed ads would be
         // misclassified as SLA violations.
         for ci in 0..self.clients.len() {
-            let reports = std::mem::take(&mut self.clients.pending_reports[ci]);
-            for (ad, t) in reports {
-                self.settle_report(ci as u32, ad, t);
-            }
+            self.settle_pending_reports(ci);
         }
         // Settle everything still pending, then hold the book to what
         // the engine released and refunded.

@@ -337,7 +337,7 @@ impl Simulator {
                 scope.spawn(|| {
                     // One scratch set and one bid sampler per worker,
                     // threaded through every shard this worker simulates:
-                    // the queue ring and engine scratch vectors are
+                    // the queue's heap and engine scratch vectors are
                     // allocated once per thread instead of once per shard,
                     // and the worker has one helper thread, not one per
                     // shard.

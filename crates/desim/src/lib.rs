@@ -8,9 +8,8 @@
 //!   duration type ([`SimDuration`]) with calendar helpers (hour of day, day
 //!   index) used by diurnal models.
 //! - `queue`: an [`EventQueue`] ordered by time with FIFO tie-breaking, so
-//!   two runs with the same inputs produce byte-identical outputs. The
-//!   implementation is a two-lane calendar queue (near-future ring buckets
-//!   plus a far-event heap) sized for per-second slot cadences.
+//!   two runs with the same inputs produce byte-identical outputs: one
+//!   binary heap keyed by `(time, insertion order)`.
 //! - [`InlineVec`]: a small-vector used by hot simulator loops to build
 //!   short lists without heap allocation.
 //! - [`WorkQueue`]: an atomic work queue that hands out indices into

@@ -11,9 +11,9 @@ const NIL: u32 = u32::MAX;
 /// high-water capacity. Once the slab has reached that peak, pushing,
 /// draining and retaining allocate nothing.
 ///
-/// The engine keeps its per-client outboxes in one
-/// (`adpf_core`'s client table) and the ad book its per-client
-/// cancellation queues in another (`adpf_overbooking::AdBook`).
+/// The engine keeps its per-client slot times, pending reports and
+/// outboxes in one each (`adpf_core`'s client table) and the ad book its
+/// per-client cancellation queues in another (`adpf_overbooking::AdBook`).
 #[derive(Debug)]
 pub struct SlabQueues<T> {
     /// `(head, tail)` node of each queue; both `NIL` when it is empty.

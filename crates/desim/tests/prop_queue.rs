@@ -1,7 +1,7 @@
-//! Differential property tests for the calendar [`EventQueue`]: replay
-//! random push/pop schedules against a plain reference implementation
-//! (the `BinaryHeap` semantics the queue replaced) and demand identical
-//! behaviour — pops, peeks, and lengths — at every step.
+//! Differential property tests for the [`EventQueue`]: replay random
+//! push/pop schedules against a plain O(n) reference implementation
+//! and demand identical behaviour — pops, peeks, and lengths — at every
+//! step.
 
 use adpf_desim::{EventQueue, SimTime};
 use proptest::prelude::*;
@@ -44,14 +44,14 @@ impl RefQueue {
     }
 }
 
-/// Turns an op code and raw value into a scheduled time that exercises
-/// every lane: sub-second clusters (one bucket), second-scale spreads
-/// (across buckets), hour-scale times (far heap), and u64-extreme times.
+/// Turns an op code and raw value into a scheduled time: sub-second
+/// clusters (one drain bucket), second-scale spreads (across buckets),
+/// hour-scale times, ties, and u64-extreme times.
 fn op_time(kind: u8, v: u64, last_time: u64) -> u64 {
     match kind {
         0 => v % 1_000,             // Dense near cluster.
         1 => (v % 10_000) * 977,    // Across near buckets.
-        2 => (v % 100) * 3_600_000, // Hours out: far heap.
+        2 => (v % 100) * 3_600_000, // Hours out.
         3 => last_time,             // Exact tie with a prior push.
         _ => u64::MAX - (v % 4),    // Degenerate extreme times.
     }

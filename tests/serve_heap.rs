@@ -1,9 +1,10 @@
 //! The memory rule of the online server: it holds the state that is
-//! live, not each client's high-water mark. Replicas waiting for a
-//! client's next sync and the cancellations queued for it live in one
-//! slab per engine that every client's queue shares, and a routed event
-//! is 24 bytes, so what a session allocates above its input is the
-//! engines, the mailbox and the live queue entries.
+//! live, not each client's high-water mark. A client's slot times and
+//! reports since its last sync, the replicas waiting for its next sync
+//! and the cancellations queued for it live in slabs per engine that
+//! every client's queue shares, each engine's event queue is one heap,
+//! and a routed event is 24 bytes, so what a session allocates above its
+//! input is the engines, the mailbox and the live queue entries.
 //!
 //! The counting allocator of `heap/` tracks the bytes live in the
 //! process and their high-water mark; the binary runs without the test
@@ -27,10 +28,13 @@ const SEED: u64 = 1;
 const SHARDS: usize = 16;
 
 /// Ceiling on the session's high-water above its input, in bytes per
-/// client; the slab-backed queues read ≈ 9,200. Keeping one `Vec` per
-/// client's outbox, each at its own high-water capacity, reads ≈ 10,800,
-/// and 40-byte routed events with both queue kinds in `Vec`s ≈ 12,100.
-const MAX_BYTES_PER_CLIENT: usize = 10_000;
+/// client; one heap per engine queue and every per-client queue in a
+/// slab read ≈ 7,650. Restoring the queue's calendar ring (1,024 bucket
+/// `Vec`s per engine) reads ≈ 8,890; keeping slot times and pending
+/// reports in one `Vec` per client ≈ 7,940; both ≈ 9,190. With one `Vec`
+/// per client's outbox on top ≈ 10,800, and 40-byte routed events with
+/// every queue in `Vec`s ≈ 12,100.
+const MAX_BYTES_PER_CLIENT: usize = 8_300;
 
 fn main() {
     let config = SystemConfig::prefetch_default(1);
