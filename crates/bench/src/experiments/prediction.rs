@@ -43,7 +43,7 @@ pub(crate) fn e5_accuracy_by_window(scale: Scale) -> Table {
                 horizon,
                 SimDuration::from_hours(window_h),
                 warmup,
-                |slots| kind.build(slots),
+                kind,
             );
             table.push(vec![
                 kind.label(),
@@ -80,7 +80,7 @@ pub(crate) fn e6_error_cdf(scale: Scale) -> Table {
                 horizon,
                 SimDuration::from_hours(window_h),
                 warmup,
-                |slots| kind.build(slots),
+                kind,
             );
             let e = Ecdf::new(r.norm_errors);
             table.push(vec![

@@ -14,7 +14,7 @@
 use adpf_auction::AdId;
 use adpf_desim::{SimDuration, SimTime, SlabQueues};
 use adpf_energy::Radio;
-use adpf_prediction::SlotPredictor;
+use adpf_prediction::Predictor;
 
 /// One prefetched ad sitting in a client's cache.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -118,7 +118,7 @@ pub(crate) struct ClientTable {
     /// Time of the next scheduled sync.
     pub(crate) next_sync: Vec<SimTime>,
     /// Server-side demand model for this client.
-    pub(crate) predictor: Vec<Box<dyn SlotPredictor>>,
+    pub(crate) predictor: Vec<Predictor>,
     /// Server-side assignments awaiting the client's next sync, one
     /// queue per client.
     pub(crate) outbox: SlabQueues<CachedAd>,
@@ -128,6 +128,9 @@ pub(crate) struct ClientTable {
     /// Whether a netem retry event is outstanding for this client. Any
     /// completed sync clears it, turning the stale retry into a no-op.
     pub(crate) retry_pending: Vec<bool>,
+    /// Expected rates planted by tests in place of the predictor's.
+    #[cfg(test)]
+    pub(crate) plant: Vec<Option<f64>>,
 }
 
 impl ClientTable {
@@ -144,12 +147,14 @@ impl ClientTable {
             outbox: SlabQueues::default(),
             queued: Vec::with_capacity(n),
             retry_pending: Vec::with_capacity(n),
+            #[cfg(test)]
+            plant: Vec::with_capacity(n),
         }
     }
 
     /// Appends a client with an idle radio and a cold predictor; returns
     /// its dense id.
-    pub fn push(&mut self, radio: Radio, predictor: Box<dyn SlotPredictor>) -> usize {
+    pub fn push(&mut self, radio: Radio, predictor: Predictor) -> usize {
         let id = self.radio.len();
         self.radio.push(radio);
         self.cache.push(AdCache::default());
@@ -161,12 +166,24 @@ impl ClientTable {
         self.outbox.grow_to(id + 1);
         self.queued.push(0);
         self.retry_pending.push(false);
+        #[cfg(test)]
+        self.plant.push(None);
         id
     }
 
     /// Number of clients in the table.
     pub fn len(&self) -> usize {
         self.radio.len()
+    }
+
+    /// Client `i`'s expected slots in `[start, deadline)`: its predictor's
+    /// availability estimate.
+    pub(crate) fn expected_rate(&self, i: usize, start: SimTime, deadline: SimTime) -> f64 {
+        #[cfg(test)]
+        if let Some(rate) = self.plant[i] {
+            return rate;
+        }
+        self.predictor[i].expected_rate(start, deadline.saturating_since(start))
     }
 
     /// Removes the given ads from client `i`'s cache and outbox
@@ -312,6 +329,7 @@ mod tests {
             t.outbox.queues(),
             t.queued.len(),
             t.retry_pending.len(),
+            t.plant.len(),
         ] {
             assert_eq!(len, 2);
         }

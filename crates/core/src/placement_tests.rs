@@ -9,12 +9,8 @@
 //! on one and through the reference on the other, and compares the
 //! placement state after every single sale.
 
-use std::cell::Cell;
-use std::rc::Rc;
-
 use adpf_netem::NetemConfig;
 use adpf_overbooking::availability::AvailabilityCache;
-use adpf_prediction::SlotPredictor;
 use adpf_traces::PopulationConfig;
 use proptest::prelude::*;
 
@@ -50,8 +46,7 @@ impl ClientEngine {
         deadline: SimTime,
         pool_built: &mut bool,
     ) -> InlineVec<u32, { PLAN_INLINE + 1 }> {
-        let lambda =
-            self.clients.predictor[origin].expected_rate(now, deadline.saturating_since(now));
+        let lambda = self.clients.expected_rate(origin, now, deadline);
         let queued = self.clients.queued[origin];
         let mean_session = self.clients.predictor[origin].mean_session_slots();
         let p_origin = r
@@ -113,8 +108,7 @@ impl ClientEngine {
         }
         for idx in 0..r.gather.len() {
             let (j, start) = r.gather[idx];
-            let lambda_j = self.clients.predictor[j as usize]
-                .expected_rate(start, deadline.saturating_since(start));
+            let lambda_j = self.clients.expected_rate(j as usize, start, deadline);
             let mean_session_j = self.clients.predictor[j as usize].mean_session_slots();
             r.meta.push((lambda_j, mean_session_j));
         }
@@ -204,48 +198,6 @@ fn compare(k: &ClientEngine, e: &ClientEngine, r: &ReferencePool) -> Result<(), 
     Ok(())
 }
 
-/// A client's own predictor, except that `expected_rate` answers the
-/// planted value while one is set.
-struct Planted {
-    inner: Box<dyn SlotPredictor>,
-    rate: Rc<Cell<Option<f64>>>,
-}
-
-impl SlotPredictor for Planted {
-    fn observe(&mut self, period_start: SimTime, period_end: SimTime, slot_times: &[SimTime]) {
-        self.inner.observe(period_start, period_end, slot_times)
-    }
-    fn predict(&self, now: SimTime, horizon: SimDuration) -> f64 {
-        self.inner.predict(now, horizon)
-    }
-    fn expected_rate(&self, now: SimTime, horizon: SimDuration) -> f64 {
-        match self.rate.get() {
-            Some(rate) => rate,
-            None => self.inner.expected_rate(now, horizon),
-        }
-    }
-    fn mean_session_slots(&self) -> f64 {
-        self.inner.mean_session_slots()
-    }
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-}
-
-/// Wraps client `j`'s predictor in a [`Planted`] reading `rates[j]`.
-fn plantable(engine: &mut ClientEngine, rates: &[Rc<Cell<Option<f64>>>]) {
-    engine.clients.predictor = std::mem::take(&mut engine.clients.predictor)
-        .into_iter()
-        .zip(rates)
-        .map(|(inner, rate)| -> Box<dyn SlotPredictor> {
-            Box::new(Planted {
-                inner,
-                rate: Rc::clone(rate),
-            })
-        })
-        .collect();
-}
-
 /// Expected rates a predictor will not produce on a three-day trace but
 /// may legally return: zero and negative, NaN, the smallest
 /// subnormal (the session rate underflows to zero), a normal rate so
@@ -300,10 +252,6 @@ proptest! {
         let ctx = ShardContext::new(&config);
         let mk = || ClientEngine::new(config.clone(), &by_user, trace.horizon(), trace.days(), &ctx);
         let (mut k, mut e) = (mk(), mk());
-        // One set of planted rates, read by both engines.
-        let planted: Vec<_> = (0..users).map(|_| Rc::new(Cell::new(None))).collect();
-        plantable(&mut k, &planted);
-        plantable(&mut e, &planted);
         let mut r = ReferencePool::new(&config);
         let mut script = StdRng::seed_from_u64(seed ^ 0x9e37_79b9);
         let stride = (slots.len() / 12).max(1);
@@ -320,7 +268,8 @@ proptest! {
                     let j = script.gen_range(0..n);
                     let rate = PLANTED_RATES[script.gen_range(0..PLANTED_RATES.len())];
                     if j != origin {
-                        planted[j].set(Some(rate));
+                        k.clients.plant[j] = Some(rate);
+                        e.clients.plant[j] = Some(rate);
                     }
                 }
                 let mut placement = SyncPlacement::default();
@@ -354,9 +303,8 @@ proptest! {
                         compare(&k, &e, &r)?;
                     }
                 }
-                for rate in &planted {
-                    rate.set(None);
-                }
+                k.clients.plant.fill(None);
+                e.clients.plant.fill(None);
             }
             k.on_slot(s.time, s.user, s.app);
             e.on_slot(s.time, s.user, s.app);

@@ -2,13 +2,11 @@
 
 use adpf_desim::{SimDuration, SimTime};
 
-use crate::predictor::SlotPredictor;
+use crate::predictor::PredictorKind;
 
 /// Accuracy report for one predictor at one prediction horizon.
 #[derive(Debug, Clone)]
 pub struct EvalReport {
-    /// Predictor name.
-    pub predictor: String,
     /// Prediction window length.
     pub horizon: SimDuration,
     /// Number of evaluated (user, window) pairs.
@@ -51,20 +49,16 @@ impl EvalReport {
 /// predictor; later windows are predicted first, then observed — exactly the
 /// online regime of the deployed system.
 ///
-/// `factory` builds one predictor per user and receives the user's full
-/// slot series (consumed only by the oracle).
-pub fn evaluate_predictor<F>(
+/// `kind` builds one predictor per user from the user's full slot series
+/// (consumed only by the oracle).
+pub fn evaluate_predictor(
     users_slots: &[Vec<SimTime>],
     horizon_end: SimTime,
     window: SimDuration,
     warmup: SimTime,
-    factory: F,
-) -> EvalReport
-where
-    F: Fn(&[SimTime]) -> Box<dyn SlotPredictor>,
-{
+    kind: PredictorKind,
+) -> EvalReport {
     assert!(!window.is_zero(), "evaluation window must be positive");
-    let mut name = String::new();
     let mut windows = 0usize;
     let mut over = 0usize;
     let mut under = 0usize;
@@ -76,10 +70,7 @@ where
     let mut norm_errors = Vec::new();
 
     for slots in users_slots {
-        let mut predictor = factory(slots);
-        if name.is_empty() {
-            name = predictor.name().to_string();
-        }
+        let mut predictor = kind.build(slots);
         let mut idx = 0usize; // Cursor into the sorted slot series.
         let mut start = SimTime::ZERO;
         while start < horizon_end {
@@ -116,7 +107,6 @@ where
 
     let denom = windows.max(1) as f64;
     EvalReport {
-        predictor: name,
         horizon: window,
         windows,
         over_rate: over as f64 / denom,
@@ -133,7 +123,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::predictor::PredictorKind;
 
     /// A user with exactly `k` slots in hour `h` of every day.
     fn periodic_user(days: u64, hour: u64, k: usize) -> Vec<SimTime> {
@@ -158,7 +147,7 @@ mod tests {
             SimTime::from_days(10),
             SimDuration::from_hours(4),
             SimTime::from_days(2),
-            |slots| PredictorKind::Oracle.build(slots),
+            PredictorKind::Oracle,
         );
         assert_eq!(r.exact_rate, 1.0);
         assert_eq!(r.over_rate, 0.0);
@@ -173,12 +162,8 @@ mod tests {
         let horizon = SimTime::from_days(14);
         let window = SimDuration::from_hours(2);
         let warmup = SimTime::from_days(7);
-        let tod = evaluate_predictor(&users, horizon, window, warmup, |s| {
-            PredictorKind::TimeOfDay.build(s)
-        });
-        let global = evaluate_predictor(&users, horizon, window, warmup, |s| {
-            PredictorKind::GlobalRate.build(s)
-        });
+        let tod = evaluate_predictor(&users, horizon, window, warmup, PredictorKind::TimeOfDay);
+        let global = evaluate_predictor(&users, horizon, window, warmup, PredictorKind::GlobalRate);
         assert!(
             tod.mean_abs_err < global.mean_abs_err,
             "tod {} vs global {}",
@@ -195,7 +180,7 @@ mod tests {
             SimTime::from_days(4),
             SimDuration::from_days(1),
             SimTime::from_days(1),
-            |s| PredictorKind::Zero.build(s),
+            PredictorKind::Zero,
         );
         assert_eq!(r.windows, 3);
         assert_eq!(r.under_rate, 1.0);
@@ -208,12 +193,20 @@ mod tests {
         let horizon = SimTime::from_days(20);
         let window = SimDuration::from_hours(6);
         let warmup = SimTime::from_days(5);
-        let lo = evaluate_predictor(&users, horizon, window, warmup, |s| {
-            PredictorKind::Quantile(0.05).build(s)
-        });
-        let hi = evaluate_predictor(&users, horizon, window, warmup, |s| {
-            PredictorKind::Quantile(0.95).build(s)
-        });
+        let lo = evaluate_predictor(
+            &users,
+            horizon,
+            window,
+            warmup,
+            PredictorKind::Quantile(0.05),
+        );
+        let hi = evaluate_predictor(
+            &users,
+            horizon,
+            window,
+            warmup,
+            PredictorKind::Quantile(0.95),
+        );
         assert!(lo.over_rate <= hi.over_rate, "lo {lo:?} hi {hi:?}");
         assert!(lo.bias() <= hi.bias());
     }
@@ -225,7 +218,7 @@ mod tests {
             SimTime::from_days(1),
             SimDuration::from_hours(1),
             SimTime::ZERO,
-            |s| PredictorKind::GlobalRate.build(s),
+            PredictorKind::GlobalRate,
         );
         assert_eq!(r.windows, 0);
         assert_eq!(r.bias(), 0.0);
@@ -239,7 +232,7 @@ mod tests {
             SimTime::from_days(6),
             SimDuration::from_days(1),
             SimTime::from_days(2),
-            |s| PredictorKind::GlobalRate.build(s),
+            PredictorKind::GlobalRate,
         );
         assert_eq!(r.norm_errors.len(), r.windows);
         assert_eq!(r.windows, 4);

@@ -5,8 +5,9 @@
 //! how many slots the client will have between now and its next sync. This
 //! crate implements that model family behind one interface:
 //!
-//! - [`SlotPredictor`]: the common interface — observe the slots shown in
-//!   each past period, predict the count for an upcoming window.
+//! - [`Predictor`]: one client's model, whatever its family — observe the
+//!   slots shown in each past period, predict the count for an upcoming
+//!   window.
 //! - [`PredictorKind`]: names a family and builds it. The baselines (zero,
 //!   long-run mean rate, EWMA); the diurnal models (per-hour rates,
 //!   optionally split by day of week) — the shape the paper found
@@ -43,4 +44,4 @@ mod session;
 mod tod;
 
 pub use eval::{evaluate_predictor, EvalReport};
-pub use predictor::{PredictorKind, SlotPredictor};
+pub use predictor::{Predictor, PredictorKind};

@@ -3,8 +3,6 @@
 use adpf_desim::{SimDuration, SimTime};
 use adpf_stats::Welford;
 
-use crate::predictor::SlotPredictor;
-
 /// Predicts demand from a two-state (idle/active) Markov chain over
 /// observation periods.
 ///
@@ -15,7 +13,7 @@ use crate::predictor::SlotPredictor;
 /// prediction is `P(active next | current state) × E[rate | active] ×
 /// horizon`. Compared to the diurnal models it has no clock, only
 /// recency — the evaluation (E5/E12) shows what each signal is worth.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct MarkovPredictor {
     /// `transitions[prev][next]` counts, with 0 = idle, 1 = active.
     transitions: [[u64; 2]; 2],
@@ -25,32 +23,20 @@ pub(crate) struct MarkovPredictor {
     prev_active: Option<bool>,
 }
 
-impl Default for MarkovPredictor {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl MarkovPredictor {
-    /// Creates a predictor with no history.
-    pub(crate) fn new() -> Self {
-        Self {
-            transitions: [[0; 2]; 2],
-            active_rate: Welford::new(),
-            prev_active: None,
-        }
-    }
-
     /// `P(next period active | previous period state)`, with add-one
     /// smoothing so cold rows stay sane.
     fn p_active_given(&self, prev_active: bool) -> f64 {
         let row = &self.transitions[prev_active as usize];
         (row[1] as f64 + 1.0) / ((row[0] + row[1]) as f64 + 2.0)
     }
-}
 
-impl SlotPredictor for MarkovPredictor {
-    fn observe(&mut self, period_start: SimTime, period_end: SimTime, slot_times: &[SimTime]) {
+    pub(crate) fn observe(
+        &mut self,
+        period_start: SimTime,
+        period_end: SimTime,
+        slot_times: &[SimTime],
+    ) {
         let hours = period_end.saturating_since(period_start).as_hours_f64();
         if hours <= 0.0 {
             return;
@@ -65,16 +51,12 @@ impl SlotPredictor for MarkovPredictor {
         self.prev_active = Some(active);
     }
 
-    fn predict(&self, _now: SimTime, horizon: SimDuration) -> f64 {
+    pub(crate) fn predict(&self, _now: SimTime, horizon: SimDuration) -> f64 {
         let Some(prev) = self.prev_active else {
             return 0.0; // Cold client: never pre-sell.
         };
         let p_active = self.p_active_given(prev);
         p_active * self.active_rate.mean() * horizon.as_hours_f64()
-    }
-
-    fn name(&self) -> &'static str {
-        "markov"
     }
 }
 
@@ -93,13 +75,13 @@ mod tests {
 
     #[test]
     fn cold_predictor_is_zero() {
-        let p = MarkovPredictor::new();
+        let p = MarkovPredictor::default();
         assert_eq!(p.predict(SimTime::ZERO, HOUR), 0.0);
     }
 
     #[test]
     fn activity_raises_prediction() {
-        let mut p = MarkovPredictor::new();
+        let mut p = MarkovPredictor::default();
         // Alternate long idle stretches with short active bursts.
         for k in 0..100 {
             feed(&mut p, k, if k % 10 < 2 { 6 } else { 0 });
@@ -117,7 +99,7 @@ mod tests {
 
     #[test]
     fn transition_probabilities_are_smoothed() {
-        let mut p = MarkovPredictor::new();
+        let mut p = MarkovPredictor::default();
         feed(&mut p, 0, 1);
         // One observation: both rows stay near 0.5 thanks to smoothing.
         assert!((p.p_active_given(true) - 0.5).abs() < 0.4);
@@ -126,7 +108,7 @@ mod tests {
 
     #[test]
     fn always_active_user_converges_to_rate() {
-        let mut p = MarkovPredictor::new();
+        let mut p = MarkovPredictor::default();
         for k in 0..200 {
             feed(&mut p, k, 4);
         }
@@ -136,7 +118,7 @@ mod tests {
 
     #[test]
     fn zero_length_periods_are_ignored() {
-        let mut p = MarkovPredictor::new();
+        let mut p = MarkovPredictor::default();
         p.observe(SimTime::ZERO, SimTime::ZERO, &[]);
         assert_eq!(p.predict(SimTime::ZERO, HOUR), 0.0);
     }

@@ -2,8 +2,6 @@
 
 use adpf_desim::{SimDuration, SimTime};
 
-use crate::predictor::SlotPredictor;
-
 /// Predicts exactly the slots that will occur, from a pre-loaded schedule.
 ///
 /// Used as the upper bound in the prediction-accuracy and end-to-end
@@ -29,19 +27,9 @@ impl OraclePredictor {
         let hi = self.slot_times.partition_point(|&t| t < to);
         hi - lo
     }
-}
 
-impl SlotPredictor for OraclePredictor {
-    fn observe(&mut self, _start: SimTime, _end: SimTime, _slots: &[SimTime]) {
-        // The oracle already knows everything.
-    }
-
-    fn predict(&self, now: SimTime, horizon: SimDuration) -> f64 {
+    pub(crate) fn predict(&self, now: SimTime, horizon: SimDuration) -> f64 {
         self.count_in(now, now + horizon) as f64
-    }
-
-    fn name(&self) -> &'static str {
-        "oracle"
     }
 }
 

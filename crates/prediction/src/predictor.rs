@@ -1,50 +1,108 @@
-//! The predictor interface and history-free baselines.
+//! The predictor type and the history-free baselines.
 
 use adpf_desim::{SimDuration, SimTime};
 use adpf_stats::Ewma;
 
-/// A per-client model of future ad-slot demand.
+use crate::markov::MarkovPredictor;
+use crate::oracle::OraclePredictor;
+use crate::quantile::QuantilePredictor;
+use crate::session::SessionAwarePredictor;
+use crate::tod::{DayHourPredictor, TimeOfDayPredictor};
+
+/// A per-client model of future ad-slot demand, built by
+/// [`PredictorKind::build`].
 ///
 /// The contract mirrors what a deployed client SDK can actually do: at each
 /// sync it reports the slots shown since the previous sync
-/// ([`SlotPredictor::observe`]); the server then asks how many slots to
-/// expect until the next sync ([`SlotPredictor::predict`]).
+/// ([`Predictor::observe`]); the server then asks how many slots to
+/// expect until the next sync ([`Predictor::predict`]).
 ///
-/// Implementations must accept periods in non-decreasing time order; the
-/// slot times passed to `observe` always fall inside the observed period.
-pub trait SlotPredictor {
+/// Periods must be observed in non-decreasing time order; the slot times
+/// passed to `observe` always fall inside the observed period.
+#[derive(Debug, Clone)]
+pub struct Predictor(Model);
+
+// One of these per client sits inline in the engine's client table:
+// the session-aware model sets the size, and the day-hour one is boxed.
+const _: () = assert!(std::mem::size_of::<Predictor>() <= 504);
+
+/// One variant per family, its state inline.
+#[derive(Debug, Clone)]
+enum Model {
+    Zero,
+    GlobalRate(GlobalRatePredictor),
+    Ewma(EwmaPredictor),
+    TimeOfDay(TimeOfDayPredictor),
+    /// Boxed: its 7 × 24 cells would otherwise set every client's size.
+    DayHour(Box<DayHourPredictor>),
+    Markov(MarkovPredictor),
+    Quantile(QuantilePredictor),
+    SessionAware(SessionAwarePredictor),
+    /// Knows the future already, so observes nothing.
+    Oracle(OraclePredictor),
+}
+
+impl Predictor {
     /// Records the slots shown during `[period_start, period_end)`.
-    fn observe(&mut self, period_start: SimTime, period_end: SimTime, slot_times: &[SimTime]);
+    pub fn observe(&mut self, period_start: SimTime, period_end: SimTime, slot_times: &[SimTime]) {
+        match &mut self.0 {
+            Model::Zero | Model::Oracle(_) => {}
+            Model::GlobalRate(p) => p.observe(period_start, period_end, slot_times),
+            Model::Ewma(p) => p.observe(period_start, period_end, slot_times),
+            Model::TimeOfDay(p) => p.observe(period_start, period_end, slot_times),
+            Model::DayHour(p) => p.observe(period_start, period_end, slot_times),
+            Model::Markov(p) => p.observe(period_start, period_end, slot_times),
+            Model::Quantile(p) => p.observe(period_start, period_end, slot_times),
+            Model::SessionAware(p) => p.observe(period_start, period_end, slot_times),
+        }
+    }
 
     /// Predicts the number of slots in `[now, now + horizon)`.
     ///
     /// Returns a non-negative real; callers round according to their own
-    /// policy. Predictors with no history yet must return `0.0` (a cold
+    /// policy. A predictor with no history yet returns `0.0` (a cold
     /// client is never pre-sold).
-    fn predict(&self, now: SimTime, horizon: SimDuration) -> f64;
+    pub fn predict(&self, now: SimTime, horizon: SimDuration) -> f64 {
+        match &self.0 {
+            Model::Zero => 0.0,
+            Model::GlobalRate(p) => p.predict(now, horizon),
+            Model::Ewma(p) => p.predict(now, horizon),
+            Model::TimeOfDay(p) => p.predict(now, horizon),
+            Model::DayHour(p) => p.predict(now, horizon),
+            Model::Markov(p) => p.predict(now, horizon),
+            Model::Quantile(p) => p.predict(now, horizon),
+            Model::SessionAware(p) => p.predict(now, horizon),
+            Model::Oracle(p) => p.predict(now, horizon),
+        }
+    }
 
     /// Unbiased estimate of the expected slots in `[now, now + horizon)`.
     ///
-    /// [`SlotPredictor::predict`] may be deliberately conservative (it
-    /// drives how much inventory is *sold*); this estimate drives
-    /// *availability* when choosing replica holders, where bias in either
-    /// direction misplaces insurance. Defaults to `predict`.
-    fn expected_rate(&self, now: SimTime, horizon: SimDuration) -> f64 {
-        self.predict(now, horizon)
+    /// [`Predictor::predict`] may be deliberately conservative (it drives
+    /// how much inventory is *sold*); this estimate drives *availability*
+    /// when choosing replica holders, where bias in either direction
+    /// misplaces insurance. Families without a separate estimate answer
+    /// `predict`.
+    pub fn expected_rate(&self, now: SimTime, horizon: SimDuration) -> f64 {
+        match &self.0 {
+            Model::Quantile(p) => p.expected_rate(now, horizon),
+            Model::SessionAware(p) => p.expected_rate(now, horizon),
+            _ => self.predict(now, horizon),
+        }
     }
 
     /// Average number of slots a burst (app session) contributes.
     ///
     /// Availability models use this to convert expected slot counts into
     /// expected *session* counts: clustered slots make "at least one
-    /// display" much rarer than independent slots would. Predictors that
-    /// do not track session structure report `1.0` (no clustering).
-    fn mean_session_slots(&self) -> f64 {
-        1.0
+    /// display" much rarer than independent slots would. Families that do
+    /// not track session structure report `1.0` (no clustering).
+    pub fn mean_session_slots(&self) -> f64 {
+        match &self.0 {
+            Model::SessionAware(p) => p.mean_session_slots(),
+            _ => 1.0,
+        }
     }
-
-    /// Short name for reports.
-    fn name(&self) -> &'static str;
 }
 
 /// Identifies a predictor family plus its parameters; the configuration
@@ -93,22 +151,20 @@ impl PredictorKind {
     /// Builds a predictor. `oracle_slots` is consulted only by
     /// [`PredictorKind::Oracle`]; pass the user's full slot-time series
     /// there (an empty slice yields an oracle that predicts zero).
-    pub fn build(&self, oracle_slots: &[SimTime]) -> Box<dyn SlotPredictor> {
-        match *self {
-            PredictorKind::Zero => Box::new(ZeroPredictor),
-            PredictorKind::GlobalRate => Box::new(GlobalRatePredictor::new()),
-            PredictorKind::Ewma(alpha) => Box::new(EwmaPredictor::new(alpha)),
-            PredictorKind::TimeOfDay => Box::new(crate::tod::TimeOfDayPredictor::new()),
-            PredictorKind::DayHour => Box::new(crate::tod::DayHourPredictor::new()),
-            PredictorKind::Markov => Box::new(crate::markov::MarkovPredictor::new()),
-            PredictorKind::Quantile(q) => Box::new(crate::quantile::QuantilePredictor::new(q)),
+    pub fn build(&self, oracle_slots: &[SimTime]) -> Predictor {
+        Predictor(match *self {
+            PredictorKind::Zero => Model::Zero,
+            PredictorKind::GlobalRate => Model::GlobalRate(GlobalRatePredictor::default()),
+            PredictorKind::Ewma(alpha) => Model::Ewma(EwmaPredictor::new(alpha)),
+            PredictorKind::TimeOfDay => Model::TimeOfDay(TimeOfDayPredictor::default()),
+            PredictorKind::DayHour => Model::DayHour(Box::default()),
+            PredictorKind::Markov => Model::Markov(MarkovPredictor::default()),
+            PredictorKind::Quantile(q) => Model::Quantile(QuantilePredictor::new(q)),
             PredictorKind::SessionAware => {
-                Box::new(crate::session::SessionAwarePredictor::default_config())
+                Model::SessionAware(SessionAwarePredictor::default_config())
             }
-            PredictorKind::Oracle => {
-                Box::new(crate::oracle::OraclePredictor::new(oracle_slots.to_vec()))
-            }
-        }
+            PredictorKind::Oracle => Model::Oracle(OraclePredictor::new(oracle_slots.to_vec())),
+        })
     }
 
     /// Stable label for tables.
@@ -127,35 +183,14 @@ impl PredictorKind {
     }
 }
 
-/// Predicts zero slots — the "never pre-sell" baseline.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct ZeroPredictor;
-
-impl SlotPredictor for ZeroPredictor {
-    fn observe(&mut self, _start: SimTime, _end: SimTime, _slots: &[SimTime]) {}
-
-    fn predict(&self, _now: SimTime, _horizon: SimDuration) -> f64 {
-        0.0
-    }
-
-    fn name(&self) -> &'static str {
-        "zero"
-    }
-}
-
 /// Long-run average slot rate over all observed time.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct GlobalRatePredictor {
+struct GlobalRatePredictor {
     total_slots: u64,
     observed_ms: u64,
 }
 
 impl GlobalRatePredictor {
-    /// Creates a predictor with no history.
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
     /// Slots per millisecond observed so far.
     fn rate_per_ms(&self) -> f64 {
         if self.observed_ms == 0 {
@@ -164,9 +199,7 @@ impl GlobalRatePredictor {
             self.total_slots as f64 / self.observed_ms as f64
         }
     }
-}
 
-impl SlotPredictor for GlobalRatePredictor {
     fn observe(&mut self, period_start: SimTime, period_end: SimTime, slot_times: &[SimTime]) {
         self.total_slots += slot_times.len() as u64;
         self.observed_ms += period_end.saturating_since(period_start).as_millis();
@@ -174,10 +207,6 @@ impl SlotPredictor for GlobalRatePredictor {
 
     fn predict(&self, _now: SimTime, horizon: SimDuration) -> f64 {
         self.rate_per_ms() * horizon.as_millis() as f64
-    }
-
-    fn name(&self) -> &'static str {
-        "mean-rate"
     }
 }
 
@@ -188,20 +217,18 @@ impl SlotPredictor for GlobalRatePredictor {
 /// [`GlobalRatePredictor`] to regime changes (vacation weeks, new apps) at
 /// the cost of more variance.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct EwmaPredictor {
+struct EwmaPredictor {
     rate_per_hour: Ewma,
 }
 
 impl EwmaPredictor {
     /// Creates an EWMA predictor with smoothing factor `alpha` in `(0, 1]`.
-    pub(crate) fn new(alpha: f64) -> Self {
+    fn new(alpha: f64) -> Self {
         Self {
             rate_per_hour: Ewma::new(alpha),
         }
     }
-}
 
-impl SlotPredictor for EwmaPredictor {
     fn observe(&mut self, period_start: SimTime, period_end: SimTime, slot_times: &[SimTime]) {
         let hours = period_end.saturating_since(period_start).as_hours_f64();
         if hours > 0.0 {
@@ -211,10 +238,6 @@ impl SlotPredictor for EwmaPredictor {
 
     fn predict(&self, _now: SimTime, horizon: SimDuration) -> f64 {
         self.rate_per_hour.value_or(0.0) * horizon.as_hours_f64()
-    }
-
-    fn name(&self) -> &'static str {
-        "ewma"
     }
 }
 
@@ -226,7 +249,7 @@ mod tests {
 
     #[test]
     fn zero_predictor_is_always_zero() {
-        let mut p = ZeroPredictor;
+        let mut p = PredictorKind::Zero.build(&[]);
         p.observe(SimTime::ZERO, SimTime::from_hours(1), &[SimTime::ZERO; 100]);
         assert_eq!(p.predict(SimTime::from_hours(1), HOUR), 0.0);
     }
@@ -247,14 +270,14 @@ mod tests {
                 p.predict(SimTime::from_hours(5), HOUR),
                 0.0,
                 "{} must start cold",
-                p.name()
+                kind.label()
             );
         }
     }
 
     #[test]
     fn global_rate_extrapolates_linearly() {
-        let mut p = GlobalRatePredictor::new();
+        let mut p = GlobalRatePredictor::default();
         let slots = vec![SimTime::from_mins(1); 6];
         p.observe(SimTime::ZERO, SimTime::from_hours(2), &slots);
         // 6 slots over 2 h = 3 slots/h.
@@ -275,7 +298,7 @@ mod tests {
         let pred = p.predict(SimTime::from_hours(6), HOUR);
         assert!(pred < 1.0, "EWMA should decay, got {pred}");
 
-        let mut global = GlobalRatePredictor::new();
+        let mut global = GlobalRatePredictor::default();
         global.observe(SimTime::ZERO, SimTime::from_hours(1), &[SimTime::ZERO; 10]);
         for k in 1..6 {
             global.observe(SimTime::from_hours(k), SimTime::from_hours(k + 1), &[]);
@@ -288,7 +311,7 @@ mod tests {
         let mut p = EwmaPredictor::new(0.5);
         p.observe(SimTime::ZERO, SimTime::ZERO, &[]);
         assert_eq!(p.predict(SimTime::ZERO, HOUR), 0.0);
-        let mut g = GlobalRatePredictor::new();
+        let mut g = GlobalRatePredictor::default();
         g.observe(SimTime::ZERO, SimTime::ZERO, &[]);
         assert_eq!(g.predict(SimTime::ZERO, HOUR), 0.0);
     }

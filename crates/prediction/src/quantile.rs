@@ -3,8 +3,6 @@
 use adpf_desim::{SimDuration, SimTime};
 use adpf_stats::summary::quantile;
 
-use crate::predictor::SlotPredictor;
-
 /// Predicts a chosen percentile of the historical per-period demand rate.
 ///
 /// Where the mean-style predictors answer "how many slots do I *expect*?",
@@ -37,10 +35,13 @@ impl QuantilePredictor {
             cached_rate: 0.0,
         }
     }
-}
 
-impl SlotPredictor for QuantilePredictor {
-    fn observe(&mut self, period_start: SimTime, period_end: SimTime, slot_times: &[SimTime]) {
+    pub(crate) fn observe(
+        &mut self,
+        period_start: SimTime,
+        period_end: SimTime,
+        slot_times: &[SimTime],
+    ) {
         let hours = period_end.saturating_since(period_start).as_hours_f64();
         if hours <= 0.0 {
             return;
@@ -52,14 +53,14 @@ impl SlotPredictor for QuantilePredictor {
         self.cached_rate = quantile(&self.rates, self.q);
     }
 
-    fn predict(&self, _now: SimTime, horizon: SimDuration) -> f64 {
+    pub(crate) fn predict(&self, _now: SimTime, horizon: SimDuration) -> f64 {
         if self.rates.is_empty() {
             return 0.0;
         }
         self.cached_rate * horizon.as_hours_f64()
     }
 
-    fn expected_rate(&self, _now: SimTime, horizon: SimDuration) -> f64 {
+    pub(crate) fn expected_rate(&self, _now: SimTime, horizon: SimDuration) -> f64 {
         // Unbiased availability estimate: the mean rate, regardless of the
         // selling quantile.
         if self.rates.is_empty() {
@@ -67,10 +68,6 @@ impl SlotPredictor for QuantilePredictor {
         }
         let mean = self.rates.iter().sum::<f64>() / self.rates.len() as f64;
         mean * horizon.as_hours_f64()
-    }
-
-    fn name(&self) -> &'static str {
-        "quantile"
     }
 }
 

@@ -6,7 +6,6 @@ use adpf_desim::{SimDuration, SimTime};
 use adpf_stats::summary::quantile_sorted;
 use adpf_stats::Welford;
 
-use crate::predictor::SlotPredictor;
 use crate::tod::TimeOfDayPredictor;
 
 /// Predicts demand from the client's *session structure* rather than a
@@ -65,7 +64,7 @@ impl SessionAwarePredictor {
             rates: VecDeque::new(),
             sorted_rates: Vec::new(),
             cached_idle_rate: 0.0,
-            tod: TimeOfDayPredictor::new(),
+            tod: TimeOfDayPredictor::default(),
             session_len: Welford::new(),
             current_session: 0,
             last_slot: None,
@@ -90,10 +89,13 @@ impl SessionAwarePredictor {
         };
         (mean - self.current_session as f64).max(0.0)
     }
-}
 
-impl SlotPredictor for SessionAwarePredictor {
-    fn observe(&mut self, period_start: SimTime, period_end: SimTime, slot_times: &[SimTime]) {
+    pub(crate) fn observe(
+        &mut self,
+        period_start: SimTime,
+        period_end: SimTime,
+        slot_times: &[SimTime],
+    ) {
         self.tod.observe(period_start, period_end, slot_times);
         let hours = period_end.saturating_since(period_start).as_hours_f64();
         if hours > 0.0 {
@@ -127,7 +129,7 @@ impl SlotPredictor for SessionAwarePredictor {
         }
     }
 
-    fn predict(&self, now: SimTime, horizon: SimDuration) -> f64 {
+    pub(crate) fn predict(&self, now: SimTime, horizon: SimDuration) -> f64 {
         if self.rates.is_empty() && self.last_slot.is_none() {
             return 0.0;
         }
@@ -143,7 +145,7 @@ impl SlotPredictor for SessionAwarePredictor {
         }
     }
 
-    fn expected_rate(&self, now: SimTime, horizon: SimDuration) -> f64 {
+    pub(crate) fn expected_rate(&self, now: SimTime, horizon: SimDuration) -> f64 {
         // Same session logic, but with the *mean* hour-of-day rates
         // instead of the conservative selling quantile.
         let mean = self.tod.predict(now, horizon);
@@ -158,16 +160,12 @@ impl SlotPredictor for SessionAwarePredictor {
         }
     }
 
-    fn mean_session_slots(&self) -> f64 {
+    pub(crate) fn mean_session_slots(&self) -> f64 {
         if self.session_len.count() > 0 {
             self.session_len.mean().max(1.0)
         } else {
             1.0
         }
-    }
-
-    fn name(&self) -> &'static str {
-        "session-aware"
     }
 }
 
