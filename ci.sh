@@ -152,6 +152,9 @@ if [ "${1:-}" = "quick" ]; then
     cargo build --release -p adpf-bench
     cargo test -q -p adpf-bench --test public_surface
     cargo test -q --release --test materialized_heap --test serve_heap
+    # Tier 1 runs only the root package's tests: the predictor families'
+    # unit tests, cold-start cases and pinned digests run here.
+    cargo test -q --release -p adpf-prediction
     perf_serve
     simulate_gate
     marketplace_gates

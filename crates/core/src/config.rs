@@ -57,8 +57,6 @@ pub struct SystemConfig {
     pub ad_bytes_down: u64,
     /// Uplink bytes per ad request/report.
     pub ad_bytes_up: u64,
-    /// Serve a real-time fetch when a slot finds the cache empty.
-    pub realtime_fallback: bool,
     /// Defer syncs whose only payload is impression reports until the
     /// oldest pending report is one prefetch interval old (or a transfer
     /// happens anyway). Reports are tiny; what costs energy is the radio
@@ -150,7 +148,6 @@ impl SystemConfig {
             ad_bytes_down: 4 * 1024,
             ad_bytes_up: 512,
             defer_report_syncs: true,
-            realtime_fallback: true,
             piggyback_on_fallback: true,
             sell_margin: 1.0,
             campaigns: 50,

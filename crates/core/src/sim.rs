@@ -550,18 +550,6 @@ mod tests {
     }
 
     #[test]
-    fn without_fallback_misses_go_unfilled() {
-        let t = trace();
-        let mut cfg = SystemConfig::prefetch_default(7);
-        cfg.realtime_fallback = false;
-        let r = Simulator::new(cfg, &t).run();
-        assert_eq!(r.realtime_fetches(), 0);
-        assert_eq!(r.impressions(), r.cache_hits());
-        assert!(r.unfilled() > 0);
-        assert_eq!(r.impressions() + r.unfilled(), r.slots());
-    }
-
-    #[test]
     fn accounting_identities_hold() {
         let t = trace();
         let r = Simulator::new(SystemConfig::prefetch_default(11), &t).run();

@@ -48,21 +48,6 @@ fn dropped_syncs_never_charge_the_radio() {
     assert!(flaky.energy.transfers < healthy.energy.transfers + flaky.syncs_dropped());
 }
 
-#[test]
-fn total_dropout_without_fallback_moves_no_bytes() {
-    // The degenerate corner: every periodic sync is dropped and there is
-    // no fallback path, so the radio must never wake at all.
-    let mut cfg = dropout_cfg(11, 1.0);
-    cfg.realtime_fallback = false;
-    let r = Simulator::new(cfg, &trace()).run();
-    assert!(r.syncs_dropped() > 0);
-    assert_eq!(r.syncs(), 0);
-    assert_eq!(r.energy.transfers, 0);
-    assert_eq!(r.energy.total_j(), 0.0, "no sync, no energy");
-    assert_eq!(r.impressions(), 0);
-    assert_eq!(r.unfilled(), r.slots());
-}
-
 pinned_by! {
     dropout_runs_are_deterministic: "smoke-dropout";
     dropout_is_thread_invariant_under_sharding: "smoke-dropout";
