@@ -44,9 +44,14 @@
 #
 # The heap gates are harness-less binaries sharing one counting
 # allocator (`tests/heap/`). `tests/materialized_heap.rs` runs
-# `Simulator::run_trace` on a materialized trace at two threads and holds
-# the live-heap high-water above the input under 1.0× the trace's session
-# bytes: the run holds the trace once. `tests/serve_heap.rs` serves a
+# `Simulator::run_trace` on a materialized trace at two threads, five
+# times, and holds the largest live-heap high-water above the input under
+# 0.6× the trace's session bytes: the run holds the trace once and builds
+# no predictor for a realtime client. `tests/stream_heap.rs` streams 750
+# generated users in four shards on one worker and holds the high-water
+# under 9,000 bytes per client of a shard: a shard's ad slots are pulled
+# from its sessions, never collected into a sorted vector (collecting
+# them reads ≈ 10,350). `tests/serve_heap.rs` serves a
 # generated stream of 2,000 users at 16 shards and one worker and holds
 # the high-water above the input under 8,300 bytes per client: each
 # engine's event queue is one heap, and the per-client slot-time, report,
@@ -151,10 +156,13 @@ benchmark_gate() {
 if [ "${1:-}" = "quick" ]; then
     cargo build --release -p adpf-bench
     cargo test -q -p adpf-bench --test public_surface
-    cargo test -q --release --test materialized_heap --test serve_heap
+    cargo test -q --release --test materialized_heap --test serve_heap --test stream_heap
     # Tier 1 runs only the root package's tests: the predictor families'
-    # unit tests, cold-start cases and pinned digests run here.
+    # unit tests, cold-start cases and pinned digests run here, and so do
+    # the trace crate's, the slot stream held to the push-and-sort it
+    # replaced (`prop_slots`) among them.
     cargo test -q --release -p adpf-prediction
+    cargo test -q --release -p adpf-traces
     perf_serve
     simulate_gate
     marketplace_gates

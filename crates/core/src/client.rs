@@ -117,7 +117,9 @@ pub(crate) struct ClientTable {
     pub(crate) last_sync: Vec<SimTime>,
     /// Time of the next scheduled sync.
     pub(crate) next_sync: Vec<SimTime>,
-    /// Server-side demand model for this client.
+    /// Server-side demand model for this client. Only a prefetching
+    /// engine syncs, and only a sync reads a predictor, so a realtime
+    /// engine's table leaves this column empty.
     pub(crate) predictor: Vec<Predictor>,
     /// Server-side assignments awaiting the client's next sync, one
     /// queue per client.
@@ -134,8 +136,9 @@ pub(crate) struct ClientTable {
 }
 
 impl ClientTable {
-    /// A table with room reserved for `n` clients.
-    pub(crate) fn with_capacity(n: usize) -> Self {
+    /// A table with room reserved for `n` clients, and for their
+    /// predictors when it `predicts`.
+    pub(crate) fn with_capacity(n: usize, predicts: bool) -> Self {
         Self {
             radio: Vec::with_capacity(n),
             cache: Vec::with_capacity(n),
@@ -143,7 +146,7 @@ impl ClientTable {
             slot_times: SlabQueues::default(),
             last_sync: Vec::with_capacity(n),
             next_sync: Vec::with_capacity(n),
-            predictor: Vec::with_capacity(n),
+            predictor: Vec::with_capacity(if predicts { n } else { 0 }),
             outbox: SlabQueues::default(),
             queued: Vec::with_capacity(n),
             retry_pending: Vec::with_capacity(n),
@@ -152,9 +155,9 @@ impl ClientTable {
         }
     }
 
-    /// Appends a client with an idle radio and a cold predictor; returns
-    /// its dense id.
-    pub fn push(&mut self, radio: Radio, predictor: Predictor) -> usize {
+    /// Appends a client with an idle radio and, if given, a predictor;
+    /// returns its dense id.
+    pub fn push(&mut self, radio: Radio, predictor: Option<Predictor>) -> usize {
         let id = self.radio.len();
         self.radio.push(radio);
         self.cache.push(AdCache::default());
@@ -162,7 +165,7 @@ impl ClientTable {
         self.slot_times.grow_to(id + 1);
         self.last_sync.push(SimTime::ZERO);
         self.next_sync.push(SimTime::ZERO);
-        self.predictor.push(predictor);
+        self.predictor.extend(predictor);
         self.outbox.grow_to(id + 1);
         self.queued.push(0);
         self.retry_pending.push(false);
@@ -183,7 +186,26 @@ impl ClientTable {
         if let Some(rate) = self.plant[i] {
             return rate;
         }
-        self.predictor[i].expected_rate(start, deadline.saturating_since(start))
+        self.predictor(i)
+            .expected_rate(start, deadline.saturating_since(start))
+    }
+
+    /// Client `i`'s demand model, which only a prefetching engine builds.
+    pub(crate) fn predictor(&self, i: usize) -> &Predictor {
+        debug_assert!(
+            !self.predictor.is_empty(),
+            "realtime engines build no predictor"
+        );
+        &self.predictor[i]
+    }
+
+    /// [`ClientTable::predictor`], to update.
+    pub(crate) fn predictor_mut(&mut self, i: usize) -> &mut Predictor {
+        debug_assert!(
+            !self.predictor.is_empty(),
+            "realtime engines build no predictor"
+        );
+        &mut self.predictor[i]
     }
 
     /// Removes the given ads from client `i`'s cache and outbox
@@ -298,7 +320,7 @@ mod tests {
         let mut t = ClientTable::default();
         let i = t.push(
             Radio::new(profiles::umts_3g()),
-            PredictorKind::Zero.build(&[]),
+            Some(PredictorKind::Zero.build(&[])),
         );
         t.cache[i].insert(ad(1, 5));
         t.cache[i].insert(ad(2, 6));
@@ -311,11 +333,11 @@ mod tests {
 
     #[test]
     fn table_columns_stay_aligned() {
-        let mut t = ClientTable::with_capacity(2);
+        let mut t = ClientTable::with_capacity(2, true);
         for _ in 0..2 {
             t.push(
                 Radio::new(profiles::umts_3g()),
-                PredictorKind::Zero.build(&[]),
+                Some(PredictorKind::Zero.build(&[])),
             );
         }
         assert_eq!(t.len(), 2);

@@ -12,8 +12,8 @@
 //! That split is what lets two very different drivers share one engine
 //! bit for bit:
 //!
-//! - the batch [`Simulator`](crate::Simulator) iterates a precomputed,
-//!   time-sorted slot vector ([`ClientEngine::drive`]), and
+//! - the batch [`Simulator`](crate::Simulator) pulls the time-sorted
+//!   slot stream from its trace's sessions ([`ClientEngine::drive`]), and
 //! - the online `adpf-serve` server feeds slots as they arrive over a
 //!   socket or stdin, with no end-of-stream known in advance.
 //!
@@ -344,7 +344,10 @@ impl ClientEngine {
             .scenario
             .enabled
             .then(|| ScenarioState::new(&config, num_users, &obs));
-        let mut clients = ClientTable::with_capacity(num_users);
+        // Only a prefetching client syncs, and only a sync reads the
+        // predictor: a realtime engine builds none.
+        let predicts = config.mode == DeliveryMode::Prefetch;
+        let mut clients = ClientTable::with_capacity(num_users, predicts);
         for u in 0..num_users {
             // Mixed populations bind each client the radio of its device
             // class; scenario-off keeps the config's single radio.
@@ -352,7 +355,8 @@ impl ClientEngine {
                 Some(s) => Radio::new(s.radio(u).clone()),
                 None => Radio::new(config.radio.clone()),
             };
-            clients.push(radio, config.predictor.build(slots_by_user.user(u)));
+            let predictor = predicts.then(|| config.predictor.build(slots_by_user.user(u)));
+            clients.push(radio, predictor);
         }
 
         // The campaign catalog is built from the master seed alone (it
@@ -462,10 +466,10 @@ impl ClientEngine {
     }
 
     /// Drives the engine over a time-sorted slot stream (what
-    /// [`Trace::ad_slots`](adpf_traces::Trace::ad_slots) returns) to
-    /// exhaustion and leaves it ready to [`ClientEngine::into_report`]: the
-    /// driving rule (drain-before, slot, drain-at-end) in one place.
-    pub(crate) fn drive(&mut self, slots: &[AdSlot]) {
+    /// [`Trace::slots`](adpf_traces::Trace::slots) yields) to exhaustion
+    /// and leaves it ready to [`ClientEngine::into_report`]: the driving
+    /// rule (drain-before, slot, drain-at-end) in one place.
+    pub(crate) fn drive(&mut self, slots: impl IntoIterator<Item = AdSlot>) {
         for s in slots {
             self.drain_internal_before(s.time);
             self.on_slot(s.time, s.user, s.app);
@@ -769,7 +773,9 @@ impl ClientEngine {
         let slot_times = &mut self.scratch.slot_times;
         self.clients.slot_times.drain(ci, |t| slot_times.push(t));
         let last = self.clients.last_sync[ci];
-        self.clients.predictor[ci].observe(last, now, &self.scratch.slot_times);
+        self.clients
+            .predictor_mut(ci)
+            .observe(last, now, &self.scratch.slot_times);
         self.scratch.slot_times.clear();
         self.clients.cache[ci].purge_expired(now);
 
@@ -777,7 +783,10 @@ impl ClientEngine {
         //    The sell margin scales how aggressively predictions convert
         //    into inventory; overbooking and cancellation contain the
         //    downside of overselling.
-        let predicted = self.clients.predictor[ci].predict(now, self.config.prefetch_interval);
+        let predicted = self
+            .clients
+            .predictor(ci)
+            .predict(now, self.config.prefetch_interval);
         let have = self.clients.cache[ci].primary_count() as i64;
         let want = (predicted * self.config.sell_margin).round() as i64;
         let to_sell = (((want - have).max(0)) as u32).min(MAX_SELL_PER_SYNC);
@@ -911,7 +920,7 @@ impl ClientEngine {
     ) -> InlineVec<u32, { PLAN_INLINE + 1 }> {
         let tail = sync.origin.get_or_insert_with(|| {
             let lambda = self.clients.expected_rate(origin, now, deadline);
-            let mean_session = self.clients.predictor[origin].mean_session_slots();
+            let mean_session = self.clients.predictor(origin).mean_session_slots();
             BurstyTail::new(lambda, mean_session, self.config.availability_dispersion)
         });
         let p_origin = tail.prob(self.clients.queued[origin]);
@@ -988,7 +997,7 @@ impl ClientEngine {
             if lambda <= 0.0 {
                 continue;
             }
-            let mean_session = self.clients.predictor[j].mean_session_slots();
+            let mean_session = self.clients.predictor(j).mean_session_slots();
             let mut tail = BurstyTail::new(lambda, mean_session, dispersion);
             let prob = tail.prob(self.clients.queued[j]);
             if prob <= 0.0 {

@@ -48,7 +48,7 @@ impl ClientEngine {
     ) -> InlineVec<u32, { PLAN_INLINE + 1 }> {
         let lambda = self.clients.expected_rate(origin, now, deadline);
         let queued = self.clients.queued[origin];
-        let mean_session = self.clients.predictor[origin].mean_session_slots();
+        let mean_session = self.clients.predictor(origin).mean_session_slots();
         let p_origin = r
             .avail
             .display_probability_bursty(lambda, queued, mean_session);
@@ -109,7 +109,7 @@ impl ClientEngine {
         for idx in 0..r.gather.len() {
             let (j, start) = r.gather[idx];
             let lambda_j = self.clients.expected_rate(j as usize, start, deadline);
-            let mean_session_j = self.clients.predictor[j as usize].mean_session_slots();
+            let mean_session_j = self.clients.predictor(j as usize).mean_session_slots();
             r.meta.push((lambda_j, mean_session_j));
         }
         for idx in 0..r.gather.len() {

@@ -2,19 +2,21 @@
 //!
 //! Since the serving split, the per-client decision logic lives in
 //! [`crate::engine::ClientEngine`]; this module keeps what is specific
-//! to *batch replay*: the precomputed slot stream, the shard derivation
-//! and work-stealing scheduler ([`Simulator::run_shards`]), and the
-//! shard-ordered merge. The batch [`Simulator`] is now one client of the
-//! engine — the online server in `adpf-serve` is the other — and both
-//! produce bit-identical reports for the same `(config, slot stream)`.
+//! to *batch replay*: the slot stream pulled from a trace, the shard
+//! derivation and work-stealing scheduler ([`Simulator::run_shards`]),
+//! and the shard-ordered merge. The batch [`Simulator`] is now one
+//! client of the engine — the online server in `adpf-serve` is the
+//! other — and both produce bit-identical reports for the same
+//! `(config, slot stream)`.
 
 use std::sync::Mutex;
 use std::time::Instant;
 
 use adpf_auction::{BidSampler, Campaign, CampaignCatalog, CampaignType};
+use adpf_desim::SimDuration;
 use adpf_obs::MetricRegistry;
 use adpf_prediction::PredictorKind;
-use adpf_traces::{shard_ranges, AdSlot, Trace, UserSlots};
+use adpf_traces::{shard_ranges, Trace, UserSlots};
 
 use crate::config::SystemConfig;
 use crate::engine::{ClientEngine, EngineScratch};
@@ -50,12 +52,12 @@ pub(crate) const MAX_SHARDS: usize = 64;
 pub(crate) const USERS_PER_SHARD: usize = 40;
 
 /// Hard ceiling on users per derived shard. A shard is the streaming
-/// pipeline's unit of residency — its sub-trace, client table, and slot
-/// stream are all alive at once — so this constant *is* the peak-memory
-/// bound of a streaming run: O(`MAX_USERS_PER_SHARD` × threads) users
-/// resident, regardless of population size. A million-user run derives
-/// ~489 shards of ≤2,048 users instead of being stranded at
-/// [`MAX_SHARDS`] shards of ~15,600.
+/// pipeline's unit of residency — its sub-trace and client table are
+/// alive at once, its slot stream only as its open sessions — so this
+/// constant *is* the peak-memory bound of a streaming run:
+/// O(`MAX_USERS_PER_SHARD` × threads) users resident, regardless of
+/// population size. A million-user run derives ~489 shards of ≤2,048
+/// users instead of being stranded at [`MAX_SHARDS`] shards of ~15,600.
 pub(crate) const MAX_USERS_PER_SHARD: usize = 2_048;
 
 /// Number of logical shards [`Simulator::run_trace`] uses for a
@@ -164,21 +166,23 @@ fn leaves_a_core_idle(workers: usize) -> bool {
 }
 
 /// One configured simulation over one trace: a [`ClientEngine`] plus the
-/// precomputed slot stream that drives it.
+/// trace whose slot stream drives it.
 ///
-/// Construction precomputes the slot stream and builds per-client state;
-/// [`Simulator::run`] consumes the simulator and produces a
-/// [`SimReport`]. Runs are deterministic: the same `(config, trace)` pair
-/// always yields the same report.
-pub struct Simulator {
+/// Construction builds per-client state; [`Simulator::run`] consumes the
+/// simulator, pulls the slot stream from the trace's sessions
+/// ([`Trace::slots`]) and produces a [`SimReport`]. Runs are
+/// deterministic: the same `(config, trace)` pair always yields the same
+/// report.
+pub struct Simulator<'a> {
     engine: ClientEngine,
-    slots: Vec<AdSlot>,
+    trace: &'a Trace,
+    refresh: SimDuration,
     /// The helper [`Simulator::new`]'s engine samples ahead on; sharded
     /// runs pass their worker's instead.
     sampler: Option<BidSampler>,
 }
 
-impl Simulator {
+impl<'a> Simulator<'a> {
     /// Builds a simulator running one engine on exactly `config` over
     /// `trace` — no shard derivation; it is what runs inside each shard.
     ///
@@ -186,7 +190,7 @@ impl Simulator {
     ///
     /// Panics if `config.validate()` fails — configurations are built in
     /// code, so an invalid one is a programming error.
-    pub fn new(config: SystemConfig, trace: &Trace) -> Self {
+    pub fn new(config: SystemConfig, trace: &'a Trace) -> Self {
         let ctx = ShardContext::for_workers(&config, 1);
         let sampler = ctx.bid_sampler();
         let sim = Self::with_context_scratch(
@@ -209,7 +213,7 @@ impl Simulator {
     /// config — and to building from a fresh scratch set.
     fn with_context_scratch(
         config: SystemConfig,
-        trace: &Trace,
+        trace: &'a Trace,
         ctx: &ShardContext,
         scratch: EngineScratch,
         sampler: Option<&BidSampler>,
@@ -217,15 +221,16 @@ impl Simulator {
         if let Err(reason) = config.validate() {
             panic!("invalid SystemConfig: {reason}");
         }
-        let slots = trace.ad_slots(config.ad_refresh);
-        // The per-user view (a CSR over the same stream) is read only by
-        // the oracle (`PredictorKind::build`); every other predictor
-        // starts cold, as serve's engines do, from an empty view.
-        let oracle_slots: &[AdSlot] = match config.predictor {
-            PredictorKind::Oracle => &slots,
-            _ => &[],
+        // The per-user view (a CSR over the slot stream) is read only by
+        // the oracle (`PredictorKind::build`), the one reader that
+        // collects the stream; every other predictor starts cold, as
+        // serve's engines do, from an empty view.
+        let oracle_slots = match config.predictor {
+            PredictorKind::Oracle => trace.ad_slots(config.ad_refresh),
+            _ => Vec::new(),
         };
-        let slots_by_user = UserSlots::from_slots(oracle_slots, trace.num_users());
+        let slots_by_user = UserSlots::from_slots(&oracle_slots, trace.num_users());
+        let refresh = config.ad_refresh;
         let mut engine = ClientEngine::with_scratch(
             config,
             &slots_by_user,
@@ -239,7 +244,8 @@ impl Simulator {
         }
         Self {
             engine,
-            slots,
+            trace,
+            refresh,
             sampler: None,
         }
     }
@@ -254,10 +260,11 @@ impl Simulator {
     fn run_reclaim(self) -> (SimReport, EngineScratch) {
         let Simulator {
             mut engine,
-            slots,
+            trace,
+            refresh,
             sampler,
         } = self;
-        engine.drive(&slots);
+        engine.drive(trace.slots(refresh));
         let done = engine.finalize_reclaim();
         drop(sampler);
         done

@@ -350,7 +350,7 @@ pub fn write_events<W: Write>(
     w: &mut W,
 ) -> std::io::Result<()> {
     write_header(w, trace.num_users(), trace.horizon().as_millis())?;
-    for s in trace.ad_slots(refresh) {
+    for s in trace.slots(refresh) {
         writeln!(
             w,
             "{EVENT_TAG},{},{},{}",
@@ -388,7 +388,7 @@ pub fn write_events_paced<W: Write>(
     );
     write_header(w, trace.num_users(), trace.horizon().as_millis())?;
     let t0 = std::time::Instant::now();
-    for (i, s) in trace.ad_slots(refresh).iter().enumerate() {
+    for (i, s) in trace.slots(refresh).enumerate() {
         let due = std::time::Duration::from_secs_f64(i as f64 / events_per_sec);
         let elapsed = t0.elapsed();
         if due > elapsed {

@@ -1,6 +1,8 @@
 //! Trace data model.
 
+use core::cmp::Reverse;
 use core::fmt;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 use adpf_desim::{SimDuration, SimTime};
 
@@ -202,29 +204,34 @@ impl Trace {
         self.sessions.iter().filter(move |s| s.user == user)
     }
 
-    /// Derives the ad-slot stream: one slot at each session start plus one
-    /// every `refresh` while the session lasts. Slots are time-ordered.
-    pub fn ad_slots(&self, refresh: SimDuration) -> Vec<AdSlot> {
-        let mut slots = Vec::new();
-        for s in &self.sessions {
-            slots.push(AdSlot {
-                user: s.user,
-                app: s.app,
-                time: s.start,
-            });
-            if !refresh.is_zero() {
-                let mut t = s.start + refresh;
-                while t < s.end() {
-                    slots.push(AdSlot {
-                        user: s.user,
-                        app: s.app,
-                        time: t,
-                    });
-                    t += refresh;
-                }
-            }
+    /// The ad-slot stream, pulled from the sessions: one slot at each
+    /// session start plus one every `refresh` while the session lasts,
+    /// in `(time, user)` order, ties in session order.
+    ///
+    /// A merge over the sessions still open: it holds one entry per open
+    /// session, never one per slot, and sorts nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace holds more than `u32::MAX` sessions.
+    pub fn slots(&self, refresh: SimDuration) -> impl Iterator<Item = AdSlot> + '_ {
+        assert!(
+            u32::try_from(self.sessions.len()).is_ok(),
+            "a slot stream addresses at most u32::MAX sessions"
+        );
+        Slots {
+            sessions: &self.sessions,
+            refresh,
+            next: 0,
+            open: BinaryHeap::new(),
         }
-        slots.sort_by(|a, b| a.time.cmp(&b.time).then(a.user.cmp(&b.user)));
+    }
+
+    /// [`Trace::slots`] collected into a vector of exactly its length,
+    /// counted in a first pass.
+    pub fn ad_slots(&self, refresh: SimDuration) -> Vec<AdSlot> {
+        let mut slots = Vec::with_capacity(self.slots(refresh).count());
+        slots.extend(self.slots(refresh));
         slots
     }
 
@@ -312,6 +319,66 @@ impl Trace {
             starts,
             positions,
         }
+    }
+}
+
+/// The iterator of [`Trace::slots`]: a merge of the sessions' slot runs.
+///
+/// Sessions open in trace order, which is `(start, user)` order, so the
+/// next session to open always holds the least key among the unopened
+/// ones. Each open session sits in a min-heap keyed `(time, user,
+/// session index)` at the time of its next refresh slot; the index makes
+/// equal `(time, user)` keys come out in session order, as a stable sort
+/// of the sessions' slots would leave them.
+struct Slots<'a> {
+    sessions: &'a [Session],
+    refresh: SimDuration,
+    /// The first session not yet opened.
+    next: usize,
+    /// The open sessions that still have a slot to show.
+    open: BinaryHeap<Reverse<(SimTime, UserId, u32)>>,
+}
+
+impl Iterator for Slots<'_> {
+    type Item = AdSlot;
+
+    fn next(&mut self) -> Option<AdSlot> {
+        let opening = self
+            .sessions
+            .get(self.next)
+            .map(|s| (s.start, s.user, self.next as u32));
+        // The open session due first refreshes, unless the next session
+        // opens before it.
+        let refreshed = match self.open.peek_mut() {
+            Some(mut top) if opening.is_none_or(|o| top.0 < o) => {
+                let key = top.0;
+                let later = key.0 + self.refresh;
+                if later < self.sessions[key.2 as usize].end() {
+                    top.0 .0 = later;
+                } else {
+                    PeekMut::pop(top);
+                }
+                Some(key)
+            }
+            _ => None,
+        };
+        let (time, user, i) = match refreshed {
+            Some(key) => key,
+            None => {
+                let key = opening?;
+                self.next += 1;
+                let later = key.0 + self.refresh;
+                if !self.refresh.is_zero() && later < self.sessions[key.2 as usize].end() {
+                    self.open.push(Reverse((later, key.1, key.2)));
+                }
+                key
+            }
+        };
+        Some(AdSlot {
+            user,
+            app: self.sessions[i as usize].app,
+            time,
+        })
     }
 }
 

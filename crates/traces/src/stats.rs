@@ -43,10 +43,11 @@ impl TraceStats {
             }
             durations.push(s.duration.as_secs_f64());
         }
-        let slots = trace.ad_slots(refresh);
+        let mut slots = 0;
         let mut slots_per_user = vec![0u32; n];
         let mut slot_hours = HourProfile::new();
-        for slot in &slots {
+        for slot in trace.slots(refresh) {
+            slots += 1;
             if (slot.user.0 as usize) < n {
                 slots_per_user[slot.user.0 as usize] += 1;
             }
@@ -61,7 +62,7 @@ impl TraceStats {
             active_users,
             days,
             sessions: trace.sessions().len(),
-            slots: slots.len(),
+            slots,
             sessions_per_user_day: Summary::from_slice(&per_day(&sessions_per_user)),
             slots_per_user_day: Summary::from_slice(&per_day(&slots_per_user)),
             session_secs: Summary::from_slice(&durations),
@@ -74,7 +75,7 @@ impl TraceStats {
 pub fn slots_per_day_ecdf(trace: &Trace, refresh: SimDuration) -> Ecdf {
     let days = trace.days().max(1) as f64;
     let mut per_user = vec![0u32; trace.num_users() as usize];
-    for slot in trace.ad_slots(refresh) {
+    for slot in trace.slots(refresh) {
         let i = slot.user.0 as usize;
         if i < per_user.len() {
             per_user[i] += 1;
@@ -89,7 +90,7 @@ pub fn slots_per_day_ecdf(trace: &Trace, refresh: SimDuration) -> Ecdf {
 pub fn daily_autocorrelation(trace: &Trace, user: UserId, refresh: SimDuration, lag: usize) -> f64 {
     let days = trace.days() as usize;
     let mut daily = vec![0.0f64; days];
-    for slot in trace.ad_slots(refresh) {
+    for slot in trace.slots(refresh) {
         if slot.user == user {
             let d = slot.time.day_index() as usize;
             if d < days {

@@ -24,9 +24,17 @@ const DAYS: u32 = 7;
 const SEED: u64 = 1;
 
 /// Ceiling on the run's high-water above its input, as a share of the
-/// trace's session bytes. A run that splits the whole trace up front
-/// holds a second copy of every session and cannot read under 1.
-const MAX_SHARE: f64 = 1.0;
+/// trace's session bytes. The run holds the trace once and builds no
+/// predictor for its realtime clients: ≈ 0.44. One predictor per
+/// realtime client reads ≈ 0.68–0.74, and a run that splits the whole
+/// trace up front holds a second copy of every session and cannot read
+/// under 1.
+const MAX_SHARE: f64 = 0.6;
+
+/// Measured runs: the two workers claim shards in an order the host
+/// decides, which moves the high-water from run to run, so the gate
+/// holds the largest of several.
+const RUNS: usize = 5;
 
 fn main() {
     let pop = PopulationConfig {
@@ -37,25 +45,28 @@ fn main() {
     let trace = pop.generate();
     let session_bytes = std::mem::size_of_val(trace.sessions());
     let config = SystemConfig::realtime(1);
+    let slots = trace.slots(config.ad_refresh).count() as u64;
 
-    let input = heap::start();
-    let report = black_box(Simulator::run_trace(&config, &trace, 2));
-    let above = heap::high_water_above(input);
-    assert_eq!(
-        report.slots(),
-        trace.ad_slots(config.ad_refresh).len() as u64
-    );
-
-    let share = above as f64 / session_bytes as f64;
+    let shares: Vec<f64> = (0..RUNS)
+        .map(|_| {
+            let input = heap::start();
+            let report = black_box(Simulator::run_trace(&config, &trace, 2));
+            let above = heap::high_water_above(input);
+            assert_eq!(report.slots(), slots);
+            above as f64 / session_bytes as f64
+        })
+        .collect();
+    let min = shares.iter().copied().fold(f64::INFINITY, f64::min);
+    let max = shares.iter().copied().fold(0.0, f64::max);
     println!(
         "materialized_heap: {} sessions ({session_bytes} B, {} B each), \
-         high-water +{above} B above the input = {share:.3} of the session bytes \
-         (ceiling {MAX_SHARE})",
+         high-water above the input over {RUNS} runs = {min:.3}–{max:.3} of the \
+         session bytes (ceiling {MAX_SHARE})",
         trace.sessions().len(),
         std::mem::size_of::<Session>(),
     );
     assert!(
-        share < MAX_SHARE,
-        "run_trace allocated {share:.3}× the trace's session bytes above its input"
+        max < MAX_SHARE,
+        "run_trace allocated {max:.3}× the trace's session bytes above its input"
     );
 }
