@@ -47,8 +47,11 @@
 # `Simulator::run_trace` on a materialized trace at two threads, five
 # times, and holds the largest live-heap high-water above the input under
 # 0.6× the trace's session bytes: the run holds the trace once and builds
-# no predictor for a realtime client. `tests/stream_heap.rs` streams 750
-# generated users in four shards on one worker and holds the high-water
+# no predictor for a realtime client. A prefetch run of the same trace,
+# five times too, is held under 0.75×: each shard's engine, predictors,
+# event queue and scratch buffers go with the shard.
+# `tests/stream_heap.rs` streams 750 generated users in four shards on
+# one worker and holds the high-water
 # under 9,000 bytes per client of a shard: a shard's ad slots are pulled
 # from its sessions, never collected into a sorted vector (collecting
 # them reads ≈ 10,350). `tests/serve_heap.rs` serves a
@@ -82,11 +85,9 @@ placement_gates() {
     # Poisson tails against the closed form and the memoizing cache, and
     # the engine's one-pass pool build in lockstep with the cached
     # gather/rate/score reference, plus the planner contract that makes
-    # leaving zero-probability candidates out exact. Likewise the one
-    # internal-event drain, in lockstep with the pop-by-pop loop it
-    # replaced, sub-bucket scheduling deltas included, and the event queue
-    # and the slab queues each against an O(n) reference (tier 1 runs
-    # only the root package's tests). The auction's bid loop in place, in
+    # leaving zero-probability candidates out exact. Likewise the event
+    # queue and the slab queues each against an O(n) reference (tier 1
+    # runs only the root package's tests). The auction's bid loop in place, in
     # lockstep with the eager reference it replaced
     # (`kernel_matches_the_eager_reference`). And auctions
     # sampled ahead, in lockstep with the exchange sampling them itself
@@ -96,7 +97,6 @@ placement_gates() {
     # the host's core count.
     cargo test -q --release -p adpf-overbooking --test prop_availability
     cargo test -q --release -p adpf-core placement_
-    cargo test -q --release -p adpf-core dispatch_
     cargo test -q --release -p adpf-desim --test prop_queue --test prop_slab_queues
     cargo test -q --release -p adpf-auction kernel_
     cargo test -q --release -p adpf-auction ahead_

@@ -1,18 +1,14 @@
-//! Determinism gates and the recorded trajectory.
+//! Determinism gates.
 //!
 //! One table, [`ROWS`], names every fixed-seed run this repo pins: its
 //! population, its configuration, the drivers it runs under and what must
 //! hold of the result. `run` is the only place a row is generated and
-//! driven; [`check`] holds rows to their gates and [`record`] appends a
-//! row's runs to `BENCH_baseline.json`. Because the runs are fixed-seed,
+//! driven; [`check`] holds rows to their gates. Because the runs are fixed-seed,
 //! the report hash is exact and machine-independent: a change that alters
 //! any simulated outcome — even one bit of one float — changes it.
 //!
 //! Timing claims (throughput, latency, memory under load) belong to
 //! `benchmark/`. Nothing here judges a clock against a committed number.
-
-use std::io;
-use std::time::Instant;
 
 use adpf_auction::{MarketplaceConfig, PriceFloors, PricingRule};
 use adpf_core::scenario::{CellCapacity, CellPolicy, ScenarioPopulation, ScenarioSpec};
@@ -473,15 +469,6 @@ pub(crate) struct Outcome {
     /// Under [`Driver::Serve`], the requests the server decided and the
     /// lines it rejected.
     pub ingest: Option<(u64, u64)>,
-    /// Wall-clock seconds of the simulation alone — except under
-    /// [`Driver::Streaming`], where generation happens inside the
-    /// pipeline and this covers both.
-    pub wall_s: f64,
-    /// Wall-clock seconds producing the input, at the same thread count:
-    /// trace generation, plus wire serialization under [`Driver::Serve`].
-    /// Under [`Driver::Streaming`] it is the summed per-shard
-    /// `phase.trace_gen` span — CPU-seconds, not a separate phase.
-    pub gen_wall_s: f64,
     /// Process peak RSS (VmHWM) after the run, in MiB, or `0.0` where no
     /// `/proc` exposes it. It bounds this run *plus* everything before
     /// it in the process.
@@ -500,16 +487,8 @@ pub(crate) fn run(row: &Row, driver: Driver, threads: usize) -> Outcome {
         Some(sp) => sp.generate_parallel(threads),
         None => pop.generate_parallel(threads),
     };
-    let start = Instant::now();
-    // When the input existed and the simulation began; streaming has no
-    // such moment, its shards are generated as they are consumed.
-    let mut ready = start;
     let (report, ingest) = match driver {
-        Driver::Parallel => {
-            let trace = generate();
-            ready = Instant::now();
-            (Simulator::run_trace(&cfg, &trace, threads), None)
-        }
+        Driver::Parallel => (Simulator::run_trace(&cfg, &generate(), threads), None),
         Driver::Streaming => {
             let n_shards = adpf_core::default_shards(pop.num_users);
             let shard = |i| match &scenario {
@@ -526,18 +505,12 @@ pub(crate) fn run(row: &Row, driver: Driver, threads: usize) -> Outcome {
             let mut opts = adpf_serve::ServeOptions::new(cfg);
             opts.threads = threads;
             opts.error_sample = 0;
-            ready = Instant::now();
             let out = adpf_serve::serve(&opts, stream.as_slice())
                 .expect("a generated stream carries its header and reads from memory");
             (out.report, Some((out.requests, out.ingest_errors)))
         }
     };
     Outcome {
-        wall_s: ready.elapsed().as_secs_f64(),
-        gen_wall_s: match driver {
-            Driver::Streaming => report.metrics.time_ns("phase.trace_gen") as f64 / 1e9,
-            _ => (ready - start).as_secs_f64(),
-        },
         peak_rss_mb: adpf_obs::peak_rss_kb().map_or(0.0, |kb| kb as f64 / 1024.0),
         report,
         ingest,
@@ -699,91 +672,6 @@ fn metrics_differ(want: &[MetricSnapshot], got: &[MetricSnapshot]) -> Option<Str
     }
 }
 
-/// Runs every row under each of its drivers at every thread count
-/// (`threads`, else the row's own list) and appends one entry per run to
-/// the JSON file at `path`, preserving previously recorded entries
-/// verbatim and handing `emit` each new line. Returns the new-entry count.
-pub fn record(
-    rows: &[Row],
-    threads: Option<&[usize]>,
-    label: &str,
-    path: &str,
-    mut emit: impl FnMut(&str),
-) -> io::Result<usize> {
-    // Read first: an unreadable file should fail before minutes of runs.
-    let mut entries = match std::fs::read_to_string(path) {
-        Ok(contents) => parse_entry_lines(&contents),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(e),
-    };
-    let before = entries.len();
-    for row in rows {
-        for (i, &driver) in row.drivers.iter().enumerate() {
-            // A row's first driver records under the bare row name, as
-            // every entry did before a row listed several.
-            let workload = match i {
-                0 => row.name.to_string(),
-                _ => format!("{}-{}", row.name, driver.name()),
-            };
-            for &t in threads.unwrap_or(row.threads) {
-                let entry = entry_line(label, &workload, t, &run(row, driver, t));
-                emit(&entry);
-                entries.push(entry);
-            }
-        }
-    }
-    std::fs::write(path, render_file(&entries))?;
-    Ok(entries.len() - before)
-}
-
-/// Serializes one run as a JSON object on a single line, with the keys
-/// and key order `BENCH_baseline.json` has always used. `events` is
-/// slots plus syncs (taken, skipped and dropped), the unit of simulator
-/// work; `ads_placed` is advance sales registered with the ledger; both
-/// rates divide by `wall_s` only. `cpus` stamps the recording host,
-/// because wall-clock columns compare only between similar hardware.
-/// `obs_overhead_pct` is no longer measured and stays `0.00`, so the
-/// key set matches every entry recorded before.
-pub(crate) fn entry_line(label: &str, workload: &str, threads: usize, o: &Outcome) -> String {
-    let (wall_s, gen_wall_s, rss) = (o.wall_s, o.gen_wall_s, o.peak_rss_mb);
-    let cpus = std::thread::available_parallelism().map_or(0, |n| n.get());
-    let r = &o.report;
-    let events = r.slots() + r.syncs() + r.syncs_skipped() + r.syncs_dropped();
-    let ads = r.ledger.sold;
-    let per_sec = |n: u64| n as f64 / wall_s.max(1e-9);
-    let (events_rate, ads_rate) = (per_sec(events), per_sec(ads));
-    let hash = r.stable_hash();
-    format!(
-        "{{\"label\":\"{label}\",\"workload\":\"{workload}\",\"threads\":{threads},\
-         \"cpus\":{cpus},\
-         \"wall_s\":{wall_s:.4},\"gen_wall_s\":{gen_wall_s:.4},\
-         \"events\":{events},\"events_per_sec\":{events_rate:.0},\
-         \"ads_placed\":{ads},\"ads_placed_per_sec\":{ads_rate:.0},\
-         \"obs_overhead_pct\":0.00,\
-         \"peak_rss_mb\":{rss:.1},\
-         \"report_hash\":\"{hash:016x}\"}}"
-    )
-}
-
-/// Extracts the entry lines of an existing `BENCH_baseline.json`.
-///
-/// The file is a JSON array with one object per line; this parser only
-/// needs to split it back into those lines, so hand-rolled JSON stays
-/// honest (we re-emit lines verbatim).
-pub(crate) fn parse_entry_lines(contents: &str) -> Vec<String> {
-    contents
-        .lines()
-        .map(str::trim)
-        .filter(|l| l.starts_with('{'))
-        .map(|l| l.trim_end_matches(',').to_string())
-        .collect()
-}
-
-/// Renders entry lines back into the JSON-array file format.
-pub(crate) fn render_file(entries: &[String]) -> String {
-    format!("[\n  {}\n]\n", entries.join(",\n  "))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -924,13 +812,12 @@ mod tests {
     }
 
     #[test]
-    fn every_driver_gives_the_same_report_and_times_both_phases() {
+    fn every_driver_gives_the_same_report() {
         let want = run(&SMOKE, Driver::Parallel, 1).report;
         assert!(want.slots() > 0 && want.ledger.sold > 0);
         for &driver in EVERY_DRIVER {
             let o = run(&SMOKE, driver, 2);
             assert_eq!(o.report, want, "{driver:?} diverged");
-            assert!(o.wall_s > 0.0 && o.gen_wall_s > 0.0, "{driver:?} untimed");
             if adpf_obs::peak_rss_kb().is_some() {
                 assert!(o.peak_rss_mb > 0.0);
             }
@@ -954,38 +841,5 @@ mod tests {
             *e = e.next_up();
         }
         assert_ne!(series.stable_hash(), h0);
-    }
-
-    #[test]
-    fn json_round_trip_preserves_existing_entries() {
-        let entries = [
-            entry_line("pre", "w", 1, &run(&SMOKE, Driver::Parallel, 1)),
-            entry_line("post", "w", 2, &run(&SMOKE, Driver::Parallel, 2)),
-        ];
-        let file = render_file(&entries[..1]);
-        assert_eq!(parse_entry_lines(&file), entries[..1]);
-        // Appending keeps old lines byte-identical.
-        let file2 = render_file(&entries);
-        assert_eq!(parse_entry_lines(&file2), entries);
-        assert!(file2.starts_with(file.trim_end_matches("\n]\n")));
-        assert!(file2.contains(&format!("\"report_hash\":\"{SMOKE_GOLDEN:016x}\"")));
-    }
-
-    #[test]
-    fn entry_line_is_valid_single_object() {
-        let line = entry_line("x", "smoke-stream", 2, &run(&SMOKE, Driver::Streaming, 2));
-        assert!(line.starts_with('{') && line.ends_with('}'));
-        assert!(!line.contains('\n'));
-        // Same keys, same order, as the last batch row recorded before
-        // the table existed. Every field starts `{"key":` or `,"key":`.
-        let keys = |l: &str| -> Vec<String> {
-            let fields = l.split(['{', ',']).filter_map(|f| f.strip_prefix('"'));
-            fields
-                .filter_map(|f| Some(f.split_once("\":")?.0.to_string()))
-                .collect()
-        };
-        let committed = include_str!("../../../BENCH_baseline.json");
-        let old = committed.lines().find(|l| l.contains("\"sale-path\""));
-        assert_eq!(keys(&line), keys(old.expect("a sale-path row").trim()));
     }
 }

@@ -92,9 +92,10 @@ impl<E> EventQueue<E> {
         self.heap.pop().map(|e| (e.time, e.event))
     }
 
-    /// Pops into `out`, in pop order, every event below `upto` in the
-    /// head's bucket — the aligned 1.024 s span holding the earliest
-    /// event — and returns how many were appended.
+    /// Benchmark shim; deleted once `benchmark/` rebinds. Pops into
+    /// `out`, in pop order, every event below `upto` in the head's
+    /// bucket — the aligned 1.024 s span holding the earliest event — and
+    /// returns how many were appended.
     ///
     /// This is exactly the prefix that repeated [`EventQueue::pop`] calls
     /// would return before leaving the head's bucket, stopping at `upto`,
@@ -142,9 +143,9 @@ impl<E> EventQueue<E> {
         self.heap.clear();
     }
 
-    /// Returns the queue to its freshly-constructed state — empty,
-    /// sequence counter restarted — while keeping the heap's allocation
-    /// for reuse.
+    /// Benchmark shim; deleted once `benchmark/` rebinds. Returns the
+    /// queue to its freshly-constructed state — empty, sequence counter
+    /// restarted — while keeping the heap's allocation for reuse.
     ///
     /// Unlike [`EventQueue::clear`], which preserves the sequence counter
     /// of a mid-run queue, `reset` makes the queue indistinguishable from

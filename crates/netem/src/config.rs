@@ -262,12 +262,6 @@ impl NetemConfig {
         self
     }
 
-    /// Replaces the retry policy. Chainable.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
     /// Validates invariants the simulator relies on.
     pub fn validate(&self) -> Result<(), String> {
         if !self.enabled {
@@ -339,9 +333,9 @@ mod tests {
         assert_eq!(NetemConfig::disabled().validate(), Ok(()));
         assert_eq!(NetemConfig::flaky_cellular().validate(), Ok(()));
         assert_eq!(NetemConfig::degraded().validate(), Ok(()));
-        let blackout = NetemConfig::flaky_cellular()
-            .with_outage(24, SimDuration::from_hours(6), 1.0)
-            .with_retry(RetryPolicy::aggressive());
+        let mut blackout =
+            NetemConfig::flaky_cellular().with_outage(24, SimDuration::from_hours(6), 1.0);
+        blackout.retry = RetryPolicy::aggressive();
         assert_eq!(blackout.validate(), Ok(()));
         assert!(blackout.name.contains("outage"));
     }
