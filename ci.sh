@@ -62,11 +62,13 @@
 # entries live at its peak, not each client's high-water mark (restoring
 # the queue's calendar ring reads ≈ 8,890).
 #
-# The sweep gate runs the system sweeps, the rows of `SWEEPS` in
-# crates/bench/src/experiments/sweeps.rs, at quick scale (~14 s on 2 vCPUs):
-# every table is held to its row's checks, the claims its rows must
-# show, and `experiments` exits non-zero naming any check that fails.
-# Tier 1 holds the same checks at micro scale (tests/experiments.rs).
+# The sweep gate runs every experiment table at quick scale (~14 s on
+# 2 vCPUs per run): every table is held to its checks, the claims its
+# rows must show, and `experiments` exits non-zero naming any check that
+# fails. No table reads the host, so the tables are run at two workers
+# and again at one, and the two stdouts must be byte-identical: threads
+# are pure scheduling in every table. Tier 1 holds the same checks at
+# micro scale and pins each table to a digest (tests/experiments.rs).
 set -eux
 
 # Held to `adpf_bench::baseline::SMOKE_GOLDEN` by a unit test there.
@@ -144,8 +146,9 @@ simulate_gate() {
 }
 
 sweep_gate() {
-    ./target/release/experiments e7 e8 e10 e11 e12 e13 e15 e16 e19 e21 e22 \
-        > target/sweeps_quick.out
+    ./target/release/experiments all --threads 2 > target/experiments_t2.out
+    ./target/release/experiments all --threads 1 > target/experiments_t1.out
+    cmp target/experiments_t2.out target/experiments_t1.out
 }
 
 benchmark_gate() {

@@ -6,28 +6,24 @@
 //! experiments all            # every experiment at quick scale
 //! experiments e7 e10         # selected experiments
 //! experiments all --full     # paper-scale populations (slow)
-//! experiments e14 --threads 4  # sharded simulator on 4 worker threads
-//! experiments all --metrics    # print per-experiment wall-time metrics
+//! experiments e7 --threads 4   # sharded simulator on 4 worker threads
 //! ```
 //!
-//! Stdout carries the tables alone; progress lines go to stderr. Every
-//! table depends on the scale alone except those with wall-clock columns,
-//! which read the host: E14b and E14c (seconds, slots/s, speedup), E17
-//! (generation and simulation seconds, events/s, speedup), E18 (the
-//! `phase.*` timers) and E20 (requests/s, latency percentiles, SLA
-//! misses). The exit status is non-zero when a table fails one of its
-//! checks (each failure is named on stderr).
+//! Stdout carries the tables alone; progress lines, with each
+//! experiment's wall time, go to stderr. Every table depends on the scale
+//! alone, so stdout is the same at every thread count; timing is judged
+//! by `benchmark/`. The ids E17 and E20 are retired. The exit status is
+//! non-zero when a table fails one of its checks (each failure is named
+//! on stderr).
 
 use std::process::ExitCode;
 use std::time::Instant;
 
 use adpf_bench::cli::{positive, Args, CliError};
 use adpf_bench::{all_ids, run_experiment_threads, Scale};
-use adpf_obs::{render_table, to_json_lines, MetricRegistry};
 
 const USAGE: &str = "\
 usage: experiments [all | e1 … e22]… [--full] [--threads N]
-                   [--metrics] [--metrics-out FILE]
 Regenerates the paper's tables: the named experiments, or with no id
 (or `all`) every one but e9, which prints with e8. --full runs the
 paper-scale populations.";
@@ -38,20 +34,16 @@ struct Opts {
     ids: Vec<&'static str>,
     scale: Scale,
     threads: usize,
-    metrics: bool,
-    metrics_out: Option<String>,
 }
 
 fn parse(args: impl IntoIterator<Item = String>) -> Result<Opts, CliError> {
-    let mut args = Args::new(args, &["--full", "--metrics"])?;
+    let mut args = Args::new(args, &["--full"])?;
     let scale = if args.has("--full") {
         Scale::Full
     } else {
         Scale::Quick
     };
-    let metrics = args.has("--metrics");
     let threads = args.value("--threads", positive)?.unwrap_or(1);
-    let metrics_out = args.get("--metrics-out")?;
     let named = args.positionals();
     args.finish()?;
     let known = all_ids();
@@ -76,8 +68,6 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Opts, CliError> {
         ids,
         scale,
         threads,
-        metrics,
-        metrics_out,
     })
 }
 
@@ -97,19 +87,11 @@ fn main() -> ExitCode {
         "adprefetch experiment harness — scale: {:?} (pass --full for paper-scale populations)\n",
         o.scale
     );
-    // Per-experiment wall-time metrics, keyed by the experiment's static
-    // id so the registry stays allocation-free on names.
-    let collect = o.metrics || o.metrics_out.is_some();
-    let reg = MetricRegistry::new();
     let mut failed = false;
     for &id in &o.ids {
         let t0 = Instant::now();
         let tables =
             run_experiment_threads(id, o.scale, o.threads).expect("ids are checked at parse");
-        if collect {
-            reg.add_time_ns(id, t0.elapsed().as_nanos() as u64);
-            reg.add(id, tables.len() as u64);
-        }
         for table in tables {
             println!("{table}");
             for check in &table.failed {
@@ -119,16 +101,6 @@ fn main() -> ExitCode {
         }
         println!();
         eprintln!("[{} done in {:.1}s]", id, t0.elapsed().as_secs_f64());
-    }
-    if o.metrics {
-        println!("metrics (experiments):\n{}", render_table(&reg));
-    }
-    if let Some(path) = &o.metrics_out {
-        if let Err(e) = std::fs::write(path, to_json_lines(&reg, "experiments")) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("metrics written to {path}");
     }
     if failed {
         return ExitCode::FAILURE;
@@ -155,9 +127,11 @@ mod tests {
     fn rejects_an_unknown_flag_a_missing_value_a_bad_value_and_helps() {
         assert_eq!(why("e13 --ful"), "unknown flag `--ful`");
         assert_eq!(why("e13 --thread 3"), "unknown flag `--thread`");
+        assert_eq!(why("e13 --metrics"), "unknown flag `--metrics`");
         assert_eq!(why("e13 --threads"), "`--threads` is missing its value");
         assert_eq!(why("e13 --threads 0"), "`--threads 0`: must be at least 1");
         assert!(why("e13 e99").starts_with("unknown experiment `e99`"));
+        assert!(why("e17").starts_with("unknown experiment `e17`"));
         assert!(why("all e99").starts_with("unknown experiment `e99`"));
         assert!(matches!(parse_str("--help"), Err(CliError::Help)));
     }

@@ -1,22 +1,22 @@
 //! One module per experiment family; see DESIGN.md's experiment index.
 //! The system sweeps are rows of one table, [`sweeps::SWEEPS`].
 
+mod exchange;
 mod motivation;
 mod obs;
 mod prediction;
-mod scaling;
-mod serving;
 mod sweeps;
 mod traces;
 
 use crate::scale::Scale;
 use crate::table::Table;
 
-/// All experiment ids, in DESIGN.md order.
+/// All experiment ids, in DESIGN.md order. E17 and E20 are retired;
+/// the other ids keep their numbers.
 pub fn all_ids() -> Vec<&'static str> {
     vec![
         "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14",
-        "e15", "e16", "e17", "e18", "e19", "e20", "e21", "e22",
+        "e15", "e16", "e18", "e19", "e21", "e22",
     ]
 }
 
@@ -26,6 +26,7 @@ pub fn all_ids() -> Vec<&'static str> {
 /// timeline; E8/E9 are two views of one sweep and both appear under
 /// either id). `threads` is the worker-thread count for the experiments
 /// that exercise the sharded simulator; single-run experiments ignore it.
+/// No table reads the host: each is a function of the scale alone.
 /// A table that fails one of its checks names it in [`Table::failed`].
 pub fn run_experiment_threads(id: &str, scale: Scale, threads: usize) -> Option<Vec<Table>> {
     let id = id.to_ascii_lowercase();
@@ -42,13 +43,8 @@ pub fn run_experiment_threads(id: &str, scale: Scale, threads: usize) -> Option<
             tables.push(sweeps::e7b_per_user_savings(scale));
             Some(tables)
         }
-        "e14" => Some(scaling::e14_scaling_threads(scale, threads)),
-        // E17 sweeps its own thread counts; the caller's `threads` is
-        // irrelevant to a scaling experiment.
-        "e17" => Some(vec![scaling::e17_thread_scaling(scale)]),
+        "e14" => Some(vec![exchange::e14_exchange_clearing()]),
         "e18" => Some(vec![obs::e18_observability_breakdown(scale, threads)]),
-        // E20 sweeps its own thread counts, like E17.
-        "e20" => Some(vec![serving::e20_serving_load(scale)]),
         _ => Some(sweep()?.run(scale, threads)),
     }
 }
@@ -64,6 +60,6 @@ mod tests {
 
     #[test]
     fn ids_are_complete() {
-        assert_eq!(all_ids().len(), 22);
+        assert_eq!(all_ids().len(), 20);
     }
 }

@@ -70,29 +70,6 @@ impl Scale {
         cfg.generate()
     }
 
-    /// Population sizes for the scaling experiment (E14).
-    pub(crate) fn scaling_sizes(self) -> Vec<u32> {
-        match self {
-            Scale::Micro => vec![20, 40],
-            Scale::Quick => vec![50, 100, 200, 400],
-            Scale::Full => vec![200, 400, 800, 1_600],
-        }
-    }
-
-    /// Worker-thread counts for the sharded-throughput sweeps
-    /// (E14c, E17).
-    ///
-    /// Counts never exceed [`adpf_core::DEFAULT_SHARDS`], the *floor* of
-    /// the derived shard count — so every sweep population has at least
-    /// one shard per worker at every listed count.
-    pub(crate) fn thread_counts(self) -> Vec<usize> {
-        match self {
-            Scale::Micro => vec![1, 2],
-            Scale::Quick => vec![1, 2, 4],
-            Scale::Full => vec![1, 2, 4, 8],
-        }
-    }
-
     /// Days of warmup granted to predictors in offline evaluations.
     pub(crate) fn warmup_days(self) -> u64 {
         match self {
@@ -110,18 +87,8 @@ mod tests {
     #[test]
     fn quick_is_smaller_than_full() {
         assert!(Scale::Quick.iphone(1).num_users < Scale::Full.iphone(1).num_users);
-        assert!(Scale::Quick.scaling_sizes().len() == 4);
+        assert!(Scale::Quick.windows_phone(1).num_users < Scale::Full.windows_phone(1).num_users);
         assert!(Scale::Quick.warmup_days() < Scale::Full.iphone(1).days as u64);
-    }
-
-    #[test]
-    fn thread_counts_stay_within_the_shard_budget() {
-        for scale in [Scale::Micro, Scale::Quick, Scale::Full] {
-            let counts = scale.thread_counts();
-            assert!(!counts.is_empty());
-            assert_eq!(counts[0], 1, "sweeps start from the sequential baseline");
-            assert!(counts.iter().all(|&t| t <= adpf_core::DEFAULT_SHARDS));
-        }
     }
 
     #[test]

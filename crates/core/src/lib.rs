@@ -54,6 +54,4 @@ pub use config::{DeliveryMode, SystemConfig};
 pub use engine::ClientEngine;
 pub use report::SimReport;
 pub use scenario::{CellCapacity, CellPolicy, DeviceClass, ScenarioConfig};
-pub use sim::{
-    default_shards, merge_shards, shard_configs, ShardContext, Simulator, DEFAULT_SHARDS,
-};
+pub use sim::{default_shards, merge_shards, shard_configs, ShardContext, Simulator};

@@ -35,7 +35,7 @@ use adpf_desim::WorkQueue;
 /// simulation semantics (candidate pools, RNG streams, budget shares)
 /// while threads are only a scheduling choice, so the same trace and seed
 /// produce bit-identical merged reports at any thread count.
-pub const DEFAULT_SHARDS: usize = 8;
+pub(crate) const DEFAULT_SHARDS: usize = 8;
 
 /// Preferred upper bound on derived shard counts. Caps per-shard setup
 /// overhead (each shard builds its own exchange and client table) and
