@@ -929,7 +929,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_rows_are_deterministic_across_thread_counts() {
+    fn sharded_rows_are_deterministic_at_every_thread_count() {
         let sharded: Vec<&Sweep> = SWEEPS
             .iter()
             .filter(|s| s.runner == Runner::Sharded)
