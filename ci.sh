@@ -60,7 +60,14 @@
 # engine's event queue is one heap, and the per-client slot-time, report,
 # outbox and cancellation queues share slabs, so the session holds the
 # entries live at its peak, not each client's high-water mark (restoring
-# the queue's calendar ring reads ≈ 8,890).
+# the queue's calendar ring reads ≈ 8,890). `tests/trace_heap.rs` builds
+# traces, whole on two threads (12,000 users) and as 16-way shards of
+# 3,000 users, plain, mixed-scenario and flash-crowd, and holds each
+# build's high-water to 1.4× the built trace's session bytes: generation
+# appends into one reserved vector, a scenario reuses its base trace's
+# vector, and `Trace::new` sorts through a 4-byte index, so a build holds
+# the trace once (per-block vectors, their concatenation, a stable sort's
+# scratch and a scenario's second vector read 2.45–4.91).
 #
 # The sweep gate runs every experiment table at quick scale (~14 s on
 # 2 vCPUs per run): every table is held to its checks, the claims its
@@ -159,7 +166,8 @@ benchmark_gate() {
 if [ "${1:-}" = "quick" ]; then
     cargo build --release -p adpf-bench
     cargo test -q -p adpf-bench --test public_surface
-    cargo test -q --release --test materialized_heap --test serve_heap --test stream_heap
+    cargo test -q --release --test materialized_heap --test serve_heap --test stream_heap \
+        --test trace_heap
     # Tier 1 runs only the root package's tests: the predictor families'
     # unit tests, cold-start cases and pinned digests run here, and so do
     # the trace crate's, the slot stream held to the push-and-sort it

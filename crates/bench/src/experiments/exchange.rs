@@ -3,15 +3,17 @@
 use adpf_auction::{CampaignCatalog, Exchange, SlotOffer};
 use adpf_desim::SimTime;
 
-use crate::table::{f, pct, Table};
+use crate::table::{f, pct, Note, Table};
 
 /// E14: real-time vs. advance clearing prices in the exchange.
 pub(crate) fn e14_exchange_clearing() -> Table {
     let mut prices = Table::new(
         "E14a",
         "exchange clearing: real-time vs. advance sale",
-        "advance slots clear at second price minus the risk discount; contextual campaigns \
-         cannot bid on them, so targeting erodes advance prices further",
+        Note::Paper(
+            "advance slots clear at second price minus the risk discount; contextual campaigns \
+             cannot bid on them, so targeting erodes advance prices further",
+        ),
         &[
             "discount",
             "contextual",

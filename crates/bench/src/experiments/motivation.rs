@@ -4,7 +4,7 @@ use adpf_desim::{SimDuration, SimTime};
 use adpf_energy::{audit, profiles, Radio};
 
 use crate::scale::Scale;
-use crate::table::{f, pct, Table};
+use crate::table::{f, pct, Note, Table};
 
 /// E1: per-app share of energy attributable to in-app ads.
 pub(crate) fn e1_ad_energy_share(scale: Scale) -> Table {
@@ -19,7 +19,9 @@ pub(crate) fn e1_ad_energy_share(scale: Scale) -> Table {
     let mut table = Table::new(
         "E1",
         "in-app advertising energy share, top-15 free apps (3G)",
-        "ads account for ~65% of app communication energy and ~23% of total app energy",
+        Note::Paper(
+            "ads account for ~65% of app communication energy and ~23% of total app energy",
+        ),
         &[
             "app",
             "category",
@@ -65,7 +67,9 @@ pub(crate) fn e2_tail_energy() -> Vec<Table> {
     let mut sweep = Table::new(
         "E2a",
         "per-ad radio energy vs. inter-fetch gap (3G, 4 KB ads)",
-        "closely spaced fetches share one tail; beyond the ~17 s tail every fetch pays in full",
+        Note::Paper(
+            "closely spaced fetches share one tail; beyond the ~17 s tail every fetch pays in full",
+        ),
         &["gap s", "J/ad", "tail share", "promotions"],
     );
     for gap_s in [1u64, 5, 10, 15, 20, 30, 45, 60] {
@@ -86,7 +90,7 @@ pub(crate) fn e2_tail_energy() -> Vec<Table> {
     let mut timeline = Table::new(
         "E2b",
         "radio state timeline: one 2-minute session, 30 s ad refresh (3G)",
-        "each refresh re-wakes the radio into multi-second high-power tails",
+        Note::Paper("each refresh re-wakes the radio into multi-second high-power tails"),
         &["start", "end", "state", "seconds"],
     );
     let mut radio = Radio::with_timeline(profile);

@@ -11,7 +11,7 @@ use adpf_core::{Simulator, SystemConfig};
 use adpf_netem::NetemConfig;
 
 use crate::scale::Scale;
-use crate::table::{f, Table};
+use crate::table::{f, Note, Table};
 
 /// E18: cross-layer counters from one observed run.
 pub(crate) fn e18_observability_breakdown(scale: Scale, threads: usize) -> Table {
@@ -24,7 +24,7 @@ pub(crate) fn e18_observability_breakdown(scale: Scale, threads: usize) -> Table
     let mut table = Table::new(
         "E18",
         "observability breakdown: layer counters",
-        "counts are deterministic and independent of the thread count",
+        Note::Harness("counts are deterministic and independent of the thread count"),
         &["metric", "layer", "count"],
     );
     let counters = [

@@ -5,7 +5,7 @@ use adpf_prediction::{evaluate_predictor, PredictorKind};
 use adpf_stats::Ecdf;
 
 use crate::scale::Scale;
-use crate::table::{f, pct, Table};
+use crate::table::{f, pct, Note, Table};
 
 const REFRESH: SimDuration = SimDuration::from_secs(30);
 
@@ -33,7 +33,7 @@ pub(crate) fn e5_accuracy_by_window(scale: Scale) -> Table {
     let mut table = Table::new(
         "E5",
         "slot-demand prediction accuracy by window length",
-        "diurnal models beat flat rates; longer windows are easier; the knob trades over- for under-prediction",
+        Note::Paper("diurnal models beat flat rates; longer windows are easier; the knob trades over- for under-prediction"),
         &["predictor", "window h", "over", "under", "exact", "MAE", "bias"],
     );
     for kind in predictors() {
@@ -70,7 +70,7 @@ pub(crate) fn e6_error_cdf(scale: Scale) -> Table {
     let mut table = Table::new(
         "E6",
         "CDF of normalized prediction error (pred - actual) / max(actual, 1)",
-        "errors concentrate near zero; the tails drive overbooking and fallbacks",
+        Note::Paper("errors concentrate near zero; the tails drive overbooking and fallbacks"),
         &["predictor", "window h", "p10", "p25", "p50", "p75", "p90"],
     );
     for kind in [PredictorKind::DayHour, PredictorKind::SessionAware] {

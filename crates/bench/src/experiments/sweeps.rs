@@ -21,7 +21,7 @@ use adpf_traces::{PopulationConfig, Trace};
 
 use crate::scale::Scale;
 use crate::table::Format::{Fixed, Pct};
-use crate::table::{f, Cell, Format, Table};
+use crate::table::{f, Cell, Format, Note, Table};
 
 /// The population seed of every sweep; every cell's config is seeded 1.
 const SEED: u64 = 42;
@@ -117,8 +117,8 @@ type Check = (&'static str, fn(&Table) -> bool);
 struct View {
     id: &'static str,
     title: &'static str,
-    /// What the paper claims (printed above the table).
-    note: &'static str,
+    /// What the table shows (printed above it).
+    note: Note,
     columns: &'static [Column],
     checks: &'static [Check],
 }
@@ -283,7 +283,7 @@ pub(crate) fn e7b_per_user_savings(scale: Scale) -> Table {
     let mut cdf = Table::new(
         "E7b",
         "CDF of per-user ad energy savings (2 h interval)",
-        "savings are broad-based: most users save, not just the heavy ones",
+        Note::Paper("savings are broad-based: most users save, not just the heavy ones"),
         &["percentile", "energy savings"],
     );
     let ecdf = adpf_stats::Ecdf::new(pf.per_user_savings_vs(&rt));
@@ -402,8 +402,10 @@ pub(crate) const SWEEPS: [Sweep; 11] = [
         views: &[View {
             id: "E7",
             title: "ad energy vs. prefetch interval (vs. real-time baseline)",
-            note: "prefetching cuts ad energy by about half at 1 h and more at longer \
-                   intervals, which also raise revenue loss and SLA violations",
+            note: Note::Paper(
+                "prefetching cuts ad energy by about half at 1 h and more at longer \
+                 intervals, which also raise revenue loss and SLA violations",
+            ),
             columns: &[
                 (
                     "energy J/impr",
@@ -443,8 +445,10 @@ pub(crate) const SWEEPS: [Sweep; 11] = [
             View {
                 id: "E8",
                 title: "SLA violations vs. overbooking aggressiveness (greedy planner)",
-                note: "raising the target multiplies replicas/ad but moves violations by only a \
-                       fraction of a point",
+                note: Note::Paper(
+                    "raising the target multiplies replicas/ad but moves violations by only a \
+                     fraction of a point",
+                ),
                 columns: &[
                     REPLICAS,
                     SLA_VIOL,
@@ -459,8 +463,10 @@ pub(crate) const SWEEPS: [Sweep; 11] = [
             View {
                 id: "E9",
                 title: "revenue loss vs. overbooking aggressiveness",
-                note: "duplicates (the cost of replication) stay negligible thanks to holdback + \
-                       cancellation",
+                note: Note::Paper(
+                    "duplicates (the cost of replication) stay negligible thanks to holdback + \
+                     cancellation",
+                ),
                 columns: &[REPLICAS, DUPLICATES, DUP_PER_SLOT, LOSS],
                 checks: &[("duplicates stay under 5 % of slots", |t| {
                     t.column("dup/slot").iter().all(|&d| d < 0.05)
@@ -474,8 +480,10 @@ pub(crate) const SWEEPS: [Sweep; 11] = [
         views: &[View {
             id: "E10",
             title: "deadline sensitivity (2 h syncs)",
-            note: "short deadlines strand inventory; by ~12-24 h violations and loss become \
-                   negligible",
+            note: Note::Paper(
+                "short deadlines strand inventory; by ~12-24 h violations and loss become \
+                 negligible",
+            ),
             columns: &[SLA_VIOL, LOSS, SAVINGS, DUPLICATES],
             checks: &[("violations fall as the deadline grows", |t| {
                 let (first, last) = ends(t, "SLA viol");
@@ -497,8 +505,10 @@ pub(crate) const SWEEPS: [Sweep; 11] = [
         views: &[View {
             id: "E11",
             title: "energy savings vs. revenue loss frontier",
-            note: "aggressive selling buys little energy and costs revenue; the knee sits near \
-                   margin 1",
+            note: Note::Paper(
+                "aggressive selling buys little energy and costs revenue; the knee sits near \
+                 margin 1",
+            ),
             columns: &[SAVINGS, LOSS, SLA_VIOL],
             checks: &[],
         }],
@@ -522,8 +532,10 @@ pub(crate) const SWEEPS: [Sweep; 11] = [
         views: &[View {
             id: "E12",
             title: "predictor ablation inside the full system",
-            note: "better client models raise cache hits and savings; the oracle bounds what \
-                   prediction can buy",
+            note: Note::Paper(
+                "better client models raise cache hits and savings; the oracle bounds what \
+                 prediction can buy",
+            ),
             columns: &[SAVINGS, CACHE_HIT, LOSS, SLA_VIOL],
             checks: &[(
                 "the oracle's cache hit rate beats the zero predictor's",
@@ -553,8 +565,10 @@ pub(crate) const SWEEPS: [Sweep; 11] = [
         views: &[View {
             id: "E13",
             title: "replication policy ablation",
-            note: "no replication violates the SLA on risky ads; fixed factors overpay in \
-                   duplicates; greedy sits between",
+            note: Note::Paper(
+                "no replication violates the SLA on risky ads; fixed factors overpay in \
+                 duplicates; greedy sits between",
+            ),
             columns: &[REPLICAS, SLA_VIOL, DUPLICATES, LOSS],
             checks: &[
                 ("greedy violates the SLA no more than no replication", |t| {
@@ -578,7 +592,7 @@ pub(crate) const SWEEPS: [Sweep; 11] = [
         views: &[View {
             id: "E15",
             title: "mechanism ablation (each knob flipped in isolation)",
-            note: "reconstruction-level design choices: what each mechanism buys",
+            note: Note::Extension("reconstruction-level design choices: what each mechanism buys"),
             columns: &[SAVINGS, CACHE_HIT, LOSS, SLA_VIOL, DUP_PER_SLOT],
             checks: &[
                 ("piggybacking saves energy", |t| {
@@ -624,7 +638,9 @@ pub(crate) const SWEEPS: [Sweep; 11] = [
         views: &[View {
             id: "E16",
             title: "degraded networks: outage intensity x retry policy",
-            note: "deltas vs the ideal-network prefetch baseline (paper's operating point)",
+            note: Note::Extension(
+                "deltas vs the ideal-network prefetch baseline (paper's operating point)",
+            ),
             columns: &[
                 (
                     "sync fail",
@@ -694,7 +710,7 @@ pub(crate) const SWEEPS: [Sweep; 11] = [
         views: &[View {
             id: "E19",
             title: "reactive marketplace: overbooking aggressiveness x pacing regime",
-            note: "revenue loss vs the static exchange at the same SLA target",
+            note: Note::Extension("revenue loss vs the static exchange at the same SLA target"),
             columns: &[
                 ("revenue", |r, _| r.revenue(), Fixed(4)),
                 ("loss vs static", |r, b| r.revenue_loss_vs(b), Pct),
@@ -746,10 +762,12 @@ pub(crate) const SWEEPS: [Sweep; 11] = [
         views: &[View {
             id: "E21",
             title: "population mix x prefetch policy: energy + user-cost per class",
-            note: "scenario-layer counters: metered bytes bill against the user's data plan, \
-                   wasted MB is prefetch traffic that expired undisplayed, cap-blk counts prefetch \
-                   syncs blocked by an exhausted plan, display latency from the \
-                   scenario.display_latency_ms histogram",
+            note: Note::Extension(
+                "scenario-layer counters: metered bytes bill against the user's data plan, \
+                 wasted MB is prefetch traffic that expired undisplayed, cap-blk counts prefetch \
+                 syncs blocked by an exhausted plan, display latency from the \
+                 scenario.display_latency_ms histogram",
+            ),
             columns: &[
                 J_PER_IMP,
                 (
@@ -835,9 +853,11 @@ pub(crate) const SWEEPS: [Sweep; 11] = [
         views: &[View {
             id: "E22",
             title: "flash crowd x cell capacity x overbooking",
-            note: "burst = mean extra sessions per affected user over the 2 h window (0 = \
-                   outage-only baseline); the cell ceiling admits a per-region fetch budget per \
-                   minute and drops or defers the overflow",
+            note: Note::Extension(
+                "burst = mean extra sessions per affected user over the 2 h window (0 = \
+                 outage-only baseline); the cell ceiling admits a per-region fetch budget per \
+                 minute and drops or defers the overflow",
+            ),
             columns: &[
                 (
                     "dropped",

@@ -5,7 +5,7 @@ use adpf_traces::stats::{daily_autocorrelation, slots_per_day_ecdf};
 use adpf_traces::{TraceStats, UserId};
 
 use crate::scale::Scale;
-use crate::table::{f, pct, Table};
+use crate::table::{f, pct, Note, Table};
 
 const REFRESH: SimDuration = SimDuration::from_secs(30);
 
@@ -14,7 +14,7 @@ pub(crate) fn e3_dataset_table(scale: Scale) -> Table {
     let mut table = Table::new(
         "E3",
         "usage trace datasets (synthetic substitutes, 30 s ad refresh)",
-        "paper: 1,693 iPhone users + in-lab Windows Phone users over several weeks",
+        Note::Paper("1,693 iPhone users + in-lab Windows Phone users over several weeks"),
         &[
             "dataset",
             "users",
@@ -54,7 +54,7 @@ pub(crate) fn e4_predictability(scale: Scale) -> Vec<Table> {
     let mut cdf = Table::new(
         "E4a",
         "CDF of per-user ad slots per day (iphone-like)",
-        "per-user demand is heterogeneous and heavy-tailed",
+        Note::Paper("per-user demand is heterogeneous and heavy-tailed"),
         &["percentile", "slots/day"],
     );
     let e = slots_per_day_ecdf(&trace, REFRESH);
@@ -66,7 +66,7 @@ pub(crate) fn e4_predictability(scale: Scale) -> Vec<Table> {
     let mut hours = Table::new(
         "E4b",
         "hour-of-day share of slot demand",
-        "demand is strongly diurnal, the basis of the client models",
+        Note::Paper("demand is strongly diurnal, the basis of the client models"),
         &["hour", "share"],
     );
     for h in 0..24 {
@@ -76,7 +76,7 @@ pub(crate) fn e4_predictability(scale: Scale) -> Vec<Table> {
     let mut ac = Table::new(
         "E4c",
         "mean day-over-day autocorrelation of per-user daily slot counts",
-        "yesterday predicts today: the client models have signal to work with",
+        Note::Paper("yesterday predicts today: the client models have signal to work with"),
         &["lag days", "mean autocorrelation"],
     );
     let sample: Vec<u32> = (0..trace.num_users().min(60)).collect();

@@ -54,6 +54,27 @@ impl fmt::Display for Cell {
     }
 }
 
+/// What a table's note states, printed as its label: a claim of the
+/// paper the table reconstructs, what an extension beyond the paper
+/// shows, or what the harness guarantees about the table itself.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Note {
+    Paper(&'static str),
+    Extension(&'static str),
+    Harness(&'static str),
+}
+
+impl fmt::Display for Note {
+    fn fmt(&self, out: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (label, text) = match *self {
+            Note::Paper(text) => ("paper", text),
+            Note::Extension(text) => ("extension", text),
+            Note::Harness(text) => ("harness", text),
+        };
+        write!(out, "({label}: {text})")
+    }
+}
+
 /// One experiment table (a reconstructed figure series or table).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table {
@@ -61,8 +82,8 @@ pub struct Table {
     pub id: String,
     /// Human title.
     pub title: String,
-    /// What the paper reports for this table/figure (for EXPERIMENTS.md).
-    pub note: String,
+    /// What the table shows, labelled by what it is.
+    pub(crate) note: Note,
     /// Column names.
     pub header: Vec<String>,
     /// Data rows.
@@ -74,11 +95,11 @@ pub struct Table {
 
 impl Table {
     /// Creates an empty table.
-    pub(crate) fn new(id: &str, title: &str, note: &str, header: &[&str]) -> Self {
+    pub(crate) fn new(id: &str, title: &str, note: Note, header: &[&str]) -> Self {
         Self {
             id: id.to_string(),
             title: title.to_string(),
-            note: note.to_string(),
+            note,
             header: header.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
             failed: Vec::new(),
@@ -148,9 +169,7 @@ impl Table {
 impl fmt::Display for Table {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "== {}: {} ==", self.id, self.title)?;
-        if !self.note.is_empty() {
-            writeln!(f, "   (paper: {})", self.note)?;
-        }
+        writeln!(f, "   {}", self.note)?;
         let rows: Vec<Vec<String>> = self
             .rows
             .iter()
@@ -190,12 +209,12 @@ mod tests {
 
     #[test]
     fn renders_aligned_columns() {
-        let mut t = Table::new("E0", "demo", "a note", &["name", "value"]);
+        let mut t = Table::new("E0", "demo", Note::Harness("a note"), &["name", "value"]);
         t.push(vec!["longer-name".to_string(), "1".into()]);
         t.push(vec!["x".to_string(), "123.45".into()]);
         let s = t.to_string();
         assert!(s.contains("E0: demo"));
-        assert!(s.contains("(paper: a note)"));
+        assert!(s.contains("(harness: a note)"));
         let lines: Vec<&str> = s.lines().collect();
         // Header, separator, two rows, plus the two title lines.
         assert_eq!(lines.len(), 6);
@@ -205,7 +224,7 @@ mod tests {
 
     #[test]
     fn ragged_rows_are_tolerated() {
-        let mut t = Table::new("E0", "demo", "", &["a", "b"]);
+        let mut t = Table::new("E0", "demo", Note::Paper("a note"), &["a", "b"]);
         t.push(vec!["1".to_string()]);
         t.push(vec!["1".to_string(), "2".into(), "3".into()]);
         let s = t.to_string();
@@ -220,7 +239,12 @@ mod tests {
 
     #[test]
     fn numbers_print_as_formatted_and_read_back_exactly() {
-        let mut t = Table::new("E0", "demo", "", &["label", "share", "count"]);
+        let mut t = Table::new(
+            "E0",
+            "demo",
+            Note::Paper("a note"),
+            &["label", "share", "count"],
+        );
         t.push(vec![
             Cell::Text("a".into()),
             Cell::Num(0.1234, Format::Pct),

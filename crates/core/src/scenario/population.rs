@@ -144,25 +144,39 @@ impl ScenarioPopulation {
             })
             .collect();
 
-        let mut sessions = Vec::with_capacity(base.sessions().len());
-        for s in base.sessions() {
+        // Scaled and clipped in place, in the base trace's order, so the
+        // trace is held once.
+        let mut sessions = base.into_sessions();
+        sessions.retain_mut(|s| {
             let life = &lives[s.user.0 as usize];
-            if let Some(duration) = life.clip(s.start, s.duration.mul_f64(life.scale)) {
-                sessions.push(Session { duration, ..*s });
-            }
-        }
+            life.clip(s.start, s.duration.mul_f64(life.scale))
+                .map(|duration| s.duration = duration)
+                .is_some()
+        });
 
         if let Some(b) = &self.spec.burst {
-            let affected = b.affected_regions(self.spec.cell.regions.max(1));
+            let regions = self.spec.cell.regions.max(1);
+            let affected = b.affected_regions(regions);
             let window_ms = b.duration.as_millis().max(1);
-            for local in 0..n {
+            // A bursting user's stream and its first draw, the number of
+            // burst sessions.
+            let burst = |local: u32| {
                 let g = (offset + local) as u64;
-                if region_index(seed, g, self.spec.cell.regions.max(1)) >= affected {
+                (region_index(seed, g, regions) < affected).then(|| {
+                    let mut rng = burst_stream(seed, g);
+                    let extra = Poisson::clamped(b.intensity).sample(&mut rng);
+                    (rng, extra)
+                })
+            };
+            // One reservation for every burst session, so the appends
+            // never double the vector.
+            let bursts: u64 = (0..n).filter_map(burst).map(|(_, extra)| extra).sum();
+            sessions.reserve_exact(bursts as usize);
+            for local in 0..n {
+                let Some((mut rng, extra)) = burst(local) else {
                     continue;
-                }
+                };
                 let life = &lives[local as usize];
-                let mut rng = burst_stream(seed, g);
-                let extra = Poisson::clamped(b.intensity).sample(&mut rng);
                 for _ in 0..extra {
                     let start = b.start + SimDuration::from_millis(rng.gen_range(0..window_ms));
                     let duration = SimDuration::from_secs(rng.gen_range(b.min_secs..=b.max_secs));

@@ -28,13 +28,9 @@ use rand::{Rng, SeedableRng};
 use crate::model::{shard_ranges, AppId, Session, Trace, UserId};
 
 /// Users per work item of [`PopulationConfig::generate_parallel`]: one
-/// claim and one buffer per block of consecutive users, instead of one per
-/// user. Measured against the `batch-realtime-2t` benchmark population
-/// (12,000 iPhone-shaped users × 2 days, 264,279 sessions, two threads):
-/// blocks of 16, 64 and 512 users read the same peak RSS of the run that
-/// follows (13.5–14.0 MiB with glibc's mmap threshold pinned at 128 KiB,
-/// against a bimodal 13.7 or 15.6–16.9 MiB for one buffer per user) at
-/// the same set-up time. With glibc's default threshold all read alike.
+/// claim and one append to the shared vector per block of consecutive
+/// users, instead of one per user, so two workers seldom contend for the
+/// vector's lock.
 const GEN_BLOCK_USERS: usize = 64;
 
 /// Population-wide sampling model, prebuilt once per generation run and
@@ -177,12 +173,12 @@ impl PopulationConfig {
     /// Every user's session stream is a pure function of
     /// `(seed, user index)` — the per-user RNG never sees another user's
     /// draws — so users can be generated in any order on any thread.
-    /// Workers claim blocks of [`GEN_BLOCK_USERS`] consecutive users and
-    /// write each block into one buffer; the blocks are appended in user
-    /// order into a vector reserved at the exact total before the final
-    /// [`Trace::new`] (whose sort is stable), which makes the result
-    /// **byte-identical** at every thread count. `threads` is a
-    /// scheduling choice, never a semantic one.
+    /// Workers claim blocks of [`GEN_BLOCK_USERS`] consecutive users,
+    /// generate each into a scratch vector of their own and append it to
+    /// one shared vector, reserved up front at the expected session count
+    /// plus a margin, so the trace is built in one buffer. The result is
+    /// **byte-identical** at every thread count: see the comment at the
+    /// append. `threads` is a scheduling choice, never a semantic one.
     pub fn generate_parallel(&self, threads: usize) -> Trace {
         assert!(self.days > 0, "trace needs at least one day");
         assert!(self.num_apps > 0, "marketplace needs at least one app");
@@ -193,17 +189,29 @@ impl PopulationConfig {
         // Workers claim block indices from an atomic queue, so cheap
         // blocks don't serialize behind heavy ones.
         let queue = WorkQueue::new(n_blocks);
-        let blocks: Vec<Mutex<Vec<Session>>> =
-            (0..n_blocks).map(|_| Mutex::new(Vec::new())).collect();
+        let sessions = Mutex::new(Vec::with_capacity(
+            self.session_capacity(0..self.num_users, &model),
+        ));
         let work = || {
+            let mut block = Vec::new();
             while let Some(b) = queue.claim() {
                 let first = b * GEN_BLOCK_USERS;
                 let end = (first + GEN_BLOCK_USERS).min(self.num_users as usize);
-                let mut out = Vec::new();
+                block.clear();
                 for user in first as u32..end as u32 {
-                    self.user_sessions(user, &model, &mut out);
+                    self.user_sessions(user, &model, &mut block);
                 }
-                *blocks[b].lock().expect("generator block poisoned") = out;
+                // Blocks land in whatever order the workers finish them.
+                // That cannot move a byte of the sorted trace: sort-key
+                // ties `(start, user, app)` only occur within one user,
+                // one user's sessions are one contiguous run of one block
+                // in emission order, and `Trace::new` breaks ties by
+                // position, so tied sessions keep their emission order
+                // wherever their block lands.
+                sessions
+                    .lock()
+                    .expect("generator buffer poisoned")
+                    .extend_from_slice(&block);
             }
         };
         if threads == 1 {
@@ -215,14 +223,7 @@ impl PopulationConfig {
                 }
             });
         }
-        let blocks: Vec<Vec<Session>> = blocks
-            .into_iter()
-            .map(|b| b.into_inner().expect("generator block poisoned"))
-            .collect();
-        let mut sessions = Vec::with_capacity(blocks.iter().map(Vec::len).sum());
-        for block in blocks {
-            sessions.extend_from_slice(&block);
-        }
+        let sessions = sessions.into_inner().expect("generator buffer poisoned");
         Trace::new(sessions, self.num_users, model.horizon)
     }
 
@@ -236,9 +237,9 @@ impl PopulationConfig {
     /// materializing the full population: sessions are clipped to the
     /// configured horizon, so the global trace horizon equals the model
     /// horizon used here; each user's stream is a pure function of
-    /// `(config, user)`; and [`Trace::new`]'s stable sort keys on
-    /// `(start, user, app)`, so ties (always within one user) keep the
-    /// same emission order both paths produce. Peak memory is
+    /// `(config, user)`; and [`Trace::new`] sorts on `(start, user, app)`
+    /// with ties in input order, so ties (always within one user) keep
+    /// the same emission order both paths produce. Peak memory is
     /// O(users-per-shard), not O(population).
     ///
     /// # Panics
@@ -265,7 +266,7 @@ impl PopulationConfig {
             self.num_users
         );
         let model = self.model();
-        let mut sessions = Vec::new();
+        let mut sessions = Vec::with_capacity(self.session_capacity(users.clone(), &model));
         for user in users.clone() {
             let before = sessions.len();
             self.user_sessions(user, &model, &mut sessions);
@@ -295,6 +296,28 @@ impl PopulationConfig {
         }
     }
 
+    /// A capacity for the sessions of `users`: their expected count plus
+    /// four standard deviations, so one reservation holds the trace
+    /// except on a rare draw, which falls back to the vector's growth.
+    ///
+    /// Each user's daily count is Poisson around their rate (times the
+    /// weekend factor on weekends), drawn first from their stream by
+    /// [`user_rate`], so the expected count is exact and the count's
+    /// variance equals it. A drawn session is dropped only if clipping to
+    /// the horizon leaves nothing of it, which only lowers the count.
+    fn session_capacity(&self, users: core::ops::Range<u32>, model: &GenModel) -> usize {
+        let weekend_days = (0..self.days as u64)
+            .filter(|&day| SimTime::from_days(day).is_weekend())
+            .count();
+        let day_weight =
+            (self.days as usize - weekend_days) as f64 + weekend_days as f64 * self.weekend_factor;
+        let mean = users
+            .map(|user| user_rate(model, &mut self.user_rng(user)))
+            .sum::<f64>()
+            * day_weight;
+        (mean + 4.0 * mean.sqrt()).ceil() as usize
+    }
+
     /// Generates one user's sessions into `out`, in emission order.
     ///
     /// All randomness comes from the user's own RNG stream, so the output
@@ -302,7 +325,7 @@ impl PopulationConfig {
     /// generation rests on.
     fn user_sessions(&self, user: u32, model: &GenModel, out: &mut Vec<Session>) {
         let mut rng = self.user_rng(user);
-        let rate = model.rate_dist.sample(&mut rng).clamp(0.2, 250.0);
+        let rate = user_rate(model, &mut rng);
 
         // Personalized diurnal profile.
         let mut weights = self.hour_weights;
@@ -360,6 +383,11 @@ impl PopulationConfig {
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         StdRng::seed_from_u64(z ^ (z >> 31))
     }
+}
+
+/// A user's weekday session rate: the first draw of their stream.
+fn user_rate(model: &GenModel, rng: &mut StdRng) -> f64 {
+    model.rate_dist.sample(rng).clamp(0.2, 250.0)
 }
 
 #[cfg(test)]

@@ -155,16 +155,16 @@ pub struct Trace {
 impl Trace {
     /// Builds a trace from raw sessions.
     ///
-    /// Sessions are sorted; `num_users` is the population size (user ids
-    /// must be `< num_users`); the horizon is extended to cover the last
-    /// session end if needed.
+    /// Sessions are sorted by `(start, user, app)`, ties kept in input
+    /// order; `num_users` is the population size (user ids must be
+    /// `< num_users`); the horizon is extended to cover the last session
+    /// end if needed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if unsorted input holds more than `u32::MAX` sessions.
     pub fn new(mut sessions: Vec<Session>, num_users: u32, horizon: SimTime) -> Self {
-        sessions.sort_by(|a, b| {
-            a.start
-                .cmp(&b.start)
-                .then(a.user.cmp(&b.user))
-                .then(a.app.cmp(&b.app))
-        });
+        sort_sessions(&mut sessions);
         let last_end = sessions
             .iter()
             .map(|s| s.end())
@@ -180,6 +180,11 @@ impl Trace {
     /// All sessions, sorted by start time.
     pub fn sessions(&self) -> &[Session] {
         &self.sessions
+    }
+
+    /// The sessions, sorted by start time, without a copy.
+    pub fn into_sessions(self) -> Vec<Session> {
+        self.sessions
     }
 
     /// Number of users in the population (including users with no
@@ -318,6 +323,45 @@ impl Trace {
             ranges,
             starts,
             positions,
+        }
+    }
+}
+
+/// Sorts `sessions` by `(start, user, app)`, ties in input order: the
+/// order a stable sort leaves, without its scratch copy of the sessions.
+///
+/// Input already in that order is left as it is after one pass. Otherwise
+/// a `u32` index is sorted with the input position as the last key, so
+/// every key is distinct and the unstable sort is exact, and the sessions
+/// are then permuted in place by following the permutation's cycles. The
+/// scratch is 4 bytes per session instead of a session's 24.
+fn sort_sessions(sessions: &mut [Session]) {
+    let key = |s: &Session| (s.start, s.user, s.app);
+    if sessions.windows(2).all(|w| key(&w[0]) <= key(&w[1])) {
+        return;
+    }
+    let n = u32::try_from(sessions.len()).expect("a trace sorts at most u32::MAX sessions");
+    let mut order: Vec<u32> = (0..n).collect();
+    order.sort_unstable_by_key(|&i| (key(&sessions[i as usize]), i));
+    // Position `p` takes the session at `order[p]`. Walking a cycle from
+    // its first position, each position is written from the next one
+    // along, which is still unwritten, and the cycle closes with the
+    // saved first session; a written position is marked as a fixed point.
+    for first in 0..sessions.len() {
+        if order[first] as usize == first {
+            continue;
+        }
+        let saved = sessions[first];
+        let mut p = first;
+        loop {
+            let from = order[p] as usize;
+            order[p] = p as u32;
+            if from == first {
+                sessions[p] = saved;
+                break;
+            }
+            sessions[p] = sessions[from];
+            p = from;
         }
     }
 }

@@ -42,12 +42,14 @@ const PINNED: &[(&str, u64)] = &[
 ];
 
 /// Every table of every experiment at micro scale on two workers, built
-/// once for both tests.
+/// once for both tests. `e9` is skipped, as the `experiments` binary
+/// skips it: E8 and E9 are two views of one sweep, and `e8` returns both.
 fn tables() -> &'static [Table] {
     static TABLES: OnceLock<Vec<Table>> = OnceLock::new();
     TABLES.get_or_init(|| {
         all_ids()
             .into_iter()
+            .filter(|&id| id != "e9")
             .flat_map(|id| run_experiment_threads(id, Scale::Micro, 2).expect("a known id"))
             .collect()
     })
@@ -131,6 +133,9 @@ fn every_table_matches_its_pinned_digest() {
                 "{}: pinned {old}, now {new:#018x}\n{table}",
                 table.id
             ));
+        }
+        if seen.contains(&table.id.as_str()) {
+            moved.push(format!("{}: built twice", table.id));
         }
         seen.push(table.id.as_str());
     }
