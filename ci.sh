@@ -46,15 +46,16 @@
 # allocator (`tests/heap/`). `tests/materialized_heap.rs` runs
 # `Simulator::run_trace` on a materialized trace at two threads, five
 # times, and holds the largest live-heap high-water above the input under
-# 0.6× the trace's session bytes: the run holds the trace once and builds
-# no predictor for a realtime client. A prefetch run of the same trace,
-# five times too, is held under 0.75×: each shard's engine, predictors,
-# event queue and scratch buffers go with the shard.
+# 14 bytes per session of the trace (≈ 10.1 read): the run holds the
+# trace once and builds no predictor for a realtime client. A prefetch
+# run of the same trace, five times too, is held under 17.5 (14.4–15.2
+# read): each shard's engine, predictors, event queue and scratch
+# buffers go with the shard.
 # `tests/stream_heap.rs` streams 750 generated users in four shards on
 # one worker and holds the high-water
-# under 9,000 bytes per client of a shard: a shard's ad slots are pulled
-# from its sessions, never collected into a sorted vector (collecting
-# them reads ≈ 10,350). `tests/serve_heap.rs` serves a
+# under 8,800 bytes per client of a shard (≈ 6,900 read): a shard's ad
+# slots are pulled from its sessions, never collected into a sorted
+# vector (collecting them reads ≈ 10,350). `tests/serve_heap.rs` serves a
 # generated stream of 2,000 users at 16 shards and one worker and holds
 # the high-water above the input under 8,300 bytes per client: each
 # engine's event queue is one heap, and the per-client slot-time, report,
@@ -63,11 +64,13 @@
 # the queue's calendar ring reads ≈ 8,890). `tests/trace_heap.rs` builds
 # traces, whole on two threads (12,000 users) and as 16-way shards of
 # 3,000 users, plain, mixed-scenario and flash-crowd, and holds each
-# build's high-water to 1.4× the built trace's session bytes: generation
+# build's high-water to 24.8 bytes per session of the built trace
+# (20.2–22.1 read, of which 16 is the session itself): generation
 # appends into one reserved vector, a scenario reuses its base trace's
 # vector, and `Trace::new` sorts through a 4-byte index, so a build holds
-# the trace once (per-block vectors, their concatenation, a stable sort's
-# scratch and a scenario's second vector read 2.45–4.91).
+# the trace once (a stable sort's scratch reads 32–35, and per-block
+# vectors, their concatenation or a scenario's second vector each add
+# another 16).
 #
 # The sweep gate runs every experiment table at quick scale (~14 s on
 # 2 vCPUs per run): every table is held to its checks, the claims its

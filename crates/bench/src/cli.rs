@@ -10,12 +10,12 @@ use std::str::FromStr;
 use adpf_auction::{MarketplaceConfig, PriceFloors, PricingRule};
 use adpf_core::scenario::{ScenarioPopulation, ScenarioSpec};
 use adpf_core::{DeliveryMode, PlannerKind, SystemConfig};
-use adpf_desim::SimDuration;
+use adpf_desim::{SimDuration, SimTime};
 use adpf_energy::{profiles, RadioProfile};
 use adpf_netem::{NetemConfig, RetryPolicy};
 use adpf_prediction::PredictorKind;
 use adpf_serve::ServeOptions;
-use adpf_traces::{PopulationConfig, Trace};
+use adpf_traces::{PopulationConfig, Session, Trace};
 
 /// Why a command line did not produce options.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -143,7 +143,7 @@ impl Args {
     }
 }
 
-/// A count of at least 1 (`--threads`, `--days`, `--refresh-ms`).
+/// A count of at least 1 (`--threads`, `--refresh-ms`; `--days` through `days`).
 pub fn positive<T: FromStr + PartialOrd + From<u8>>(v: &str) -> Result<T, String>
 where
     T::Err: Display,
@@ -154,6 +154,20 @@ where
     } else {
         Err("must be at least 1".into())
     }
+}
+
+/// A trace length in days (`--days`): at least 1 and at most the
+/// longest horizon a session's duration holds.
+fn days(v: &str) -> Result<u32, String> {
+    let days = positive(v)?;
+    if days > PopulationConfig::MAX_DAYS {
+        return Err(format!(
+            "must be at most {} (a session lasts at most {} ms)",
+            PopulationConfig::MAX_DAYS,
+            Session::MAX_DURATION_MS
+        ));
+    }
+    Ok(days)
 }
 
 /// The synthetic population `simulate` and `tracegen` generate.
@@ -167,7 +181,8 @@ pub enum Population {
 
 impl Population {
     /// Reads `--preset` (else `default(seed)`), its `--users`/`--days`
-    /// overrides and `--scenario`.
+    /// overrides and `--scenario`. A scenario whose burst starts at or
+    /// after the horizon is rejected: it would run without its burst.
     pub fn read(
         args: &mut Args,
         default: fn(u64) -> PopulationConfig,
@@ -179,10 +194,22 @@ impl Population {
         if let Some(users) = args.get("--users")? {
             base.num_users = users;
         }
-        if let Some(days) = args.value("--days", positive)? {
+        if let Some(days) = args.value("--days", days)? {
             base.days = days;
         }
         let scenario = args.value("--scenario", ScenarioSpec::parse_preset)?;
+        let horizon = SimTime::from_days(base.days.into());
+        if let Some(spec) = &scenario {
+            if let Some(burst) = spec.burst.as_ref().filter(|b| b.start >= horizon) {
+                return Err(invalid(format!(
+                    "`--scenario {}` bursts at {}, past a {}-day horizon: it needs `--days {}` or more",
+                    spec.name,
+                    burst.start,
+                    base.days,
+                    burst.start.day_index() + 1
+                )));
+            }
+        }
         Ok(match scenario {
             Some(spec) => Self::Scenario(Box::new(ScenarioPopulation::new(base, spec))),
             None => Self::Plain(Box::new(base)),
@@ -674,6 +701,37 @@ mod tests {
         for bad in ["--users 10", "--days 2", "--scenario mixed"] {
             assert!(simulate(&format!("--trace t.csv {bad}")).is_err(), "{bad}");
         }
+    }
+
+    #[test]
+    fn days_are_held_to_the_longest_session_horizon() {
+        let max = PopulationConfig::MAX_DAYS;
+        assert!(simulate(&format!("--days {max}")).is_ok());
+        assert_eq!(
+            rejected(simulate(&format!("--days {}", max + 1))),
+            format!(
+                "`--days {}`: must be at most {max} (a session lasts at most {} ms)",
+                max + 1,
+                Session::MAX_DURATION_MS
+            )
+        );
+    }
+
+    #[test]
+    fn a_burst_past_the_horizon_is_rejected() {
+        // The flash crowd bursts at day 3 19:00: two days miss it, four
+        // hold it, and both readers of the population share the check.
+        assert_eq!(
+            rejected(simulate("--scenario flashcrowd --days 2")),
+            "`--scenario flashcrowd` bursts at d3 19:00:00, past a 2-day horizon: \
+             it needs `--days 4` or more"
+        );
+        assert!(simulate("--scenario flashcrowd --days 3").is_err());
+        assert!(simulate("--scenario flashcrowd --days 4").is_ok());
+        let mut args = Args::new(argv("--scenario flashcrowd --days 2"), &[]).unwrap();
+        assert!(Population::read(&mut args, PopulationConfig::iphone_like, 1).is_err());
+        // Scenarios without a burst take any horizon.
+        assert!(simulate("--scenario mixed --days 1").is_ok());
     }
 
     #[test]

@@ -148,9 +148,12 @@ impl ScenarioPopulation {
         // trace is held once.
         let mut sessions = base.into_sessions();
         sessions.retain_mut(|s| {
-            let life = &lives[s.user.0 as usize];
-            life.clip(s.start, s.duration.mul_f64(life.scale))
-                .map(|duration| s.duration = duration)
+            let life = &lives[s.user().0 as usize];
+            life.clip(s.start(), s.duration().mul_f64(life.scale))
+                .map(|duration| {
+                    s.set_duration(duration)
+                        .expect("a clipped duration ends by the horizon")
+                })
                 .is_some()
         });
 
@@ -183,12 +186,10 @@ impl ScenarioPopulation {
                     // Burst sessions respect churn and the horizon like
                     // any other session.
                     if let Some(duration) = life.clip(start, duration) {
-                        sessions.push(Session {
-                            user: UserId(local),
-                            app: AppId(b.app),
-                            start,
-                            duration,
-                        });
+                        sessions.push(
+                            Session::new(UserId(local), AppId(b.app), start, duration)
+                                .expect("a clipped burst session ends by the horizon"),
+                        );
                     }
                 }
             }
@@ -283,7 +284,7 @@ mod tests {
         assert_eq!(t.horizon(), SimTime::from_days(7));
         for s in t.sessions() {
             assert!(s.end() <= t.horizon());
-            assert!(!s.duration.is_zero());
+            assert!(!s.duration().is_zero());
         }
     }
 
@@ -300,8 +301,8 @@ mod tests {
         // strictly later than in the base trace.
         let mut late_arrivals = 0;
         for u in 0..pop.num_users() {
-            let first = t.sessions_for(UserId(u)).map(|s| s.start).min();
-            let base_first = base.sessions_for(UserId(u)).map(|s| s.start).min();
+            let first = t.sessions_for(UserId(u)).map(|s| s.start()).min();
+            let base_first = base.sessions_for(UserId(u)).map(|s| s.start()).min();
             if let (Some(f), Some(bf)) = (first, base_first) {
                 if f > bf {
                     late_arrivals += 1;
@@ -321,7 +322,7 @@ mod tests {
         let in_window = |tr: &Trace| {
             tr.sessions()
                 .iter()
-                .filter(|s| s.start >= b.start && s.start < b.start + b.duration)
+                .filter(|s| s.start() >= b.start && s.start() < b.start + b.duration)
                 .count()
         };
         assert!(
@@ -335,7 +336,7 @@ mod tests {
             .sessions()
             .iter()
             .filter(|s| {
-                s.app == AppId(b.app) && s.start >= b.start && s.start < b.start + b.duration
+                s.app() == AppId(b.app) && s.start() >= b.start && s.start() < b.start + b.duration
             })
             .count();
         assert!(hot > 0);
@@ -351,8 +352,8 @@ mod tests {
         let mut sums = [0.0f64; 3];
         let mut counts = [0u32; 3];
         for s in t.sessions() {
-            let c = class_index(pop.assign_seed(), s.user.0 as u64, classes);
-            sums[c] += s.duration.as_millis() as f64;
+            let c = class_index(pop.assign_seed(), s.user().0 as u64, classes);
+            sums[c] += s.duration().as_millis() as f64;
             counts[c] += 1;
         }
         let mean = |i: usize| sums[i] / counts[i].max(1) as f64;

@@ -4,6 +4,14 @@
 //! session per line. The format is deliberately trivial so that real usage
 //! traces (the paper's proprietary datasets, or any modern equivalent) can
 //! be converted and dropped into the simulator without code changes.
+//!
+//! A session's fields are held to its packed layout: `user` is below
+//! `u32::MAX` (the population size, one more than the largest id, is a
+//! `u32`), `app` a `u16`, `start_ms` at most [`Session::MAX_START_MS`]
+//! (2^44 − 1, ≈ 557 years) and `duration_ms` at most
+//! [`Session::MAX_DURATION_MS`] (2^36 − 1, ≈ 795 days). A line past any
+//! of them is a [`CsvError::Parse`] naming the line and the field, never
+//! clamped.
 
 use std::io::{BufRead, BufReader, Read, Write};
 
@@ -71,10 +79,10 @@ pub fn write_trace<W: Write>(trace: &Trace, w: &mut W) -> Result<(), CsvError> {
         writeln!(
             w,
             "{},{},{},{}",
-            s.user.0,
-            s.app.0,
-            s.start.as_millis(),
-            s.duration.as_millis()
+            s.user().0,
+            s.app().0,
+            s.start().as_millis(),
+            s.duration().as_millis()
         )?;
     }
     Ok(())
@@ -150,6 +158,12 @@ fn scan<R: Read>(r: R, mut on_session: impl FnMut(Session)) -> Result<ScanMeta, 
             })
         };
         let user: u32 = parse_field(next_field("user")?, "user", line_no)?;
+        if user == u32::MAX {
+            return Err(CsvError::Parse {
+                line: line_no,
+                reason: format!("`user` {user} is past the largest id, {}", u32::MAX - 1),
+            });
+        }
         let app: u16 = parse_field(next_field("app")?, "app", line_no)?;
         let start: u64 = parse_field(next_field("start_ms")?, "start_ms", line_no)?;
         let duration: u64 = parse_field(next_field("duration_ms")?, "duration_ms", line_no)?;
@@ -159,14 +173,19 @@ fn scan<R: Read>(r: R, mut on_session: impl FnMut(Session)) -> Result<ScanMeta, 
                 reason: "too many fields".to_string(),
             });
         }
+        let session = Session::new(
+            UserId(user),
+            AppId(app),
+            SimTime::from_millis(start),
+            SimDuration::from_millis(duration),
+        )
+        .map_err(|e| CsvError::Parse {
+            line: line_no,
+            reason: e.to_string(),
+        })?;
         meta.max_user = meta.max_user.max(user);
         meta.saw_session = true;
-        on_session(Session {
-            user: UserId(user),
-            app: AppId(app),
-            start: SimTime::from_millis(start),
-            duration: SimDuration::from_millis(duration),
-        });
+        on_session(session);
     }
     Ok(meta)
 }
@@ -214,12 +233,10 @@ pub fn read_trace_shard<R: Read>(
     horizon_ms: u64,
 ) -> Result<Trace, CsvError> {
     let mut sessions = Vec::new();
-    scan(r, |s| {
-        if range.contains(&s.user.0) {
-            sessions.push(Session {
-                user: UserId(s.user.0 - range.start),
-                ..s
-            });
+    scan(r, |mut s| {
+        if range.contains(&s.user().0) {
+            s.set_user(UserId(s.user().0 - range.start));
+            sessions.push(s);
         }
     })?;
     Ok(Trace::new(
@@ -359,6 +376,72 @@ mod tests {
         assert_eq!(t.num_users(), 3);
         assert_eq!(t.sessions().len(), 0);
         assert_eq!(t.horizon().as_millis(), 5000);
+    }
+
+    #[test]
+    fn every_field_is_read_up_to_its_limit() {
+        let max_start = Session::MAX_START_MS;
+        let max_duration = Session::MAX_DURATION_MS;
+        let data = format!(
+            "{HEADER}\n{},{},{max_start},0\n0,0,0,{max_duration}\n",
+            u32::MAX - 1,
+            u16::MAX
+        );
+        let t = read_trace(data.as_bytes()).unwrap();
+        assert_eq!(t.num_users(), u32::MAX);
+        let last = t.sessions()[1];
+        assert_eq!(last.user(), UserId(u32::MAX - 1));
+        assert_eq!(last.app(), AppId(u16::MAX));
+        assert_eq!(last.start().as_millis(), max_start);
+        assert_eq!(t.sessions()[0].duration().as_millis(), max_duration);
+    }
+
+    #[test]
+    fn a_field_past_its_limit_is_rejected_naming_line_and_field() {
+        for (line, field) in [
+            (format!("{},2,3,4", u32::MAX), "user"),
+            (format!("1,{},3,4", u32::from(u16::MAX) + 1), "app"),
+            (format!("1,2,{},4", Session::MAX_START_MS + 1), "start_ms"),
+            (
+                format!("1,2,3,{}", Session::MAX_DURATION_MS + 1),
+                "duration_ms",
+            ),
+        ] {
+            let data = format!("{HEADER}\n0,0,0,1\n{line}\n");
+            match read_trace(data.as_bytes()).unwrap_err() {
+                CsvError::Parse { line, reason } => {
+                    assert_eq!(line, 3);
+                    assert!(reason.contains(field), "{reason}");
+                }
+                other => panic!("unexpected error {other}"),
+            }
+            assert!(trace_dims(data.as_bytes()).is_err());
+            assert!(read_trace_shard(data.as_bytes(), 0..2, 0).is_err());
+        }
+    }
+
+    #[test]
+    fn write_then_read_round_trips_byte_for_byte() {
+        // A generated trace plus sessions at every field's limit.
+        let base = PopulationConfig::small_test(19).generate();
+        let mut sessions = base.sessions().to_vec();
+        sessions.push(
+            Session::new(
+                UserId(u32::MAX - 1),
+                AppId(u16::MAX),
+                SimTime::from_millis(Session::MAX_START_MS),
+                SimDuration::from_millis(Session::MAX_DURATION_MS),
+            )
+            .unwrap(),
+        );
+        let trace = Trace::new(sessions, u32::MAX, base.horizon());
+        let mut written = Vec::new();
+        write_trace(&trace, &mut written).unwrap();
+        let back = read_trace(&written[..]).unwrap();
+        assert_eq!(back, trace);
+        let mut rewritten = Vec::new();
+        write_trace(&back, &mut rewritten).unwrap();
+        assert_eq!(rewritten, written);
     }
 
     #[test]

@@ -74,6 +74,12 @@ pub struct PopulationConfig {
 }
 
 impl PopulationConfig {
+    /// The longest horizon a generated trace can have, in days: every
+    /// session starts inside the horizon and is clipped to end by it, so
+    /// 795 days (≈ 2^36 ms) keeps each duration within
+    /// [`Session::MAX_DURATION_MS`].
+    pub const MAX_DAYS: u32 = (Session::MAX_DURATION_MS / adpf_desim::time::MILLIS_PER_DAY) as u32;
+
     /// A waking-hours profile with lunch and evening peaks.
     pub(crate) fn default_hour_weights() -> [f64; 24] {
         [
@@ -161,8 +167,9 @@ impl PopulationConfig {
     /// # Panics
     ///
     /// Panics if the configuration is statistically degenerate (zero
-    /// days, zero apps, or non-positive means) — configurations are
-    /// constructed by code, not parsed from input, so this is a
+    /// days, zero apps, or non-positive means) or runs past
+    /// [`PopulationConfig::MAX_DAYS`] — configurations are constructed by
+    /// code, and inputs are checked where they are parsed, so this is a
     /// programming error.
     pub fn generate(&self) -> Trace {
         self.generate_parallel(1)
@@ -180,8 +187,6 @@ impl PopulationConfig {
     /// **byte-identical** at every thread count: see the comment at the
     /// append. `threads` is a scheduling choice, never a semantic one.
     pub fn generate_parallel(&self, threads: usize) -> Trace {
-        assert!(self.days > 0, "trace needs at least one day");
-        assert!(self.num_apps > 0, "marketplace needs at least one app");
         let model = self.model();
         let n_blocks = (self.num_users as usize).div_ceil(GEN_BLOCK_USERS);
         let threads = threads.clamp(1, n_blocks.max(1));
@@ -258,8 +263,6 @@ impl PopulationConfig {
     /// Panics if the range exceeds the population or the configuration is
     /// degenerate (see [`PopulationConfig::generate`]).
     pub fn generate_user_range(&self, users: core::ops::Range<u32>) -> Trace {
-        assert!(self.days > 0, "trace needs at least one day");
-        assert!(self.num_apps > 0, "marketplace needs at least one app");
         assert!(
             users.start <= users.end && users.end <= self.num_users,
             "user range {users:?} exceeds population {}",
@@ -271,7 +274,7 @@ impl PopulationConfig {
             let before = sessions.len();
             self.user_sessions(user, &model, &mut sessions);
             for s in &mut sessions[before..] {
-                s.user = UserId(user - users.start);
+                s.set_user(UserId(user - users.start));
             }
         }
         Trace::new(sessions, users.end - users.start, model.horizon)
@@ -280,6 +283,14 @@ impl PopulationConfig {
     /// Builds the population-wide sampling model shared (read-only) by
     /// every user's generator.
     fn model(&self) -> GenModel {
+        assert!(self.days > 0, "trace needs at least one day");
+        assert!(
+            self.days <= Self::MAX_DAYS,
+            "{} days is past the longest horizon a session holds, {} days",
+            self.days,
+            Self::MAX_DAYS
+        );
+        assert!(self.num_apps > 0, "marketplace needs at least one app");
         GenModel {
             horizon: SimTime::from_days(self.days as u64),
             rate_dist: LogNormal::from_mean_cv(self.mean_sessions_per_day, self.user_rate_cv)
@@ -362,12 +373,10 @@ impl PopulationConfig {
                     continue;
                 }
                 let app = AppId((model.app_dist.sample(&mut rng) - 1) as u16);
-                out.push(Session {
-                    user: UserId(user),
-                    app,
-                    start,
-                    duration,
-                });
+                out.push(
+                    Session::new(UserId(user), app, start, duration)
+                        .expect("a horizon of at most MAX_DAYS holds every session"),
+                );
             }
         }
     }
@@ -440,7 +449,7 @@ mod tests {
         let t = PopulationConfig::small_test(11).generate();
         for s in t.sessions() {
             assert!(s.end() <= t.horizon());
-            assert!(!s.duration.is_zero());
+            assert!(!s.duration().is_zero());
         }
     }
 
@@ -466,7 +475,7 @@ mod tests {
         let mut night = 0u32;
         let mut evening = 0u32;
         for s in t.sessions() {
-            match s.start.hour_of_day() {
+            match s.start().hour_of_day() {
                 1..=4 => night += 1,
                 19..=21 => evening += 1,
                 _ => {}
@@ -483,7 +492,7 @@ mod tests {
         let t = PopulationConfig::small_test(13).generate();
         let mut counts = [0u32; 30];
         for s in t.sessions() {
-            counts[s.app.0 as usize] += 1;
+            counts[s.app().0 as usize] += 1;
         }
         let top: u32 = counts[..3].iter().sum();
         let bottom: u32 = counts[27..].iter().sum();
@@ -499,7 +508,7 @@ mod tests {
         let t = cfg.generate();
         let mut per_user = vec![0u32; 200];
         for s in t.sessions() {
-            per_user[s.user.0 as usize] += 1;
+            per_user[s.user().0 as usize] += 1;
         }
         per_user.sort_unstable();
         let median = per_user[100] as f64;
@@ -515,6 +524,32 @@ mod tests {
         assert_eq!(t.num_users(), 0);
         assert!(t.sessions().is_empty());
         assert_eq!(t.horizon(), SimTime::from_days(7));
+    }
+
+    #[test]
+    fn the_longest_horizon_holds_every_session() {
+        let cfg = PopulationConfig {
+            num_users: 2,
+            days: PopulationConfig::MAX_DAYS,
+            ..PopulationConfig::small_test(3)
+        };
+        let t = cfg.generate();
+        assert_eq!(
+            t.horizon(),
+            SimTime::from_days(PopulationConfig::MAX_DAYS.into())
+        );
+        assert!(t.horizon().as_millis() <= Session::MAX_DURATION_MS);
+        assert!(t.sessions().iter().all(|s| s.end() <= t.horizon()));
+    }
+
+    #[test]
+    #[should_panic(expected = "796 days is past the longest horizon a session holds, 795 days")]
+    fn a_horizon_past_the_longest_is_rejected() {
+        let cfg = PopulationConfig {
+            days: PopulationConfig::MAX_DAYS + 1,
+            ..PopulationConfig::small_test(3)
+        };
+        cfg.generate_user_range(0..1);
     }
 
     /// A population with the iPhone dataset's statistical shape but sized
@@ -634,10 +669,10 @@ mod tests {
         let tail = cfg.generate_user_range(30..40);
         for s in tail.sessions() {
             let original: Vec<_> = full
-                .sessions_for(UserId(s.user.0 + 30))
-                .map(|o| (o.app, o.start, o.duration))
+                .sessions_for(UserId(s.user().0 + 30))
+                .map(|o| (o.app(), o.start(), o.duration()))
                 .collect();
-            assert!(original.contains(&(s.app, s.start, s.duration)));
+            assert!(original.contains(&(s.app(), s.start(), s.duration())));
         }
         assert_eq!(
             tail.sessions().len(),

@@ -36,5 +36,7 @@ mod model;
 pub mod stats;
 
 pub use gen::PopulationConfig;
-pub use model::{shard_ranges, AdSlot, AppId, Session, ShardIndex, Trace, UserId, UserSlots};
+pub use model::{
+    shard_ranges, AdSlot, AppId, Session, SessionLimitError, ShardIndex, Trace, UserId, UserSlots,
+};
 pub use stats::TraceStats;

@@ -26,23 +26,156 @@ impl fmt::Display for AppId {
     }
 }
 
-/// One foreground app session.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One foreground app session, packed into 16 bytes.
+///
+/// The start and the app share one word: the start in milliseconds sits
+/// in its top 44 bits, the duration's top four bits below it, and the app
+/// in the low 16. The user and the duration's low 32 bits fill the second
+/// word. A start holds up to [`Session::MAX_START_MS`] (≈ 557 years) and
+/// a duration up to [`Session::MAX_DURATION_MS`] (≈ 795 days); a value
+/// past either is an error, never clamped.
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct Session {
-    /// Who used the app.
-    pub user: UserId,
-    /// Which app was in the foreground.
-    pub app: AppId,
-    /// Foreground start time.
-    pub start: SimTime,
-    /// Foreground duration.
-    pub duration: SimDuration,
+    /// `start_ms << 20 | duration_ms >> 32 << 16 | app`.
+    start_app: u64,
+    user: u32,
+    /// The duration's low 32 bits.
+    duration_lo: u32,
 }
 
+const _: () = assert!(core::mem::size_of::<Session>() == 16);
+
+/// Bits below the start in [`Session`]'s first word: the duration's top
+/// four, then the app's 16.
+const START_SHIFT: u32 = 20;
+const APP_BITS: u32 = 16;
+
+/// A session field past what [`Session`]'s layout holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SessionLimitError {
+    field: &'static str,
+    value: u64,
+    limit: u64,
+}
+
+impl fmt::Display for SessionLimitError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "`{}` {} is past a session's limit of {} ms",
+            self.field, self.value, self.limit
+        )
+    }
+}
+
+impl std::error::Error for SessionLimitError {}
+
 impl Session {
+    /// The latest start a session holds: 2^44 − 1 ms, ≈ 557 years.
+    pub const MAX_START_MS: u64 = u64::MAX >> START_SHIFT;
+    /// The longest duration a session holds: 2^36 − 1 ms, ≈ 795 days.
+    pub const MAX_DURATION_MS: u64 = (1 << 36) - 1;
+
+    /// A session of `user` in `app` from `start` for `duration`.
+    ///
+    /// # Errors
+    ///
+    /// A start past [`Session::MAX_START_MS`] or a duration past
+    /// [`Session::MAX_DURATION_MS`], named by its field.
+    pub fn new(
+        user: UserId,
+        app: AppId,
+        start: SimTime,
+        duration: SimDuration,
+    ) -> Result<Self, SessionLimitError> {
+        let start = start.as_millis();
+        if start > Self::MAX_START_MS {
+            return Err(SessionLimitError {
+                field: "start_ms",
+                value: start,
+                limit: Self::MAX_START_MS,
+            });
+        }
+        let mut s = Self {
+            start_app: (start << START_SHIFT) | u64::from(app.0),
+            user: user.0,
+            duration_lo: 0,
+        };
+        s.set_duration(duration)?;
+        Ok(s)
+    }
+
+    /// Who used the app.
+    pub fn user(&self) -> UserId {
+        UserId(self.user)
+    }
+
+    /// Which app was in the foreground.
+    pub fn app(&self) -> AppId {
+        AppId(self.start_app as u16)
+    }
+
+    /// Foreground start time.
+    pub fn start(&self) -> SimTime {
+        SimTime::from_millis(self.start_app >> START_SHIFT)
+    }
+
+    /// Foreground duration.
+    pub fn duration(&self) -> SimDuration {
+        let high = (self.start_app >> APP_BITS) & 0xf;
+        SimDuration::from_millis((high << 32) | u64::from(self.duration_lo))
+    }
+
     /// End of the session.
     pub fn end(&self) -> SimTime {
-        self.start + self.duration
+        self.start() + self.duration()
+    }
+
+    /// Renumbers the session's user (a shard's local ids).
+    pub fn set_user(&mut self, user: UserId) {
+        self.user = user.0;
+    }
+
+    /// Sets the session's duration.
+    ///
+    /// # Errors
+    ///
+    /// A duration past [`Session::MAX_DURATION_MS`]; the session is left
+    /// as it was.
+    pub fn set_duration(&mut self, duration: SimDuration) -> Result<(), SessionLimitError> {
+        let ms = duration.as_millis();
+        if ms > Self::MAX_DURATION_MS {
+            return Err(SessionLimitError {
+                field: "duration_ms",
+                value: ms,
+                limit: Self::MAX_DURATION_MS,
+            });
+        }
+        self.start_app = (self.start_app & !(0xf << APP_BITS)) | ((ms >> 32) << APP_BITS);
+        self.duration_lo = ms as u32;
+        Ok(())
+    }
+
+    /// The sort key of [`Trace::new`], `(start, user, app)`, with the
+    /// input position last.
+    fn sort_key(&self, position: u32) -> (u64, u32, u16, u32) {
+        (
+            self.start_app >> START_SHIFT,
+            self.user,
+            self.start_app as u16,
+            position,
+        )
+    }
+}
+
+impl fmt::Debug for Session {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Session")
+            .field("user", &self.user())
+            .field("app", &self.app())
+            .field("start", &self.start())
+            .field("duration", &self.duration())
+            .finish()
     }
 }
 
@@ -206,7 +339,7 @@ impl Trace {
 
     /// Sessions of one user, in time order.
     pub fn sessions_for(&self, user: UserId) -> impl Iterator<Item = &Session> {
-        self.sessions.iter().filter(move |s| s.user == user)
+        self.sessions.iter().filter(move |s| s.user() == user)
     }
 
     /// The ad-slot stream, pulled from the sessions: one slot at each
@@ -300,7 +433,7 @@ impl Trace {
         for (i, range) in ranges.iter().enumerate() {
             shard_of[range.start as usize..range.end as usize].fill(i as u32);
         }
-        let route = |s: &Session| shard_of.get(s.user.0 as usize).map(|&i| i as usize);
+        let route = |s: &Session| shard_of.get(s.user as usize).map(|&i| i as usize);
         let mut starts = vec![0u32; n + 1];
         for s in &self.sessions {
             if let Some(i) = route(s) {
@@ -334,15 +467,18 @@ impl Trace {
 /// a `u32` index is sorted with the input position as the last key, so
 /// every key is distinct and the unstable sort is exact, and the sessions
 /// are then permuted in place by following the permutation's cycles. The
-/// scratch is 4 bytes per session instead of a session's 24.
+/// scratch is 4 bytes per session instead of a session's 16.
 fn sort_sessions(sessions: &mut [Session]) {
-    let key = |s: &Session| (s.start, s.user, s.app);
-    if sessions.windows(2).all(|w| key(&w[0]) <= key(&w[1])) {
+    // Position 0 everywhere leaves the key `(start, user, app)` alone.
+    if sessions
+        .windows(2)
+        .all(|w| w[0].sort_key(0) <= w[1].sort_key(0))
+    {
         return;
     }
     let n = u32::try_from(sessions.len()).expect("a trace sorts at most u32::MAX sessions");
     let mut order: Vec<u32> = (0..n).collect();
-    order.sort_unstable_by_key(|&i| (key(&sessions[i as usize]), i));
+    order.sort_unstable_by_key(|&i| sessions[i as usize].sort_key(i));
     // Position `p` takes the session at `order[p]`. Walking a cycle from
     // its first position, each position is written from the next one
     // along, which is still unwritten, and the cycle closes with the
@@ -390,7 +526,7 @@ impl Iterator for Slots<'_> {
         let opening = self
             .sessions
             .get(self.next)
-            .map(|s| (s.start, s.user, self.next as u32));
+            .map(|s| (s.start(), s.user(), self.next as u32));
         // The open session due first refreshes, unless the next session
         // opens before it.
         let refreshed = match self.open.peek_mut() {
@@ -420,7 +556,7 @@ impl Iterator for Slots<'_> {
         };
         Some(AdSlot {
             user,
-            app: self.sessions[i as usize].app,
+            app: self.sessions[i as usize].app(),
             time,
         })
     }
@@ -449,11 +585,9 @@ impl ShardIndex<'_> {
         let sessions = self.positions[self.starts[i] as usize..self.starts[i + 1] as usize]
             .iter()
             .map(|&p| {
-                let s = self.trace.sessions[p as usize];
-                Session {
-                    user: UserId(s.user.0 - offset),
-                    ..s
-                }
+                let mut s = self.trace.sessions[p as usize];
+                s.user -= offset;
+                s
             })
             .collect();
         // Already in `Trace::new`'s order: a subsequence of a sorted
@@ -472,18 +606,19 @@ mod tests {
     use super::*;
 
     fn s(user: u32, app: u16, start_s: u64, dur_s: u64) -> Session {
-        Session {
-            user: UserId(user),
-            app: AppId(app),
-            start: SimTime::from_secs(start_s),
-            duration: SimDuration::from_secs(dur_s),
-        }
+        Session::new(
+            UserId(user),
+            AppId(app),
+            SimTime::from_secs(start_s),
+            SimDuration::from_secs(dur_s),
+        )
+        .unwrap()
     }
 
     #[test]
     fn trace_sorts_sessions() {
         let t = Trace::new(vec![s(0, 0, 100, 10), s(1, 0, 50, 10)], 2, SimTime::ZERO);
-        assert_eq!(t.sessions()[0].user, UserId(1));
+        assert_eq!(t.sessions()[0].user(), UserId(1));
         assert_eq!(t.horizon(), SimTime::from_secs(110));
     }
 
@@ -563,16 +698,15 @@ mod tests {
         let mut recovered = Vec::new();
         for shard in &shards {
             for sess in shard.sessions() {
-                assert!(sess.user.0 < shard.num_users());
-                recovered.push(Session {
-                    user: UserId(sess.user.0 + offset),
-                    ..*sess
-                });
+                assert!(sess.user().0 < shard.num_users());
+                let mut sess = *sess;
+                sess.set_user(UserId(sess.user().0 + offset));
+                recovered.push(sess);
             }
             assert_eq!(shard.horizon(), t.horizon(), "global horizon kept");
             offset += shard.num_users();
         }
-        recovered.sort_by(|a, b| a.start.cmp(&b.start).then(a.user.cmp(&b.user)));
+        recovered.sort_by_key(|s| (s.start(), s.user()));
         assert_eq!(recovered, t.sessions());
     }
 

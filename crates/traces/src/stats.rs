@@ -38,10 +38,11 @@ impl TraceStats {
         let mut sessions_per_user = vec![0u32; n];
         let mut durations = Vec::with_capacity(trace.sessions().len());
         for s in trace.sessions() {
-            if (s.user.0 as usize) < n {
-                sessions_per_user[s.user.0 as usize] += 1;
+            let user = s.user().0 as usize;
+            if user < n {
+                sessions_per_user[user] += 1;
             }
-            durations.push(s.duration.as_secs_f64());
+            durations.push(s.duration().as_secs_f64());
         }
         let mut slots = 0;
         let mut slots_per_user = vec![0u32; n];

@@ -42,13 +42,13 @@ proptest! {
         let mut last = None;
         for s in trace.sessions() {
             if let Some(prev) = last {
-                prop_assert!(s.start >= prev);
+                prop_assert!(s.start() >= prev);
             }
-            last = Some(s.start);
+            last = Some(s.start());
             prop_assert!(s.end() <= trace.horizon());
-            prop_assert!(s.user.0 < cfg.num_users);
-            prop_assert!(s.app.0 < cfg.num_apps);
-            prop_assert!(!s.duration.is_zero());
+            prop_assert!(s.user().0 < cfg.num_users);
+            prop_assert!(s.app().0 < cfg.num_apps);
+            prop_assert!(!s.duration().is_zero());
         }
     }
 
@@ -63,7 +63,7 @@ proptest! {
             .sessions()
             .iter()
             .map(|s| {
-                let len = s.duration.as_millis();
+                let len = s.duration().as_millis();
                 1 + ((len.saturating_sub(1)) / refresh.as_millis()) as usize
             })
             .sum();

@@ -22,7 +22,7 @@ fn reference_split(t: &Trace, n_shards: usize) -> Vec<Trace> {
     let wide = (extra * (base + 1)) as u32;
     let mut per_shard: Vec<Vec<Session>> = vec![Vec::new(); n];
     for s in t.sessions() {
-        let u = s.user.0;
+        let u = s.user().0;
         if u as usize >= users {
             continue;
         }
@@ -31,10 +31,9 @@ fn reference_split(t: &Trace, n_shards: usize) -> Vec<Trace> {
         } else {
             extra + ((u - wide) as usize) / base
         };
-        per_shard[shard].push(Session {
-            user: UserId(u - ranges[shard].start),
-            ..*s
-        });
+        let mut s = *s;
+        s.set_user(UserId(u - ranges[shard].start));
+        per_shard[shard].push(s);
     }
     per_shard
         .into_iter()
@@ -57,12 +56,13 @@ fn check(t: &Trace, n_shards: usize) -> Result<(), TestCaseError> {
 }
 
 fn session(user: u32, app: u16, start_s: u64, dur_s: u64) -> Session {
-    Session {
-        user: UserId(user),
-        app: AppId(app),
-        start: SimTime::from_secs(start_s),
-        duration: SimDuration::from_secs(dur_s),
-    }
+    Session::new(
+        UserId(user),
+        AppId(app),
+        SimTime::from_secs(start_s),
+        SimDuration::from_secs(dur_s),
+    )
+    .unwrap()
 }
 
 proptest! {

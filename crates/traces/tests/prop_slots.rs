@@ -15,16 +15,16 @@ fn push_and_sort(t: &Trace, refresh: SimDuration) -> Vec<AdSlot> {
     let mut slots = Vec::new();
     for s in t.sessions() {
         slots.push(AdSlot {
-            user: s.user,
-            app: s.app,
-            time: s.start,
+            user: s.user(),
+            app: s.app(),
+            time: s.start(),
         });
         if !refresh.is_zero() {
-            let mut t = s.start + refresh;
+            let mut t = s.start() + refresh;
             while t < s.end() {
                 slots.push(AdSlot {
-                    user: s.user,
-                    app: s.app,
+                    user: s.user(),
+                    app: s.app(),
                     time: t,
                 });
                 t += refresh;
@@ -76,12 +76,13 @@ proptest! {
                     2 => (mult * r + 1).saturating_sub(2 * (any % 2)),
                     _ => any,
                 };
-                Session {
-                    user: UserId(user),
-                    app: AppId(app),
-                    start: SimTime::from_millis(start * 500),
-                    duration: SimDuration::from_millis(duration),
-                }
+                Session::new(
+                    UserId(user),
+                    AppId(app),
+                    SimTime::from_millis(start * 500),
+                    SimDuration::from_millis(duration),
+                )
+                .unwrap()
             })
             .collect();
         let t = Trace::new(sessions, 4, SimTime::ZERO);

@@ -11,12 +11,7 @@ use proptest::prelude::*;
 
 /// The old `Trace::new` sort: stable, by `(start, user, app)`.
 fn stable_sort(mut sessions: Vec<Session>) -> Vec<Session> {
-    sessions.sort_by(|a, b| {
-        a.start
-            .cmp(&b.start)
-            .then(a.user.cmp(&b.user))
-            .then(a.app.cmp(&b.app))
-    });
+    sessions.sort_by_key(|s| (s.start(), s.user(), s.app()));
     sessions
 }
 
@@ -29,12 +24,13 @@ fn check(sessions: Vec<Session>) -> Result<(), TestCaseError> {
 }
 
 fn session(user: u32, app: u16, start_s: u64, dur_ms: u64) -> Session {
-    Session {
-        user: UserId(user),
-        app: AppId(app),
-        start: SimTime::from_secs(start_s),
-        duration: SimDuration::from_millis(dur_ms),
-    }
+    Session::new(
+        UserId(user),
+        AppId(app),
+        SimTime::from_secs(start_s),
+        SimDuration::from_millis(dur_ms),
+    )
+    .unwrap()
 }
 
 proptest! {

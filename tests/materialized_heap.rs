@@ -23,18 +23,18 @@ const USERS: u32 = 2_000;
 const DAYS: u32 = 7;
 const SEED: u64 = 1;
 
-/// Ceiling on a realtime run's high-water above its input, as a share
-/// of the trace's session bytes. The run holds the trace once and builds
-/// no predictor for its clients: ≈ 0.44. One predictor per realtime
-/// client reads ≈ 0.68–0.74, and a run that splits the whole trace up
-/// front holds a second copy of every session and cannot read under 1.
-const REALTIME_CEILING: f64 = 0.6;
+/// Ceiling on a realtime run's high-water above its input, in bytes per
+/// session of the trace. The run holds the trace once and builds no
+/// predictor for its clients: ≈ 10.1. One predictor per realtime client
+/// adds ≈ 6, and a run that splits the whole trace up front holds a
+/// second copy of every session, 16 more.
+const REALTIME_CEILING: f64 = 14.0;
 
 /// The same ceiling for a prefetch run, whose shards each add a
 /// predictor per client, the client queues and the engine's event queue
-/// and scratch buffers, all dropped with the shard: 0.61–0.66, so the
-/// ceiling leaves ≈ 0.1.
-const PREFETCH_CEILING: f64 = 0.75;
+/// and scratch buffers, all dropped with the shard: 14.4–15.2, so the
+/// ceiling leaves ≈ 2.3.
+const PREFETCH_CEILING: f64 = 17.5;
 
 /// Measured runs per configuration: the two workers claim shards in an
 /// order the host decides, which moves the high-water from run to run,
@@ -48,7 +48,7 @@ fn main() {
         ..PopulationConfig::iphone_like(SEED)
     };
     let trace = pop.generate();
-    let session_bytes = std::mem::size_of_val(trace.sessions());
+    let sessions = trace.sessions().len();
     let cases = [
         ("realtime", SystemConfig::realtime(1), REALTIME_CEILING),
         (
@@ -65,21 +65,19 @@ fn main() {
                 let report = black_box(Simulator::run_trace(&config, &trace, 2));
                 let above = heap::high_water_above(input);
                 assert_eq!(report.slots(), slots);
-                above as f64 / session_bytes as f64
+                above as f64 / sessions as f64
             })
             .collect();
         let min = shares.iter().copied().fold(f64::INFINITY, f64::min);
         let max = shares.iter().copied().fold(0.0, f64::max);
         println!(
-            "materialized_heap: {name}: {} sessions ({session_bytes} B, {} B each), \
-             high-water above the input over {RUNS} runs = {min:.3}–{max:.3} of the \
-             session bytes (ceiling {ceiling})",
-            trace.sessions().len(),
+            "materialized_heap: {name}: {sessions} sessions of {} B, high-water above \
+             the input over {RUNS} runs = {min:.2}–{max:.2} B per session (ceiling {ceiling})",
             std::mem::size_of::<Session>(),
         );
         assert!(
             max < ceiling,
-            "{name}: run_trace allocated {max:.3}× the trace's session bytes above its input"
+            "{name}: run_trace allocated {max:.2} B per session above its input"
         );
     }
 }

@@ -25,10 +25,11 @@ const SEED: u64 = 1;
 const SHARDS: usize = 4;
 
 /// Ceiling on the run's high-water above its input, in bytes per client
-/// of a shard. Pulling the slots from the sessions reads ≈ 7,100 (≈ 7,550
-/// while a shard's session vector grew by doubling); a run that collects
-/// and sorts each shard's slot vector reads ≈ 10,350.
-const MAX_BYTES_PER_SHARD_CLIENT: usize = 9_000;
+/// of a shard. Pulling the slots from the sessions reads ≈ 6,900 with
+/// 16-byte sessions (≈ 7,100 with 24-byte ones, ≈ 7,550 while a shard's
+/// session vector grew by doubling); a run that collects and sorts each
+/// shard's slot vector reads ≈ 10,350.
+const MAX_BYTES_PER_SHARD_CLIENT: usize = 8_800;
 
 fn main() {
     let config = SystemConfig::prefetch_default(1);

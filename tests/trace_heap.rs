@@ -16,29 +16,31 @@ use std::hint::black_box;
 use adpf_core::scenario::{ScenarioPopulation, ScenarioSpec};
 use adpf_traces::{PopulationConfig, Trace};
 
-/// Ceiling on a build's high-water above its start, as a share of the
-/// built trace's session bytes. One buffer, the sort index and the
-/// reservation's margin read 1.18–1.29; per-block vectors, their
-/// concatenated copy and a stable sort's scratch read 2.45 whole and up
-/// to 3.02 per shard, and a scenario shard's second vector up to 4.04
-/// (mixed) and 4.91 (flash crowd, whose bursts grew it by doubling).
-const CEILING: f64 = 1.4;
+/// Ceiling on a build's high-water above its start, in bytes per session
+/// of the built trace. One buffer of 16-byte sessions, the 4-byte sort
+/// index and the reservation's margin read 20.2–22.1; a stable sort's
+/// scratch in place of the index reads 32.2–34.7, and per-block vectors
+/// and their concatenated copy or a scenario shard's second vector each
+/// add another 16.
+const CEILING: f64 = 24.8;
 
 /// Shards of the streamed builds.
 const SHARDS: usize = 16;
 
-/// The high-water of `build` above its start, as a share of the session
-/// bytes of the trace it returns.
-fn share(build: impl FnOnce() -> Trace) -> f64 {
+/// The high-water of `build` above its start, in bytes per session of
+/// the trace it returns.
+fn per_session(build: impl FnOnce() -> Trace) -> f64 {
     let input = heap::start();
     let trace = black_box(build());
     let above = heap::high_water_above(input);
-    above as f64 / std::mem::size_of_val(trace.sessions()) as f64
+    above as f64 / trace.sessions().len() as f64
 }
 
-/// The largest share over every shard of a `SHARDS`-way split.
-fn largest_shard_share(shard: impl Fn(usize) -> Trace) -> f64 {
-    (0..SHARDS).map(|i| share(|| shard(i))).fold(0.0, f64::max)
+/// The largest reading over every shard of a `SHARDS`-way split.
+fn largest_shard(shard: impl Fn(usize) -> Trace) -> f64 {
+    (0..SHARDS)
+        .map(|i| per_session(|| shard(i)))
+        .fold(0.0, f64::max)
 }
 
 fn main() {
@@ -67,31 +69,31 @@ fn main() {
     let cases = [
         (
             "generate_parallel(2), 12,000 users",
-            share(|| whole.generate_parallel(2)),
+            per_session(|| whole.generate_parallel(2)),
         ),
         (
             "generate_shard of 16, 3,000 users (largest)",
-            largest_shard_share(|i| base.generate_shard(i, SHARDS)),
+            largest_shard(|i| base.generate_shard(i, SHARDS)),
         ),
         (
             "mixed-scenario generate_shard of 16, 3,000 users (largest)",
-            largest_shard_share(|i| mixed.generate_shard(i, SHARDS)),
+            largest_shard(|i| mixed.generate_shard(i, SHARDS)),
         ),
         (
             "flash-crowd generate_shard of 16, 3,000 users × 7 days (largest)",
-            largest_shard_share(|i| flash.generate_shard(i, SHARDS)),
+            largest_shard(|i| flash.generate_shard(i, SHARDS)),
         ),
     ];
-    for (name, share) in &cases {
+    for (name, bytes) in &cases {
         println!(
-            "trace_heap: {name}: high-water above the start = {share:.3} of the \
-             session bytes (ceiling {CEILING})"
+            "trace_heap: {name}: high-water above the start = {bytes:.1} B per \
+             session (ceiling {CEILING})"
         );
     }
-    for (name, share) in cases {
+    for (name, bytes) in cases {
         assert!(
-            share <= CEILING,
-            "{name}: building the trace allocated {share:.3}× its session bytes"
+            bytes <= CEILING,
+            "{name}: building the trace allocated {bytes:.1} B per session"
         );
     }
 }
