@@ -18,9 +18,15 @@
 #
 # The source rules live in one test, `crates/bench/tests/public_surface.rs`,
 # which both the full run and `quick` run: every `pub` item in a library
-# must be named outside it, and libraries must not print (human-facing
+# must be named outside it, libraries must not print (human-facing
 # output belongs to the binaries; libraries speak through return values
-# and the metric registry).
+# and the metric registry), and the knob census holds every `pub` field
+# of the fifteen configuration types to one of four classes: varied (a
+# named non-test file under `crates/` gives it a value other code does
+# not), derived (a named function sets it: `shard_configs`, `apply_to`,
+# a preset's label or switch), benchmark-bound (one value, named by
+# `benchmark/src`) or per-element (link profiles, outage windows, device
+# classes). A field with one value fails: it is a constant of its type.
 #
 # Every pinned run is a row of one table, `adpf_bench::baseline::ROWS`,
 # and `baseline::check` is the only code that drives one: each row runs

@@ -293,7 +293,11 @@ impl Exchange {
                     CampaignType::FixedCpc => None,
                     _ => Some(Pacer {
                         ty,
-                        ctl: PacingController::new(mc.gain, mc.min_multiplier, mc.max_multiplier),
+                        ctl: PacingController::new(
+                            MarketplaceConfig::GAIN,
+                            MarketplaceConfig::MIN_MULTIPLIER,
+                            MarketplaceConfig::MAX_MULTIPLIER,
+                        ),
                         schedule_budget: c.budget,
                         spent: 0.0,
                         price_sum: 0.0,

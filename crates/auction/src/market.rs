@@ -161,9 +161,10 @@ impl CampaignType {
 /// Behind schedule (`actual < scheduled`) raises the multiplier, ahead of
 /// schedule lowers it. The error clamp keeps one pathological tick (e.g.
 /// the first tick after a burst) from collapsing or exploding the
-/// multiplier; the value clamp is the advertiser's configured sanity
-/// bound. The controller holds no other state, so its trajectory is a
-/// pure function of the update sequence.
+/// multiplier; the value clamp is a sanity bound (the marketplace's is
+/// [`MarketplaceConfig::MIN_MULTIPLIER`] to
+/// [`MarketplaceConfig::MAX_MULTIPLIER`]). The controller holds no other
+/// state, so its trajectory is a pure function of the update sequence.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PacingController {
     gain: f64,
@@ -232,20 +233,21 @@ pub struct MarketplaceConfig {
     pub pricing: PricingRule,
     /// Per-slot-kind price floors.
     pub floors: PriceFloors,
-    /// Simulated time between pacing-controller updates.
-    pub pacing_interval: SimDuration,
-    /// Proportional gain of every pacing controller.
-    pub gain: f64,
-    /// Lower clamp on paced multipliers.
-    pub min_multiplier: f64,
-    /// Upper clamp on paced multipliers.
-    pub max_multiplier: f64,
-    /// Target-CPC campaigns aim for this fraction of their own mean bid
-    /// as the average clearing price.
-    pub target_cpc_ratio: f64,
 }
 
 impl MarketplaceConfig {
+    /// Simulated time between pacing-controller updates.
+    pub const PACING_INTERVAL: SimDuration = SimDuration::from_hours(1);
+    /// Proportional gain of every pacing controller.
+    pub(crate) const GAIN: f64 = 0.5;
+    /// Lower clamp on paced multipliers.
+    pub const MIN_MULTIPLIER: f64 = 0.05;
+    /// Upper clamp on paced multipliers.
+    pub const MAX_MULTIPLIER: f64 = 20.0;
+    /// Target-CPC campaigns aim for this fraction of their own mean bid
+    /// as the average clearing price.
+    const TARGET_CPC_RATIO: f64 = 0.6;
+
     /// Resolves a CLI regime name (`off`, `static`, `paced`). The
     /// canonical name set shared by the `simulate` and `serve` binaries.
     pub fn parse_regime(name: &str) -> Result<Self, String> {
@@ -265,11 +267,6 @@ impl MarketplaceConfig {
             paced: false,
             pricing: PricingRule::SecondPrice,
             floors: PriceFloors::none(),
-            pacing_interval: SimDuration::from_hours(1),
-            gain: 0.5,
-            min_multiplier: 0.05,
-            max_multiplier: 20.0,
-            target_cpc_ratio: 0.6,
         }
     }
 
@@ -284,7 +281,7 @@ impl MarketplaceConfig {
     }
 
     /// The full reactive regime: campaigns cycle through the reactive
-    /// types and pacing ticks run every [`Self::pacing_interval`].
+    /// types and pacing ticks run every [`Self::PACING_INTERVAL`].
     pub fn paced() -> Self {
         Self {
             enabled: true,
@@ -292,33 +289,6 @@ impl MarketplaceConfig {
             paced: true,
             ..Self::disabled()
         }
-    }
-
-    /// Validates invariants the exchange and simulator rely on.
-    pub fn validate(&self) -> Result<(), String> {
-        self.floors.validate()?;
-        if !(self.gain.is_finite() && self.gain > 0.0) {
-            return Err(format!("gain {} must be positive", self.gain));
-        }
-        if !(self.min_multiplier > 0.0
-            && self.min_multiplier <= self.max_multiplier
-            && self.max_multiplier.is_finite())
-        {
-            return Err(format!(
-                "multiplier clamp [{}, {}] must satisfy 0 < min <= max < inf",
-                self.min_multiplier, self.max_multiplier
-            ));
-        }
-        if self.paced && self.pacing_interval.is_zero() {
-            return Err("pacing_interval must be positive in a paced marketplace".into());
-        }
-        if !(self.target_cpc_ratio.is_finite() && self.target_cpc_ratio > 0.0) {
-            return Err(format!(
-                "target_cpc_ratio {} must be positive",
-                self.target_cpc_ratio
-            ));
-        }
-        Ok(())
     }
 
     /// Assigns a [`CampaignType`] to each campaign of a catalog.
@@ -340,7 +310,7 @@ impl MarketplaceConfig {
                 1 => CampaignType::FixedCpc,
                 2 => CampaignType::PacedFixedCpc,
                 _ => CampaignType::TargetCpc {
-                    target_price: self.target_cpc_ratio * c.bid.mean_price,
+                    target_price: Self::TARGET_CPC_RATIO * c.bid.mean_price,
                 },
             })
             .collect()
@@ -440,25 +410,12 @@ mod tests {
 
     #[test]
     fn config_validation_catches_degenerate_values() {
-        assert_eq!(MarketplaceConfig::disabled().validate(), Ok(()));
-        assert_eq!(MarketplaceConfig::paced().validate(), Ok(()));
+        assert_eq!(MarketplaceConfig::disabled().floors.validate(), Ok(()));
+        assert_eq!(MarketplaceConfig::paced().floors.validate(), Ok(()));
 
         let mut c = MarketplaceConfig::static_exchange();
         c.floors.realtime = -0.1;
-        assert!(c.validate().is_err());
-
-        let mut c = MarketplaceConfig::paced();
-        c.gain = 0.0;
-        assert!(c.validate().is_err());
-
-        let mut c = MarketplaceConfig::paced();
-        c.min_multiplier = 2.0;
-        c.max_multiplier = 1.0;
-        assert!(c.validate().is_err());
-
-        let mut c = MarketplaceConfig::paced();
-        c.pacing_interval = SimDuration::ZERO;
-        assert!(c.validate().is_err());
+        assert!(c.floors.validate().is_err());
     }
 
     #[test]

@@ -250,7 +250,7 @@ proptest! {
                 // Unpaced entries report 1.0, which the default clamp
                 // range contains, so one bound check covers both.
                 prop_assert!(
-                    (mc.min_multiplier..=mc.max_multiplier).contains(&m),
+                    (MarketplaceConfig::MIN_MULTIPLIER..=MarketplaceConfig::MAX_MULTIPLIER).contains(&m),
                     "multiplier {m} escaped the clamp"
                 );
             }

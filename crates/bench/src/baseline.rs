@@ -187,7 +187,7 @@ fn capped(policy: CellPolicy) -> ScenarioSpec {
     let mut spec = ScenarioSpec::flash_crowd();
     spec.cell = CellCapacity {
         policy,
-        ..CellCapacity::capped(4, 2, SimDuration::from_mins(1))
+        ..CellCapacity::capped(2)
     };
     spec
 }

@@ -8,14 +8,14 @@ use std::fmt::Display;
 use std::str::FromStr;
 
 use adpf_auction::{MarketplaceConfig, PriceFloors, PricingRule};
-use adpf_core::scenario::{ScenarioPopulation, ScenarioSpec};
+use adpf_core::scenario::{BurstSpec, ScenarioPopulation, ScenarioSpec};
 use adpf_core::{DeliveryMode, PlannerKind, SystemConfig};
 use adpf_desim::{SimDuration, SimTime};
 use adpf_energy::{profiles, RadioProfile};
 use adpf_netem::{NetemConfig, RetryPolicy};
 use adpf_prediction::PredictorKind;
 use adpf_serve::ServeOptions;
-use adpf_traces::{PopulationConfig, Session, Trace};
+use adpf_traces::{PopulationConfig, Session, Trace, MAX_USERS};
 
 /// Why a command line did not produce options.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -170,6 +170,18 @@ fn days(v: &str) -> Result<u32, String> {
     Ok(days)
 }
 
+/// A population size (`--users`): at most [`MAX_USERS`], since every
+/// client's state is built up front.
+fn users(v: &str) -> Result<u32, String> {
+    let users: u32 = v
+        .parse()
+        .map_err(|e: std::num::ParseIntError| e.to_string())?;
+    if users > MAX_USERS {
+        return Err(format!("must be at most {MAX_USERS}"));
+    }
+    Ok(users)
+}
+
 /// The synthetic population `simulate` and `tracegen` generate.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Population {
@@ -191,7 +203,7 @@ impl Population {
         let mut base = args
             .value("--preset", |p| PopulationConfig::preset(p, seed))?
             .unwrap_or_else(|| default(seed));
-        if let Some(users) = args.get("--users")? {
+        if let Some(users) = args.value("--users", users)? {
             base.num_users = users;
         }
         if let Some(days) = args.value("--days", days)? {
@@ -199,16 +211,17 @@ impl Population {
         }
         let scenario = args.value("--scenario", ScenarioSpec::parse_preset)?;
         let horizon = SimTime::from_days(base.days.into());
-        if let Some(spec) = &scenario {
-            if let Some(burst) = spec.burst.as_ref().filter(|b| b.start >= horizon) {
-                return Err(invalid(format!(
-                    "`--scenario {}` bursts at {}, past a {}-day horizon: it needs `--days {}` or more",
-                    spec.name,
-                    burst.start,
-                    base.days,
-                    burst.start.day_index() + 1
-                )));
-            }
+        let start = BurstSpec::START;
+        if let Some(spec) = scenario
+            .as_ref()
+            .filter(|s| s.burst.is_some() && start >= horizon)
+        {
+            return Err(invalid(format!(
+                "`--scenario {}` bursts at {start}, past a {}-day horizon: it needs `--days {}` or more",
+                spec.name,
+                base.days,
+                start.day_index() + 1
+            )));
         }
         Ok(match scenario {
             Some(spec) => Self::Scenario(Box::new(ScenarioPopulation::new(base, spec))),
@@ -471,8 +484,11 @@ impl ServeArgs {
         let listen = args.get("--listen")?;
         let metrics = args.has("--metrics");
         args.finish()?;
-        let mut options = ServeOptions::new(knobs.build(DeliveryMode::Prefetch)?);
-        (options.threads, options.shards) = (threads, shards);
+        let options = ServeOptions {
+            threads,
+            shards,
+            ..ServeOptions::new(knobs.build(DeliveryMode::Prefetch)?)
+        };
         Ok(Self {
             listen,
             options,
@@ -715,6 +731,21 @@ mod tests {
                 Session::MAX_DURATION_MS
             )
         );
+    }
+
+    #[test]
+    fn users_are_held_to_max_users() {
+        assert!(simulate(&format!("--users {MAX_USERS}")).is_ok());
+        assert!(simulate("--users 0").is_ok());
+        for users in [u64::from(MAX_USERS) + 1, 4_000_000_000] {
+            let flags = format!("--users {users} --days 1 --mode realtime --stream");
+            assert_eq!(
+                rejected(simulate(&flags)),
+                format!("`--users {users}`: must be at most {MAX_USERS}")
+            );
+        }
+        let mut args = Args::new(argv("--users 4000000000"), &[]).unwrap();
+        assert!(Population::read(&mut args, PopulationConfig::iphone_like, 1).is_err());
     }
 
     #[test]

@@ -910,13 +910,13 @@ pub(crate) const SWEEPS: [Sweep; 11] = [
         axes: |scale| {
             // No ceiling, then a tight per-region budget under each
             // overflow policy. The budget scales with the population (per
-            // region-minute) so it binds at every scale; `regions` is the
-            // flashcrowd preset's, so the burst's regional targeting baked
-            // into the trace is the same in every cell.
+            // region-minute) so it binds at every scale; every ceiling
+            // shares the trace's regions, so the burst's regional
+            // targeting baked into the trace is the same in every cell.
             let tight = (sweep_population(scale).num_users / 20).max(1);
             let capped = |policy| CellCapacity {
                 policy,
-                ..CellCapacity::capped(4, tight, SimDuration::from_mins(1))
+                ..CellCapacity::capped(tight)
             };
             let cells = [
                 ("uncapped", CellCapacity::disabled()),

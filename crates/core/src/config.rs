@@ -7,7 +7,7 @@ use adpf_netem::NetemConfig;
 use adpf_overbooking::PlannerKind;
 use adpf_prediction::PredictorKind;
 
-use crate::scenario::ScenarioConfig;
+use crate::scenario::{CellCapacity, ScenarioConfig};
 
 /// How ads reach clients.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -224,6 +224,7 @@ impl SystemConfig {
         }
         self.netem.validate().map_err(|e| format!("netem: {e}"))?;
         self.marketplace
+            .floors
             .validate()
             .map_err(|e| format!("marketplace: {e}"))?;
         self.scenario
@@ -294,9 +295,9 @@ impl SystemConfig {
             if self.scenario.cell.enabled {
                 d.push_str(&format!(
                     " cell={}x{}/{}",
-                    self.scenario.cell.regions,
+                    CellCapacity::REGIONS,
                     self.scenario.cell.fetches_per_window,
-                    self.scenario.cell.window
+                    CellCapacity::WINDOW
                 ));
             }
         }
@@ -392,7 +393,7 @@ mod tests {
         assert!(d.contains("floors=0.0005/0.0005"), "header: {d}");
         assert!(d.starts_with(&plain), "marketplace only appends: {d}");
 
-        c.marketplace.gain = -1.0;
+        c.marketplace.floors.advance = -1.0;
         assert!(
             c.validate().is_err(),
             "invalid marketplace must fail validation"
@@ -401,7 +402,7 @@ mod tests {
 
     #[test]
     fn scenario_config_feeds_validation_and_describe() {
-        use crate::scenario::{CellCapacity, ScenarioSpec};
+        use crate::scenario::ScenarioSpec;
 
         let mut c = SystemConfig::prefetch_default(1);
         let plain = c.describe();
@@ -422,7 +423,7 @@ mod tests {
         sharded.scenario.user_offset = 120;
         assert_eq!(sharded.describe(), d);
 
-        c.scenario.cell = CellCapacity::capped(4, 100, SimDuration::from_mins(1));
+        c.scenario.cell = CellCapacity::capped(100);
         assert!(c.describe().contains("cell=4x100"), "{}", c.describe());
         assert_eq!(c.validate(), Ok(()));
 

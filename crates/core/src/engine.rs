@@ -41,7 +41,7 @@
 //! [`drain_internal`]: ClientEngine::drain_internal
 //! [`into_report`]: ClientEngine::into_report
 
-use adpf_auction::{AdId, BidSampler, CampaignCatalog, Exchange, SlotOffer};
+use adpf_auction::{AdId, BidSampler, CampaignCatalog, Exchange, MarketplaceConfig, SlotOffer};
 use adpf_desim::{EventQueue, InlineVec, SimDuration, SimTime};
 use adpf_energy::{EnergyBreakdown, Radio};
 use adpf_netem::NetworkModel;
@@ -351,7 +351,7 @@ impl ClientEngine {
             // static-marketplace) runs schedule no pacing events, so the
             // legacy event stream is untouched.
             queue.push(
-                SimTime::ZERO + config.marketplace.pacing_interval,
+                SimTime::ZERO + MarketplaceConfig::PACING_INTERVAL,
                 EngineEvent::Pacing,
             );
         }
@@ -962,13 +962,13 @@ impl ClientEngine {
     }
 
     /// One pacing-controller update, rescheduling itself every
-    /// `marketplace.pacing_interval` until the trace horizon. Runs on
+    /// `MarketplaceConfig::PACING_INTERVAL` until the trace horizon. Runs on
     /// the engine's event queue, so controller updates happen at
     /// deterministic simulated times interleaved with the auction
     /// stream — identical at any thread count.
     fn on_pacing(&mut self, now: SimTime) {
         self.exchange.pacing_tick(now, self.horizon);
-        let next = now + self.config.marketplace.pacing_interval;
+        let next = now + MarketplaceConfig::PACING_INTERVAL;
         if next <= self.horizon {
             self.scratch.queue.push(next, EngineEvent::Pacing);
         }

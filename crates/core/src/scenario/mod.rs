@@ -168,47 +168,46 @@ pub enum CellPolicy {
     Defer,
 }
 
-/// AdCell-style per-region cell-capacity ceiling: each region admits at
-/// most `fetches_per_window` realtime fetches per `window` across the
-/// whole population; the overflow is dropped or deferred per `policy`.
+/// AdCell-style per-region cell-capacity ceiling: each of
+/// [`CellCapacity::REGIONS`] regions admits at most `fetches_per_window`
+/// realtime fetches per [`CellCapacity::WINDOW`] across the whole
+/// population; the overflow is dropped or deferred per `policy`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellCapacity {
     /// Master switch for the ceiling.
     pub enabled: bool,
-    /// Number of cell regions users are hashed into.
-    pub regions: u32,
     /// Population-wide fetch budget per region per window. Each engine
     /// shard enforces its proportional share (scaled by the shard's
     /// user fraction), so the ceiling is thread-count invariant.
     pub fetches_per_window: u32,
-    /// Length of one capacity-accounting window.
-    pub window: SimDuration,
     /// Overflow policy.
     pub policy: CellPolicy,
-    /// Queueing delay charged per deferred fetch (Defer policy only).
-    pub queue_delay: SimDuration,
 }
 
 impl CellCapacity {
+    /// Number of cell regions users are hashed into. The flash crowd's
+    /// burst targets the first half of them on the trace side, so every
+    /// ceiling shares the trace's regions.
+    pub(crate) const REGIONS: u32 = 4;
+    /// Length of one capacity-accounting window.
+    pub(crate) const WINDOW: SimDuration = SimDuration::from_mins(1);
+    /// Queueing delay charged per deferred fetch (Defer policy only).
+    pub(crate) const QUEUE_DELAY: SimDuration = SimDuration::from_millis(500);
+
     /// The disabled ceiling (scenario default).
     pub fn disabled() -> Self {
         CellCapacity {
             enabled: false,
-            regions: 4,
             fetches_per_window: 1_000,
-            window: SimDuration::from_mins(1),
             policy: CellPolicy::Drop,
-            queue_delay: SimDuration::from_millis(500),
         }
     }
 
-    /// An enabled ceiling with the given shape and the Drop policy.
-    pub fn capped(regions: u32, fetches_per_window: u32, window: SimDuration) -> Self {
+    /// An enabled ceiling of `fetches_per_window` with the Drop policy.
+    pub fn capped(fetches_per_window: u32) -> Self {
         CellCapacity {
             enabled: true,
-            regions,
             fetches_per_window,
-            window,
             ..CellCapacity::disabled()
         }
     }
@@ -267,19 +266,8 @@ impl ScenarioConfig {
         if !self.classes.is_empty() && (!total.is_finite() || total <= 0.0) {
             return Err("class weights must sum to a positive value".into());
         }
-        if self.cell.enabled {
-            if self.cell.regions == 0 {
-                return Err("cell.regions must be >= 1".into());
-            }
-            if self.cell.fetches_per_window == 0 {
-                return Err("cell.fetches_per_window must be >= 1".into());
-            }
-            if self.cell.window.is_zero() {
-                return Err("cell.window must be positive".into());
-            }
-            if self.cell.policy == CellPolicy::Defer && self.cell.queue_delay.is_zero() {
-                return Err("cell.queue_delay must be positive under Defer".into());
-            }
+        if self.cell.enabled && self.cell.fetches_per_window == 0 {
+            return Err("cell.fetches_per_window must be >= 1".into());
         }
         Ok(())
     }
@@ -389,17 +377,7 @@ mod tests {
         assert!(sc.validate().is_err());
 
         let mut sc = mixed(1);
-        sc.cell = CellCapacity::capped(0, 10, SimDuration::from_mins(1));
-        assert!(sc.validate().is_err());
-
-        let mut sc = mixed(1);
-        sc.cell = CellCapacity::capped(4, 10, SimDuration::ZERO);
-        assert!(sc.validate().is_err());
-
-        let mut sc = mixed(1);
-        sc.cell = CellCapacity::capped(4, 10, SimDuration::from_mins(1));
-        sc.cell.policy = CellPolicy::Defer;
-        sc.cell.queue_delay = SimDuration::ZERO;
+        sc.cell = CellCapacity::capped(0);
         assert!(sc.validate().is_err());
 
         // Disabled scenarios validate unconditionally.

@@ -16,7 +16,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use super::{
-    class_index, region_index, unit_coord, ScenarioSpec, ARRIVAL_SALT, BURST_SALT, DEPART_SALT,
+    class_index, region_index, unit_coord, BurstSpec, CellCapacity, ScenarioSpec, ARRIVAL_SALT,
+    BURST_SALT, DEPART_SALT,
 };
 
 /// Per-user lifecycle derived from the spec's stable coordinates: the
@@ -158,9 +159,9 @@ impl ScenarioPopulation {
         });
 
         if let Some(b) = &self.spec.burst {
-            let regions = self.spec.cell.regions.max(1);
-            let affected = b.affected_regions(regions);
-            let window_ms = b.duration.as_millis().max(1);
+            let regions = CellCapacity::REGIONS;
+            let affected = BurstSpec::affected_regions(regions);
+            let window_ms = BurstSpec::DURATION.as_millis();
             // A bursting user's stream and its first draw, the number of
             // burst sessions.
             let burst = |local: u32| {
@@ -181,13 +182,16 @@ impl ScenarioPopulation {
                 };
                 let life = &lives[local as usize];
                 for _ in 0..extra {
-                    let start = b.start + SimDuration::from_millis(rng.gen_range(0..window_ms));
-                    let duration = SimDuration::from_secs(rng.gen_range(b.min_secs..=b.max_secs));
+                    let start =
+                        BurstSpec::START + SimDuration::from_millis(rng.gen_range(0..window_ms));
+                    let duration = SimDuration::from_secs(
+                        rng.gen_range(BurstSpec::MIN_SECS..=BurstSpec::MAX_SECS),
+                    );
                     // Burst sessions respect churn and the horizon like
                     // any other session.
                     if let Some(duration) = life.clip(start, duration) {
                         sessions.push(
-                            Session::new(UserId(local), AppId(b.app), start, duration)
+                            Session::new(UserId(local), AppId(BurstSpec::APP), start, duration)
                                 .expect("a clipped burst session ends by the horizon"),
                         );
                     }
@@ -230,7 +234,6 @@ fn burst_stream(seed: u64, g: u64) -> StdRng {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::BurstSpec;
 
     fn mixed_pop(seed: u64) -> ScenarioPopulation {
         ScenarioPopulation::new(PopulationConfig::small_test(seed), ScenarioSpec::mixed())
@@ -315,14 +318,14 @@ mod tests {
     #[test]
     fn burst_concentrates_sessions_in_window() {
         let spec = ScenarioSpec::flash_crowd();
-        let b = spec.burst.unwrap();
         let pop = ScenarioPopulation::new(PopulationConfig::small_test(21), spec);
+        let (start, end) = (BurstSpec::START, BurstSpec::START + BurstSpec::DURATION);
         let base = pop.base.generate();
         let t = pop.generate();
         let in_window = |tr: &Trace| {
             tr.sessions()
                 .iter()
-                .filter(|s| s.start() >= b.start && s.start() < b.start + b.duration)
+                .filter(|s| s.start() >= start && s.start() < end)
                 .count()
         };
         assert!(
@@ -335,9 +338,7 @@ mod tests {
         let hot = t
             .sessions()
             .iter()
-            .filter(|s| {
-                s.app() == AppId(b.app) && s.start() >= b.start && s.start() < b.start + b.duration
-            })
+            .filter(|s| s.app() == AppId(BurstSpec::APP) && s.start() >= start && s.start() < end)
             .count();
         assert!(hot > 0);
     }
@@ -368,10 +369,7 @@ mod tests {
     #[test]
     fn zero_intensity_burst_is_a_noop() {
         let mut spec = ScenarioSpec::flash_crowd();
-        spec.burst = Some(BurstSpec {
-            intensity: 0.0,
-            ..spec.burst.unwrap()
-        });
+        spec.burst = Some(BurstSpec { intensity: 0.0 });
         spec.netem = None;
         let with = ScenarioPopulation::new(PopulationConfig::small_test(5), spec.clone());
         spec.burst = None;

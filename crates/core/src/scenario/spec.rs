@@ -40,48 +40,40 @@ impl ChurnSpec {
     }
 }
 
-/// An app-release flash crowd: extra sessions of one hot app injected
-/// over `[start, start + duration)` for users in the affected regions.
+/// An app-release flash crowd: extra sessions of app
+/// [`BurstSpec::APP`] injected over `[START, START + DURATION)` for users
+/// in the affected regions. Only its intensity varies.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BurstSpec {
-    /// Burst window start.
-    pub start: SimTime,
-    /// Burst window length.
-    pub duration: SimDuration,
     /// Mean extra sessions per affected user over the window (Poisson).
     pub intensity: f64,
-    /// Fraction of cell regions hit, in `[0, 1]`. Regions `0..k` are
-    /// affected, `k = round(fraction × regions)` — the crowd piles onto
-    /// specific cells, which is what makes the per-region capacity
-    /// ceiling bite.
-    pub region_fraction: f64,
-    /// The hot app everyone opens.
-    pub app: u16,
-    /// Shortest injected session, in seconds.
-    pub min_secs: u64,
-    /// Longest injected session, in seconds (inclusive).
-    pub max_secs: u64,
 }
 
 impl BurstSpec {
-    /// The canonical flash crowd: day 3, 19:00–21:00 (the diurnal peak),
-    /// three extra sessions per affected user on average, half the
-    /// regions, app 0.
+    /// Burst window start: day 3, 19:00 (the diurnal peak).
+    pub const START: SimTime = SimTime::from_hours(3 * 24 + 19);
+    /// Burst window length.
+    pub(crate) const DURATION: SimDuration = SimDuration::from_hours(2);
+    /// Fraction of cell regions hit. Regions `0..k` are affected,
+    /// `k = round(fraction × regions)` — the crowd piles onto specific
+    /// cells, which is what makes the per-region capacity ceiling bite.
+    const REGION_FRACTION: f64 = 0.5;
+    /// The hot app everyone opens.
+    pub(crate) const APP: u16 = 0;
+    /// Shortest injected session, in seconds.
+    pub(crate) const MIN_SECS: u64 = 30;
+    /// Longest injected session, in seconds (inclusive).
+    pub(crate) const MAX_SECS: u64 = 180;
+
+    /// The canonical flash crowd: three extra sessions per affected user
+    /// on average.
     pub(crate) fn evening_release() -> Self {
-        Self {
-            start: SimTime::from_days(3) + SimDuration::from_hours(19),
-            duration: SimDuration::from_hours(2),
-            intensity: 3.0,
-            region_fraction: 0.5,
-            app: 0,
-            min_secs: 30,
-            max_secs: 180,
-        }
+        Self { intensity: 3.0 }
     }
 
     /// Number of affected regions out of `regions`.
-    pub(crate) fn affected_regions(&self, regions: u32) -> u32 {
-        ((self.region_fraction * regions as f64).round() as u32).min(regions)
+    pub(crate) fn affected_regions(regions: u32) -> u32 {
+        (Self::REGION_FRACTION * regions as f64).round() as u32
     }
 }
 
@@ -159,12 +151,11 @@ impl ScenarioSpec {
     /// cell ceiling + flaky netem with a blackout covering the first
     /// half of the burst on a quarter of the population.
     pub fn flash_crowd() -> Self {
-        let burst = BurstSpec::evening_release();
-        let outage_start_h = burst.start.as_millis() / adpf_desim::time::MILLIS_PER_HOUR;
+        let outage_start_h = BurstSpec::START.as_millis() / adpf_desim::time::MILLIS_PER_HOUR;
         Self {
             name: "flashcrowd".to_string(),
-            burst: Some(burst),
-            cell: CellCapacity::capped(4, 600, SimDuration::from_mins(1)),
+            burst: Some(BurstSpec::evening_release()),
+            cell: CellCapacity::capped(600),
             netem: Some(NetemConfig::flaky_cellular().with_outage(
                 outage_start_h,
                 SimDuration::from_hours(1),
@@ -217,23 +208,8 @@ impl ScenarioSpec {
             }
         }
         if let Some(b) = &self.burst {
-            if b.duration.is_zero() {
-                return Err("scenario: burst duration must be positive".into());
-            }
             if !(b.intensity.is_finite() && b.intensity >= 0.0) {
                 return Err(format!("scenario: burst intensity {} invalid", b.intensity));
-            }
-            if !(0.0..=1.0).contains(&b.region_fraction) {
-                return Err(format!(
-                    "scenario: burst region fraction {} outside [0, 1]",
-                    b.region_fraction
-                ));
-            }
-            if b.min_secs == 0 || b.max_secs < b.min_secs {
-                return Err(format!(
-                    "scenario: burst session bounds [{}, {}] invalid",
-                    b.min_secs, b.max_secs
-                ));
             }
         }
         Ok(())
@@ -275,21 +251,14 @@ mod tests {
     #[test]
     fn outage_overlaps_the_burst_window() {
         let spec = ScenarioSpec::flash_crowd();
-        let b = spec.burst.unwrap();
         let o = spec.netem.unwrap().outages[0];
-        assert!(o.start >= b.start && o.start < b.start + b.duration);
+        assert!(o.start >= BurstSpec::START && o.start < BurstSpec::START + BurstSpec::DURATION);
     }
 
     #[test]
-    fn burst_affected_regions_round_and_clamp() {
-        let b = BurstSpec::evening_release();
-        assert_eq!(b.affected_regions(4), 2);
-        assert_eq!(b.affected_regions(3), 2, "rounds 1.5 up");
-        let full = BurstSpec {
-            region_fraction: 1.0,
-            ..b
-        };
-        assert_eq!(full.affected_regions(4), 4);
+    fn burst_affected_regions_round_half_up() {
+        assert_eq!(BurstSpec::affected_regions(4), 2);
+        assert_eq!(BurstSpec::affected_regions(3), 2, "rounds 1.5 up");
     }
 
     #[test]
@@ -309,9 +278,5 @@ mod tests {
         let mut spec = ScenarioSpec::flash_crowd();
         spec.burst.as_mut().unwrap().intensity = f64::NAN;
         assert!(spec.validate().is_err(), "NaN intensity");
-
-        let mut spec = ScenarioSpec::flash_crowd();
-        spec.burst.as_mut().unwrap().max_secs = 1;
-        assert!(spec.validate().is_err(), "max below min");
     }
 }

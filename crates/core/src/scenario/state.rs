@@ -4,7 +4,7 @@ use adpf_desim::{SimDuration, SimTime};
 use adpf_energy::RadioProfile;
 use adpf_obs::{MetricId, MetricRegistry};
 
-use super::{class_index, region_index, CellPolicy, DeviceClass, CAP_PERIOD_MS};
+use super::{class_index, region_index, CellCapacity, CellPolicy, DeviceClass, CAP_PERIOD_MS};
 use crate::report::metric_names;
 use crate::SystemConfig;
 
@@ -33,9 +33,7 @@ pub(crate) struct ScenarioState {
     cell_on: bool,
     /// This shard's share of the population-wide per-region ceiling.
     cell_limit: u32,
-    cell_window_ms: u64,
     cell_policy: CellPolicy,
-    cell_queue_delay: SimDuration,
     /// Current window index per region (u64::MAX = untouched).
     cell_window: Vec<u64>,
     /// Fetches admitted per region in the current window.
@@ -80,11 +78,11 @@ impl ScenarioState {
             let g = sc.user_offset as u64 + u as u64;
             let k = class_index(sc.assign_seed, g, &classes);
             class_of.push(k as u16);
-            region.push(region_index(sc.assign_seed, g, sc.cell.regions));
+            region.push(region_index(sc.assign_seed, g, CellCapacity::REGIONS));
             metered.push(classes[k].metered);
             cap_bytes.push(classes[k].monthly_cap_bytes);
         }
-        let regions = sc.cell.regions.max(1) as usize;
+        let regions = CellCapacity::REGIONS as usize;
         // Scale the population-wide ceiling down to this shard's user
         // share (budget_fraction already carries exactly that ratio), so
         // sharded runs enforce the same aggregate ceiling regardless of
@@ -101,9 +99,7 @@ impl ScenarioState {
             cap_period: vec![0; num_users],
             cell_on: sc.cell.enabled,
             cell_limit,
-            cell_window_ms: sc.cell.window.as_millis().max(1),
             cell_policy: sc.cell.policy,
-            cell_queue_delay: sc.cell.queue_delay,
             cell_window: vec![u64::MAX; regions],
             cell_used: vec![0; regions],
             ad_bytes: (config.ad_bytes_down, config.ad_bytes_up),
@@ -146,7 +142,7 @@ impl ScenarioState {
             return Some(SimDuration::ZERO);
         }
         let r = self.region[ci] as usize;
-        let w = now.as_millis() / self.cell_window_ms;
+        let w = now.as_millis() / CellCapacity::WINDOW.as_millis();
         if self.cell_window[r] != w {
             self.cell_window[r] = w;
             self.cell_used[r] = 0;
@@ -162,7 +158,7 @@ impl ScenarioState {
             }
             CellPolicy::Defer => {
                 obs.inc(self.cell_deferred, 1);
-                Some(self.cell_queue_delay)
+                Some(CellCapacity::QUEUE_DELAY)
             }
         }
     }

@@ -82,25 +82,24 @@ pub struct RetryPolicy {
     pub max_retries: u32,
     /// Delay before the first retry.
     pub base: SimDuration,
-    /// Multiplier applied per subsequent retry (`>= 1`).
-    pub factor: f64,
     /// Upper bound on any single backoff delay.
     pub cap: SimDuration,
-    /// Jitter width as a fraction of the delay, in `[0, 1]`: the delay is
-    /// scaled by a factor uniform in `[1 - jitter/2, 1 + jitter/2)`.
-    /// Jitter decorrelates retry storms after a shared outage.
-    pub jitter: f64,
 }
 
 impl RetryPolicy {
+    /// Multiplier applied per subsequent retry.
+    const FACTOR: f64 = 2.0;
+    /// Jitter width as a fraction of the delay: the delay is scaled by a
+    /// factor uniform in `[1 - JITTER/2, 1 + JITTER/2)`. Jitter
+    /// decorrelates retry storms after a shared outage.
+    pub(crate) const JITTER: f64 = 0.5;
+
     /// No retries: a failed sync waits for the next periodic opportunity.
     pub fn none() -> Self {
         Self {
             max_retries: 0,
             base: SimDuration::from_mins(5),
-            factor: 2.0,
             cap: SimDuration::from_mins(30),
-            jitter: 0.5,
         }
     }
 
@@ -119,16 +118,14 @@ impl RetryPolicy {
         Self {
             max_retries: 6,
             base: SimDuration::from_mins(1),
-            factor: 2.0,
             cap: SimDuration::from_mins(15),
-            jitter: 0.5,
         }
     }
 
     /// The un-jittered delay before retry number `attempt` (0-based):
-    /// `min(cap, base * factor^attempt)`.
+    /// `min(cap, base * FACTOR^attempt)`.
     pub(crate) fn raw_delay(&self, attempt: u32) -> SimDuration {
-        let scaled = self.base.mul_f64(self.factor.powi(attempt.min(30) as i32));
+        let scaled = self.base.mul_f64(Self::FACTOR.powi(attempt.min(30) as i32));
         if scaled.as_millis() > self.cap.as_millis() {
             self.cap
         } else {
@@ -310,15 +307,9 @@ impl NetemConfig {
             if r.base.is_zero() {
                 return Err("netem: retry base must be positive".into());
             }
-            if !(r.factor.is_finite() && r.factor >= 1.0) {
-                return Err(format!("netem: retry factor {} must be >= 1", r.factor));
-            }
             if r.cap.as_millis() < r.base.as_millis() {
                 return Err("netem: retry cap must be >= base".into());
             }
-        }
-        if !(0.0..=1.0).contains(&r.jitter) {
-            return Err(format!("netem: retry jitter {} outside [0, 1]", r.jitter));
         }
         Ok(())
     }
@@ -360,10 +351,6 @@ mod tests {
         let mut cfg = NetemConfig::flaky_cellular();
         cfg.profiles[1].dwell_mean = SimDuration::ZERO;
         assert!(cfg.validate().is_err(), "zero dwell on a weighted state");
-
-        let mut cfg = NetemConfig::flaky_cellular();
-        cfg.retry.factor = 0.5;
-        assert!(cfg.validate().is_err(), "shrinking backoff");
 
         let mut cfg = NetemConfig::flaky_cellular();
         cfg.retry.cap = SimDuration::from_millis(1);

@@ -169,11 +169,8 @@ impl ClientChannel {
     /// Jittered backoff delay before retry number `attempt` (0-based).
     pub fn backoff(&mut self, retry: &RetryPolicy, attempt: u32) -> SimDuration {
         let raw = retry.raw_delay(attempt);
-        let scale = if retry.jitter > 0.0 {
-            1.0 - retry.jitter / 2.0 + retry.jitter * self.attempt_rng.gen::<f64>()
-        } else {
-            1.0
-        };
+        let jitter = RetryPolicy::JITTER;
+        let scale = 1.0 - jitter / 2.0 + jitter * self.attempt_rng.gen::<f64>();
         SimDuration::from_millis(raw.mul_f64(scale).as_millis().max(1))
     }
 }
@@ -429,8 +426,8 @@ mod tests {
             for _ in 0..20 {
                 let d = net.backoff(0, attempt).as_millis() as f64;
                 assert!(
-                    d >= raw * (1.0 - retry.jitter / 2.0) - 1.0
-                        && d <= raw * (1.0 + retry.jitter / 2.0) + 1.0,
+                    d >= raw * (1.0 - RetryPolicy::JITTER / 2.0) - 1.0
+                        && d <= raw * (1.0 + RetryPolicy::JITTER / 2.0) + 1.0,
                     "attempt {attempt}: {d} vs raw {raw}"
                 );
             }

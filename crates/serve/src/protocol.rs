@@ -13,7 +13,9 @@
 //! - The **header** (`#serve,users=N,horizon_ms=H`) must be the first
 //!   non-blank, non-comment line: the server sizes its shards and client
 //!   tables from it, exactly like the batch pipeline sizes them from a
-//!   [`Trace`]'s population and horizon.
+//!   [`Trace`]'s population and horizon. It builds every client up front
+//!   (≈ 7.6 KB each), so a header with `users` past [`MAX_USERS`] is a
+//!   rejected line, not a header.
 //! - Each **event** line (`slot,<time_ms>,<user>,<app>`) is one ad slot:
 //!   client `user` renders a slot of app `app` at `time_ms`. Events must
 //!   be non-decreasing in time — the same ordering contract the batch
@@ -38,7 +40,7 @@
 use std::io::Write;
 
 use adpf_desim::SimDuration;
-use adpf_traces::Trace;
+use adpf_traces::{Trace, MAX_USERS};
 
 /// Leading tag of the mandatory stream header.
 pub(crate) const HEADER_PREFIX: &str = "#serve,";
@@ -216,7 +218,10 @@ impl Parser {
         for field in rest.split(',') {
             if let Some(v) = field.strip_prefix("users=") {
                 match v.trim().parse() {
-                    Ok(n) => users = Some(n),
+                    Ok(n) if n <= MAX_USERS => users = Some(n),
+                    Ok(n) => {
+                        return self.reject(format!("`users` {n} is past `MAX_USERS`, {MAX_USERS}"))
+                    }
                     Err(_) => return self.reject(format!("invalid `users` value `{v}`")),
                 }
             } else if let Some(v) = field.strip_prefix("horizon_ms=") {
@@ -519,6 +524,12 @@ mod tests {
             other => panic!("expected rejection, got {other:?}"),
         }
         assert!(matches!(p.feed("#serve,users=3"), Parsed::Rejected(_)));
+        for users in [MAX_USERS + 1, 4_000_000_000] {
+            match p.feed(&format!("#serve,users={users},horizon_ms=1")) {
+                Parsed::Rejected(e) => assert!(e.reason.contains("MAX_USERS"), "{e}"),
+                other => panic!("expected rejection, got {other:?}"),
+            }
+        }
         assert!(matches!(
             p.feed("#serve,users=a,horizon_ms=1"),
             Parsed::Rejected(_)

@@ -180,8 +180,9 @@ pub enum ServeError {
     /// Reading the input failed.
     Io(std::io::Error),
     /// The stream ended before a valid `#serve` header arrived; nothing
-    /// can be sized without one.
-    MissingHeader,
+    /// can be sized without one. Carries the first line rejected on the
+    /// way, if any (a malformed header, or one past `MAX_USERS`).
+    MissingHeader(Option<IngestError>),
     /// The configuration cannot be served online (e.g. the oracle
     /// predictor, which needs the future slot stream at construction).
     Unsupported(String),
@@ -191,11 +192,15 @@ impl core::fmt::Display for ServeError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
             ServeError::Io(e) => write!(f, "serve I/O error: {e}"),
-            ServeError::MissingHeader => {
+            ServeError::MissingHeader(first) => {
                 write!(
                     f,
                     "input ended before a `#serve,users=N,horizon_ms=H` header"
-                )
+                )?;
+                match first {
+                    Some(e) => write!(f, "; first rejected: {e}"),
+                    None => Ok(()),
+                }
             }
             ServeError::Unsupported(reason) => write!(f, "unsupported serve config: {reason}"),
         }
@@ -380,7 +385,7 @@ fn serve_with<R: BufRead>(
     // Phase 1: scan to the header. Anything rejected on the way (events
     // before the header, malformed headers) is counted like any other
     // bad line; only end-of-input without a header is fatal.
-    let mut header = None;
+    let (mut header, mut first_rejected) = (None, None);
     while next_chunk(&mut input, &mut framer, epoch, |parsed, _| match parsed {
         Parsed::Header(h) => {
             header = Some(h);
@@ -388,12 +393,13 @@ fn serve_with<R: BufRead>(
         }
         Parsed::Shutdown => ControlFlow::Break(()),
         Parsed::Rejected(e) => {
+            first_rejected.get_or_insert_with(|| e.clone());
             errors.push(e);
             ControlFlow::Continue(())
         }
         Parsed::Event(_) | Parsed::Skip => ControlFlow::Continue(()),
     })? {}
-    let header = header.ok_or(ServeError::MissingHeader)?;
+    let header = header.ok_or(ServeError::MissingHeader(first_rejected))?;
 
     // Size the run exactly like the batch pipeline sizes it from a
     // trace: same shard boundaries, same per-shard configs, same shared
@@ -968,9 +974,16 @@ mod tests {
     fn missing_header_is_the_one_fatal_ingest_error() {
         let cfg = SystemConfig::prefetch_default(5);
         let err = serve(&ServeOptions::new(cfg.clone()), &b"slot,1,2,3\n"[..]).unwrap_err();
-        assert!(matches!(err, ServeError::MissingHeader));
-        let err = serve(&ServeOptions::new(cfg), &b""[..]).unwrap_err();
-        assert!(matches!(err, ServeError::MissingHeader));
+        assert!(matches!(err, ServeError::MissingHeader(Some(ref e)) if e.line == 1));
+        let err = serve(&ServeOptions::new(cfg.clone()), &b""[..]).unwrap_err();
+        assert!(matches!(err, ServeError::MissingHeader(None)));
+        // A population past `MAX_USERS` is a rejected line, so no engine
+        // is sized from it, and the error names it.
+        let huge = b"#serve,users=4000000000,horizon_ms=86400000\nslot,1,2,3\n";
+        let mut opts = ServeOptions::new(cfg);
+        opts.error_sample = 0;
+        let err = serve(&opts, &huge[..]).unwrap_err().to_string();
+        assert!(err.ends_with("first rejected: ingest error at line 1: `users` 4000000000 is past `MAX_USERS`, 16777216"), "{err}");
     }
 
     #[test]

@@ -5,19 +5,21 @@
 //! traces (the paper's proprietary datasets, or any modern equivalent) can
 //! be converted and dropped into the simulator without code changes.
 //!
-//! A session's fields are held to its packed layout: `user` is below
-//! `u32::MAX` (the population size, one more than the largest id, is a
-//! `u32`), `app` a `u16`, `start_ms` at most [`Session::MAX_START_MS`]
-//! (2^44 − 1, ≈ 557 years) and `duration_ms` at most
-//! [`Session::MAX_DURATION_MS`] (2^36 − 1, ≈ 795 days). A line past any
-//! of them is a [`CsvError::Parse`] naming the line and the field, never
-//! clamped.
+//! A session's fields are held to its packed layout and the population
+//! to [`MAX_USERS`]: `user` is below [`MAX_USERS`] (2^24; the population
+//! size, one more than the largest id, is at most [`MAX_USERS`], and so
+//! is a `#meta` line's `users`), `app` a `u16`, `start_ms` at most
+//! [`Session::MAX_START_MS`] (2^44 − 1, ≈ 557 years) and `duration_ms` at
+//! most [`Session::MAX_DURATION_MS`] (2^36 − 1, ≈ 795 days). A line past
+//! any of them is a [`CsvError::Parse`] naming the line and the field,
+//! never clamped.
 
 use std::io::{BufRead, BufReader, Read, Write};
 
 use adpf_desim::{SimDuration, SimTime};
 
 use crate::model::{AppId, Session, Trace, UserId};
+use crate::MAX_USERS;
 
 /// Header line of the trace format.
 pub(crate) const HEADER: &str = "user,app,start_ms,duration_ms";
@@ -131,7 +133,14 @@ fn scan<R: Read>(r: R, mut on_session: impl FnMut(Session)) -> Result<ScanMeta, 
         if let Some(rest) = trimmed.strip_prefix("#meta,") {
             for field in rest.split(',') {
                 if let Some(v) = field.strip_prefix("users=") {
-                    meta.meta_users = Some(parse_field(v, "users", line_no)?);
+                    let users = parse_field(v, "users", line_no)?;
+                    if users > MAX_USERS {
+                        return Err(CsvError::Parse {
+                            line: line_no,
+                            reason: format!("`users` {users} is past `MAX_USERS`, {MAX_USERS}"),
+                        });
+                    }
+                    meta.meta_users = Some(users);
                 } else if let Some(v) = field.strip_prefix("horizon_ms=") {
                     meta.meta_horizon = Some(parse_field(v, "horizon_ms", line_no)?);
                 }
@@ -158,10 +167,13 @@ fn scan<R: Read>(r: R, mut on_session: impl FnMut(Session)) -> Result<ScanMeta, 
             })
         };
         let user: u32 = parse_field(next_field("user")?, "user", line_no)?;
-        if user == u32::MAX {
+        if user >= MAX_USERS {
             return Err(CsvError::Parse {
                 line: line_no,
-                reason: format!("`user` {user} is past the largest id, {}", u32::MAX - 1),
+                reason: format!(
+                    "`user` {user} is past the largest id, {} (`MAX_USERS` − 1)",
+                    MAX_USERS - 1
+                ),
             });
         }
         let app: u16 = parse_field(next_field("app")?, "app", line_no)?;
@@ -383,14 +395,14 @@ mod tests {
         let max_start = Session::MAX_START_MS;
         let max_duration = Session::MAX_DURATION_MS;
         let data = format!(
-            "{HEADER}\n{},{},{max_start},0\n0,0,0,{max_duration}\n",
-            u32::MAX - 1,
+            "{HEADER}\n#meta,users={MAX_USERS},horizon_ms=0\n{},{},{max_start},0\n0,0,0,{max_duration}\n",
+            MAX_USERS - 1,
             u16::MAX
         );
         let t = read_trace(data.as_bytes()).unwrap();
-        assert_eq!(t.num_users(), u32::MAX);
+        assert_eq!(t.num_users(), MAX_USERS);
         let last = t.sessions()[1];
-        assert_eq!(last.user(), UserId(u32::MAX - 1));
+        assert_eq!(last.user(), UserId(MAX_USERS - 1));
         assert_eq!(last.app(), AppId(u16::MAX));
         assert_eq!(last.start().as_millis(), max_start);
         assert_eq!(t.sessions()[0].duration().as_millis(), max_duration);
@@ -399,7 +411,12 @@ mod tests {
     #[test]
     fn a_field_past_its_limit_is_rejected_naming_line_and_field() {
         for (line, field) in [
-            (format!("{},2,3,4", u32::MAX), "user"),
+            (format!("{MAX_USERS},2,3,4"), "user"),
+            ("4000000000,2,3,4".to_string(), "user"),
+            (
+                format!("#meta,users={},horizon_ms=0", MAX_USERS + 1),
+                "users",
+            ),
             (format!("1,{},3,4", u32::from(u16::MAX) + 1), "app"),
             (format!("1,2,{},4", Session::MAX_START_MS + 1), "start_ms"),
             (
@@ -427,14 +444,14 @@ mod tests {
         let mut sessions = base.sessions().to_vec();
         sessions.push(
             Session::new(
-                UserId(u32::MAX - 1),
+                UserId(MAX_USERS - 1),
                 AppId(u16::MAX),
                 SimTime::from_millis(Session::MAX_START_MS),
                 SimDuration::from_millis(Session::MAX_DURATION_MS),
             )
             .unwrap(),
         );
-        let trace = Trace::new(sessions, u32::MAX, base.horizon());
+        let trace = Trace::new(sessions, MAX_USERS, base.horizon());
         let mut written = Vec::new();
         write_trace(&trace, &mut written).unwrap();
         let back = read_trace(&written[..]).unwrap();

@@ -62,8 +62,6 @@ pub struct PopulationConfig {
     pub mean_session_secs: f64,
     /// Coefficient of variation of session durations.
     pub session_cv: f64,
-    /// Relative weight of each hour of day for session starts.
-    pub hour_weights: [f64; 24],
     /// Multiplier applied to weekend session rates.
     pub weekend_factor: f64,
     /// Coefficient of variation of per-user perturbation of the hour
@@ -80,15 +78,14 @@ impl PopulationConfig {
     /// [`Session::MAX_DURATION_MS`].
     pub const MAX_DAYS: u32 = (Session::MAX_DURATION_MS / adpf_desim::time::MILLIS_PER_DAY) as u32;
 
-    /// A waking-hours profile with lunch and evening peaks.
-    pub(crate) fn default_hour_weights() -> [f64; 24] {
-        [
-            0.2, 0.1, 0.05, 0.05, 0.05, 0.1, // 00–05: night.
-            0.4, 0.9, 1.3, 1.2, 1.1, 1.4, // 06–11: morning ramp.
-            1.8, 1.5, 1.2, 1.2, 1.3, 1.6, // 12–17: lunch peak, afternoon.
-            2.0, 2.4, 2.6, 2.2, 1.4, 0.6, // 18–23: evening peak.
-        ]
-    }
+    /// Relative weight of each hour of day for session starts: a
+    /// waking-hours profile with lunch and evening peaks.
+    const HOUR_WEIGHTS: [f64; 24] = [
+        0.2, 0.1, 0.05, 0.05, 0.05, 0.1, // 00–05: night.
+        0.4, 0.9, 1.3, 1.2, 1.1, 1.4, // 06–11: morning ramp.
+        1.8, 1.5, 1.2, 1.2, 1.3, 1.6, // 12–17: lunch peak, afternoon.
+        2.0, 2.4, 2.6, 2.2, 1.4, 0.6, // 18–23: evening peak.
+    ];
 
     /// Resolves a CLI preset name: `iphone` ([`Self::iphone_like`]), `wp`
     /// ([`Self::windows_phone_like`]) or `small` ([`Self::small_test`]).
@@ -114,7 +111,6 @@ impl PopulationConfig {
             user_rate_cv: 1.0,
             mean_session_secs: 110.0,
             session_cv: 1.3,
-            hour_weights: Self::default_hour_weights(),
             weekend_factor: 1.15,
             user_hour_jitter_cv: 0.4,
             seed,
@@ -133,7 +129,6 @@ impl PopulationConfig {
             user_rate_cv: 0.8,
             mean_session_secs: 130.0,
             session_cv: 1.2,
-            hour_weights: Self::default_hour_weights(),
             weekend_factor: 1.2,
             user_hour_jitter_cv: 0.35,
             seed,
@@ -151,7 +146,6 @@ impl PopulationConfig {
             user_rate_cv: 0.8,
             mean_session_secs: 100.0,
             session_cv: 1.0,
-            hour_weights: Self::default_hour_weights(),
             weekend_factor: 1.1,
             user_hour_jitter_cv: 0.3,
             seed,
@@ -339,7 +333,7 @@ impl PopulationConfig {
         let rate = user_rate(model, &mut rng);
 
         // Personalized diurnal profile.
-        let mut weights = self.hour_weights;
+        let mut weights = Self::HOUR_WEIGHTS;
         if let Some(j) = &model.jitter {
             for w in &mut weights {
                 *w *= j.sample(&mut rng);

@@ -40,3 +40,12 @@ pub use model::{
     shard_ranges, AdSlot, AppId, Session, SessionLimitError, ShardIndex, Trace, UserId, UserSlots,
 };
 pub use stats::TraceStats;
+
+/// The largest population a trace may declare, 2^24 users: 16× the
+/// largest pinned run (`scale-1m`, 2^20 users). Every consumer builds
+/// per-user state for the whole population up front (a shard-index entry
+/// per user; a client per user in each engine, ≈ 7.6 KB each when served),
+/// so a population read from outside (a CSV trace's user ids or `#meta`
+/// line, a `--users` flag, a serve stream's header) past it is refused
+/// with an error, not attempted as an allocation the host cannot make.
+pub const MAX_USERS: u32 = 1 << 24;

@@ -160,3 +160,48 @@ fn modes_are_labelled_in_reports() {
     assert!(pf.config.contains("prefetch"));
     assert!(pf.config.contains("session-aware"));
 }
+
+#[test]
+fn realtime_ignores_the_prefetch_knobs() {
+    // A metamorphic relation: a realtime run predicts nothing, sells
+    // nothing ahead, overbooks nothing and never syncs, so no prefetch
+    // knob may reach its report. Every variant keeps the hash the
+    // `smoke-realtime` row pins for this trace, config and thread count.
+    const SMOKE_REALTIME: u64 = 0xcdba_9393_c93e_e236;
+    let trace = small_trace();
+    let base = SystemConfig::realtime(5);
+    type Vary = fn(&mut SystemConfig);
+    let variants: [(&str, Vary); 13] = [
+        ("oracle predictor", |c| c.predictor = PredictorKind::Oracle),
+        ("greedy planner", |c| c.planner = PlannerKind::Greedy),
+        ("fixed-3 planner", |c| c.planner = PlannerKind::FixedK(3)),
+        ("sla_target", |c| c.sla_target = 0.5),
+        ("max_replicas 1", |c| c.max_replicas = 1),
+        ("max_replicas 16", |c| c.max_replicas = 16),
+        ("deadline", |c| c.deadline = SimDuration::from_hours(3)),
+        ("replica_window", |c| {
+            c.replica_window = SimDuration::from_mins(5)
+        }),
+        ("candidate_pool", |c| c.candidate_pool = 2),
+        ("prefetch_interval", |c| {
+            c.prefetch_interval = SimDuration::from_mins(30)
+        }),
+        ("sell_margin", |c| c.sell_margin = 1.5),
+        ("availability_dispersion", |c| {
+            c.availability_dispersion = 1.0
+        }),
+        ("all at once", |c| {
+            c.predictor = PredictorKind::Oracle;
+            c.planner = PlannerKind::FixedK(3);
+            c.max_replicas = 2;
+            c.sell_margin = 0.5;
+        }),
+    ];
+    let hash = |cfg: &SystemConfig| Simulator::run_trace(cfg, &trace, 2).stable_hash();
+    assert_eq!(hash(&base), SMOKE_REALTIME);
+    for (knob, vary) in variants {
+        let mut cfg = base.clone();
+        vary(&mut cfg);
+        assert_eq!(hash(&cfg), SMOKE_REALTIME, "{knob} reached a realtime run");
+    }
+}
