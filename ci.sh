@@ -77,6 +77,14 @@
 # the trace once (a stable sort's scratch reads 32–35, and per-block
 # vectors, their concatenation or a scenario's second vector each add
 # another 16).
+# `tests/serve_sessions.rs` is harness-less too, without the counting
+# allocator: it serves `serve_heap`'s population eight times back to
+# back, each session fed through a pipe by a feeder thread of its own,
+# and holds the process's resident high-water (`VmHWM`) to a rise under
+# 4 MiB from the first session to the last (0–2.0 MiB read in release,
+# 1.0–2.3 in debug). Workers started per session read 6.2–13.6 MiB: the
+# second session's worker takes the first feeder's freed malloc arena
+# and grows it, where kept workers keep theirs.
 #
 # The sweep gate runs every experiment table at quick scale (~14 s on
 # 2 vCPUs per run): every table is held to its checks, the claims its
@@ -175,8 +183,8 @@ benchmark_gate() {
 if [ "${1:-}" = "quick" ]; then
     cargo build --release -p adpf-bench
     cargo test -q -p adpf-bench --test public_surface
-    cargo test -q --release --test materialized_heap --test serve_heap --test stream_heap \
-        --test trace_heap
+    cargo test -q --release --test materialized_heap --test serve_heap --test serve_sessions \
+        --test stream_heap --test trace_heap
     # Tier 1 runs only the root package's tests: the predictor families'
     # unit tests, cold-start cases and pinned digests run here, and so do
     # the trace crate's, the slot stream held to the push-and-sort it

@@ -52,10 +52,13 @@
 //! parks its helper in an idle pool, and the next sampler takes it from
 //! there, so a process runs at most as many helpers as it ever had
 //! samplers at once. Every new thread allocates at start, which binds it
-//! to a glibc malloc arena: with a helper started and joined per serve
-//! session, `serve-paced`'s per-session peak RSS crept from 16 to 20–24
-//! MiB over six sessions, where it stays flat with a single arena or
-//! with helpers kept.
+//! to a glibc malloc arena, the one the thread that ended last freed, so
+//! threads started and ended per session trade arenas and each grows to
+//! the largest working set among them: with a helper started and joined
+//! per serve session, `serve-paced`'s per-session peak RSS crept from 16
+//! to 20–24 MiB over six sessions, where it stays flat with a single
+//! arena or with helpers kept. `adpf-serve` keeps its workers for the
+//! same cause.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -21,9 +21,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 ///
 /// The counter uses relaxed ordering: claims only need to be unique, not
 /// ordered relative to other memory traffic. Publication of the results
-/// produced for the claimed indices must be synchronized by the caller
-/// (joining the worker threads, e.g. via `std::thread::scope`, is
-/// sufficient and is what both in-tree users do).
+/// produced for the claimed indices must be synchronized by the caller:
+/// joining the worker threads (`std::thread::scope`, as the batch
+/// pipeline does) or waiting under a lock until each worker reports its
+/// job ended (as the online server does with its kept workers) is
+/// sufficient.
 #[derive(Debug)]
 pub struct WorkQueue {
     next: AtomicUsize,

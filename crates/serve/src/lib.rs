@@ -14,6 +14,8 @@
 //!   ingest parser, and the zero-copy chunk framer in front of it.
 //! - `mailbox` — the bounded swap mailbox that hands events from the
 //!   ingest thread to a worker in batches.
+//! - `pool` — the serve workers kept between sessions, so a session
+//!   starts no thread once the process has run one its size.
 //! - `server` — the sharded serving loop: work-stealing engine
 //!   construction, per-shard single-owner event routing in
 //!   shard-grouped batches, latency histograms, graceful shutdown into
@@ -27,6 +29,7 @@
 //! [`ClientEngine`]: adpf_core::ClientEngine
 
 mod mailbox;
+mod pool;
 pub mod protocol;
 mod server;
 

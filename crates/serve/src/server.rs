@@ -22,6 +22,15 @@
 //!   routes each event to its shard's owning worker, so one shard's
 //!   events are always handled in arrival order by one thread — the
 //!   determinism contract — while distinct shards proceed in parallel;
+//! - the workers outlive the session: it takes them from an idle pool,
+//!   starting threads only for the ones missing, hands each a job that
+//!   owns an `Arc` of the session's shared state, and parks them again
+//!   once every job has ended (see `pool`: a thread started per session
+//!   swaps malloc arenas with the caller's threads). The router stays on
+//!   the caller's thread, so the input needs no `Send`. A worker that
+//!   dies closes its mailbox and, while building, arrives at the build
+//!   gate as dead: either stops the router, which never waits for a dead
+//!   worker, and the worker's panic resumes on the caller;
 //! - at end of stream (EOF or the `shutdown` sentinel) every engine
 //!   drains its remaining internal events, finalizes, and the reports
 //!   merge **in shard order** through the batch pipeline's own
@@ -79,7 +88,7 @@
 use std::io::{BufRead, ErrorKind};
 use std::ops::{ControlFlow, Range};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use adpf_core::{
@@ -92,6 +101,7 @@ use adpf_prediction::PredictorKind;
 use adpf_traces::{shard_ranges, AppId, UserId, UserSlots};
 
 use crate::mailbox::Mailbox;
+use crate::pool::{Pool, POOL};
 use crate::protocol::{Framer, IngestError, Parsed, StreamHeader};
 
 /// Name of the arrival-to-decision latency histogram (microseconds,
@@ -265,7 +275,7 @@ impl ErrorLog {
 
 /// Closes the mailboxes it holds when dropped, so that no exit of the
 /// holder — a read error, a panic — leaves the other side waiting on a
-/// mailbox forever and the scope join hung.
+/// mailbox forever and the session's join hung.
 struct CloseOnDrop<'a>(&'a [Mailbox<Routed>]);
 
 impl Drop for CloseOnDrop<'_> {
@@ -274,6 +284,128 @@ impl Drop for CloseOnDrop<'_> {
             mailbox.close();
         }
     }
+}
+
+/// Where the router waits out engine construction. Every worker
+/// arrives once its engines are built, or as dead if it dies first, so
+/// the router never waits for a worker that will not come.
+struct BuildGate {
+    /// Workers still building, and whether one died doing it.
+    state: Mutex<(usize, bool)>,
+    arrived: Condvar,
+}
+
+impl BuildGate {
+    fn new(workers: usize) -> Self {
+        Self {
+            state: Mutex::new((workers, false)),
+            arrived: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, (usize, bool)> {
+        // One decrement and one flag: valid at every step, and a dying
+        // worker arrives from a drop guard, during unwinding.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn arrive(&self, built: bool) {
+        let mut s = self.lock();
+        s.0 -= 1;
+        s.1 |= !built;
+        drop(s);
+        self.arrived.notify_all();
+    }
+
+    /// Waits until every worker has arrived: `false` if one died
+    /// building.
+    fn wait(&self) -> bool {
+        let mut s = self.lock();
+        while s.0 > 0 {
+            s = self.arrived.wait(s).unwrap_or_else(PoisonError::into_inner);
+        }
+        !s.1
+    }
+}
+
+/// A worker's pass through the [`BuildGate`]: dropped before
+/// [`Arrival::built`], it arrives as dead.
+struct Arrival<'a>(Option<&'a BuildGate>);
+
+impl Arrival<'_> {
+    fn built(&mut self) {
+        if let Some(gate) = self.0.take() {
+            gate.arrive(true);
+        }
+    }
+}
+
+impl Drop for Arrival<'_> {
+    fn drop(&mut self) {
+        if let Some(gate) = self.0.take() {
+            gate.arrive(false);
+        }
+    }
+}
+
+/// What a session's router and workers share. Each worker's job owns an
+/// `Arc` of it, so a kept worker borrows nothing from the caller.
+struct Session {
+    ranges: Vec<Range<u32>>,
+    configs: Vec<SystemConfig>,
+    ctx: ShardContext,
+    horizon: SimTime,
+    days: u32,
+    /// Arrival times are kept as nanoseconds since this instant.
+    epoch: Instant,
+    /// Shard ownership: workers claim construction jobs from the
+    /// work-stealing queue and keep what they build, so engine setup
+    /// load-balances while event handling stays single-owner per shard.
+    queue: WorkQueue,
+    ownership: Vec<AtomicUsize>,
+    /// The router passes once every engine is built and the ownership
+    /// table is complete.
+    gate: BuildGate,
+    results: Vec<Mutex<Option<SimReport>>>,
+    worker_regs: Vec<Mutex<Option<MetricRegistry>>>,
+    mailboxes: Vec<Mailbox<Routed>>,
+    fault: Option<Fault>,
+}
+
+/// What tests vary in a session besides its [`ServeOptions`].
+#[derive(Clone, Copy)]
+struct Hooks {
+    /// Events a mailbox may hold before the router blocks: tests make
+    /// it tiny to run the backpressure and multi-take paths on small
+    /// streams.
+    mailbox_cap: usize,
+    /// Sampling ahead forced on or off (`Some`) instead of left to the
+    /// host's idle cores (`None`), so tests hash both paths on any host.
+    sample_ahead: Option<bool>,
+    /// Where the session takes its workers: a test that counts the
+    /// workers a session starts brings a pool of its own.
+    pool: &'static Pool,
+    /// A panic worker 0 raises, which must reach the caller.
+    fault: Option<Fault>,
+}
+
+impl Hooks {
+    const NONE: Hooks = Hooks {
+        mailbox_cap: MAILBOX_CAP,
+        sample_ahead: None,
+        pool: &POOL,
+        fault: None,
+    };
+}
+
+/// Where worker 0 panics under [`Hooks::fault`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[cfg_attr(not(test), allow(dead_code))]
+enum Fault {
+    /// Before it builds an engine: the router is waiting at the gate.
+    Build,
+    /// Past the gate, before it takes a batch.
+    Decide,
 }
 
 /// Reads the next chunk of `input` and hands each record in it, with
@@ -352,18 +484,14 @@ fn group_by_shard(
 /// never kills the session — see [`crate::protocol`] for the rejection
 /// rules.
 pub fn serve<R: BufRead>(opts: &ServeOptions, input: R) -> Result<ServeOutcome, ServeError> {
-    serve_with(opts, input, MAILBOX_CAP, None)
+    serve_with(opts, input, Hooks::NONE)
 }
 
-/// [`serve`] with the mailbox cap exposed, so tests can make it tiny and
-/// run the backpressure and multi-take paths on small streams, and with
-/// sampling ahead forced on or off (`Some`) instead of left to the
-/// host's idle cores (`None`), so tests hash both paths on any host.
+/// [`serve`] with the [`Hooks`] tests vary.
 fn serve_with<R: BufRead>(
     opts: &ServeOptions,
     mut input: R,
-    mailbox_cap: usize,
-    sample_ahead: Option<bool>,
+    hooks: Hooks,
 ) -> Result<ServeOutcome, ServeError> {
     if matches!(opts.config.predictor, PredictorKind::Oracle) {
         return Err(ServeError::Unsupported(
@@ -372,8 +500,9 @@ fn serve_with<R: BufRead>(
                 .into(),
         ));
     }
+    // Every engine would panic building from an invalid config.
+    opts.config.validate().map_err(ServeError::Unsupported)?;
 
-    // Arrival times are kept as nanoseconds since this instant.
     let epoch = Instant::now();
     let mut framer = Framer::new();
     let mut errors = ErrorLog {
@@ -405,169 +534,54 @@ fn serve_with<R: BufRead>(
     // trace: same shard boundaries, same per-shard configs, same shared
     // context. `days` replicates `Trace::days` on the header's horizon.
     let users = header.users;
-    let horizon = SimTime::from_millis(header.horizon_ms);
-    let days = header.horizon_ms.div_ceil(adpf_desim::time::MILLIS_PER_DAY) as u32;
     let want_shards = opts.shards.unwrap_or_else(|| default_shards(users));
     let ranges = shard_ranges(users, want_shards);
     let n = ranges.len();
-    let configs = shard_configs(&opts.config, users, &ranges);
     let threads = opts.threads.clamp(1, n);
     let ctx = ShardContext::for_workers(&opts.config, threads);
-    let ctx = match sample_ahead {
-        Some(on) => ctx.sampling_ahead(on),
-        None => ctx,
-    };
-
-    // Shard ownership: workers claim construction jobs from the
-    // work-stealing queue and keep what they build, so engine setup
-    // load-balances while event handling stays single-owner per shard.
-    let queue = WorkQueue::new(n);
-    let ownership: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(usize::MAX)).collect();
-    // All workers (and the router) meet here once every engine is built
-    // and the ownership table is complete.
-    let barrier = Barrier::new(threads + 1);
-    let results: Vec<Mutex<Option<SimReport>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let worker_regs: Vec<Mutex<Option<MetricRegistry>>> =
-        (0..threads).map(|_| Mutex::new(None)).collect();
-    let mailboxes: Vec<Mailbox<Routed>> = (0..threads).map(|_| Mailbox::new(mailbox_cap)).collect();
-
-    let mut requests = 0u64;
-    let route_result: Result<(), ServeError> = std::thread::scope(|scope| {
-        let (queue, ownership, barrier) = (&queue, &ownership, &barrier);
-        let (ranges, configs, ctx) = (&ranges, &configs, &ctx);
-        let (results, worker_regs) = (&results, &worker_regs);
-        for (w, mailbox) in mailboxes.iter().enumerate() {
-            scope.spawn(move || {
-                // A worker that dies closes its mailbox, so the router
-                // fails on its next push instead of waiting for room.
-                let _close = CloseOnDrop(std::slice::from_ref(mailbox));
-                // One helper samples ahead for every engine this worker
-                // owns, however many it keeps alive.
-                let sampler = ctx.bid_sampler();
-                // Build phase: claim shard indices until the queue runs
-                // dry. Engines start cold — the empty UserSlots view is
-                // bit-identical to the populated one for every
-                // non-oracle predictor (nothing else reads it).
-                let mut engines: Vec<Option<ClientEngine>> =
-                    (0..ranges.len()).map(|_| None).collect();
-                while let Some(i) = queue.claim() {
-                    let len = ranges[i].end - ranges[i].start;
-                    let cold = UserSlots::from_slots(&[], len);
-                    let mut engine =
-                        ClientEngine::new(configs[i].clone(), &cold, horizon, days, ctx);
-                    if let Some(sampler) = &sampler {
-                        engine.sample_ahead_on(sampler);
-                    }
-                    engines[i] = Some(engine);
-                    ownership[i].store(w, Ordering::Release);
-                }
-                barrier.wait();
-
-                // Decision phase: take everything pending, group it by
-                // shard, and decide each shard's run in arrival order,
-                // each event in-line before the next. Latency runs from
-                // the chunk's arrival to decision-complete, so queueing
-                // delay under load is part of the number — what an SLA
-                // would see; queue wait is that delay on its own.
-                let obs = MetricRegistry::new();
-                let lat = obs.histogram(DECISION_LATENCY_METRIC);
-                let wait = obs.histogram(QUEUE_WAIT_METRIC);
-                let batch_events = obs.histogram(BATCH_EVENTS_METRIC);
-                let mut batch = Vec::new();
-                let mut order = Vec::new();
-                let mut ends = vec![0usize; ranges.len()];
-                while mailbox.take(&mut batch) {
-                    obs.observe_id(batch_events, batch.len() as u64);
-                    group_by_shard(&batch, ranges, &mut ends, &mut order);
-                    let mut from = 0;
-                    for ((engine, &to), range) in engines.iter_mut().zip(&ends).zip(ranges) {
-                        let run = &order[from..to];
-                        from = to;
-                        if run.is_empty() {
-                            continue;
-                        }
-                        let engine = engine
-                            .as_mut()
-                            .expect("event routed to a worker that owns its shard");
-                        let started = nanos_since(epoch);
-                        for &i in run {
-                            let m = &batch[i as usize];
-                            let waited = started.saturating_sub(m.arrived_ns);
-                            obs.observe_id(wait, waited / 1_000);
-                            engine.drain_internal_before(m.time);
-                            engine.on_slot(m.time, UserId(m.user.0 - range.start), m.app);
-                            let decided = nanos_since(epoch).saturating_sub(m.arrived_ns);
-                            obs.observe_id(lat, decided / 1_000);
-                        }
-                    }
-                }
-
-                // Shutdown phase (mailbox closed and drained): drain the
-                // engines' remaining internal events and finalize into
-                // the shard-indexed slots the merge reads in order.
-                for (i, slot) in engines.into_iter().enumerate() {
-                    if let Some(mut engine) = slot {
-                        engine.drain_internal();
-                        *results[i].lock().expect("shard slot poisoned") =
-                            Some(engine.into_report());
-                    }
-                }
-                *worker_regs[w].lock().expect("worker registry poisoned") = Some(obs);
-            });
-        }
-
-        // Router (this thread): wait out engine construction, then
-        // forward each chunk's events to their shards' owners. Pushes
-        // to one mailbox keep arrival order, hence so does every shard.
-        barrier.wait();
-        let _close = CloseOnDrop(&mailboxes);
-        let mut outbox: Vec<Vec<Routed>> = (0..threads).map(|_| Vec::new()).collect();
-        let flush = |w: usize, events: &mut Vec<Routed>| {
-            mailboxes[w]
-                .push(events)
-                .expect("worker outlives the router")
-        };
-        loop {
-            let more = next_chunk(&mut input, &mut framer, epoch, |parsed, arrived_ns| {
-                match parsed {
-                    Parsed::Event(e) => {
-                        // The parser guarantees `user < users`, so some
-                        // range holds the user.
-                        let user = UserId(e.user);
-                        let w = ownership[shard_of(ranges, user)].load(Ordering::Acquire);
-                        outbox[w].push(Routed {
-                            time: SimTime::from_millis(e.time_ms),
-                            arrived_ns,
-                            user,
-                            app: AppId(e.app),
-                        });
-                        requests += 1;
-                        if outbox[w].len() >= FLUSH_EVENTS {
-                            flush(w, &mut outbox[w]);
-                        }
-                    }
-                    Parsed::Rejected(e) => errors.push(e),
-                    Parsed::Shutdown => return ControlFlow::Break(()),
-                    Parsed::Header(_) | Parsed::Skip => {}
-                }
-                ControlFlow::Continue(())
-            })?;
-            for (w, events) in outbox.iter_mut().enumerate() {
-                if !events.is_empty() {
-                    flush(w, events);
-                }
-            }
-            if !more {
-                return Ok(());
-            }
-        }
+    let session = Arc::new(Session {
+        configs: shard_configs(&opts.config, users, &ranges),
+        ranges,
+        ctx: match hooks.sample_ahead {
+            Some(on) => ctx.sampling_ahead(on),
+            None => ctx,
+        },
+        horizon: SimTime::from_millis(header.horizon_ms),
+        days: header.horizon_ms.div_ceil(adpf_desim::time::MILLIS_PER_DAY) as u32,
+        epoch,
+        queue: WorkQueue::new(n),
+        ownership: (0..n).map(|_| AtomicUsize::new(usize::MAX)).collect(),
+        gate: BuildGate::new(threads),
+        results: (0..n).map(|_| Mutex::new(None)).collect(),
+        worker_regs: (0..threads).map(|_| Mutex::new(None)).collect(),
+        mailboxes: (0..threads)
+            .map(|_| Mailbox::new(hooks.mailbox_cap))
+            .collect(),
+        fault: hooks.fault,
     });
-    route_result?;
+
+    let crew = hooks.pool.crew(threads)?;
+    let workers_started = crew.started();
+    for w in 0..threads {
+        let session = Arc::clone(&session);
+        crew.run(w, move || work(&session, w));
+    }
+    let routed = route(&session, &mut input, &mut framer, &mut errors);
+    if let Err(panic) = crew.join() {
+        std::panic::resume_unwind(panic);
+    }
+    let requests = routed?;
 
     // Merge strictly in shard order — the batch pipeline's own merge,
     // which is what keeps the report hash equal at every thread count.
     // The wall-clock-flavored serving registries merge in worker order,
     // beside the report; they carry no deterministic metrics.
+    let Session {
+        results,
+        worker_regs,
+        mailboxes,
+        ..
+    } = Arc::into_inner(session).expect("every job has ended and dropped its share");
     let report = merge_shards(users, results);
     let mut registry = MetricRegistry::new();
     for wr in worker_regs {
@@ -581,6 +595,7 @@ fn serve_with<R: BufRead>(
         BACKPRESSURE_METRIC,
         mailboxes.iter().map(Mailbox::blocked_pushes).sum(),
     );
+    registry.add("serve.workers_started", workers_started as u64);
     registry.gauge_max("serve.shards", n as u64);
     registry.gauge_max("serve.threads", threads as u64);
 
@@ -594,6 +609,148 @@ fn serve_with<R: BufRead>(
         ingest_errors: errors.count,
         error_sample: errors.sample,
     })
+}
+
+/// Worker `w`'s job: build the shards it claims, decide the events
+/// routed to it until its mailbox is closed and drained, then finalize.
+fn work(s: &Session, w: usize) {
+    let mailbox = &s.mailboxes[w];
+    // A worker that dies closes its mailbox, so the router stops at its
+    // next push instead of waiting for room.
+    let _close = CloseOnDrop(std::slice::from_ref(mailbox));
+    let mut arrival = Arrival(Some(&s.gate));
+    if w == 0 && s.fault == Some(Fault::Build) {
+        panic!("injected fault: worker 0 dies building");
+    }
+    // One helper samples ahead for every engine this worker owns,
+    // however many it keeps alive.
+    let sampler = s.ctx.bid_sampler();
+    // Build phase: claim shard indices until the queue runs dry.
+    // Engines start cold — the empty UserSlots view is bit-identical to
+    // the populated one for every non-oracle predictor (nothing else
+    // reads it).
+    let mut engines: Vec<Option<ClientEngine>> = (0..s.ranges.len()).map(|_| None).collect();
+    while let Some(i) = s.queue.claim() {
+        let len = s.ranges[i].end - s.ranges[i].start;
+        let cold = UserSlots::from_slots(&[], len);
+        let mut engine = ClientEngine::new(s.configs[i].clone(), &cold, s.horizon, s.days, &s.ctx);
+        if let Some(sampler) = &sampler {
+            engine.sample_ahead_on(sampler);
+        }
+        engines[i] = Some(engine);
+        s.ownership[i].store(w, Ordering::Release);
+    }
+    arrival.built();
+    if w == 0 && s.fault == Some(Fault::Decide) {
+        panic!("injected fault: worker 0 dies deciding");
+    }
+
+    // Decision phase: take everything pending, group it by shard, and
+    // decide each shard's run in arrival order, each event in-line
+    // before the next. Latency runs from the chunk's arrival to
+    // decision-complete, so queueing delay under load is part of the
+    // number — what an SLA would see; queue wait is that delay on its
+    // own.
+    let obs = MetricRegistry::new();
+    let lat = obs.histogram(DECISION_LATENCY_METRIC);
+    let wait = obs.histogram(QUEUE_WAIT_METRIC);
+    let batch_events = obs.histogram(BATCH_EVENTS_METRIC);
+    let mut batch = Vec::new();
+    let mut order = Vec::new();
+    let mut ends = vec![0usize; s.ranges.len()];
+    while mailbox.take(&mut batch) {
+        obs.observe_id(batch_events, batch.len() as u64);
+        group_by_shard(&batch, &s.ranges, &mut ends, &mut order);
+        let mut from = 0;
+        for ((engine, &to), range) in engines.iter_mut().zip(&ends).zip(&s.ranges) {
+            let run = &order[from..to];
+            from = to;
+            if run.is_empty() {
+                continue;
+            }
+            let engine = engine
+                .as_mut()
+                .expect("event routed to a worker that owns its shard");
+            let started = nanos_since(s.epoch);
+            for &i in run {
+                let m = &batch[i as usize];
+                let waited = started.saturating_sub(m.arrived_ns);
+                obs.observe_id(wait, waited / 1_000);
+                engine.drain_internal_before(m.time);
+                engine.on_slot(m.time, UserId(m.user.0 - range.start), m.app);
+                let decided = nanos_since(s.epoch).saturating_sub(m.arrived_ns);
+                obs.observe_id(lat, decided / 1_000);
+            }
+        }
+    }
+
+    // Shutdown phase (mailbox closed and drained): drain the engines'
+    // remaining internal events and finalize into the shard-indexed
+    // slots the merge reads in order.
+    for (i, slot) in engines.into_iter().enumerate() {
+        if let Some(mut engine) = slot {
+            engine.drain_internal();
+            *s.results[i].lock().expect("shard slot poisoned") = Some(engine.into_report());
+        }
+    }
+    *s.worker_regs[w].lock().expect("worker registry poisoned") = Some(obs);
+}
+
+/// The router, on the caller's thread: waits out engine construction,
+/// then forwards each chunk's events to their shards' owners until the
+/// input ends, and returns how many it routed. Pushes to one mailbox
+/// keep arrival order, hence so does every shard. Whatever way it
+/// returns, the mailboxes close, so every worker finalizes and ends.
+fn route<R: BufRead>(
+    s: &Session,
+    input: &mut R,
+    framer: &mut Framer,
+    errors: &mut ErrorLog,
+) -> Result<u64, ServeError> {
+    let _close = CloseOnDrop(&s.mailboxes);
+    let mut requests = 0u64;
+    // Routing stops once a worker died: it broke the gate, or closed its
+    // mailbox (only a worker's unwinding closes one while the router
+    // lives). The session's join then resumes the worker's panic.
+    if !s.gate.wait() {
+        return Ok(requests);
+    }
+    let mut outbox: Vec<Vec<Routed>> = s.mailboxes.iter().map(|_| Vec::new()).collect();
+    let delivered = |w: usize, events: &mut Vec<Routed>| s.mailboxes[w].push(events).is_ok();
+    loop {
+        let more = next_chunk(input, framer, s.epoch, |parsed, arrived_ns| {
+            match parsed {
+                Parsed::Event(e) => {
+                    // The parser guarantees `user < users`, so some range
+                    // holds the user.
+                    let user = UserId(e.user);
+                    let w = s.ownership[shard_of(&s.ranges, user)].load(Ordering::Acquire);
+                    outbox[w].push(Routed {
+                        time: SimTime::from_millis(e.time_ms),
+                        arrived_ns,
+                        user,
+                        app: AppId(e.app),
+                    });
+                    requests += 1;
+                    if outbox[w].len() >= FLUSH_EVENTS && !delivered(w, &mut outbox[w]) {
+                        return ControlFlow::Break(());
+                    }
+                }
+                Parsed::Rejected(e) => errors.push(e),
+                Parsed::Shutdown => return ControlFlow::Break(()),
+                Parsed::Header(_) | Parsed::Skip => {}
+            }
+            ControlFlow::Continue(())
+        })?;
+        for (w, events) in outbox.iter_mut().enumerate() {
+            if !events.is_empty() && !delivered(w, events) {
+                return Ok(requests);
+            }
+        }
+        if !more {
+            return Ok(requests);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -615,6 +772,13 @@ mod tests {
     fn batch_hash(cfg: &SystemConfig) -> u64 {
         let trace = PopulationConfig::small_test(777).generate();
         Simulator::run_trace(cfg, &trace, 2).stable_hash()
+    }
+
+    fn with_cap(mailbox_cap: usize) -> Hooks {
+        Hooks {
+            mailbox_cap,
+            ..Hooks::NONE
+        }
     }
 
     /// Delivers `data` one piece per `read`, cut at the given offsets.
@@ -725,8 +889,8 @@ mod tests {
                 // A 5-event mailbox makes the router wait and the workers
                 // take many times even on this small stream.
                 for cap in [5, MAILBOX_CAP] {
-                    let out =
-                        serve_with(&opts, Pieces::new(&stream, cuts.clone()), cap, None).unwrap();
+                    let input = Pieces::new(&stream, cuts.clone());
+                    let out = serve_with(&opts, input, with_cap(cap)).unwrap();
                     assert_eq!(
                         fingerprint(&out),
                         expected,
@@ -747,7 +911,7 @@ mod tests {
         let cfg = SystemConfig::prefetch_default(5);
         let stream = smoke_stream(777, &cfg);
         let batch = batch_hash(&cfg);
-        let out = serve_with(&ServeOptions::new(cfg), stream.as_slice(), 1, None).unwrap();
+        let out = serve_with(&ServeOptions::new(cfg), stream.as_slice(), with_cap(1)).unwrap();
         assert_eq!(out.report.stable_hash(), batch);
         // With room for one event, a push is admitted only into an empty
         // mailbox: every take is exactly one push, of FLUSH_EVENTS or a
@@ -778,7 +942,11 @@ mod tests {
                 opts.threads = threads;
                 for cap in [1, MAILBOX_CAP] {
                     for ahead in [false, true] {
-                        let out = serve_with(&opts, stream.as_slice(), cap, Some(ahead)).unwrap();
+                        let hooks = Hooks {
+                            sample_ahead: Some(ahead),
+                            ..with_cap(cap)
+                        };
+                        let out = serve_with(&opts, stream.as_slice(), hooks).unwrap();
                         let at = format!("{threads} threads, cap {cap}, ahead {ahead}");
                         assert_eq!(out.report.stable_hash(), batch, "{at}");
                         let reg = &out.report.metrics;
@@ -863,7 +1031,7 @@ mod tests {
             let mut opts = ServeOptions::new(cfg.clone());
             opts.threads = threads;
             let input = std::io::BufReader::new(ThenFails(half, ErrorKind::ConnectionReset));
-            match serve_with(&opts, input, 5, None) {
+            match serve_with(&opts, input, with_cap(5)) {
                 Err(ServeError::Io(e)) => assert_eq!(e.kind(), ErrorKind::ConnectionReset),
                 other => panic!("expected an I/O error, got {other:?}"),
             }
@@ -1009,5 +1177,179 @@ mod tests {
             .expect("latency histogram present");
         assert_eq!(hist.count(), out.requests);
         assert_eq!(out.registry.counter_value("serve.requests"), out.requests);
+    }
+
+    #[test]
+    fn an_invalid_config_is_an_error_not_a_hang() {
+        let mut cfg = SystemConfig::prefetch_default(1);
+        cfg.sla_target = 2.0;
+        let input = &b"#serve,users=4,horizon_ms=86400000\nslot,1,0,0\n"[..];
+        match serve(&ServeOptions::new(cfg), input) {
+            Err(ServeError::Unsupported(reason)) => {
+                assert_eq!(reason, "sla_target 2 outside [0, 1]")
+            }
+            other => panic!("expected the config refused, got {other:?}"),
+        }
+    }
+
+    fn started(out: &ServeOutcome) -> u64 {
+        out.registry.counter_value("serve.workers_started")
+    }
+
+    #[test]
+    fn sessions_take_kept_workers_before_starting_threads() {
+        // A pool of this test's own: tests running at once share `POOL`.
+        static OWN: Pool = Pool::new();
+        let cfg = SystemConfig::prefetch_default(5);
+        let stream = smoke_stream(777, &cfg);
+        let batch = batch_hash(&cfg);
+        let mut opts = ServeOptions::new(cfg);
+        let hooks = Hooks {
+            pool: &OWN,
+            ..Hooks::NONE
+        };
+        for (threads, starts) in [(1, 1), (3, 2), (3, 0), (1, 0)] {
+            opts.threads = threads;
+            let out = serve_with(&opts, stream.as_slice(), hooks).unwrap();
+            assert_eq!(out.threads, threads);
+            assert_eq!(started(&out), starts, "{threads} threads");
+            assert_eq!(out.report.stable_hash(), batch, "{threads} threads");
+        }
+    }
+
+    /// Yields `data` up to `at`, then waits at `meet` before yielding
+    /// the rest.
+    struct MeetAt {
+        data: Vec<u8>,
+        at: usize,
+        pos: usize,
+        meet: Option<std::sync::Arc<std::sync::Barrier>>,
+    }
+
+    impl std::io::Read for MeetAt {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            if self.pos == self.at {
+                if let Some(meet) = self.meet.take() {
+                    meet.wait();
+                }
+            }
+            let end = if self.pos < self.at {
+                self.at
+            } else {
+                self.data.len()
+            };
+            let n = (end - self.pos).min(out.len());
+            out[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn sessions_at_once_get_distinct_workers() {
+        static OWN: Pool = Pool::new();
+        let cfg = SystemConfig::prefetch_default(5);
+        let stream = smoke_stream(777, &cfg);
+        let batch = batch_hash(&cfg);
+        let opts = ServeOptions::new(cfg);
+        let hooks = Hooks {
+            pool: &OWN,
+            ..Hooks::NONE
+        };
+        // Two workers kept from a first session.
+        let first = serve_with(&opts, stream.as_slice(), hooks).unwrap();
+        assert_eq!(started(&first), 2);
+        // Each session reads its events only once both have taken their
+        // workers and built their engines: the two crews overlap.
+        let meet = std::sync::Arc::new(std::sync::Barrier::new(2));
+        let input = || {
+            std::io::BufReader::new(MeetAt {
+                data: stream.clone(),
+                at: stream.iter().position(|&b| b == b'\n').unwrap() + 1,
+                pos: 0,
+                meet: Some(meet.clone()),
+            })
+        };
+        let other = {
+            let (opts, input) = (opts.clone(), input());
+            std::thread::spawn(move || serve_with(&opts, input, hooks))
+        };
+        let here = serve_with(&opts, input(), hooks).unwrap();
+        let other = other.join().unwrap().unwrap();
+        for out in [&here, &other] {
+            assert_eq!(out.report.stable_hash(), batch);
+        }
+        assert_eq!(
+            started(&here) + started(&other),
+            2,
+            "four workers, two kept"
+        );
+    }
+
+    #[test]
+    fn failed_sessions_leave_their_workers_kept() {
+        static OWN: Pool = Pool::new();
+        let cfg = SystemConfig::prefetch_default(5);
+        let stream = smoke_stream(777, &cfg);
+        let batch = batch_hash(&cfg);
+        let mut opts = ServeOptions::new(cfg);
+        opts.threads = 3;
+        let hooks = Hooks {
+            pool: &OWN,
+            ..Hooks::NONE
+        };
+        let half = &stream[..stream.len() / 2];
+        let input = std::io::BufReader::new(ThenFails(half, ErrorKind::ConnectionReset));
+        let err = serve_with(&opts, input, hooks).unwrap_err();
+        assert!(matches!(err, ServeError::Io(_)), "{err}");
+        let lines = stream.split_inclusive(|&b| b == b'\n');
+        let mut cut: Vec<u8> = lines.take(50).flatten().copied().collect();
+        cut.extend_from_slice(b"shutdown\nslot,0,0,0\n");
+        let early = serve_with(&opts, cut.as_slice(), hooks).unwrap();
+        assert_eq!((early.requests, started(&early)), (49, 0));
+        let out = serve_with(&opts, stream.as_slice(), hooks).unwrap();
+        assert_eq!(started(&out), 0);
+        assert_eq!(out.report.stable_hash(), batch);
+    }
+
+    #[test]
+    fn a_worker_panic_reaches_the_caller_not_a_hang() {
+        static OWN: Pool = Pool::new();
+        let cfg = SystemConfig::prefetch_default(5);
+        let stream = smoke_stream(777, &cfg);
+        let batch = batch_hash(&cfg);
+        let mut opts = ServeOptions::new(cfg);
+        for threads in [1, 2] {
+            opts.threads = threads;
+            for fault in [Fault::Build, Fault::Decide] {
+                let hooks = Hooks {
+                    pool: &OWN,
+                    fault: Some(fault),
+                    ..with_cap(5)
+                };
+                let session = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    serve_with(&opts, stream.as_slice(), hooks)
+                }));
+                // The caller resumes the worker's own panic.
+                let payload = session.expect_err("the caller panics");
+                let dies = match fault {
+                    Fault::Build => "injected fault: worker 0 dies building",
+                    Fault::Decide => "injected fault: worker 0 dies deciding",
+                };
+                assert_eq!(
+                    payload.downcast_ref::<&str>(),
+                    Some(&dies),
+                    "{fault:?} at {threads} threads"
+                );
+            }
+        }
+        // The workers whose jobs panicked are kept, and serve as before.
+        let hooks = Hooks {
+            pool: &OWN,
+            ..Hooks::NONE
+        };
+        let out = serve_with(&opts, stream.as_slice(), hooks).unwrap();
+        assert_eq!(started(&out), 0);
+        assert_eq!(out.report.stable_hash(), batch);
     }
 }
