@@ -59,15 +59,24 @@
 # buffers go with the shard.
 # `tests/stream_heap.rs` streams 750 generated users in four shards on
 # one worker and holds the high-water
-# under 8,800 bytes per client of a shard (≈ 6,900 read): a shard's ad
+# under 5,600 bytes per client of a shard (≈ 5,040 read): a shard's ad
 # slots are pulled from its sessions, never collected into a sorted
-# vector (collecting them reads ≈ 10,350). `tests/serve_heap.rs` serves a
-# generated stream of 2,000 users at 16 shards and one worker and holds
-# the high-water above the input under 8,300 bytes per client: each
-# engine's event queue is one heap, and the per-client slot-time, report,
-# outbox and cancellation queues share slabs, so the session holds the
-# entries live at its peak, not each client's high-water mark (restoring
-# the queue's calendar ring reads ≈ 8,890). `tests/trace_heap.rs` builds
+# vector (collecting them reads ≈ 10,350), and its clients keep the
+# compact state below (≈ 6,900 without it). `tests/serve_heap.rs` serves
+# a generated stream of 2,000 users at 16 shards and one worker and holds
+# the high-water above the input under `adpf_serve::CLIENT_BYTES` =
+# 6,000 bytes per client (≈ 5,440 read), the ceiling the server also
+# admits a header's population by: each engine's event queue is one
+# heap, the per-client slot-time, report, outbox and cancellation queues
+# share slabs, so the session holds the entries live at its peak, not
+# each client's high-water mark, and a client's rate history is a
+# multiset of `u16`-indexed runs (≈ 6,200 without), its hour cells
+# integers (≈ 5,630 without), its cache gives back capacity (≈ 5,730
+# without), and a cached ad and a routed event are 16 bytes each
+# (≈ 5,710 and ≈ 5,970 at 24). `tests/serve_slope.rs` serves 1,250 users
+# at 10 shards for 2 and for 14 days and holds the growth between them
+# under 5,000 bytes per client (≈ 3,800–3,900 read; ≈ 7,700 with rate
+# histories of `f64`s, ≈ 8,000–8,600 with the layout before it). `tests/trace_heap.rs` builds
 # traces, whole on two threads (12,000 users) and as 16-way shards of
 # 3,000 users, plain, mixed-scenario and flash-crowd, and holds each
 # build's high-water to 24.8 bytes per session of the built trace
@@ -152,6 +161,11 @@ perf_serve() {
         | ./target/release/serve --seed 5 --threads 2 > target/serve_smoke_rechunked.out
     test "$(grep '^report-hash:' target/serve_smoke_rechunked.out)" = "$SERVE_GOLDEN"
     grep -q '^serve: .*ingest_errors=0' target/serve_smoke_rechunked.out
+    # One slot line far past the header's horizon is one rejected line,
+    # not a sync period of ~317,000 years for the predictor to walk.
+    printf '#serve,users=10,horizon_ms=86400000\nslot,1,2,3\nslot,10000000000000000,2,3\n' \
+        | timeout 10 ./target/release/serve --seed 5 > target/serve_far_slot.out
+    grep -q '^serve: .*ingest_errors=1 ' target/serve_far_slot.out
 }
 
 simulate_gate() {
@@ -178,13 +192,16 @@ sweep_gate() {
 benchmark_gate() {
     cargo test --offline --manifest-path benchmark/Cargo.toml
     benchmark/run.sh --lint
+    # The horizon slope of server memory, beside the heap gates the
+    # workspace run above holds.
+    cargo test -q --release --test serve_slope
 }
 
 if [ "${1:-}" = "quick" ]; then
     cargo build --release -p adpf-bench
     cargo test -q -p adpf-bench --test public_surface
     cargo test -q --release --test materialized_heap --test serve_heap --test serve_sessions \
-        --test stream_heap --test trace_heap
+        --test serve_slope --test stream_heap --test trace_heap
     # Tier 1 runs only the root package's tests: the predictor families'
     # unit tests, cold-start cases and pinned digests run here, and so do
     # the trace crate's, the slot stream held to the push-and-sort it

@@ -16,34 +16,76 @@ use adpf_desim::{SimDuration, SimTime, SlabQueues};
 use adpf_energy::Radio;
 use adpf_prediction::Predictor;
 
-/// One prefetched ad sitting in a client's cache.
+/// One prefetched ad sitting in a client's cache, in 16 bytes: the
+/// ledger id, and the deadline with the replica flag in its top bit.
+///
+/// Replicas are insurance: they display only after all primaries, so
+/// they rarely burn a slot unless the origin client actually failed.
+/// With the flag above the deadline's bits, the packed word orders ads
+/// exactly as the display-priority key `(replica, deadline)` does.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct CachedAd {
     /// Ledger id of the sold ad.
-    pub id: AdId,
-    /// Latest time the ad may still be displayed.
-    pub deadline: SimTime,
-    /// `true` when this client holds an overbooking replica rather than
-    /// the primary copy. Replicas are insurance: they display only after
-    /// all primaries, so they rarely burn a slot unless the origin client
-    /// actually failed.
-    pub replica: bool,
+    id: AdId,
+    /// [`CachedAd::REPLICA`] when this client holds an overbooking
+    /// replica rather than the primary copy, or'ed with the latest time
+    /// the ad may still be displayed, in ms.
+    key: u64,
 }
 
+const _: () = assert!(std::mem::size_of::<CachedAd>() == 16);
+
 impl CachedAd {
+    /// The replica flag's bit in `key`. A deadline is a finite instant of
+    /// the run, far below 2^63 ms.
+    const REPLICA: u64 = 1 << 63;
+
+    pub(crate) fn new(id: AdId, deadline: SimTime, replica: bool) -> Self {
+        debug_assert!(deadline.as_millis() < Self::REPLICA);
+        Self {
+            id,
+            key: deadline.as_millis() | if replica { Self::REPLICA } else { 0 },
+        }
+    }
+
+    /// Ledger id of the sold ad.
+    pub(crate) fn id(&self) -> AdId {
+        self.id
+    }
+
+    /// Latest time the ad may still be displayed.
+    pub(crate) fn deadline(&self) -> SimTime {
+        SimTime::from_millis(self.key & !Self::REPLICA)
+    }
+
+    /// Whether this is an overbooking replica, not the primary copy.
+    pub(crate) fn replica(&self) -> bool {
+        self.key & Self::REPLICA != 0
+    }
+
     /// Display-priority key: all primaries (earliest deadline first)
     /// before any replica.
-    fn priority(&self) -> (bool, SimTime) {
-        (self.replica, self.deadline)
+    fn priority(&self) -> u64 {
+        self.key
     }
 }
 
 /// One client's prefetched ads, kept sorted by display priority:
 /// primaries earliest-deadline-first, then replicas.
+///
+/// The vector gives back capacity as it empties: a `retain` that leaves
+/// it at a quarter of its capacity or less halves the capacity, so a
+/// client holds room for about what it holds now, not for its
+/// high-water mark.
 #[derive(Debug, Default)]
 pub(crate) struct AdCache(Vec<CachedAd>);
 
 impl AdCache {
+    /// Capacity the cache keeps however empty it gets: the first
+    /// allocation a 16-byte element takes, so a client whose cache
+    /// empties and refills at every sync does not free and reallocate.
+    const MIN_CAPACITY: usize = 4;
+
     /// Inserts an ad keeping display-priority order.
     pub fn insert(&mut self, ad: CachedAd) {
         let pos = self.0.partition_point(|c| c.priority() <= ad.priority());
@@ -53,7 +95,19 @@ impl AdCache {
     /// Number of cached primary (non-replica) ads — the quantity the
     /// server compares against predicted demand when topping up.
     pub(crate) fn primary_count(&self) -> usize {
-        self.0.iter().filter(|c| !c.replica).count()
+        self.0.iter().filter(|c| !c.replica()).count()
+    }
+
+    /// Keeps the ads `keep` accepts; returns how many it dropped. Halves
+    /// the capacity when what is left fits in a quarter of it.
+    fn retain(&mut self, keep: impl FnMut(&CachedAd) -> bool) -> usize {
+        let before = self.0.len();
+        self.0.retain(keep);
+        let cap = self.0.capacity();
+        if cap > Self::MIN_CAPACITY && self.0.len() <= cap / 4 {
+            self.0.shrink_to(cap / 2);
+        }
+        before - self.0.len()
     }
 
     /// Removes and returns the best displayable ad at `now`, purging
@@ -73,27 +127,23 @@ impl AdCache {
     ) -> Option<CachedAd> {
         // Expired entries are dropped silently; the server's expiry sweep
         // does the ledger accounting.
-        self.0.retain(|c| c.deadline >= now);
+        self.purge_expired(now);
         let pos = self
             .0
             .iter()
-            .position(|c| !c.replica || c.deadline.saturating_since(now) <= replica_window)?;
+            .position(|c| !c.replica() || c.deadline().saturating_since(now) <= replica_window)?;
         Some(self.0.remove(pos))
     }
 
     /// Drops cache entries whose deadline has passed; returns how many.
     pub(crate) fn purge_expired(&mut self, now: SimTime) -> usize {
-        let before = self.0.len();
-        self.0.retain(|c| c.deadline >= now);
-        before - self.0.len()
+        self.retain(|c| c.deadline() >= now)
     }
 
     /// Drops the given ads (server-issued cancellations); returns how
     /// many entries were actually removed.
     fn cancel(&mut self, ads: &[u64]) -> usize {
-        let before = self.0.len();
-        self.0.retain(|c| !ads.contains(&c.id.0));
-        before - self.0.len()
+        self.retain(|c| !ads.contains(&c.id().0))
     }
 }
 
@@ -212,7 +262,7 @@ impl ClientTable {
     /// (server-issued cancellations); returns how many entries were
     /// actually dropped.
     pub(crate) fn cancel(&mut self, i: usize, ads: &[u64]) -> usize {
-        self.cache[i].cancel(ads) + self.outbox.retain(i, |c| !ads.contains(&c.id.0))
+        self.cache[i].cancel(ads) + self.outbox.retain(i, |c| !ads.contains(&c.id().0))
     }
 }
 
@@ -226,18 +276,11 @@ mod tests {
     const W: SimDuration = SimDuration::from_hours(1);
 
     fn ad(id: u64, deadline_h: u64) -> CachedAd {
-        CachedAd {
-            id: AdId(id),
-            deadline: SimTime::from_hours(deadline_h),
-            replica: false,
-        }
+        CachedAd::new(AdId(id), SimTime::from_hours(deadline_h), false)
     }
 
     fn replica(id: u64, deadline_h: u64) -> CachedAd {
-        CachedAd {
-            replica: true,
-            ..ad(id, deadline_h)
-        }
+        CachedAd::new(AdId(id), SimTime::from_hours(deadline_h), true)
     }
 
     #[test]
@@ -246,7 +289,7 @@ mod tests {
         c.insert(ad(1, 10));
         c.insert(ad(2, 5));
         c.insert(ad(3, 7));
-        let order: Vec<u64> = c.0.iter().map(|a| a.id.0).collect();
+        let order: Vec<u64> = c.0.iter().map(|a| a.id().0).collect();
         assert_eq!(order, vec![2, 3, 1]);
     }
 
@@ -257,11 +300,11 @@ mod tests {
         c.insert(ad(2, 9)); // Relaxed primary.
         c.insert(replica(3, 5));
         c.insert(ad(4, 6));
-        let order: Vec<u64> = c.0.iter().map(|a| a.id.0).collect();
+        let order: Vec<u64> = c.0.iter().map(|a| a.id().0).collect();
         assert_eq!(order, vec![4, 2, 1, 3], "primaries EDF, then replicas EDF");
         assert_eq!(c.primary_count(), 2);
         let first = c.take_displayable(SimTime::from_hours(1), W).unwrap();
-        assert!(!first.replica);
+        assert!(!first.replica());
     }
 
     #[test]
@@ -273,7 +316,7 @@ mod tests {
         assert_eq!(c.0.len(), 1, "the replica stays cached");
         // Inside the final window it becomes displayable.
         let got = c.take_displayable(SimTime::from_hours(9), W).unwrap();
-        assert_eq!(got.id.0, 1);
+        assert_eq!(got.id().0, 1);
     }
 
     #[test]
@@ -283,7 +326,7 @@ mod tests {
         c.insert(ad(2, 8));
         c.insert(ad(3, 6));
         let got = c.take_displayable(SimTime::from_hours(2), W).unwrap();
-        assert_eq!(got.id.0, 3, "earliest non-expired deadline first");
+        assert_eq!(got.id().0, 3, "earliest non-expired deadline first");
         assert_eq!(c.0.len(), 1);
     }
 

@@ -487,7 +487,7 @@ impl ClientEngine {
             if let Some(ad) =
                 self.clients.cache[ci].take_displayable(now, self.config.replica_window)
             {
-                self.clients.pending_reports.push(ci, (ad.id, now));
+                self.clients.pending_reports.push(ci, (ad.id(), now));
                 self.impressions += 1;
                 self.cache_hits += 1;
                 if let Some(s) = &self.scen {
@@ -725,11 +725,7 @@ impl ClientEngine {
             // holder's own primaries.
             for (rank, &h) in holders.iter().enumerate() {
                 self.clients.queued[h as usize] += 1;
-                let cached = CachedAd {
-                    id: sold.id,
-                    deadline,
-                    replica: rank > 0,
-                };
+                let cached = CachedAd::new(sold.id, deadline, rank > 0);
                 if h as usize == ci {
                     self.clients.cache[ci].insert(cached);
                     delivered_primaries += 1;
@@ -788,7 +784,7 @@ impl ClientEngine {
         let mut delivered_replicas = 0u64;
         let cache = &mut self.clients.cache[ci];
         self.clients.outbox.drain(ci, |ad| {
-            if ad.deadline >= now {
+            if ad.deadline() >= now {
                 cache.insert(ad);
                 delivered_replicas += 1;
             }
@@ -1020,14 +1016,9 @@ impl ClientEngine {
             match target {
                 Some(t) if self.book.rescue_to(ad, t) => {
                     self.clients.queued[t as usize] += 1;
-                    self.clients.outbox.push(
-                        t as usize,
-                        CachedAd {
-                            id: ad,
-                            deadline,
-                            replica: true,
-                        },
-                    );
+                    self.clients
+                        .outbox
+                        .push(t as usize, CachedAd::new(ad, deadline, true));
                 }
                 _ => self.obs.inc(self.mid.netem_rescues_unplaced, 1),
             }

@@ -36,6 +36,7 @@
 //! ```
 
 mod eval;
+mod history;
 mod markov;
 mod oracle;
 mod predictor;

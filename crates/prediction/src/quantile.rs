@@ -1,7 +1,8 @@
 //! Percentile-targeted demand prediction.
 
 use adpf_desim::{SimDuration, SimTime};
-use adpf_stats::summary::quantile;
+
+use crate::history::RateHistory;
 
 /// Predicts a chosen percentile of the historical per-period demand rate.
 ///
@@ -15,24 +16,22 @@ use adpf_stats::summary::quantile;
 pub(crate) struct QuantilePredictor {
     q: f64,
     /// Normalized demand rates (slots per hour) of past periods.
-    rates: Vec<f64>,
-    /// Quantile of `rates`, recomputed on observation. `predict` is called
-    /// far more often than `observe` (once per replication candidate), so
-    /// the O(n log n) quantile must not sit on the predict path.
+    rates: RateHistory,
+    /// Quantile and arrival-order mean of `rates`, recomputed on
+    /// observation: `predict` and `expected_rate` are called far more
+    /// often than `observe` (once per replication candidate).
     cached_rate: f64,
+    cached_mean: f64,
 }
 
 impl QuantilePredictor {
-    /// Maximum history length; older periods are discarded so the model
-    /// adapts to regime changes over multi-month traces.
-    pub(crate) const MAX_HISTORY: usize = 512;
-
     /// Creates a predictor targeting quantile `q` (clamped into `[0, 1]`).
     pub(crate) fn new(q: f64) -> Self {
         Self {
             q: q.clamp(0.0, 1.0),
-            rates: Vec::new(),
+            rates: RateHistory::default(),
             cached_rate: 0.0,
+            cached_mean: 0.0,
         }
     }
 
@@ -46,11 +45,9 @@ impl QuantilePredictor {
         if hours <= 0.0 {
             return;
         }
-        if self.rates.len() == Self::MAX_HISTORY {
-            self.rates.remove(0);
-        }
         self.rates.push(slot_times.len() as f64 / hours);
-        self.cached_rate = quantile(&self.rates, self.q);
+        self.cached_rate = self.rates.quantile(self.q);
+        self.cached_mean = self.rates.mean();
     }
 
     pub(crate) fn predict(&self, _now: SimTime, horizon: SimDuration) -> f64 {
@@ -66,8 +63,7 @@ impl QuantilePredictor {
         if self.rates.is_empty() {
             return 0.0;
         }
-        let mean = self.rates.iter().sum::<f64>() / self.rates.len() as f64;
-        mean * horizon.as_hours_f64()
+        self.cached_mean * horizon.as_hours_f64()
     }
 }
 
@@ -127,7 +123,7 @@ mod tests {
         // One early burst, then a long quiet stretch exceeding the history
         // bound: the burst must age out.
         feed(&mut p, &[1000]);
-        for i in 0..QuantilePredictor::MAX_HISTORY {
+        for i in 0..RateHistory::MAX_LEN {
             let start = SimTime::from_hours(1 + i as u64);
             p.observe(start, start + SimDuration::from_hours(1), &[]);
         }

@@ -1,11 +1,9 @@
 //! Session-aware demand prediction.
 
-use std::collections::VecDeque;
-
 use adpf_desim::{SimDuration, SimTime};
-use adpf_stats::summary::quantile_sorted;
 use adpf_stats::Welford;
 
+use crate::history::RateHistory;
 use crate::tod::TimeOfDayPredictor;
 
 /// Predicts demand from the client's *session structure* rather than a
@@ -31,13 +29,8 @@ pub(crate) struct SessionAwarePredictor {
     session_gap: SimDuration,
     /// Quantile of the idle rate history used for speculative selling.
     idle_q: f64,
-    /// Per-period demand rates (slots per hour), bounded history in
-    /// observation order (front = oldest).
-    rates: VecDeque<f64>,
-    /// The same rates kept ascending, maintained incrementally by binary
-    /// insertion/removal: quantile lookups are then O(1) per observation
-    /// instead of a full sort.
-    sorted_rates: Vec<f64>,
+    /// Per-period demand rates (slots per hour), bounded history.
+    rates: RateHistory,
     /// Cached `idle_q`-quantile of `rates`; recomputed on observation so
     /// the hot `predict` path stays O(1).
     cached_idle_rate: f64,
@@ -53,16 +46,12 @@ pub(crate) struct SessionAwarePredictor {
 }
 
 impl SessionAwarePredictor {
-    /// Maximum idle-rate history length.
-    const MAX_HISTORY: usize = 512;
-
     /// Creates a predictor with the given session gap and idle quantile.
     pub(crate) fn new(session_gap: SimDuration, idle_q: f64) -> Self {
         Self {
             session_gap,
             idle_q: idle_q.clamp(0.0, 1.0),
-            rates: VecDeque::new(),
-            sorted_rates: Vec::new(),
+            rates: RateHistory::default(),
             cached_idle_rate: 0.0,
             tod: TimeOfDayPredictor::default(),
             session_len: Welford::new(),
@@ -99,17 +88,8 @@ impl SessionAwarePredictor {
         self.tod.observe(period_start, period_end, slot_times);
         let hours = period_end.saturating_since(period_start).as_hours_f64();
         if hours > 0.0 {
-            if self.rates.len() == Self::MAX_HISTORY {
-                let evicted = self.rates.pop_front().expect("history is non-empty");
-                let at = self.sorted_rates.partition_point(|&x| x < evicted);
-                debug_assert_eq!(self.sorted_rates[at].to_bits(), evicted.to_bits());
-                self.sorted_rates.remove(at);
-            }
-            let rate = slot_times.len() as f64 / hours;
-            self.rates.push_back(rate);
-            let at = self.sorted_rates.partition_point(|&x| x < rate);
-            self.sorted_rates.insert(at, rate);
-            self.cached_idle_rate = quantile_sorted(&self.sorted_rates, self.idle_q);
+            self.rates.push(slot_times.len() as f64 / hours);
+            self.cached_idle_rate = self.rates.quantile(self.idle_q);
         }
         for &t in slot_times {
             match self.last_slot {
@@ -280,10 +260,10 @@ mod tests {
     #[test]
     fn history_is_bounded() {
         let mut p = SessionAwarePredictor::default_config();
-        for i in 0..(SessionAwarePredictor::MAX_HISTORY + 100) {
+        for i in 0..(RateHistory::MAX_LEN + 100) {
             let start = SimTime::from_hours(i as u64);
             p.observe(start, start + SimDuration::from_hours(1), &[]);
         }
-        assert_eq!(p.rates.len(), SessionAwarePredictor::MAX_HISTORY);
+        assert_eq!(p.rates.len(), RateHistory::MAX_LEN);
     }
 }

@@ -4,40 +4,76 @@ use adpf_desim::{SimDuration, SimTime};
 
 /// Milliseconds per hour, re-exported locally for readability.
 const MS_PER_HOUR: u64 = adpf_desim::time::MILLIS_PER_HOUR;
+/// Milliseconds per day.
+const MS_PER_DAY: u64 = adpf_desim::time::MILLIS_PER_DAY;
 
 /// Splits `[start, end)` at the hour boundaries and calls `f(span_start,
 /// span_ms)` for each span.
-fn for_each_hour_span(start: SimTime, end: SimTime, mut f: impl FnMut(SimTime, f64)) {
+fn for_each_hour_span(start: SimTime, end: SimTime, mut f: impl FnMut(SimTime, u64)) {
     let mut cursor = start;
     while cursor < end {
         let hour_end_ms = (cursor.as_millis() / MS_PER_HOUR + 1) * MS_PER_HOUR;
         let span_end = SimTime::from_millis(hour_end_ms).min(end);
-        f(cursor, span_end.saturating_since(cursor).as_millis() as f64);
+        f(cursor, span_end.saturating_since(cursor).as_millis());
         cursor = span_end;
     }
+}
+
+/// Adds `ms` to an observed-time cell, saturating at `u32::MAX`. Inside
+/// `PopulationConfig::MAX_DAYS` a cell holds at most 795 days of one
+/// hour, 2.9e9 ms, so it never saturates there.
+fn add_ms(cell: &mut u32, ms: u64) {
+    *cell = u32::try_from(u64::from(*cell) + ms).unwrap_or(u32::MAX);
+}
+
+/// Adds the time of `[start, end)` to the hour cells `cells`, of which
+/// `cell(at)` is the one holding instant `at` and which repeat every
+/// `cycle_ms` (a whole number of hours). A span of one whole cycle,
+/// wherever it starts, covers every cell for exactly one hour, so the
+/// whole cycles are added to every cell in one step and only the rest is
+/// walked hour by hour: O(cells) however long the period.
+fn observe_time(
+    start: SimTime,
+    end: SimTime,
+    cycle_ms: u64,
+    cells: &mut [u32],
+    cell: impl Fn(SimTime) -> usize,
+) {
+    let cycles = end.saturating_since(start).as_millis() / cycle_ms;
+    if cycles > 0 {
+        for c in cells.iter_mut() {
+            add_ms(c, cycles * MS_PER_HOUR);
+        }
+    }
+    let rest = start + SimDuration::from_millis(cycles * cycle_ms);
+    for_each_hour_span(rest, end, |at, ms| add_ms(&mut cells[cell(at)], ms));
 }
 
 /// Per-hour-of-day slot rates.
 ///
 /// Maintains, for each of the 24 hours, the total slots observed and the
-/// total time observed. Prediction integrates the hourly rates over the
-/// requested window, handling partial hours at both ends. This is the
-/// paper's key insight about client modeling: slot demand is strongly
-/// diurnal, so an hour-indexed rate beats a global average.
+/// total time observed, as integers converted to `f64` only to divide, so
+/// no sum ever rounds. Prediction integrates
+/// the hourly rates over the requested window, handling partial hours at
+/// both ends. This is the paper's key insight about client modeling: slot
+/// demand is strongly diurnal, so an hour-indexed rate beats a global
+/// average.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct TimeOfDayPredictor {
-    slots: [f64; 24],
-    observed_ms: [f64; 24],
+    /// Slots seen in each hour of the day, saturating.
+    slots: [u32; 24],
+    /// Milliseconds observed in each hour of the day, saturating.
+    observed_ms: [u32; 24],
 }
 
 impl TimeOfDayPredictor {
     /// Rate (slots per ms) for a given hour of day; `0.0` if unobserved.
     fn rate(&self, hour: u32) -> f64 {
         let h = (hour % 24) as usize;
-        if self.observed_ms[h] <= 0.0 {
+        if self.observed_ms[h] == 0 {
             0.0
         } else {
-            self.slots[h] / self.observed_ms[h]
+            f64::from(self.slots[h]) / f64::from(self.observed_ms[h])
         }
     }
 
@@ -47,18 +83,23 @@ impl TimeOfDayPredictor {
         period_end: SimTime,
         slot_times: &[SimTime],
     ) {
-        for_each_hour_span(period_start, period_end, |at, ms| {
-            self.observed_ms[at.hour_of_day() as usize] += ms;
-        });
+        observe_time(
+            period_start,
+            period_end,
+            MS_PER_DAY,
+            &mut self.observed_ms,
+            |at| at.hour_of_day() as usize,
+        );
         for t in slot_times {
-            self.slots[(t.hour_of_day() % 24) as usize] += 1.0;
+            let cell = &mut self.slots[(t.hour_of_day() % 24) as usize];
+            *cell = cell.saturating_add(1);
         }
     }
 
     pub(crate) fn predict(&self, now: SimTime, horizon: SimDuration) -> f64 {
         let mut expected = 0.0;
         for_each_hour_span(now, now + horizon, |at, ms| {
-            expected += self.rate(at.hour_of_day()) * ms;
+            expected += self.rate(at.hour_of_day()) * ms as f64;
         });
         expected
     }
@@ -69,27 +110,42 @@ impl TimeOfDayPredictor {
 /// Distinguishes weekday from weekend rhythms. Cells that have been
 /// observed for less than [`DayHourPredictor::MIN_CELL_MS`] fall back to
 /// the all-days hourly rate, avoiding wild extrapolation from a single
-/// observed Monday.
-#[derive(Debug, Clone, Default)]
+/// observed Monday. Cell `24 · day + hour` holds one hour of one day of
+/// the week.
+#[derive(Debug, Clone)]
 pub(crate) struct DayHourPredictor {
-    slots: [[f64; 24]; 7],
-    observed_ms: [[f64; 24]; 7],
+    slots: [u32; 7 * 24],
+    observed_ms: [u32; 7 * 24],
     fallback: TimeOfDayPredictor,
+}
+
+impl Default for DayHourPredictor {
+    fn default() -> Self {
+        Self {
+            slots: [0; 7 * 24],
+            observed_ms: [0; 7 * 24],
+            fallback: TimeOfDayPredictor::default(),
+        }
+    }
+}
+
+/// The day-hour cell holding instant `at`.
+fn day_hour(at: SimTime) -> usize {
+    at.day_of_week() as usize * 24 + (at.hour_of_day() % 24) as usize
 }
 
 impl DayHourPredictor {
     /// Minimum per-cell observation (one full hour) before the cell's own
     /// rate is trusted.
-    pub(crate) const MIN_CELL_MS: f64 = MS_PER_HOUR as f64;
+    pub(crate) const MIN_CELL_MS: u32 = MS_PER_HOUR as u32;
 
-    fn rate(&self, dow: u32, hour: u32) -> f64 {
-        let d = (dow % 7) as usize;
-        let h = (hour % 24) as usize;
-        if self.observed_ms[d][h] >= Self::MIN_CELL_MS {
-            self.slots[d][h] / self.observed_ms[d][h]
+    fn rate(&self, at: SimTime) -> f64 {
+        let c = day_hour(at);
+        if self.observed_ms[c] >= Self::MIN_CELL_MS {
+            f64::from(self.slots[c]) / f64::from(self.observed_ms[c])
         } else {
             // Delegate to the hour-only rate.
-            self.fallback.rate(hour)
+            self.fallback.rate(at.hour_of_day())
         }
     }
 
@@ -100,18 +156,23 @@ impl DayHourPredictor {
         slot_times: &[SimTime],
     ) {
         self.fallback.observe(period_start, period_end, slot_times);
-        for_each_hour_span(period_start, period_end, |at, ms| {
-            self.observed_ms[at.day_of_week() as usize][at.hour_of_day() as usize] += ms;
-        });
-        for t in slot_times {
-            self.slots[t.day_of_week() as usize][(t.hour_of_day() % 24) as usize] += 1.0;
+        observe_time(
+            period_start,
+            period_end,
+            7 * MS_PER_DAY,
+            &mut self.observed_ms,
+            day_hour,
+        );
+        for &t in slot_times {
+            let cell = &mut self.slots[day_hour(t)];
+            *cell = cell.saturating_add(1);
         }
     }
 
     pub(crate) fn predict(&self, now: SimTime, horizon: SimDuration) -> f64 {
         let mut expected = 0.0;
         for_each_hour_span(now, now + horizon, |at, ms| {
-            expected += self.rate(at.day_of_week(), at.hour_of_day()) * ms;
+            expected += self.rate(at) * ms as f64;
         });
         expected
     }

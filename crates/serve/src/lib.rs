@@ -36,6 +36,7 @@ mod server;
 pub use mailbox::Mailbox;
 pub use protocol::{
     write_events, write_events_paced, Framer, IngestError, Parser, SlotEvent, StreamHeader,
+    CLIENT_BYTES,
 };
 pub use server::{
     serve, ServeError, ServeOptions, ServeOutcome, BACKPRESSURE_METRIC, BATCH_EVENTS_METRIC,

@@ -13,13 +13,15 @@
 //! - The **header** (`#serve,users=N,horizon_ms=H`) must be the first
 //!   non-blank, non-comment line: the server sizes its shards and client
 //!   tables from it, exactly like the batch pipeline sizes them from a
-//!   [`Trace`]'s population and horizon. It builds every client up front
-//!   (≈ 7.6 KB each), so a header with `users` past [`MAX_USERS`] is a
-//!   rejected line, not a header.
+//!   [`Trace`]'s population and horizon. It builds every client up front,
+//!   so a header is a rejected line, not a header, when `users` is past
+//!   [`MAX_USERS`] or its clients at [`CLIENT_BYTES`] each would pass
+//!   `CLIENT_MEMORY_BUDGET`, or when `horizon_ms` is past
+//!   `PopulationConfig::MAX_DAYS`, the longest horizon a trace holds.
 //! - Each **event** line (`slot,<time_ms>,<user>,<app>`) is one ad slot:
 //!   client `user` renders a slot of app `app` at `time_ms`. Events must
-//!   be non-decreasing in time — the same ordering contract the batch
-//!   slot stream satisfies by construction.
+//!   be non-decreasing in time and at most `horizon_ms` — the contract
+//!   the batch slot stream satisfies by construction.
 //! - An optional **`shutdown`** line asks the server to finalize and
 //!   report; end of input does the same (so file/stdin replay needs no
 //!   sentinel, while a long-lived socket can end a session explicitly
@@ -39,8 +41,9 @@
 
 use std::io::Write;
 
+use adpf_desim::time::MILLIS_PER_DAY;
 use adpf_desim::SimDuration;
-use adpf_traces::{Trace, MAX_USERS};
+use adpf_traces::{PopulationConfig, Trace, MAX_USERS};
 
 /// Leading tag of the mandatory stream header.
 pub(crate) const HEADER_PREFIX: &str = "#serve,";
@@ -52,6 +55,20 @@ pub(crate) const SHUTDOWN: &str = "shutdown";
 /// than 20× the longest legal record. It bounds the [`Framer`]'s carry
 /// buffer: a longer run is rejected once and skipped, never buffered.
 pub(crate) const MAX_LINE_BYTES: usize = 1024;
+
+/// Ceiling on what a serve session holds per client above its input,
+/// in bytes: `tests/serve_heap.rs` holds its two-day population under
+/// it, and a header is admitted only when its clients fit
+/// `CLIENT_MEMORY_BUDGET` at this size each.
+pub const CLIENT_BYTES: u64 = 6_000;
+
+/// The memory a session may plan to hold for its clients, 4 GiB: at
+/// [`CLIENT_BYTES`] each, room for 715,827 clients.
+pub(crate) const CLIENT_MEMORY_BUDGET: u64 = 4 << 30;
+
+/// The longest horizon a header may declare, in milliseconds: that of
+/// the longest trace, `PopulationConfig::MAX_DAYS`.
+const MAX_HORIZON_MS: u64 = PopulationConfig::MAX_DAYS as u64 * MILLIS_PER_DAY;
 
 /// The stream header: the population bounds the server sizes itself
 /// from, mirroring what the batch pipeline reads off a [`Trace`].
@@ -199,6 +216,12 @@ impl Parser {
                 header.users
             ));
         }
+        if time_ms > header.horizon_ms {
+            return self.reject(format!(
+                "event at t={time_ms}ms past the horizon, {}ms",
+                header.horizon_ms
+            ));
+        }
         if time_ms < self.watermark_ms {
             return self.reject(format!(
                 "out-of-order event: t={time_ms}ms after watermark {}ms",
@@ -226,13 +249,25 @@ impl Parser {
                 }
             } else if let Some(v) = field.strip_prefix("horizon_ms=") {
                 match v.trim().parse() {
-                    Ok(n) => horizon_ms = Some(n),
+                    Ok(n) if n <= MAX_HORIZON_MS => horizon_ms = Some(n),
+                    Ok(n) => {
+                        return self.reject(format!(
+                            "`horizon_ms` {n} is past `MAX_DAYS`, {} days",
+                            PopulationConfig::MAX_DAYS
+                        ))
+                    }
                     Err(_) => return self.reject(format!("invalid `horizon_ms` value `{v}`")),
                 }
             }
             // Unknown header fields are ignored for forward compatibility.
         }
         match (users, horizon_ms) {
+            (Some(users), Some(_)) if u64::from(users) * CLIENT_BYTES > CLIENT_MEMORY_BUDGET => {
+                self.reject(format!(
+                    "`users` {users} at {CLIENT_BYTES} B each is past the \
+                     {CLIENT_MEMORY_BUDGET} B client memory budget"
+                ))
+            }
             (Some(users), Some(horizon_ms)) => {
                 let h = StreamHeader { users, horizon_ms };
                 self.header = Some(h);
@@ -517,6 +552,20 @@ mod tests {
     }
 
     #[test]
+    fn events_past_the_horizon_reject() {
+        let mut p = Parser::new();
+        p.feed("#serve,users=5,horizon_ms=100");
+        // A zero-length session ending at the horizon has its slot there.
+        assert!(matches!(p.feed("slot,100,1,1"), Parsed::Event(_)));
+        match p.feed("slot,10000000000000000,1,1") {
+            Parsed::Rejected(e) => assert!(e.reason.contains("past the horizon"), "{e}"),
+            other => panic!("expected rejection, got {other:?}"),
+        }
+        // The rejected line moved no watermark.
+        assert!(matches!(p.feed("slot,100,2,1"), Parsed::Event(_)));
+    }
+
+    #[test]
     fn events_before_header_reject_and_missing_meta_rejects() {
         let mut p = Parser::new();
         match p.feed("slot,5,1,1") {
@@ -533,6 +582,24 @@ mod tests {
         assert!(matches!(
             p.feed("#serve,users=a,horizon_ms=1"),
             Parsed::Rejected(_)
+        ));
+        // Inside `MAX_USERS` but past the memory budget: 2^24 clients
+        // would need ≈ 100 GB. The largest population inside it passes.
+        let fits = CLIENT_MEMORY_BUDGET / CLIENT_BYTES;
+        for users in [u64::from(MAX_USERS), fits + 1] {
+            match p.feed(&format!("#serve,users={users},horizon_ms=1")) {
+                Parsed::Rejected(e) => assert!(e.reason.contains("memory budget"), "{e}"),
+                other => panic!("expected rejection, got {other:?}"),
+            }
+        }
+        // A horizon past the longest trace's.
+        match p.feed(&format!("#serve,users=3,horizon_ms={}", MAX_HORIZON_MS + 1)) {
+            Parsed::Rejected(e) => assert!(e.reason.contains("MAX_DAYS"), "{e}"),
+            other => panic!("expected rejection, got {other:?}"),
+        }
+        assert!(matches!(
+            Parser::new().feed(&format!("#serve,users={fits},horizon_ms={MAX_HORIZON_MS}")),
+            Parsed::Header(_)
         ));
         // A later complete header still works.
         assert!(matches!(

@@ -45,9 +45,10 @@
 //! - **Framing.** The ingest thread takes whatever bytes `fill_buf`
 //!   returns, and a [`Framer`] cuts complete lines out of that chunk in
 //!   place — no per-line `String`; only a chunk's unterminated tail is
-//!   copied, into a carry buffer capped at `MAX_LINE_BYTES`. Every event of
-//!   a chunk carries the one time at which the chunk arrived, in
-//!   nanoseconds since the session began.
+//!   copied, into a carry buffer capped at `MAX_LINE_BYTES`. The events
+//!   of a chunk share the one time at which the chunk arrived, in
+//!   nanoseconds since the session began, kept once per hand-off rather
+//!   than once per event.
 //! - **Hand-off.** Each worker has a bounded swap [`Mailbox`]. The
 //!   ingest thread collects a chunk's events per worker and appends
 //!   them at the end of the chunk (and every `FLUSH_EVENTS` inside a
@@ -121,8 +122,9 @@ pub const BACKPRESSURE_METRIC: &str = "serve.router_backpressure";
 /// saturated worker's batches give each shard a run of thousands of
 /// events — most of the batching gain. The memory it bounds is two
 /// buffers per worker, the pending one and the batch the worker swapped
-/// out, each of up to `MAILBOX_CAP + FLUSH_EVENTS - 1` [`Routed`] events
-/// of 24 bytes: about 3.0 MiB a worker.
+/// out, each of up to `MAILBOX_CAP + FLUSH_EVENTS` [`Routed`] items (the
+/// events and one arrival mark per push) of 16 bytes: about 2.0 MiB a
+/// worker.
 const MAILBOX_CAP: usize = 65_536;
 /// Inside one large chunk, hand a worker its events at least this often
 /// so it is not idle while the rest of the chunk is parsed.
@@ -232,20 +234,26 @@ impl From<std::io::Error> for ServeError {
     }
 }
 
-/// One routed event: the global user, whose shard and shard-local id
-/// the worker derives from the shard ranges, and the arrival time of the
-/// chunk it came in, which the latency histograms measure from.
-struct Routed {
-    time: SimTime,
+/// What the router hands a worker, 16 bytes each. Every push to a
+/// mailbox opens with the arrival time of the chunk its events came in,
+/// which the latency histograms measure from; the events after it, up to
+/// the next push's, share it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Routed {
     /// Nanoseconds from the session's epoch to the chunk's arrival.
-    arrived_ns: u64,
-    user: UserId,
-    app: AppId,
+    Arrived(u64),
+    /// One event: the global user, whose shard and shard-local id the
+    /// worker derives from the shard ranges.
+    Slot {
+        time: SimTime,
+        user: UserId,
+        app: AppId,
+    },
 }
 
 // Two mailbox buffers of these per worker are the serve path's largest
 // allocation after the engines; see `MAILBOX_CAP`.
-const _: () = assert!(std::mem::size_of::<Routed>() == 24);
+const _: () = assert!(std::mem::size_of::<Routed>() == 16);
 
 /// Nanoseconds from `epoch` to now.
 fn nanos_since(epoch: Instant) -> u64 {
@@ -445,31 +453,39 @@ fn next_chunk<R: BufRead>(
     Ok(more)
 }
 
-/// Stable counting sort of `batch` by the shard of `ranges` each
-/// event's user falls in. Fills `order` with the batch's indices grouped
-/// by shard, arrival order kept within a group, and `ends[s]` with the
-/// end of shard `s`'s span in `order` (it starts where shard `s - 1`
-/// ends).
+/// Stable counting sort of `batch`'s events by the shard of `ranges`
+/// each event's user falls in. Fills `order` with the events' indices
+/// in `batch` grouped by shard, arrival order kept within a group,
+/// `ends[s]` with the end of shard `s`'s span in `order` (it starts
+/// where shard `s - 1` ends), and `stamps` with the index and time of
+/// each [`Routed::Arrived`] mark, in batch order.
 fn group_by_shard(
     batch: &[Routed],
     ranges: &[Range<u32>],
     ends: &mut [usize],
     order: &mut Vec<u32>,
+    stamps: &mut Vec<(u32, u64)>,
 ) {
     ends.fill(0);
-    for m in batch {
-        ends[shard_of(ranges, m.user)] += 1;
+    stamps.clear();
+    for (i, m) in batch.iter().enumerate() {
+        match *m {
+            Routed::Slot { user, .. } => ends[shard_of(ranges, user)] += 1,
+            Routed::Arrived(ns) => stamps.push((i as u32, ns)),
+        }
     }
     let mut start = 0;
     for e in ends.iter_mut() {
         start += std::mem::replace(e, start);
     }
     order.clear();
-    order.resize(batch.len(), 0);
+    order.resize(start, 0);
     for (i, m) in batch.iter().enumerate() {
-        let at = &mut ends[shard_of(ranges, m.user)];
-        order[*at] = i as u32;
-        *at += 1;
+        if let Routed::Slot { user, .. } = *m {
+            let at = &mut ends[shard_of(ranges, user)];
+            order[*at] = i as u32;
+            *at += 1;
+        }
     }
 }
 
@@ -657,10 +673,11 @@ fn work(s: &Session, w: usize) {
     let batch_events = obs.histogram(BATCH_EVENTS_METRIC);
     let mut batch = Vec::new();
     let mut order = Vec::new();
+    let mut stamps = Vec::new();
     let mut ends = vec![0usize; s.ranges.len()];
     while mailbox.take(&mut batch) {
-        obs.observe_id(batch_events, batch.len() as u64);
-        group_by_shard(&batch, &s.ranges, &mut ends, &mut order);
+        group_by_shard(&batch, &s.ranges, &mut ends, &mut order, &mut stamps);
+        obs.observe_id(batch_events, order.len() as u64);
         let mut from = 0;
         for ((engine, &to), range) in engines.iter_mut().zip(&ends).zip(&s.ranges) {
             let run = &order[from..to];
@@ -672,13 +689,23 @@ fn work(s: &Session, w: usize) {
                 .as_mut()
                 .expect("event routed to a worker that owns its shard");
             let started = nanos_since(s.epoch);
+            // A run's events ascend in the batch, so its marks are met
+            // in order: each event's is the last one before it (every
+            // push, hence every batch, opens with one).
+            let mut mark = 0;
             for &i in run {
-                let m = &batch[i as usize];
-                let waited = started.saturating_sub(m.arrived_ns);
+                while stamps.get(mark + 1).is_some_and(|&(at, _)| at < i) {
+                    mark += 1;
+                }
+                let arrived_ns = stamps[mark].1;
+                let Routed::Slot { time, user, app } = batch[i as usize] else {
+                    unreachable!("`order` holds only events");
+                };
+                let waited = started.saturating_sub(arrived_ns);
                 obs.observe_id(wait, waited / 1_000);
-                engine.drain_internal_before(m.time);
-                engine.on_slot(m.time, UserId(m.user.0 - range.start), m.app);
-                let decided = nanos_since(s.epoch).saturating_sub(m.arrived_ns);
+                engine.drain_internal_before(time);
+                engine.on_slot(time, UserId(user.0 - range.start), app);
+                let decided = nanos_since(s.epoch).saturating_sub(arrived_ns);
                 obs.observe_id(lat, decided / 1_000);
             }
         }
@@ -725,14 +752,17 @@ fn route<R: BufRead>(
                     // holds the user.
                     let user = UserId(e.user);
                     let w = s.ownership[shard_of(&s.ranges, user)].load(Ordering::Acquire);
-                    outbox[w].push(Routed {
+                    let events = &mut outbox[w];
+                    if events.is_empty() {
+                        events.push(Routed::Arrived(arrived_ns));
+                    }
+                    events.push(Routed::Slot {
                         time: SimTime::from_millis(e.time_ms),
-                        arrived_ns,
                         user,
                         app: AppId(e.app),
                     });
                     requests += 1;
-                    if outbox[w].len() >= FLUSH_EVENTS && !delivered(w, &mut outbox[w]) {
+                    if events.len() > FLUSH_EVENTS && !delivered(w, events) {
                         return ControlFlow::Break(());
                     }
                 }
@@ -990,21 +1020,29 @@ mod tests {
     fn group_by_shard_is_a_stable_grouping() {
         // Shards of two users each, and an empty last one.
         let ranges = [0..2, 2..4, 4..6, 6..6];
-        let batch: Vec<Routed> = [5u32, 0, 4, 3, 1, 5]
-            .iter()
-            .enumerate()
-            .map(|(i, &user)| Routed {
-                time: SimTime::from_millis(i as u64),
-                arrived_ns: 0,
-                user: UserId(user),
-                app: AppId(0),
-            })
-            .collect();
+        // Two pushes: events 5, 0, 4 then 3, 1, 5, each behind its mark.
+        let slot = |i: u64, user: u32| Routed::Slot {
+            time: SimTime::from_millis(i),
+            user: UserId(user),
+            app: AppId(0),
+        };
+        let batch = [
+            Routed::Arrived(10),
+            slot(0, 5),
+            slot(1, 0),
+            slot(2, 4),
+            Routed::Arrived(20),
+            slot(3, 3),
+            slot(4, 1),
+            slot(5, 5),
+        ];
         let mut ends = vec![0; 4];
         let mut order = vec![7; 9];
-        group_by_shard(&batch, &ranges, &mut ends, &mut order);
-        assert_eq!(order, [1, 4, 3, 0, 2, 5]);
+        let mut stamps = vec![(9, 9)];
+        group_by_shard(&batch, &ranges, &mut ends, &mut order, &mut stamps);
+        assert_eq!(order, [2, 6, 5, 1, 3, 7]);
         assert_eq!(ends, [2, 3, 6, 6]);
+        assert_eq!(stamps, [(0, 10), (4, 20)]);
     }
 
     /// Yields `data`, then fails every read with `kind`.
@@ -1152,6 +1190,33 @@ mod tests {
         opts.error_sample = 0;
         let err = serve(&opts, &huge[..]).unwrap_err().to_string();
         assert!(err.ends_with("first rejected: ingest error at line 1: `users` 4000000000 is past `MAX_USERS`, 16777216"), "{err}");
+        // Inside `MAX_USERS`, 2^24 clients would still need ≈ 100 GB: the
+        // header is rejected on the memory budget instead of aborting.
+        let huge = b"#serve,users=16777216,horizon_ms=86400000\nslot,1,2,3\n";
+        let err = serve(&opts, &huge[..]).unwrap_err().to_string();
+        assert!(err.contains("line 1: `users` 16777216 at "), "{err}");
+        assert!(err.ends_with("client memory budget"), "{err}");
+    }
+
+    #[test]
+    fn a_slot_far_past_the_horizon_is_one_rejected_line() {
+        // One slot, then one ~317,000 years later: the predictor would
+        // otherwise observe the whole gap as one sync period.
+        let stream =
+            b"#serve,users=10,horizon_ms=86400000\nslot,1,2,3\nslot,10000000000000000,2,3\n";
+        let started = Instant::now();
+        let out = serve(
+            &ServeOptions::new(SystemConfig::prefetch_default(5)),
+            &stream[..],
+        )
+        .unwrap();
+        assert_eq!((out.requests, out.ingest_errors), (1, 1));
+        assert_eq!(out.error_sample[0].line, 3);
+        assert!(
+            started.elapsed().as_secs_f64() < 1.0,
+            "{:?}",
+            started.elapsed()
+        );
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! A counting global allocator for the harness-less heap gates
-//! (`materialized_heap`, `serve_heap`, `stream_heap`, `trace_heap`): it
-//! tracks the bytes live in the process and their high-water mark. Such
-//! a binary runs without the test harness (`harness = false` in the root
-//! `Cargo.toml`), so only the measured run's own threads allocate while
-//! it is measured.
+//! (`materialized_heap`, `serve_heap`, `serve_slope`, `stream_heap`,
+//! `trace_heap`): it tracks the bytes live in the process and their
+//! high-water mark. Such a binary runs without the test harness
+//! (`harness = false` in the root `Cargo.toml`), so only the measured
+//! run's own threads allocate while it is measured.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -2,8 +2,10 @@
 //! live, not each client's high-water mark. A client's slot times and
 //! reports since its last sync, the replicas waiting for its next sync
 //! and the cancellations queued for it live in slabs per engine that
-//! every client's queue shares, each engine's event queue is one heap,
-//! and a routed event is 24 bytes, so what a session allocates above its
+//! every client's queue shares, each engine's event queue is one heap, a
+//! client's cache gives back capacity as it empties, its rate history
+//! is a multiset and its hour cells integers, and a cached ad and a
+//! routed event are 16 bytes each, so what a session allocates above its
 //! input is the engines, the mailbox and the live queue entries.
 //!
 //! The counting allocator of `heap/` tracks the bytes live in the
@@ -12,10 +14,10 @@
 //! measured: `cargo test --test serve_heap`.
 
 mod heap;
+#[path = "heap/serve.rs"]
+mod session;
 
-use adpf_core::SystemConfig;
-use adpf_serve::{serve, write_events, ServeOptions};
-use adpf_traces::PopulationConfig;
+use adpf_serve::CLIENT_BYTES;
 
 /// The population: iPhone-shaped over two days, the size of the
 /// benchmark's saturated serve workload. Its 179,262 requests keep the
@@ -23,50 +25,29 @@ use adpf_traces::PopulationConfig;
 /// the reading repeats (smaller populations let it vary by run).
 const USERS: u32 = 2_000;
 const DAYS: u32 = 2;
-const SEED: u64 = 1;
 /// The benchmark's serve shape: 16 shards and one worker.
 const SHARDS: usize = 16;
 
-/// Ceiling on the session's high-water above its input, in bytes per
-/// client; one heap per engine queue and every per-client queue in a
-/// slab read ≈ 7,650. Restoring the queue's calendar ring (1,024 bucket
-/// `Vec`s per engine) reads ≈ 8,890; keeping slot times and pending
-/// reports in one `Vec` per client ≈ 7,940; both ≈ 9,190. With one `Vec`
-/// per client's outbox on top ≈ 10,800, and 40-byte routed events with
-/// every queue in `Vec`s ≈ 12,100.
-const MAX_BYTES_PER_CLIENT: usize = 8_300;
+// The ceiling is `CLIENT_BYTES`, which the server also admits headers
+// by. This population reads ≈ 5,440 B per client (±100 run to run).
+// Without one part of this layout at a time: rate histories as a
+// `VecDeque<f64>` with a sorted copy ≈ 6,200; `f64` hour cells ≈ 5,630;
+// caches kept at their high-water capacity ≈ 5,730; 24-byte cached ads
+// ≈ 5,710; 24-byte routed events ≈ 5,970. Without all five, the layout
+// before them, ≈ 7,620; restoring the queue's calendar ring (1,024
+// bucket `Vec`s per engine) on top of that ≈ 8,890, and 40-byte routed
+// events with every queue in `Vec`s ≈ 12,100.
 
 fn main() {
-    let config = SystemConfig::prefetch_default(1);
-    let pop = PopulationConfig {
-        num_users: USERS,
-        days: DAYS,
-        ..PopulationConfig::iphone_like(SEED)
-    };
-    let mut stream = Vec::new();
-    let trace = pop.generate();
-    write_events(&trace, config.ad_refresh, &mut stream).expect("in-memory write");
-    let slots = trace.ad_slots(config.ad_refresh).len() as u64;
-    drop(trace);
-    let mut opts = ServeOptions::new(config);
-    opts.threads = 1;
-    opts.shards = Some(SHARDS);
-    opts.error_sample = 0;
-
-    let input = heap::start();
-    let out = serve(&opts, stream.as_slice()).expect("a generated stream always ingests");
-    let above = heap::high_water_above(input);
-    assert_eq!((out.requests, out.ingest_errors), (slots, 0));
-    assert_eq!(out.report.slots(), slots);
-
-    let per_client = above / USERS as usize;
+    let r = session::serve_once(USERS, DAYS, SHARDS);
     println!(
-        "serve_heap: {USERS} users, {slots} requests, {SHARDS} shards, 1 worker: \
-         high-water +{above} B above the input = {per_client} B per client \
-         (ceiling {MAX_BYTES_PER_CLIENT})"
+        "serve_heap: {USERS} users, {} requests, {SHARDS} shards, 1 worker: \
+         high-water above the input = {} B per client (ceiling {CLIENT_BYTES})",
+        r.requests, r.per_client
     );
     assert!(
-        per_client < MAX_BYTES_PER_CLIENT,
-        "the session allocated {per_client} B per client above its input"
+        (r.per_client as u64) < CLIENT_BYTES,
+        "the session allocated {} B per client above its input",
+        r.per_client
     );
 }
