@@ -52,31 +52,21 @@
 # allocator (`tests/heap/`). `tests/materialized_heap.rs` runs
 # `Simulator::run_trace` on a materialized trace at two threads, five
 # times, and holds the largest live-heap high-water above the input under
-# 14 bytes per session of the trace (≈ 10.1 read): the run holds the
-# trace once and builds no predictor for a realtime client. A prefetch
-# run of the same trace, five times too, is held under 17.5 (14.4–15.2
-# read): each shard's engine, predictors, event queue and scratch
-# buffers go with the shard.
+# 14 bytes per session of the trace: the run holds the trace once and
+# builds no predictor for a realtime client. A prefetch run of the same
+# trace, five times too, is held under 17.5: each shard's engine,
+# predictors, event queue and scratch buffers go with the shard.
 # `tests/stream_heap.rs` streams 750 generated users in four shards on
-# one worker and holds the high-water
-# under 5,600 bytes per client of a shard (≈ 5,040 read): a shard's ad
-# slots are pulled from its sessions, never collected into a sorted
-# vector (collecting them reads ≈ 10,350), and its clients keep the
-# compact state below (≈ 6,900 without it). `tests/serve_heap.rs` serves
-# a generated stream of 2,000 users at 16 shards and one worker and holds
+# one worker and holds the high-water under 5,600 bytes per client of a
+# shard: a shard's ad slots are pulled from its sessions, never
+# collected into a sorted vector. `tests/serve_heap.rs` serves a
+# generated stream of 2,000 users at 16 shards and one worker and holds
 # the high-water above the input under `adpf_serve::CLIENT_BYTES` =
-# 6,000 bytes per client (≈ 5,440 read), the ceiling the server also
-# admits a header's population by: each engine's event queue is one
-# heap, the per-client slot-time, report, outbox and cancellation queues
-# share slabs, so the session holds the entries live at its peak, not
-# each client's high-water mark, and a client's rate history is a
-# multiset of `u16`-indexed runs (≈ 6,200 without), its hour cells
-# integers (≈ 5,630 without), its cache gives back capacity (≈ 5,730
-# without), and a cached ad and a routed event are 16 bytes each
-# (≈ 5,710 and ≈ 5,970 at 24). `tests/serve_slope.rs` serves 1,250 users
-# at 10 shards for 2 and for 14 days and holds the growth between them
-# under 5,000 bytes per client (≈ 3,800–3,900 read; ≈ 7,700 with rate
-# histories of `f64`s, ≈ 8,000–8,600 with the layout before it). `tests/trace_heap.rs` builds
+# 6,000 bytes per client, the ceiling the server also admits a header's
+# population by. `tests/serve_slope.rs` serves 1,250 users at 10 shards
+# for 2 and for 14 days and holds the growth between them under 5,000
+# bytes per client. Each gate's comment lists its reading and what each
+# layout change it defends is worth. `tests/trace_heap.rs` builds
 # traces, whole on two threads (12,000 users) and as 16-way shards of
 # 3,000 users, plain, mixed-scenario and flash-crowd, and holds each
 # build's high-water to 24.8 bytes per session of the built trace

@@ -73,10 +73,12 @@ impl CachedAd {
 /// One client's prefetched ads, kept sorted by display priority:
 /// primaries earliest-deadline-first, then replicas.
 ///
-/// The vector gives back capacity as it empties: a `retain` that leaves
-/// it at a quarter of its capacity or less halves the capacity, so a
-/// client holds room for about what it holds now, not for its
-/// high-water mark.
+/// The vector gives back capacity as it empties: a sync's purge that
+/// leaves it at a quarter of its capacity or less halves the capacity,
+/// so a client holds room for about what it holds now, not for its
+/// high-water mark. Displays and cancellations between syncs never
+/// shrink it, so a cache drained by displays and refilled at the next
+/// sync does not reallocate at each step down and back up.
 #[derive(Debug, Default)]
 pub(crate) struct AdCache(Vec<CachedAd>);
 
@@ -98,15 +100,10 @@ impl AdCache {
         self.0.iter().filter(|c| !c.replica()).count()
     }
 
-    /// Keeps the ads `keep` accepts; returns how many it dropped. Halves
-    /// the capacity when what is left fits in a quarter of it.
+    /// Keeps the ads `keep` accepts; returns how many it dropped.
     fn retain(&mut self, keep: impl FnMut(&CachedAd) -> bool) -> usize {
         let before = self.0.len();
         self.0.retain(keep);
-        let cap = self.0.capacity();
-        if cap > Self::MIN_CAPACITY && self.0.len() <= cap / 4 {
-            self.0.shrink_to(cap / 2);
-        }
         before - self.0.len()
     }
 
@@ -127,7 +124,7 @@ impl AdCache {
     ) -> Option<CachedAd> {
         // Expired entries are dropped silently; the server's expiry sweep
         // does the ledger accounting.
-        self.purge_expired(now);
+        self.retain(|c| c.deadline() >= now);
         let pos = self
             .0
             .iter()
@@ -135,9 +132,16 @@ impl AdCache {
         Some(self.0.remove(pos))
     }
 
-    /// Drops cache entries whose deadline has passed; returns how many.
+    /// Drops cache entries whose deadline has passed, at a sync; returns
+    /// how many. Halves the capacity when what is left fits in a quarter
+    /// of it.
     pub(crate) fn purge_expired(&mut self, now: SimTime) -> usize {
-        self.retain(|c| c.deadline() >= now)
+        let dropped = self.retain(|c| c.deadline() >= now);
+        let cap = self.0.capacity();
+        if cap > Self::MIN_CAPACITY && self.0.len() <= cap / 4 {
+            self.0.shrink_to(cap / 2);
+        }
+        dropped
     }
 
     /// Drops the given ads (server-issued cancellations); returns how
@@ -356,6 +360,33 @@ mod tests {
         assert_eq!(c.purge_expired(SimTime::from_hours(3)), 2);
         assert_eq!(c.0.len(), 1);
         assert_eq!(c.purge_expired(SimTime::from_hours(3)), 0);
+    }
+
+    #[test]
+    fn only_a_sync_purge_gives_back_capacity() {
+        let mut c = AdCache::default();
+        for id in 0..16 {
+            c.insert(ad(id, 10 + id));
+        }
+        let full = c.0.capacity();
+        // Displays drain it to a quarter and below without a reallocation.
+        for _ in 0..13 {
+            assert!(c.take_displayable(SimTime::from_hours(1), W).is_some());
+        }
+        assert_eq!(c.0.capacity(), full);
+        // The sync's purge halves it, once per sync, down to the floor.
+        c.purge_expired(SimTime::from_hours(1));
+        assert_eq!(c.0.capacity(), full / 2);
+        // Emptied, it halves at each sync down to the floor and no lower.
+        while c.take_displayable(SimTime::from_hours(1), W).is_some() {}
+        let mut cap = full / 2;
+        while cap > AdCache::MIN_CAPACITY {
+            c.purge_expired(SimTime::from_hours(1));
+            cap /= 2;
+            assert_eq!(c.0.capacity(), cap);
+        }
+        c.purge_expired(SimTime::from_hours(1));
+        assert_eq!(c.0.capacity(), AdCache::MIN_CAPACITY);
     }
 
     #[test]

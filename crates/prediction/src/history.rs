@@ -2,6 +2,8 @@
 
 use std::collections::VecDeque;
 
+use adpf_stats::summary::quantile_by;
+
 /// The last [`RateHistory::MAX_LEN`] per-period rates, in two views: the
 /// distinct values ascending with their multiplicities (the sorted
 /// side, for quantiles), and the arrival ring as `u16` indices into
@@ -84,23 +86,10 @@ impl RateHistory {
         unreachable!("rank {rank} is past the {below} rates held")
     }
 
-    /// The `q`-quantile of the rates held, with
-    /// `adpf_stats::summary::quantile_sorted`'s interpolation between the
-    /// two order statistics around `q · (len − 1)`; `0.0` when empty.
+    /// The `q`-quantile of the rates held, interpolated as
+    /// `adpf_stats::summary::quantile_sorted` does; `0.0` when empty.
     pub(crate) fn quantile(&self, q: f64) -> f64 {
-        if self.ring.is_empty() {
-            return 0.0;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let pos = q * (self.ring.len() - 1) as f64;
-        let lo = pos.floor() as usize;
-        let hi = pos.ceil() as usize;
-        if lo == hi {
-            self.at_rank(lo)
-        } else {
-            let frac = pos - lo as f64;
-            self.at_rank(lo) * (1.0 - frac) + self.at_rank(hi) * frac
-        }
+        quantile_by(self.ring.len(), q, |rank| self.at_rank(rank))
     }
 
     /// The mean of the rates held, summed in arrival order; `0.0` when

@@ -24,7 +24,7 @@ pub struct Predictor(Model);
 
 // One of these per client sits inline in the engine's client table:
 // the session-aware model sets the size, and the day-hour one is boxed.
-const _: () = assert!(std::mem::size_of::<Predictor>() <= 336);
+const _: () = assert!(std::mem::size_of::<Predictor>() <= 432);
 
 /// One variant per family, its state inline.
 #[derive(Debug, Clone)]

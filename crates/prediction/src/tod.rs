@@ -19,13 +19,6 @@ fn for_each_hour_span(start: SimTime, end: SimTime, mut f: impl FnMut(SimTime, u
     }
 }
 
-/// Adds `ms` to an observed-time cell, saturating at `u32::MAX`. Inside
-/// `PopulationConfig::MAX_DAYS` a cell holds at most 795 days of one
-/// hour, 2.9e9 ms, so it never saturates there.
-fn add_ms(cell: &mut u32, ms: u64) {
-    *cell = u32::try_from(u64::from(*cell) + ms).unwrap_or(u32::MAX);
-}
-
 /// Adds the time of `[start, end)` to the hour cells `cells`, of which
 /// `cell(at)` is the one holding instant `at` and which repeat every
 /// `cycle_ms` (a whole number of hours). A span of one whole cycle,
@@ -36,24 +29,27 @@ fn observe_time(
     start: SimTime,
     end: SimTime,
     cycle_ms: u64,
-    cells: &mut [u32],
+    cells: &mut [u64],
     cell: impl Fn(SimTime) -> usize,
 ) {
     let cycles = end.saturating_since(start).as_millis() / cycle_ms;
     if cycles > 0 {
         for c in cells.iter_mut() {
-            add_ms(c, cycles * MS_PER_HOUR);
+            *c += cycles * MS_PER_HOUR;
         }
     }
     let rest = start + SimDuration::from_millis(cycles * cycle_ms);
-    for_each_hour_span(rest, end, |at, ms| add_ms(&mut cells[cell(at)], ms));
+    for_each_hour_span(rest, end, |at, ms| cells[cell(at)] += ms);
 }
 
 /// Per-hour-of-day slot rates.
 ///
 /// Maintains, for each of the 24 hours, the total slots observed and the
 /// total time observed, as integers converted to `f64` only to divide, so
-/// no sum ever rounds. Prediction integrates
+/// no sum ever rounds: a `u64` of milliseconds holds any instant a trace
+/// can carry (a recorded trace may start at a Unix-epoch timestamp), and
+/// a slot count saturates only past 2^32 slots of one client in one hour
+/// of the day. Prediction integrates
 /// the hourly rates over the requested window, handling partial hours at
 /// both ends. This is the paper's key insight about client modeling: slot
 /// demand is strongly diurnal, so an hour-indexed rate beats a global
@@ -62,8 +58,8 @@ fn observe_time(
 pub(crate) struct TimeOfDayPredictor {
     /// Slots seen in each hour of the day, saturating.
     slots: [u32; 24],
-    /// Milliseconds observed in each hour of the day, saturating.
-    observed_ms: [u32; 24],
+    /// Milliseconds observed in each hour of the day.
+    observed_ms: [u64; 24],
 }
 
 impl TimeOfDayPredictor {
@@ -73,7 +69,7 @@ impl TimeOfDayPredictor {
         if self.observed_ms[h] == 0 {
             0.0
         } else {
-            f64::from(self.slots[h]) / f64::from(self.observed_ms[h])
+            f64::from(self.slots[h]) / self.observed_ms[h] as f64
         }
     }
 
@@ -115,7 +111,7 @@ impl TimeOfDayPredictor {
 #[derive(Debug, Clone)]
 pub(crate) struct DayHourPredictor {
     slots: [u32; 7 * 24],
-    observed_ms: [u32; 7 * 24],
+    observed_ms: [u64; 7 * 24],
     fallback: TimeOfDayPredictor,
 }
 
@@ -137,12 +133,12 @@ fn day_hour(at: SimTime) -> usize {
 impl DayHourPredictor {
     /// Minimum per-cell observation (one full hour) before the cell's own
     /// rate is trusted.
-    pub(crate) const MIN_CELL_MS: u32 = MS_PER_HOUR as u32;
+    pub(crate) const MIN_CELL_MS: u64 = MS_PER_HOUR;
 
     fn rate(&self, at: SimTime) -> f64 {
         let c = day_hour(at);
         if self.observed_ms[c] >= Self::MIN_CELL_MS {
-            f64::from(self.slots[c]) / f64::from(self.observed_ms[c])
+            f64::from(self.slots[c]) / self.observed_ms[c] as f64
         } else {
             // Delegate to the hour-only rate.
             self.fallback.rate(at.hour_of_day())

@@ -8,7 +8,11 @@
 //!   the 512-rate bound, so eviction runs, with many repeats and zeros.
 //! - The integer hour cells, which add whole days (whole weeks for the
 //!   day-hour cells) in one step, against `f64` cells filled by walking
-//!   every hour of every period, over periods of up to 60 days.
+//!   every hour of every period, over periods of up to 60 days. As in the
+//!   engine, whose first sync period starts at time zero, a first period
+//!   runs from zero to the first week or to a start far out, as a
+//!   recorded trace with Unix-epoch timestamps has: past the ≈ 1,193
+//!   days at which a `u32` of observed milliseconds would saturate.
 //!
 //! Every comparison is of `f64` bits, after every observation.
 
@@ -205,12 +209,19 @@ fn long_period_ms(kind: u8, days: u64, any_ms: u64) -> u64 {
     }
 }
 
+/// The first instant at which a cell filled from time zero would hold
+/// more milliseconds than a `u32` can: one hour of every day, for
+/// `u32::MAX / MS_PER_HOUR` + 1 days (≈ 1,193).
+const FAR_MS: u64 = (u32::MAX as u64 / MS_PER_HOUR + 1) * 24 * MS_PER_HOUR;
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn integer_hour_cells_match_the_f64_hour_walk(
-        first_ms in 0u64..(7 * 24 * MS_PER_HOUR),
+        far in 0u8..2,
+        week_ms in 0u64..(7 * 24 * MS_PER_HOUR),
+        far_ms in FAR_MS..(1 << 41),
         periods in proptest::collection::vec(
             (0u8..6, 0u64..61, 0u64..(60 * 24 * MS_PER_HOUR), proptest::collection::vec(0u64..1_000_000, 0..6)),
             1..12,
@@ -220,7 +231,10 @@ proptest! {
         let mut tod = PredictorKind::TimeOfDay.build(&[]);
         let mut day_hour = PredictorKind::DayHour.build(&[]);
         let mut reference = F64Cells::new();
-        let mut start = SimTime::from_millis(first_ms);
+        let mut start = SimTime::from_millis(if far == 1 { far_ms } else { week_ms });
+        tod.observe(SimTime::ZERO, start, &[]);
+        day_hour.observe(SimTime::ZERO, start, &[]);
+        reference.observe(SimTime::ZERO, start, &[]);
         for &(kind, days, any_ms, ref at) in &periods {
             let len = long_period_ms(kind, days, any_ms);
             let end = start + SimDuration::from_millis(len);

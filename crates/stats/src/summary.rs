@@ -62,18 +62,25 @@ impl Summary {
 ///
 /// `q` is clamped to `[0, 1]`. Returns `0.0` for an empty slice.
 pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
+    quantile_by(sorted.len(), q, |rank| sorted[rank])
+}
+
+/// [`quantile_sorted`] over `len` values held in any layout: `at(rank)`
+/// returns the `rank`-th smallest (0-based), and is asked only for the
+/// one or two ranks the interpolation needs.
+pub fn quantile_by(len: usize, q: f64, at: impl Fn(usize) -> f64) -> f64 {
+    if len == 0 {
         return 0.0;
     }
     let q = q.clamp(0.0, 1.0);
-    let pos = q * (sorted.len() - 1) as f64;
+    let pos = q * (len - 1) as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;
     if lo == hi {
-        sorted[lo]
+        at(lo)
     } else {
         let frac = pos - lo as f64;
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+        at(lo) * (1.0 - frac) + at(hi) * frac
     }
 }
 

@@ -32,8 +32,9 @@ const REALTIME_CEILING: f64 = 14.0;
 
 /// The same ceiling for a prefetch run, whose shards each add a
 /// predictor per client, the client queues and the engine's event queue
-/// and scratch buffers, all dropped with the shard: 14.4–15.2, so the
-/// ceiling leaves ≈ 2.3.
+/// and scratch buffers, all dropped with the shard: 13.3–13.4 with the
+/// compact client layout of `serve_heap` (14.4–15.2 without it), so the
+/// ceiling leaves ≈ 4.
 const PREFETCH_CEILING: f64 = 17.5;
 
 /// Measured runs per configuration: the two workers claim shards in an

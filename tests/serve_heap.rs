@@ -29,14 +29,16 @@ const DAYS: u32 = 2;
 const SHARDS: usize = 16;
 
 // The ceiling is `CLIENT_BYTES`, which the server also admits headers
-// by. This population reads ≈ 5,440 B per client (±100 run to run).
-// Without one part of this layout at a time: rate histories as a
-// `VecDeque<f64>` with a sorted copy ≈ 6,200; `f64` hour cells ≈ 5,630;
-// caches kept at their high-water capacity ≈ 5,730; 24-byte cached ads
-// ≈ 5,710; 24-byte routed events ≈ 5,970. Without all five, the layout
-// before them, ≈ 7,620; restoring the queue's calendar ring (1,024
-// bucket `Vec`s per engine) on top of that ≈ 8,890, and 40-byte routed
-// events with every queue in `Vec`s ≈ 12,100.
+// by. This population reads ≈ 5,540 B per client (±100 run to run).
+// Undoing one part of this layout at a time adds: rate histories as a
+// `VecDeque<f64>` with a sorted copy ≈ +760; 8-byte slot counts in the
+// hour cells, the size the `f64` cells had, ≈ +95; caches kept at their
+// high-water capacity ≈ +280 (shrinking at every display instead of
+// only at a sync reads the same to ±15); 24-byte cached ads ≈ +270;
+// 24-byte routed events ≈ +525. Without all five, the layout before
+// them, ≈ 7,620; restoring the queue's calendar ring (1,024 bucket
+// `Vec`s per engine) on top of that ≈ 8,890, and 40-byte routed events
+// with every queue in `Vec`s ≈ 12,100.
 
 fn main() {
     let r = session::serve_once(USERS, DAYS, SHARDS);

@@ -23,13 +23,13 @@ const SHORT_DAYS: u32 = 2;
 const LONG_DAYS: u32 = 14;
 
 /// Ceiling on the growth from two to fourteen days, in bytes per
-/// client. It reads ≈ 3,800–3,900 (≈ 6,100 and ≈ 9,950 B per client;
-/// ≈ 3,720 at `serve_heap`'s 2,000 users). Rate histories as a
-/// `VecDeque<f64>` with a sorted copy read ≈ 7,700–7,800, and the layout
-/// before this gate, whose clients also kept `f64` hour cells, caches at
-/// their high-water capacity and 24-byte ads and events, ≈ 8,000–8,600
-/// (≈ 7,880 at 2,000 users). The other four parts move the growth by
-/// less than its run-to-run spread.
+/// client. It reads ≈ 3,800–3,900 (≈ 6,200–6,300 and ≈ 10,000–10,150 B
+/// per client). Rate histories as a `VecDeque<f64>` with a sorted copy
+/// read ≈ 7,700–7,800, and the layout before this gate, whose clients
+/// also kept `f64` hour cells, caches at their high-water capacity and
+/// 24-byte ads and events, ≈ 8,000–8,600. The other four parts move the
+/// growth by less than its run-to-run spread (caches kept at their
+/// high-water capacity read +3,882).
 const MAX_GROWTH_PER_CLIENT: usize = 5_000;
 
 fn main() {

@@ -25,15 +25,15 @@ const SEED: u64 = 1;
 const SHARDS: usize = 4;
 
 /// Ceiling on the run's high-water above its input, in bytes per client
-/// of a shard. Pulling the slots from the sessions reads ≈ 5,040 with
-/// the compact client layout of `serve_heap`, and without one of its
-/// parts at a time: rate histories as a `VecDeque<f64>` with a sorted
-/// copy ≈ 5,820, `f64` hour cells ≈ 5,230, caches kept at their
-/// high-water capacity ≈ 5,440, 24-byte cached ads ≈ 5,360 (routed
-/// events are the server's alone). Without all of them it read ≈ 6,900;
-/// before that, with 24-byte sessions ≈ 7,100, ≈ 7,550 while a shard's
-/// session vector grew by doubling, and ≈ 10,350 for a run that collects
-/// and sorts each shard's slot vector.
+/// of a shard. Pulling the slots from the sessions reads ≈ 5,140 with
+/// the compact client layout of `serve_heap`. Undoing one of its parts
+/// at a time adds: rate histories as a `VecDeque<f64>` with a sorted
+/// copy ≈ +780; 8-byte slot counts in the hour cells ≈ +95; caches kept
+/// at their high-water capacity ≈ +400; 24-byte cached ads ≈ +320
+/// (routed events are the server's alone). Without all of them it read
+/// ≈ 6,900; before that, with 24-byte sessions ≈ 7,100, ≈ 7,550 while a
+/// shard's session vector grew by doubling, and ≈ 10,350 for a run that
+/// collects and sorts each shard's slot vector.
 const MAX_BYTES_PER_SHARD_CLIENT: usize = 5_600;
 
 fn main() {
